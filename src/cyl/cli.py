@@ -10,10 +10,10 @@ Subcommands:
     path-profile       the five-leg competitor path, CSV/JSON + plot data
     accept             run the full acceptance suite
 
-Flags: --config PATH, --out DIR, --threads N, --tol-scale X.  The output
-directory falls back to $CYL_OUT_DIR, then to the config value.  Exit code 0
-only when every enabled acceptance check passes; otherwise the first failing
-criterion's index.
+Flags: --config PATH, --out DIR, --threads N (read by interaction-sweep
+only), --tol-scale X.  The output directory falls back to $CYL_OUT_DIR, then
+to the config value.  Exit code 0 only when every enabled acceptance check
+passes; otherwise the first failing criterion's index.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--threads", type=int, default=None,
-                   help="parallel workers for independent grid points")
+                   help="parallel workers for the t grid points of "
+                        "interaction-sweep; no other command reads it")
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiply quadrature tolerances by this factor")
     sub = p.add_subparsers(dest="command", required=True)

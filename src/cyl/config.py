@@ -6,7 +6,6 @@ Schema (all keys optional; defaults below):
     delta         = 0.025            # chart half-size of the football model
     alpha         = 0.6              # bubble-center exponent t = eps^alpha
     omega         = 0.7              # glue-radius exponent tau = eps^omega
-    b             = 1.08             # Green-expansion exponent, 1 < b < omega/alpha
     epsilon       = 1e-4             # calibrated path concentration scale
     epsilon_list  = 1.2e-4, 8.49e-5, 6e-5, 4.24e-5, 3e-5   # fit sequence
     t_grid        = 0.1, ..., 1000.0 # interaction sweep grid (log-spaced)
@@ -15,13 +14,13 @@ Schema (all keys optional; defaults below):
     mu_points     = 51               # competitor-path resolution
     rel_tol       = 1e-9             # quadrature relative tolerance
     abs_tol       = 1e-13
-    threads       = 1
+    threads       = 1                # worker threads of interaction-sweep
     seed          = 1234             # deterministic sampling seed
     out_dir       = ./cyl-out        # overridden by --out or CYL_OUT_DIR
 
 Lines starting with '#' and inline '# ...' comments are ignored.  Exponent
-constraints (1 > omega > alpha > 1/2, 2 + 2 alpha - 4 omega > 0) and
-1 < b < omega/alpha are validated at load.
+constraints (1 > omega > alpha > 1/2, 2 + 2 alpha - 4 omega > 0) are
+validated at load.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class RunConfig:
     delta: float = 0.025
     alpha: float = 0.6
     omega: float = 0.7
-    b: float = 1.08
     epsilon: float = 1e-4
     epsilon_list: tuple = DEFAULT_EPS_LIST
     epsilon_list_double: tuple = DEFAULT_EPS_LIST_DOUBLE
@@ -63,8 +61,6 @@ class RunConfig:
             raise ValueError("need 1 > omega > alpha > 1/2")
         if not 2.0 + 2.0 * self.alpha - 4.0 * self.omega > 0.0:
             raise ValueError("need 2 + 2 alpha - 4 omega > 0")
-        if not 1.0 < self.b < self.omega / self.alpha:
-            raise ValueError("need 1 < b < omega/alpha")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -85,8 +81,8 @@ class RunConfig:
         return d
 
 
-_FLOAT_KEYS = {"delta", "alpha", "omega", "b", "epsilon", "green_delta",
-               "rel_tol", "abs_tol"}
+_FLOAT_KEYS = {"delta", "alpha", "omega", "epsilon", "green_delta", "rel_tol",
+               "abs_tol"}
 _INT_KEYS = {"mu_points", "threads", "seed"}
 _LIST_KEYS = {"epsilon_list", "epsilon_list_double", "t_grid", "green_t_grid"}
 

@@ -25,6 +25,8 @@ from cyl.geometry.fields import (ChartMetricField, ConformalField,
 __all__ = [
     "cutoff_profile",
     "CutoffProfile",
+    "cnc_profile",
+    "RadialCNCProfile",
     "CNCFactor",
     "cnc_polynomial",
     "conformal_cnc_field",
@@ -63,6 +65,39 @@ class CutoffProfile:
 def cutoff_profile(t: float, inner: float = 0.25, outer: float = 0.5) -> CutoffProfile:
     """phi_t: 1 for s <= t/4, 0 for s >= t/2."""
     return CutoffProfile(inner * t, outer * t)
+
+
+@dataclass(frozen=True)
+class RadialCNCProfile:
+    """f(s) = phi_t(s) s^2/2: the cut-off CNC exponent of the round metric
+    as a function of the geodesic distance s to its basepoint (the round
+    factor is |z|^2/2, see ``cnc_polynomial``), with its s-derivatives."""
+
+    phi: CutoffProfile
+
+    @staticmethod
+    def _half_square(a, s):
+        """a s^2/2, multiplied left to right."""
+        return a * 0.5 * s * s
+
+    def value(self, s):
+        s = np.asarray(s, dtype=float)
+        return self._half_square(self.phi.value(s), s)
+
+    def deriv(self, s):
+        s = np.asarray(s, dtype=float)
+        return self._half_square(self.phi.deriv(s), s) + self.phi.value(s) * s
+
+    def deriv2(self, s):
+        s = np.asarray(s, dtype=float)
+        return (self._half_square(self.phi.deriv2(s), s)
+                + 2.0 * self.phi.deriv(s) * s + self.phi.value(s))
+
+
+def cnc_profile(t: float) -> RadialCNCProfile:
+    """The radial CNC exponent cut off by phi_t: s^2/2 for s <= t/4, 0 for
+    s >= t/2."""
+    return RadialCNCProfile(cutoff_profile(t))
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,11 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from cyl.constants import sobolev_constants
-from cyl.geometry.cnc import cutoff_profile
+from cyl.geometry.cnc import cnc_profile, cutoff_profile
 from cyl.geometry.fields import ChartMetricField, FlatField
 
 KAPPA = 24.0 * math.pi ** 2  # 4 a pi^2 with a = 6
+COUPLING_TOL = 1e-9  # largest mode-coupling defect the solver accepts
 
 __all__ = [
     "KAPPA",
@@ -47,7 +48,10 @@ __all__ = [
     "GreenProblem",
     "GreenEvaluator",
     "GreenExpansion",
+    "ZonalModeSum",
     "beta_samples",
+    "chart_for_field",
+    "matching_constant",
     "solve_dirichlet_green",
     "solve_harmonic_extension",
     "assemble_equivariant",
@@ -59,6 +63,7 @@ __all__ = [
     "round_ball_green",
     "football_global_green",
     "sphere_kernel",
+    "sphere_kernel_slope",
     "chebyshev_u",
     "cnc_radial_factor",
 ]
@@ -108,26 +113,24 @@ class RadialChart:
             x = rng.normal(size=4)
             x *= rng.uniform(0.05, 0.95) * delta / np.linalg.norm(x)
             r = np.linalg.norm(x)
-            c = float(self.w(np.array([r]))[0] if np.ndim(self.w(np.array([r]))) else self.w(r)) ** 2 / r ** 2
+            c = float(self.w(r)) ** 2 / r ** 2
             P = np.outer(x, x) / r ** 2
             model = P + c * (np.eye(4) - P)
             worst = max(worst, float(np.max(np.abs(field.value(x) - model))))
         return worst
 
 
-def chart_for_field(field: ChartMetricField) -> RadialChart:
-    from cyl.geometry.fields import WarpedRadialField
-    if isinstance(field, FlatField):
-        return RadialChart.flat()
-    if isinstance(field, WarpedRadialField):
-        # identify the round chart by its angular coefficient
-        u = np.array([0.09])
-        if abs(float(field.profile.c(u)[0]) - math.sin(0.3) ** 2 / 0.09) < 1e-12:
-            return RadialChart.round()
-        if abs(float(field.profile.c(u)[0]) - 1.0) < 1e-15:
-            return RadialChart.flat()
-    raise ValueError("no radial chart available for this field; the mode "
-                     "solver requires a radially symmetric suite metric")
+def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
+    """The flat or round chart, whichever the field matches better on the
+    ball of radius delta; the field must match it to COUPLING_TOL."""
+    charts = (RadialChart.flat(), RadialChart.round())
+    defects = [chart.mode_coupling_defect(field, delta) for chart in charts]
+    best = int(np.argmin(defects))
+    if defects[best] > COUPLING_TOL:
+        raise ValueError("no radial chart available for this field; the mode "
+                         "solver requires a radially symmetric suite metric "
+                         f"(defect={defects[best]:g})")
+    return charts[best]
 
 
 # ----------------------------------------------------------------------------
@@ -167,6 +170,12 @@ def zonal_project(fn, lmax: int, n_nodes: int = None) -> np.ndarray:
 def sphere_kernel(d):
     """Global Green kernel of L on the round S^4: 1/(4 sin^2(d/2))."""
     return 0.25 / np.sin(0.5 * np.asarray(d, dtype=float)) ** 2
+
+
+def sphere_kernel_slope(d):
+    """d/dd of the sphere kernel: -cos(d/2) / (4 sin^3(d/2))."""
+    u = 0.5 * np.asarray(d, dtype=float)
+    return -0.25 * np.cos(u) / np.sin(u) ** 3
 
 
 class flat_ball_green:
@@ -298,6 +307,13 @@ def _solve_mode(chart: RadialChart, l: int, delta: float, bval: float,
     return solve_banded((1, 1), ab, rhs)
 
 
+def _solve_modes(chart: RadialChart, delta: float, bmodes, rho_splines,
+                 mesh: np.ndarray) -> list:
+    """Nodal values of every mode l = 0..lmax on the mesh."""
+    return [_solve_mode(chart, l, delta, float(bval), rho, mesh)
+            for l, (bval, rho) in enumerate(zip(bmodes, rho_splines))]
+
+
 def _default_mesh(delta: float, t: float, n_base: int = 420) -> np.ndarray:
     pieces = [
         np.geomspace(delta * 1e-8, delta, n_base // 2),
@@ -322,12 +338,12 @@ class GreenProblem:
     lmax: int = 28
     mesh_size: int = 420
     parametrix: str = "fundamental"  # or 'glued'
-    coupling_tol: float = 1e-9
+    coupling_tol: float = COUPLING_TOL
 
     def __post_init__(self):
         self.pole = np.asarray(self.pole, dtype=float)
         t = float(np.linalg.norm(self.pole))
-        self.chart = chart_for_field(self.field)
+        self.chart = chart_for_field(self.field, self.delta)
         # the pole must avoid the cone tip; a centered pole is only meaningful
         # for the flat ball, where there is no tip
         t_lo = 0.0 if self.chart.kind == "flat" else 1e-300
@@ -341,31 +357,58 @@ class GreenProblem:
                 f"field is not radially symmetric to tolerance: defect={defect:g}")
 
 
+def _axis(pole) -> np.ndarray:
+    """Unit vector along the pole; e1 for the centred pole."""
+    t = float(np.linalg.norm(pole))
+    return pole / t if t > 0.0 else np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _polar(pts, axis):
+    """Points as an (m, 4) array, their radii and the cosines of their angles
+    against the unit axis."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    r = np.linalg.norm(pts, axis=1)
+    c = np.zeros_like(r)
+    safe = r > 0.0
+    c[safe] = (pts[safe] @ axis) / r[safe]
+    return pts, r, np.clip(c, -1.0, 1.0)
+
+
+class ZonalModeSum:
+    """u(y) = sum_l u_l(|y|) U_l(cos gamma), gamma the angle between y and the
+    axis, with each mode u_l a cubic spline through its nodal values on the
+    radial mesh."""
+
+    def __init__(self, axis, mesh: np.ndarray, modes):
+        self.axis = axis
+        self.splines = [CubicSpline(mesh, u, extrapolate=True) for u in modes]
+
+    def at(self, r, c) -> np.ndarray:
+        U = chebyshev_u(len(self.splines) - 1, c)
+        out = np.zeros(len(r))
+        for l, spl in enumerate(self.splines):
+            out += spl(r) * U[l]
+        return out
+
+    def value(self, pts) -> np.ndarray:
+        _, r, c = _polar(pts, self.axis)
+        return self.at(r, c)
+
+
 class GreenEvaluator:
     """Callable Green function zeta + mode sum, immutable after assembly."""
 
     def __init__(self, chart: RadialChart, pole, delta: float, zeta,
-                 mode_splines, lmax: int, error_estimate: float,
+                 modes: ZonalModeSum, error_estimate: float,
                  conformal_half=None):
         self.chart = chart
         self.pole = np.asarray(pole, dtype=float)
         self.t = float(np.linalg.norm(self.pole))
-        self.axis = self.pole / self.t if self.t > 0.0 \
-            else np.array([1.0, 0.0, 0.0, 0.0])
         self.delta = delta
         self.zeta = zeta
-        self.mode_splines = mode_splines
-        self.lmax = lmax
+        self.modes = modes
         self.error_estimate = error_estimate
         self.conformal_half = conformal_half  # y -> f(y)/2 for gbar = e^f g
-
-    def _polar(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        c = np.zeros_like(r)
-        safe = r > 0.0
-        c[safe] = (pts[safe] @ self.axis) / r[safe]
-        return pts, r, np.clip(c, -1.0, 1.0)
 
     def boundary_trace_defect(self, n: int = 64) -> float:
         gam = np.linspace(0.0, math.pi, n)
@@ -374,21 +417,15 @@ class GreenEvaluator:
         return float(np.max(np.abs(self.value(pts))))
 
     def regular_part(self, pts) -> np.ndarray:
-        pts, r, c = self._polar(pts)
-        U = chebyshev_u(self.lmax, c)
-        out = np.zeros(len(pts))
-        for l, spl in enumerate(self.mode_splines):
-            out += spl(r) * U[l]
-        return out
+        return self.modes.value(pts)
 
     def value(self, pts) -> np.ndarray:
-        pts, r, c = self._polar(pts)
+        pts, r, c = _polar(pts, self.modes.axis)
         d = self.chart.dist(r, self.t, c)
-        vals = self.zeta(d) + self.regular_part(pts)
+        vals = self.zeta(d) + self.modes.at(r, c)
         if self.conformal_half is not None:
             vals = vals * np.exp(-self.conformal_half(pts))
         return vals
-
 
 
 def _fundamental_zeta(chart: RadialChart):
@@ -427,8 +464,8 @@ def _glued_source(chart: RadialChart, t: float):
         d = np.asarray(d, dtype=float)
         if chart.kind == "round":
             u = 0.5 * d
-            K = 0.25 / np.sin(u) ** 2
-            K1 = -0.25 * np.cos(u) / np.sin(u) ** 3
+            K = sphere_kernel(d)
+            K1 = sphere_kernel_slope(d)
             K2 = 0.125 * (1.0 / np.sin(u) ** 2 + 3.0 * np.cos(u) ** 2 / np.sin(u) ** 4)
             W, Wp, R = np.sin(d), np.cos(d), 12.0
         else:
@@ -495,55 +532,33 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
         for l in range(problem.lmax + 1):
             rho_splines[l] = CubicSpline(rs, coeffs[:, l], extrapolate=True)
 
-    splines = []
-    err = 0.0
     coarse = mesh[::2] if mesh[-1] == mesh[::2][-1] else np.append(mesh[::2], mesh[-1])
-    for l in range(problem.lmax + 1):
-        u_fine = _solve_mode(chart, l, delta, float(bmodes[l]), rho_splines[l], mesh)
-        u_coarse = _solve_mode(chart, l, delta, float(bmodes[l]), rho_splines[l], coarse)
+    fine = _solve_modes(chart, delta, bmodes, rho_splines, mesh)
+    err = 0.0
+    for l, (u_fine, u_coarse) in enumerate(
+            zip(fine, _solve_modes(chart, delta, bmodes, rho_splines, coarse))):
         interp = np.interp(coarse, mesh, u_fine)
         err += float(np.max(np.abs(interp - u_coarse))) * (l + 1)
-        splines.append(CubicSpline(mesh, u_fine, extrapolate=True))
     # truncation part of the error: magnitude of the last boundary mode
     err += abs(float(bmodes[-1])) * (problem.lmax + 1)
-    return GreenEvaluator(chart, problem.pole, delta, zeta, splines,
-                          problem.lmax, err)
+    return GreenEvaluator(chart, problem.pole, delta, zeta,
+                          ZonalModeSum(_axis(problem.pole), mesh, fine), err)
 
 
 def solve_harmonic_extension(field: ChartMetricField, delta: float, datum,
                              lmax: int = 28, mesh_size: int = 420,
-                             require_even: bool = True):
+                             require_even: bool = True) -> ZonalModeSum:
     """Solve L H = 0 in the ball with zonal Dirichlet datum(gamma) on the
-    boundary; equivariant data must carry even modes only."""
-    chart = chart_for_field(field)
+    boundary, gamma measured against e1; equivariant data must carry even
+    modes only."""
+    chart = chart_for_field(field, delta)
     bmodes = zonal_project(lambda g: np.asarray(datum(g), dtype=float), lmax)
     odd_power = float(np.sum(np.abs(bmodes[1::2])))
     if require_even and odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
         raise ValueError("equivariant boundary datum must be antipodally even")
     mesh = _default_mesh(delta, 0.0, mesh_size)
-    splines = []
-    for l in range(lmax + 1):
-        splines.append(CubicSpline(
-            mesh, _solve_mode(chart, l, delta, float(bmodes[l]), None, mesh),
-            extrapolate=True))
-
-    class _Harmonic:
-        def __init__(self, axis):
-            self.axis = axis
-
-        def value(self, pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            r = np.linalg.norm(pts, axis=1)
-            c = np.zeros_like(r)
-            safe = r > 0.0
-            c[safe] = (pts[safe] @ self.axis) / r[safe]
-            U = chebyshev_u(lmax, np.clip(c, -1.0, 1.0))
-            out = np.zeros(len(pts))
-            for l, spl in enumerate(splines):
-                out += spl(r) * U[l]
-            return out
-
-    return _Harmonic(np.array([1.0, 0.0, 0.0, 0.0]))
+    modes = _solve_modes(chart, delta, bmodes, [None] * (lmax + 1), mesh)
+    return ZonalModeSum(_axis(np.zeros(4)), mesh, modes)
 
 
 # ----------------------------------------------------------------------------
@@ -555,40 +570,29 @@ def cnc_radial_factor(chart: RadialChart, pole, delta: float):
 
     Flat chart: identically zero.  Round chart: phi_t(d) d^2/2 around the pole
     plus the mirror branch around -pole (the factor is antipodally
-    symmetrized so gbar projects to the quotient).  Returns (f, f_half) with
-    f_half(pts) = f(pts)/2, plus the radial profile callable fr(d).
+    symmetrized so gbar projects to the quotient).  Returns f(pts) and the
+    radial profile fr(d).
     """
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
     if chart.kind == "flat":
         zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
         return zero, lambda d: np.zeros_like(np.asarray(d, dtype=float))
-    phi = cutoff_profile(t)
-
-    def fr(d):
-        d = np.asarray(d, dtype=float)
-        return phi.value(d) * 0.5 * d * d
+    fr = cnc_profile(t).value
+    axis = _axis(pole)
 
     def f(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        c = np.zeros_like(r)
-        safe = r > 0.0
-        axis = pole / t
-        c[safe] = (pts[safe] @ axis) / r[safe]
-        dplus = chart.dist(r, t, np.clip(c, -1.0, 1.0))
-        dminus = chart.dist(r, t, -np.clip(c, -1.0, 1.0))
-        return fr(dplus) + fr(dminus)
+        _, r, c = _polar(pts, axis)
+        return fr(chart.dist(r, t, c)) + fr(chart.dist(r, t, -c))
 
     return f, fr
 
 
 def conformal_wrap(ev: GreenEvaluator, f_callable) -> GreenEvaluator:
     """Gbar = e^{-f/2} G for gbar = e^f g; exact since f(pole) = 0."""
-    out = GreenEvaluator(ev.chart, ev.pole, ev.delta, ev.zeta, ev.mode_splines,
-                         ev.lmax, ev.error_estimate,
-                         conformal_half=lambda pts: 0.5 * f_callable(pts))
-    return out
+    return GreenEvaluator(ev.chart, ev.pole, ev.delta, ev.zeta, ev.modes,
+                          ev.error_estimate,
+                          conformal_half=lambda pts: 0.5 * f_callable(pts))
 
 
 class AssembledGreen:
@@ -625,18 +629,15 @@ class GreenExpansion:
     t: float
     A_q: float
     error: float
-    nu: float
     means: np.ndarray
     radii: np.ndarray
 
-    def with_matching(self, epsilon: float, tau: float) -> "GreenExpansion":
-        """Attach the gluing constant from the U/Green continuity condition
-        c4/eps / (1 + tau^2/eps^2) = (tau^-2 + A_q)/nu."""
-        k = sobolev_constants()
-        nu = (1.0 / tau ** 2 + self.A_q) * (1.0 + tau ** 2 / epsilon ** 2) \
-            / (k.c4 / epsilon)
-        return GreenExpansion(self.t, self.A_q, self.error, nu,
-                              self.means, self.radii)
+
+def matching_constant(epsilon: float, tau: float, A_q: float) -> float:
+    """The gluing constant nu of the U/Green continuity condition at
+    |z| = tau:  c4/eps / (1 + tau^2/eps^2) = (tau^-2 + A_q)/nu."""
+    return (1.0 / tau ** 2 + A_q) * (1.0 + tau ** 2 / epsilon ** 2) \
+        / (sobolev_constants().c4 / epsilon)
 
 
 def beta_samples(evaluator, pole, expansion: GreenExpansion, radii,
@@ -646,28 +647,34 @@ def beta_samples(evaluator, pole, expansion: GreenExpansion, radii,
     on gbar-geodesic spheres around the pole; beta(0) = 0 by construction."""
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
+    rng = np.random.default_rng(0)
+    dirs = rng.normal(size=(n_dirs, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    smax = 0.49 * t if t > 0 else float(np.max(radii)) * 2
+    out = []
+    for eps, pts, vals in _gbar_spheres(evaluator, pole, radii, dirs, chart,
+                                        conformal_fr, smax):
+        out += [(p, float(v - 1.0 / eps ** 2 - expansion.A_q))
+                for p, v in zip(pts, vals)]
+    return out
+
+
+def _gbar_spheres(evaluator, pole, radii, dirs, chart, conformal_fr, smax):
+    """Yields (eps, points, values of the evaluator) on the gbar-geodesic
+    spheres of radius eps around the pole, one point per unit direction
+    (dirs are taken with e1 along the pole); the gbar radius is inverted on
+    [0, smax] through the radial CNC profile conformal_fr, if given."""
     if chart is None:
         chart = getattr(evaluator, "chart", RadialChart.flat())
     if conformal_fr is None:
         s_of_rho = lambda rho: rho
     else:
-        sgrid = np.linspace(0.0, 0.49 * t if t > 0 else float(np.max(radii)) * 2,
-                            400)
-        integ = _cumulative_gl(lambda s: np.exp(0.5 * conformal_fr(s)), sgrid)
-        s_of_rho = CubicSpline(integ, sgrid)
-    axis = pole / t if t > 0.0 else np.array([1.0, 0.0, 0.0, 0.0])
-    basis = _frame_with_axis(axis)
-    rng = np.random.default_rng(0)
-    dirs = rng.normal(size=(n_dirs, 4))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    out = []
+        _, s_of_rho = _gbar_radius(conformal_fr, np.linspace(0.0, smax, 400))
+    # orthonormal tangent completion: rotate e1 onto the pole axis
+    tangents = dirs @ _frame_with_axis(_axis(pole)).T
     for eps in np.asarray(radii, dtype=float):
-        s = float(s_of_rho(eps))
-        pts = _exp_sphere(chart, pole, s, dirs @ basis.T)
-        vals = evaluator.value(pts)
-        for p, v in zip(pts, vals):
-            out.append((p, float(v - 1.0 / eps ** 2 - expansion.A_q)))
-    return out
+        pts = _exp_sphere(chart, pole, float(s_of_rho(eps)), tangents)
+        yield eps, pts, evaluator.value(pts)
 
 
 def _cumulative_gl(f, sgrid: np.ndarray, order: int = 8) -> np.ndarray:
@@ -682,6 +689,14 @@ def _cumulative_gl(f, sgrid: np.ndarray, order: int = 8) -> np.ndarray:
     vals = f(nodes.ravel()).reshape(nodes.shape)
     increments = half * (vals @ w)
     return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+def _gbar_radius(f, sgrid: np.ndarray):
+    """rho(s) = int_0^s e^{f/2}, the gbar = e^f g distance along a radial
+    geodesic with CNC profile f(s), on sgrid (from 0), and its inverse
+    s(rho) as a cubic spline."""
+    rho = _cumulative_gl(lambda s: np.exp(0.5 * f(s)), sgrid)
+    return rho, CubicSpline(rho, sgrid)
 
 
 def _sym_directions(n: int = 6) -> np.ndarray:
@@ -703,35 +718,21 @@ def extract_mass(evaluator, pole, eps0: float = None, levels: int = 4,
     """
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
-    if chart is None:
-        chart = getattr(evaluator, "chart", RadialChart.flat())
     if eps0 is None:
         eps0 = t / 8.0
     dirs, weights = _sym_directions()
     radii = eps0 * 0.5 ** np.arange(levels)
-    # rho(s) map along radial geodesics
-    if conformal_fr is None:
-        s_of_rho = lambda rho: rho
-    else:
-        sgrid = np.linspace(0.0, min(2.0 * eps0, 0.49 * t) if t > 0 else 2.0 * eps0,
-                            400)
-        integ = _cumulative_gl(lambda s: np.exp(0.5 * conformal_fr(s)), sgrid)
-        s_of_rho = CubicSpline(integ, sgrid)
-    means = np.empty(levels)
-    axis = pole / t if t > 0.0 else np.array([1.0, 0.0, 0.0, 0.0])
-    # orthonormal tangent completion: rotate e1 onto axis
-    basis = _frame_with_axis(axis)
-    for k, eps in enumerate(radii):
-        s = float(s_of_rho(eps))
-        pts = _exp_sphere(chart, pole, s, dirs @ basis.T)
-        vals = evaluator.value(pts)
-        means[k] = float(np.sum(weights * (vals - 1.0 / eps ** 2)))
+    smax = min(2.0 * eps0, 0.49 * t) if t > 0 else 2.0 * eps0
+    means = np.array([float(np.sum(weights * (vals - 1.0 / eps ** 2)))
+                      for eps, _, vals in _gbar_spheres(
+                          evaluator, pole, radii, dirs, chart, conformal_fr,
+                          smax)])
     design = np.stack([np.ones(levels), radii, radii ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     fitted = design @ coef
     err = float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
-    return GreenExpansion(t=t, A_q=float(coef[0]), error=err, nu=math.nan,
-                          means=means, radii=radii)
+    return GreenExpansion(t=t, A_q=float(coef[0]), error=err, means=means,
+                          radii=radii)
 
 
 def _frame_with_axis(axis: np.ndarray) -> np.ndarray:
@@ -780,7 +781,7 @@ def _exp_sphere(chart: RadialChart, pole, s: float, dirs: np.ndarray) -> np.ndar
 # ----------------------------------------------------------------------------
 
 def mass_divergence_sweep(model: str, t_grid, delta: float, lmax: int = 28,
-                          mesh_size: int = 420, boundary_datum=None) -> list:
+                          mesh_size: int = 420) -> list:
     """Full pipeline per t: CNC factor, Dirichlet solve at both poles,
     equivariant assembly, mass extraction.  Returns rows of dicts with the
     A_q * 4 t^2 column."""
@@ -798,12 +799,7 @@ def mass_divergence_sweep(model: str, t_grid, delta: float, lmax: int = 28,
         g_plus = solve_dirichlet_green(problem)
         f_full, fr = cnc_radial_factor(problem.chart, pole, delta)
         gbar_plus = conformal_wrap(g_plus, f_full)
-        gbar_minus_vals = _MirrorEval(gbar_plus)
-        harmonic = None
-        if boundary_datum is not None:
-            harmonic = solve_harmonic_extension(field, delta, boundary_datum,
-                                                lmax=lmax, mesh_size=mesh_size)
-        assembled = assemble_equivariant(gbar_plus, gbar_minus_vals, harmonic)
+        assembled = assemble_equivariant(gbar_plus, _MirrorEval(gbar_plus))
         exp = extract_mass(assembled, pole, chart=problem.chart, conformal_fr=fr)
         rows.append({
             "t": float(t),
@@ -838,7 +834,6 @@ def parametrix_residual(chart: RadialChart, t: float, n_samples: int = 200,
     is a closed-form radial function.  Returns samples, the sup, and the two
     terms separately.
     """
-    phi = cutoff_profile(t)
     svals = np.linspace(t * 1e-3, 0.5 * t * (1 - 1e-9), n_samples)
     if chart.kind == "flat":
         # m(rho) = rho and R = 0 identically: the residual vanishes
@@ -846,32 +841,19 @@ def parametrix_residual(chart: RadialChart, t: float, n_samples: int = 200,
         return {"rho": svals, "volume_term": zeros, "curvature_term": zeros,
                 "total": zeros, "sup": 0.0,
                 "sup_curvature_term_no_cnc": 0.0}
-
-    def fprof(s):
-        if chart.kind == "flat" or not with_cnc:
-            return np.zeros_like(s)
-        return phi.value(s) * 0.5 * s * s
-
-    def fprof_p(s):
-        if chart.kind == "flat" or not with_cnc:
-            return np.zeros_like(s)
-        return phi.deriv(s) * 0.5 * s * s + phi.value(s) * s
-
-    def fprof_pp(s):
-        if chart.kind == "flat" or not with_cnc:
-            return np.zeros_like(s)
-        return phi.deriv2(s) * 0.5 * s * s + 2.0 * phi.deriv(s) * s + phi.value(s)
-
+    if with_cnc:
+        prof = cnc_profile(t)
+        fprof = prof.value
+        f, fp, fpp = prof.value(svals), prof.deriv(svals), prof.deriv2(svals)
+    else:
+        fprof = np.zeros_like
+        f = fp = fpp = np.zeros_like(svals)
     w = np.asarray(chart.w(svals), dtype=float)
     wp = np.asarray(chart.wp(svals), dtype=float)
     R0 = np.asarray(chart.scal(svals), dtype=float)
-    f = fprof(svals)
-    fp = fprof_p(svals)
-    fpp = fprof_pp(svals)
     # rho(s) to machine accuracy: the volume term lives on the cancellation
     # m(rho) = rho + O(rho^5), so rho itself must be exact
-    grid = np.concatenate([[0.0], svals])
-    rho = _cumulative_gl(lambda s: np.exp(0.5 * fprof(s)), grid)[1:]
+    rho = _gbar_radius(fprof, np.concatenate([[0.0], svals]))[0][1:]
     m = np.exp(0.5 * f) * w
     dm_ds = np.exp(0.5 * f) * (0.5 * fp * w + wp)
     dm_drho = dm_ds * np.exp(-0.5 * f)

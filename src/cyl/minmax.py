@@ -36,8 +36,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from cyl.constants import sobolev_constants
-from cyl.geometry.cnc import CutoffProfile, cutoff_profile
-from cyl.green import _cumulative_gl, sphere_kernel
+from cyl.geometry.cnc import (CutoffProfile, RadialCNCProfile, cnc_profile,
+                              cutoff_profile)
+from cyl.green import (_gbar_radius, matching_constant, sphere_kernel,
+                       sphere_kernel_slope)
 from cyl.quadrature import (IntegralResult, QuadratureSpec, integrate_radial,
                             integrate_rect2d, integrate_sphere3)
 
@@ -369,44 +371,24 @@ class GluedData:
     s_2tau: float
     rho: object           # s -> gbar radial distance (spline)
     s_of_rho: object
-    f1: object            # CNC exponent branch profile f1(s), with derivative
-    f1p: object
+    f1: RadialCNCProfile  # CNC exponent branch profile f1(s) and derivatives
     chi_tau: CutoffProfile
 
     def rho_d2(self, xi: D2) -> D2:
         v = self.rho(xi.v)
-        d = np.exp(0.5 * self.f1(xi.v))
+        d = np.exp(0.5 * self.f1.value(xi.v))
         return D2(v, d * xi.dx, d * xi.dy)
-
-
-def _cnc_profile(t: float):
-    phi = cutoff_profile(t)
-
-    def f1(s):
-        s = np.asarray(s, dtype=float)
-        return phi.value(s) * 0.5 * s * s
-
-    def f1p(s):
-        s = np.asarray(s, dtype=float)
-        return phi.deriv(s) * 0.5 * s * s + phi.value(s) * s
-
-    def f1pp(s):
-        s = np.asarray(s, dtype=float)
-        return phi.deriv2(s) * 0.5 * s * s + 2.0 * phi.deriv(s) * s + phi.value(s)
-
-    return f1, f1p, f1pp
 
 
 def glued_data(eps: float, t: float, tau: float) -> GluedData:
     """Matching data for the glued test function at pole distance t."""
     if not 0.0 < eps < tau < t:
         raise ValueError("need 0 < eps < tau < t")
-    f1, f1p, _ = _cnc_profile(t)
-    smax = min(2.0 * t * 0.98, 0.5 * (t + math.pi) )
+    f1 = cnc_profile(t)
+    smax = min(2.0 * t * 0.98, 0.5 * (t + math.pi))
     sgrid = np.linspace(0.0, smax, 800)
-    rho_vals = _cumulative_gl(lambda s: np.exp(0.5 * f1(s)), sgrid)
+    rho_vals, s_of_rho = _gbar_radius(f1.value, sgrid)
     rho = CubicSpline(sgrid, rho_vals)
-    s_of_rho = CubicSpline(rho_vals, sgrid)
     s_tau = float(s_of_rho(tau))
     s_2tau = float(s_of_rho(2.0 * tau))
     if 2.0 * s_2tau >= 2.0 * t * 0.98:
@@ -416,19 +398,17 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
     vals = []
     for s in svals:
         d2 = 2.0 * t - s  # along the geodesic toward the partner
-        G = math.exp(-0.5 * float(f1(s))) * (float(sphere_kernel(s))
-                                             + float(sphere_kernel(d2)))
+        G = math.exp(-0.5 * float(f1.value(s))) \
+            * (float(sphere_kernel(s)) + float(sphere_kernel(d2)))
         vals.append(G - 1.0 / float(rho(s)) ** 2)
     # quadratic Richardson in s
     design = np.stack([np.ones(3), svals, svals ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.array(vals), rcond=None)
     A_num = float(coef[0])
     A_closed = float(0.25 / math.sin(t) ** 2)
-    k = sobolev_constants()
-    nu = (1.0 / tau ** 2 + A_num) * (1.0 + tau ** 2 / eps ** 2) / (k.c4 / eps)
     return GluedData(eps=eps, t=t, tau=tau, A_q=A_num, A_q_closed=A_closed,
-                     nu=nu, s_tau=s_tau, s_2tau=s_2tau, rho=rho,
-                     s_of_rho=s_of_rho, f1=f1, f1p=f1p,
+                     nu=matching_constant(eps, tau, A_num), s_tau=s_tau,
+                     s_2tau=s_2tau, rho=rho, s_of_rho=s_of_rho, f1=f1,
                      chi_tau=CutoffProfile(tau, 2.0 * tau))
 
 
@@ -438,7 +418,7 @@ def nu_matching(epsilon: float, tau: float, A_q: float) -> dict:
     if not 0.0 < epsilon < tau:
         raise ValueError("need 0 < epsilon < tau")
     k = sobolev_constants()
-    nu = (1.0 / tau ** 2 + A_q) * (1.0 + tau ** 2 / epsilon ** 2) / (k.c4 / epsilon)
+    nu = matching_constant(epsilon, tau, A_q)
     inv_exact = 1.0 / nu
     inv_series = k.c4 * epsilon * (1.0 - tau ** 2 * A_q - epsilon ** 2 / tau ** 2
                                    + epsilon ** 2 * A_q)
@@ -509,34 +489,30 @@ class _LegGeometry:
 
     def conf_exponent(self, xi: D2, eta: D2) -> D2:
         """f = f1(xi) + f1(d2) with derivative chain."""
-        d = self.data
+        f1 = self.data.f1
         d2 = self.d2_partner(xi, eta)
-        f_self = D2(d.f1(xi.v), d.f1p(xi.v) * xi.dx, d.f1p(xi.v) * xi.dy)
-        f_mirr = D2(d.f1(d2.v), d.f1p(d2.v) * d2.dx, d.f1p(d2.v) * d2.dy)
-        return f_self + f_mirr
+        return xi.apply(f1.value, f1.deriv) + d2.apply(f1.value, f1.deriv)
 
     def green_lift(self, xi: D2, eta: D2) -> D2:
         """Gbar = e^{-f/2} (Gs(xi) + Gs(d2)), the CNC-corrected global kernel."""
         d2 = self.d2_partner(xi, eta)
-        gs = lambda s: 0.25 / np.sin(0.5 * s) ** 2
-        gsp = lambda s: -0.25 * np.cos(0.5 * s) / np.sin(0.5 * s) ** 3
-        G = xi.apply(gs, gsp) + d2.apply(gs, gsp)
+        G = xi.apply(sphere_kernel, sphere_kernel_slope) \
+            + d2.apply(sphere_kernel, sphere_kernel_slope)
         f = self.conf_exponent(xi, eta)
         return (f * (-0.5)).exp() * G
 
     def scal_gbar(self, xi: D2, eta: D2) -> np.ndarray:
         """R of gbar = e^f g_round: exact conformal formula, n = 4."""
-        d = self.data
-        _, f1p, f1pp = _cnc_profile(self.t)
+        f1 = self.data.f1
         d2 = self.d2_partner(xi, eta)
         lap = np.zeros_like(xi.v)
         grad2 = np.zeros_like(xi.v)
         for s in (xi.v, d2.v):
-            fp = f1p(s)
-            fpp = f1pp(s)
+            fp = f1.deriv(s)
+            fpp = f1.deriv2(s)
             lap = lap + fpp + 3.0 * np.cos(s) / np.sin(s) * fp
             grad2 = grad2 + fp * fp
-        f = d.f1(xi.v) + d.f1(d2.v)
+        f = f1.value(xi.v) + f1.value(d2.v)
         return np.exp(-f) * (12.0 - 3.0 * lap - 1.5 * grad2)
 
     def measure(self, xi_v, eta_v, f_v) -> np.ndarray:
@@ -630,7 +606,7 @@ def _flux_integrals(geom: _LegGeometry, lam: float, chi_delta,
     """
     d = geom.data
     s = d.s_2tau
-    f1s = float(d.f1(s))
+    f1s = float(d.f1.value(s))
 
     def flux_GG(eta_v):
         xi = D2.var_x(np.full_like(eta_v, s))

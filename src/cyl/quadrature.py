@@ -513,8 +513,10 @@ def _sphere3_nodes(n1: int, n2: int, n3: int):
 def integrate_sphere3(f, radius: float, center, spec: QuadratureSpec) -> IntegralResult:
     """Surface integral of ``f`` over the round 3-sphere of given radius.
 
-    ``f`` takes an (m, 4) array of points.  The rule order doubles until two
-    consecutive estimates agree within tolerance; exact for constants
+    ``f`` takes an (m, 4) array of points.  The rule order doubles from
+    n = 8 until two consecutive estimates agree within tolerance, and stops
+    unconverged after n = 128 (2 n^3 = 4.2e6 nodes) with the difference of
+    the last two estimates as its error; exact for constants
     (area 2*pi^2*radius^3).
     """
     if radius <= 0.0:
@@ -522,8 +524,7 @@ def integrate_sphere3(f, radius: float, center, spec: QuadratureSpec) -> Integra
     center = np.asarray(center, dtype=float)
     prev = None
     evals = 0
-    n = 8
-    for _ in range(8):
+    for n in (8, 16, 32, 64, 128):
         nodes, w = _sphere3_nodes(n, n, 2 * n)
         pts = center[None, :] + radius * nodes
         vals = np.asarray(f(pts), dtype=float)
@@ -534,8 +535,7 @@ def integrate_sphere3(f, radius: float, center, spec: QuadratureSpec) -> Integra
             if err <= spec.tolerance_for(est):
                 return IntegralResult(est, err, evals, True)
         prev = est
-        n *= 2
-    return IntegralResult(prev, abs(est - prev), evals, False)
+    return IntegralResult(est, err, evals, False)
 
 
 def integrate_ball4(f, radius: float, spec: QuadratureSpec,

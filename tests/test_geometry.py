@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyl.geometry.cnc import cnc_polynomial, cutoff_profile, verify_cnc
+from cyl.geometry.cnc import (cnc_polynomial, cnc_profile, cutoff_profile,
+                              verify_cnc)
 from cyl.geometry.curvature import curvature_at
 from cyl.geometry.fields import (ConformalField, FlatField, ForcedFDField,
                                  WarpedRadialField, polynomial_profile,
@@ -282,6 +283,22 @@ def test_cutoff_profile_bounds():
     assert np.all(phi.value(s[s >= t / 2]) == 0.0)
     assert np.max(np.abs(phi.deriv(s))) <= 20.0 / t
     assert np.max(np.abs(phi.deriv2(s))) <= 120.0 / t ** 2
+
+
+def test_radial_cnc_exponent():
+    t = 0.4
+    f = cnc_profile(t)
+    s = np.linspace(0.0, t, 200)
+    inner, outer = s[s <= t / 4], s[s >= t / 2]
+    assert np.all(f.value(inner) == 0.5 * inner ** 2)
+    assert np.all(f.value(outer) == 0.0)
+    # derivatives against centred differences (grid off the knots t/4, t/2)
+    s = np.linspace(0.013, 0.39, 57)
+    h = 1e-5
+    fd1 = (f.value(s + h) - f.value(s - h)) / (2 * h)
+    fd2 = (f.value(s + h) - 2 * f.value(s) + f.value(s - h)) / h ** 2
+    assert_allclose(f.deriv(s), fd1, rtol=0, atol=1e-7)
+    assert_allclose(f.deriv2(s), fd2, rtol=0, atol=1e-5)
 
 
 def test_cnc_factor_round_is_half_r2():

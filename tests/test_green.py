@@ -6,13 +6,16 @@ from numpy.testing import assert_allclose
 
 from cyl.constants import sobolev_constants
 from cyl.geometry.fields import (ConformalField, FlatField, WarpedRadialField,
+                                 flat_profile, polynomial_profile,
                                  round_profile)
 from cyl.green import (KAPPA, GreenProblem, RadialChart, assemble_equivariant,
-                       chebyshev_u, cnc_radial_factor, conformal_wrap,
-                       extract_mass, flat_ball_green, football_global_green,
-                       mass_divergence_sweep, parametrix_residual,
+                       chart_for_field, chebyshev_u, cnc_radial_factor,
+                       conformal_wrap, extract_mass, flat_ball_green,
+                       football_global_green, mass_divergence_sweep,
+                       matching_constant, parametrix_residual,
                        parametrix_sweep, round_ball_green, solve_dirichlet_green,
-                       solve_harmonic_extension, sphere_kernel, zonal_project)
+                       solve_harmonic_extension, sphere_kernel,
+                       sphere_kernel_slope, zonal_project)
 from cyl.quadrature import QuadratureSpec, integrate_axisym_sphere
 
 ROUND = WarpedRadialField(round_profile())
@@ -84,6 +87,16 @@ def test_sphere_kernel_is_l_harmonic():
     L = -6.0 * (upp + 3.0 * np.cos(d) / np.sin(d) * up) + 12.0 * u
     scale = np.abs(6.0 * upp) + np.abs(12.0 * u)
     assert np.max(np.abs(L) / scale) < 1e-5
+    assert_allclose(sphere_kernel_slope(d), up, rtol=1e-6)
+
+
+def test_chart_for_field_picks_the_matching_chart():
+    assert chart_for_field(FlatField(), 1.0).kind == "flat"
+    assert chart_for_field(WarpedRadialField(flat_profile()), 1.0).kind == "flat"
+    for delta in (0.025, 0.5, 1.0):
+        assert chart_for_field(ROUND, delta).kind == "round"
+    with pytest.raises(ValueError):
+        chart_for_field(WarpedRadialField(polynomial_profile(1, 1)), 0.5)
 
 
 def test_green_relations_on_football():
@@ -279,9 +292,9 @@ def test_beta_samples_and_matching():
     sups = [max(mags[r]) for r in radii]
     assert sups[0] < 0.1  # C^1 remainder at beta(0) = 0 scale
     assert sups[0] <= sups[-1] * 4.0 + 1e-9
-    # matching constant attaches through the continuity condition
-    m = exp.with_matching(1e-3, 5e-3)
+    # the matching constant satisfies the continuity condition
+    nu = matching_constant(1e-3, 5e-3, exp.A_q)
     k = sobolev_constants()
     lhs = (k.c4 / 1e-3) / (1.0 + (5e-3) ** 2 / (1e-3) ** 2)
-    rhs = (1.0 / (5e-3) ** 2 + exp.A_q) / m.nu
+    rhs = (1.0 / (5e-3) ** 2 + exp.A_q) / nu
     assert lhs == pytest.approx(rhs, rel=1e-12)

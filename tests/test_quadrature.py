@@ -147,6 +147,18 @@ def test_sphere3_area_and_symmetry():
     assert abs(lin.value) < 1e-12
 
 
+def test_sphere3_unconverged_reports_its_error():
+    # a step across the sphere defeats every product rule up to the cap
+    res = integrate_sphere3(lambda pts: (pts[:, 0] > 0.3).astype(float), 1.0,
+                            np.zeros(4), SPEC)
+    assert not res.converged
+    assert res.error_estimate > 0.0
+    # the doubling stops after the n = 128 rule
+    assert res.evaluations == sum(2 * n ** 3 for n in (8, 16, 32, 64, 128))
+    with pytest.raises(QuadratureError):
+        res.expect()
+
+
 def test_sphere3_bubble_flux():
     # (d_r U_eps) U_eps on a centered sphere of radius tau
     eps, tau = 0.5, 1.3
