@@ -36,30 +36,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """C^2 quintic step: 1 on [0, r1], 0 on [r2, oo)."""
+    """C^2 quintic step: 1 on [0, r1], 0 on [r2, oo).
+
+    The quintic runs only on the transition band r1 < s < r2; elsewhere the
+    exact 1 or 0 (0 for the derivatives) is written, so points away from the
+    band cost a comparison, not a polynomial."""
 
     r1: float
     r2: float
 
-    def _t(self, s):
-        return np.clip((np.asarray(s, dtype=float) - self.r1)
-                       / (self.r2 - self.r1), 0.0, 1.0)
+    def _banded(self, s, outside, poly):
+        """poly(t) on the band 0 < t < 1 of t = (s - r1)/(r2 - r1) and
+        outside(t) elsewhere; a 0-d or scalar s stays a numpy scalar, so its
+        polynomial runs on the scalar path as before."""
+        t = (np.asarray(s, dtype=float) - self.r1) / (self.r2 - self.r1)
+        band = (t > 0.0) & (t < 1.0)
+        if np.ndim(t) == 0:
+            return poly(t) if band else outside(t)
+        out = outside(t)
+        out[band] = poly(t[band])
+        return out
 
     def value(self, s):
-        t = self._t(s)
-        return 1.0 - (10.0 * t ** 3 - 15.0 * t ** 4 + 6.0 * t ** 5)
+        return self._banded(
+            s, lambda t: np.where(t <= 0.0, 1.0, 0.0),
+            lambda t: 1.0 - (10.0 * t ** 3 - 15.0 * t ** 4 + 6.0 * t ** 5))
 
     def deriv(self, s):
-        t = self._t(s)
-        inside = (t > 0.0) & (t < 1.0)
-        d = -(30.0 * t ** 2 - 60.0 * t ** 3 + 30.0 * t ** 4) / (self.r2 - self.r1)
-        return np.where(inside, d, 0.0)
+        return self._banded(
+            s, np.zeros_like,
+            lambda t: -(30.0 * t ** 2 - 60.0 * t ** 3 + 30.0 * t ** 4)
+            / (self.r2 - self.r1))
 
     def deriv2(self, s):
-        t = self._t(s)
-        inside = (t > 0.0) & (t < 1.0)
-        d = -(60.0 * t - 180.0 * t ** 2 + 120.0 * t ** 3) / (self.r2 - self.r1) ** 2
-        return np.where(inside, d, 0.0)
+        return self._banded(
+            s, np.zeros_like,
+            lambda t: -(60.0 * t - 180.0 * t ** 2 + 120.0 * t ** 3)
+            / (self.r2 - self.r1) ** 2)
 
 
 def cutoff_profile(t: float, inner: float = 0.25, outer: float = 0.5) -> CutoffProfile:
@@ -71,7 +84,8 @@ def cutoff_profile(t: float, inner: float = 0.25, outer: float = 0.5) -> CutoffP
 class RadialCNCProfile:
     """f(s) = phi_t(s) s^2/2: the cut-off CNC exponent of the round metric
     as a function of the geodesic distance s to its basepoint (the round
-    factor is |z|^2/2, see ``cnc_polynomial``), with its s-derivatives."""
+    factor is |z|^2/2, see ``cnc_polynomial``); ``jet`` adds its
+    s-derivatives."""
 
     phi: CutoffProfile
 
@@ -80,18 +94,22 @@ class RadialCNCProfile:
         """a s^2/2, multiplied left to right."""
         return a * 0.5 * s * s
 
+    def jet(self, s, order: int = 2) -> list:
+        """[f, f', f''][:order + 1] at s, each cutoff derivative evaluated
+        once."""
+        s = np.asarray(s, dtype=float)
+        p0 = self.phi.value(s)
+        out = [self._half_square(p0, s)]
+        if order >= 1:
+            p1 = self.phi.deriv(s)
+            out.append(self._half_square(p1, s) + p0 * s)
+        if order >= 2:
+            out.append(self._half_square(self.phi.deriv2(s), s)
+                       + 2.0 * p1 * s + p0)
+        return out
+
     def value(self, s):
-        s = np.asarray(s, dtype=float)
-        return self._half_square(self.phi.value(s), s)
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        return self._half_square(self.phi.deriv(s), s) + self.phi.value(s) * s
-
-    def deriv2(self, s):
-        s = np.asarray(s, dtype=float)
-        return (self._half_square(self.phi.deriv2(s), s)
-                + 2.0 * self.phi.deriv(s) * s + self.phi.value(s))
+        return self.jet(s, 0)[0]
 
 
 def cnc_profile(t: float) -> RadialCNCProfile:

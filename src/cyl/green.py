@@ -844,7 +844,7 @@ def parametrix_residual(chart: RadialChart, t: float, n_samples: int = 200,
     if with_cnc:
         prof = cnc_profile(t)
         fprof = prof.value
-        f, fp, fpp = prof.value(svals), prof.deriv(svals), prof.deriv2(svals)
+        f, fp, fpp = prof.jet(svals)
     else:
         fprof = np.zeros_like
         f = fp = fpp = np.zeros_like(svals)

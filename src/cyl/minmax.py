@@ -30,7 +30,7 @@ numerically as a guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -95,6 +95,8 @@ class D2:
         return other if isinstance(other, D2) else D2.const(other)
 
     def __add__(self, o):
+        if isinstance(o, (float, int)):
+            return D2(self.v + o, self.dx, self.dy)
         o = self._coerce(o)
         return D2(self.v + o.v, self.dx + o.dx, self.dy + o.dy)
 
@@ -108,6 +110,8 @@ class D2:
         return self._coerce(o).__sub__(self)
 
     def __mul__(self, o):
+        if isinstance(o, (float, int)):
+            return D2(self.v * o, self.dx * o, self.dy * o)
         o = self._coerce(o)
         return D2(self.v * o.v, self.dx * o.v + self.v * o.dx,
                   self.dy * o.v + self.v * o.dy)
@@ -130,13 +134,20 @@ class D2:
         w = self.v ** (p - 1)
         return D2(self.v * w, p * w * self.dx, p * w * self.dy)
 
+    def chain(self, value, slope):
+        """g(self) from the values of g and g' at self.v."""
+        return D2(value, slope * self.dx, slope * self.dy)
+
     def apply(self, f, fp):
         """Chain an elementwise function with known derivative."""
-        d = fp(self.v)
-        return D2(f(self.v), d * self.dx, d * self.dy)
+        return self.chain(f(self.v), fp(self.v))
 
     def sin(self):
         return self.apply(np.sin, np.cos)
+
+    def sincos(self):
+        s, c = np.sin(self.v), np.cos(self.v)
+        return self.chain(s, c), self.chain(c, -s)
 
     def cos(self):
         return self.apply(np.cos, lambda v: -np.sin(v))
@@ -154,8 +165,7 @@ class D2:
 
 
 def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
-    return D2(profile.value(s.v), profile.deriv(s.v) * s.dx,
-              profile.deriv(s.v) * s.dy)
+    return s.chain(profile.value(s.v), profile.deriv(s.v))
 
 
 def _theta_over_sin(theta: D2) -> D2:
@@ -374,10 +384,9 @@ class GluedData:
     f1: RadialCNCProfile  # CNC exponent branch profile f1(s) and derivatives
     chi_tau: CutoffProfile
 
-    def rho_d2(self, xi: D2) -> D2:
-        v = self.rho(xi.v)
-        d = np.exp(0.5 * self.f1.value(xi.v))
-        return D2(v, d * xi.dx, d * xi.dy)
+    def rho_d2(self, xi: D2, f1_xi) -> D2:
+        """rho(xi) with rho' = e^{f1/2}, given f1 at xi."""
+        return xi.chain(self.rho(xi.v), np.exp(0.5 * f1_xi))
 
 
 def glued_data(eps: float, t: float, tau: float) -> GluedData:
@@ -457,81 +466,88 @@ def boundary_flux(epsilon: float, tau: float,
 
 class _LegGeometry:
     """Closed-form geometric scalars in (xi, eta) about the center at
-    distance t from the lifted pole N."""
+    distance t from the lifted pole N.  Every per-point scalar lives in the
+    ``_LegBatch`` of one integrand call, never here."""
 
     def __init__(self, t: float, data: GluedData):
         self.t = t
         self.data = data
 
-    def d2_partner(self, xi: D2, eta: D2) -> D2:
-        t = self.t
-        carg = xi.cos() * math.cos(2.0 * t) + xi.sin() * eta.cos() * math.sin(2.0 * t)
-        return carg.arccos_clipped()
-
-    def theta_chart(self, xi: D2, eta: D2) -> D2:
-        t = self.t
-        carg = xi.cos() * math.cos(t) + xi.sin() * eta.cos() * math.sin(t)
-        return carg.arccos_clipped()
-
-    def chart_pair_sq(self, xi: D2, eta: D2):
+    def chart_pair_sq(self, b: "_LegBatch"):
         """|z - t e1|^2 and |z + t e1|^2 of the chart point."""
         t = self.t
-        theta = self.theta_chart(xi, eta)
+        theta = b.theta
         ratio = _theta_over_sin(theta)  # theta / sin(theta)
         # cos(xi) = cos(theta) cos(t) + sin(theta) sin(t) cos(psi)
         # => sin(theta) cos(psi) = (cos(xi) - cos(theta) cos(t)) / sin(t)
-        sincos_psi = (xi.cos() - theta.cos() * math.cos(t)) * (1.0 / math.sin(t))
+        sincos_psi = (b.cos_xi - theta.cos() * math.cos(t)) * (1.0 / math.sin(t))
         z_par = ratio * sincos_psi
         theta2 = theta * theta
         d2m = theta2 + t * t - 2.0 * t * z_par
         d2p = theta2 + t * t + 2.0 * t * z_par
-        return d2m, d2p, theta
+        return d2m, d2p
 
-    def conf_exponent(self, xi: D2, eta: D2) -> D2:
-        """f = f1(xi) + f1(d2) with derivative chain."""
-        f1 = self.data.f1
-        d2 = self.d2_partner(xi, eta)
-        return xi.apply(f1.value, f1.deriv) + d2.apply(f1.value, f1.deriv)
-
-    def green_lift(self, xi: D2, eta: D2) -> D2:
+    def green_lift(self, b: "_LegBatch") -> D2:
         """Gbar = e^{-f/2} (Gs(xi) + Gs(d2)), the CNC-corrected global kernel."""
-        d2 = self.d2_partner(xi, eta)
-        G = xi.apply(sphere_kernel, sphere_kernel_slope) \
-            + d2.apply(sphere_kernel, sphere_kernel_slope)
-        f = self.conf_exponent(xi, eta)
-        return (f * (-0.5)).exp() * G
+        G = b.xi.apply(sphere_kernel, sphere_kernel_slope) \
+            + b.d2.apply(sphere_kernel, sphere_kernel_slope)
+        return b.weight * G
 
-    def scal_gbar(self, xi: D2, eta: D2) -> np.ndarray:
-        """R of gbar = e^f g_round: exact conformal formula, n = 4."""
-        f1 = self.data.f1
-        d2 = self.d2_partner(xi, eta)
-        lap = np.zeros_like(xi.v)
-        grad2 = np.zeros_like(xi.v)
-        for s in (xi.v, d2.v):
-            fp = f1.deriv(s)
-            fpp = f1.deriv2(s)
-            lap = lap + fpp + 3.0 * np.cos(s) / np.sin(s) * fp
-            grad2 = grad2 + fp * fp
-        f = f1.value(xi.v) + f1.value(d2.v)
-        return np.exp(-f) * (12.0 - 3.0 * lap - 1.5 * grad2)
+    def energy_density(self, u: D2, b: "_LegBatch") -> np.ndarray:
+        """6 |grad u|^2 + R u^2 in gbar = e^f g_round, with R from the exact
+        conformal formula (n = 4); needs a batch built with ``curvature``."""
+        fx, fd = b.f1_xi, b.f1_d2
+        d2 = b.d2.v
+        lap = fx[2] + 3.0 * b.cos_xi.v / b.sin_xi.v * fx[1] \
+            + fd[2] + 3.0 * np.cos(d2) / np.sin(d2) * fd[1]
+        grad2 = fx[1] * fx[1] + fd[1] * fd[1]
+        e = np.exp(-b.f.v)
+        R = e * (12.0 - 3.0 * lap - 1.5 * grad2)
+        return 6.0 * (e * (u.dx ** 2 + (u.dy / b.sin_xi.v) ** 2)) + R * u.v ** 2
 
-    def measure(self, xi_v, eta_v, f_v) -> np.ndarray:
-        return np.exp(2.0 * f_v) * np.sin(xi_v) ** 3 \
-            * 4.0 * math.pi * np.sin(eta_v) ** 2
-
-    def grad2_gbar(self, u: D2, xi_v, f_v) -> np.ndarray:
-        return np.exp(-f_v) * (u.dx ** 2 + (u.dy / np.sin(xi_v)) ** 2)
+    def measure(self, b: "_LegBatch") -> np.ndarray:
+        return np.exp(2.0 * b.f.v) * b.sin_xi.v ** 3 \
+            * 4.0 * math.pi * b.sin_eta ** 2
 
 
-def _w_glued(geom: _LegGeometry, xi: D2, eta: D2) -> D2:
+class _LegBatch:
+    """The geometric scalars of one integrand batch, each computed once and
+    dropped with the batch: xi and eta with unit partials, their sines and
+    cosines, the partner distance d2, the CNC jets f1 at xi and d2 (to second
+    order with ``curvature``), the conformal exponent f = f1(xi) + f1(d2) and
+    the weight e^{-f/2}; with ``chart``, also the chart radius theta."""
+
+    def __init__(self, geom: _LegGeometry, xi_v, eta_v, chart: bool = False,
+                 curvature: bool = False):
+        t = geom.t
+        f1 = geom.data.f1
+        self.xi = xi = D2.var_x(xi_v)
+        eta = D2.var_y(eta_v)
+        self.sin_xi, self.cos_xi = xi.sincos()
+        sin_eta, cos_eta = eta.sincos()
+        self.sin_eta = sin_eta.v
+        sxce = self.sin_xi * cos_eta
+        self.d2 = (self.cos_xi * math.cos(2.0 * t)
+                   + sxce * math.sin(2.0 * t)).arccos_clipped()
+        order = 2 if curvature else 1
+        self.f1_xi = f1.jet(xi.v, order)
+        self.f1_d2 = f1.jet(self.d2.v, order)
+        self.f = xi.chain(*self.f1_xi[:2]) + self.d2.chain(*self.f1_d2[:2])
+        self.weight = (self.f * (-0.5)).exp()
+        self.theta = ((self.cos_xi * math.cos(t) + sxce * math.sin(t))
+                      .arccos_clipped() if chart else None)
+
+
+def _w_glued(geom: _LegGeometry, b: _LegBatch) -> D2:
     """The glued profile in its own zone structure (primary cases only:
     valid where d1 <= d2, which is all the code ever evaluates)."""
     d = geom.data
-    rho = d.rho_d2(xi)
+    xi = b.xi
+    rho = d.rho_d2(xi, b.f1_xi[0])
     zone_ball = xi.v <= d.s_tau
     zone_ann = (xi.v > d.s_tau) & (xi.v <= d.s_2tau)
     u_ball = _bubble(d.eps, rho * rho)
-    G = geom.green_lift(xi, eta)
+    G = geom.green_lift(b)
     chi = _cutoff_d2(d.chi_tau, rho)
     core = (rho ** -2.0) + d.A_q
     u_ann = (chi * core + (1.0 - chi) * G) * (1.0 / d.nu)
@@ -542,23 +558,22 @@ def _w_glued(geom: _LegGeometry, xi: D2, eta: D2) -> D2:
     return D2(v, dx, dy)
 
 
-def _e_tilde(geom: _LegGeometry, xi: D2, eta: D2,
+def _e_tilde(geom: _LegGeometry, b: _LegBatch,
              chi_delta: CutoffProfile) -> D2:
-    """e^{-f/2} u_bar: the conformally weighted chart double bubble."""
-    d2m, d2p, theta = geom.chart_pair_sq(xi, eta)
+    """e^{-f/2} u_bar: the conformally weighted chart double bubble; needs a
+    batch built with ``chart``."""
+    d2m, d2p = geom.chart_pair_sq(b)
     u = _bubble(geom.data.eps, d2m) + _bubble(geom.data.eps, d2p)
-    u = u * _cutoff_d2(chi_delta, theta)
-    f = geom.conf_exponent(xi, eta)
-    return (f * (-0.5)).exp() * u
+    u = u * _cutoff_d2(chi_delta, b.theta)
+    return b.weight * u
 
 
-def _psi_lambda(geom, xi, eta, lam: float, chi_delta) -> D2:
+def _psi_lambda(geom, b, lam: float, chi_delta) -> D2:
     if lam == 1.0:
-        return _w_glued(geom, xi, eta)
+        return _w_glued(geom, b)
     if lam == 0.0:
-        return _e_tilde(geom, xi, eta, chi_delta)
-    return _w_glued(geom, xi, eta) * lam + \
-        _e_tilde(geom, xi, eta, chi_delta) * (1.0 - lam)
+        return _e_tilde(geom, b, chi_delta)
+    return _w_glued(geom, b) * lam + _e_tilde(geom, b, chi_delta) * (1.0 - lam)
 
 
 def _near_zone_integrals(geom: _LegGeometry, lam: float, chi_delta,
@@ -566,22 +581,17 @@ def _near_zone_integrals(geom: _LegGeometry, lam: float, chi_delta,
     """Numerator and fourth-power integrals over the primary glue ball and
     annulus {xi <= s_2tau} (factor 2 for the mirror copy applied here)."""
     d = geom.data
+    chart = lam != 1.0
 
     def num(xi_v, eta_v):
-        xi = D2.var_x(xi_v)
-        eta = D2.var_y(eta_v)
-        u = _psi_lambda(geom, xi, eta, lam, chi_delta)
-        f_v = geom.conf_exponent(xi, eta).v
-        R = geom.scal_gbar(xi, eta)
-        return (6.0 * geom.grad2_gbar(u, xi_v, f_v) + R * u.v ** 2) \
-            * geom.measure(xi_v, eta_v, f_v)
+        b = _LegBatch(geom, xi_v, eta_v, chart=chart, curvature=True)
+        u = _psi_lambda(geom, b, lam, chi_delta)
+        return geom.energy_density(u, b) * geom.measure(b)
 
     def den(xi_v, eta_v):
-        xi = D2.var_x(xi_v)
-        eta = D2.var_y(eta_v)
-        u = _psi_lambda(geom, xi, eta, lam, chi_delta)
-        f_v = geom.conf_exponent(xi, eta).v
-        return u.v ** 4 * geom.measure(xi_v, eta_v, f_v)
+        b = _LegBatch(geom, xi_v, eta_v, chart=chart)
+        u = _psi_lambda(geom, b, lam, chi_delta)
+        return u.v ** 4 * geom.measure(b)
 
     gspec = spec.with_grading(((0.0, 0.0), d.eps),
                               ((d.s_tau, 0.0), d.tau * 0.25),
@@ -609,17 +619,14 @@ def _flux_integrals(geom: _LegGeometry, lam: float, chi_delta,
     f1s = float(d.f1.value(s))
 
     def flux_GG(eta_v):
-        xi = D2.var_x(np.full_like(eta_v, s))
-        eta = D2.var_y(eta_v)
-        G = geom.green_lift(xi, eta)
+        G = geom.green_lift(_LegBatch(geom, np.full_like(eta_v, s), eta_v))
         dG_drho = G.dx * math.exp(-0.5 * f1s)
         return G.v * dG_drho * 4.0 * math.pi * np.sin(eta_v) ** 2
 
     def flux_Ge(eta_v):
-        xi = D2.var_x(np.full_like(eta_v, s))
-        eta = D2.var_y(eta_v)
-        G = geom.green_lift(xi, eta)
-        e = _e_tilde(geom, xi, eta, chi_delta)
+        b = _LegBatch(geom, np.full_like(eta_v, s), eta_v, chart=True)
+        G = geom.green_lift(b)
+        e = _e_tilde(geom, b, chi_delta)
         dG_drho = G.dx * math.exp(-0.5 * f1s)
         return e.v * dG_drho * 4.0 * math.pi * np.sin(eta_v) ** 2
 
@@ -677,28 +684,17 @@ def _far_direct_integrals(geom: _LegGeometry, lam: float, chi_delta,
     that has no flux shortcut.  Uses the aligned far bands."""
     d = geom.data
 
-    def psi_far(xi, eta):
-        G = geom.green_lift(xi, eta)
-        val = G * (lam / d.nu)
-        if lam != 1.0:
-            val = val + _e_tilde(geom, xi, eta, chi_delta) * (1.0 - lam)
-        return val
-
     def den_integrand(xi_v, eta_v):
-        xi = D2.var_x(xi_v)
-        eta = D2.var_y(eta_v)
-        u = psi_far(xi, eta)
-        f_v = geom.conf_exponent(xi, eta).v
-        return u.v ** 4 * geom.measure(xi_v, eta_v, f_v)
+        b = _LegBatch(geom, xi_v, eta_v, chart=lam != 1.0)
+        u = geom.green_lift(b) * (lam / d.nu)
+        if lam != 1.0:
+            u = u + _e_tilde(geom, b, chi_delta) * (1.0 - lam)
+        return u.v ** 4 * geom.measure(b)
 
     def num_ee_integrand(xi_v, eta_v):
-        xi = D2.var_x(xi_v)
-        eta = D2.var_y(eta_v)
-        e = _e_tilde(geom, xi, eta, chi_delta)
-        f_v = geom.conf_exponent(xi, eta).v
-        R = geom.scal_gbar(xi, eta)
-        return (6.0 * geom.grad2_gbar(e, xi_v, f_v) + R * e.v ** 2) \
-            * geom.measure(xi_v, eta_v, f_v)
+        b = _LegBatch(geom, xi_v, eta_v, chart=True, curvature=True)
+        e = _e_tilde(geom, b, chi_delta)
+        return geom.energy_density(e, b) * geom.measure(b)
 
     t = geom.t
     den_total = IntegralResult(0.0, 0.0, 0, True)
@@ -811,10 +807,26 @@ def _leg_descriptor(config: PathConfig, mu: float) -> TestFunctionDescriptor:
     return TestFunctionDescriptor("DOUBLE", eps, t=(5.0 - mu) * te, pole=2)
 
 
+def _mirror_grid(n: int) -> np.ndarray:
+    """n evenly spaced points of [0, 5] closed under mu -> 5 - mu bit for
+    bit: the upper half is 5 - linspace(0, 2.5) and the lower half its image
+    5 - upper, which is exact (Sterbenz), so 5 - lower gives upper back."""
+    half = (np.linspace(0.0, 2.5, n // 2 + 1) if n % 2
+            else np.linspace(0.0, 5.0, n)[: n // 2])
+    upper = 5.0 - half[::-1]
+    lower = 5.0 - upper[::-1]
+    return np.concatenate([lower, upper[n % 2:]])
+
+
 def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
-    """Assemble the five legs and evaluate Q on the mu grid in [0, 5]."""
+    """Assemble the five legs and evaluate Q on the mu grid in [0, 5].
+
+    The pole swap is an exact isometry of the football, so Q(mu) =
+    Q(5 - mu): each mu is evaluated through the descriptor of
+    min(mu, 5 - mu), and a mirror pair costs one evaluation.  The recorded
+    descriptor of a mu > 2.5 is that one with the chart at pole 2."""
     if mu_grid is None:
-        mu_grid = np.linspace(0.0, 5.0, config.mu_points)
+        mu_grid = _mirror_grid(config.mu_points)
     mu_grid = np.asarray(mu_grid, dtype=float)
     spec = config.spec()
     # the bubble legs sit far below the critical level, so their quadrature
@@ -825,28 +837,22 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
     E = np.empty(len(mu_grid))
     legs = []
     descs = []
+    # keyed on the leg parameters: a descriptor key would hinge on its NaN
+    # fields (nu_match, A_q), which compare unequal unless identical objects
+    done = {}
     for i, mu in enumerate(mu_grid):
-        desc = _leg_descriptor(config, float(mu))
-        d_eval = desc
-        if desc.pole == 2:
-            # the two charts are isometric; evaluate in the first chart with
-            # the mirrored parameter
-            d_eval = TestFunctionDescriptor(desc.variant, desc.epsilon,
-                                            t=desc.t, tau=desc.tau,
-                                            lam=desc.lam, pole=1)
-        if d_eval.variant == "GLUED" and d_eval.t > config.pole_distance / 2.0:
-            d_eval = TestFunctionDescriptor(
-                "GLUED", d_eval.epsilon, t=config.pole_distance - d_eval.t,
-                tau=d_eval.tau, pole=1)
-        try:
-            use = spec if d_eval.variant == "GLUED" else loose
-            q, e = evaluate_quotient(config, d_eval, use)
-        except Exception as exc:
-            raise RuntimeError(f"leg evaluation failed at mu={mu}: {exc}") from exc
-        Q[i] = q
-        E[i] = e
+        mu = float(mu)
+        d_eval = _leg_descriptor(config, min(mu, 5.0 - mu))
+        key = (d_eval.variant, d_eval.t, d_eval.tau, d_eval.lam)
+        if key not in done:
+            try:
+                use = spec if d_eval.variant == "GLUED" else loose
+                done[key] = evaluate_quotient(config, d_eval, use)
+            except Exception as exc:
+                raise RuntimeError(f"leg evaluation failed at mu={mu}: {exc}") from exc
+        Q[i], E[i] = done[key]
         legs.append(d_eval.variant)
-        descs.append(desc)
+        descs.append(replace(d_eval, pole=2) if mu > 2.5 else d_eval)
     return PathProfile(config=config, mu=mu_grid, Q=Q, Q_err=E, legs=legs,
                        descriptors=descs)
 

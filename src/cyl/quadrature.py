@@ -21,6 +21,14 @@ Engines:
 
 Results are deterministic for a fixed (spec, integrand): boxes are split in a
 fixed order and final sums run over boxes sorted by coordinates.
+
+Batch bound: the 2-d engine and the 3-sphere rule hand an integrand at most
+``_MAX_BATCH_POINTS`` = 2^16 points per call.  A vectorized integrand
+allocates dozens of temporaries the size of its batch, so an unsliced refine
+round of a few thousand boxes (15^2 nodes each) would set the peak memory of
+the whole run.  The slices' values are concatenated before any weight is
+applied, so every sum is the one an unsliced call would give, bit for bit,
+for integrands that act elementwise.
 """
 
 from __future__ import annotations
@@ -92,6 +100,10 @@ _WG = np.array([
 ])
 
 _HALF_PI = 0.5 * math.pi
+
+# the most points one integrand call of the 2-d engine or of the 3-sphere
+# rule receives; it bounds the temporaries an integrand allocates
+_MAX_BATCH_POINTS = 1 << 16
 
 
 class QuadratureError(RuntimeError):
@@ -304,9 +316,15 @@ def _panels_2d(g, ax, bx, ay, by):
     # nodes: (nbox, 15) each direction -> (nbox, 15, 15) tensor grid
     X = midx[:, None, None] + hx[:, None, None] * _XGK[None, :, None]
     Y = midy[:, None, None] + hy[:, None, None] * _XGK[None, None, :]
-    Xf = np.broadcast_to(X, (len(ax), 15, 15))
-    Yf = np.broadcast_to(Y, (len(ax), 15, 15))
-    F = g(Xf.ravel(), Yf.ravel()).reshape(len(ax), 15, 15)
+    step = _MAX_BATCH_POINTS // 225
+
+    def batch(Xs, Ys):
+        shape = (len(Xs), 15, 15)
+        return g(np.broadcast_to(Xs, shape).ravel(),
+                 np.broadcast_to(Ys, shape).ravel()).reshape(shape)
+
+    F = np.concatenate([batch(X[i:i + step], Y[i:i + step])
+                        for i in range(0, len(ax), step)])
     area = hx * hy
     k = area * np.einsum("i,nij,j->n", _WGK, F, _WGK)
     sub = F[:, _GAUSS_IDX][:, :, _GAUSS_IDX]
@@ -492,8 +510,10 @@ def integrate_axisym_sphere(F, spec: QuadratureSpec,
 # 4-ball and 3-sphere rules
 # ----------------------------------------------------------------------------
 
-def _sphere3_nodes(n1: int, n2: int, n3: int):
-    """Product rule on the unit S^3: nodes (m, 4) and weights summing to 2*pi^2."""
+def _sphere3_slices(n1: int, n2: int, n3: int):
+    """Product rule on the unit S^3 with weights summing to 2*pi^2, yielded
+    as (nodes (m, 4), weights) over runs of phi1 nodes with at most
+    _MAX_BATCH_POINTS rule nodes each (a single phi1 node may exceed it)."""
     t1, w1 = np.polynomial.legendre.leggauss(n1)  # phi1 in [0, pi], weight sin^2
     phi1 = 0.5 * math.pi * (t1 + 1.0)
     w1 = 0.5 * math.pi * w1 * np.sin(phi1) ** 2
@@ -501,23 +521,31 @@ def _sphere3_nodes(n1: int, n2: int, n3: int):
     phi2 = np.arccos(t2)
     phi3 = 2.0 * math.pi * (np.arange(n3) + 0.5) / n3  # periodic: midpoint rule
     w3 = np.full(n3, 2.0 * math.pi / n3)
-    P1, P2, P3 = np.meshgrid(phi1, phi2, phi3, indexing="ij")
-    W = (w1[:, None, None] * w2[None, :, None] * w3[None, None, :]).ravel()
-    s1, c1 = np.sin(P1).ravel(), np.cos(P1).ravel()
-    s2, c2 = np.sin(P2).ravel(), np.cos(P2).ravel()
-    s3, c3 = np.sin(P3).ravel(), np.cos(P3).ravel()
-    nodes = np.stack([c1, s1 * c2, s1 * s2 * c3, s1 * s2 * s3], axis=1)
-    return nodes, W
+    step = max(1, _MAX_BATCH_POINTS // (n2 * n3))
+    for i in range(0, n1, step):
+        P1, P2, P3 = np.meshgrid(phi1[i:i + step], phi2, phi3, indexing="ij")
+        W = (w1[i:i + step, None, None] * w2[None, :, None]
+             * w3[None, None, :]).ravel()
+        s1, c1 = np.sin(P1).ravel(), np.cos(P1).ravel()
+        s2, c2 = np.sin(P2).ravel(), np.cos(P2).ravel()
+        s3, c3 = np.sin(P3).ravel(), np.cos(P3).ravel()
+        yield np.stack([c1, s1 * c2, s1 * s2 * c3, s1 * s2 * s3], axis=1), W
+
+
+def _sphere3_nodes(n1: int, n2: int, n3: int):
+    """The whole product rule on the unit S^3: nodes (m, 4) and weights."""
+    nodes, weights = zip(*_sphere3_slices(n1, n2, n3))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def integrate_sphere3(f, radius: float, center, spec: QuadratureSpec) -> IntegralResult:
     """Surface integral of ``f`` over the round 3-sphere of given radius.
 
-    ``f`` takes an (m, 4) array of points.  The rule order doubles from
-    n = 8 until two consecutive estimates agree within tolerance, and stops
-    unconverged after n = 128 (2 n^3 = 4.2e6 nodes) with the difference of
-    the last two estimates as its error; exact for constants
-    (area 2*pi^2*radius^3).
+    ``f`` takes an (m, 4) array of points, m <= _MAX_BATCH_POINTS per call
+    for the rules up to n = 128.  The rule order doubles from n = 8 until two
+    consecutive estimates agree within tolerance, and stops unconverged
+    after n = 128 (2 n^3 = 4.2e6 nodes) with the difference of the last two
+    estimates as its error; exact for constants (area 2*pi^2*radius^3).
     """
     if radius <= 0.0:
         raise ValueError("sphere radius must be positive")
@@ -525,10 +553,14 @@ def integrate_sphere3(f, radius: float, center, spec: QuadratureSpec) -> Integra
     prev = None
     evals = 0
     for n in (8, 16, 32, 64, 128):
-        nodes, w = _sphere3_nodes(n, n, 2 * n)
-        pts = center[None, :] + radius * nodes
-        vals = np.asarray(f(pts), dtype=float)
+        vals, w = np.empty(2 * n ** 3), np.empty(2 * n ** 3)
+        k = 0
+        for nodes, wk in _sphere3_slices(n, n, 2 * n):
+            vals[k:k + len(wk)] = f(center[None, :] + radius * nodes)
+            w[k:k + len(wk)] = wk
+            k += len(wk)
         evals += len(w)
+        # one sum over the whole rule, as if it had been built at once
         est = float(np.sum(vals * w)) * radius ** 3
         if prev is not None:
             err = abs(est - prev)

@@ -283,6 +283,34 @@ def test_cutoff_profile_bounds():
     assert np.all(phi.value(s[s >= t / 2]) == 0.0)
     assert np.max(np.abs(phi.deriv(s))) <= 20.0 / t
     assert np.max(np.abs(phi.deriv2(s))) <= 120.0 / t ** 2
+    # on the band r1 <= s <= r2 the quintic and its derivatives bit for bit
+    r1, r2 = phi.r1, phi.r2
+    band = np.concatenate([[r1, r2], np.linspace(r1, r2, 37)[1:-1]])
+    u = (band - r1) / (r2 - r1)
+    assert np.array_equal(phi.value(band),
+                          1.0 - (10.0 * u ** 3 - 15.0 * u ** 4 + 6.0 * u ** 5))
+    assert np.array_equal(phi.deriv(band),
+                          -(30.0 * u ** 2 - 60.0 * u ** 3 + 30.0 * u ** 4) / (r2 - r1))
+    assert np.array_equal(phi.deriv2(band),
+                          -(60.0 * u - 180.0 * u ** 2 + 120.0 * u ** 3) / (r2 - r1) ** 2)
+    # outside it exactly 1 before, 0 beyond, and flat
+    before = np.array([-1.0, 0.0, 0.5 * r1, np.nextafter(r1, 0.0)])
+    beyond = np.array([np.nextafter(r2, 1.0), 2.0 * r2, 1e9])
+    assert np.all(phi.value(before) == 1.0) and np.all(phi.value(beyond) == 0.0)
+    for d in (phi.deriv, phi.deriv2):
+        assert np.all(d(np.concatenate([before, beyond])) == 0.0)
+    # python floats and 0-d arrays: the same formulas on a numpy scalar
+    for s0 in (0.3 * r1 + 0.7 * r2, 0.5 * r1, 2.0 * r2):
+        u0 = (np.float64(s0) - r1) / (r2 - r1)
+        if 0.0 < u0 < 1.0:
+            want = (1.0 - (10.0 * u0 ** 3 - 15.0 * u0 ** 4 + 6.0 * u0 ** 5),
+                    -(30.0 * u0 ** 2 - 60.0 * u0 ** 3 + 30.0 * u0 ** 4) / (r2 - r1),
+                    -(60.0 * u0 - 180.0 * u0 ** 2 + 120.0 * u0 ** 3) / (r2 - r1) ** 2)
+        else:
+            want = (float(u0 <= 0.0), 0.0, 0.0)
+        for x in (s0, np.asarray(s0)):
+            assert (float(phi.value(x)), float(phi.deriv(x)),
+                    float(phi.deriv2(x))) == want
 
 
 def test_radial_cnc_exponent():
@@ -297,8 +325,10 @@ def test_radial_cnc_exponent():
     h = 1e-5
     fd1 = (f.value(s + h) - f.value(s - h)) / (2 * h)
     fd2 = (f.value(s + h) - 2 * f.value(s) + f.value(s - h)) / h ** 2
-    assert_allclose(f.deriv(s), fd1, rtol=0, atol=1e-7)
-    assert_allclose(f.deriv2(s), fd2, rtol=0, atol=1e-5)
+    value, deriv, deriv2 = f.jet(s)
+    assert np.array_equal(value, f.value(s))
+    assert_allclose(deriv, fd1, rtol=0, atol=1e-7)
+    assert_allclose(deriv2, fd2, rtol=0, atol=1e-5)
 
 
 def test_cnc_factor_round_is_half_r2():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cyl.minmax as minmax
 from cyl.constants import sobolev_constants
 from cyl.interaction import curves
 from cyl.minmax import (D2, PathConfig, boundary_flux, build_path,
@@ -160,9 +161,20 @@ def test_path_config_validation():
         PathConfig(epsilon=5e-4, delta=0.2)  # glue annulus overlap
 
 
-def test_build_path_coarse():
+def test_build_path_coarse(monkeypatch):
     cfg = PathConfig(epsilon=1e-4, mu_points=11, rel_tol=1e-8, abs_tol=1e-12)
+    evaluated = []
+    evaluate = minmax.evaluate_quotient
+
+    def counting(config, desc, spec=None):
+        evaluated.append((desc.variant, desc.t, desc.tau, desc.lam))
+        return evaluate(config, desc, spec)
+
+    monkeypatch.setattr(minmax, "evaluate_quotient", counting)
     prof = build_path(cfg)
+    # one evaluation per mirror pair mu, 5 - mu, none repeated
+    assert len(evaluated) == len(set(evaluated)) == (len(prof.mu) + 1) // 2
+    assert np.array_equal(prof.mu, 5.0 - prof.mu[::-1])
     # five-leg structure
     assert prof.legs[0] == "DOUBLE" and prof.legs[-1] == "DOUBLE"
     assert "GLUED" in prof.legs and "INTERP" in prof.legs
@@ -172,7 +184,8 @@ def test_build_path_coarse():
     q0, q1 = prof.endpoint_values()
     assert abs(q0 - K.Ys) < 0.5 and abs(q1 - K.Ys) < 0.5
     # profile is symmetric under the pole swap mu -> 5 - mu
-    assert_allclose(prof.Q, prof.Q[::-1], atol=5e-7)
+    assert np.array_equal(prof.Q, prof.Q[::-1])
+    assert np.array_equal(prof.Q_err, prof.Q_err[::-1])
     # transitions: the mu = 1, 2 junction descriptors evaluate consistently
     i1 = int(np.argmin(np.abs(prof.mu - 1.0)))
     i2 = int(np.argmin(np.abs(prof.mu - 2.0)))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cyl.quadrature as quadrature
 from cyl.constants import sobolev_constants
 from cyl.quadrature import (QuadratureSpec, QuadratureError, build_frozen_mesh,
                             integrate_axisym_sphere, integrate_ball4,
                             integrate_biradial, integrate_radial,
-                            integrate_sphere3)
+                            integrate_rect2d, integrate_sphere3)
 
 K = sobolev_constants()
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
@@ -149,14 +150,44 @@ def test_sphere3_area_and_symmetry():
 
 def test_sphere3_unconverged_reports_its_error():
     # a step across the sphere defeats every product rule up to the cap
-    res = integrate_sphere3(lambda pts: (pts[:, 0] > 0.3).astype(float), 1.0,
-                            np.zeros(4), SPEC)
+    sizes = []
+
+    def step(pts):
+        sizes.append(len(pts))
+        return (pts[:, 0] > 0.3).astype(float)
+
+    res = integrate_sphere3(step, 1.0, np.zeros(4), SPEC)
     assert not res.converged
+    # the 4.2e6-node rule reaches the integrand in bounded slices
+    assert max(sizes) <= 2 ** 16
     assert res.error_estimate > 0.0
     # the doubling stops after the n = 128 rule
     assert res.evaluations == sum(2 * n ** 3 for n in (8, 16, 32, 64, 128))
     with pytest.raises(QuadratureError):
         res.expect()
+
+
+def test_rect2d_batches_are_bounded(monkeypatch):
+    # dyadic seeds about an interior core give 44 x 44 boxes, 436k points
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
+                          grading=(((0.5, 0.5), 1e-6),))
+
+    def run():
+        sizes = []
+
+        def F(x, y):
+            sizes.append(x.size)
+            return np.exp(x * y) / (1e-3 + (x - 0.5) ** 2 + (y - 0.5) ** 2)
+
+        return integrate_rect2d(F, spec, (0.0, 1.0), (0.0, 1.0)), sizes
+
+    res, sizes = run()
+    assert max(sizes) <= 2 ** 16
+    # the same rule with the seed partition evaluated in one call
+    monkeypatch.setattr(quadrature, "_MAX_BATCH_POINTS", 1 << 40)
+    whole, whole_sizes = run()
+    assert whole_sizes[0] > 2 ** 16
+    assert whole == res
 
 
 def test_sphere3_bubble_flux():
