@@ -38,6 +38,7 @@ from scipy.linalg import solve_banded
 from cyl.constants import sobolev_constants
 from cyl.geometry.cnc import cnc_profile, cutoff_profile
 from cyl.geometry.fields import ChartMetricField, FlatField
+from cyl.quadrature import gauss_legendre
 
 KAPPA = 24.0 * math.pi ** 2  # 4 a pi^2 with a = 6
 COUPLING_TOL = 1e-9  # largest mode-coupling defect the solver accepts
@@ -123,6 +124,11 @@ class RadialChart:
 def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
     """The flat or round chart, whichever the field matches better on the
     ball of radius delta; the field must match it to COUPLING_TOL."""
+    return _chart_with_defect(field, delta)[0]
+
+
+def _chart_with_defect(field: ChartMetricField, delta: float):
+    """chart_for_field's chart and its measured mode-coupling defect."""
     charts = (RadialChart.flat(), RadialChart.round())
     defects = [chart.mode_coupling_defect(field, delta) for chart in charts]
     best = int(np.argmin(defects))
@@ -130,7 +136,7 @@ def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
         raise ValueError("no radial chart available for this field; the mode "
                          "solver requires a radially symmetric suite metric "
                          f"(defect={defects[best]:g})")
-    return charts[best]
+    return charts[best], defects[best]
 
 
 # ----------------------------------------------------------------------------
@@ -141,20 +147,27 @@ def chebyshev_u(lmax: int, c) -> np.ndarray:
     """U_l(c) for l = 0..lmax, shape (lmax+1, len(c)); the S^3 zonal
     harmonics with eigenvalue l(l+2) and U_l(1) = l + 1."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    out = np.empty((lmax + 1, len(c)))
-    out[0] = 1.0
+    return np.array(list(_chebyshev_rows(lmax, c)))
+
+
+def _chebyshev_rows(lmax: int, c: np.ndarray):
+    """Yields U_0(c), ..., U_lmax(c) by the three-term recurrence, holding
+    two rows at a time."""
+    prev = np.ones_like(c)
+    yield prev
     if lmax >= 1:
-        out[1] = 2.0 * c
-    for l in range(2, lmax + 1):
-        out[l] = 2.0 * c * out[l - 1] - out[l - 2]
-    return out
+        cur = 2.0 * c
+        yield cur
+        for _ in range(2, lmax + 1):
+            prev, cur = cur, 2.0 * c * cur - prev
+            yield cur
 
 
 def zonal_project(fn, lmax: int, n_nodes: int = None) -> np.ndarray:
     """Coefficients f_l = (2/pi) int_0^pi fn(gamma) U_l(cos gamma) sin^2 dgamma."""
     if n_nodes is None:
         n_nodes = 2 * lmax + 32
-    x, wq = np.polynomial.legendre.leggauss(n_nodes)
+    x, wq = gauss_legendre(n_nodes)
     gamma = 0.5 * math.pi * (x + 1.0)
     wq = 0.5 * math.pi * wq
     vals = np.asarray(fn(gamma), dtype=float)
@@ -269,18 +282,17 @@ class football_global_green:
 # mode solver
 # ----------------------------------------------------------------------------
 
-def _solve_mode(chart: RadialChart, l: int, delta: float, bval: float,
-                rho_spline, mesh: np.ndarray) -> np.ndarray:
-    """Solve the mode BVP on the given mesh; returns u at the mesh nodes."""
+def _solve_modes(chart: RadialChart, bmodes, rho_splines,
+                 mesh: np.ndarray) -> list:
+    """Nodal values of every mode l = 0..lmax on the mesh: the mode BVP with
+    Dirichlet value bmodes[l] at the last node and source rho_splines[l]
+    (None for none).  The l-independent stencil is built once per mesh."""
     n = len(mesh)
     r = mesh
     w = np.asarray(chart.w(r), dtype=float)
     wp = np.asarray(chart.wp(r), dtype=float)
     R = np.asarray(chart.scal(r), dtype=float)
-    lam = float(l * (l + 2))
     # interior rows: -6[u'' + 3(w'/w)u' - lam u/w^2] + R u = rho
-    ab = np.zeros((3, n))
-    rhs = np.zeros(n)
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     c_m = 2.0 / (hm * (hm + hp))
@@ -290,28 +302,24 @@ def _solve_mode(chart: RadialChart, l: int, delta: float, bval: float,
     d_0 = (hp - hm) / (hm * hp)
     d_p = hm / (hp * (hm + hp))
     p1 = 3.0 * wp[1:-1] / w[1:-1]
-    diag = -6.0 * (c_0 + p1 * d_0) + 6.0 * lam / w[1:-1] ** 2 + R[1:-1]
-    lower = -6.0 * (c_m + p1 * d_m)
-    upper = -6.0 * (c_p + p1 * d_p)
-    ab[1, 1:-1] = diag
-    ab[0, 2:] = upper
-    ab[2, 0:-2] = lower
-    rhs[1:-1] = rho_spline(r[1:-1]) if rho_spline is not None else 0.0
-    # origin regularity: u(r0) = (r0/r1)^l u(r1)
-    ab[1, 0] = 1.0
-    ab[0, 1] = -(r[0] / r[1]) ** l
-    rhs[0] = 0.0
-    # Dirichlet at delta
-    ab[1, -1] = 1.0
-    rhs[-1] = bval
-    return solve_banded((1, 1), ab, rhs)
-
-
-def _solve_modes(chart: RadialChart, delta: float, bmodes, rho_splines,
-                 mesh: np.ndarray) -> list:
-    """Nodal values of every mode l = 0..lmax on the mesh."""
-    return [_solve_mode(chart, l, delta, float(bval), rho, mesh)
-            for l, (bval, rho) in enumerate(zip(bmodes, rho_splines))]
+    stencil = np.zeros((3, n))
+    stencil[0, 2:] = -6.0 * (c_p + p1 * d_p)
+    stencil[2, 0:-2] = -6.0 * (c_m + p1 * d_m)
+    stencil[1, 0] = 1.0  # origin regularity: u(r0) = (r0/r1)^l u(r1)
+    stencil[1, -1] = 1.0  # Dirichlet at delta
+    diag0 = -6.0 * (c_0 + p1 * d_0)
+    w2 = w[1:-1] ** 2
+    modes = []
+    for l, (bval, rho_spline) in enumerate(zip(bmodes, rho_splines)):
+        ab = stencil.copy()
+        ab[1, 1:-1] = diag0 + 6.0 * float(l * (l + 2)) / w2 + R[1:-1]
+        ab[0, 1] = -(r[0] / r[1]) ** l
+        rhs = np.zeros(n)
+        if rho_spline is not None:
+            rhs[1:-1] = rho_spline(r[1:-1])
+        rhs[-1] = bval
+        modes.append(solve_banded((1, 1), ab, rhs))
+    return modes
 
 
 def _default_mesh(delta: float, t: float, n_base: int = 420) -> np.ndarray:
@@ -343,7 +351,7 @@ class GreenProblem:
     def __post_init__(self):
         self.pole = np.asarray(self.pole, dtype=float)
         t = float(np.linalg.norm(self.pole))
-        self.chart = chart_for_field(self.field, self.delta)
+        self.chart, defect = _chart_with_defect(self.field, self.delta)
         # the pole must avoid the cone tip; a centered pole is only meaningful
         # for the flat ball, where there is no tip
         t_lo = 0.0 if self.chart.kind == "flat" else 1e-300
@@ -351,7 +359,6 @@ class GreenProblem:
             raise ValueError("pole must satisfy 0 < |x| < delta/4")
         if t == 0.0 and self.chart.kind != "flat":
             raise ValueError("pole must be distinct from the cone tip")
-        defect = self.chart.mode_coupling_defect(self.field, self.delta)
         if defect > self.coupling_tol:
             raise ValueError(
                 f"field is not radially symmetric to tolerance: defect={defect:g}")
@@ -376,18 +383,19 @@ def _polar(pts, axis):
 
 class ZonalModeSum:
     """u(y) = sum_l u_l(|y|) U_l(cos gamma), gamma the angle between y and the
-    axis, with each mode u_l a cubic spline through its nodal values on the
-    radial mesh."""
+    axis, with the modes u_l the components of one vector-valued cubic spline
+    through their nodal values on the radial mesh."""
 
     def __init__(self, axis, mesh: np.ndarray, modes):
         self.axis = axis
-        self.splines = [CubicSpline(mesh, u, extrapolate=True) for u in modes]
+        self.lmax = len(modes) - 1
+        self.spline = CubicSpline(mesh, np.stack(modes, axis=1), extrapolate=True)
 
     def at(self, r, c) -> np.ndarray:
-        U = chebyshev_u(len(self.splines) - 1, c)
+        V = self.spline(r)
         out = np.zeros(len(r))
-        for l, spl in enumerate(self.splines):
-            out += spl(r) * U[l]
+        for l, U_l in enumerate(_chebyshev_rows(self.lmax, c)):
+            out += V[:, l] * U_l
         return out
 
     def value(self, pts) -> np.ndarray:
@@ -518,7 +526,7 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
     if rho_modes == "radial":
         rho_of_d = _glued_source(chart, t)
         ng = 4 * problem.lmax + 64
-        x, wq = np.polynomial.legendre.leggauss(ng)
+        x, wq = gauss_legendre(ng)
         gam = 0.5 * math.pi * (x + 1.0)
         wq = 0.5 * math.pi * wq
         cg = np.cos(gam)
@@ -533,10 +541,10 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
             rho_splines[l] = CubicSpline(rs, coeffs[:, l], extrapolate=True)
 
     coarse = mesh[::2] if mesh[-1] == mesh[::2][-1] else np.append(mesh[::2], mesh[-1])
-    fine = _solve_modes(chart, delta, bmodes, rho_splines, mesh)
+    fine = _solve_modes(chart, bmodes, rho_splines, mesh)
     err = 0.0
     for l, (u_fine, u_coarse) in enumerate(
-            zip(fine, _solve_modes(chart, delta, bmodes, rho_splines, coarse))):
+            zip(fine, _solve_modes(chart, bmodes, rho_splines, coarse))):
         interp = np.interp(coarse, mesh, u_fine)
         err += float(np.max(np.abs(interp - u_coarse))) * (l + 1)
     # truncation part of the error: magnitude of the last boundary mode
@@ -557,7 +565,7 @@ def solve_harmonic_extension(field: ChartMetricField, delta: float, datum,
     if require_even and odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
         raise ValueError("equivariant boundary datum must be antipodally even")
     mesh = _default_mesh(delta, 0.0, mesh_size)
-    modes = _solve_modes(chart, delta, bmodes, [None] * (lmax + 1), mesh)
+    modes = _solve_modes(chart, bmodes, [None] * (lmax + 1), mesh)
     return ZonalModeSum(_axis(np.zeros(4)), mesh, modes)
 
 
@@ -672,15 +680,16 @@ def _gbar_spheres(evaluator, pole, radii, dirs, chart, conformal_fr, smax):
         _, s_of_rho = _gbar_radius(conformal_fr, np.linspace(0.0, smax, 400))
     # orthonormal tangent completion: rotate e1 onto the pole axis
     tangents = dirs @ _frame_with_axis(_axis(pole)).T
+    sphere = _exp_sphere(chart, pole, tangents)
     for eps in np.asarray(radii, dtype=float):
-        pts = _exp_sphere(chart, pole, float(s_of_rho(eps)), tangents)
+        pts = sphere(float(s_of_rho(eps)))
         yield eps, pts, evaluator.value(pts)
 
 
 def _cumulative_gl(f, sgrid: np.ndarray, order: int = 8) -> np.ndarray:
     """Cumulative integral of f from sgrid[0] along sgrid, per-interval
     Gauss-Legendre; keeps delicate cancellations intact for smooth f."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     a = sgrid[:-1]
     b = sgrid[1:]
     mid = 0.5 * (a + b)
@@ -751,29 +760,36 @@ def _frame_with_axis(axis: np.ndarray) -> np.ndarray:
     return np.array(vecs)
 
 
-def _exp_sphere(chart: RadialChart, pole, s: float, dirs: np.ndarray) -> np.ndarray:
-    """Chart points at geodesic distance s from the pole along unit dirs."""
-    t = float(np.linalg.norm(pole))
+def _exp_sphere(chart: RadialChart, pole, dirs: np.ndarray):
+    """s -> the chart points at geodesic distance s from the pole along the
+    unit chart directions dirs, one row per direction.  On the round chart
+    the directions are lifted to S^4 tangents at the pole once, for all s."""
     if chart.kind == "flat":
-        return pole[None, :] + s * dirs
+        return lambda s: pole[None, :] + s * dirs
     # round: ambient S^4 geodesics from the lifted pole
     from cyl.geometry.football import chart_to_sphere
     p = chart_to_sphere(pole)
     # tangent lift of a chart direction v at the chart point:
-    # d/du chart_to_sphere(pole + u v) normalized
-    out = np.empty((len(dirs), 4))
+    # d/du chart_to_sphere(pole + u v) normalized, by a central difference
     h = 1e-6
-    for i, v in enumerate(dirs):
-        dp = (chart_to_sphere(pole + h * v) - chart_to_sphere(pole - h * v)) / (2 * h)
-        dp -= (dp @ p) * p
-        dp /= np.linalg.norm(dp)
+    n = len(dirs)
+    ends = chart_to_sphere(np.concatenate([pole + h * dirs, pole - h * dirs]))
+    dp = (ends[:n] - ends[n:]) / (2 * h)
+    dp -= (dp @ p)[:, None] * p
+    dp /= np.linalg.norm(dp, axis=1, keepdims=True)
+
+    def points(s: float) -> np.ndarray:
         q = math.cos(s) * p + math.sin(s) * dp
         # back to chart coordinates: polar angle about the north pole
-        theta = math.acos(np.clip(q[4], -1.0, 1.0))
-        head = q[:4]
-        nh = np.linalg.norm(head)
-        out[i] = (theta / nh) * head if nh > 0 else np.zeros(4)
-    return out
+        theta = np.arccos(np.clip(q[:, 4], -1.0, 1.0))
+        head = q[:, :4]
+        nh = np.linalg.norm(head, axis=1)
+        out = np.zeros((n, 4))
+        safe = nh > 0
+        out[safe] = (theta[safe] / nh[safe])[:, None] * head[safe]
+        return out
+
+    return points
 
 
 # ----------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "integrate_rect2d",
     "FrozenMesh2D",
     "build_frozen_mesh",
+    "gauss_legendre",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK values).
@@ -510,14 +512,25 @@ def integrate_axisym_sphere(F, spec: QuadratureSpec,
 # 4-ball and 3-sphere rules
 # ----------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per n (each ``leggauss`` call runs an eigenvalue solve) and returned
+    read-only, since every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _sphere3_slices(n1: int, n2: int, n3: int):
     """Product rule on the unit S^3 with weights summing to 2*pi^2, yielded
     as (nodes (m, 4), weights) over runs of phi1 nodes with at most
     _MAX_BATCH_POINTS rule nodes each (a single phi1 node may exceed it)."""
-    t1, w1 = np.polynomial.legendre.leggauss(n1)  # phi1 in [0, pi], weight sin^2
+    t1, w1 = gauss_legendre(n1)  # phi1 in [0, pi], weight sin^2
     phi1 = 0.5 * math.pi * (t1 + 1.0)
     w1 = 0.5 * math.pi * w1 * np.sin(phi1) ** 2
-    t2, w2 = np.polynomial.legendre.leggauss(n2)  # cos(phi2) in [-1, 1]
+    t2, w2 = gauss_legendre(n2)  # cos(phi2) in [-1, 1]
     phi2 = np.arccos(t2)
     phi3 = 2.0 * math.pi * (np.arange(n3) + 0.5) / n3  # periodic: midpoint rule
     w3 = np.full(n3, 2.0 * math.pi / n3)

@@ -99,6 +99,102 @@ def test_chart_for_field_picks_the_matching_chart():
         chart_for_field(WarpedRadialField(polynomial_profile(1, 1)), 0.5)
 
 
+def test_green_problem_measures_the_coupling_once(monkeypatch):
+    calls = []
+    real = RadialChart.mode_coupling_defect
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.kind)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialChart, "mode_coupling_defect", counted)
+    GreenProblem(ROUND, np.array([0.1, 0.0, 0.0, 0.0]), 0.5)
+    assert sorted(calls) == ["flat", "round"]
+
+
+def test_mode_sum_matches_per_mode_splines():
+    # one vector-valued spline and the streamed recurrence give, bit for bit,
+    # the sum of per-mode splines against the Chebyshev table
+    from scipy.interpolate import CubicSpline
+    from cyl.green import ZonalModeSum, _default_mesh, _solve_modes
+    chart = RadialChart.round()
+    lmax = 12
+    bmodes = zonal_project(lambda g: sphere_kernel(chart.dist(
+        np.full_like(g, 0.5), 0.1, np.cos(g))), lmax)
+    mesh = _default_mesh(0.5, 0.1, 120)
+    modes = _solve_modes(chart, bmodes, [None] * (lmax + 1), mesh)
+    rng = np.random.default_rng(6)
+    r = rng.uniform(0.0, 0.5, 300)
+    c = rng.uniform(-1.0, 1.0, 300)
+    U = chebyshev_u(lmax, c)
+    expect = np.zeros(len(r))
+    for l, u in enumerate(modes):
+        expect += CubicSpline(mesh, u, extrapolate=True)(r) * U[l]
+    got = ZonalModeSum(np.array([1.0, 0.0, 0.0, 0.0]), mesh, modes).at(r, c)
+    assert np.array_equal(got, expect)
+
+
+def _exp_sphere_one_by_one(pole, s, dirs):
+    """Reference lift: each direction on its own, one point at a time."""
+    from cyl.geometry.football import chart_to_sphere
+    p = chart_to_sphere(pole)
+    out = np.empty((len(dirs), 4))
+    for i, v in enumerate(dirs):
+        dp = (chart_to_sphere(pole + 1e-6 * v)
+              - chart_to_sphere(pole - 1e-6 * v)) / 2e-6
+        dp -= (dp @ p) * p
+        dp /= np.linalg.norm(dp)
+        q = math.cos(s) * p + math.sin(s) * dp
+        out[i] = math.acos(np.clip(q[4], -1.0, 1.0)) / np.linalg.norm(q[:4]) * q[:4]
+    return out
+
+
+def test_round_geodesic_spheres_have_their_radius():
+    from cyl.geometry.football import chart_to_sphere
+    from cyl.green import _exp_sphere
+    rng = np.random.default_rng(9)
+    dirs = rng.normal(size=(64, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for pole in (np.array([0.1, 0.0, 0.0, 0.0]), np.array([0.05, -0.2, 0.1, 0.0])):
+        p = chart_to_sphere(pole)
+        sphere = _exp_sphere(RadialChart.round(), pole, dirs)
+        for s in (1e-3, 0.02, 0.3):
+            pts = sphere(s)
+            q = chart_to_sphere(pts)
+            # chordal form: well conditioned at small s
+            dist = 2.0 * np.arcsin(0.5 * np.linalg.norm(q - p, axis=1))
+            assert np.max(np.abs(dist - s)) < 1e-12
+            # row-wise dot products and arccos may round differently from
+            # their one-point forms: a few ulps of the chart radius
+            ref = _exp_sphere_one_by_one(pole, s, dirs)
+            assert np.max(np.abs(pts - ref)) < 1e-15
+
+
+def test_round_mass_extraction_lifts_directions_at_once(monkeypatch):
+    # the S^4 lift of the sample directions is one chart_to_sphere call for
+    # all directions and radii, not one per direction
+    import cyl.geometry.football as football
+    import cyl.green as green
+    pole = np.array([0.1, 0.0, 0.0, 0.0])
+    oracle = round_ball_green(0.5, pole)  # evaluates without chart_to_sphere
+    calls = []
+    real = football.chart_to_sphere
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return real(z)
+
+    monkeypatch.setattr(football, "chart_to_sphere", counted)
+    real_dirs = green._sym_directions
+    counts = {}
+    for n in (2, 6):
+        monkeypatch.setattr(green, "_sym_directions", lambda n=n: real_dirs(n))
+        calls.clear()
+        extract_mass(oracle, pole, chart=RadialChart.round())
+        counts[n] = len(calls)
+    assert counts[2] == counts[6] <= 2
+
+
 def test_green_relations_on_football():
     # global kernel = Dirichlet pair + harmonic extension of the global trace
     delta = 0.5

@@ -148,6 +148,17 @@ def test_sphere3_area_and_symmetry():
     assert abs(lin.value) < 1e-12
 
 
+def test_gauss_legendre_is_shared_and_read_only():
+    x, w = quadrature.gauss_legendre(12)
+    ref = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    assert quadrature.gauss_legendre(12)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+
+
 def test_sphere3_unconverged_reports_its_error():
     # a step across the sphere defeats every product rule up to the cap
     sizes = []
