@@ -13,7 +13,8 @@ Subcommands:
 Flags: --config PATH, --out DIR, --threads N (read by interaction-sweep
 only), --tol-scale X.  The output directory falls back to $CYL_OUT_DIR, then
 to the config value.  Exit code 0 only when every enabled acceptance check
-passes; otherwise the first failing criterion's index.
+passes; otherwise the first failing criterion's index.  A usage error, such
+as an ``accept --only`` index outside 1..12, exits 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -51,9 +52,18 @@ def _parser() -> argparse.ArgumentParser:
                  "cnc-verify", "gauge-verify", "path-profile"):
         sub.add_parser(name)
     acc = sub.add_parser("accept")
-    acc.add_argument("--only", default=None,
-                     help="comma-separated criterion indices to run")
+    acc.add_argument("--only", default=None, type=_criteria,
+                     help="comma-separated criterion indices (1-12) to run")
     return p
+
+
+def _criteria(text: str) -> set:
+    from cyl.acceptance import ALL_CHECKS
+    parts = {s.strip() for s in text.split(",")}
+    if not parts <= {str(i) for i in range(1, len(ALL_CHECKS) + 1)}:
+        raise argparse.ArgumentTypeError(
+            f"expected indices in 1..{len(ALL_CHECKS)}, got {text!r}")
+    return {int(s) for s in parts}
 
 
 def _setup(args):
@@ -273,10 +283,7 @@ def cmd_path_profile(cfg: RunConfig, out: str) -> int:
 
 def cmd_accept(cfg: RunConfig, out: str, only=None) -> int:
     from cyl.acceptance import run_acceptance
-    indices = None
-    if only:
-        indices = {int(s) for s in only.split(",")}
-    results = run_acceptance(cfg, indices=indices)
+    results = run_acceptance(cfg, indices=only)
     write_csv(os.path.join(out, "acceptance.csv"),
               ["index", "name", "passed", "detail", "seconds"],
               [(r.index, r.name, r.passed, r.detail.replace(",", ";"),

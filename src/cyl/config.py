@@ -30,6 +30,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from cyl.constants import exponents_admissible
+
 __all__ = ["RunConfig", "load_config", "DEFAULT_T_GRID", "DEFAULT_EPS_LIST"]
 
 DEFAULT_T_GRID = tuple(float(x) for x in np.geomspace(0.1, 1000.0, 15))
@@ -57,10 +59,9 @@ class RunConfig:
     out_dir: str = "./cyl-out"
 
     def __post_init__(self):
-        if not (1.0 > self.omega > self.alpha > 0.5):
-            raise ValueError("need 1 > omega > alpha > 1/2")
-        if not 2.0 + 2.0 * self.alpha - 4.0 * self.omega > 0.0:
-            raise ValueError("need 2 + 2 alpha - 4 omega > 0")
+        if not exponents_admissible(self.alpha, self.omega):
+            raise ValueError("need 1 > omega > alpha > 1/2 and "
+                             "2 + 2 alpha - 4 omega > 0")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
 

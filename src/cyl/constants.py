@@ -26,6 +26,7 @@ __all__ = [
     "bubble_gradient",
     "double_bubble_value",
     "energy_level",
+    "exponents_admissible",
     "stencil_laplacian",
 ]
 
@@ -66,6 +67,11 @@ def sobolev_constants() -> ClosedFormConstants:
     B = math.pi ** 2 * c4 ** 2
     A = 6.0 * B
     return ClosedFormConstants(c4=c4, S4=S4, Y4=Y4, Ys=Y4 / math.sqrt(2.0), A=A, B=B)
+
+
+def exponents_admissible(alpha: float, omega: float) -> bool:
+    """The path exponents t = eps^alpha, tau = eps^omega are admissible."""
+    return 1.0 > omega > alpha > 0.5 and 2.0 + 2.0 * alpha - 4.0 * omega > 0.0
 
 
 @dataclass(frozen=True)

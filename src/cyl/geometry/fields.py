@@ -67,9 +67,6 @@ class ChartMetricField:
                     out[k, l] = out[l, k]
         return out
 
-    def check_positive_definite(self, x) -> bool:
-        return bool(np.all(np.linalg.eigvalsh(self.value(x)) > 0.0))
-
 
 class FlatField(ChartMetricField):
     """The Euclidean metric; smooth lift of the exact flat Z2-cone."""

@@ -153,14 +153,6 @@ class FootballModel:
         nu = np.asarray(nu, dtype=float)
         return s * nu, -s * nu
 
-    def chart_distance(self, z1, z2) -> float:
-        return sphere_distance_chart(z1, z2)
-
-    def quotient_distance(self, z1, z2) -> float:
-        """Distance on the football between the images of two chart points."""
-        return min(self.chart_distance(z1, z2),
-                   self.chart_distance(z1, -np.asarray(z2, dtype=float)))
-
 
 def football_metric(delta: float) -> FootballModel:
     """The RP^3-football with lifted round charts of radius 2*delta."""
@@ -185,9 +177,6 @@ class RegularityReport:
     fitted_rate: float      # slope of log sup vs log r
     fitted_constant: float  # sup / r^rate prefactor
     bounded: bool           # stays below a fitted constant as r -> 0
-
-    def blows_up_like(self) -> float:
-        return self.fitted_rate
 
 
 def _fd_derivative(fn, x, order: int, h: float, idx) -> float:

@@ -74,10 +74,6 @@ class LinkFunction:
                             lambda z: self.grad(z) + other.grad(z),
                             lambda z: self.hess(z) + other.hess(z))
 
-    def sup_bound(self, n: int = 400, seed: int = 0) -> float:
-        pts = sphere_points(n, seed)
-        return float(max(abs(self.value(z)) for z in pts))
-
     def sphere_gradient(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         g = np.asarray(self.grad(z))

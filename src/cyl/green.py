@@ -124,11 +124,6 @@ class RadialChart:
 def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
     """The flat or round chart, whichever the field matches better on the
     ball of radius delta; the field must match it to COUPLING_TOL."""
-    return _chart_with_defect(field, delta)[0]
-
-
-def _chart_with_defect(field: ChartMetricField, delta: float):
-    """chart_for_field's chart and its measured mode-coupling defect."""
     charts = (RadialChart.flat(), RadialChart.round())
     defects = [chart.mode_coupling_defect(field, delta) for chart in charts]
     best = int(np.argmin(defects))
@@ -136,7 +131,7 @@ def _chart_with_defect(field: ChartMetricField, delta: float):
         raise ValueError("no radial chart available for this field; the mode "
                          "solver requires a radially symmetric suite metric "
                          f"(defect={defects[best]:g})")
-    return charts[best], defects[best]
+    return charts[best]
 
 
 # ----------------------------------------------------------------------------
@@ -346,12 +341,11 @@ class GreenProblem:
     lmax: int = 28
     mesh_size: int = 420
     parametrix: str = "fundamental"  # or 'glued'
-    coupling_tol: float = COUPLING_TOL
 
     def __post_init__(self):
         self.pole = np.asarray(self.pole, dtype=float)
         t = float(np.linalg.norm(self.pole))
-        self.chart, defect = _chart_with_defect(self.field, self.delta)
+        self.chart = chart_for_field(self.field, self.delta)
         # the pole must avoid the cone tip; a centered pole is only meaningful
         # for the flat ball, where there is no tip
         t_lo = 0.0 if self.chart.kind == "flat" else 1e-300
@@ -359,9 +353,6 @@ class GreenProblem:
             raise ValueError("pole must satisfy 0 < |x| < delta/4")
         if t == 0.0 and self.chart.kind != "flat":
             raise ValueError("pole must be distinct from the cone tip")
-        if defect > self.coupling_tol:
-            raise ValueError(
-                f"field is not radially symmetric to tolerance: defect={defect:g}")
 
 
 def _axis(pole) -> np.ndarray:
@@ -423,9 +414,6 @@ class GreenEvaluator:
         pts = np.stack([self.delta * np.cos(gam), self.delta * np.sin(gam),
                         np.zeros(n), np.zeros(n)], axis=1)
         return float(np.max(np.abs(self.value(pts))))
-
-    def regular_part(self, pts) -> np.ndarray:
-        return self.modes.value(pts)
 
     def value(self, pts) -> np.ndarray:
         pts, r, c = _polar(pts, self.modes.axis)

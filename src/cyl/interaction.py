@@ -259,9 +259,7 @@ def a_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> Integr
     grading = (((0.0, 0.0), 1.0), ((2.0 * tau, 0.0), 1.0))
     res = integrate_biradial(_a_prime_integrand(tau), spec.with_grading(*grading),
                              zeta_domain=(0.0, math.inf))
-    scale = 24.0 * k.S4 / epsilon
-    return IntegralResult(scale * res.value, scale * res.error_estimate,
-                          res.evaluations, res.converged)
+    return res.scaled(24.0 * k.S4 / epsilon)
 
 
 def c_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> IntegralResult:
@@ -270,9 +268,7 @@ def c_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> Integr
     grading = (((0.0, 0.0), 1.0), ((2.0 * tau, 0.0), 1.0))
     res = integrate_biradial(_c_prime_integrand(tau), spec.with_grading(*grading),
                              zeta_domain=(0.0, math.inf))
-    scale = 4.0 / epsilon
-    return IntegralResult(scale * res.value, scale * res.error_estimate,
-                          res.evaluations, res.converged)
+    return res.scaled(4.0 / epsilon)
 
 
 def _fd_step(t: float) -> float:

@@ -21,6 +21,11 @@ Legs and their lifted coordinates:
   region of its fourth power and of the cross-free gradient term needs the
   banded rectangles excluding the mirror ball.
 
+The path and the fits reach the legs through one dispatch, ``_quotient_of``.
+Each GLUED/INTERP integrand call builds one ``_LegBatch`` from the leg's
+``GluedData``: it holds the per-point geometry and evaluates the Green lift,
+energy density and measure from it.
+
 The Green data comes from the closed-form global football kernel (the
 equivariant sum of round-sphere kernels) conformally corrected by the CNC
 factor; its mass is A_q(t) = 1/(4 sin^2 t) exactly, which the code recomputes
@@ -30,12 +35,12 @@ numerically as a guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from cyl.constants import sobolev_constants
+from cyl.constants import exponents_admissible, sobolev_constants
 from cyl.geometry.cnc import (CutoffProfile, RadialCNCProfile, cnc_profile,
                               cutoff_profile)
 from cyl.green import (_gbar_radius, matching_constant, sphere_kernel,
@@ -155,9 +160,6 @@ class D2:
     def exp(self):
         return self.apply(np.exp, np.exp)
 
-    def sqrt(self):
-        return self.apply(np.sqrt, lambda v: 0.5 / np.sqrt(v))
-
     def arccos_clipped(self):
         v = np.clip(self.v, -1.0, 1.0 - 1e-15)
         d = -1.0 / np.sqrt(np.maximum(1.0 - v * v, 1e-30))
@@ -183,10 +185,6 @@ def _theta_over_sin(theta: D2) -> D2:
 # ----------------------------------------------------------------------------
 # configuration and descriptors
 # ----------------------------------------------------------------------------
-
-def exponents_admissible(alpha: float, omega: float) -> bool:
-    return 1.0 > omega > alpha > 0.5 and 2.0 + 2.0 * alpha - 4.0 * omega > 0.0
-
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -239,14 +237,11 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class TestFunctionDescriptor:
-    variant: str                 # SINGLE, DOUBLE, GLUED, INTERP
+    variant: str                 # DOUBLE, GLUED, INTERP
     epsilon: float
     t: float = 0.0
     tau: float = 0.0
     lam: float = 0.0
-    pole: int = 1                # which conical point carries the chart
-    nu_match: float = math.nan
-    A_q: float = math.nan
 
 
 @dataclass
@@ -256,7 +251,6 @@ class PathProfile:
     Q: np.ndarray
     Q_err: np.ndarray
     legs: list
-    descriptors: list
 
     @property
     def max_Q(self) -> float:
@@ -274,22 +268,18 @@ class PathProfile:
 # bubble profiles in lifted coordinates
 # ----------------------------------------------------------------------------
 
-def _chart_pair_sq(theta: D2, psi: D2, t: float):
-    """|z -+ t e1|^2 for the chart point with polar data (theta, psi)."""
-    p = theta * psi.cos()
-    d2m = theta * theta + t * t - 2.0 * t * p
-    d2p = theta * theta + t * t + 2.0 * t * p
-    return d2m, d2p
-
-
 def _bubble(eps: float, r2: D2) -> D2:
     c4 = sobolev_constants().c4
     return (c4 / eps) / (1.0 + r2 * (1.0 / eps ** 2))
 
 
-def _double_bubble_chart(eps: float, t: float, theta: D2, psi: D2,
+def _double_bubble_chart(eps: float, t: float, theta: D2, axial: D2,
                          chi: CutoffProfile | None) -> D2:
-    d2m, d2p = _chart_pair_sq(theta, psi, t)
+    """The bubble pair at -+t e1 at the chart point z of radius theta and
+    axial coordinate z.e1, cut off by chi(theta) unless chi is None."""
+    theta2 = theta * theta
+    d2m = theta2 + t * t - 2.0 * t * axial
+    d2p = theta2 + t * t + 2.0 * t * axial
     u = _bubble(eps, d2m) + _bubble(eps, d2p)
     if chi is not None:
         u = u * _cutoff_d2(chi, theta)
@@ -321,7 +311,7 @@ def quotient_double(eps: float, t: float, delta: float | None,
     def num(theta_v, psi_v):
         theta = D2.var_x(theta_v)
         psi = D2.var_y(psi_v)
-        u = _double_bubble_chart(eps, t, theta, psi, chi)
+        u = _double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
         sin_th = np.sin(theta_v) if model == "football" else theta_v
         grad2 = u.dx ** 2 + (u.dy / sin_th) ** 2
         return (6.0 * grad2 + scal * u.v ** 2) * weight(theta_v) \
@@ -330,11 +320,11 @@ def quotient_double(eps: float, t: float, delta: float | None,
     def den(theta_v, psi_v):
         theta = D2.var_x(theta_v)
         psi = D2.var_y(psi_v)
-        u = _double_bubble_chart(eps, t, theta, psi, chi)
+        u = _double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
         return u.v ** 4 * weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2
 
-    grading = (((t, 0.0), eps), ((t, math.pi), eps))
-    gspec = spec.with_grading(*grading)
+    gspec = spec.with_grading(((t, 0.0), eps), ((t, math.pi), eps))
+    theta_range = (1e-12, theta_max)
     if math.isinf(theta_max):
         # map theta = tan(s) for the complete flat cone
         def wrap(F):
@@ -344,16 +334,12 @@ def quotient_double(eps: float, t: float, delta: float | None,
 
             return g
 
-        smax = 0.5 * math.pi * (1.0 - 1e-12)
-        tgr = (((math.atan(t), 0.0), eps / (1 + t * t)),
-               ((math.atan(t), math.pi), eps / (1 + t * t)))
-        nres = integrate_rect2d(wrap(num), spec.with_grading(*tgr),
-                                (1e-12, smax), (0.0, math.pi))
-        dres = integrate_rect2d(wrap(den), spec.with_grading(*tgr),
-                                (1e-12, smax), (0.0, math.pi))
-    else:
-        nres = integrate_rect2d(num, gspec, (1e-12, theta_max), (0.0, math.pi))
-        dres = integrate_rect2d(den, gspec, (1e-12, theta_max), (0.0, math.pi))
+        num, den = wrap(num), wrap(den)
+        gspec = spec.with_grading(((math.atan(t), 0.0), eps / (1 + t * t)),
+                                  ((math.atan(t), math.pi), eps / (1 + t * t)))
+        theta_range = (1e-12, 0.5 * math.pi * (1.0 - 1e-12))
+    nres = integrate_rect2d(num, gspec, theta_range, (0.0, math.pi))
+    dres = integrate_rect2d(den, gspec, theta_range, (0.0, math.pi))
     return _quotient_from(nres, dres)
 
 
@@ -380,13 +366,8 @@ class GluedData:
     s_tau: float          # chart radius with rho(s_tau) = tau
     s_2tau: float
     rho: object           # s -> gbar radial distance (spline)
-    s_of_rho: object
     f1: RadialCNCProfile  # CNC exponent branch profile f1(s) and derivatives
     chi_tau: CutoffProfile
-
-    def rho_d2(self, xi: D2, f1_xi) -> D2:
-        """rho(xi) with rho' = e^{f1/2}, given f1 at xi."""
-        return xi.chain(self.rho(xi.v), np.exp(0.5 * f1_xi))
 
 
 def glued_data(eps: float, t: float, tau: float) -> GluedData:
@@ -417,7 +398,7 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
     A_closed = float(0.25 / math.sin(t) ** 2)
     return GluedData(eps=eps, t=t, tau=tau, A_q=A_num, A_q_closed=A_closed,
                      nu=matching_constant(eps, tau, A_num), s_tau=s_tau,
-                     s_2tau=s_2tau, rho=rho, s_of_rho=s_of_rho, f1=f1,
+                     s_2tau=s_2tau, rho=rho, f1=f1,
                      chi_tau=CutoffProfile(tau, 2.0 * tau))
 
 
@@ -464,63 +445,20 @@ def boundary_flux(epsilon: float, tau: float,
 # GLUED and INTERP legs in (xi, eta) coordinates about the bubble center
 # ----------------------------------------------------------------------------
 
-class _LegGeometry:
-    """Closed-form geometric scalars in (xi, eta) about the center at
-    distance t from the lifted pole N.  Every per-point scalar lives in the
-    ``_LegBatch`` of one integrand call, never here."""
-
-    def __init__(self, t: float, data: GluedData):
-        self.t = t
-        self.data = data
-
-    def chart_pair_sq(self, b: "_LegBatch"):
-        """|z - t e1|^2 and |z + t e1|^2 of the chart point."""
-        t = self.t
-        theta = b.theta
-        ratio = _theta_over_sin(theta)  # theta / sin(theta)
-        # cos(xi) = cos(theta) cos(t) + sin(theta) sin(t) cos(psi)
-        # => sin(theta) cos(psi) = (cos(xi) - cos(theta) cos(t)) / sin(t)
-        sincos_psi = (b.cos_xi - theta.cos() * math.cos(t)) * (1.0 / math.sin(t))
-        z_par = ratio * sincos_psi
-        theta2 = theta * theta
-        d2m = theta2 + t * t - 2.0 * t * z_par
-        d2p = theta2 + t * t + 2.0 * t * z_par
-        return d2m, d2p
-
-    def green_lift(self, b: "_LegBatch") -> D2:
-        """Gbar = e^{-f/2} (Gs(xi) + Gs(d2)), the CNC-corrected global kernel."""
-        G = b.xi.apply(sphere_kernel, sphere_kernel_slope) \
-            + b.d2.apply(sphere_kernel, sphere_kernel_slope)
-        return b.weight * G
-
-    def energy_density(self, u: D2, b: "_LegBatch") -> np.ndarray:
-        """6 |grad u|^2 + R u^2 in gbar = e^f g_round, with R from the exact
-        conformal formula (n = 4); needs a batch built with ``curvature``."""
-        fx, fd = b.f1_xi, b.f1_d2
-        d2 = b.d2.v
-        lap = fx[2] + 3.0 * b.cos_xi.v / b.sin_xi.v * fx[1] \
-            + fd[2] + 3.0 * np.cos(d2) / np.sin(d2) * fd[1]
-        grad2 = fx[1] * fx[1] + fd[1] * fd[1]
-        e = np.exp(-b.f.v)
-        R = e * (12.0 - 3.0 * lap - 1.5 * grad2)
-        return 6.0 * (e * (u.dx ** 2 + (u.dy / b.sin_xi.v) ** 2)) + R * u.v ** 2
-
-    def measure(self, b: "_LegBatch") -> np.ndarray:
-        return np.exp(2.0 * b.f.v) * b.sin_xi.v ** 3 \
-            * 4.0 * math.pi * b.sin_eta ** 2
-
-
 class _LegBatch:
-    """The geometric scalars of one integrand batch, each computed once and
-    dropped with the batch: xi and eta with unit partials, their sines and
-    cosines, the partner distance d2, the CNC jets f1 at xi and d2 (to second
-    order with ``curvature``), the conformal exponent f = f1(xi) + f1(d2) and
-    the weight e^{-f/2}; with ``chart``, also the chart radius theta."""
+    """The geometry of one integrand batch in (xi, eta) about the bubble
+    center at distance t = data.t from the lifted pole N, each scalar
+    computed once and dropped with the batch: xi and eta with unit partials,
+    their sines and cosines, the partner distance d2, the CNC jets f1 at xi
+    and d2 (to second order with ``curvature``), the conformal exponent
+    f = f1(xi) + f1(d2) and the weight e^{-f/2}; with ``chart``, also the
+    chart radius theta and axial coordinate z_par of the chart point."""
 
-    def __init__(self, geom: _LegGeometry, xi_v, eta_v, chart: bool = False,
+    def __init__(self, data: GluedData, xi_v, eta_v, chart: bool = False,
                  curvature: bool = False):
-        t = geom.t
-        f1 = geom.data.f1
+        t = data.t
+        f1 = data.f1
+        self.data = data
         self.xi = xi = D2.var_x(xi_v)
         eta = D2.var_y(eta_v)
         self.sin_xi, self.cos_xi = xi.sincos()
@@ -534,20 +472,50 @@ class _LegBatch:
         self.f1_d2 = f1.jet(self.d2.v, order)
         self.f = xi.chain(*self.f1_xi[:2]) + self.d2.chain(*self.f1_d2[:2])
         self.weight = (self.f * (-0.5)).exp()
-        self.theta = ((self.cos_xi * math.cos(t) + sxce * math.sin(t))
-                      .arccos_clipped() if chart else None)
+        if chart:
+            self.theta = theta = (self.cos_xi * math.cos(t)
+                                  + sxce * math.sin(t)).arccos_clipped()
+            ratio = _theta_over_sin(theta)  # theta / sin(theta)
+            # cos(xi) = cos(theta) cos(t) + sin(theta) sin(t) cos(psi)
+            # => sin(theta) cos(psi) = (cos(xi) - cos(theta) cos(t)) / sin(t)
+            sincos_psi = (self.cos_xi - theta.cos() * math.cos(t)) \
+                * (1.0 / math.sin(t))
+            self.z_par = ratio * sincos_psi
+
+    def green_lift(self) -> D2:
+        """Gbar = e^{-f/2} (Gs(xi) + Gs(d2)), the CNC-corrected global kernel."""
+        G = self.xi.apply(sphere_kernel, sphere_kernel_slope) \
+            + self.d2.apply(sphere_kernel, sphere_kernel_slope)
+        return self.weight * G
+
+    def energy_density(self, u: D2) -> np.ndarray:
+        """6 |grad u|^2 + R u^2 in gbar = e^f g_round, with R from the exact
+        conformal formula (n = 4); needs a batch built with ``curvature``."""
+        fx, fd = self.f1_xi, self.f1_d2
+        d2 = self.d2.v
+        lap = fx[2] + 3.0 * self.cos_xi.v / self.sin_xi.v * fx[1] \
+            + fd[2] + 3.0 * np.cos(d2) / np.sin(d2) * fd[1]
+        grad2 = fx[1] * fx[1] + fd[1] * fd[1]
+        e = np.exp(-self.f.v)
+        R = e * (12.0 - 3.0 * lap - 1.5 * grad2)
+        return 6.0 * (e * (u.dx ** 2 + (u.dy / self.sin_xi.v) ** 2)) \
+            + R * u.v ** 2
+
+    def measure(self) -> np.ndarray:
+        return np.exp(2.0 * self.f.v) * self.sin_xi.v ** 3 \
+            * 4.0 * math.pi * self.sin_eta ** 2
 
 
-def _w_glued(geom: _LegGeometry, b: _LegBatch) -> D2:
+def _w_glued(b: _LegBatch) -> D2:
     """The glued profile in its own zone structure (primary cases only:
     valid where d1 <= d2, which is all the code ever evaluates)."""
-    d = geom.data
+    d = b.data
     xi = b.xi
-    rho = d.rho_d2(xi, b.f1_xi[0])
+    rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))  # rho' = e^{f1/2}
     zone_ball = xi.v <= d.s_tau
     zone_ann = (xi.v > d.s_tau) & (xi.v <= d.s_2tau)
     u_ball = _bubble(d.eps, rho * rho)
-    G = geom.green_lift(b)
+    G = b.green_lift()
     chi = _cutoff_d2(d.chi_tau, rho)
     core = (rho ** -2.0) + d.A_q
     u_ann = (chi * core + (1.0 - chi) * G) * (1.0 / d.nu)
@@ -558,40 +526,34 @@ def _w_glued(geom: _LegGeometry, b: _LegBatch) -> D2:
     return D2(v, dx, dy)
 
 
-def _e_tilde(geom: _LegGeometry, b: _LegBatch,
-             chi_delta: CutoffProfile) -> D2:
+def _e_tilde(b: _LegBatch, chi_delta: CutoffProfile) -> D2:
     """e^{-f/2} u_bar: the conformally weighted chart double bubble; needs a
     batch built with ``chart``."""
-    d2m, d2p = geom.chart_pair_sq(b)
-    u = _bubble(geom.data.eps, d2m) + _bubble(geom.data.eps, d2p)
-    u = u * _cutoff_d2(chi_delta, b.theta)
+    u = _double_bubble_chart(b.data.eps, b.data.t, b.theta, b.z_par, chi_delta)
     return b.weight * u
 
 
-def _psi_lambda(geom, b, lam: float, chi_delta) -> D2:
+def _psi_lambda(b: _LegBatch, lam: float, chi_delta) -> D2:
     if lam == 1.0:
-        return _w_glued(geom, b)
+        return _w_glued(b)
     if lam == 0.0:
-        return _e_tilde(geom, b, chi_delta)
-    return _w_glued(geom, b) * lam + _e_tilde(geom, b, chi_delta) * (1.0 - lam)
+        return _e_tilde(b, chi_delta)
+    return _w_glued(b) * lam + _e_tilde(b, chi_delta) * (1.0 - lam)
 
 
-def _near_zone_integrals(geom: _LegGeometry, lam: float, chi_delta,
+def _near_zone_integrals(d: GluedData, lam: float, chi_delta,
                          spec: QuadratureSpec):
     """Numerator and fourth-power integrals over the primary glue ball and
     annulus {xi <= s_2tau} (factor 2 for the mirror copy applied here)."""
-    d = geom.data
     chart = lam != 1.0
 
     def num(xi_v, eta_v):
-        b = _LegBatch(geom, xi_v, eta_v, chart=chart, curvature=True)
-        u = _psi_lambda(geom, b, lam, chi_delta)
-        return geom.energy_density(u, b) * geom.measure(b)
+        b = _LegBatch(d, xi_v, eta_v, chart=chart, curvature=True)
+        return b.energy_density(_psi_lambda(b, lam, chi_delta)) * b.measure()
 
     def den(xi_v, eta_v):
-        b = _LegBatch(geom, xi_v, eta_v, chart=chart)
-        u = _psi_lambda(geom, b, lam, chi_delta)
-        return u.v ** 4 * geom.measure(b)
+        b = _LegBatch(d, xi_v, eta_v, chart=chart)
+        return _psi_lambda(b, lam, chi_delta).v ** 4 * b.measure()
 
     gspec = spec.with_grading(((0.0, 0.0), d.eps),
                               ((d.s_tau, 0.0), d.tau * 0.25),
@@ -599,13 +561,10 @@ def _near_zone_integrals(geom: _LegGeometry, lam: float, chi_delta,
     lo = 1e-14
     n = integrate_rect2d(num, gspec, (lo, d.s_2tau), (0.0, math.pi))
     dd = integrate_rect2d(den, gspec, (lo, d.s_2tau), (0.0, math.pi))
-    return (IntegralResult(2.0 * n.value, 2.0 * n.error_estimate,
-                           n.evaluations, n.converged),
-            IntegralResult(2.0 * dd.value, 2.0 * dd.error_estimate,
-                           dd.evaluations, dd.converged))
+    return n.scaled(2.0), dd.scaled(2.0)
 
 
-def _flux_integrals(geom: _LegGeometry, lam: float, chi_delta,
+def _flux_integrals(d: GluedData, lam: float, chi_delta,
                     spec: QuadratureSpec):
     """Exact boundary-flux part of the far numerator:
 
@@ -614,30 +573,24 @@ def _flux_integrals(geom: _LegGeometry, lam: float, chi_delta,
     where the G-parts collapse to fluxes over the glue sphere xi = s_2tau
     (both copies) because L Gbar = 0 outside the poles.
     """
-    d = geom.data
     s = d.s_2tau
     f1s = float(d.f1.value(s))
 
     def flux_GG(eta_v):
-        G = geom.green_lift(_LegBatch(geom, np.full_like(eta_v, s), eta_v))
+        G = _LegBatch(d, np.full_like(eta_v, s), eta_v).green_lift()
         dG_drho = G.dx * math.exp(-0.5 * f1s)
         return G.v * dG_drho * 4.0 * math.pi * np.sin(eta_v) ** 2
 
     def flux_Ge(eta_v):
-        b = _LegBatch(geom, np.full_like(eta_v, s), eta_v, chart=True)
-        G = geom.green_lift(b)
-        e = _e_tilde(geom, b, chi_delta)
+        b = _LegBatch(d, np.full_like(eta_v, s), eta_v, chart=True)
+        G = b.green_lift()
+        e = _e_tilde(b, chi_delta)
         dG_drho = G.dx * math.exp(-0.5 * f1s)
         return e.v * dG_drho * 4.0 * math.pi * np.sin(eta_v) ** 2
 
     area_scale = math.exp(1.5 * f1s) * math.sin(s) ** 3
-    out = []
-    for fn in (flux_GG, flux_Ge):
-        res = integrate_radial(fn, (0.0, math.pi), spec)
-        out.append(IntegralResult(res.value * area_scale,
-                                  res.error_estimate * area_scale,
-                                  res.evaluations, res.converged))
-    gg, ge = out
+    gg, ge = (integrate_radial(fn, (0.0, math.pi), spec).scaled(area_scale)
+              for fn in (flux_GG, flux_Ge))
     # lam^2 N(G,G)/nu^2 and 2 lam(1-lam) N(G,e)/nu, each N collapsing to
     # -6 * (2 spheres) * flux
     coeff_gg = -12.0 * lam ** 2 / d.nu ** 2
@@ -648,21 +601,20 @@ def _flux_integrals(geom: _LegGeometry, lam: float, chi_delta,
                           gg.converged and ge.converged)
 
 
-def _far_bands(geom: _LegGeometry):
-    """The far region {d1 > s, d2 > s} as aligned bands in (xi, eta):
-    a plain band before the partner ball, the band around xi = 2t with the
-    mirror ball excluded through an eta-remapping, and a plain band beyond.
+def _far_bands(d: GluedData):
+    """The far region {d1 > s, d2 > s} as aligned bands (a, b, eta_excl) in
+    (xi, eta): a plain band (eta_excl None) before the partner ball, the
+    band around xi = 2t with the mirror ball {eta <= eta_excl(xi)} excluded
+    through an eta-remapping, and a plain band beyond.
 
     Only t <= pi/2 reaches this code (larger t is mirrored through the exact
     pole-swap isometry), so the partner core sits at (2t, eta = 0); at
     t = pi/2 the partner ball degenerates to the polar cap xi >= pi - s.
     """
-    d = geom.data
-    t = geom.t
+    t = d.t
     s = d.s_2tau
     if math.sin(2.0 * t) < 1e-9:
-        return [("plain", (s, math.pi - s), None)]
-    bands = []
+        return [(s, math.pi - s, None)]
     lo, hi = 2.0 * t - s, min(2.0 * t + s, math.pi)
 
     def eta_excl(xi_v):
@@ -671,46 +623,39 @@ def _far_bands(geom: _LegGeometry):
         den = np.sin(xi_v) * math.sin(2.0 * t)
         return np.arccos(np.clip(num / np.maximum(den, 1e-300), -1.0, 1.0))
 
-    bands.append(("plain", (s, lo), None))
-    bands.append(("mapped", (lo, hi), eta_excl))
+    bands = [(s, lo, None), (lo, hi, eta_excl)]
     if hi < math.pi:
-        bands.append(("plain", (hi, math.pi), None))
+        bands.append((hi, math.pi, None))
     return bands
 
 
-def _far_direct_integrals(geom: _LegGeometry, lam: float, chi_delta,
+def _far_direct_integrals(d: GluedData, lam: float, chi_delta,
                           spec: QuadratureSpec):
     """Fourth power over the far region, plus the (1-lam)^2 gradient part
     that has no flux shortcut.  Uses the aligned far bands."""
-    d = geom.data
 
     def den_integrand(xi_v, eta_v):
-        b = _LegBatch(geom, xi_v, eta_v, chart=lam != 1.0)
-        u = geom.green_lift(b) * (lam / d.nu)
+        b = _LegBatch(d, xi_v, eta_v, chart=lam != 1.0)
+        u = b.green_lift() * (lam / d.nu)
         if lam != 1.0:
-            u = u + _e_tilde(geom, b, chi_delta) * (1.0 - lam)
-        return u.v ** 4 * geom.measure(b)
+            u = u + _e_tilde(b, chi_delta) * (1.0 - lam)
+        return u.v ** 4 * b.measure()
 
     def num_ee_integrand(xi_v, eta_v):
-        b = _LegBatch(geom, xi_v, eta_v, chart=True, curvature=True)
-        e = _e_tilde(geom, b, chi_delta)
-        return geom.energy_density(e, b) * geom.measure(b)
+        b = _LegBatch(d, xi_v, eta_v, chart=True, curvature=True)
+        return b.energy_density(_e_tilde(b, chi_delta)) * b.measure()
 
-    t = geom.t
+    t = d.t
     den_total = IntegralResult(0.0, 0.0, 0, True)
     num_ee = IntegralResult(0.0, 0.0, 0, True)
-    for kind, (a, b), eta_excl in _far_bands(geom):
-        if kind == "plain":
+    for a, b, eta_excl in _far_bands(d):
+        if eta_excl is None:
             gr = spec.with_grading(((a, 0.0), d.tau * 0.5),
                                    ((b, 0.0), d.tau * 0.5),
                                    ((t, 0.0), 0.2 * t))
-            den_total = den_total + integrate_rect2d(
-                den_integrand, gr, (a, b), (0.0, math.pi))
-            if lam != 1.0:
-                num_ee = num_ee + integrate_rect2d(
-                    num_ee_integrand, gr, (a, b), (0.0, math.pi))
+            wrap, v_range = (lambda F: F), (0.0, math.pi)
         else:
-            def mapped(F):
+            def wrap(F):
                 def g(xi_v, v_v):
                     e0 = eta_excl(xi_v)
                     span = math.pi - e0
@@ -720,11 +665,12 @@ def _far_direct_integrals(geom: _LegGeometry, lam: float, chi_delta,
 
             gr = spec.with_grading(((a, 0.0), 0.05 * (b - a)),
                                    ((b, 0.0), 0.05 * (b - a)))
-            den_total = den_total + integrate_rect2d(
-                mapped(den_integrand), gr, (a, b), (0.0, 1.0))
-            if lam != 1.0:
-                num_ee = num_ee + integrate_rect2d(
-                    mapped(num_ee_integrand), gr, (a, b), (0.0, 1.0))
+            v_range = (0.0, 1.0)
+        den_total = den_total + integrate_rect2d(
+            wrap(den_integrand), gr, (a, b), v_range)
+        if lam != 1.0:
+            num_ee = num_ee + integrate_rect2d(
+                wrap(num_ee_integrand), gr, (a, b), v_range)
     return den_total, num_ee
 
 
@@ -736,75 +682,68 @@ def quotient_glued(eps: float, t: float, tau: float, spec: QuadratureSpec,
 
 def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
                     t: float | None = None, tau: float | None = None,
-                    delta: float = 0.025, alpha: float = 0.6,
-                    omega: float = 0.7, data: GluedData | None = None):
+                    delta: float = 0.025):
     """Q of psi_lambda = lam w + (1 - lam) e^{-f/2} u at pole distance t.
 
-    Defaults follow the interpolation leg: t = eps^alpha, tau = eps^omega.
-    Returns (Q, err) with the quotient lift factor included.
+    Defaults follow the interpolation leg of the default exponents:
+    t = eps^0.6, tau = eps^0.7.  Returns (Q, err) with the quotient lift
+    factor included.
     """
     if t is None:
-        t = eps ** alpha
+        t = eps ** 0.6
     if tau is None:
-        tau = eps ** omega
+        tau = eps ** 0.7
     if t > math.pi / 2.0:
         # swapping the two conical points is an exact isometry of the model
         t = math.pi - t
-    if data is None:
-        data = glued_data(eps, t, tau)
-    geom = _LegGeometry(t, data)
+    data = glued_data(eps, t, tau)
     chi_delta = cutoff_profile(1.0, inner=delta, outer=2.0 * delta)
-    near_num, near_den = _near_zone_integrals(geom, lam, chi_delta, spec)
-    flux_num = _flux_integrals(geom, lam, chi_delta, spec)
-    far_den, far_num_ee = _far_direct_integrals(geom, lam, chi_delta, spec)
+    near_num, near_den = _near_zone_integrals(data, lam, chi_delta, spec)
+    flux_num = _flux_integrals(data, lam, chi_delta, spec)
+    far_den, far_num_ee = _far_direct_integrals(data, lam, chi_delta, spec)
     num = near_num + flux_num
     if lam != 1.0:
-        num = num + IntegralResult((1.0 - lam) ** 2 * far_num_ee.value,
-                                   (1.0 - lam) ** 2 * far_num_ee.error_estimate,
-                                   far_num_ee.evaluations, far_num_ee.converged)
-    den = near_den + far_den
-    return _quotient_from(num, den)
+        num = num + far_num_ee.scaled((1.0 - lam) ** 2)
+    return _quotient_from(num, near_den + far_den)
 
 
 # ----------------------------------------------------------------------------
 # the path
 # ----------------------------------------------------------------------------
 
-def evaluate_quotient(config: PathConfig, desc: TestFunctionDescriptor,
-                      spec: QuadratureSpec | None = None):
-    """Quotient of one descriptor on the football (or its flat-cone variant)."""
-    if spec is None:
-        spec = config.spec()
-    if desc.variant in ("DOUBLE", "SINGLE"):
-        t = 0.0 if desc.variant == "SINGLE" else desc.t
-        return quotient_double(desc.epsilon, t, config.delta, spec)
+def _quotient_of(desc: TestFunctionDescriptor, delta: float,
+                 spec: QuadratureSpec):
+    """(Q, err) of one descriptor with chart cutoff delta: the one dispatch
+    on the leg name."""
+    if desc.variant == "DOUBLE":
+        return quotient_double(desc.epsilon, desc.t, delta, spec)
     if desc.variant == "GLUED":
         return quotient_glued(desc.epsilon, desc.t, desc.tau, spec,
-                              delta=config.delta)
+                              delta=delta)
     if desc.variant == "INTERP":
         return quotient_interp(desc.epsilon, desc.lam, spec,
-                               t=desc.t, tau=desc.tau, delta=config.delta,
-                               alpha=config.alpha, omega=config.omega)
+                               t=desc.t, tau=desc.tau, delta=delta)
     raise ValueError(f"unknown variant {desc.variant!r}")
 
 
+def evaluate_quotient(config: PathConfig, desc: TestFunctionDescriptor,
+                      spec: QuadratureSpec | None = None):
+    """Quotient of one descriptor on the football."""
+    return _quotient_of(desc, config.delta,
+                        config.spec() if spec is None else spec)
+
+
 def _leg_descriptor(config: PathConfig, mu: float) -> TestFunctionDescriptor:
+    """The competitor at mu in [0, 2.5]; the upper half mirrors it."""
     eps = config.epsilon
     te = eps ** config.alpha
-    taue = eps ** config.omega
     if mu <= 1.0:
-        return TestFunctionDescriptor("DOUBLE", eps, t=mu * te, pole=1)
+        return TestFunctionDescriptor("DOUBLE", eps, t=mu * te)
     if mu <= 2.0:
-        return TestFunctionDescriptor("INTERP", eps, t=te, tau=taue,
-                                      lam=mu - 1.0, pole=1)
-    if mu < 3.0:
-        t = config.t_of_mu(mu)
-        return TestFunctionDescriptor("GLUED", eps, t=t,
-                                      tau=config.tau_of_t(t), pole=1)
-    if mu <= 4.0:
-        return TestFunctionDescriptor("INTERP", eps, t=te, tau=taue,
-                                      lam=4.0 - mu, pole=2)
-    return TestFunctionDescriptor("DOUBLE", eps, t=(5.0 - mu) * te, pole=2)
+        return TestFunctionDescriptor("INTERP", eps, t=te,
+                                      tau=eps ** config.omega, lam=mu - 1.0)
+    t = config.t_of_mu(mu)
+    return TestFunctionDescriptor("GLUED", eps, t=t, tau=config.tau_of_t(t))
 
 
 def _mirror_grid(n: int) -> np.ndarray:
@@ -823,8 +762,7 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
 
     The pole swap is an exact isometry of the football, so Q(mu) =
     Q(5 - mu): each mu is evaluated through the descriptor of
-    min(mu, 5 - mu), and a mirror pair costs one evaluation.  The recorded
-    descriptor of a mu > 2.5 is that one with the chart at pole 2."""
+    min(mu, 5 - mu), and a mirror pair costs one evaluation."""
     if mu_grid is None:
         mu_grid = _mirror_grid(config.mu_points)
     mu_grid = np.asarray(mu_grid, dtype=float)
@@ -836,25 +774,19 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
     Q = np.empty(len(mu_grid))
     E = np.empty(len(mu_grid))
     legs = []
-    descs = []
-    # keyed on the leg parameters: a descriptor key would hinge on its NaN
-    # fields (nu_match, A_q), which compare unequal unless identical objects
     done = {}
     for i, mu in enumerate(mu_grid):
         mu = float(mu)
-        d_eval = _leg_descriptor(config, min(mu, 5.0 - mu))
-        key = (d_eval.variant, d_eval.t, d_eval.tau, d_eval.lam)
-        if key not in done:
+        desc = _leg_descriptor(config, min(mu, 5.0 - mu))
+        if desc not in done:
             try:
-                use = spec if d_eval.variant == "GLUED" else loose
-                done[key] = evaluate_quotient(config, d_eval, use)
+                use = spec if desc.variant == "GLUED" else loose
+                done[desc] = evaluate_quotient(config, desc, use)
             except Exception as exc:
                 raise RuntimeError(f"leg evaluation failed at mu={mu}: {exc}") from exc
-        Q[i], E[i] = done[key]
-        legs.append(d_eval.variant)
-        descs.append(replace(d_eval, pole=2) if mu > 2.5 else d_eval)
-    return PathProfile(config=config, mu=mu_grid, Q=Q, Q_err=E, legs=legs,
-                       descriptors=descs)
+        Q[i], E[i] = done[desc]
+        legs.append(desc.variant)
+    return PathProfile(config=config, mu=mu_grid, Q=Q, Q_err=E, legs=legs)
 
 
 # ----------------------------------------------------------------------------
@@ -886,18 +818,9 @@ def fit_expansion_A(eps_sequence, leg: str = "DOUBLE", lam: float = 0.5,
     eps_sequence = np.asarray(sorted(eps_sequence, reverse=True), dtype=float)
     Q = np.empty(len(eps_sequence))
     for i, eps in enumerate(eps_sequence):
-        t = eps ** alpha
-        tau = eps ** omega
-        if leg == "DOUBLE":
-            q, _ = quotient_double(eps, t, delta, spec)
-        elif leg == "GLUED":
-            q, _ = quotient_glued(eps, t, tau, spec, delta=delta)
-        elif leg == "INTERP":
-            q, _ = quotient_interp(eps, lam, spec, t=t, tau=tau, delta=delta,
-                                   alpha=alpha, omega=omega)
-        else:
-            raise ValueError(f"unknown leg {leg!r}")
-        Q[i] = q
+        desc = TestFunctionDescriptor(leg, eps, t=eps ** alpha,
+                                      tau=eps ** omega, lam=lam)
+        Q[i] = _quotient_of(desc, delta, spec)[0]
     gap = 6.0 * k.S4 - Q
     # subleading orders the expansions themselves produce: the cutoff tail /
     # metric terms at eps^{2 alpha} (coinciding with eps^{4 - 4 omega} for the

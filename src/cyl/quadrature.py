@@ -164,6 +164,11 @@ class IntegralResult:
                               self.evaluations + other.evaluations,
                               self.converged and other.converged)
 
+    def scaled(self, c: float) -> "IntegralResult":
+        """The integral of c times the integrand: value c, error |c|."""
+        return IntegralResult(self.value * c, self.error_estimate * abs(c),
+                              self.evaluations, self.converged)
+
 
 # ----------------------------------------------------------------------------
 # breakpoint seeding

@@ -104,3 +104,12 @@ def test_cli_accept_subset(tmp_path, capsys):
     assert "[ 1] PASS" in out
     assert "[12] PASS" in out
     assert (tmp_path / "acceptance.csv").exists()
+
+
+@pytest.mark.parametrize("only", ["13", "0", "1,13", "x"])
+def test_cli_accept_rejects_unknown_criteria(tmp_path, capsys, only):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "accept", "--only", only])
+    assert exc.value.code != 0
+    assert "1..12" in capsys.readouterr().err
+    assert not (tmp_path / "acceptance.csv").exists()

@@ -202,6 +202,18 @@ def test_fit_expansion_double():
         fit_expansion_A([1e-4, 5e-5], leg="NOPE")
 
 
+def test_fit_expansion_glued_leg_values():
+    # the GLUED fit evaluates exactly the glued quotient at t = eps^alpha,
+    # tau = eps^omega
+    spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
+    fit = fit_expansion_A([6e-5, 1e-4, 3e-5], leg="GLUED", delta=0.025,
+                          spec=spec)
+    assert list(fit.eps_sequence) == [1e-4, 6e-5, 3e-5]
+    for eps, q in zip(fit.eps_sequence, fit.Q_values):
+        assert q == quotient_glued(eps, eps ** 0.6, eps ** 0.7, spec,
+                                   delta=0.025)[0]
+
+
 def test_single_bubble_band_wide_chart():
     # the single singular bubble approaches Y4/sqrt2 from above; at eps = 1e-2
     # a wide chart keeps cutoff effects inside the half-unit band

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import cyl.quadrature as quadrature
 from cyl.constants import sobolev_constants
-from cyl.quadrature import (QuadratureSpec, QuadratureError, build_frozen_mesh,
+from cyl.quadrature import (IntegralResult, QuadratureSpec, QuadratureError,
+                            build_frozen_mesh,
                             integrate_axisym_sphere, integrate_ball4,
                             integrate_biradial, integrate_radial,
                             integrate_rect2d, integrate_sphere3)
@@ -17,6 +18,18 @@ SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
 def bubble_sq(r, eps=1.0):
     return (K.c4 / eps) / (1.0 + r / eps ** 2)  # not used; keep simple helpers local
+
+
+def test_integral_result_scaled():
+    res = IntegralResult(1.5, 0.25, 17, False)
+    up = res.scaled(2.0)
+    assert (up.value, up.error_estimate) == (3.0, 0.5)
+    assert (up.evaluations, up.converged) == (17, False)
+    down = res.scaled(-3.0)
+    assert (down.value, down.error_estimate) == (-4.5, 0.75)
+    assert (down.evaluations, down.converged) == (17, False)
+    assert IntegralResult(0.1, 0.3, 4, True).scaled(0.7) == \
+        IntegralResult(0.1 * 0.7, 0.3 * 0.7, 4, True)
 
 
 def test_radial_polynomial():
