@@ -13,8 +13,9 @@ Subcommands:
 Flags: --config PATH, --out DIR, --threads N (read by interaction-sweep
 only), --tol-scale X.  The output directory falls back to $CYL_OUT_DIR, then
 to the config value.  Exit code 0 only when every enabled acceptance check
-passes; otherwise the first failing criterion's index.  A usage error, such
-as an ``accept --only`` index outside 1..12, exits 2 before anything runs.
+passes; otherwise the first failing criterion's index (1..12).  A usage
+error, such as an ``accept --only`` index outside 1..12, exits 64
+(``EX_USAGE``), a code no criterion takes, before anything runs.
 """
 
 from __future__ import annotations
@@ -32,11 +33,23 @@ from cyl.constants import sobolev_constants
 from cyl.quadrature import QuadratureSpec
 from cyl.reports import RunManifest, fmt, write_csv, write_json, write_plot_data
 
-__all__ = ["main"]
+__all__ = ["main", "EX_USAGE"]
+
+# the exit code of a usage error; criterion indices stay below it
+EX_USAGE = 64
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EX_USAGE instead of 2, the index
+    of the bracket criterion."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cyl",
         description="numerical laboratory for bubble interactions, conical "
                     "charts and min-max Yamabe paths")

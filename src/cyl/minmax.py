@@ -251,6 +251,7 @@ class PathProfile:
     Q: np.ndarray
     Q_err: np.ndarray
     legs: list
+    converged: np.ndarray  # per point: both integrals met their contract
 
     @property
     def max_Q(self) -> float:
@@ -294,8 +295,8 @@ def quotient_double(eps: float, t: float, delta: float | None,
                     spec: QuadratureSpec, model: str = "football"):
     """Q of the (cut-off) double bubble: football chart or exact flat cone.
 
-    Returns (Q, err) on the quotient, lift factor included.  ``delta = None``
-    drops the cutoff (complete flat cone)."""
+    Returns (Q, err, converged) on the quotient, lift factor included.
+    ``delta = None`` drops the cutoff (complete flat cone)."""
     if model == "football":
         weight = lambda th: np.sin(th) ** 3
         scal = 12.0
@@ -344,11 +345,13 @@ def quotient_double(eps: float, t: float, delta: float | None,
 
 
 def _quotient_from(nres: IntegralResult, dres: IntegralResult):
+    """(Q, err, converged) of numerator and denominator integrals; converged
+    only if both integrals met their error contract."""
     q_lift = nres.value / math.sqrt(dres.value)
     q = q_lift / math.sqrt(2.0)
     err = q * (nres.error_estimate / abs(nres.value)
                + 0.5 * dres.error_estimate / dres.value)
-    return q, err
+    return q, err, nres.converged and dres.converged
 
 
 # ----------------------------------------------------------------------------
@@ -686,8 +689,8 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
     """Q of psi_lambda = lam w + (1 - lam) e^{-f/2} u at pole distance t.
 
     Defaults follow the interpolation leg of the default exponents:
-    t = eps^0.6, tau = eps^0.7.  Returns (Q, err) with the quotient lift
-    factor included.
+    t = eps^0.6, tau = eps^0.7.  Returns (Q, err, converged) with the
+    quotient lift factor included.
     """
     if t is None:
         t = eps ** 0.6
@@ -713,8 +716,8 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
 
 def _quotient_of(desc: TestFunctionDescriptor, delta: float,
                  spec: QuadratureSpec):
-    """(Q, err) of one descriptor with chart cutoff delta: the one dispatch
-    on the leg name."""
+    """(Q, err, converged) of one descriptor with chart cutoff delta: the one
+    dispatch on the leg name."""
     if desc.variant == "DOUBLE":
         return quotient_double(desc.epsilon, desc.t, delta, spec)
     if desc.variant == "GLUED":
@@ -773,6 +776,7 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
     loose = spec.scaled(30.0)
     Q = np.empty(len(mu_grid))
     E = np.empty(len(mu_grid))
+    ok = np.empty(len(mu_grid), dtype=bool)
     legs = []
     done = {}
     for i, mu in enumerate(mu_grid):
@@ -784,9 +788,10 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
                 done[desc] = evaluate_quotient(config, desc, use)
             except Exception as exc:
                 raise RuntimeError(f"leg evaluation failed at mu={mu}: {exc}") from exc
-        Q[i], E[i] = done[desc]
+        Q[i], E[i], ok[i] = done[desc]
         legs.append(desc.variant)
-    return PathProfile(config=config, mu=mu_grid, Q=Q, Q_err=E, legs=legs)
+    return PathProfile(config=config, mu=mu_grid, Q=Q, Q_err=E, legs=legs,
+                       converged=ok)
 
 
 # ----------------------------------------------------------------------------
@@ -802,6 +807,7 @@ class ExpansionFit:
     residual: float
     eps_sequence: np.ndarray
     Q_values: np.ndarray
+    converged: np.ndarray  # per eps: both integrals met their contract
 
 
 def fit_expansion_A(eps_sequence, leg: str = "DOUBLE", lam: float = 0.5,
@@ -817,10 +823,11 @@ def fit_expansion_A(eps_sequence, leg: str = "DOUBLE", lam: float = 0.5,
     k = sobolev_constants()
     eps_sequence = np.asarray(sorted(eps_sequence, reverse=True), dtype=float)
     Q = np.empty(len(eps_sequence))
+    ok = np.empty(len(eps_sequence), dtype=bool)
     for i, eps in enumerate(eps_sequence):
         desc = TestFunctionDescriptor(leg, eps, t=eps ** alpha,
                                       tau=eps ** omega, lam=lam)
-        Q[i] = _quotient_of(desc, delta, spec)[0]
+        Q[i], _, ok[i] = _quotient_of(desc, delta, spec)
     gap = 6.0 * k.S4 - Q
     # subleading orders the expansions themselves produce: the cutoff tail /
     # metric terms at eps^{2 alpha} (coinciding with eps^{4 - 4 omega} for the
@@ -836,4 +843,4 @@ def fit_expansion_A(eps_sequence, leg: str = "DOUBLE", lam: float = 0.5,
     slope, _ = np.polyfit(np.log(eps_sequence), np.log(gap), 1)
     return ExpansionFit(leg=leg, A_hat=float(coef[0]), correction=float(coef[1]),
                         exponent_free=float(slope), residual=resid,
-                        eps_sequence=eps_sequence, Q_values=Q)
+                        eps_sequence=eps_sequence, Q_values=Q, converged=ok)

@@ -3,8 +3,10 @@ per criterion, each printing its PASS/FAIL line."""
 
 import pytest
 
+import cyl.minmax as minmax
 from cyl import acceptance
 from cyl.config import RunConfig
+from cyl.constants import sobolev_constants
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,23 @@ def test_criterion_09_parametrix(cfg):
 def test_criterion_10_path(cfg):
     res = _run(acceptance.check_path, cfg)
     assert res.seconds < 1800.0
+
+
+@pytest.mark.parametrize("flag_lam", [None, 0.5])
+def test_path_check_fails_on_an_unconverged_point(monkeypatch, flag_lam):
+    # every point sits safely below 6*S4; only the convergence flag of the
+    # INTERP point at lam = flag_lam (mu = 1.5 and its mirror 3.5) is off
+    ys = sobolev_constants().Ys
+
+    def flagged(config, desc, spec=None):
+        return ys, 1e-9, not (desc.variant == "INTERP" and desc.lam == flag_lam)
+
+    monkeypatch.setattr(minmax, "evaluate_quotient", flagged)
+    res = acceptance.check_path(RunConfig(mu_points=11))
+    if flag_lam is None:
+        assert res.passed and res.detail.endswith("0 unconverged")
+    else:
+        assert not res.passed and res.detail.endswith("2 unconverged")
 
 
 def test_criterion_11_expansion_constant(cfg):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from cyl.cli import main
+from cyl.cli import EX_USAGE, main
 from cyl.config import RunConfig, load_config
 from cyl.reports import fmt, write_csv, write_plot_data
 
@@ -110,6 +110,7 @@ def test_cli_accept_subset(tmp_path, capsys):
 def test_cli_accept_rejects_unknown_criteria(tmp_path, capsys, only):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path), "accept", "--only", only])
-    assert exc.value.code != 0
+    # a code no criterion index (1..12) can take
+    assert exc.value.code == EX_USAGE == 64
     assert "1..12" in capsys.readouterr().err
     assert not (tmp_path / "acceptance.csv").exists()

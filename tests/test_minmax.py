@@ -35,28 +35,32 @@ def test_d2_chain_rules():
 def test_flat_double_matches_interaction_curves():
     # cross-module oracle: Q on the complete flat cone = f(t/eps)/sqrt(2)
     for eps, t in ((1.0, 2.0), (0.5, 0.8)):
-        q, e = quotient_double(eps, t, None, SPEC, model="flat")
+        q, e, ok = quotient_double(eps, t, None, SPEC, model="flat")
+        assert ok
         cur = curves(eps, [t], QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
         target = cur.f[0] / math.sqrt(2.0)
         assert abs(q - target) <= 3.0 * (e + cur.f_err[0]) + 1e-10
 
 
 def test_flat_double_dilation_invariance():
-    q1, e1 = quotient_double(1.0, 2.0, None, SPEC, model="flat")
-    q2, e2 = quotient_double(0.25, 0.5, None, SPEC, model="flat")
+    q1, e1, ok1 = quotient_double(1.0, 2.0, None, SPEC, model="flat")
+    q2, e2, ok2 = quotient_double(0.25, 0.5, None, SPEC, model="flat")
+    assert ok1 and ok2
     assert abs(q1 - q2) <= e1 + e2 + 1e-10
 
 
 def test_single_endpoint_band():
     eps = 1e-4
-    q, e = quotient_double(eps, 0.0, 0.025, SPEC)
+    q, e, ok = quotient_double(eps, 0.0, 0.025, SPEC)
+    assert ok
     assert K.Ys <= q <= K.Ys + 0.5
     assert e < 1e-6
 
 
 def test_double_leg_expansion_value():
     eps = 1e-4
-    q, e = quotient_double(eps, eps ** 0.6, 0.025, SPEC)
+    q, e, ok = quotient_double(eps, eps ** 0.6, 0.025, SPEC)
+    assert ok
     gap = 6.0 * K.S4 - q
     # within 15% of the leading expansion at this finite eps
     assert gap == pytest.approx(K.A * eps ** 0.8, rel=0.15)
@@ -110,7 +114,8 @@ def test_glued_mid_leg_margin_matches_mass():
     cfg = PathConfig(epsilon=eps)
     for t in (0.9441, math.pi / 2.0):
         tau = cfg.tau_of_t(t)
-        q, e = quotient_glued(eps, t, tau, SPEC, delta=cfg.delta)
+        q, e, ok = quotient_glued(eps, t, tau, SPEC, delta=cfg.delta)
+        assert ok
         margin = 6.0 * K.S4 - q
         pred = 4.0 * K.A * (0.25 / math.sin(t) ** 2) * eps ** 2
         assert margin == pytest.approx(pred, rel=0.02)
@@ -122,20 +127,22 @@ def test_glued_pole_swap_symmetry():
     cfg = PathConfig(epsilon=eps)
     t = 0.7
     tau = cfg.tau_of_t(t)
-    q1, e1 = quotient_glued(eps, t, tau, SPEC, delta=cfg.delta)
-    q2, e2 = quotient_glued(eps, math.pi - t, tau, SPEC, delta=cfg.delta)
+    q1, e1, ok1 = quotient_glued(eps, t, tau, SPEC, delta=cfg.delta)
+    q2, e2, ok2 = quotient_glued(eps, math.pi - t, tau, SPEC, delta=cfg.delta)
+    assert ok1 and ok2
     assert abs(q1 - q2) <= e1 + e2 + 1e-12
 
 
 def test_interp_endpoints_match_neighbor_legs():
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
-    qd, ed = quotient_double(eps, eps ** 0.6, 0.025, spec)
-    q0, e0 = quotient_interp(eps, 0.0, spec)
+    qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, spec)
+    q0, e0, ok0 = quotient_interp(eps, 0.0, spec)
     assert abs(q0 - qd) <= 10.0 * (e0 + ed)
-    qg, eg = quotient_glued(eps, eps ** 0.6, eps ** 0.7, spec)
-    q1, e1 = quotient_interp(eps, 1.0, spec)
+    qg, eg, okg = quotient_glued(eps, eps ** 0.6, eps ** 0.7, spec)
+    q1, e1, ok1 = quotient_interp(eps, 1.0, spec)
     assert abs(q1 - qg) <= 10.0 * (e1 + eg)
+    assert okd and ok0 and okg and ok1
 
 
 def test_interp_lambda_continuity():
@@ -186,6 +193,8 @@ def test_build_path_coarse(monkeypatch):
     # profile is symmetric under the pole swap mu -> 5 - mu
     assert np.array_equal(prof.Q, prof.Q[::-1])
     assert np.array_equal(prof.Q_err, prof.Q_err[::-1])
+    # every point met its error contract
+    assert prof.converged.all()
     # transitions: the mu = 1, 2 junction descriptors evaluate consistently
     i1 = int(np.argmin(np.abs(prof.mu - 1.0)))
     i2 = int(np.argmin(np.abs(prof.mu - 2.0)))
@@ -217,5 +226,6 @@ def test_fit_expansion_glued_leg_values():
 def test_single_bubble_band_wide_chart():
     # the single singular bubble approaches Y4/sqrt2 from above; at eps = 1e-2
     # a wide chart keeps cutoff effects inside the half-unit band
-    q, e = quotient_double(1e-2, 0.0, 0.45, SPEC)
+    q, e, ok = quotient_double(1e-2, 0.0, 0.45, SPEC)
+    assert ok
     assert K.Ys < q <= K.Ys + 0.5

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +213,88 @@ def test_rect2d_batches_are_bounded(monkeypatch):
     whole, whole_sizes = run()
     assert whole_sizes[0] > 2 ** 16
     assert whole == res
+
+
+def _recording(F):
+    """F plus the list of its calls' x coordinates and values."""
+    calls = []
+
+    def g(x, y):
+        v = F(x, y)
+        calls.append((np.array(x), v))
+        return v
+
+    return g, calls
+
+
+def _lorentzian(z):
+    # a sharp peak of width 1e-3 at 0.3; its integral over [0, 1] is
+    # atan(700) + atan(300)
+    return 1e-3 / ((z - 0.3) ** 2 + 1e-6)
+
+
+def test_rect2d_split_count_ignores_the_flat_side():
+    # the error of an x-only integrand lives in x, so the engine never splits
+    # y and its work does not depend on how long the y side is
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+    evals = []
+    for L in (1.0, 10.0, 1000.0):
+        res = integrate_rect2d(lambda x, y: _lorentzian(x), spec,
+                               (0.0, 1.0), (0.0, L))
+        assert res.converged
+        exact = L * (math.atan(700.0) + math.atan(300.0))
+        assert abs(res.value - exact) <= spec.tolerance_for(exact)
+        evals.append(res.evaluations)
+    assert evals[0] == evals[1] == evals[2]
+
+
+@pytest.mark.parametrize("L", [1e-3, 1.0, 1000.0])
+def test_rect2d_y_only_integrand_is_never_split_in_x(L):
+    g, calls = _recording(lambda x, y: _lorentzian(y))
+    res = integrate_rect2d(g, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13),
+                           (0.0, L), (0.0, 1.0))
+    assert res.converged and res.evaluations > 225
+    # every box keeps the whole x side: only its 15 Kronrod nodes appear
+    nodes = 0.5 * L + 0.5 * L * quadrature._XGK
+    seen = np.unique(np.concatenate([x for x, _ in calls]))
+    assert np.array_equal(seen, np.unique(nodes))
+
+
+def test_panels_2d_matches_the_exact_contraction():
+    # the batched mat-vec forms of the four rule values round to within
+    # 4 ulps of the exact (rational) tensor contractions of the same grid
+    rng = np.random.default_rng(7)
+    n = 40
+    ax = rng.uniform(-1.0, 1.0, n)
+    bx = ax + rng.uniform(1e-3, 1.0, n)
+    ay = rng.uniform(-1.0, 1.0, n)
+    by = ay + rng.uniform(1e-3, 1.0, n)
+    c = rng.uniform(0.5, 2.0, 3)
+    g, calls = _recording(lambda x, y: np.exp(c[0] * x - c[1] * y * y)
+                          * (1.5 + np.cos(c[2] * x * y)))
+    k, err, ex, ey, npts = quadrature._panels_2d(g, ax, bx, ay, by)
+    assert npts == 225 * n
+    F = np.concatenate([v for _, v in calls]).reshape(n, 15, 15)
+    area = 0.25 * (bx - ax) * (by - ay)
+    wk = [Fraction(w) for w in quadrature._WGK]
+    wg = [Fraction(w) for w in quadrature._WG]
+
+    def rule(b, wx, wy):
+        # x nodes are the first grid axis; G7 takes the odd Kronrod nodes
+        ix = range(15) if len(wx) == 15 else range(1, 15, 2)
+        iy = range(15) if len(wy) == 15 else range(1, 15, 2)
+        return Fraction(area[b]) * sum(
+            u * v * Fraction(F[b, i, j])
+            for u, i in zip(wx, ix) for v, j in zip(wy, iy))
+
+    for b in range(n):
+        kk = rule(b, wk, wk)
+        # an error is a difference of two rule values, so its rounding is
+        # counted in ulps of the value
+        ulp = np.spacing(abs(float(kk)))
+        assert abs(k[b] - float(kk)) <= 4.0 * ulp
+        for mine, wx, wy in ((err, wg, wg), (ex, wg, wk), (ey, wk, wg)):
+            assert abs(mine[b] - float(abs(kk - rule(b, wx, wy)))) <= 4.0 * ulp
 
 
 def test_sphere3_bubble_flux():
