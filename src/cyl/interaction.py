@@ -212,12 +212,8 @@ def verify_b_prime_identity(epsilon: float, t: float, h_fd: float,
 @dataclass(frozen=True)
 class MonotonicityReport:
     t_grid: np.ndarray
-    a_prime_fd: np.ndarray
     a_prime_quad: np.ndarray
-    a_agree_tol: np.ndarray
-    c_prime_fd: np.ndarray
     c_prime_quad: np.ndarray
-    c_agree_tol: np.ndarray
     all_negative: bool
     cross_consistent: bool
     first_violation: int  # grid index, -1 when clean
@@ -327,11 +323,8 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
         np.all(np.abs(np.array(rows["cfd"]) - np.array(rows["cq"]))
                <= np.array(rows["ctol"]))
     return MonotonicityReport(
-        t_grid=t_grid,
-        a_prime_fd=np.array(rows["afd"]), a_prime_quad=np.array(rows["aq"]),
-        a_agree_tol=np.array(rows["atol"]),
-        c_prime_fd=np.array(rows["cfd"]), c_prime_quad=np.array(rows["cq"]),
-        c_agree_tol=np.array(rows["ctol"]),
+        t_grid=t_grid, a_prime_quad=np.array(rows["aq"]),
+        c_prime_quad=np.array(rows["cq"]),
         all_negative=bool(neg), cross_consistent=bool(cons),
         first_violation=first)
 
@@ -346,8 +339,6 @@ class SlopeFit:
     coefficient: float   # coefficient of (eps/t)^2 in the fitted model
     curvature: float     # coefficient of (eps/t)^4 (absorbs next order)
     residual: float      # rms misfit of the two-term model
-    limit: float         # fixed model limit as t -> oo
-    t_sequence: np.ndarray
     values: np.ndarray
 
 
@@ -382,5 +373,4 @@ def asymptotic_slope(kind: str, epsilon: float, t_sequence,
     fitted = design @ coef
     rms = float(np.sqrt(np.mean((vals - limit - fitted) ** 2)))
     return SlopeFit(kind=kind, coefficient=float(coef[0]),
-                    curvature=float(coef[1]), residual=rms, limit=limit,
-                    t_sequence=t_sequence, values=vals)
+                    curvature=float(coef[1]), residual=rms, values=vals)

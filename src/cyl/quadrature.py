@@ -9,6 +9,14 @@ radius ever has to be tuned.  Integrands concentrated at a known "bubble core"
 declare it through grading entries ``(center, scale)``; the engine then seeds
 the partition with dyadic annuli down to ``scale/4`` around each center.
 
+Seed reach: on a bounded axis the annuli double until they span twice the
+interval.  On a compactified axis they stop below ``4*(|center| + max(scale,
+1))``: the ``tan`` map already grades the tail, so rungs out to the 1e18 that
+stands in for infinity only add boxes of shrinking working width (about 64
+rungs a side), which the adaptive pass then evaluates for nothing.  For the
+interaction integrals that cuts the seed mesh from about 7 600 boxes to
+115-295 and the points per integral at rel 1e-9 by a factor of 4 to 50.
+
 Engines:
 
 * ``integrate_radial``      -- 1-d integrals on [a, R] or [a, oo)
@@ -128,8 +136,9 @@ class QuadratureSpec:
     """Tolerances, budget and grading hints for one integral.
 
     ``grading`` holds ``(center, scale)`` pairs; ``center`` is a float for 1-d
-    engines or a 2-vector for the 2-d engines.  The partition is seeded with
-    dyadic breakpoints at ``center +- scale/4 * 2^k``.
+    engines or a 2-vector for the 2-d engines, and ``scale`` is finite and
+    positive.  The partition is seeded with dyadic breakpoints at
+    ``center +- scale/4 * 2^k``.
     """
 
     rel_tol: float = 1e-9
@@ -142,6 +151,10 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        for _, scale in self.grading:
+            if not (math.isfinite(scale) and scale > 0.0):
+                raise ValueError(f"grading scale must be finite and positive, "
+                                 f"got {scale!r}")
 
     def with_grading(self, *grading) -> "QuadratureSpec":
         return replace(self, grading=tuple(grading))
@@ -185,16 +198,17 @@ class IntegralResult:
 # breakpoint seeding
 # ----------------------------------------------------------------------------
 
-def _dyadic_breaks(center: float, scale: float, lo: float, hi: float) -> list:
-    """Dyadic annulus breakpoints around ``center`` clipped to (lo, hi)."""
+def _dyadic_breaks(center: float, scale: float, lo: float, hi: float,
+                   reach: float) -> list:
+    """Dyadic annulus breakpoints ``center +- scale/4 * 2^k`` with half-width
+    below ``reach``, clipped to (lo, hi)."""
     if not lo < hi:
         return []
-    span = hi - lo
     breaks = []
     if lo < center < hi:
         breaks.append(center)
-    h = max(scale, 1e-300) / 4.0
-    while h < 2.0 * span:
+    h = scale / 4.0
+    while h < reach:
         for b in (center - h, center + h):
             if lo < b < hi:
                 breaks.append(b)
@@ -206,11 +220,15 @@ def _seed_breaks(lo, hi, centers_scales, transform=None):
     """Sorted unique breakpoints of [lo, hi] including graded seeds.
 
     ``transform`` maps original coordinates to the working (compactified)
-    variable; seeds are generated in original coordinates.
+    variable; seeds are generated in original coordinates.  On a
+    compactified axis the ladder around center c stops below
+    4*(|c| + max(s, 1)); on a plain axis it spans twice the interval.
     """
     pts = []
     for c, s in centers_scales:
-        pts.extend(_dyadic_breaks(c, s, lo, hi))
+        reach = (2.0 * (hi - lo) if transform is None
+                 else 4.0 * (abs(c) + max(s, 1.0)))
+        pts.extend(_dyadic_breaks(c, s, lo, hi, reach))
     if transform is not None:
         pts = [transform(p) for p in pts]
         lo, hi = transform(lo), transform(hi)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyl.constants import sobolev_constants
-from cyl.interaction import (asymptotic_slope, a_prime_quadrature,
+from cyl.interaction import (KINDS, asymptotic_slope, a_prime_quadrature,
                              c_prime_quadrature, curves, interaction_integral,
                              verify_b_prime_identity, verify_monotonicity)
 from cyl.quadrature import QuadratureSpec
@@ -156,3 +156,13 @@ def test_invalid_inputs():
         verify_b_prime_identity(1.0, 1e-4, 1e-3, SPEC)
     with pytest.raises(ValueError):
         verify_monotonicity(1.0, [1.0, 0.5], SPEC)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_error_bars_cover_a_tighter_recompute(kind):
+    loose = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+    for t in (0.1, 1.0, 1000.0):
+        res = interaction_integral(kind, 1.0, t, loose).expect()
+        ref = interaction_integral(kind, 1.0, t, tight).expect()
+        assert abs(res.value - ref.value) <= res.error_estimate, (kind, t)

@@ -364,3 +364,39 @@ def test_frozen_mesh_smooth_in_parameter():
     d2 = vals[0] - 2 * vals[2] + vals[4]
     d2h = vals[1] - 2 * vals[2] + vals[3]
     assert abs(d2h) < abs(d2) * 0.5 + 1e-9
+
+
+def test_compactified_seed_ladder_stops_at_the_core_scale():
+    centers = [(1.5, 1.0), (-1.5, 1.0)]
+    zb = quadrature._seed_breaks(-1e18, 1e18, centers, transform=math.atan)
+    rungs = np.tan(zb[1:-1])  # interior breaks, back in original coordinates
+    reach = [4.0 * (abs(c) + max(s, 1.0)) for c, s in centers]
+    within = [np.abs(rungs - c) < r * (1.0 + 1e-12)
+              for (c, _), r in zip(centers, reach)]
+    assert np.all(np.logical_or(*within))
+    assert len(zb) < 40  # the ladder out to 1e18 gave 170
+
+
+def test_bounded_seed_ladder_spans_twice_the_interval():
+    # centre 0.5, scale 0.1 on (0, 100): rungs 0.5 +- 0.025 * 2^k for every
+    # k with 0.025 * 2^k < 200, far past the compactified reach of 6
+    ladder = [0.5 + sgn * 0.025 * 2.0 ** k for k in range(13) for sgn in (-1, 1)]
+    expected = np.unique([0.0, 0.5, 100.0]
+                         + [b for b in ladder if 0.0 < b < 100.0])
+    got = quadrature._seed_breaks(0.0, 100.0, [(0.5, 0.1)])
+    assert np.array_equal(got, expected)
+    assert got[-2] == 0.5 + 0.025 * 2.0 ** 11
+
+
+def test_interaction_integral_converges_on_a_lean_seed():
+    from cyl.interaction import interaction_integral
+    res = interaction_integral("U3V", 1.0, 1.5, SPEC).expect()
+    assert res.evaluations < 400_000  # 1 709 775 with the ladder out to 1e18
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_grading_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="grading scale"):
+        QuadratureSpec(grading=(((0.0, 0.0), scale),))
+    with pytest.raises(ValueError, match="grading scale"):
+        SPEC.with_grading((0.5, scale))
