@@ -43,14 +43,11 @@ class LinkFamily:
 
     ``conformal_profile`` (c as a function of u = s^2) is set when
     h(s) = c(s) h0; general families supply ``tensor_family`` instead.
-    ``structure_order`` is the integer k with h(s) = h0 + s^k * (smooth),
-    stored as metadata for the regularity bookkeeping.
     """
 
     link: str = "S3"  # "S3" or "RP3"
     conformal_profile: RadialProfile | None = None
     tensor_family: LinkTensorFamily | None = None
-    structure_order: int = 1
 
     def __post_init__(self):
         if self.link not in ("S3", "RP3"):
@@ -141,7 +138,6 @@ class FootballModel:
     cone: ConeMetric
     chart: WarpedRadialField
     pole_distance: float = math.pi
-    scalar_curvature: float = 12.0
 
     @property
     def total_volume(self) -> float:
@@ -158,8 +154,7 @@ def football_metric(delta: float) -> FootballModel:
     """The RP^3-football with lifted round charts of radius 2*delta."""
     if not 0.0 < delta < math.pi / 4.0:
         raise ValueError("need 0 < delta < pi/4")
-    fam = LinkFamily(link="RP3", conformal_profile=round_profile(),
-                     structure_order=2)
+    fam = LinkFamily(link="RP3", conformal_profile=round_profile())
     cone = ConeMetric(link_family=fam, s_max=math.pi)
     chart = WarpedRadialField(round_profile(), chart_radius=2.0 * delta)
     return FootballModel(delta=delta, cone=cone, chart=chart)
@@ -171,11 +166,8 @@ def football_metric(delta: float) -> FootballModel:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    order: int
-    radii: np.ndarray
     sups: np.ndarray
     fitted_rate: float      # slope of log sup vs log r
-    fitted_constant: float  # sup / r^rate prefactor
     bounded: bool           # stays below a fitted constant as r -> 0
 
 
@@ -227,9 +219,7 @@ def regularity_probe(target, order: int, radii, n_dirs: int = 12,
         sups.append(worst)
     sups = np.array(sups)
     logs = np.log(np.maximum(sups, 1e-300))
-    slope, intercept = np.polyfit(np.log(radii), logs, 1)
+    slope = np.polyfit(np.log(radii), logs, 1)[0]
     bounded = bool(slope > -0.05 or np.max(sups) < 1e-12)
-    return RegularityReport(order=order, radii=radii, sups=sups,
-                            fitted_rate=float(slope),
-                            fitted_constant=float(math.exp(intercept)),
+    return RegularityReport(sups=sups, fitted_rate=float(slope),
                             bounded=bounded)

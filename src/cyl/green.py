@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from cyl.constants import sobolev_constants
 from cyl.geometry.cnc import cnc_profile, cutoff_profile
@@ -277,6 +277,26 @@ class football_global_green:
 # mode solver
 # ----------------------------------------------------------------------------
 
+# LAPACK's tridiagonal solver in double precision: the routine
+# scipy.linalg.solve_banded((1, 1), ...) dispatches to, called without that
+# function's per-call validation, which costs five times the solve at n = 200
+_gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
+
+
+def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with A x = rhs for A in the (1, 1) banded form of ``solve_banded``,
+    with its guarantees: ValueError on non-finite input, LinAlgError when
+    the matrix is singular."""
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
+
+
 def _solve_modes(chart: RadialChart, bmodes, rho_splines,
                  mesh: np.ndarray) -> list:
     """Nodal values of every mode l = 0..lmax on the mesh: the mode BVP with
@@ -313,7 +333,7 @@ def _solve_modes(chart: RadialChart, bmodes, rho_splines,
         if rho_spline is not None:
             rhs[1:-1] = rho_spline(r[1:-1])
         rhs[-1] = bval
-        modes.append(solve_banded((1, 1), ab, rhs))
+        modes.append(_solve_tridiagonal(ab, rhs))
     return modes
 
 
@@ -625,8 +645,6 @@ class GreenExpansion:
     t: float
     A_q: float
     error: float
-    means: np.ndarray
-    radii: np.ndarray
 
 
 def matching_constant(epsilon: float, tau: float, A_q: float) -> float:
@@ -728,8 +746,7 @@ def extract_mass(evaluator, pole, eps0: float = None, levels: int = 4,
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     fitted = design @ coef
     err = float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
-    return GreenExpansion(t=t, A_q=float(coef[0]), error=err, means=means,
-                          radii=radii)
+    return GreenExpansion(t=t, A_q=float(coef[0]), error=err)
 
 
 def _frame_with_axis(axis: np.ndarray) -> np.ndarray:

@@ -309,20 +309,15 @@ def quotient_double(eps: float, t: float, delta: float | None,
         raise ValueError("model must be 'football' or 'flat'")
     chi = cutoff_profile(1.0, inner=delta, outer=2.0 * delta) if delta is not None else None
 
-    def num(theta_v, psi_v):
+    def integrand(theta_v, psi_v):
+        # numerator and fourth power of one bubble pair, one row each
         theta = D2.var_x(theta_v)
         psi = D2.var_y(psi_v)
         u = _double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
         sin_th = np.sin(theta_v) if model == "football" else theta_v
         grad2 = u.dx ** 2 + (u.dy / sin_th) ** 2
-        return (6.0 * grad2 + scal * u.v ** 2) * weight(theta_v) \
-            * 4.0 * math.pi * np.sin(psi_v) ** 2
-
-    def den(theta_v, psi_v):
-        theta = D2.var_x(theta_v)
-        psi = D2.var_y(psi_v)
-        u = _double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
-        return u.v ** 4 * weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2
+        return np.stack([6.0 * grad2 + scal * u.v ** 2, u.v ** 4]) \
+            * (weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2)
 
     gspec = spec.with_grading(((t, 0.0), eps), ((t, math.pi), eps))
     theta_range = (1e-12, theta_max)
@@ -335,13 +330,12 @@ def quotient_double(eps: float, t: float, delta: float | None,
 
             return g
 
-        num, den = wrap(num), wrap(den)
+        integrand = wrap(integrand)
         gspec = spec.with_grading(((math.atan(t), 0.0), eps / (1 + t * t)),
                                   ((math.atan(t), math.pi), eps / (1 + t * t)))
         theta_range = (1e-12, 0.5 * math.pi * (1.0 - 1e-12))
-    nres = integrate_rect2d(num, gspec, theta_range, (0.0, math.pi))
-    dres = integrate_rect2d(den, gspec, theta_range, (0.0, math.pi))
-    return _quotient_from(nres, dres)
+    res = integrate_rect2d(integrand, gspec, theta_range, (0.0, math.pi))
+    return _quotient_from(res[0], res[1])
 
 
 def _quotient_from(nres: IntegralResult, dres: IntegralResult):
@@ -547,24 +541,22 @@ def _psi_lambda(b: _LegBatch, lam: float, chi_delta) -> D2:
 def _near_zone_integrals(d: GluedData, lam: float, chi_delta,
                          spec: QuadratureSpec):
     """Numerator and fourth-power integrals over the primary glue ball and
-    annulus {xi <= s_2tau} (factor 2 for the mirror copy applied here)."""
+    annulus {xi <= s_2tau}, both on one mesh (factor 2 for the mirror copy
+    applied here)."""
     chart = lam != 1.0
 
-    def num(xi_v, eta_v):
+    def integrand(xi_v, eta_v):
         b = _LegBatch(d, xi_v, eta_v, chart=chart, curvature=True)
-        return b.energy_density(_psi_lambda(b, lam, chi_delta)) * b.measure()
-
-    def den(xi_v, eta_v):
-        b = _LegBatch(d, xi_v, eta_v, chart=chart)
-        return _psi_lambda(b, lam, chi_delta).v ** 4 * b.measure()
+        u = _psi_lambda(b, lam, chi_delta)
+        return np.stack([b.energy_density(u), u.v ** 4]) * b.measure()
 
     gspec = spec.with_grading(((0.0, 0.0), d.eps),
                               ((d.s_tau, 0.0), d.tau * 0.25),
                               ((d.s_2tau, 0.0), d.tau * 0.25))
     lo = 1e-14
-    n = integrate_rect2d(num, gspec, (lo, d.s_2tau), (0.0, math.pi))
-    dd = integrate_rect2d(den, gspec, (lo, d.s_2tau), (0.0, math.pi))
-    return n.scaled(2.0), dd.scaled(2.0)
+    res = integrate_rect2d(integrand, gspec, (lo, d.s_2tau),
+                           (0.0, math.pi)).scaled(2.0)
+    return res[0], res[1]
 
 
 def _flux_integrals(d: GluedData, lam: float, chi_delta,
@@ -635,18 +627,18 @@ def _far_bands(d: GluedData):
 def _far_direct_integrals(d: GluedData, lam: float, chi_delta,
                           spec: QuadratureSpec):
     """Fourth power over the far region, plus the (1-lam)^2 gradient part
-    that has no flux shortcut.  Uses the aligned far bands."""
+    that has no flux shortcut, on one mesh per aligned far band.  The glued
+    leg (lam = 1) has only the fourth power."""
+    mixed = lam != 1.0
 
-    def den_integrand(xi_v, eta_v):
-        b = _LegBatch(d, xi_v, eta_v, chart=lam != 1.0)
+    def integrand(xi_v, eta_v):
+        b = _LegBatch(d, xi_v, eta_v, chart=mixed, curvature=mixed)
         u = b.green_lift() * (lam / d.nu)
-        if lam != 1.0:
-            u = u + _e_tilde(b, chi_delta) * (1.0 - lam)
-        return u.v ** 4 * b.measure()
-
-    def num_ee_integrand(xi_v, eta_v):
-        b = _LegBatch(d, xi_v, eta_v, chart=True, curvature=True)
-        return b.energy_density(_e_tilde(b, chi_delta)) * b.measure()
+        if not mixed:
+            return u.v ** 4 * b.measure()
+        e = _e_tilde(b, chi_delta)
+        u = u + e * (1.0 - lam)
+        return np.stack([u.v ** 4, b.energy_density(e)]) * b.measure()
 
     t = d.t
     den_total = IntegralResult(0.0, 0.0, 0, True)
@@ -669,11 +661,11 @@ def _far_direct_integrals(d: GluedData, lam: float, chi_delta,
             gr = spec.with_grading(((a, 0.0), 0.05 * (b - a)),
                                    ((b, 0.0), 0.05 * (b - a)))
             v_range = (0.0, 1.0)
-        den_total = den_total + integrate_rect2d(
-            wrap(den_integrand), gr, (a, b), v_range)
-        if lam != 1.0:
-            num_ee = num_ee + integrate_rect2d(
-                wrap(num_ee_integrand), gr, (a, b), v_range)
+        res = integrate_rect2d(wrap(integrand), gr, (a, b), v_range)
+        if mixed:
+            den_total, num_ee = den_total + res[0], num_ee + res[1]
+        else:
+            den_total = den_total + res
     return den_total, num_ee
 
 
@@ -800,9 +792,7 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
 
 @dataclass(frozen=True)
 class ExpansionFit:
-    leg: str
     A_hat: float
-    correction: float
     exponent_free: float
     residual: float
     eps_sequence: np.ndarray
@@ -841,6 +831,6 @@ def fit_expansion_A(eps_sequence, leg: str = "DOUBLE", lam: float = 0.5,
     resid = float(np.sqrt(np.mean((gap - design @ coef) ** 2)))
     # free-exponent probe on the leading behavior
     slope, _ = np.polyfit(np.log(eps_sequence), np.log(gap), 1)
-    return ExpansionFit(leg=leg, A_hat=float(coef[0]), correction=float(coef[1]),
-                        exponent_free=float(slope), residual=resid,
-                        eps_sequence=eps_sequence, Q_values=Q, converged=ok)
+    return ExpansionFit(A_hat=float(coef[0]), exponent_free=float(slope),
+                        residual=resid, eps_sequence=eps_sequence, Q_values=Q,
+                        converged=ok)

@@ -38,6 +38,22 @@ cost more the longer L is.  DCUHRE chooses its axis from directional error
 estimates in the same spirit (Genz & Malik 1980; Berntsen, Espelid & Genz
 1991).  The choice costs no integrand call.
 
+Vector integrands: an integrand of the 2-d engine may return a (k, m) array
+for m points, one row per component, instead of m values.  The engine then
+adapts one mesh for all k components and returns an ``IntegralResult`` whose
+value and error are arrays of k; ``res[i]`` is component i.  Each component
+keeps its own total and tolerance tol_i = ``spec.tolerance_for(total_i)``,
+and the mesh has converged only when every component meets its own; its
+``converged`` is that AND, shared by every component.  Boxes are ranked by
+max_i err_i * (tol_0 / tol_i), the largest error in units of its own
+tolerance (the norm of DCUHRE and ``scipy.integrate.quad_vec``), and the
+split axis by ex and ey weighted the same way.  Component 0's weight is
+tol_0 / tol_0, exactly 1, so a scalar integrand, one component, takes this
+same path and gets the bits a (1, m) wrapping of it gets.  Numerator and
+denominator of one Yamabe quotient share their geometry, so one call per
+batch and one mesh serve both.  The split budget and the batch bound count
+boxes and points, not components.
+
 Results are deterministic for a fixed (spec, integrand): boxes are split in a
 fixed order and final sums run over boxes sorted by coordinates.
 
@@ -163,12 +179,16 @@ class QuadratureSpec:
         return replace(self, rel_tol=self.rel_tol * factor,
                        abs_tol=self.abs_tol * factor)
 
-    def tolerance_for(self, value: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
+    def tolerance_for(self, value):
+        """max(abs_tol, rel_tol |value|), elementwise for an array."""
+        return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
 
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """Value, error, points evaluated and the contract flag of one integral;
+    value and error are arrays of k for a k-component integrand."""
+
     value: float
     error_estimate: float
     evaluations: int
@@ -191,6 +211,13 @@ class IntegralResult:
     def scaled(self, c: float) -> "IntegralResult":
         """The integral of c times the integrand: value c, error |c|."""
         return IntegralResult(self.value * c, self.error_estimate * abs(c),
+                              self.evaluations, self.converged)
+
+    def __getitem__(self, i: int) -> "IntegralResult":
+        """Component i of a vector result, with the points and the flag of
+        the mesh it shares with the other components."""
+        return IntegralResult(float(self.value[i]),
+                              float(self.error_estimate[i]),
                               self.evaluations, self.converged)
 
 
@@ -331,15 +358,32 @@ def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
 # ----------------------------------------------------------------------------
 
 def _total_2d(ax, ay, val, err):
-    """Deterministic totals: values summed over boxes sorted by corner."""
-    order = np.lexsort((ay, ax))
-    return float(np.sum(val[order])), float(np.sum(err))
+    """Deterministic totals of each component (boxes on the last axis of
+    ``val`` and ``err``): values summed over boxes sorted by corner."""
+    rows = len(ax)
+    val = val.reshape(-1, rows)[:, np.lexsort((ay, ax))]
+    # row by row: a sum along axis 1 rounds differently from a 1-d sum
+    return (np.array([v.sum() for v in val]),
+            np.array([e.sum() for e in err.reshape(-1, rows)]))
+
+
+def _result(total, err, evals, converged, lead):
+    """The result of one mesh: floats for a scalar integrand, arrays shaped
+    like the integrand's leading axes for a vector one."""
+    if not lead:
+        return IntegralResult(float(total[0]), float(err[0]), evals, converged)
+    return IntegralResult(total.reshape(lead), err.reshape(lead), evals,
+                          converged)
 
 
 def _panels_2d(g, ax, bx, ay, by):
     """K15 x K15 values of the boxes with their error |K15xK15 - G7xG7| and
     the directional errors ex = |K15xK15 - G7(x)K15(y)| and
-    ey = |K15xK15 - K15(x)G7(y)|, all read off one 15 x 15 grid per box."""
+    ey = |K15xK15 - K15(x)G7(y)|, all read off one 15 x 15 grid per box.
+
+    ``g`` returns (m,) values or a (k, m) array, one row per component; the
+    four results take the integrand's leading axes and then one axis of
+    boxes.  The last item is the number of points evaluated."""
     midx = 0.5 * (ax + bx)
     hx = 0.5 * (bx - ax)
     midy = 0.5 * (ay + by)
@@ -350,49 +394,82 @@ def _panels_2d(g, ax, bx, ay, by):
     step = _MAX_BATCH_POINTS // 225
 
     def batch(Xs, Ys):
-        shape = (len(Xs), 15, 15)
-        return g(np.broadcast_to(Xs, shape).ravel(),
-                 np.broadcast_to(Ys, shape).ravel()).reshape(shape)
+        # np.repeat spreads the grid as broadcast_to(...).ravel() does, at
+        # a fraction of the call overhead
+        out = g(np.repeat(Xs, 15, axis=2).ravel(),
+                np.repeat(Ys, 15, axis=1).ravel())
+        return out.reshape(out.shape[:-1] + (len(Xs), 15, 15))
 
     F = np.concatenate([batch(X[i:i + step], Y[i:i + step])
-                        for i in range(0, len(ax), step)])
+                        for i in range(0, len(ax), step)], axis=-3)
+    shape = F.shape[:-2]  # leading axes, then boxes
+    F = F.reshape(-1, 15, 15)  # the components' boxes end to end
     area = hx * hy
     # the y rules first, one (nbox, 15) row per x node; then the x rules
     Fk = F @ _WGK
     Fg = F[:, :, 1::2] @ _WG
-    k = area * (Fk @ _WGK)
-    gx = area * (Fk[:, 1::2] @ _WG)
-    gy = area * (Fg @ _WGK)
-    gg = area * (Fg[:, 1::2] @ _WG)
-    return k, np.abs(k - gg), np.abs(k - gx), np.abs(k - gy), F.size
+    k = area * (Fk @ _WGK).reshape(shape)
+    gx = area * (Fk[:, 1::2] @ _WG).reshape(shape)
+    gy = area * (Fg @ _WGK).reshape(shape)
+    gg = area * (Fg[:, 1::2] @ _WG).reshape(shape)
+    return k, np.abs(k - gg), np.abs(k - gx), np.abs(k - gy), 225 * len(ax)
+
+
+def _boxes_2d(g, ax, bx, ay, by):
+    """Boxes as one (4 + 4k, nbox) array, so a refine round keeps and
+    appends them with one mask and one concatenation: the corners ax, bx,
+    ay, by, then k rows each of value, error, ex and ey (``_panels_2d``).
+    Also returns the integrand's leading axes and the points evaluated."""
+    val, err, ex, ey, n = _panels_2d(g, ax, bx, ay, by)
+    rows = [v.reshape(-1, len(ax)) for v in (val, err, ex, ey)]
+    boxes = np.concatenate([np.array([ax, bx, ay, by]), *rows])
+    return boxes, val.shape[:-1], n
+
+
+def _unpack_2d(boxes):
+    """Row views (ax, bx, ay, by) and (val, err, ex, ey) of a box array, the
+    second four with one row per component."""
+    return boxes[:4], boxes[4:].reshape(4, -1, boxes.shape[1])
+
+
+def _weighted_errors(boxes, w):
+    """Per box, the largest err_i * w_i, ex_i * w_i and ey_i * w_i over the
+    components i: one (3, nbox) array from one product and one reduction."""
+    k = len(w)
+    return (boxes[4 + k:].reshape(3, k, -1) * w[:, None]).max(axis=1)
 
 
 def _adapt_2d(g, xbreaks, ybreaks, spec: QuadratureSpec):
     ax, ay = np.meshgrid(xbreaks[:-1], ybreaks[:-1], indexing="ij")
     bx, by = np.meshgrid(xbreaks[1:], ybreaks[1:], indexing="ij")
-    ax, bx, ay, by = (v.ravel().copy() for v in (ax, bx, ay, by))
-    vals, errs, ex, ey, n = _panels_2d(g, ax, bx, ay, by)
-    evals = n
+    boxes, lead, evals = _boxes_2d(g, ax.ravel(), bx.ravel(), ay.ravel(),
+                                   by.ravel())
     splits = 0
     converged = False
     for _ in range(10_000):
+        (ax, bx, ay, by), (vals, errs, _, _) = _unpack_2d(boxes)
         total, toterr = _total_2d(ax, ay, vals, errs)
-        if toterr <= spec.tolerance_for(total):
+        tol = spec.tolerance_for(total)
+        if (toterr <= tol).all():
             converged = True
             break
         if splits >= spec.max_subdivisions:
             break
-        order = np.argsort(errs)[::-1]
-        cum = np.cumsum(errs[order])
-        k = int(np.searchsorted(cum, 0.5 * toterr)) + 1
-        k = min(k, spec.max_subdivisions - splits, max(1, len(errs)))
+        # each component's errors in units of component 0's tolerance; the
+        # weight of component 0 is exactly 1
+        boxerr, exw, eyw = _weighted_errors(boxes, tol[0] / tol)
+        order = boxerr.argsort()[::-1]
+        cum = boxerr[order].cumsum()
+        k = int(cum.searchsorted(0.5 * boxerr.sum())) + 1
+        k = min(k, spec.max_subdivisions - splits, max(1, len(boxerr)))
         idx = order[:k]
         splits += k
         wx = bx[idx] - ax[idx]
         wy = by[idx] - ay[idx]
         # split across the direction that carries the error; the longer
         # edge only breaks an exact tie
-        splitx = np.where(ex[idx] == ey[idx], wx >= wy, ex[idx] > ey[idx])
+        ex_i, ey_i = exw[idx], eyw[idx]
+        splitx = np.where(ex_i == ey_i, wx >= wy, ex_i > ey_i)
         fine = np.where(splitx, wx, wy) < 1e-15 * (np.abs(ax[idx])
                                                    + np.abs(ay[idx]) + 1.0)
         if np.all(fine):
@@ -407,19 +484,13 @@ def _adapt_2d(g, xbreaks, ybreaks, spec: QuadratureSpec):
         nb = np.concatenate([np.where(splitx, midx, bx[idx]), bx[idx]])
         nc = np.concatenate([ay[idx], np.where(splitx, ay[idx], midy)])
         nd = np.concatenate([np.where(splitx, by[idx], midy), by[idx]])
-        nv, ne, nex, ney, n = _panels_2d(g, na, nb, nc, nd)
+        new, _, n = _boxes_2d(g, na, nb, nc, nd)
         evals += n
-        ax = np.concatenate([ax[keep], na])
-        bx = np.concatenate([bx[keep], nb])
-        ay = np.concatenate([ay[keep], nc])
-        by = np.concatenate([by[keep], nd])
-        vals = np.concatenate([vals[keep], nv])
-        errs = np.concatenate([errs[keep], ne])
-        ex = np.concatenate([ex[keep], nex])
-        ey = np.concatenate([ey[keep], ney])
+        boxes = np.concatenate([boxes.compress(keep, axis=1), new], axis=1)
+    (ax, bx, ay, by), (vals, errs, _, _) = _unpack_2d(boxes)
     total, toterr = _total_2d(ax, ay, vals, errs)
     mesh = FrozenMesh2D(ax.copy(), bx.copy(), ay.copy(), by.copy())
-    return IntegralResult(total, toterr, evals, converged), mesh
+    return _result(total, toterr, evals, converged, lead), mesh
 
 
 @dataclass
@@ -441,7 +512,7 @@ class FrozenMesh2D:
         g = self.weight(F)
         vals, errs, _, _, n = _panels_2d(g, self.ax, self.bx, self.ay, self.by)
         total, toterr = _total_2d(self.ax, self.ay, vals, errs)
-        return IntegralResult(total, toterr, n, True)
+        return _result(total, toterr, n, True, vals.shape[:-1])
 
 
 def _biradial_wrapper(F):
@@ -501,8 +572,10 @@ def build_frozen_mesh(F, spec, zeta_domain=(-math.inf, math.inf),
 def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralResult:
     """Plain adaptive 2-d integral of F(x, y) over a rectangle.
 
-    All weights and coordinate mappings are the caller's business; grading
-    centers are (x, y) pairs in the rectangle's own coordinates.
+    ``F`` returns m values, or a (k, m) array for k components integrated
+    on one mesh (see the module docstring).  All weights and coordinate
+    mappings are the caller's business; grading centers are (x, y) pairs in
+    the rectangle's own coordinates.
     """
     xcenters = [(c[0], s) for c, s in spec.grading]
     ycenters = [(c[1], s) for c, s in spec.grading]

@@ -148,13 +148,44 @@ def test_interp_endpoints_match_neighbor_legs():
 def test_interp_lambda_continuity():
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
-    qs = [quotient_interp(eps, lam, spec)[0] for lam in (0.4, 0.5, 0.6)]
+    runs = [quotient_interp(eps, lam, spec) for lam in (0.4, 0.5, 0.6)]
+    assert all(ok for _, _, ok in runs)
+    qs = [q for q, _, _ in runs]
     d1 = abs(qs[1] - qs[0])
     d2 = abs(qs[2] - qs[1])
     # Q(psi_lambda) is continuous with O(dlam) modulus
     assert d1 < 0.01 and d2 < 0.01
     for q in qs:
         assert 6.0 * K.S4 - q == pytest.approx(K.A * eps ** 0.8, rel=0.15)
+
+
+def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
+        monkeypatch):
+    # one 2-d integral per region: the DOUBLE rectangle, the near zone and
+    # each far band; numerator and fourth power share it
+    calls = []
+    integrate = minmax.integrate_rect2d
+
+    def counting(F, spec, x_domain, y_domain):
+        calls.append(x_domain)
+        return integrate(F, spec, x_domain, y_domain)
+
+    monkeypatch.setattr(minmax, "integrate_rect2d", counting)
+    eps = 1e-4
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+    cfg = PathConfig(epsilon=eps)
+    assert quotient_double(eps, eps ** 0.6, cfg.delta, spec)[2]
+    assert len(calls) == 1
+    cases = ((lambda: quotient_interp(eps, 0.5, spec), eps ** 0.6, eps ** 0.7),
+             (lambda: quotient_glued(eps, 0.9441, cfg.tau_of_t(0.9441), spec,
+                                     delta=cfg.delta),
+              0.9441, cfg.tau_of_t(0.9441)))
+    for quotient, t, tau in cases:
+        calls.clear()
+        assert quotient()[2]
+        bands = minmax._far_bands(glued_data(eps, t, tau))
+        assert len(bands) >= 2
+        assert len(calls) == 1 + len(bands)
 
 
 def test_path_config_validation():
@@ -218,6 +249,7 @@ def test_fit_expansion_glued_leg_values():
     fit = fit_expansion_A([6e-5, 1e-4, 3e-5], leg="GLUED", delta=0.025,
                           spec=spec)
     assert list(fit.eps_sequence) == [1e-4, 6e-5, 3e-5]
+    assert fit.converged.all()
     for eps, q in zip(fit.eps_sequence, fit.Q_values):
         assert q == quotient_glued(eps, eps ** 0.6, eps ** 0.7, spec,
                                    delta=0.025)[0]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import cyl.quadrature as quadrature
@@ -197,22 +199,35 @@ def test_rect2d_batches_are_bounded(monkeypatch):
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                           grading=(((0.5, 0.5), 1e-6),))
 
-    def run():
+    def peak(x, y):
+        return np.exp(x * y) / (1e-3 + (x - 0.5) ** 2 + (y - 0.5) ** 2)
+
+    # a scalar integrand, and a vector one whose batch holds two values per
+    # point: the bound counts points, not components
+    integrands = (peak, lambda x, y: np.stack([peak(x, y), x * peak(x, y)]))
+
+    def run(F):
         sizes = []
 
-        def F(x, y):
+        def G(x, y):
             sizes.append(x.size)
-            return np.exp(x * y) / (1e-3 + (x - 0.5) ** 2 + (y - 0.5) ** 2)
+            return F(x, y)
 
-        return integrate_rect2d(F, spec, (0.0, 1.0), (0.0, 1.0)), sizes
+        return integrate_rect2d(G, spec, (0.0, 1.0), (0.0, 1.0)), sizes
 
-    res, sizes = run()
-    assert max(sizes) <= 2 ** 16
+    sliced = [run(F) for F in integrands]
+    for res, sizes in sliced:
+        assert max(sizes) <= 2 ** 16
     # the same rule with the seed partition evaluated in one call
     monkeypatch.setattr(quadrature, "_MAX_BATCH_POINTS", 1 << 40)
-    whole, whole_sizes = run()
-    assert whole_sizes[0] > 2 ** 16
-    assert whole == res
+    for F, (res, _) in zip(integrands, sliced):
+        whole, whole_sizes = run(F)
+        assert whole_sizes[0] > 2 ** 16
+        assert np.array_equal(whole.value, res.value)
+        assert np.array_equal(whole.error_estimate, res.error_estimate)
+        assert (whole.evaluations, whole.converged) == \
+            (res.evaluations, res.converged)
+    assert np.shape(sliced[1][0].value) == (2,)
 
 
 def _recording(F):
@@ -258,6 +273,107 @@ def test_rect2d_y_only_integrand_is_never_split_in_x(L):
     nodes = 0.5 * L + 0.5 * L * quadrature._XGK
     seen = np.unique(np.concatenate([x for x, _ in calls]))
     assert np.array_equal(seen, np.unique(nodes))
+
+
+def test_rect2d_vector_components_meet_their_own_tolerances():
+    # two peaks at different x, of sizes 1e3 apart: one mesh resolves both,
+    # each to its own tolerance, for no more points than two scalar runs
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+    def near(x, y):
+        return _lorentzian(x) * (1.0 + y)
+
+    def far(x, y):
+        return 1e3 * _lorentzian(1.0 - x) * (1.0 + y)
+
+    res = integrate_rect2d(lambda x, y: np.stack([near(x, y), far(x, y)]),
+                           spec, (0.0, 1.0), (0.0, 1.0))
+    assert res.converged
+    # int_0^1 (1 + y) dy = 3/2, and 1 - x puts the far peak at 0.7
+    peak = 1.5 * (math.atan(700.0) + math.atan(300.0))
+    for i, exact in enumerate((peak, 1e3 * peak)):
+        comp = res[i]
+        assert comp.converged and comp.evaluations == res.evaluations
+        assert comp.error_estimate <= spec.tolerance_for(comp.value)
+        assert abs(comp.value - exact) <= spec.tolerance_for(exact)
+    scalar = [integrate_rect2d(F, spec, (0.0, 1.0), (0.0, 1.0)).expect()
+              for F in (near, far)]
+    assert res.evaluations <= sum(r.evaluations for r in scalar)
+
+
+def test_rect2d_vector_stopped_at_the_budget_is_unconverged():
+    # component 0 converges on the seed box; the peaks in x and y do not
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=3)
+    res = integrate_rect2d(
+        lambda x, y: np.stack([1.0 + 0.0 * x, _lorentzian(x), _lorentzian(y)]),
+        spec, (0.0, 1.0), (0.0, 1.0))
+    assert not res.converged
+    assert [res[i].converged for i in range(3)] == [False] * 3
+    with pytest.raises(QuadratureError):
+        res.expect()
+
+
+def test_rect2d_scalar_is_the_one_component_vector():
+    # component 0 has weight exactly 1, so wrapping a scalar integrand as a
+    # (1, m) array changes no bit and no evaluation count
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13,
+                          grading=(((0.3, 0.6), 1e-2),))
+
+    def F(x, y):
+        return _lorentzian(x) * np.exp(-y) + 1.0 / (1e-2 + (y - 0.6) ** 2)
+
+    scalar = integrate_rect2d(F, spec, (0.0, 1.0), (0.0, 2.0))
+    vector = integrate_rect2d(lambda x, y: F(x, y)[None, :], spec,
+                              (0.0, 1.0), (0.0, 2.0))
+    assert isinstance(scalar.value, float)
+    assert np.shape(vector.value) == (1,)
+    assert scalar.value.hex() == float(vector.value[0]).hex()
+    assert scalar.error_estimate.hex() == \
+        float(vector.error_estimate[0]).hex()
+    assert (scalar.evaluations, scalar.converged) == \
+        (vector.evaluations, vector.converged)
+
+
+def _exact_poly2d(c, xd, yd):
+    """int of sum c[i, j] x^i y^j over xd x yd, in rationals."""
+    def moments(a, b):
+        a, b = Fraction(a), Fraction(b)
+        return [(b ** (i + 1) - a ** (i + 1)) / (i + 1) for i in range(14)]
+
+    mx, my = moments(*xd), moments(*yd)
+    return float(sum(Fraction(int(c[i, j])) * mx[i] * my[j]
+                     for i in range(c.shape[0]) for j in range(c.shape[1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rect2d_vector_polynomials_are_exact(data):
+    # K15 and G7 agree on degree <= 13 in each variable, so a single box
+    # integrates every component exactly and converges at once
+    k = data.draw(st.integers(1, 3), label="components")
+    deg = data.draw(st.tuples(st.integers(0, 13), st.integers(0, 13)),
+                    label="degrees")
+    coef = np.array(data.draw(st.lists(
+        st.integers(-5, 5), min_size=k * (deg[0] + 1) * (deg[1] + 1),
+        max_size=k * (deg[0] + 1) * (deg[1] + 1)), label="coefficients"),
+        dtype=float).reshape(k, deg[0] + 1, deg[1] + 1)
+    ends = st.floats(-1.0, 1.0, allow_nan=False, width=32)
+    x0, x1 = sorted(data.draw(st.tuples(ends, ends), label="x"))
+    y0, y1 = sorted(data.draw(st.tuples(ends, ends), label="y"))
+    assume(x1 - x0 > 1e-3 and y1 - y0 > 1e-3)
+
+    def F(x, y):
+        return np.stack([np.polynomial.polynomial.polyval2d(x, y, c)
+                         for c in coef])
+
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-10)
+    res = integrate_rect2d(F, spec, (x0, x1), (y0, y1))
+    assert res.converged and res.evaluations == 225
+    area = (x1 - x0) * (y1 - y0)
+    for i in range(k):
+        exact = _exact_poly2d(coef[i], (x0, x1), (y0, y1))
+        assert abs(res.value[i] - exact) <= \
+            1e-13 * area * (1.0 + np.abs(coef[i]).sum())
 
 
 def test_panels_2d_matches_the_exact_contraction():
