@@ -10,11 +10,11 @@ Subcommands:
     path-profile       the five-leg competitor path, CSV/JSON + plot data
     accept             run the full acceptance suite
 
-Flags: --config PATH, --out DIR, --threads N (read by interaction-sweep
-only), --tol-scale X.  The output directory falls back to $CYL_OUT_DIR, then
-to the config value.  Exit code 0 only when every enabled acceptance check
-passes; otherwise the first failing criterion's index (1..12).  A usage
-error, such as an ``accept --only`` index outside 1..12, exits 64
+Flags: --config PATH, --out DIR, --tol-scale X.  The output directory falls
+back to $CYL_OUT_DIR, then to the config value.  Commands run serially.
+Exit code 0 only when every enabled acceptance check passes; otherwise the
+first failing criterion's index (1..12).  A usage error, such as an
+``accept --only`` index outside 1..12 or an unknown flag, exits 64
 (``EX_USAGE``), a code no criterion takes, before anything runs.
 """
 
@@ -24,7 +24,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,9 +54,6 @@ def _parser() -> argparse.ArgumentParser:
                     "charts and min-max Yamabe paths")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel workers for the t grid points of "
-                        "interaction-sweep; no other command reads it")
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiply quadrature tolerances by this factor")
     sub = p.add_subparsers(dest="command", required=True)
@@ -83,20 +79,9 @@ def _setup(args):
     cfg = load_config(args.config)
     if args.tol_scale != 1.0:
         cfg = cfg.scale_tolerances(args.tol_scale)
-    if args.threads is not None:
-        cfg.threads = args.threads
     out = cfg.resolve_out_dir(args.out)
     os.makedirs(out, exist_ok=True)
     return cfg, out
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, optionally threaded; output order is fixed by
-    the input index regardless of scheduling."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def cmd_constants(cfg: RunConfig, out: str) -> int:
@@ -137,7 +122,7 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
         cp = c_prime_quadrature(1.0, float(t), spec)
         return cur, ap, cp
 
-    results = _pmap(point, grid, cfg.threads)
+    results = [point(t) for t in grid]
     manifest.finish("curves", t0)
     lo_margin, hi_margin = [], []
     rows = []

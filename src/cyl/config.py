@@ -7,18 +7,19 @@ Schema (all keys optional; defaults below):
     alpha         = 0.6              # bubble-center exponent t = eps^alpha
     omega         = 0.7              # glue-radius exponent tau = eps^omega
     epsilon       = 1e-4             # calibrated path concentration scale
-    epsilon_list  = 1.2e-4, 8.49e-5, 6e-5, 4.24e-5, 3e-5   # fit sequence
+    epsilon_list  = 1.2e-4, 8.49e-5, 6e-5, 4.24e-5, 3e-5   # INTERP fit sequence
+    epsilon_list_double = 1.2e-4, ..., 1.5e-5               # DOUBLE fit sequence
     t_grid        = 0.1, ..., 1000.0 # interaction sweep grid (log-spaced)
     green_delta   = 1.0              # Dirichlet ball radius for mass sweeps
     green_t_grid  = 0.05, 0.04, 0.02 # pole distances for mass sweeps
     mu_points     = 51               # competitor-path resolution
     rel_tol       = 1e-9             # quadrature relative tolerance
     abs_tol       = 1e-13
-    threads       = 1                # worker threads of interaction-sweep
     seed          = 1234             # deterministic sampling seed
     out_dir       = ./cyl-out        # overridden by --out or CYL_OUT_DIR
 
-Lines starting with '#' and inline '# ...' comments are ignored.  Exponent
+Lines starting with '#' and inline '# ...' comments are ignored; any other
+key is a ValueError.  Exponent
 constraints (1 > omega > alpha > 1/2, 2 + 2 alpha - 4 omega > 0) are
 validated at load.
 """
@@ -54,7 +55,6 @@ class RunConfig:
     mu_points: int = 51
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
-    threads: int = 1
     seed: int = 1234
     out_dir: str = "./cyl-out"
 
@@ -84,7 +84,7 @@ class RunConfig:
 
 _FLOAT_KEYS = {"delta", "alpha", "omega", "epsilon", "green_delta", "rel_tol",
                "abs_tol"}
-_INT_KEYS = {"mu_points", "threads", "seed"}
+_INT_KEYS = {"mu_points", "seed"}
 _LIST_KEYS = {"epsilon_list", "epsilon_list_double", "t_grid", "green_t_grid"}
 
 

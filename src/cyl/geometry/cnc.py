@@ -131,50 +131,12 @@ class CNCFactor:
         z = np.asarray(z, dtype=float)
         return float(z @ self.quad @ z + np.einsum("ijk,i,j,k->", self.cubic, z, z, z))
 
-    def poly_grad(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return 2.0 * self.quad @ z + 3.0 * np.einsum("ajk,j,k->a", self.cubic, z, z)
-
-    def poly_hess(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return 2.0 * self.quad + 6.0 * np.einsum("abk,k->ab", self.cubic, z)
-
     def value(self, z) -> float:
         z = np.asarray(z, dtype=float)
         r = float(np.linalg.norm(z))
         if r >= self.cutoff.r2:
             return 0.0
         return float(self.cutoff.value(r)) * self.polynomial(z)
-
-    def grad(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
-        if r <= self.cutoff.r1 or r == 0.0:
-            return self.poly_grad(z)
-        if r >= self.cutoff.r2:
-            return np.zeros(4)
-        phi = float(self.cutoff.value(r))
-        dphi = float(self.cutoff.deriv(r))
-        zhat = z / r
-        return dphi * self.polynomial(z) * zhat + phi * self.poly_grad(z)
-
-    def hess(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        r = float(np.linalg.norm(z))
-        if r <= self.cutoff.r1 or r == 0.0:
-            return self.poly_hess(z)
-        if r >= self.cutoff.r2:
-            return np.zeros((4, 4))
-        phi = float(self.cutoff.value(r))
-        dphi = float(self.cutoff.deriv(r))
-        d2phi = float(self.cutoff.deriv2(r))
-        zhat = z / r
-        P = self.polynomial(z)
-        gP = self.poly_grad(z)
-        hr = (np.eye(4) - np.outer(zhat, zhat)) / r
-        return (d2phi * P * np.outer(zhat, zhat) + dphi * P * hr
-                + dphi * (np.outer(zhat, gP) + np.outer(gP, zhat))
-                + phi * self.poly_hess(z))
 
 
 def cnc_polynomial(snapshot: CurvatureSnapshot, t_cutoff: float) -> CNCFactor:
@@ -222,7 +184,7 @@ def cnc_polynomial(snapshot: CurvatureSnapshot, t_cutoff: float) -> CNCFactor:
 def conformal_cnc_field(normal_field: ChartMetricField,
                         factor: CNCFactor) -> ConformalField:
     """gbar = exp(phi_t * fbar) g on the normal chart at the basepoint."""
-    return ConformalField(normal_field, factor.value, factor.grad, factor.hess)
+    return ConformalField(normal_field, factor.value)
 
 
 def verify_cnc(normal_field: ChartMetricField, t_cutoff: float,

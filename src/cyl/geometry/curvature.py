@@ -47,14 +47,21 @@ class CurvatureSnapshot:
         return t + np.einsum("ijk->jki", t) + np.einsum("ijk->kij", t)
 
 
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """out[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij for
+    dg[..., k, i, j] = d_k g_ij; leading axes (a further derivative) ride
+    along."""
+    return dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+
+
+def _gamma(ginv: np.ndarray, dg: np.ndarray):
+    """The bracket of dg and Gamma^k_ij = 1/2 g^{kl} bracket[i,j,l]."""
+    cand = _bracket(dg)
+    return cand, 0.5 * np.einsum("kl,ijl->kij", ginv, cand)
+
+
 def christoffel(field: ChartMetricField, x) -> np.ndarray:
-    g = field.value(x)
-    dg = field.d1(x)
-    ginv = np.linalg.inv(g)
-    # candidate[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    cand = (np.einsum("ijl->ijl", dg) + np.einsum("jil->ijl", dg)
-            - np.einsum("lij->ijl", dg))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, cand)
+    return _gamma(np.linalg.inv(field.value(x)), field.d1(x))[1]
 
 
 def _riemann_pieces(field: ChartMetricField, x):
@@ -62,12 +69,9 @@ def _riemann_pieces(field: ChartMetricField, x):
     dg = field.d1(x)
     d2g = field.d2(x)
     ginv = np.linalg.inv(g)
-    cand = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, cand)
-    # d_m Gamma^k_ij from d2g and d(ginv) = -ginv dg ginv
-    dcand = (np.einsum("mijl->mijl", d2g.transpose(0, 1, 2, 3))
-             + np.einsum("mjil->mijl", d2g)
-             - np.einsum("mlij->mijl", d2g))
+    cand, gamma = _gamma(ginv, dg)
+    # d_m Gamma^k_ij from the bracket of d2g and d(ginv) = -ginv dg ginv
+    dcand = _bracket(d2g)
     dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
     dgamma = 0.5 * (np.einsum("mkl,ijl->mkij", dginv, cand)
                     + np.einsum("kl,mijl->mkij", ginv, dcand))

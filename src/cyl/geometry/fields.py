@@ -240,36 +240,16 @@ class WarpedRadialField(ChartMetricField):
 
 
 class ConformalField(ChartMetricField):
-    """g = exp(F(x)) * base(x) for a conformal factor with analytic value,
-    gradient and Hessian (callables F, dF -> (4,), d2F -> (4,4))."""
+    """g = exp(F(x)) * base(x) for a scalar conformal exponent F.  Only the
+    value is closed-form; derivatives take the centered-difference fallback
+    (``verify_cnc`` sets their step through ``ForcedFDField``)."""
 
-    def __init__(self, base: ChartMetricField, F, dF, d2F):
+    def __init__(self, base: ChartMetricField, F):
         self.base = base
-        self.F, self.dF, self.d2F = F, dF, d2F
+        self.F = F
 
     def value(self, x):
         return math.exp(self.F(x)) * self.base.value(x)
-
-    def d1(self, x):
-        ef = math.exp(self.F(x))
-        g = self.base.value(x)
-        dg = self.base.d1(x)
-        df = np.asarray(self.dF(x))
-        return ef * (df[:, None, None] * g[None, :, :] + dg)
-
-    def d2(self, x):
-        ef = math.exp(self.F(x))
-        g = self.base.value(x)
-        dg = self.base.d1(x)
-        d2g = self.base.d2(x)
-        df = np.asarray(self.dF(x))
-        hf = np.asarray(self.d2F(x))
-        out = (df[:, None, None, None] * df[None, :, None, None]
-               + hf[:, :, None, None]) * g[None, None, :, :]
-        out = out + df[None, :, None, None] * dg[:, None, :, :]   # F_k d_l g
-        out = out + df[:, None, None, None] * dg[None, :, :, :]   # F_l d_k g
-        out = out + d2g
-        return ef * out
 
 
 class ForcedFDField(ChartMetricField):

@@ -5,18 +5,16 @@ Normalization: L g = -6 Delta_g + R_g and  L G_x = 24 pi^2 delta_x  (the
 4-dimensional fundamental constant: -Delta |y|^-2 = 4 pi^2 delta in R^4).
 
 The suite's lifted metrics (flat cone, football lift) are radially symmetric
-about the chart origin, so the regular remainder of a parametrix split
-decouples into zonal S^3 modes: with G = zeta + phi and phi expanded in
+about the chart origin.  With G = zeta + phi and zeta the exact fundamental
+kernel of the chart (|y - x|^-2 flat, 1/(4 sin^2(d/2)) round), the
+L-harmonic remainder phi decouples into zonal S^3 modes: expanded in
 Chebyshev-U zonal harmonics U_l(cos gamma) about the pole axis, each mode
 solves the two-point BVP
 
-    -6 [u'' + 3 (w'/w) u' - l(l+2) u / w^2] + R(r) u = rho_l(r)
+    -6 [u'' + 3 (w'/w) u' - l(l+2) u / w^2] + R(r) u = 0
 
-on (0, delta] with u ~ r^l at the origin and a Dirichlet value at delta.
-The singular carrier zeta is the exact fundamental kernel of the chart
-(|y - x|^-2 flat, 1/(4 sin^2(d/2)) round), so rho = 0 and the solve is purely
-boundary-driven; the classical glued parametrix is also available and feeds
-the same mode solver through a nonzero rho.
+on (0, delta] with u ~ r^l at the origin and the l-th mode of -zeta as its
+Dirichlet value at delta.
 
 Conformal normal coordinates enter as an exact transformation: for
 gbar = e^f gtilde with f(pole) = 0, the Green functions obey
@@ -36,7 +34,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from cyl.constants import sobolev_constants
-from cyl.geometry.cnc import cnc_profile, cutoff_profile
+from cyl.geometry.cnc import cnc_profile
 from cyl.geometry.fields import ChartMetricField, FlatField
 from cyl.quadrature import gauss_legendre
 
@@ -55,7 +53,7 @@ __all__ = [
     "matching_constant",
     "solve_dirichlet_green",
     "solve_harmonic_extension",
-    "assemble_equivariant",
+    "AssembledGreen",
     "extract_mass",
     "mass_divergence_sweep",
     "parametrix_residual",
@@ -79,7 +77,7 @@ class RadialChart:
     """Warped chart dr^2 + w(r)^2 h0 about the origin with scalar curvature
     R(r); the geometry the mode solver understands."""
 
-    kind: str            # 'flat' or 'round' or 'sampled'
+    kind: str            # 'flat' or 'round'
     w: object            # r -> warp
     wp: object           # r -> w'
     scal: object         # r -> scalar curvature
@@ -297,17 +295,16 @@ def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_modes(chart: RadialChart, bmodes, rho_splines,
-                 mesh: np.ndarray) -> list:
-    """Nodal values of every mode l = 0..lmax on the mesh: the mode BVP with
-    Dirichlet value bmodes[l] at the last node and source rho_splines[l]
-    (None for none).  The l-independent stencil is built once per mesh."""
+def _solve_modes(chart: RadialChart, bmodes, mesh: np.ndarray) -> list:
+    """Nodal values of every mode l = 0..lmax on the mesh: the homogeneous
+    mode BVP with Dirichlet value bmodes[l] at the last node.  The
+    l-independent stencil is built once per mesh."""
     n = len(mesh)
     r = mesh
     w = np.asarray(chart.w(r), dtype=float)
     wp = np.asarray(chart.wp(r), dtype=float)
     R = np.asarray(chart.scal(r), dtype=float)
-    # interior rows: -6[u'' + 3(w'/w)u' - lam u/w^2] + R u = rho
+    # interior rows: -6[u'' + 3(w'/w)u' - lam u/w^2] + R u = 0
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     c_m = 2.0 / (hm * (hm + hp))
@@ -325,13 +322,11 @@ def _solve_modes(chart: RadialChart, bmodes, rho_splines,
     diag0 = -6.0 * (c_0 + p1 * d_0)
     w2 = w[1:-1] ** 2
     modes = []
-    for l, (bval, rho_spline) in enumerate(zip(bmodes, rho_splines)):
+    for l, bval in enumerate(bmodes):
         ab = stencil.copy()
         ab[1, 1:-1] = diag0 + 6.0 * float(l * (l + 2)) / w2 + R[1:-1]
         ab[0, 1] = -(r[0] / r[1]) ** l
         rhs = np.zeros(n)
-        if rho_spline is not None:
-            rhs[1:-1] = rho_spline(r[1:-1])
         rhs[-1] = bval
         modes.append(_solve_tridiagonal(ab, rhs))
     return modes
@@ -360,7 +355,6 @@ class GreenProblem:
     delta: float
     lmax: int = 28
     mesh_size: int = 420
-    parametrix: str = "fundamental"  # or 'glued'
 
     def __post_init__(self):
         self.pole = np.asarray(self.pole, dtype=float)
@@ -452,107 +446,27 @@ def _fundamental_zeta(chart: RadialChart):
     raise ValueError("no fundamental kernel for this chart")
 
 
-def _glued_zeta(chart: RadialChart, t: float):
-    """The classical glued carrier: chart kernel in the near zone, the plain
-    distance kernel outside, glued across [t/8, t/4] of the pole distance."""
-    chi = cutoff_profile(t, inner=0.125, outer=0.25)
-    fund = _fundamental_zeta(chart)
-
-    def zeta(d):
-        d = np.asarray(d, dtype=float)
-        lo = chi.value(d)
-        return lo * fund(d) + (1.0 - lo) / d ** 2
-
-    return zeta
-
-
-def _glued_source(chart: RadialChart, t: float):
-    """rho(d) = -L zeta for the glued carrier, closed form.
-
-    Both suite charts are rotationally symmetric about the pole (warp sin(d)
-    for the round chart, d for the flat one), so for any radial profile
-    u(d):  L u = -6 [u'' + 3 (W'/W) u'] + R u.  The chart kernel is
-    L-harmonic, so the source is supported where the glue is active.
-    """
-    chi = cutoff_profile(t, inner=0.125, outer=0.25)
-
-    def parts(d):
-        d = np.asarray(d, dtype=float)
-        if chart.kind == "round":
-            u = 0.5 * d
-            K = sphere_kernel(d)
-            K1 = sphere_kernel_slope(d)
-            K2 = 0.125 * (1.0 / np.sin(u) ** 2 + 3.0 * np.cos(u) ** 2 / np.sin(u) ** 4)
-            W, Wp, R = np.sin(d), np.cos(d), 12.0
-        else:
-            K = 1.0 / d ** 2
-            K1 = -2.0 / d ** 3
-            K2 = 6.0 / d ** 4
-            W, Wp, R = d, np.ones_like(d), 0.0
-        P = 1.0 / d ** 2
-        P1 = -2.0 / d ** 3
-        P2 = 6.0 / d ** 4
-        lo = chi.value(d)
-        lo1 = chi.deriv(d)
-        lo2 = chi.deriv2(d)
-        z = lo * K + (1.0 - lo) * P
-        z1 = lo1 * (K - P) + lo * K1 + (1.0 - lo) * P1
-        z2 = lo2 * (K - P) + 2.0 * lo1 * (K1 - P1) + lo * K2 + (1.0 - lo) * P2
-        return -6.0 * (z2 + 3.0 * (Wp / W) * z1) + R * z
-
-    def rho(d):
-        return -parts(d)
-
-    return rho
-
-
 def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
     """Solve L G = 24 pi^2 delta_x, G = 0 on the chart sphere of radius delta.
 
-    Splits G = zeta + phi and solves the remainder mode-by-mode; with the
-    fundamental carrier the remainder is the L-harmonic extension of -zeta
-    from the boundary.
+    Splits G = zeta + phi with zeta the chart's fundamental kernel and
+    solves the remainder mode-by-mode: phi is the L-harmonic extension of
+    -zeta from the boundary.
     """
     t = float(np.linalg.norm(problem.pole))
     chart = problem.chart
     delta = problem.delta
-    if problem.parametrix == "fundamental":
-        zeta = _fundamental_zeta(chart)
-        rho_modes = None
-    elif problem.parametrix == "glued":
-        zeta = _glued_zeta(chart, t)
-        rho_modes = "radial"
-    else:
-        raise ValueError("parametrix must be 'fundamental' or 'glued'")
-
+    zeta = _fundamental_zeta(chart)
     bmodes = zonal_project(
         lambda gamma: -zeta(chart.dist(np.full_like(gamma, delta), t,
                                        np.cos(gamma))),
         problem.lmax)
     mesh = _default_mesh(delta, t, problem.mesh_size)
-    rho_splines = [None] * (problem.lmax + 1)
-    if rho_modes == "radial":
-        rho_of_d = _glued_source(chart, t)
-        ng = 4 * problem.lmax + 64
-        x, wq = gauss_legendre(ng)
-        gam = 0.5 * math.pi * (x + 1.0)
-        wq = 0.5 * math.pi * wq
-        cg = np.cos(gam)
-        rs = mesh[(mesh > 2.0 * mesh[0]) & (mesh < delta * (1 - 1e-9))]
-        U = chebyshev_u(problem.lmax, cg)
-        s2 = np.sin(gam) ** 2
-        vals = np.empty((len(rs), ng))
-        for i, rr in enumerate(rs):
-            vals[i] = rho_of_d(chart.dist(np.full(ng, rr), t, cg))
-        coeffs = (2.0 / math.pi) * (vals * s2[None, :]) @ (U * wq[None, :]).T
-        for l in range(problem.lmax + 1):
-            rho_splines[l] = CubicSpline(rs, coeffs[:, l], extrapolate=True)
-
     coarse = mesh[::2] if mesh[-1] == mesh[::2][-1] else np.append(mesh[::2], mesh[-1])
-    fine = _solve_modes(chart, bmodes, rho_splines, mesh)
+    fine = _solve_modes(chart, bmodes, mesh)
     err = 0.0
     for l, (u_fine, u_coarse) in enumerate(
-            zip(fine, _solve_modes(chart, bmodes, rho_splines, coarse))):
+            zip(fine, _solve_modes(chart, bmodes, coarse))):
         interp = np.interp(coarse, mesh, u_fine)
         err += float(np.max(np.abs(interp - u_coarse))) * (l + 1)
     # truncation part of the error: magnitude of the last boundary mode
@@ -573,7 +487,7 @@ def solve_harmonic_extension(field: ChartMetricField, delta: float, datum,
     if require_even and odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
         raise ValueError("equivariant boundary datum must be antipodally even")
     mesh = _default_mesh(delta, 0.0, mesh_size)
-    modes = _solve_modes(chart, bmodes, [None] * (lmax + 1), mesh)
+    modes = _solve_modes(chart, bmodes, mesh)
     return ZonalModeSum(_axis(np.zeros(4)), mesh, modes)
 
 
@@ -630,10 +544,6 @@ class AssembledGreen:
     def symmetry_defect(self, pts) -> float:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return float(np.max(np.abs(self.value(pts) - self.value(-pts))))
-
-
-def assemble_equivariant(g_plus: GreenEvaluator, g_minus, harmonic=None) -> AssembledGreen:
-    return AssembledGreen(g_plus, g_minus, harmonic)
 
 
 # ----------------------------------------------------------------------------
@@ -820,7 +730,7 @@ def mass_divergence_sweep(model: str, t_grid, delta: float, lmax: int = 28,
         g_plus = solve_dirichlet_green(problem)
         f_full, fr = cnc_radial_factor(problem.chart, pole, delta)
         gbar_plus = conformal_wrap(g_plus, f_full)
-        assembled = assemble_equivariant(gbar_plus, _MirrorEval(gbar_plus))
+        assembled = AssembledGreen(gbar_plus, _MirrorEval(gbar_plus))
         exp = extract_mass(assembled, pole, chart=problem.chart, conformal_fr=fr)
         rows.append({
             "t": float(t),

@@ -22,7 +22,7 @@ differences instead of being amplified by 1/h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,22 +248,30 @@ def _c_prime_integrand(tau: float):
     return F
 
 
-def a_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> IntegralResult:
-    """a'(t) by direct quadrature of the reduced sign-definite integrand."""
-    k = sobolev_constants()
+def _derivative_integral(integrand, epsilon: float, t: float,
+                         spec: QuadratureSpec) -> IntegralResult:
+    """The reduced derivative integral over zeta > 0 at tau = t/eps.
+
+    Both derivative integrands are sign-definite and shrink like (eps/t)^3
+    (a') or faster (c'), so a fixed abs_tol would outgrow the value at large
+    t; it is scaled by min(1, (eps/t)^4) and rel_tol sets the contract there.
+    """
     tau = t / epsilon
     grading = (((0.0, 0.0), 1.0), ((2.0 * tau, 0.0), 1.0))
-    res = integrate_biradial(_a_prime_integrand(tau), spec.with_grading(*grading),
-                             zeta_domain=(0.0, math.inf))
-    return res.scaled(24.0 * k.S4 / epsilon)
+    spec = replace(spec, abs_tol=spec.abs_tol * min(1.0, (epsilon / t) ** 4))
+    return integrate_biradial(integrand(tau), spec.with_grading(*grading),
+                              zeta_domain=(0.0, math.inf))
+
+
+def a_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> IntegralResult:
+    """a'(t) by direct quadrature of the reduced sign-definite integrand."""
+    res = _derivative_integral(_a_prime_integrand, epsilon, t, spec)
+    return res.scaled(24.0 * sobolev_constants().S4 / epsilon)
 
 
 def c_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> IntegralResult:
     """c'(t) by direct quadrature of the reduced sign-definite integrand."""
-    tau = t / epsilon
-    grading = (((0.0, 0.0), 1.0), ((2.0 * tau, 0.0), 1.0))
-    res = integrate_biradial(_c_prime_integrand(tau), spec.with_grading(*grading),
-                             zeta_domain=(0.0, math.inf))
+    res = _derivative_integral(_c_prime_integrand, epsilon, t, spec)
     return res.scaled(4.0 / epsilon)
 
 

@@ -114,3 +114,17 @@ def test_cli_accept_rejects_unknown_criteria(tmp_path, capsys, only):
     assert exc.value.code == EX_USAGE == 64
     assert "1..12" in capsys.readouterr().err
     assert not (tmp_path / "acceptance.csv").exists()
+
+
+def test_cli_has_no_threads_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "--out", str(tmp_path), "constants"])
+    assert exc.value.code == EX_USAGE
+    assert not (tmp_path / "constants.csv").exists()
+
+
+def test_config_has_no_threads_key(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("threads = 2\n")
+    with pytest.raises(ValueError, match="unknown key 'threads'"):
+        load_config(str(p))

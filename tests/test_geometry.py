@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from cyl.geometry.cnc import (cnc_polynomial, cnc_profile, cutoff_profile,
                               verify_cnc)
 from cyl.geometry.curvature import curvature_at
-from cyl.geometry.fields import (ConformalField, FlatField, ForcedFDField,
+from cyl.geometry.fields import (FlatField, ForcedFDField,
                                  WarpedRadialField, polynomial_profile,
                                  round_profile)
 from cyl.geometry.football import (ConeMetric, LinkFamily, chart_to_sphere,
@@ -40,28 +40,6 @@ def test_warped_field_analytic_derivatives_match_fd():
     fld = WarpedRadialField(round_profile())
     forced = ForcedFDField(fld, 1e-5)
     x = np.array([0.4, -0.2, 0.1, 0.3])
-    assert_allclose(fld.d1(x), forced.d1(x), atol=1e-9)
-    assert_allclose(fld.d2(x), forced.d2(x), atol=1e-5)
-
-
-def test_conformal_field_derivatives():
-    base = WarpedRadialField(round_profile())
-
-    def F(x):
-        return 0.3 * x[0] ** 2 - 0.2 * x[1] * x[2]
-
-    def dF(x):
-        return np.array([0.6 * x[0], -0.2 * x[2], -0.2 * x[1], 0.0])
-
-    def d2F(x):
-        h = np.zeros((4, 4))
-        h[0, 0] = 0.6
-        h[1, 2] = h[2, 1] = -0.2
-        return h
-
-    fld = ConformalField(base, F, dF, d2F)
-    forced = ForcedFDField(fld, 1e-5)
-    x = np.array([0.2, 0.1, -0.3, 0.15])
     assert_allclose(fld.d1(x), forced.d1(x), atol=1e-9)
     assert_allclose(fld.d2(x), forced.d2(x), atol=1e-5)
 
@@ -338,7 +316,6 @@ def test_cnc_factor_round_is_half_r2():
     z = np.array([0.02, -0.01, 0.015, 0.005])
     assert fac.value(z) == pytest.approx(0.5 * float(z @ z), abs=1e-9)
     assert fac.value(np.zeros(4)) == 0.0
-    assert_allclose(fac.poly_grad(np.zeros(4)), np.zeros(4), atol=1e-12)
 
 
 def test_cnc_factor_flat_is_zero():

@@ -8,7 +8,7 @@ from cyl.constants import sobolev_constants
 from cyl.geometry.fields import (ConformalField, FlatField, WarpedRadialField,
                                  flat_profile, polynomial_profile,
                                  round_profile)
-from cyl.green import (KAPPA, GreenProblem, RadialChart, assemble_equivariant,
+from cyl.green import (KAPPA, AssembledGreen, GreenProblem, RadialChart,
                        chart_for_field, chebyshev_u, cnc_radial_factor,
                        conformal_wrap, extract_mass, flat_ball_green,
                        football_global_green, mass_divergence_sweep,
@@ -122,7 +122,7 @@ def test_mode_sum_matches_per_mode_splines():
     bmodes = zonal_project(lambda g: sphere_kernel(chart.dist(
         np.full_like(g, 0.5), 0.1, np.cos(g))), lmax)
     mesh = _default_mesh(0.5, 0.1, 120)
-    modes = _solve_modes(chart, bmodes, [None] * (lmax + 1), mesh)
+    modes = _solve_modes(chart, bmodes, mesh)
     rng = np.random.default_rng(6)
     r = rng.uniform(0.0, 0.5, 300)
     c = rng.uniform(-1.0, 1.0, 300)
@@ -210,7 +210,7 @@ def test_green_relations_on_football():
         return glob.value(pts)
 
     H = solve_harmonic_extension(ROUND, delta, datum)
-    assembled = assemble_equivariant(gp, gm, H)
+    assembled = AssembledGreen(gp, gm, H)
     rng = np.random.default_rng(5)
     pts = _sample_points(rng, 40, 0.45, exclude=pole)
     pts = pts[np.linalg.norm(pts + pole, axis=1) > 0.05]
@@ -307,18 +307,6 @@ def test_mode_truncation_convergence():
         masses[0].error + masses[1].error + 1e-6
 
 
-def test_glued_parametrix_agrees_with_fundamental():
-    pole = np.array([0.12, 0.0, 0.0, 0.0])
-    e1 = solve_dirichlet_green(GreenProblem(ROUND, pole, 0.5,
-                                            parametrix="fundamental"))
-    e2 = solve_dirichlet_green(GreenProblem(ROUND, pole, 0.5,
-                                            parametrix="glued"))
-    rng = np.random.default_rng(2)
-    pts = _sample_points(rng, 40, 0.45, exclude=pole, min_dist=0.03)
-    rel = np.abs((e1.value(pts) - e2.value(pts)) / e1.value(pts))
-    assert np.max(rel) < 1e-4
-
-
 def test_flat_cone_mass_sweep():
     rows = mass_divergence_sweep("flat-cone", [0.05, 0.03, 0.02], 1.0)
     prods = [r["product"] for r in rows]
@@ -366,9 +354,7 @@ def test_problem_validation():
         GreenProblem(FlatField(), np.array([0.5, 0, 0, 0]), 1.0)  # pole too far
     with pytest.raises(ValueError):
         GreenProblem(ROUND, np.zeros(4), 0.5)  # pole at the cone tip
-    bad = ConformalField(FlatField(), lambda x: 0.3 * x[0],
-                         lambda x: np.array([0.3, 0, 0, 0]),
-                         lambda x: np.zeros((4, 4)))
+    bad = ConformalField(FlatField(), lambda x: 0.3 * x[0])
     with pytest.raises(ValueError):
         GreenProblem(bad, np.array([0.1, 0, 0, 0]), 1.0)
 

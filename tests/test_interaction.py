@@ -127,6 +127,16 @@ def test_derivative_quadratures_negative():
         assert c_prime_quadrature(1.0, t, SPEC).expect().value < 0.0
 
 
+def test_derivative_quadratures_keep_relative_digits_far_out():
+    # at the sweep tolerances c'(1000) is about -4e-14, below abs_tol; the
+    # error bar must still be relative to the value, for a' as well
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+    for quad in (a_prime_quadrature, c_prime_quadrature):
+        res = quad(1.0, 1000.0, spec).expect()
+        assert res.value < 0.0
+        assert res.error_estimate <= 1e-6 * abs(res.value)
+
+
 def test_slope_fits():
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
     seq = [12.5, 25.0, 50.0, 100.0]
