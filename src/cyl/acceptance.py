@@ -4,7 +4,8 @@ pass/fail check with pinned tolerances.
 Each check returns a CheckResult; ``run_acceptance`` executes a selection in
 order and reports one line per criterion.  The same definitions back the
 ``cyl accept`` subcommand and the pytest acceptance module, so the gate is a
-single source of truth.
+single source of truth; a command that runs a criterion's experiment takes
+its definition from the shared section below.
 """
 
 from __future__ import annotations
@@ -39,6 +40,75 @@ class CheckResult:
 def _spec(cfg: RunConfig, scale: float = 1.0) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=cfg.rel_tol * scale,
                           abs_tol=cfg.abs_tol * scale)
+
+
+# ------------------------------------------------ experiments the cli shares
+
+def slope_fits() -> list:
+    """(fit, target) of the GRAD, U3V and f-curve far-field slopes."""
+    from cyl.interaction import asymptotic_slope
+    k = sobolev_constants()
+    runs = (("GRAD", [12.5, 25.0, 50.0, 100.0], k.B),
+            ("U3V", [12.5, 25.0, 50.0, 100.0], 0.75),
+            ("f-curve", [125.0, 250.0, 500.0, 1000.0],
+             -6.0 * math.sqrt(2.0) * k.B))
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
+    return [(asymptotic_slope(kind, 1.0, ts, spec), target)
+            for kind, ts, target in runs]
+
+
+def path_config(cfg: RunConfig):
+    """The competitor path's PathConfig from the run configuration."""
+    from cyl.minmax import PathConfig
+    return PathConfig(epsilon=cfg.epsilon, alpha=cfg.alpha, omega=cfg.omega,
+                      delta=cfg.delta, mu_points=cfg.mu_points,
+                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+
+
+def double_fit(cfg: RunConfig):
+    """The fit of A on the DOUBLE leg over epsilon_list_double."""
+    from cyl.minmax import fit_expansion_A
+    return fit_expansion_A(cfg.epsilon_list_double, leg="DOUBLE",
+                           alpha=cfg.alpha, omega=cfg.omega, delta=cfg.delta,
+                           spec=QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+
+
+def gauge_example() -> tuple:
+    """f, a linear family, f's gauge family and the sampled link points."""
+    from cyl.geometry.links import (LinkFunction, LinkTensorFamily,
+                                    sphere_points)
+    f = LinkFunction.quadratic(np.diag([0.3, -0.1, -0.1, -0.1]))
+    fam = LinkTensorFamily.linear_perturbation(
+        lambda z: np.diag([0.1, -0.2, 0.05, 0.0]))
+    return f, fam, LinkTensorFamily.gauge_killing(f), sphere_points(8, 2)
+
+
+def centred_flat_mass(cfg: RunConfig):
+    """Mass of the flat ball of radius green_delta (exact: -1/green_delta^2)."""
+    from cyl.geometry.fields import FlatField
+    from cyl.green import GreenProblem, extract_mass, solve_dirichlet_green
+    ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4),
+                                            cfg.green_delta))
+    return extract_mass(ev, np.zeros(4), eps0=0.05 * cfg.green_delta)
+
+
+def football_delta(cfg: RunConfig) -> float:
+    """The football's chart radius in the mass sweeps."""
+    return min(cfg.green_delta, 0.8)
+
+
+def round_parametrix() -> dict:
+    """The parametrix residual law on the round chart at t = 0.1, 0.2, 0.4."""
+    from cyl.green import RadialChart, parametrix_sweep
+    return parametrix_sweep(RadialChart.round(), [0.1, 0.2, 0.4])
+
+
+def round_cnc(h_fd: float) -> dict:
+    """CNC residuals of the round normal chart, factor cut off at 0.4."""
+    from cyl.geometry.cnc import verify_cnc
+    from cyl.geometry.fields import WarpedRadialField, round_profile
+    return verify_cnc(WarpedRadialField(round_profile()), t_cutoff=0.4,
+                      h_fd=h_fd)
 
 
 # ----------------------------------------------------------------------- 1
@@ -93,20 +163,14 @@ def check_bracket(cfg: RunConfig) -> CheckResult:
 # ----------------------------------------------------------------------- 3
 
 def check_slopes(cfg: RunConfig) -> CheckResult:
-    from cyl.interaction import asymptotic_slope
     t0 = time.perf_counter()
-    k = sobolev_constants()
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
-    fit_g = asymptotic_slope("GRAD", 1.0, [12.5, 25.0, 50.0, 100.0], spec)
-    fit_u = asymptotic_slope("U3V", 1.0, [12.5, 25.0, 50.0, 100.0], spec)
-    fit_f = asymptotic_slope("f-curve", 1.0, [125.0, 250.0, 500.0, 1000.0], spec)
-    target_f = -6.0 * math.sqrt(2.0) * k.B
-    rel_g = abs(fit_g.coefficient - k.B) / k.B
-    rel_u = abs(fit_u.coefficient - 0.75) / 0.75
+    (fit_g, target_g), (fit_u, target_u), (fit_f, target_f) = slope_fits()
+    rel_g = abs(fit_g.coefficient - target_g) / target_g
+    rel_u = abs(fit_u.coefficient - target_u) / target_u
     rel_f = abs(fit_f.coefficient - target_f) / abs(target_f)
     ok = rel_g < 0.02 and rel_u < 0.02 and rel_f < 0.05
-    detail = (f"grad {fit_g.coefficient:.5f} vs {k.B:.5f} ({rel_g:.2%}), "
-              f"u3v {fit_u.coefficient:.5f} vs 0.75 ({rel_u:.2%}), "
+    detail = (f"grad {fit_g.coefficient:.5f} vs {target_g:.5f} ({rel_g:.2%}), "
+              f"u3v {fit_u.coefficient:.5f} vs {target_u} ({rel_u:.2%}), "
               f"f-curve {fit_f.coefficient:.3f} vs {target_f:.3f} ({rel_f:.2%})")
     return CheckResult(3, "interaction slope coefficients", ok, detail,
                        time.perf_counter() - t0)
@@ -146,12 +210,8 @@ def check_monotonicity(cfg: RunConfig) -> CheckResult:
 # ----------------------------------------------------------------------- 6
 
 def check_cnc(cfg: RunConfig) -> CheckResult:
-    from cyl.geometry.cnc import verify_cnc
-    from cyl.geometry.fields import WarpedRadialField, round_profile
     t0 = time.perf_counter()
-    fld = WarpedRadialField(round_profile())
-    res = verify_cnc(fld, t_cutoff=0.4, h_fd=1e-3)
-    res2 = verify_cnc(fld, t_cutoff=0.4, h_fd=5e-4)
+    res, res2 = round_cnc(1e-3), round_cnc(5e-4)
     keys = ("R", "Ric", "dR", "sym_dRic")
     below = all(res[kk] < 1e-3 for kk in keys)
     ratio = res["R"] / max(res2["R"], 1e-30)
@@ -166,16 +226,11 @@ def check_cnc(cfg: RunConfig) -> CheckResult:
 # ----------------------------------------------------------------------- 7
 
 def check_gauge(cfg: RunConfig) -> CheckResult:
-    from cyl.geometry.links import (LinkFunction, LinkTensorFamily,
-                                    sphere_points, verify_first_order_identity)
+    from cyl.geometry.links import verify_first_order_identity
     t0 = time.perf_counter()
-    f = LinkFunction.quadratic(np.diag([0.3, -0.1, -0.1, -0.1]))
-    fam = LinkTensorFamily.linear_perturbation(
-        lambda z: np.diag([0.1, -0.2, 0.05, 0.0]))
-    pts = sphere_points(8, 2)
+    f, fam, gauge, pts = gauge_example()
     r_h = verify_first_order_identity(f, fam, 2e-3, points=pts)
     r_h2 = verify_first_order_identity(f, fam, 1e-3, points=pts)
-    gauge = LinkTensorFamily.gauge_killing(f)
     r_post = verify_first_order_identity(f, gauge, 1e-3, points=pts)
     ratio = r_h / max(r_h2, 1e-30)
     ok = 2.0 < ratio < 8.0 and r_post < 1e-3 and f.is_even()
@@ -188,18 +243,14 @@ def check_gauge(cfg: RunConfig) -> CheckResult:
 # ----------------------------------------------------------------------- 8
 
 def check_green_masses(cfg: RunConfig) -> CheckResult:
-    from cyl.geometry.fields import FlatField
-    from cyl.green import (GreenProblem, extract_mass, mass_divergence_sweep,
-                           solve_dirichlet_green)
+    from cyl.green import mass_divergence_sweep
     t0 = time.perf_counter()
-    ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4),
-                                            cfg.green_delta))
-    exp = extract_mass(ev, np.zeros(4), eps0=0.05 * cfg.green_delta)
+    exp = centred_flat_mass(cfg)
     centered_err = abs(exp.A_q + 1.0 / cfg.green_delta ** 2)
     tmax = 0.05 * cfg.green_delta
     grid = [t for t in cfg.green_t_grid if t <= tmax + 1e-12] or [tmax, tmax / 2]
     flat_rows = mass_divergence_sweep("flat-cone", grid, cfg.green_delta)
-    foot_rows = mass_divergence_sweep("football", grid, min(cfg.green_delta, 0.8))
+    foot_rows = mass_divergence_sweep("football", grid, football_delta(cfg))
     pf = flat_rows[-1]["product"]
     pb = foot_rows[-1]["product"]
     ok = centered_err < 1e-6 and 0.95 <= pf <= 1.05 and 0.95 <= pb <= 1.05
@@ -212,9 +263,8 @@ def check_green_masses(cfg: RunConfig) -> CheckResult:
 # ----------------------------------------------------------------------- 9
 
 def check_parametrix(cfg: RunConfig) -> CheckResult:
-    from cyl.green import RadialChart, parametrix_sweep
     t0 = time.perf_counter()
-    sweep = parametrix_sweep(RadialChart.round(), [0.1, 0.2, 0.4])
+    sweep = round_parametrix()
     ok = -2.3 <= sweep["exponent"] <= -1.7
     detail = (f"fitted exponent {sweep['exponent']:.3f}, sups "
               + ", ".join(f"{s:.3e}" for s in sweep["sup"]))
@@ -225,13 +275,10 @@ def check_parametrix(cfg: RunConfig) -> CheckResult:
 # ----------------------------------------------------------------------- 10
 
 def check_path(cfg: RunConfig) -> CheckResult:
-    from cyl.minmax import PathConfig, build_path
+    from cyl.minmax import build_path
     t0 = time.perf_counter()
     k = sobolev_constants()
-    pcfg = PathConfig(epsilon=cfg.epsilon, alpha=cfg.alpha, omega=cfg.omega,
-                      delta=cfg.delta, mu_points=cfg.mu_points,
-                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
-    prof = build_path(pcfg)
+    prof = build_path(path_config(cfg))
     margins = 6.0 * k.S4 - prof.Q
     min_margin = float(np.min(margins))
     worst = float(np.min(margins - 3.0 * prof.Q_err))
@@ -255,9 +302,7 @@ def check_expansion_fit(cfg: RunConfig) -> CheckResult:
     from cyl.minmax import fit_expansion_A
     t0 = time.perf_counter()
     k = sobolev_constants()
-    fd = fit_expansion_A(cfg.epsilon_list_double, leg="DOUBLE",
-                         alpha=cfg.alpha, omega=cfg.omega, delta=cfg.delta,
-                         spec=QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+    fd = double_fit(cfg)
     fi = fit_expansion_A(cfg.epsilon_list, leg="INTERP", lam=0.5,
                          alpha=cfg.alpha, omega=cfg.omega, delta=cfg.delta,
                          spec=_spec(cfg))

@@ -3,7 +3,7 @@
 Subcommands:
 
     constants          print and persist the closed-form constants table
-    interaction-sweep  curve table a, b, c, f with derivative and slope rows
+    interaction-sweep  curve table a, b, c, f, a', c' with their errors, slope rows
     green-sweep        mass-divergence table with the A_q * 4 t^2 column
     cnc-verify         conformal-normal-coordinate residuals on the round chart
     gauge-verify       first-order gauge identity residuals on the link
@@ -21,7 +21,6 @@ first failing criterion's index (1..12).  A usage error, such as an
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -108,88 +107,69 @@ def cmd_constants(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
-    from cyl.interaction import (asymptotic_slope, a_prime_quadrature,
-                                 c_prime_quadrature, curves)
-    k = sobolev_constants()
+    from cyl.acceptance import slope_fits
+    from cyl.interaction import a_prime_quadrature, c_prime_quadrature, curves
     manifest = RunManifest(config=cfg.as_dict())
     t0 = manifest.start("curves")
     spec = QuadratureSpec(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     grid = np.asarray(cfg.t_grid, dtype=float)
-
-    def point(t):
-        cur = curves(1.0, [t], spec)
-        ap = a_prime_quadrature(1.0, float(t), spec)
-        cp = c_prime_quadrature(1.0, float(t), spec)
-        return cur, ap, cp
-
-    results = [point(t) for t in grid]
+    cur = curves(1.0, grid, spec)
+    primes = [(a_prime_quadrature(1.0, float(t), spec),
+               c_prime_quadrature(1.0, float(t), spec)) for t in grid]
     manifest.finish("curves", t0)
-    lo_margin, hi_margin = [], []
+    lo, hi = cur.bracket_margins()
     rows = []
-    for t, (cur, ap, cp) in zip(grid, results):
-        lo, hi = cur.bracket_margins()
-        lo_margin.append(float(lo[0]))
-        hi_margin.append(float(hi[0]))
-        bracket = "PASS" if lo[0] > 3 * cur.f_err[0] and hi[0] > 3 * cur.f_err[0] \
+    for i, (t, (ap, cp)) in enumerate(zip(grid, primes)):
+        bracket = "PASS" if lo[i] > 3 * cur.f_err[i] and hi[i] > 3 * cur.f_err[i] \
             else "FAIL"
-        status = "ok" if cur.converged[0] and ap.converged and cp.converged \
+        status = "ok" if cur.converged[i] and ap.converged and cp.converged \
             else "no-conv"
-        rows.append((float(t), float(cur.a[0]), float(cur.b[0]),
-                     float(cur.c[0]), float(cur.f[0]), ap.value, cp.value,
-                     float(cur.f_err[0]), bracket, status))
+        rows.append((float(t), float(cur.a[i]), float(cur.b[i]),
+                     float(cur.c[i]), float(cur.f[i]), ap.value, cp.value,
+                     float(cur.f_err[i]), bracket, status,
+                     float(cur.a_err[i]), float(cur.b_err[i]),
+                     float(cur.c_err[i]), ap.error_estimate,
+                     cp.error_estimate))
     header = ["t", "a", "b", "c", "f", "a_prime", "c_prime", "f_err",
-              "bracket", "status"]
+              "bracket", "status", "a_err", "b_err", "c_err", "a_prime_err",
+              "c_prime_err"]
     t1 = manifest.start("slopes")
-    sspec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
-    fit_g = asymptotic_slope("GRAD", 1.0, [12.5, 25.0, 50.0, 100.0], sspec)
-    fit_u = asymptotic_slope("U3V", 1.0, [12.5, 25.0, 50.0, 100.0], sspec)
-    fit_f = asymptotic_slope("f-curve", 1.0, [125.0, 250.0, 500.0, 1000.0], sspec)
+    fits = slope_fits()
     manifest.finish("slopes", t1)
-    footer = [
-        ("slope_grad", fit_g.coefficient, k.B, "", "", "", "", fit_g.residual,
-         "", ""),
-        ("slope_u3v", fit_u.coefficient, 0.75, "", "", "", "", fit_u.residual,
-         "", ""),
-        ("slope_fcurve", fit_f.coefficient, -6.0 * math.sqrt(2.0) * k.B,
-         "", "", "", "", fit_f.residual, "", ""),
-    ]
+    names = ("grad", "u3v", "fcurve")
+    footer = [(f"slope_{name}", fit.coefficient, target, "", "", "", "",
+               fit.residual, "", "", "", "", "", "", "")
+              for name, (fit, target) in zip(names, fits)]
     write_csv(os.path.join(out, "interaction.csv"), header, rows + footer)
     monot = all(r[5] < 0 and r[6] < 0 for r in rows)
     print(f"bracket: {'PASS' if all(r[8] == 'PASS' for r in rows) else 'FAIL'}"
           f" at all {len(rows)} rows")
     print(f"monotonicity (a' < 0, c' < 0): {'PASS' if monot else 'FAIL'}")
-    print(f"slope grad {fmt(fit_g.coefficient)} target {fmt(k.B)}")
-    print(f"slope u3v {fmt(fit_u.coefficient)} target 0.75")
-    print(f"slope f-curve {fmt(fit_f.coefficient)} target "
-          f"{fmt(-6.0 * math.sqrt(2.0) * k.B)}")
-    manifest.record("slope_grad", fit_g.coefficient, fit_g.residual)
-    manifest.record("slope_u3v", fit_u.coefficient, fit_u.residual)
-    manifest.record("slope_fcurve", fit_f.coefficient, fit_f.residual)
+    for name, (fit, target) in zip(("grad", "u3v", "f-curve"), fits):
+        print(f"slope {name} {fmt(fit.coefficient)} target {fmt(target)}")
+    for name, (fit, _) in zip(names, fits):
+        manifest.record(f"slope_{name}", fit.coefficient, fit.residual)
     manifest.write(os.path.join(out, "interaction.manifest.json"))
     return 0
 
 
 def cmd_green_sweep(cfg: RunConfig, out: str) -> int:
-    from cyl.green import RadialChart, mass_divergence_sweep, parametrix_sweep
+    from cyl.acceptance import centred_flat_mass, football_delta, round_parametrix
+    from cyl.green import mass_divergence_sweep
     manifest = RunManifest(config=cfg.as_dict())
     t0 = manifest.start("sweeps")
     rows = []
-    for model in ("flat-cone", "football"):
-        delta = cfg.green_delta if model == "flat-cone" \
-            else min(cfg.green_delta, 0.8)
+    for model, delta in (("flat-cone", cfg.green_delta),
+                         ("football", football_delta(cfg))):
         for row in mass_divergence_sweep(model, cfg.green_t_grid, delta):
             rows.append((model, row["t"], row["A_q"], row["product"],
                          row["error"], row["solver_error"]))
     manifest.finish("sweeps", t0)
     # flat-ball calibration row: closed-form mass -1/delta^2
-    from cyl.geometry.fields import FlatField
-    from cyl.green import GreenProblem, extract_mass, solve_dirichlet_green
-    ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4),
-                                            cfg.green_delta))
-    exp = extract_mass(ev, np.zeros(4), eps0=0.05 * cfg.green_delta)
+    exp = centred_flat_mass(cfg)
     rows.append(("flat-ball-centered", 0.0, exp.A_q,
                  exp.A_q * cfg.green_delta ** 2, exp.error, 0.0))
-    par = parametrix_sweep(RadialChart.round(), [0.1, 0.2, 0.4])
+    par = round_parametrix()
     rows.append(("parametrix-exponent", 0.0, par["exponent"], 0.0, 0.0, 0.0))
     write_csv(os.path.join(out, "green.csv"),
               ["model", "t", "A_q", "A_q_4t2", "error", "solver_error"], rows)
@@ -205,12 +185,10 @@ def cmd_green_sweep(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_cnc_verify(cfg: RunConfig, out: str) -> int:
-    from cyl.geometry.cnc import verify_cnc
-    from cyl.geometry.fields import WarpedRadialField, round_profile
-    fld = WarpedRadialField(round_profile())
+    from cyl.acceptance import round_cnc
     rows = []
     for h in (2e-3, 1e-3, 5e-4):
-        res = verify_cnc(fld, t_cutoff=0.4, h_fd=h)
+        res = round_cnc(h)
         rows.append((h, res["R"], res["Ric"], res["dR"], res["sym_dRic"]))
         print(f"h={h:g}: |R| {res['R']:.3e}  |Ric| {res['Ric']:.3e}  "
               f"|dR| {res['dR']:.3e}  |sym dRic| {res['sym_dRic']:.3e}")
@@ -220,13 +198,9 @@ def cmd_cnc_verify(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_gauge_verify(cfg: RunConfig, out: str) -> int:
-    from cyl.geometry.links import (LinkFunction, LinkTensorFamily,
-                                    sphere_points, verify_first_order_identity)
-    f = LinkFunction.quadratic(np.diag([0.3, -0.1, -0.1, -0.1]))
-    fam = LinkTensorFamily.linear_perturbation(
-        lambda z: np.diag([0.1, -0.2, 0.05, 0.0]))
-    gauge = LinkTensorFamily.gauge_killing(f)
-    pts = sphere_points(8, cfg.seed % 100)
+    from cyl.acceptance import gauge_example
+    from cyl.geometry.links import verify_first_order_identity
+    f, fam, gauge, pts = gauge_example()
     rows = []
     for h in (2e-3, 1e-3, 5e-4):
         r = verify_first_order_identity(f, fam, h, points=pts)
@@ -239,14 +213,12 @@ def cmd_gauge_verify(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_path_profile(cfg: RunConfig, out: str) -> int:
-    from cyl.minmax import PathConfig, build_path, fit_expansion_A
+    from cyl.acceptance import double_fit, path_config
+    from cyl.minmax import build_path
     k = sobolev_constants()
     manifest = RunManifest(config=cfg.as_dict())
-    pcfg = PathConfig(epsilon=cfg.epsilon, alpha=cfg.alpha, omega=cfg.omega,
-                      delta=cfg.delta, mu_points=cfg.mu_points,
-                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     t0 = manifest.start("path")
-    prof = build_path(pcfg)
+    prof = build_path(path_config(cfg))
     manifest.finish("path", t0)
     rows = [(float(m), leg, float(q), float(e), float(6.0 * k.S4 - q))
             for m, leg, q, e in zip(prof.mu, prof.legs, prof.Q, prof.Q_err)]
@@ -267,9 +239,7 @@ def cmd_path_profile(cfg: RunConfig, out: str) -> int:
     q0, q1 = prof.endpoint_values()
     print(f"endpoints {fmt(q0)} / {fmt(q1)} (Y4/sqrt2 = {fmt(k.Ys)})")
     t1 = manifest.start("fit")
-    fit = fit_expansion_A(cfg.epsilon_list_double, leg="DOUBLE",
-                          alpha=cfg.alpha, omega=cfg.omega, delta=cfg.delta,
-                          spec=QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+    fit = double_fit(cfg)
     manifest.finish("fit", t1)
     print(f"fitted A (double leg) = {fmt(fit.A_hat)} (target {fmt(k.A)}); "
           f"free exponent {fmt(fit.exponent_free)}")

@@ -15,7 +15,6 @@ Schema (all keys optional; defaults below):
     mu_points     = 51               # competitor-path resolution
     rel_tol       = 1e-9             # quadrature relative tolerance
     abs_tol       = 1e-13
-    seed          = 1234             # deterministic sampling seed
     out_dir       = ./cyl-out        # overridden by --out or CYL_OUT_DIR
 
 Lines starting with '#' and inline '# ...' comments are ignored; any other
@@ -55,7 +54,6 @@ class RunConfig:
     mu_points: int = 51
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
-    seed: int = 1234
     out_dir: str = "./cyl-out"
 
     def __post_init__(self):
@@ -84,7 +82,7 @@ class RunConfig:
 
 _FLOAT_KEYS = {"delta", "alpha", "omega", "epsilon", "green_delta", "rel_tol",
                "abs_tol"}
-_INT_KEYS = {"mu_points", "seed"}
+_INT_KEYS = {"mu_points"}
 _LIST_KEYS = {"epsilon_list", "epsilon_list_double", "t_grid", "green_t_grid"}
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from cyl.geometry.fields import (ChartMetricField, RadialProfile,
                                  WarpedRadialField, round_profile)
-from cyl.geometry.links import LinkTensorFamily
+from cyl.geometry.links import LinkTensorFamily, sphere_points
 
 __all__ = [
     "LinkFamily",
@@ -201,9 +201,7 @@ def regularity_probe(target, order: int, radii, n_dirs: int = 12,
         scalars = [lambda x, i=i: components(x)[i] for i in range(16)]
     else:
         scalars = [target]
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_dirs, 4))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = sphere_points(n_dirs, seed)
     idx_sets = [(k,) * order for k in range(4)] if order > 0 else [()]
     if order >= 2:
         idx_sets += [(0, 1), (1, 2), (2, 3), (0, 3)]

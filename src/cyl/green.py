@@ -36,6 +36,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from cyl.constants import sobolev_constants
 from cyl.geometry.cnc import cnc_profile
 from cyl.geometry.fields import ChartMetricField, FlatField
+from cyl.geometry.links import sphere_points, tangent_frame
 from cyl.quadrature import gauss_legendre
 
 KAPPA = 24.0 * math.pi ** 2  # 4 a pi^2 with a = 6
@@ -571,9 +572,7 @@ def beta_samples(evaluator, pole, expansion: GreenExpansion, radii,
     on gbar-geodesic spheres around the pole; beta(0) = 0 by construction."""
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
-    rng = np.random.default_rng(0)
-    dirs = rng.normal(size=(n_dirs, 4))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = sphere_points(n_dirs, 0)
     smax = 0.49 * t if t > 0 else float(np.max(radii)) * 2
     out = []
     for eps, pts, vals in _gbar_spheres(evaluator, pole, radii, dirs, chart,
@@ -595,7 +594,8 @@ def _gbar_spheres(evaluator, pole, radii, dirs, chart, conformal_fr, smax):
     else:
         _, s_of_rho = _gbar_radius(conformal_fr, np.linspace(0.0, smax, 400))
     # orthonormal tangent completion: rotate e1 onto the pole axis
-    tangents = dirs @ _frame_with_axis(_axis(pole)).T
+    axis = _axis(pole)
+    tangents = dirs @ np.vstack([axis, tangent_frame(axis)]).T
     sphere = _exp_sphere(chart, pole, tangents)
     for eps in np.asarray(radii, dtype=float):
         pts = sphere(float(s_of_rho(eps)))
@@ -657,22 +657,6 @@ def extract_mass(evaluator, pole, eps0: float = None, levels: int = 4,
     fitted = design @ coef
     err = float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
     return GreenExpansion(t=t, A_q=float(coef[0]), error=err)
-
-
-def _frame_with_axis(axis: np.ndarray) -> np.ndarray:
-    vecs = [axis]
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = 1.0
-        v = e.copy()
-        for b in vecs:
-            v -= (v @ b) * b
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            vecs.append(v / n)
-        if len(vecs) == 4:
-            break
-    return np.array(vecs)
 
 
 def _exp_sphere(chart: RadialChart, pole, dirs: np.ndarray):

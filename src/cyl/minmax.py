@@ -320,21 +320,7 @@ def quotient_double(eps: float, t: float, delta: float | None,
             * (weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2)
 
     gspec = spec.with_grading(((t, 0.0), eps), ((t, math.pi), eps))
-    theta_range = (1e-12, theta_max)
-    if math.isinf(theta_max):
-        # map theta = tan(s) for the complete flat cone
-        def wrap(F):
-            def g(s, psi):
-                th = np.tan(s)
-                return F(th, psi) * (1.0 + th * th)
-
-            return g
-
-        integrand = wrap(integrand)
-        gspec = spec.with_grading(((math.atan(t), 0.0), eps / (1 + t * t)),
-                                  ((math.atan(t), math.pi), eps / (1 + t * t)))
-        theta_range = (1e-12, 0.5 * math.pi * (1.0 - 1e-12))
-    res = integrate_rect2d(integrand, gspec, theta_range, (0.0, math.pi))
+    res = integrate_rect2d(integrand, gspec, (1e-12, theta_max), (0.0, math.pi))
     return _quotient_from(res[0], res[1])
 
 

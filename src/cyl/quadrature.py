@@ -3,11 +3,13 @@ bubble and Green-function integrals admit.
 
 All engines are driven by nested Gauss-Kronrod (G7, K15) rule pairs: the
 15-point Kronrod value is the estimate, |K15 - G7| the local error, and
-subdivision always attacks the largest local errors first.  Improper axial and
-radial integrals are compactified through ``x = tan(theta)`` so no truncation
-radius ever has to be tuned.  Integrands concentrated at a known "bubble core"
-declare it through grading entries ``(center, scale)``; the engine then seeds
-the partition with dyadic annuli down to ``scale/4`` around each center.
+subdivision always attacks the largest local errors first.  An axis with an
+infinite end is compactified through ``x = tan(theta)`` in one place,
+``_compactify``, for the 1-d and the 2-d engines alike, so no truncation
+radius ever has to be tuned and callers grade in their own coordinates.
+Integrands concentrated at a known "bubble core" declare it through grading
+entries ``(center, scale)``; the engine then seeds the partition with dyadic
+annuli down to ``scale/4`` around each center.
 
 Seed reach: on a bounded axis the annuli double until they span twice the
 interval.  On a compactified axis they stop below ``4*(|center| + max(scale,
@@ -20,10 +22,13 @@ interaction integrals that cuts the seed mesh from about 7 600 boxes to
 Engines:
 
 * ``integrate_radial``      -- 1-d integrals on [a, R] or [a, oo)
+* ``integrate_rect2d``      -- plain 2-d integrals over a rectangle, whose
+  sides may have infinite ends
 * ``integrate_biradial``    -- the (zeta, rho) slab reduction of axially
   symmetric R^4 integrals, weight 4*pi*rho^2
 * ``integrate_axisym_sphere`` -- the (theta, psi) reduction of axisymmetric
   integrals on round-sphere charts, weight 4*pi*sin(psi)^2 * w(theta)
+* ``build_frozen_mesh``     -- a bi-radial mesh, frozen for re-evaluation
 * ``integrate_ball4``       -- tensor radial x S^3 rule on a Euclidean 4-ball
 * ``integrate_sphere3``     -- surface integrals on round 3-spheres
 
@@ -136,7 +141,8 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 
-_HALF_PI = 0.5 * math.pi
+# the working coordinate of an infinite end: tan(_TAN_CAP) is about 6.4e13
+_TAN_CAP = 0.5 * math.pi * (1.0 - 1e-14)
 
 # the most points one integrand call of the 2-d engine or of the 3-sphere
 # rule receives; it bounds the temporaries an integrand allocates
@@ -269,6 +275,36 @@ def _seed_breaks(lo, hi, centers_scales, transform=None):
     return arr
 
 
+def _compactify(domains, centers):
+    """The one map of infinite axes to working coordinates: ``domains`` has
+    one (lo, hi) and ``centers`` one list of (center, scale) pairs per axis.
+
+    An axis with an infinite end is mapped by x = tan(u), its ends capped at
+    +-``_TAN_CAP``; a bounded axis keeps its coordinates.  Returns the map
+    of an integrand f to f(tan(u), ...) * prod(1 + x^2), which applies the
+    Jacobians last, and the seed breaks of each axis.
+    """
+    tanned = [math.isinf(lo) or math.isinf(hi) for lo, hi in domains]
+    breaks = []
+    for (lo, hi), cs, tan in zip(domains, centers, tanned):
+        if tan:
+            b = _seed_breaks(max(lo, -1e18), min(hi, 1e18), cs,
+                             transform=math.atan)
+            breaks.append(np.unique(np.clip(b, -_TAN_CAP, _TAN_CAP)))
+        else:
+            breaks.append(_seed_breaks(lo, hi, cs))
+
+    def to_working(f):
+        def g(*u):
+            x = [np.tan(ui) if tan else ui for ui, tan in zip(u, tanned)]
+            return f(*x) * math.prod(1.0 + xi * xi
+                                     for xi, tan in zip(x, tanned) if tan)
+
+        return g if any(tanned) else f
+
+    return to_working, breaks
+
+
 # ----------------------------------------------------------------------------
 # 1-d engine
 # ----------------------------------------------------------------------------
@@ -336,21 +372,9 @@ def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
     adaptive pass, so tails are resolved without a truncation radius.
     ``f`` must accept numpy arrays.
     """
-    a, b = interval
-    centers = [(c, s) for c, s in spec.grading]
-    if math.isinf(b):
-        lo = math.atan(a)
-
-        def g(theta):
-            t = np.tan(theta)
-            return f(t) * (1.0 + t * t)
-
-        breaks = _seed_breaks(a, 1e18, centers, transform=math.atan)
-        breaks = np.clip(breaks, lo, _HALF_PI * (1.0 - 1e-14))
-        breaks = np.unique(np.concatenate([[lo], breaks, [_HALF_PI * (1.0 - 1e-14)]]))
-        return _adapt_1d(g, breaks, spec)
-    breaks = _seed_breaks(a, b, centers)
-    return _adapt_1d(lambda x: np.asarray(f(x), dtype=float), breaks, spec)
+    to_working, (breaks,) = _compactify((interval,), (spec.grading,))
+    return _adapt_1d(to_working(lambda x: np.asarray(f(x), dtype=float)),
+                     breaks, spec)
 
 
 # ----------------------------------------------------------------------------
@@ -489,42 +513,65 @@ def _adapt_2d(g, xbreaks, ybreaks, spec: QuadratureSpec):
         boxes = np.concatenate([boxes.compress(keep, axis=1), new], axis=1)
     (ax, bx, ay, by), (vals, errs, _, _) = _unpack_2d(boxes)
     total, toterr = _total_2d(ax, ay, vals, errs)
-    mesh = FrozenMesh2D(ax.copy(), bx.copy(), ay.copy(), by.copy())
-    return _result(total, toterr, evals, converged, lead), mesh
+    corners = (ax.copy(), bx.copy(), ay.copy(), by.copy())
+    return _result(total, toterr, evals, converged, lead), corners
 
 
-@dataclass
+def _integrate_2d(F, weight, spec: QuadratureSpec, x_domain, y_domain):
+    """The one 2-d front end: the integral of ``weight(F)`` (F times its
+    reduction weight) over x_domain x y_domain, and the adapted mesh, frozen
+    with the same weight and map.  The public 2-d engines are weights over
+    it and never call each other, so wrapping each by name spans it once."""
+    to_working, (xb, yb) = _compactify(
+        (x_domain, y_domain),
+        [[(c[i], s) for c, s in spec.grading] for i in (0, 1)])
+
+    def working(G):
+        return to_working(weight(G))
+
+    res, corners = _adapt_2d(working(F), xb, yb, spec)
+    return res, FrozenMesh2D(*corners, working)
+
+
+@dataclass(frozen=True)
 class FrozenMesh2D:
     """A frozen rectangle partition in the engine's working coordinates.
 
     Re-evaluating nearby integrands on one frozen mesh makes their quadrature
     errors vary smoothly with parameters, so finite differences of integrals
-    stay clean.
+    stay clean.  ``working`` maps an integrand to the one the adaptation saw.
     """
 
     ax: np.ndarray
     bx: np.ndarray
     ay: np.ndarray
     by: np.ndarray
-    weight: object = None  # working-coordinate integrand wrapper factory
+    working: object
 
     def evaluate(self, F) -> IntegralResult:
-        g = self.weight(F)
-        vals, errs, _, _, n = _panels_2d(g, self.ax, self.bx, self.ay, self.by)
+        vals, errs, _, _, n = _panels_2d(self.working(F), self.ax, self.bx,
+                                         self.ay, self.by)
         total, toterr = _total_2d(self.ax, self.ay, vals, errs)
         return _result(total, toterr, n, True, vals.shape[:-1])
 
 
-def _biradial_wrapper(F):
-    """Map F(zeta, rho) to the compactified working coordinates."""
+def _biradial_weight(F):
+    """F times the 4*pi*rho^2 of the bi-radial reduction."""
+    return lambda zeta, rho: F(zeta, rho) * (4.0 * math.pi) * rho * rho
 
-    def g(u, v):
-        zeta = np.tan(u)
-        rho = np.tan(v)
-        w = (1.0 + zeta * zeta) * (1.0 + rho * rho)
-        return F(zeta, rho) * (4.0 * math.pi) * rho * rho * w
 
-    return g
+def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralResult:
+    """Plain adaptive 2-d integral of F(x, y) over a rectangle.
+
+    ``F`` returns m values, or a (k, m) array for k components integrated
+    on one mesh (see the module docstring).  An axis may have an infinite
+    end; it is compactified by ``tan``.  All weights are the caller's
+    business; grading centers are (x, y) pairs in original coordinates.
+    """
+    def plain(G):
+        return lambda x, y: np.asarray(G(x, y), dtype=float)
+
+    return _integrate_2d(F, plain, spec, x_domain, y_domain)[0]
 
 
 def integrate_biradial(F, spec: QuadratureSpec,
@@ -537,63 +584,16 @@ def integrate_biradial(F, spec: QuadratureSpec,
     ``4*pi*rho^2`` and compactifies unbounded directions by ``tan``.  Grading
     centers are (zeta, rho) pairs in original coordinates.
     """
-    res, _ = _biradial_with_mesh(F, spec, zeta_domain, rho_domain)
-    return res
-
-
-def _biradial_with_mesh(F, spec, zeta_domain=(-math.inf, math.inf),
-                        rho_domain=(0.0, math.inf)):
-    zlo, zhi = zeta_domain
-    rlo, rhi = rho_domain
-    zcenters = [(c[0], s) for c, s in spec.grading]
-    rcenters = [(c[1], s) for c, s in spec.grading]
-
-    def tr(x):
-        return math.atan(x)
-
-    zb = _seed_breaks(max(zlo, -1e18), min(zhi, 1e18), zcenters, transform=tr)
-    rb = _seed_breaks(max(rlo, 0.0), min(rhi, 1e18), rcenters, transform=tr)
-    cap = _HALF_PI * (1.0 - 1e-14)
-    zb = np.unique(np.clip(zb, -cap, cap))
-    rb = np.unique(np.clip(rb, 0.0, cap))
-    res, mesh = _adapt_2d(_biradial_wrapper(F), zb, rb, spec)
-    mesh.weight = _biradial_wrapper
-    return res, mesh
+    return _integrate_2d(F, _biradial_weight, spec, zeta_domain, rho_domain)[0]
 
 
 def build_frozen_mesh(F, spec, zeta_domain=(-math.inf, math.inf),
                       rho_domain=(0.0, math.inf)) -> FrozenMesh2D:
     """Adapt a bi-radial mesh to ``F`` and freeze it for re-evaluation."""
-    res, mesh = _biradial_with_mesh(F, spec, zeta_domain, rho_domain)
+    res, mesh = _integrate_2d(F, _biradial_weight, spec, zeta_domain,
+                              rho_domain)
     res.expect("frozen-mesh adaptation")
     return mesh
-
-
-def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralResult:
-    """Plain adaptive 2-d integral of F(x, y) over a rectangle.
-
-    ``F`` returns m values, or a (k, m) array for k components integrated
-    on one mesh (see the module docstring).  All weights and coordinate
-    mappings are the caller's business; grading centers are (x, y) pairs in
-    the rectangle's own coordinates.
-    """
-    xcenters = [(c[0], s) for c, s in spec.grading]
-    ycenters = [(c[1], s) for c, s in spec.grading]
-    xb = _seed_breaks(x_domain[0], x_domain[1], xcenters)
-    yb = _seed_breaks(y_domain[0], y_domain[1], ycenters)
-    res, _ = _adapt_2d(lambda x, y: np.asarray(F(x, y), dtype=float), xb, yb, spec)
-    return res
-
-
-def _axisym_sphere_wrapper(radial_weight):
-    def wrap(F):
-        def g(theta, psi):
-            s = np.sin(psi)
-            return F(theta, psi) * (4.0 * math.pi) * s * s * radial_weight(theta)
-
-        return g
-
-    return wrap
 
 
 def integrate_axisym_sphere(F, spec: QuadratureSpec,
@@ -609,12 +609,15 @@ def integrate_axisym_sphere(F, spec: QuadratureSpec,
     """
     if radial_weight is None:
         radial_weight = lambda th: np.sin(th) ** 3
-    tcenters = [(c[0], s) for c, s in spec.grading]
-    pcenters = [(c[1], s) for c, s in spec.grading]
-    tb = _seed_breaks(theta_domain[0], theta_domain[1], tcenters)
-    pb = _seed_breaks(psi_domain[0], psi_domain[1], pcenters)
-    res, _ = _adapt_2d(_axisym_sphere_wrapper(radial_weight)(F), tb, pb, spec)
-    return res
+
+    def weight(G):
+        def g(theta, psi):
+            s = np.sin(psi)
+            return G(theta, psi) * (4.0 * math.pi) * s * s * radial_weight(theta)
+
+        return g
+
+    return _integrate_2d(F, weight, spec, theta_domain, psi_domain)[0]
 
 
 # ----------------------------------------------------------------------------

@@ -128,3 +128,40 @@ def test_config_has_no_threads_key(tmp_path):
     p.write_text("threads = 2\n")
     with pytest.raises(ValueError, match="unknown key 'threads'"):
         load_config(str(p))
+
+
+def test_config_has_no_seed_key(tmp_path):
+    # gauge-verify, its only reader, samples criterion 7's points
+    p = tmp_path / "run.cfg"
+    p.write_text("seed = 1\n")
+    with pytest.raises(ValueError, match="unknown key 'seed'"):
+        load_config(str(p))
+
+
+def test_gauge_verify_samples_criterion_7_points(tmp_path):
+    from cyl.geometry.links import sphere_points, verify_first_order_identity
+    from cyl.acceptance import gauge_example
+    assert main(["--out", str(tmp_path), "gauge-verify"]) == 0
+    rows = (tmp_path / "gauge.csv").read_text().splitlines()[1:]
+    f, fam, gauge, pts = gauge_example()
+    assert np.array_equal(pts, sphere_points(8, 2))
+    for row in rows:
+        h, r, rg = (float(x) for x in row.split(","))
+        assert r == verify_first_order_identity(f, fam, h, points=pts)
+        assert rg == verify_first_order_identity(f, gauge, h, points=pts)
+
+
+def test_interaction_csv_carries_every_error(tmp_path):
+    cfgfile = tmp_path / "cfg"
+    cfgfile.write_text("t_grid = 0.5, 2.0, 8.0\n")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path),
+                 "interaction-sweep"]) == 0
+    lines = (tmp_path / "interaction.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for name in ("a", "b", "c", "f", "a_prime", "c_prime"):
+        assert f"{name}_err" in header
+    for line in lines[1:4]:
+        row = dict(zip(header, line.split(",")))
+        for name in ("a", "b", "c", "a_prime", "c_prime"):
+            err = float(row[f"{name}_err"])
+            assert 0.0 < err <= 1e-6 * abs(float(row[name]))

@@ -275,6 +275,29 @@ def test_rect2d_y_only_integrand_is_never_split_in_x(L):
     assert np.array_equal(seen, np.unique(nodes))
 
 
+def test_rect2d_compactifies_an_infinite_end():
+    # int_0^oo e^-x dx int_0^1 dy = 1; the x axis is mapped by tan
+    res = integrate_rect2d(lambda x, y: np.exp(-x), SPEC,
+                           (0.0, math.inf), (0.0, 1.0))
+    assert res.converged
+    assert abs(res.value - 1.0) <= res.error_estimate + 1e-12
+
+
+def test_frozen_mesh_evaluates_the_integral_it_was_adapted_to():
+    # integrate_biradial and build_frozen_mesh share one front end: the
+    # frozen mesh reweights and remaps F as the adaptation did (batching
+    # moves the last bits of the rule sums, and |K15 - G7| magnifies them)
+    spec = SPEC.with_grading(((2.0, 0.0), 1.0))
+
+    def F(z, p):
+        return u_profile((z - 2.0) ** 2 + p * p) ** 4
+
+    res = integrate_biradial(F, spec)
+    again = build_frozen_mesh(F, spec).evaluate(F)
+    assert_allclose(again.value, res.value, rtol=1e-14)
+    assert_allclose(again.error_estimate, res.error_estimate, rtol=1e-6)
+
+
 def test_rect2d_vector_components_meet_their_own_tolerances():
     # two peaks at different x, of sizes 1e3 apart: one mesh resolves both,
     # each to its own tolerance, for no more points than two scalar runs

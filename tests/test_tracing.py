@@ -1,0 +1,70 @@
+"""The benchmark's outside-in tracer against the library: one engine span per
+engine call, integrand points that add up to the reported evaluations, and
+an uninstall that puts every patched name back."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import cyl.interaction as interaction
+import cyl.quadrature as quadrature
+from cyl.quadrature import QuadratureSpec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+
+
+def _names():
+    """Every attribute of the loaded cyl modules and of the patched classes,
+    by identity."""
+    from cyl.geometry.cnc import CutoffProfile
+    from cyl.green import GreenEvaluator
+    out = {}
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "cyl":
+            out.update({(mod.__name__, k): v for k, v in vars(mod).items()})
+    for cls in (quadrature.FrozenMesh2D, CutoffProfile, GreenEvaluator):
+        out.update({(cls.__qualname__, k): v for k, v in vars(cls).items()})
+    return out
+
+
+def test_tracer_spans_each_engine_call_once_and_uninstalls():
+    before = _names()
+    tracer = tracing.Tracer()
+    inst = tracing.install(tracer)
+    try:
+        assert quadrature.integrate_biradial is not before[
+            ("cyl.quadrature", "integrate_biradial")]
+        results = [
+            interaction.interaction_integral("U3V", 1.0, 1.5, SPEC),
+            quadrature.integrate_axisym_sphere(
+                lambda th, ps: np.ones_like(th), SPEC),
+        ]
+    finally:
+        inst.uninstall()
+    after = _names()
+    # modules first loaded by the calls were never patched
+    assert all(after[k] is before[k] for k in before)
+
+    spans = tracer.spans
+    engines = [i for i, s in enumerate(spans)
+               if s[0].startswith("quadrature.integrate_")]
+    # exactly one engine span per call: no public engine calls another
+    assert [spans[i][0] for i in engines] == [
+        "quadrature.integrate_biradial", "quadrature.integrate_axisym_sphere"]
+
+    def under(i, root):
+        while i >= 0:
+            if i == root:
+                return True
+            i = spans[i][3]
+        return False
+
+    for root, res in zip(engines, results):
+        assert res.converged
+        points = sum(s[5]["points"] for i, s in enumerate(spans)
+                     if s[0] == "quadrature.integrand" and under(i, root))
+        assert points == res.evaluations
