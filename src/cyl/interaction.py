@@ -217,6 +217,7 @@ class MonotonicityReport:
     all_negative: bool
     cross_consistent: bool
     first_violation: int  # grid index, -1 when clean
+    converged: bool       # every integral met its contract
 
 
 def _a_prime_integrand(tau: float):
@@ -293,6 +294,7 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
         raise ValueError("t grid must be strictly increasing")
     rows = {key: [] for key in ("afd", "aq", "atol", "cfd", "cq", "ctol")}
     first = -1
+    converged = True
     for i, t in enumerate(t_grid):
         tau = t / epsilon
         h = _fd_step(tau)
@@ -310,6 +312,8 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
         cfd, ctrunc = d1(2)
         aq = a_prime_quadrature(epsilon, float(t), spec)
         cq = c_prime_quadrature(epsilon, float(t), spec)
+        # the frozen mesh itself raises if its adaptation missed the contract
+        converged = converged and aq.converged and cq.converged
         anoise = (errs[1][0] + errs[-1][0]) / (2.0 * h) / epsilon
         cnoise = (errs[1][2] + errs[-1][2]) / (2.0 * h) / epsilon
         atol = atrunc + anoise + aq.error_estimate
@@ -334,7 +338,7 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
         t_grid=t_grid, a_prime_quad=np.array(rows["aq"]),
         c_prime_quad=np.array(rows["cq"]),
         all_negative=bool(neg), cross_consistent=bool(cons),
-        first_violation=first)
+        first_violation=first, converged=converged)
 
 
 # ----------------------------------------------------------------------------
@@ -348,6 +352,7 @@ class SlopeFit:
     curvature: float     # coefficient of (eps/t)^4 (absorbs next order)
     residual: float      # rms misfit of the two-term model
     values: np.ndarray
+    converged: bool      # every integral met its contract
 
 
 def asymptotic_slope(kind: str, epsilon: float, t_sequence,
@@ -368,10 +373,13 @@ def asymptotic_slope(kind: str, epsilon: float, t_sequence,
     if kind == "f-curve":
         cur = curves(epsilon, t_sequence, spec)
         vals = cur.f
+        converged = bool(cur.converged.all())
         limit = 6.0 * math.sqrt(2.0) * k.S4
     elif kind in ("GRAD", "U3V"):
-        vals = np.array([interaction_integral(kind, epsilon, float(t), spec).value
-                         for t in t_sequence])
+        res = [interaction_integral(kind, epsilon, float(t), spec)
+               for t in t_sequence]
+        vals = np.array([r.value for r in res])
+        converged = all(r.converged for r in res)
         limit = 0.0
     else:
         raise ValueError(f"unknown slope kind {kind!r}")
@@ -381,4 +389,5 @@ def asymptotic_slope(kind: str, epsilon: float, t_sequence,
     fitted = design @ coef
     rms = float(np.sqrt(np.mean((vals - limit - fitted) ** 2)))
     return SlopeFit(kind=kind, coefficient=float(coef[0]),
-                    curvature=float(coef[1]), residual=rms, values=vals)
+                    curvature=float(coef[1]), residual=rms, values=vals,
+                    converged=converged)

@@ -160,26 +160,9 @@ class D2:
     def exp(self):
         return self.apply(np.exp, np.exp)
 
-    def arccos_clipped(self):
-        v = np.clip(self.v, -1.0, 1.0 - 1e-15)
-        d = -1.0 / np.sqrt(np.maximum(1.0 - v * v, 1e-30))
-        return D2(np.arccos(v), d * self.dx, d * self.dy)
-
 
 def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
     return s.chain(profile.value(s.v), profile.deriv(s.v))
-
-
-def _theta_over_sin(theta: D2) -> D2:
-    """theta/sin(theta) with a series branch near zero."""
-    v = theta.v
-    small = np.abs(v) < 1e-4
-    ratio = np.where(small, 1.0 + v * v / 6.0, v / np.sin(np.where(small, 1.0, v)))
-    dratio = np.where(small, v / 3.0,
-                      (np.sin(np.where(small, 1.0, v))
-                       - v * np.cos(np.where(small, 1.0, v)))
-                      / np.sin(np.where(small, 1.0, v)) ** 2)
-    return D2(ratio, dratio * theta.dx, dratio * theta.dy)
 
 
 # ----------------------------------------------------------------------------
@@ -435,7 +418,11 @@ class _LegBatch:
     their sines and cosines, the partner distance d2, the CNC jets f1 at xi
     and d2 (to second order with ``curvature``), the conformal exponent
     f = f1(xi) + f1(d2) and the weight e^{-f/2}; with ``chart``, also the
-    chart radius theta and axial coordinate z_par of the chart point."""
+    chart radius theta and axial coordinate z_par of the chart point.
+
+    theta and d2 come from ``_distance`` as atan2(sin d, cos d), sin d the
+    hypot of two sums of products, so they keep their digits near the bubble
+    core, where the arccos of a cosine near 1 would lose them."""
 
     def __init__(self, data: GluedData, xi_v, eta_v, chart: bool = False,
                  curvature: bool = False):
@@ -447,23 +434,32 @@ class _LegBatch:
         self.sin_xi, self.cos_xi = xi.sincos()
         sin_eta, cos_eta = eta.sincos()
         self.sin_eta = sin_eta.v
-        sxce = self.sin_xi * cos_eta
-        self.d2 = (self.cos_xi * math.cos(2.0 * t)
-                   + sxce * math.sin(2.0 * t)).arccos_clipped()
+        self.d2 = self._distance(2.0 * t, cos_eta.v)[0]
         order = 2 if curvature else 1
         self.f1_xi = f1.jet(xi.v, order)
         self.f1_d2 = f1.jet(self.d2.v, order)
         self.f = xi.chain(*self.f1_xi[:2]) + self.d2.chain(*self.f1_d2[:2])
         self.weight = (self.f * (-0.5)).exp()
         if chart:
-            self.theta = theta = (self.cos_xi * math.cos(t)
-                                  + sxce * math.sin(t)).arccos_clipped()
-            ratio = _theta_over_sin(theta)  # theta / sin(theta)
-            # cos(xi) = cos(theta) cos(t) + sin(theta) sin(t) cos(psi)
-            # => sin(theta) cos(psi) = (cos(xi) - cos(theta) cos(t)) / sin(t)
-            sincos_psi = (self.cos_xi - theta.cos() * math.cos(t)) \
-                * (1.0 / math.sin(t))
-            self.z_par = ratio * sincos_psi
+            self.theta, sin_theta = self._distance(t, cos_eta.v)
+            # sin(theta) cos(psi): the point's component along the unit
+            # tangent at N toward the bubble center
+            along = self.cos_xi * math.sin(t) \
+                - self.sin_xi * cos_eta * math.cos(t)
+            self.z_par = self.theta * along / sin_theta
+
+    def _distance(self, a: float, cos_eta):
+        """(d, sin d) for the distance d to the axis point at distance a from
+        the bubble center (eta = 0), with the exact partials d_xi d = m/s and
+        d_eta d = sin(xi) n/s; the batch does not keep cos(eta)."""
+        sx, cx = self.sin_xi.v, self.cos_xi.v
+        sa, ca = math.sin(a), math.cos(a)
+        m = sx * ca - cx * sa * cos_eta
+        n = sa * self.sin_eta
+        s = np.hypot(m, n)
+        c = cx * ca + sx * sa * cos_eta
+        d = D2(np.arctan2(s, c), m / s, sx * n / s)
+        return d, d.chain(s, c)
 
     def green_lift(self) -> D2:
         """Gbar = e^{-f/2} (Gs(xi) + Gs(d2)), the CNC-corrected global kernel."""

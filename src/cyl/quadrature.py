@@ -226,6 +226,16 @@ class IntegralResult:
                               float(self.error_estimate[i]),
                               self.evaluations, self.converged)
 
+    def __eq__(self, other) -> bool:
+        """Field by field, with value and error compared as arrays, so that
+        vector results compare too."""
+        if not isinstance(other, IntegralResult):
+            return NotImplemented
+        return (np.array_equal(self.value, other.value)
+                and np.array_equal(self.error_estimate, other.error_estimate)
+                and (self.evaluations, self.converged)
+                == (other.evaluations, other.converged))
+
 
 # ----------------------------------------------------------------------------
 # breakpoint seeding

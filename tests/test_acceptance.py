@@ -1,8 +1,11 @@
 """The acceptance gate: every criterion at its pinned tolerance, one test
 per criterion, each printing its PASS/FAIL line."""
 
+from dataclasses import replace
+
 import pytest
 
+import cyl.interaction as interaction
 import cyl.minmax as minmax
 from cyl import acceptance
 from cyl.config import RunConfig
@@ -85,8 +88,58 @@ def test_path_check_fails_on_an_unconverged_point(monkeypatch, flag_lam):
         assert not res.passed and res.detail.endswith("2 unconverged")
 
 
+def test_slope_check_fails_on_an_unconverged_integral(monkeypatch):
+    # the real integrals, with the contract flag of the U3V one at t = 100
+    # turned off
+    real = interaction.interaction_integral
+
+    def flagged(kind, epsilon, t, spec):
+        res = real(kind, epsilon, t, spec)
+        return replace(res, converged=not (kind == "U3V" and t == 100.0))
+
+    monkeypatch.setattr(interaction, "interaction_integral", flagged)
+    res = acceptance.check_slopes(RunConfig())
+    assert not res.passed and res.detail.endswith("1 of 3 fits unconverged")
+
+
+def test_monotonicity_check_fails_on_an_unconverged_integral(monkeypatch):
+    # the real integrals, with the contract flag of c'(t = 2) turned off
+    real = interaction.c_prime_quadrature
+
+    def flagged(epsilon, t, spec):
+        return replace(real(epsilon, t, spec), converged=t != 2.0)
+
+    monkeypatch.setattr(interaction, "c_prime_quadrature", flagged)
+    res = acceptance.check_monotonicity(RunConfig())
+    assert not res.passed and res.detail.endswith("integrals unconverged")
+
+
 def test_criterion_11_expansion_constant(cfg):
     _run(acceptance.check_expansion_fit, cfg)
+
+
+@pytest.mark.parametrize("flag_eps", [None, 3e-5])
+def test_fit_check_fails_on_an_unconverged_point(monkeypatch, flag_eps):
+    # exact model values 6*S4 - A eps^{2(1 - alpha)} on both legs fit A and
+    # the exponent exactly; only the convergence flag of the INTERP point at
+    # eps = flag_eps is off
+    k = sobolev_constants()
+    cfg = RunConfig()
+
+    def model(desc, delta, spec):
+        q = 6.0 * k.S4 - k.A * desc.epsilon ** (2.0 * (1.0 - cfg.alpha))
+        return q, 1e-9, not (desc.variant == "INTERP"
+                             and desc.epsilon == flag_eps)
+
+    monkeypatch.setattr(minmax, "_quotient_of", model)
+    res = acceptance.check_expansion_fit(cfg)
+    n = len(cfg.epsilon_list_double) + len(cfg.epsilon_list)
+    if flag_eps is None:
+        assert res.passed
+        assert res.detail.endswith(f"0 of {n} fit points unconverged")
+    else:
+        assert not res.passed
+        assert res.detail.endswith(f"1 of {n} fit points unconverged")
 
 
 def test_criterion_12_energy_levels(cfg):

@@ -145,6 +145,62 @@ def test_interp_endpoints_match_neighbor_legs():
     assert okd and ok0 and okg and ok1
 
 
+def test_interp_meets_double_within_their_bars_at_full_spec():
+    # at lam = 0 the INTERP leg is the DOUBLE bubble pair at t = eps^0.6
+    eps = 1e-4
+    q0, e0, ok0 = quotient_interp(eps, 0.0, SPEC)
+    qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, SPEC)
+    assert ok0 and okd
+    assert abs(q0 - qd) <= e0 + ed
+
+
+def test_interp_converges_near_the_core_at_small_eps():
+    # the smallest eps of the criterion-11 fit
+    q, err, ok = quotient_interp(3e-5, 0.5, SPEC)
+    assert ok and err < 1e-7
+
+
+def test_leg_distances_match_the_ambient_chord_form_near_the_core():
+    # theta, z_par and d2 of a chart batch within a few eps of the bubble
+    # center, against 2 atan2(|p - q|, |p + q|) for the lifted points of the
+    # (xi, eta) plane; the center sits at (1, 0, 0), the pole N and the
+    # partner at distance t and 2t along eta = 0
+    eps = 3e-5
+    t = eps ** 0.6
+    data = glued_data(eps, t, eps ** 0.7)
+    rng = np.random.default_rng(3)
+    xi = eps * np.exp(rng.uniform(math.log(0.3), math.log(3.0), 200))
+    eta = rng.uniform(0.0, math.pi, 200)
+    b = minmax._LegBatch(data, xi, eta, chart=True)
+    p = np.stack([np.cos(xi), np.sin(xi) * np.cos(eta),
+                  np.sin(xi) * np.sin(eta)], axis=1)
+
+    def chord_distance(a):
+        q = np.array([math.cos(a), math.sin(a), 0.0])
+        return 2.0 * np.arctan2(np.linalg.norm(p - q, axis=1),
+                                np.linalg.norm(p + q, axis=1))
+
+    theta = chord_distance(t)
+    # theta cos(psi), with the unit tangent at N toward the center
+    z_par = theta * (p @ [math.sin(t), -math.cos(t), 0.0]) / np.sin(theta)
+    assert_allclose(b.theta.v, theta, rtol=1e-14)
+    assert_allclose(b.z_par.v, z_par, rtol=1e-14)
+    assert_allclose(b.d2.v, chord_distance(2.0 * t), rtol=1e-14)
+    assert_allclose(b.theta.v ** 2 + t * t - 2.0 * t * b.z_par.v,
+                    theta ** 2 + t * t - 2.0 * t * z_par, rtol=1e-10)
+    # the closed-form partials against central differences
+    h = 1e-5 * xi
+    for name in ("theta", "z_par", "d2"):
+        def at(x, e):
+            return getattr(minmax._LegBatch(data, x, e, chart=True), name).v
+
+        g = getattr(b, name)
+        for got, fd in ((g.dx, (at(xi + h, eta) - at(xi - h, eta)) / (2 * h)),
+                        (g.dy, (at(xi, eta + 1e-7) - at(xi, eta - 1e-7))
+                         / 2e-7)):
+            assert_allclose(got, fd, rtol=0, atol=1e-5 * np.abs(fd).max())
+
+
 def test_interp_lambda_continuity():
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)

@@ -35,6 +35,20 @@ def test_integral_result_scaled():
         IntegralResult(0.1 * 0.7, 0.3 * 0.7, 4, True)
 
 
+def test_integral_result_equality_on_vectors():
+    def F(x, y):
+        return np.stack([x, y])
+
+    a = integrate_rect2d(F, SPEC, (0.0, 1.0), (0.0, 1.0))
+    b = integrate_rect2d(F, SPEC, (0.0, 1.0), (0.0, 1.0))
+    assert np.shape(a.value) == (2,)
+    assert a == b and not a != b
+    assert a != a.scaled(2.0)
+    assert a != IntegralResult(a.value, a.error_estimate, a.evaluations + 1,
+                               a.converged)
+    assert a != a[0] and a != "integral"
+
+
 def test_radial_polynomial():
     res = integrate_radial(lambda r: r ** 3, (0.0, 1.0), SPEC).expect()
     assert_allclose(res.value, 0.25, rtol=1e-12)
@@ -223,10 +237,7 @@ def test_rect2d_batches_are_bounded(monkeypatch):
     for F, (res, _) in zip(integrands, sliced):
         whole, whole_sizes = run(F)
         assert whole_sizes[0] > 2 ** 16
-        assert np.array_equal(whole.value, res.value)
-        assert np.array_equal(whole.error_estimate, res.error_estimate)
-        assert (whole.evaluations, whole.converged) == \
-            (res.evaluations, res.converged)
+        assert whole == res
     assert np.shape(sliced[1][0].value) == (2,)
 
 
