@@ -302,7 +302,11 @@ def quotient_double(eps: float, t: float, delta: float | None,
         return np.stack([6.0 * grad2 + scal * u.v ** 2, u.v ** 4]) \
             * (weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2)
 
-    gspec = spec.with_grading(((t, 0.0), eps), ((t, math.pi), eps))
+    # the point cores at (t, 0) and (t, pi) are eps wide in theta and
+    # eps/t in psi; at t = 0 the pair sits at the origin, constant in psi
+    width = eps / t if t > 0.0 else math.inf
+    gspec = spec.with_grading(((t, 0.0), (eps, width)),
+                              ((t, math.pi), (eps, width)))
     res = integrate_rect2d(integrand, gspec, (1e-12, theta_max), (0.0, math.pi))
     return _quotient_from(res[0], res[1])
 
@@ -532,9 +536,11 @@ def _near_zone_integrals(d: GluedData, lam: float, chi_delta,
         u = _psi_lambda(b, lam, chi_delta)
         return np.stack([b.energy_density(u), u.v ** 4]) * b.measure()
 
-    gspec = spec.with_grading(((0.0, 0.0), d.eps),
-                              ((d.s_tau, 0.0), d.tau * 0.25),
-                              ((d.s_2tau, 0.0), d.tau * 0.25))
+    # the core at xi = 0 and the zone circles xi = s_tau, s_2tau are
+    # constant in eta
+    gspec = spec.with_grading(((0.0, 0.0), (d.eps, math.inf)),
+                              ((d.s_tau, 0.0), (d.tau * 0.25, math.inf)),
+                              ((d.s_2tau, 0.0), (d.tau * 0.25, math.inf)))
     lo = 1e-14
     res = integrate_rect2d(integrand, gspec, (lo, d.s_2tau),
                            (0.0, math.pi)).scaled(2.0)
@@ -595,10 +601,13 @@ def _far_bands(d: GluedData):
     lo, hi = 2.0 * t - s, min(2.0 * t + s, math.pi)
 
     def eta_excl(xi_v):
-        # the exclusion {d2 <= s} is {eta <= eta_excl(xi)} for sin(2t) > 0
-        num = math.cos(s) - np.cos(xi_v) * math.cos(2.0 * t)
-        den = np.sin(xi_v) * math.sin(2.0 * t)
-        return np.arccos(np.clip(num / np.maximum(den, 1e-300), -1.0, 1.0))
+        # the exclusion {d2 <= s} is {eta <= eta_excl(xi)} for sin(2t) > 0,
+        # from hav(eta) = (cos(xi - 2t) - cos s) / (2 sin xi sin 2t) in
+        # product form, which keeps its digits toward the band ends
+        a = xi_v - 2.0 * t
+        hav = np.sin(0.5 * (s - a)) * np.sin(0.5 * (s + a)) \
+            / (np.sin(xi_v) * math.sin(2.0 * t))
+        return 2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0)))
 
     bands = [(s, lo, None), (lo, hi, eta_excl)]
     if hi < math.pi:
@@ -627,9 +636,11 @@ def _far_direct_integrals(d: GluedData, lam: float, chi_delta,
     num_ee = IntegralResult(0.0, 0.0, 0, True)
     for a, b, eta_excl in _far_bands(d):
         if eta_excl is None:
-            gr = spec.with_grading(((a, 0.0), d.tau * 0.5),
-                                   ((b, 0.0), d.tau * 0.5),
-                                   ((t, 0.0), 0.2 * t))
+            # the band edges xi = a, b and the circle through N are
+            # constant in eta
+            gr = spec.with_grading(((a, 0.0), (d.tau * 0.5, math.inf)),
+                                   ((b, 0.0), (d.tau * 0.5, math.inf)),
+                                   ((t, 0.0), (0.2 * t, math.inf)))
             wrap, v_range = (lambda F: F), (0.0, math.pi)
         else:
             def wrap(F):
@@ -640,8 +651,9 @@ def _far_direct_integrals(d: GluedData, lam: float, chi_delta,
 
                 return g
 
-            gr = spec.with_grading(((a, 0.0), 0.05 * (b - a)),
-                                   ((b, 0.0), 0.05 * (b - a)))
+            # the band edges are constant in v
+            gr = spec.with_grading(((a, 0.0), (0.05 * (b - a), math.inf)),
+                                   ((b, 0.0), (0.05 * (b - a), math.inf)))
             v_range = (0.0, 1.0)
         res = integrate_rect2d(wrap(integrand), gr, (a, b), v_range)
         if mixed:

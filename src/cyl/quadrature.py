@@ -19,6 +19,15 @@ rungs a side), which the adaptive pass then evaluates for nothing.  For the
 interaction integrals that cuts the seed mesh from about 7 600 boxes to
 115-295 and the points per integral at rel 1e-9 by a factor of 4 to 50.
 
+Per-axis scales: the 2-d seed is the tensor product of the two axes' breaks,
+so a scalar scale, which ladders both axes, multiplies the boxes by the
+rungs of an axis the feature may not vary along.  A 2-d entry may therefore
+give its extent per axis, ``(center, (sx, sy))``; ``math.inf`` on an axis
+means the feature is constant along it, and that axis gets only the center
+break.  A core on a circle xi = const in polar (xi, eta) is ``(s, inf)``:
+its seed stays one box wide in eta, and the adaptive pass splits eta only
+where the directional error asks for it.
+
 Engines:
 
 * ``integrate_radial``      -- 1-d integrals on [a, R] or [a, oo)
@@ -160,7 +169,10 @@ class QuadratureSpec:
     ``grading`` holds ``(center, scale)`` pairs; ``center`` is a float for 1-d
     engines or a 2-vector for the 2-d engines, and ``scale`` is finite and
     positive.  The partition is seeded with dyadic breakpoints at
-    ``center +- scale/4 * 2^k``.
+    ``center +- scale/4 * 2^k`` on every axis.  A 2-d entry may instead give
+    one scale per axis, ``(center, (sx, sy))``, each positive; ``math.inf``
+    says the feature is constant along that axis, which then gets only the
+    center break.
     """
 
     rel_tol: float = 1e-9
@@ -173,8 +185,14 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        for _, scale in self.grading:
-            if not (math.isfinite(scale) and scale > 0.0):
+        for center, scale in self.grading:
+            if isinstance(scale, tuple):
+                if not (len(scale) == 2 == np.size(center)
+                        and all(s > 0.0 for s in scale)):
+                    raise ValueError(f"per-axis grading scales need a 2-d "
+                                     f"center and two positive values, got "
+                                     f"{(center, scale)!r}")
+            elif not (math.isfinite(scale) and scale > 0.0):
                 raise ValueError(f"grading scale must be finite and positive, "
                                  f"got {scale!r}")
 
@@ -534,7 +552,8 @@ def _integrate_2d(F, weight, spec: QuadratureSpec, x_domain, y_domain):
     it and never call each other, so wrapping each by name spans it once."""
     to_working, (xb, yb) = _compactify(
         (x_domain, y_domain),
-        [[(c[i], s) for c, s in spec.grading] for i in (0, 1)])
+        [[(c[i], s[i] if isinstance(s, tuple) else s) for c, s in spec.grading]
+         for i in (0, 1)])
 
     def working(G):
         return to_working(weight(G))

@@ -550,3 +550,59 @@ def test_grading_scale_must_be_finite_and_positive(scale):
         QuadratureSpec(grading=(((0.0, 0.0), scale),))
     with pytest.raises(ValueError, match="grading scale"):
         SPEC.with_grading((0.5, scale))
+
+
+def _seed_boxes(spec, x_domain, y_domain):
+    # a constant in working coordinates converges on its seed, so its points
+    # count the seed boxes; 1/(1 + y^2) is 1 after the tan map of y
+    if math.isinf(y_domain[1]):
+        F = lambda x, y: 1.0 / (1.0 + y * y)
+    else:
+        F = lambda x, y: np.ones_like(x)
+    res = integrate_rect2d(F, spec, x_domain, y_domain).expect()
+    return res.evaluations // 225
+
+
+def test_infinite_axis_scale_seeds_only_the_center_on_that_axis():
+    nx = len(quadrature._seed_breaks(0.0, 1.0, [(0.5, 0.1)])) - 1
+    spec = SPEC.with_grading(((0.5, 0.3), (0.1, math.inf)))
+    assert _seed_boxes(spec, (0.0, 1.0), (0.0, 1.0)) == 2 * nx
+    # on a compactified axis too: [0, 0.3] and [0.3, oo)
+    assert _seed_boxes(spec, (0.0, 1.0), (0.0, math.inf)) == 2 * nx
+    # a center on the edge adds no break: the axis stays one box wide
+    edge = SPEC.with_grading(((0.5, 0.0), (0.1, math.inf)))
+    assert _seed_boxes(edge, (0.0, 1.0), (0.0, 1.0)) == nx
+
+
+def test_finite_axis_scales_seed_each_axis_by_its_own_scale():
+    nx = len(quadrature._seed_breaks(0.0, 1.0, [(0.5, 0.1)])) - 1
+    ny = len(quadrature._seed_breaks(0.0, 1.0, [(0.3, 0.001)])) - 1
+    assert ny > nx
+    spec = SPEC.with_grading(((0.5, 0.3), (0.1, 0.001)))
+    assert _seed_boxes(spec, (0.0, 1.0), (0.0, 1.0)) == nx * ny
+
+
+def test_scalar_scale_is_the_same_scale_on_both_axes():
+    def F(x, y):
+        return 1.0 / (1e-4 + (x - 0.5) ** 2 + (y - 0.3) ** 2)
+
+    scalar = integrate_rect2d(F, SPEC.with_grading(((0.5, 0.3), 0.01)),
+                              (0.0, 1.0), (0.0, 1.0))
+    pair = integrate_rect2d(F, SPEC.with_grading(((0.5, 0.3), (0.01, 0.01))),
+                            (0.0, 1.0), (0.0, 1.0))
+    assert scalar.converged and scalar == pair
+
+
+@pytest.mark.parametrize("scale", [(math.nan, 1.0), (1.0, math.nan),
+                                   (0.0, 1.0), (1.0, 0.0), (-1.0, math.inf),
+                                   (math.inf, -1.0), (1.0, 1.0, 1.0)])
+def test_per_axis_grading_scales_must_be_positive(scale):
+    with pytest.raises(ValueError, match="grading scale"):
+        QuadratureSpec(grading=(((0.0, 0.0), scale),))
+    with pytest.raises(ValueError, match="grading scale"):
+        SPEC.with_grading(((0.5, 0.5), scale))
+
+
+def test_per_axis_grading_scales_are_for_2d_centers_only():
+    with pytest.raises(ValueError, match="grading scale"):
+        SPEC.with_grading((0.5, (1.0, math.inf)))
