@@ -13,14 +13,17 @@ Subcommands:
 Flags: --config PATH, --out DIR, --tol-scale X.  The output directory falls
 back to $CYL_OUT_DIR, then to the config value.  Commands run serially.
 Exit code 0 only when every enabled acceptance check passes; otherwise the
-first failing criterion's index (1..12).  A usage error, such as an
-``accept --only`` index outside 1..12 or an unknown flag, exits 64
-(``EX_USAGE``), a code no criterion takes, before anything runs.
+first failing criterion's index (1..12).  A usage or input error, such as
+an ``accept --only`` index outside 1..12, an unknown flag, a ``--tol-scale``
+that is not a finite factor > 0, or a ``--config`` file that is missing or
+does not load, exits 64 (``EX_USAGE``), a code no criterion takes, before
+anything runs or is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -53,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
                     "charts and min-max Yamabe paths")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--tol-scale", type=float, default=1.0,
+    p.add_argument("--tol-scale", type=_tol_scale, default=1.0,
                    help="multiply quadrature tolerances by this factor")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("constants", "interaction-sweep", "green-sweep",
@@ -65,6 +68,13 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _tol_scale(text: str) -> float:
+    if not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite factor > 0, "
+                                         f"got {text!r}")
+    return float(text)
+
+
 def _criteria(text: str) -> set:
     from cyl.acceptance import ALL_CHECKS
     parts = {s.strip() for s in text.split(",")}
@@ -74,10 +84,13 @@ def _criteria(text: str) -> set:
     return {int(s) for s in parts}
 
 
-def _setup(args):
-    cfg = load_config(args.config)
-    if args.tol_scale != 1.0:
-        cfg = cfg.scale_tolerances(args.tol_scale)
+def _setup(parser, args):
+    try:
+        cfg = load_config(args.config)
+        if args.tol_scale != 1.0:
+            cfg = cfg.scale_tolerances(args.tol_scale)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     out = cfg.resolve_out_dir(args.out)
     os.makedirs(out, exist_ok=True)
     return cfg, out
@@ -108,14 +121,13 @@ def cmd_constants(cfg: RunConfig, out: str) -> int:
 
 def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
     from cyl.acceptance import slope_fits
-    from cyl.interaction import a_prime_quadrature, c_prime_quadrature, curves
+    from cyl.interaction import curves, derivative_quadratures
     manifest = RunManifest(config=cfg.as_dict())
     t0 = manifest.start("curves")
     spec = QuadratureSpec(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     grid = np.asarray(cfg.t_grid, dtype=float)
     cur = curves(1.0, grid, spec)
-    primes = [(a_prime_quadrature(1.0, float(t), spec),
-               c_prime_quadrature(1.0, float(t), spec)) for t in grid]
+    primes = [derivative_quadratures(1.0, float(t), spec) for t in grid]
     manifest.finish("curves", t0)
     lo, hi = cur.bracket_margins()
     rows = []
@@ -263,8 +275,9 @@ def cmd_accept(cfg: RunConfig, out: str, only=None) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    cfg, out = _setup(args)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    cfg, out = _setup(parser, args)
     if args.command == "constants":
         return cmd_constants(cfg, out)
     if args.command == "interaction-sweep":

@@ -25,6 +25,7 @@ validated at load.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -60,8 +61,9 @@ class RunConfig:
         if not exponents_admissible(self.alpha, self.omega):
             raise ValueError("need 1 > omega > alpha > 1/2 and "
                              "2 + 2 alpha - 4 omega > 0")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf
+                and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
     def scale_tolerances(self, factor: float) -> "RunConfig":
         cfg = RunConfig(**{**asdict(self),

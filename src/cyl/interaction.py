@@ -14,9 +14,13 @@ small cross terms are quadratures and the error bars on f stay proportional
 to the interaction size.  All integrals reduce to eps = 1 through the exact
 scale invariance curve(eps, t) = curve(1, t/eps).
 
+Every quantity at one point is one call of the 2-d engine with a vector
+integrand, each row held to its own tolerance: G, I31 and I22 at one t share
+a mesh, and so do the sign-definite integrands of a'(t) and c'(t).
 Derivative identities are checked with central differences evaluated on one
-frozen quadrature mesh, which makes the quadrature error cancel in the
-differences instead of being amplified by 1/h.
+frozen quadrature mesh, adapted to the same three rows, which makes the
+quadrature error cancel in the differences instead of being amplified by
+1/h.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "SlopeFit",
     "interaction_integral",
     "curves",
+    "derivative_quadratures",
     "verify_b_prime_identity",
     "verify_monotonicity",
     "asymptotic_slope",
@@ -43,39 +48,36 @@ __all__ = [
 ]
 
 KINDS = ("U3V", "GRAD", "U2V2")
+# the rows of one curve point: G, I31 and I22
+_POINT = ("GRAD", "U3V", "U2V2")
 
 
 def _profile(r2):
     return sobolev_constants().c4 / (1.0 + r2)
 
 
-def _integrand(kind: str, tau: float):
-    """Reduced (eps = 1) bi-radial integrand with centers at (+-tau, 0)."""
+def _integrand(kinds, tau: float):
+    """Reduced (eps = 1) bi-radial integrand with centers at (+-tau, 0): a
+    (k, m) array, one row per kind, so that the kinds share one mesh and
+    their distances to the centers.  'VU3', the mirror of 'U3V', serves the
+    symmetry invariant."""
+    unknown = set(kinds) - {*KINDS, "VU3"}
+    if unknown:
+        raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
     c4 = sobolev_constants().c4
 
-    if kind == "U3V":
-        def F(z, p):
-            rp = (z - tau) ** 2 + p * p
-            rm = (z + tau) ** 2 + p * p
-            return _profile(rp) ** 3 * _profile(rm)
-    elif kind == "VU3":  # mirror, used for the symmetry invariant
-        def F(z, p):
-            rp = (z - tau) ** 2 + p * p
-            rm = (z + tau) ** 2 + p * p
-            return _profile(rp) * _profile(rm) ** 3
-    elif kind == "U2V2":
-        def F(z, p):
-            rp = (z - tau) ** 2 + p * p
-            rm = (z + tau) ** 2 + p * p
-            return _profile(rp) ** 2 * _profile(rm) ** 2
-    elif kind == "GRAD":
-        def F(z, p):
-            rp = (z - tau) ** 2 + p * p
-            rm = (z + tau) ** 2 + p * p
-            dot = z * z - tau * tau + p * p
-            return 4.0 * c4 ** 2 * dot / ((1.0 + rp) ** 2 * (1.0 + rm) ** 2)
-    else:
-        raise ValueError(f"unknown interaction kind {kind!r}")
+    def F(z, p):
+        p2 = p * p
+        rp = (z - tau) ** 2 + p2
+        rm = (z + tau) ** 2 + p2
+        up, um = _profile(rp), _profile(rm)
+        row = {"U3V": lambda: up ** 3 * um,
+               "VU3": lambda: up * um ** 3,
+               "U2V2": lambda: up ** 2 * um ** 2,
+               "GRAD": lambda: 4.0 * c4 ** 2 * (z * z - tau * tau + p2)
+               / ((1.0 + rp) ** 2 * (1.0 + rm) ** 2)}
+        return np.stack([row[kind]() for kind in kinds])
+
     return F
 
 
@@ -89,12 +91,10 @@ def interaction_integral(kind: str, epsilon: float, t: float,
 
     Scale invariant in (epsilon, t); evaluated at eps = 1 with tau = t/eps.
     """
-    if kind not in KINDS and kind != "VU3":
-        raise ValueError(f"unknown interaction kind {kind!r}")
     if not (epsilon > 0.0 and t > 0.0):
         raise ValueError("epsilon and t must be positive")
     tau = t / epsilon
-    return integrate_biradial(_integrand(kind, tau), _graded(spec, tau))
+    return integrate_biradial(_integrand((kind,), tau), _graded(spec, tau))[0]
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,9 @@ class InteractionCurves:
         return self.f - 6.0 * k.S4, 6.0 * math.sqrt(2.0) * k.S4 - self.f
 
 
-def _assemble_point(g: IntegralResult, i31: IntegralResult,
-                    i22: IntegralResult):
+def _assemble_point(res: IntegralResult):
+    """a, b, c, f, their errors and the flag from the rows G, I31, I22."""
+    g, i31, i22 = res[0], res[1], res[2]
     k = sobolev_constants()
     a = 12.0 * k.S4 + 12.0 * g.value
     a_err = 12.0 * g.error_estimate
@@ -128,8 +129,8 @@ def _assemble_point(g: IntegralResult, i31: IntegralResult,
     b_err = (8.0 * i31.error_estimate + 6.0 * i22.error_estimate) / (2.0 * b)
     f = a / b
     f_err = abs(f) * (a_err / abs(a) + b_err / b)
-    ok = g.converged and i31.converged and i22.converged
-    return a, b, i22.value, f, a_err, b_err, i22.error_estimate, f_err, ok
+    return (a, b, i22.value, f, a_err, b_err, i22.error_estimate, f_err,
+            res.converged)
 
 
 def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
@@ -140,10 +141,9 @@ def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
     out = {key: [] for key in
            ("a", "b", "c", "f", "a_err", "b_err", "c_err", "f_err", "ok")}
     for t in t_grid:
-        g = interaction_integral("GRAD", epsilon, float(t), spec)
-        i31 = interaction_integral("U3V", epsilon, float(t), spec)
-        i22 = interaction_integral("U2V2", epsilon, float(t), spec)
-        row = _assemble_point(g, i31, i22)
+        tau = float(t) / epsilon
+        row = _assemble_point(integrate_biradial(_integrand(_POINT, tau),
+                                                 _graded(spec, tau)))
         for key, val in zip(out, row):
             out[key].append(val)
     return InteractionCurves(
@@ -159,32 +159,12 @@ def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
 # ----------------------------------------------------------------------------
 
 def _combined_mesh(tau: float, spec: QuadratureSpec):
-    """One mesh resolving all three interaction integrands near tau.
-
-    The envelope must stay smooth (no abs of the sign-changing gradient
-    integrand), so the gradient part is dominated by the rational majorant
-    with |z^2 - tau^2 + rho^2| <= 1 + z^2 + tau^2 + rho^2.
-    """
-    k = sobolev_constants()
-    c4 = k.c4
-
-    def combined(z, p):
-        rp = (z - tau) ** 2 + p * p
-        rm = (z + tau) ** 2 + p * p
-        grad_env = 4.0 * c4 ** 2 * (1.0 + z * z + tau * tau + p * p) \
-            / ((1.0 + rp) ** 2 * (1.0 + rm) ** 2)
-        return (grad_env / k.S4
-                + _integrand("U3V", tau)(z, p)
-                + _integrand("U2V2", tau)(z, p))
-
-    return build_frozen_mesh(combined, _graded(spec, tau))
+    """One frozen mesh resolving the three rows of a curve point at tau."""
+    return build_frozen_mesh(_integrand(_POINT, tau), _graded(spec, tau))
 
 
 def _mesh_values(mesh, tau: float):
-    g = mesh.evaluate(_integrand("GRAD", tau))
-    i31 = mesh.evaluate(_integrand("U3V", tau))
-    i22 = mesh.evaluate(_integrand("U2V2", tau))
-    return _assemble_point(g, i31, i22)
+    return _assemble_point(mesh.evaluate(_integrand(_POINT, tau)))
 
 
 def verify_b_prime_identity(epsilon: float, t: float, h_fd: float,
@@ -220,60 +200,38 @@ class MonotonicityReport:
     converged: bool       # every integral met its contract
 
 
-def _a_prime_integrand(tau: float):
-    # reduced form of the sign-definite bracket for a'(t):
-    # 24 S4 int (U'(w)/w) zeta [U^3(near) - U^3(far)],  w^2 = zeta^2 + rho^2
+def _prime_integrand(tau: float):
+    # reduced forms of the sign-definite brackets for a'(t) and c'(t):
+    # 24 S4 int (U'(w)/w) zeta [U^3(near) - U^3(far)] and
+    # 4 int (U'(w)/w) zeta U(w) [U^2(near) - U^2(far)],  w^2 = zeta^2 + rho^2
     c4 = sobolev_constants().c4
 
     def F(z, p):
         w2 = z * z + p * p
-        uprime_over_w = -2.0 * c4 / (1.0 + w2) ** 2
-        near = _profile((z - 2.0 * tau) ** 2 + p * p) ** 3
-        far = _profile((z + 2.0 * tau) ** 2 + p * p) ** 3
-        return np.where(z > 0.0, uprime_over_w * z * (near - far), 0.0)
+        lead = np.where(z > 0.0, -2.0 * c4 / (1.0 + w2) ** 2 * z, 0.0)
+        near = _profile((z - 2.0 * tau) ** 2 + p * p)
+        far = _profile((z + 2.0 * tau) ** 2 + p * p)
+        return np.stack([lead * (near ** 3 - far ** 3),
+                         lead * _profile(w2) * (near ** 2 - far ** 2)])
 
     return F
 
 
-def _c_prime_integrand(tau: float):
-    c4 = sobolev_constants().c4
+def derivative_quadratures(epsilon: float, t: float, spec: QuadratureSpec):
+    """(a'(t), c'(t)) by direct quadrature of the reduced sign-definite
+    integrands over zeta > 0 at tau = t/eps, both on one mesh.
 
-    def F(z, p):
-        w2 = z * z + p * p
-        uprime_over_w = -2.0 * c4 / (1.0 + w2) ** 2
-        u = _profile(w2)
-        near = _profile((z - 2.0 * tau) ** 2 + p * p) ** 2
-        far = _profile((z + 2.0 * tau) ** 2 + p * p) ** 2
-        return np.where(z > 0.0, uprime_over_w * z * u * (near - far), 0.0)
-
-    return F
-
-
-def _derivative_integral(integrand, epsilon: float, t: float,
-                         spec: QuadratureSpec) -> IntegralResult:
-    """The reduced derivative integral over zeta > 0 at tau = t/eps.
-
-    Both derivative integrands are sign-definite and shrink like (eps/t)^3
-    (a') or faster (c'), so a fixed abs_tol would outgrow the value at large
-    t; it is scaled by min(1, (eps/t)^4) and rel_tol sets the contract there.
+    Both integrands shrink like (eps/t)^3 (a') or faster (c'), so a fixed
+    abs_tol would outgrow the values at large t; it is scaled by
+    min(1, (eps/t)^4) and rel_tol sets the contract there.
     """
     tau = t / epsilon
     grading = (((0.0, 0.0), 1.0), ((2.0 * tau, 0.0), 1.0))
     spec = replace(spec, abs_tol=spec.abs_tol * min(1.0, (epsilon / t) ** 4))
-    return integrate_biradial(integrand(tau), spec.with_grading(*grading),
-                              zeta_domain=(0.0, math.inf))
-
-
-def a_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> IntegralResult:
-    """a'(t) by direct quadrature of the reduced sign-definite integrand."""
-    res = _derivative_integral(_a_prime_integrand, epsilon, t, spec)
-    return res.scaled(24.0 * sobolev_constants().S4 / epsilon)
-
-
-def c_prime_quadrature(epsilon: float, t: float, spec: QuadratureSpec) -> IntegralResult:
-    """c'(t) by direct quadrature of the reduced sign-definite integrand."""
-    res = _derivative_integral(_c_prime_integrand, epsilon, t, spec)
-    return res.scaled(4.0 / epsilon)
+    res = integrate_biradial(_prime_integrand(tau), spec.with_grading(*grading),
+                             zeta_domain=(0.0, math.inf))
+    return (res[0].scaled(24.0 * sobolev_constants().S4 / epsilon),
+            res[1].scaled(4.0 / epsilon))
 
 
 def _fd_step(t: float) -> float:
@@ -292,10 +250,9 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t grid must be strictly increasing")
-    rows = {key: [] for key in ("afd", "aq", "atol", "cfd", "cq", "ctol")}
-    first = -1
+    rows = []
     converged = True
-    for i, t in enumerate(t_grid):
+    for t in t_grid:
         tau = t / epsilon
         h = _fd_step(tau)
         mesh = _combined_mesh(tau, spec)
@@ -310,35 +267,21 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
 
         afd, atrunc = d1(0)
         cfd, ctrunc = d1(2)
-        aq = a_prime_quadrature(epsilon, float(t), spec)
-        cq = c_prime_quadrature(epsilon, float(t), spec)
+        aq, cq = derivative_quadratures(epsilon, float(t), spec)
         # the frozen mesh itself raises if its adaptation missed the contract
         converged = converged and aq.converged and cq.converged
         anoise = (errs[1][0] + errs[-1][0]) / (2.0 * h) / epsilon
         cnoise = (errs[1][2] + errs[-1][2]) / (2.0 * h) / epsilon
-        atol = atrunc + anoise + aq.error_estimate
-        ctol = ctrunc + cnoise + cq.error_estimate
-        rows["afd"].append(afd)
-        rows["aq"].append(aq.value)
-        rows["atol"].append(atol)
-        rows["cfd"].append(cfd)
-        rows["cq"].append(cq.value)
-        rows["ctol"].append(ctol)
-        bad = (afd >= 0.0 or aq.value >= 0.0 or cfd >= 0.0 or cq.value >= 0.0
-               or abs(afd - aq.value) > atol or abs(cfd - cq.value) > ctol)
-        if bad and first < 0:
-            first = i
-    neg = (np.array(rows["afd"]) < 0).all() and (np.array(rows["aq"]) < 0).all() \
-        and (np.array(rows["cfd"]) < 0).all() and (np.array(rows["cq"]) < 0).all()
-    cons = np.all(np.abs(np.array(rows["afd"]) - np.array(rows["aq"]))
-                  <= np.array(rows["atol"])) and \
-        np.all(np.abs(np.array(rows["cfd"]) - np.array(rows["cq"]))
-               <= np.array(rows["ctol"]))
+        rows.append((afd, aq.value, atrunc + anoise + aq.error_estimate,
+                     cfd, cq.value, ctrunc + cnoise + cq.error_estimate))
+    afd, aq, atol, cfd, cq, ctol = np.array(rows).T
+    neg = (afd < 0.0) & (aq < 0.0) & (cfd < 0.0) & (cq < 0.0)
+    cons = (np.abs(afd - aq) <= atol) & (np.abs(cfd - cq) <= ctol)
+    bad = np.flatnonzero(~(neg & cons))
     return MonotonicityReport(
-        t_grid=t_grid, a_prime_quad=np.array(rows["aq"]),
-        c_prime_quad=np.array(rows["cq"]),
-        all_negative=bool(neg), cross_consistent=bool(cons),
-        first_violation=first, converged=converged)
+        t_grid=t_grid, a_prime_quad=aq, c_prime_quad=cq,
+        all_negative=bool(neg.all()), cross_consistent=bool(cons.all()),
+        first_violation=int(bad[0]) if len(bad) else -1, converged=converged)
 
 
 # ----------------------------------------------------------------------------

@@ -490,23 +490,23 @@ class _LegBatch:
 
 
 def _w_glued(b: _LegBatch) -> D2:
-    """The glued profile in its own zone structure (primary cases only:
-    valid where d1 <= d2, which is all the code ever evaluates)."""
+    """The glued profile on the primary glue ball and annulus
+    {xi <= s_2tau}: the bubble for xi <= s_tau, the cut-off blend of core
+    and Green lift beyond.  The far region, where it is the Green lift
+    alone, is integrated by ``_flux_integrals`` and
+    ``_far_direct_integrals``, never through this profile."""
     d = b.data
     xi = b.xi
     rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))  # rho' = e^{f1/2}
     zone_ball = xi.v <= d.s_tau
-    zone_ann = (xi.v > d.s_tau) & (xi.v <= d.s_2tau)
     u_ball = _bubble(d.eps, rho * rho)
     G = b.green_lift()
     chi = _cutoff_d2(d.chi_tau, rho)
     core = (rho ** -2.0) + d.A_q
     u_ann = (chi * core + (1.0 - chi) * G) * (1.0 / d.nu)
-    u_far = G * (1.0 / d.nu)
-    v = np.where(zone_ball, u_ball.v, np.where(zone_ann, u_ann.v, u_far.v))
-    dx = np.where(zone_ball, u_ball.dx, np.where(zone_ann, u_ann.dx, u_far.dx))
-    dy = np.where(zone_ball, u_ball.dy, np.where(zone_ann, u_ann.dy, u_far.dy))
-    return D2(v, dx, dy)
+    return D2(np.where(zone_ball, u_ball.v, u_ann.v),
+              np.where(zone_ball, u_ball.dx, u_ann.dx),
+              np.where(zone_ball, u_ball.dy, u_ann.dy))
 
 
 def _e_tilde(b: _LegBatch, chi_delta: CutoffProfile) -> D2:

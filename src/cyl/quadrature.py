@@ -181,8 +181,9 @@ class QuadratureSpec:
     grading: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf
+                and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         for center, scale in self.grading:

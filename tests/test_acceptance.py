@@ -103,13 +103,15 @@ def test_slope_check_fails_on_an_unconverged_integral(monkeypatch):
 
 
 def test_monotonicity_check_fails_on_an_unconverged_integral(monkeypatch):
-    # the real integrals, with the contract flag of c'(t = 2) turned off
-    real = interaction.c_prime_quadrature
+    # the real integrals, with the contract flag of the a', c' mesh at t = 2
+    # turned off
+    real = interaction.derivative_quadratures
 
     def flagged(epsilon, t, spec):
-        return replace(real(epsilon, t, spec), converged=t != 2.0)
+        return tuple(replace(res, converged=t != 2.0)
+                     for res in real(epsilon, t, spec))
 
-    monkeypatch.setattr(interaction, "c_prime_quadrature", flagged)
+    monkeypatch.setattr(interaction, "derivative_quadratures", flagged)
     res = acceptance.check_monotonicity(RunConfig())
     assert not res.passed and res.detail.endswith("integrals unconverged")
 

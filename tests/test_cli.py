@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -165,3 +166,35 @@ def test_interaction_csv_carries_every_error(tmp_path):
         for name in ("a", "b", "c", "a_prime", "c_prime"):
             err = float(row[f"{name}_err"])
             assert 0.0 < err <= 1e-6 * abs(float(row[name]))
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_a_bad_tol_scale(tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol-scale", scale, "--out", str(out), "constants"])
+    assert exc.value.code == EX_USAGE
+    assert "--tol-scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["bogus = 1\n", None])
+def test_cli_rejects_a_config_that_does_not_load(tmp_path, capsys, config):
+    # an unknown key, and a path that does not exist
+    path = tmp_path / "run.cfg"
+    if config is not None:
+        path.write_text(config)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), "constants"])
+    assert exc.value.code == EX_USAGE
+    assert "run.cfg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_config_rejects_non_finite_tolerances(tol):
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(rel_tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(abs_tol=tol)

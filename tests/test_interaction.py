@@ -5,13 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyl.constants import sobolev_constants
-from cyl.interaction import (KINDS, asymptotic_slope, a_prime_quadrature,
-                             c_prime_quadrature, curves, interaction_integral,
+import cyl.interaction as interaction
+from cyl.interaction import (KINDS, asymptotic_slope, curves,
+                             derivative_quadratures, interaction_integral,
                              verify_b_prime_identity, verify_monotonicity)
 from cyl.quadrature import QuadratureSpec
 
 K = sobolev_constants()
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+# the sweep tolerances, and a recompute at a thousandth of them
+LOOSE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
 
 
 def test_limit_row_t_to_zero():
@@ -123,16 +127,17 @@ def test_monotonicity_report():
 
 def test_derivative_quadratures_negative():
     for t in (0.3, 1.0, 5.0):
-        assert a_prime_quadrature(1.0, t, SPEC).expect().value < 0.0
-        assert c_prime_quadrature(1.0, t, SPEC).expect().value < 0.0
+        a_prime, c_prime = derivative_quadratures(1.0, t, SPEC)
+        assert a_prime.expect().value < 0.0
+        assert c_prime.expect().value < 0.0
 
 
 def test_derivative_quadratures_keep_relative_digits_far_out():
     # at the sweep tolerances c'(1000) is about -4e-14, below abs_tol; the
     # error bar must still be relative to the value, for a' as well
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
-    for quad in (a_prime_quadrature, c_prime_quadrature):
-        res = quad(1.0, 1000.0, spec).expect()
+    for res in derivative_quadratures(1.0, 1000.0, spec):
+        res.expect()
         assert res.value < 0.0
         assert res.error_estimate <= 1e-6 * abs(res.value)
 
@@ -170,9 +175,46 @@ def test_invalid_inputs():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_error_bars_cover_a_tighter_recompute(kind):
-    loose = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
     for t in (0.1, 1.0, 1000.0):
-        res = interaction_integral(kind, 1.0, t, loose).expect()
-        ref = interaction_integral(kind, 1.0, t, tight).expect()
+        res = interaction_integral(kind, 1.0, t, LOOSE).expect()
+        ref = interaction_integral(kind, 1.0, t, TIGHT).expect()
         assert abs(res.value - ref.value) <= res.error_estimate, (kind, t)
+
+
+def test_curve_bars_cover_a_tighter_recompute():
+    # G, I31 and I22 share one mesh, each row held to its own tolerance
+    grid = [0.1, 1.0, 1000.0]
+    res, ref = curves(1.0, grid, LOOSE), curves(1.0, grid, TIGHT)
+    assert res.converged.all() and ref.converged.all()
+    for name in ("a", "b", "c", "f"):
+        dev = np.abs(getattr(res, name) - getattr(ref, name))
+        assert np.all(dev <= getattr(res, name + "_err")), name
+
+
+@pytest.mark.parametrize("t", [
+    0.1, 1.0,
+    # the a' row misses by 2.2x: its peak sits at zeta = 2000 on the tan
+    # axis, where rounding the nodes' working coordinates near pi/2 moves the
+    # value by about 2e-10 relative, which no box error estimate counts;
+    # refining the shared mesh for c' takes a''s estimate below that floor
+    pytest.param(1000.0, marks=pytest.mark.xfail(
+        strict=True, reason="tan-axis node rounding floor at zeta = 2t")),
+])
+def test_derivative_bars_cover_a_tighter_recompute(t):
+    res = derivative_quadratures(1.0, t, LOOSE)
+    ref = derivative_quadratures(1.0, t, TIGHT)
+    for name, r, q in zip(("a'", "c'"), res, ref):
+        assert abs(r.expect().value - q.expect().value) <= r.error_estimate, name
+
+
+def test_curves_make_one_engine_call_per_point(monkeypatch):
+    calls = []
+    real = interaction.integrate_biradial
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(interaction, "integrate_biradial", counted)
+    curves(1.0, [0.5, 2.0, 8.0], SPEC)
+    assert len(calls) == 3

@@ -606,3 +606,13 @@ def test_per_axis_grading_scales_must_be_positive(scale):
 def test_per_axis_grading_scales_are_for_2d_centers_only():
     with pytest.raises(ValueError, match="grading scale"):
         SPEC.with_grading((0.5, (1.0, math.inf)))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_spec_rejects_tolerances_that_are_not_finite_and_positive(tol):
+    # a NaN tolerance never compares as met, so the engines would spend their
+    # whole budget; an infinite one accepts the first rule
+    with pytest.raises(ValueError, match="finite and positive"):
+        QuadratureSpec(rel_tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        QuadratureSpec(abs_tol=tol)
