@@ -259,7 +259,6 @@ class football_global_green:
 
     def __init__(self, pole):
         self.pole = np.asarray(pole, dtype=float)
-        self.chart = RadialChart.round()
 
     def value(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -496,7 +495,7 @@ def solve_harmonic_extension(field: ChartMetricField, delta: float, datum,
 # CNC wrap and assembly
 # ----------------------------------------------------------------------------
 
-def cnc_radial_factor(chart: RadialChart, pole, delta: float):
+def cnc_radial_factor(chart: RadialChart, pole):
     """The equivariant CNC conformal exponent f(y) for the suite charts.
 
     Flat chart: identically zero.  Round chart: phi_t(d) d^2/2 around the pole
@@ -712,7 +711,7 @@ def mass_divergence_sweep(model: str, t_grid, delta: float, lmax: int = 28,
         pole = np.array([t, 0.0, 0.0, 0.0])
         problem = GreenProblem(field, pole, delta, lmax=lmax, mesh_size=mesh_size)
         g_plus = solve_dirichlet_green(problem)
-        f_full, fr = cnc_radial_factor(problem.chart, pole, delta)
+        f_full, fr = cnc_radial_factor(problem.chart, pole)
         gbar_plus = conformal_wrap(g_plus, f_full)
         assembled = AssembledGreen(gbar_plus, _MirrorEval(gbar_plus))
         exp = extract_mass(assembled, pole, chart=problem.chart, conformal_fr=fr)

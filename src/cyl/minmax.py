@@ -17,9 +17,12 @@ Legs and their lifted coordinates:
   circle xi = const, and the mirror copy contributes a factor 2 by
   equivariance.  Outside the glue balls the Green function is L-harmonic, so
   the far Dirichlet integral collapses to exact boundary fluxes.
-* INTERP  -- the convex combination, same (xi, eta) reduction; only the far
-  region of its fourth power and of the cross-free gradient term needs the
-  banded rectangles excluding the mirror ball.
+* INTERP  -- the convex combination, same (xi, eta) reduction; the
+  cross-free gradient term of its far region has no flux shortcut.
+
+Each GLUED/INTERP quotient is one (xi, v) mesh over the glue zone and the far
+region outside the mirror ball, its rows numerator and fourth power, plus two
+1-d fluxes.
 
 The path and the fits reach the legs through one dispatch, ``_quotient_of``.
 Each GLUED/INTERP integrand call builds one ``_LegBatch`` from the leg's
@@ -183,7 +186,6 @@ class PathConfig:
     alpha: float = 0.6
     omega: float = 0.7
     delta: float = 0.025
-    pole_distance: float = math.pi
     mu_points: int = 51
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
@@ -208,14 +210,14 @@ class PathConfig:
         return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
     def t_of_mu(self, mu: float) -> float:
-        """Center distance along the geodesic for the middle leg mu in [2,3]."""
+        """Center distance along the geodesic for the middle leg mu in [2,3];
+        the lifted poles are pi apart."""
         te = self.epsilon ** self.alpha
-        return te + (mu - 2.0) * (self.pole_distance - 2.0 * te)
+        return te + (mu - 2.0) * (math.pi - 2.0 * te)
 
     def tau_of_t(self, t: float) -> float:
         e = self.omega / self.alpha
-        return min(t ** e, (self.pole_distance - t) ** e,
-                   (self.delta / 2.0) ** e)
+        return min(t ** e, (math.pi - t) ** e, (self.delta / 2.0) ** e)
 
 
 @dataclass(frozen=True)
@@ -493,8 +495,8 @@ def _w_glued(b: _LegBatch) -> D2:
     """The glued profile on the primary glue ball and annulus
     {xi <= s_2tau}: the bubble for xi <= s_tau, the cut-off blend of core
     and Green lift beyond.  The far region, where it is the Green lift
-    alone, is integrated by ``_flux_integrals`` and
-    ``_far_direct_integrals``, never through this profile."""
+    alone, is integrated by ``_flux_integrals`` and the far zone of
+    ``_leg_integrals``, never through this profile."""
     d = b.data
     xi = b.xi
     rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))  # rho' = e^{f1/2}
@@ -522,29 +524,6 @@ def _psi_lambda(b: _LegBatch, lam: float, chi_delta) -> D2:
     if lam == 0.0:
         return _e_tilde(b, chi_delta)
     return _w_glued(b) * lam + _e_tilde(b, chi_delta) * (1.0 - lam)
-
-
-def _near_zone_integrals(d: GluedData, lam: float, chi_delta,
-                         spec: QuadratureSpec):
-    """Numerator and fourth-power integrals over the primary glue ball and
-    annulus {xi <= s_2tau}, both on one mesh (factor 2 for the mirror copy
-    applied here)."""
-    chart = lam != 1.0
-
-    def integrand(xi_v, eta_v):
-        b = _LegBatch(d, xi_v, eta_v, chart=chart, curvature=True)
-        u = _psi_lambda(b, lam, chi_delta)
-        return np.stack([b.energy_density(u), u.v ** 4]) * b.measure()
-
-    # the core at xi = 0 and the zone circles xi = s_tau, s_2tau are
-    # constant in eta
-    gspec = spec.with_grading(((0.0, 0.0), (d.eps, math.inf)),
-                              ((d.s_tau, 0.0), (d.tau * 0.25, math.inf)),
-                              ((d.s_2tau, 0.0), (d.tau * 0.25, math.inf)))
-    lo = 1e-14
-    res = integrate_rect2d(integrand, gspec, (lo, d.s_2tau),
-                           (0.0, math.pi)).scaled(2.0)
-    return res[0], res[1]
 
 
 def _flux_integrals(d: GluedData, lam: float, chi_delta,
@@ -584,83 +563,92 @@ def _flux_integrals(d: GluedData, lam: float, chi_delta,
                           gg.converged and ge.converged)
 
 
-def _far_bands(d: GluedData):
-    """The far region {d1 > s, d2 > s} as aligned bands (a, b, eta_excl) in
-    (xi, eta): a plain band (eta_excl None) before the partner ball, the
-    band around xi = 2t with the mirror ball {eta <= eta_excl(xi)} excluded
-    through an eta-remapping, and a plain band beyond.
+def _mirror_band(d: GluedData):
+    """The band (2t - s, min(2t + s, pi)) of circles xi = const that meet
+    the mirror ball {d2 <= s}, s = s_2tau, or None at t = pi/2.
 
     Only t <= pi/2 reaches this code (larger t is mirrored through the exact
-    pole-swap isometry), so the partner core sits at (2t, eta = 0); at
-    t = pi/2 the partner ball degenerates to the polar cap xi >= pi - s.
+    pole-swap isometry), so the partner core sits at (2t, eta = 0).  At
+    t = pi/2 the partner ball degenerates to the polar cap xi >= pi - s,
+    where the leg's domain ends.
     """
     t = d.t
     s = d.s_2tau
     if math.sin(2.0 * t) < 1e-9:
-        return [(s, math.pi - s, None)]
-    lo, hi = 2.0 * t - s, min(2.0 * t + s, math.pi)
-
-    def eta_excl(xi_v):
-        # the exclusion {d2 <= s} is {eta <= eta_excl(xi)} for sin(2t) > 0,
-        # from hav(eta) = (cos(xi - 2t) - cos s) / (2 sin xi sin 2t) in
-        # product form, which keeps its digits toward the band ends
-        a = xi_v - 2.0 * t
-        hav = np.sin(0.5 * (s - a)) * np.sin(0.5 * (s + a)) \
-            / (np.sin(xi_v) * math.sin(2.0 * t))
-        return 2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0)))
-
-    bands = [(s, lo, None), (lo, hi, eta_excl)]
-    if hi < math.pi:
-        bands.append((hi, math.pi, None))
-    return bands
+        return None
+    return 2.0 * t - s, min(2.0 * t + s, math.pi)
 
 
-def _far_direct_integrals(d: GluedData, lam: float, chi_delta,
-                          spec: QuadratureSpec):
-    """Fourth power over the far region, plus the (1-lam)^2 gradient part
-    that has no flux shortcut, on one mesh per aligned far band.  The glued
-    leg (lam = 1) has only the fourth power."""
+def _excluded_angle(d: GluedData, xi_v):
+    """The angle e0(xi) that the mirror ball cuts out of the circle
+    xi = const: the ball is {eta <= e0(xi)} on ``_mirror_band``, and e0 is
+    exactly 0 off it."""
+    band = _mirror_band(d)
+    if band is None:
+        return np.zeros_like(xi_v)
+    # hav(eta) = (cos(xi - 2t) - cos s) / (2 sin xi sin 2t) in product
+    # form, which keeps its digits toward the band ends, where e0 has
+    # square-root ends
+    s = d.s_2tau
+    a = xi_v - 2.0 * d.t
+    hav = np.sin(0.5 * (s - a)) * np.sin(0.5 * (s + a)) \
+        / (np.sin(xi_v) * math.sin(2.0 * d.t))
+    inside = (xi_v > band[0]) & (xi_v < band[1])
+    return np.where(inside, 2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0))),
+                    0.0)
+
+
+def _leg_integrals(d: GluedData, lam: float, chi_delta,
+                   spec: QuadratureSpec) -> IntegralResult:
+    """Numerator part and fourth power of psi_lambda outside the mirror
+    ball, on one mesh: the two rows of one vector integral over (xi, v),
+    with eta = e0(xi) + (pi - e0(xi)) v and Jacobian pi - e0.
+
+    On the primary glue ball and annulus {xi <= s_2tau} the rows are
+    2 [energy(psi), psi^4] (factor 2 for the mirror copy).  Beyond it psi is
+    lam G/nu + (1 - lam) e~; the G-parts of its energy are the fluxes of
+    ``_flux_integrals``, so the numerator row is the cross-free
+    (1 - lam)^2 energy(e~), 0 on the glued leg.  Each zone is evaluated
+    only on its own points.
+    """
+    t = d.t
+    s = d.s_2tau
     mixed = lam != 1.0
 
-    def integrand(xi_v, eta_v):
-        b = _LegBatch(d, xi_v, eta_v, chart=mixed, curvature=mixed)
+    def integrand(xi_v, v_v):
+        e0 = _excluded_angle(d, xi_v)
+        span = math.pi - e0
+        eta_v = e0 + span * v_v
+        out = np.zeros((2, len(xi_v)))
+        near = xi_v <= s
+        b = _LegBatch(d, xi_v[near], eta_v[near], chart=mixed,
+                      curvature=True)
+        u = _psi_lambda(b, lam, chi_delta)
+        out[:, near] = np.stack([b.energy_density(u), u.v ** 4]) \
+            * (2.0 * b.measure())
+        far = ~near
+        b = _LegBatch(d, xi_v[far], eta_v[far], chart=mixed, curvature=mixed)
+        measure = b.measure()
         u = b.green_lift() * (lam / d.nu)
-        if not mixed:
-            return u.v ** 4 * b.measure()
-        e = _e_tilde(b, chi_delta)
-        u = u + e * (1.0 - lam)
-        return np.stack([u.v ** 4, b.energy_density(e)]) * b.measure()
-
-    t = d.t
-    den_total = IntegralResult(0.0, 0.0, 0, True)
-    num_ee = IntegralResult(0.0, 0.0, 0, True)
-    for a, b, eta_excl in _far_bands(d):
-        if eta_excl is None:
-            # the band edges xi = a, b and the circle through N are
-            # constant in eta
-            gr = spec.with_grading(((a, 0.0), (d.tau * 0.5, math.inf)),
-                                   ((b, 0.0), (d.tau * 0.5, math.inf)),
-                                   ((t, 0.0), (0.2 * t, math.inf)))
-            wrap, v_range = (lambda F: F), (0.0, math.pi)
-        else:
-            def wrap(F):
-                def g(xi_v, v_v):
-                    e0 = eta_excl(xi_v)
-                    span = math.pi - e0
-                    return F(xi_v, e0 + span * v_v) * span
-
-                return g
-
-            # the band edges are constant in v
-            gr = spec.with_grading(((a, 0.0), (0.05 * (b - a), math.inf)),
-                                   ((b, 0.0), (0.05 * (b - a), math.inf)))
-            v_range = (0.0, 1.0)
-        res = integrate_rect2d(wrap(integrand), gr, (a, b), v_range)
         if mixed:
-            den_total, num_ee = den_total + res[0], num_ee + res[1]
-        else:
-            den_total = den_total + res
-    return den_total, num_ee
+            e = _e_tilde(b, chi_delta)
+            u = u + e * (1.0 - lam)
+            out[0, far] = (1.0 - lam) ** 2 * b.energy_density(e) * measure
+        out[1, far] = u.v ** 4 * measure
+        return out * span
+
+    # the core at xi = 0, the zone circles xi = s_tau, s_2tau, the circle
+    # through N and the band edges, the square-root ends of e0, are all
+    # constant in v: each is a seed break, so no box straddles one
+    circles = [(0.0, d.eps), (d.s_tau, d.tau * 0.25), (s, d.tau * 0.25),
+               (t, 0.2 * t)]
+    band = _mirror_band(d)
+    if band is not None:
+        circles += [(edge, 0.05 * (band[1] - band[0])) for edge in band]
+    xi_hi = math.pi if band is not None else math.pi - s
+    gspec = spec.with_grading(*(((c, 0.0), (w, math.inf))
+                                for c, w in circles))
+    return integrate_rect2d(integrand, gspec, (1e-14, xi_hi), (0.0, 1.0))
 
 
 def quotient_glued(eps: float, t: float, tau: float, spec: QuadratureSpec,
@@ -676,7 +664,9 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
 
     Defaults follow the interpolation leg of the default exponents:
     t = eps^0.6, tau = eps^0.7.  Returns (Q, err, converged) with the
-    quotient lift factor included.
+    quotient lift factor included.  The numerator is the first row of the
+    one (xi, v) mesh of ``_leg_integrals`` plus the fluxes of the Green
+    parts; the denominator is its second row.
     """
     if t is None:
         t = eps ** 0.6
@@ -687,13 +677,9 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
         t = math.pi - t
     data = glued_data(eps, t, tau)
     chi_delta = cutoff_profile(1.0, inner=delta, outer=2.0 * delta)
-    near_num, near_den = _near_zone_integrals(data, lam, chi_delta, spec)
-    flux_num = _flux_integrals(data, lam, chi_delta, spec)
-    far_den, far_num_ee = _far_direct_integrals(data, lam, chi_delta, spec)
-    num = near_num + flux_num
-    if lam != 1.0:
-        num = num + far_num_ee.scaled((1.0 - lam) ** 2)
-    return _quotient_from(num, near_den + far_den)
+    mesh = _leg_integrals(data, lam, chi_delta, spec)
+    flux = _flux_integrals(data, lam, chi_delta, spec)
+    return _quotient_from(mesh[0] + flux, mesh[1])
 
 
 # ----------------------------------------------------------------------------

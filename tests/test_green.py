@@ -299,7 +299,7 @@ def test_mode_truncation_convergence():
     masses = []
     for lmax in (16, 32):
         ev = solve_dirichlet_green(GreenProblem(ROUND, pole, 0.5, lmax=lmax))
-        f_full, fr = cnc_radial_factor(ev.chart, pole, 0.5)
+        f_full, fr = cnc_radial_factor(ev.chart, pole)
         exp = extract_mass(conformal_wrap(ev, f_full), pole,
                            chart=ev.chart, conformal_fr=fr)
         masses.append(exp)

@@ -219,8 +219,9 @@ def test_interp_lambda_continuity():
 
 def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
         monkeypatch):
-    # one 2-d integral per region: the DOUBLE rectangle, the near zone and
-    # each far band; numerator and fourth power share it
+    # one 2-d integral per quotient: the DOUBLE rectangle, or the GLUED and
+    # INTERP (xi, v) rectangle of the glue zone and the whole far region;
+    # numerator and fourth power share it
     calls = []
     integrate = minmax.integrate_rect2d
 
@@ -232,25 +233,20 @@ def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
     cfg = PathConfig(epsilon=eps)
-    assert quotient_double(eps, eps ** 0.6, cfg.delta, spec)[2]
-    assert len(calls) == 1
-    cases = ((lambda: quotient_interp(eps, 0.5, spec), eps ** 0.6, eps ** 0.7),
-             (lambda: quotient_glued(eps, 0.9441, cfg.tau_of_t(0.9441), spec,
-                                     delta=cfg.delta),
-              0.9441, cfg.tau_of_t(0.9441)))
-    for quotient, t, tau in cases:
+    for quotient in (
+            lambda: quotient_double(eps, eps ** 0.6, cfg.delta, spec),
+            lambda: quotient_interp(eps, 0.5, spec),
+            lambda: quotient_glued(eps, 0.9441, cfg.tau_of_t(0.9441), spec,
+                                   delta=cfg.delta)):
         calls.clear()
         assert quotient()[2]
-        bands = minmax._far_bands(glued_data(eps, t, tau))
-        assert len(bands) >= 2
-        assert len(calls) == 1 + len(bands)
+        assert len(calls) == 1
 
 
 def test_leg_meshes_are_seeded_one_box_wide_in_the_angle(monkeypatch):
-    # the near-zone core and circles, the band edges and the circle through
-    # N are constant in eta (v on the excluded band), and at t = 0 the
-    # DOUBLE pair is constant in psi: no angular ladder, eta is split only
-    # where its error asks for it
+    # the GLUED/INTERP core, zone circles, band edges and the circle through
+    # N are constant in v, and at t = 0 the DOUBLE pair is constant in psi:
+    # no angular ladder, the angle is split only where its error asks for it
     seeds = []
     adapt = quadrature._adapt_2d
 
@@ -262,7 +258,61 @@ def test_leg_meshes_are_seeded_one_box_wide_in_the_angle(monkeypatch):
     eps = 1e-4
     assert quotient_interp(eps, 0.5, SPEC)[2]
     assert quotient_double(eps, 0.0, 0.025, SPEC)[2]
-    assert seeds == [1] * len(seeds) and len(seeds) == 5
+    assert seeds == [1, 1]
+
+
+def test_leg_seed_breaks_hold_every_zone_edge(monkeypatch):
+    # the near/far switch at s_2tau, the U/Green match at s_tau and both
+    # square-root ends of e0 are seed breaks, so no box straddles one; at
+    # t = pi/2 the domain ends where the polar-cap mirror ball begins
+    breaks = []
+    adapt = quadrature._adapt_2d
+
+    def spying(g, xbreaks, ybreaks, spec):
+        breaks.append(np.array(xbreaks))
+        return adapt(g, xbreaks, ybreaks, spec)
+
+    monkeypatch.setattr(quadrature, "_adapt_2d", spying)
+    eps = 1e-4
+    cfg = PathConfig(epsilon=eps)
+    for t, tau, lam in ((eps ** 0.6, eps ** 0.7, 0.5),
+                        (0.9441, cfg.tau_of_t(0.9441), 1.0),
+                        (math.pi / 2, cfg.tau_of_t(math.pi / 2), 1.0)):
+        breaks.clear()
+        assert quotient_interp(eps, lam, SPEC, t=t, tau=tau,
+                               delta=cfg.delta)[2]
+        (xb,) = breaks
+        d = glued_data(eps, t, tau)
+        s = d.s_2tau
+        edges = [d.s_tau, s]
+        if t < math.pi / 2:
+            # both band ends lie below pi at these t
+            edges += [2 * t - s, 2 * t + s]
+            assert xb[-1] == math.pi
+        else:
+            assert xb[-1] == math.pi - s
+        assert np.isin(edges, xb).all(), (t, edges)
+
+
+def test_glued_and_interp_meshes_evaluate_fewer_points(monkeypatch):
+    # machine-independent cost of one evaluation through build_path's specs:
+    # one mesh per quotient, held to the leg's totals, against the 85 275
+    # (INTERP, mu = 1.1) and 90 450 (GLUED, mu = 2.05) points of a near-zone
+    # mesh plus one mesh per far band, each band held to its own totals
+    points = []
+    panels = quadrature._panels_2d
+
+    def counting(g, ax, bx, ay, by):
+        out = panels(g, ax, bx, ay, by)
+        points.append(out[-1])
+        return out
+
+    monkeypatch.setattr(quadrature, "_panels_2d", counting)
+    for mu, leg, before in ((1.1, "INTERP", 85_275), (2.05, "GLUED", 90_450)):
+        points.clear()
+        prof = build_path(PathConfig(), [mu])
+        assert prof.legs == [leg] and prof.converged.all()
+        assert sum(points) < before, (leg, sum(points))
 
 
 def test_path_error_bars_cover_a_recompute_at_a_hundredth_of_the_tolerance():
@@ -278,21 +328,27 @@ def test_path_error_bars_cover_a_recompute_at_a_hundredth_of_the_tolerance():
 
 
 def test_excluded_band_angle_keeps_its_digits_toward_the_band_ends():
-    # eta_excl against a 40-digit arccos at 1e-3 to 1e-11 of the band width
-    # from either end, where the angle goes to 0 (a cosine near 1)
+    # e0 against a 40-digit arccos at 1e-3 to 1e-11 of the band width from
+    # either end, where the angle goes to 0 (a cosine near 1); outside the
+    # band it is exactly 0
     import mpmath
     eps = 1e-4
     data = glued_data(eps, eps ** 0.6, eps ** 0.7)
-    lo, hi, eta_excl = minmax._far_bands(data)[1]
+    t, s = data.t, data.s_2tau
+    lo, hi = 2 * t - s, 2 * t + s
     frac = 10.0 ** -np.arange(3, 12)
     xi = np.concatenate([lo + frac * (hi - lo), hi - frac * (hi - lo)])
     with mpmath.workdps(40):
-        t, s = mpmath.mpf(data.t), mpmath.mpf(data.s_2tau)
-        ref = [float(mpmath.acos((mpmath.cos(s) - mpmath.cos(x)
-                                  * mpmath.cos(2 * t))
-                                 / (mpmath.sin(x) * mpmath.sin(2 * t))))
+        tm, sm = mpmath.mpf(t), mpmath.mpf(s)
+        ref = [float(mpmath.acos((mpmath.cos(sm) - mpmath.cos(x)
+                                  * mpmath.cos(2 * tm))
+                                 / (mpmath.sin(x) * mpmath.sin(2 * tm))))
                for x in map(mpmath.mpf, xi)]
-    assert_allclose(eta_excl(xi), ref, rtol=1e-15, atol=0.0)
+    assert_allclose(minmax._excluded_angle(data, xi), ref, rtol=1e-15,
+                    atol=0.0)
+    outside = np.array([1e-14, s, lo, np.nextafter(lo, 0.0), hi,
+                        np.nextafter(hi, 4.0), 0.5, math.pi - 1e-3])
+    assert np.all(minmax._excluded_angle(data, outside) == 0.0)
 
 
 def test_path_config_validation():
