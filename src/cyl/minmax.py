@@ -21,13 +21,13 @@ Legs and their lifted coordinates:
   cross-free gradient term of its far region has no flux shortcut.
 
 Each GLUED/INTERP quotient is one (xi, v) mesh over the glue zone and the far
-region outside the mirror ball, its rows numerator and fourth power, plus two
-1-d fluxes.
+region outside the mirror ball, its rows numerator and fourth power, plus one
+1-d flux integral over the glue sphere.
 
 The path and the fits reach the legs through one dispatch, ``_quotient_of``.
-Each GLUED/INTERP integrand call builds one ``_LegBatch`` from the leg's
-``GluedData``: it holds the per-point geometry and evaluates the Green lift,
-energy density and measure from it.
+Each GLUED/INTERP integrand call builds one ``_LegBatch`` per zone with
+points from the leg's ``GluedData``: it holds the per-point geometry and
+evaluates the Green lift, energy density and measure from it.
 
 The Green data comes from the closed-form global football kernel (the
 equivariant sum of round-sphere kernels) conformally corrected by the CNC
@@ -491,24 +491,21 @@ class _LegBatch:
             * 4.0 * math.pi * self.sin_eta ** 2
 
 
-def _w_glued(b: _LegBatch) -> D2:
-    """The glued profile on the primary glue ball and annulus
-    {xi <= s_2tau}: the bubble for xi <= s_tau, the cut-off blend of core
-    and Green lift beyond.  The far region, where it is the Green lift
-    alone, is integrated by ``_flux_integrals`` and the far zone of
+def _w_glued(b: _LegBatch, ball: bool) -> D2:
+    """The glued profile on the primary glue ball {xi <= s_tau} (``ball``),
+    where it is the bubble, or on the annulus s_tau < xi <= s_2tau, where
+    it is the cut-off blend of core and Green lift; each is built only on
+    its own batch.  The far region, where it is the Green lift alone, is
+    integrated by ``_flux_integrals`` and the far zone of
     ``_leg_integrals``, never through this profile."""
     d = b.data
     xi = b.xi
     rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))  # rho' = e^{f1/2}
-    zone_ball = xi.v <= d.s_tau
-    u_ball = _bubble(d.eps, rho * rho)
-    G = b.green_lift()
+    if ball:
+        return _bubble(d.eps, rho * rho)
     chi = _cutoff_d2(d.chi_tau, rho)
     core = (rho ** -2.0) + d.A_q
-    u_ann = (chi * core + (1.0 - chi) * G) * (1.0 / d.nu)
-    return D2(np.where(zone_ball, u_ball.v, u_ann.v),
-              np.where(zone_ball, u_ball.dx, u_ann.dx),
-              np.where(zone_ball, u_ball.dy, u_ann.dy))
+    return (chi * core + (1.0 - chi) * b.green_lift()) * (1.0 / d.nu)
 
 
 def _e_tilde(b: _LegBatch, chi_delta: CutoffProfile) -> D2:
@@ -518,12 +515,13 @@ def _e_tilde(b: _LegBatch, chi_delta: CutoffProfile) -> D2:
     return b.weight * u
 
 
-def _psi_lambda(b: _LegBatch, lam: float, chi_delta) -> D2:
+def _psi_lambda(b: _LegBatch, lam: float, chi_delta, ball: bool) -> D2:
+    """psi_lambda on a batch of the glue ball (``ball``) or annulus."""
     if lam == 1.0:
-        return _w_glued(b)
+        return _w_glued(b, ball)
     if lam == 0.0:
         return _e_tilde(b, chi_delta)
-    return _w_glued(b) * lam + _e_tilde(b, chi_delta) * (1.0 - lam)
+    return _w_glued(b, ball) * lam + _e_tilde(b, chi_delta) * (1.0 - lam)
 
 
 def _flux_integrals(d: GluedData, lam: float, chi_delta,
@@ -533,34 +531,31 @@ def _flux_integrals(d: GluedData, lam: float, chi_delta,
         N_far(psi, psi) = lam^2 N(G/nu) + 2 lam (1-lam) N(G/nu, e~) + ...,
 
     where the G-parts collapse to fluxes over the glue sphere xi = s_2tau
-    (both copies) because L Gbar = 0 outside the poles.
+    (both copies) because L Gbar = 0 outside the poles.  Both fluxes are
+    the rows of one 1-d vector integral over eta, G dG/drho and, for
+    lam < 1 only, e~ dG/drho; the glued leg's cross term is 0.
     """
     s = d.s_2tau
     f1s = float(d.f1.value(s))
+    mixed = lam != 1.0
 
-    def flux_GG(eta_v):
-        G = _LegBatch(d, np.full_like(eta_v, s), eta_v).green_lift()
-        dG_drho = G.dx * math.exp(-0.5 * f1s)
-        return G.v * dG_drho * 4.0 * math.pi * np.sin(eta_v) ** 2
-
-    def flux_Ge(eta_v):
-        b = _LegBatch(d, np.full_like(eta_v, s), eta_v, chart=True)
+    def fluxes(eta_v):
+        b = _LegBatch(d, np.full_like(eta_v, s), eta_v, chart=mixed)
         G = b.green_lift()
-        e = _e_tilde(b, chi_delta)
         dG_drho = G.dx * math.exp(-0.5 * f1s)
-        return e.v * dG_drho * 4.0 * math.pi * np.sin(eta_v) ** 2
+        rows = [G, _e_tilde(b, chi_delta)] if mixed else [G]
+        return np.stack([u.v * dG_drho * 4.0 * math.pi * np.sin(eta_v) ** 2
+                         for u in rows])
 
     area_scale = math.exp(1.5 * f1s) * math.sin(s) ** 3
-    gg, ge = (integrate_radial(fn, (0.0, math.pi), spec).scaled(area_scale)
-              for fn in (flux_GG, flux_Ge))
+    res = integrate_radial(fluxes, (0.0, math.pi), spec).scaled(area_scale)
     # lam^2 N(G,G)/nu^2 and 2 lam(1-lam) N(G,e)/nu, each N collapsing to
     # -6 * (2 spheres) * flux
-    coeff_gg = -12.0 * lam ** 2 / d.nu ** 2
-    coeff_ge = -24.0 * lam * (1.0 - lam) / d.nu
-    value = coeff_gg * gg.value + coeff_ge * ge.value
-    err = abs(coeff_gg) * gg.error_estimate + abs(coeff_ge) * ge.error_estimate
-    return IntegralResult(value, err, gg.evaluations + ge.evaluations,
-                          gg.converged and ge.converged)
+    coeff = np.array([-12.0 * lam ** 2 / d.nu ** 2,
+                      -24.0 * lam * (1.0 - lam) / d.nu])[:len(res.value)]
+    return IntegralResult(float(np.sum(coeff * res.value)),
+                          float(np.sum(np.abs(coeff) * res.error_estimate)),
+                          res.evaluations, res.converged)
 
 
 def _mirror_band(d: GluedData):
@@ -620,21 +615,25 @@ def _leg_integrals(d: GluedData, lam: float, chi_delta,
         span = math.pi - e0
         eta_v = e0 + span * v_v
         out = np.zeros((2, len(xi_v)))
-        near = xi_v <= s
-        b = _LegBatch(d, xi_v[near], eta_v[near], chart=mixed,
-                      curvature=True)
-        u = _psi_lambda(b, lam, chi_delta)
-        out[:, near] = np.stack([b.energy_density(u), u.v ** 4]) \
-            * (2.0 * b.measure())
-        far = ~near
-        b = _LegBatch(d, xi_v[far], eta_v[far], chart=mixed, curvature=mixed)
-        measure = b.measure()
-        u = b.green_lift() * (lam / d.nu)
-        if mixed:
-            e = _e_tilde(b, chi_delta)
-            u = u + e * (1.0 - lam)
-            out[0, far] = (1.0 - lam) ** 2 * b.energy_density(e) * measure
-        out[1, far] = u.v ** 4 * measure
+        # one batch for each zone that holds points of this call
+        ball, far = xi_v <= d.s_tau, xi_v > s
+        for zone, in_ball in ((ball, True), (~ball & ~far, False)):
+            if zone.any():
+                b = _LegBatch(d, xi_v[zone], eta_v[zone], chart=mixed,
+                              curvature=True)
+                u = _psi_lambda(b, lam, chi_delta, in_ball)
+                out[:, zone] = np.stack([b.energy_density(u), u.v ** 4]) \
+                    * (2.0 * b.measure())
+        if far.any():
+            b = _LegBatch(d, xi_v[far], eta_v[far], chart=mixed,
+                          curvature=mixed)
+            measure = b.measure()
+            u = b.green_lift() * (lam / d.nu)
+            if mixed:
+                e = _e_tilde(b, chi_delta)
+                u = u + e * (1.0 - lam)
+                out[0, far] = (1.0 - lam) ** 2 * b.energy_density(e) * measure
+            out[1, far] = u.v ** 4 * measure
         return out * span
 
     # the core at xi = 0, the zone circles xi = s_tau, s_2tau, the circle
@@ -665,8 +664,9 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
     Defaults follow the interpolation leg of the default exponents:
     t = eps^0.6, tau = eps^0.7.  Returns (Q, err, converged) with the
     quotient lift factor included.  The numerator is the first row of the
-    one (xi, v) mesh of ``_leg_integrals`` plus the fluxes of the Green
-    parts; the denominator is its second row.
+    one (xi, v) mesh of ``_leg_integrals`` plus the one flux integral of
+    the Green parts, ``_flux_integrals``; the denominator is the mesh's
+    second row.
     """
     if t is None:
         t = eps ** 0.6

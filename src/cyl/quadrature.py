@@ -30,7 +30,8 @@ where the directional error asks for it.
 
 Engines:
 
-* ``integrate_radial``      -- 1-d integrals on [a, R] or [a, oo)
+* ``integrate_radial``      -- 1-d integrals on [a, R] or [a, oo), run
+  through the 2-d refine loop on boxes of zero height
 * ``integrate_rect2d``      -- plain 2-d integrals over a rectangle, whose
   sides may have infinite ends
 * ``integrate_biradial``    -- the (zeta, rho) slab reduction of axially
@@ -52,26 +53,38 @@ cost more the longer L is.  DCUHRE chooses its axis from directional error
 estimates in the same spirit (Genz & Malik 1980; Berntsen, Espelid & Genz
 1991).  The choice costs no integrand call.
 
-Vector integrands: an integrand of the 2-d engine may return a (k, m) array
-for m points, one row per component, instead of m values.  The engine then
-adapts one mesh for all k components and returns an ``IntegralResult`` whose
-value and error are arrays of k; ``res[i]`` is component i.  Each component
-keeps its own total and tolerance tol_i = ``spec.tolerance_for(total_i)``,
-and the mesh has converged only when every component meets its own; its
-``converged`` is that AND, shared by every component.  Boxes are ranked by
+Refine loop: one loop, ``_adapt``, serves every adaptive engine.  Each
+round it halves the boxes that carry the largest half of the error, after
+QUADPACK's greedy bisection (Piessens et al. 1983), under a panel rule:
+``_panels_2d`` for the 2-d engines, and for ``integrate_radial`` the K15/G7
+rule ``_panels_1d`` on boxes of zero height, whose error lies all in x, so
+the loop always halves x.  A box is at machine resolution, and is never
+split, when the midpoint of the edge it would split rounds onto one of that
+edge's ends; no absolute width enters, so a singular end is bisected down
+to the subnormals.
+
+Vector integrands: an integrand of any adaptive engine may return a (k, m)
+array for m points, one row per component, instead of m values.  The engine
+then adapts one mesh for all k components and returns an
+``IntegralResult`` whose value and error are arrays of k; ``res[i]`` is
+component i.  Each component keeps its own total and tolerance
+tol_i = ``spec.tolerance_for(total_i)``, and the mesh has converged only
+when every component meets its own; its ``converged`` is that AND, shared
+by every component.  Boxes are ranked by
 max_i err_i * (tol_0 / tol_i), the largest error in units of its own
 tolerance (the norm of DCUHRE and ``scipy.integrate.quad_vec``), and the
 split axis by ex and ey weighted the same way.  Component 0's weight is
 tol_0 / tol_0, exactly 1, so a scalar integrand, one component, takes this
 same path and gets the bits a (1, m) wrapping of it gets.  Numerator and
 denominator of one Yamabe quotient share their geometry, so one call per
-batch and one mesh serve both.  The split budget and the batch bound count
-boxes and points, not components.
+batch and one mesh serve both; so do the two Green fluxes of an INTERP
+quotient, on one 1-d partition.  The split budget and the batch bound
+count boxes and points, not components.
 
 Results are deterministic for a fixed (spec, integrand): boxes are split in a
 fixed order and final sums run over boxes sorted by coordinates.
 
-Batch bound: the 2-d engine and the 3-sphere rule hand an integrand at most
+Batch bound: the 2-d engines and the 3-sphere rule hand an integrand at most
 ``_MAX_BATCH_POINTS`` = 2^16 points per call.  A vectorized integrand
 allocates dozens of temporaries the size of its batch, so an unsliced refine
 round of a few thousand boxes (15^2 nodes each) would set the peak memory of
@@ -335,82 +348,10 @@ def _compactify(domains, centers):
 
 
 # ----------------------------------------------------------------------------
-# 1-d engine
+# the refine loop and its panel rules
 # ----------------------------------------------------------------------------
 
-def _panels_1d(g, a, b):
-    """Vectorized K15/G7 panel evaluation on intervals a[i], b[i]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _XGK[None, :]
-    fx = g(x.ravel()).reshape(x.shape)
-    k = half * (fx @ _WGK)
-    gg = half * (fx[:, _GAUSS_IDX] @ _WG)
-    return k, np.abs(k - gg), fx.size
-
-
-def _adapt_1d(g, breaks, spec: QuadratureSpec) -> IntegralResult:
-    a = breaks[:-1].copy()
-    b = breaks[1:].copy()
-    vals, errs, n = _panels_1d(g, a, b)
-    evals = n
-    splits = 0
-    converged = False
-    for _ in range(10_000):
-        total = _stable_sum(vals, a)
-        toterr = float(np.sum(errs))
-        if toterr <= spec.tolerance_for(total):
-            converged = True
-            break
-        if splits >= spec.max_subdivisions:
-            break
-        # split the boxes carrying the top half of the total error
-        order = np.argsort(errs)[::-1]
-        cum = np.cumsum(errs[order])
-        k = int(np.searchsorted(cum, 0.5 * toterr)) + 1
-        k = min(k, spec.max_subdivisions - splits)
-        idx = order[:k]
-        splits += k
-        mids = 0.5 * (a[idx] + b[idx])
-        tiny = mids == a[idx]  # interval at machine resolution
-        if np.all(tiny):
-            break
-        keep = np.ones(len(a), bool)
-        keep[idx[~tiny]] = False
-        na = np.concatenate([a[idx[~tiny]], mids[~tiny]])
-        nb = np.concatenate([mids[~tiny], b[idx[~tiny]]])
-        nv, ne, n = _panels_1d(g, na, nb)
-        evals += n
-        a = np.concatenate([a[keep], na])
-        b = np.concatenate([b[keep], nb])
-        vals = np.concatenate([vals[keep], nv])
-        errs = np.concatenate([errs[keep], ne])
-    total = _stable_sum(vals, a)
-    return IntegralResult(total, float(np.sum(errs)), evals, converged)
-
-
-def _stable_sum(vals, keys):
-    order = np.argsort(keys, kind="stable")
-    return float(np.sum(vals[order]))
-
-
-def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
-    """Adaptive integral of ``f`` over [a, R] or [a, oo).
-
-    Unbounded intervals are compactified by ``r = tan(theta)`` before the
-    adaptive pass, so tails are resolved without a truncation radius.
-    ``f`` must accept numpy arrays.
-    """
-    to_working, (breaks,) = _compactify((interval,), (spec.grading,))
-    return _adapt_1d(to_working(lambda x: np.asarray(f(x), dtype=float)),
-                     breaks, spec)
-
-
-# ----------------------------------------------------------------------------
-# 2-d engine
-# ----------------------------------------------------------------------------
-
-def _total_2d(ax, ay, val, err):
+def _total(ax, ay, val, err):
     """Deterministic totals of each component (boxes on the last axis of
     ``val`` and ``err``): values summed over boxes sorted by corner."""
     rows = len(ax)
@@ -427,6 +368,25 @@ def _result(total, err, evals, converged, lead):
         return IntegralResult(float(total[0]), float(err[0]), evals, converged)
     return IntegralResult(total.reshape(lead), err.reshape(lead), evals,
                           converged)
+
+
+def _panels_1d(g, ax, bx, ay, by):
+    """K15 values of the intervals [ax, bx] with their error |K15 - G7|, in
+    ``_panels_2d``'s form for boxes of zero height (ay = by, never read):
+    the error lies all along x, so ex is the error and ey is 0, and the
+    refine loop always halves x.  ``g`` takes the nodes alone."""
+    mid = 0.5 * (ax + bx)
+    half = 0.5 * (bx - ax)
+    x = mid[:, None] + half[:, None] * _XGK[None, :]
+    fx = g(x.ravel())
+    shape = fx.shape[:-1] + (len(ax),)  # leading axes, then intervals
+    # each component's (intervals, nodes) matrix is contracted by itself,
+    # as a scalar integrand's is: a stacked product can round differently
+    fx = fx.reshape(-1, *x.shape)
+    k = np.array([half * (f @ _WGK) for f in fx]).reshape(shape)
+    gg = np.array([half * (f[:, _GAUSS_IDX] @ _WG) for f in fx])
+    err = np.abs(k - gg.reshape(shape))
+    return k, err, err, np.zeros_like(err), x.size
 
 
 def _panels_2d(g, ax, bx, ay, by):
@@ -468,18 +428,18 @@ def _panels_2d(g, ax, bx, ay, by):
     return k, np.abs(k - gg), np.abs(k - gx), np.abs(k - gy), 225 * len(ax)
 
 
-def _boxes_2d(g, ax, bx, ay, by):
+def _boxes(panels, g, ax, bx, ay, by):
     """Boxes as one (4 + 4k, nbox) array, so a refine round keeps and
     appends them with one mask and one concatenation: the corners ax, bx,
-    ay, by, then k rows each of value, error, ex and ey (``_panels_2d``).
+    ay, by, then k rows each of value, error, ex and ey (``panels``).
     Also returns the integrand's leading axes and the points evaluated."""
-    val, err, ex, ey, n = _panels_2d(g, ax, bx, ay, by)
+    val, err, ex, ey, n = panels(g, ax, bx, ay, by)
     rows = [v.reshape(-1, len(ax)) for v in (val, err, ex, ey)]
     boxes = np.concatenate([np.array([ax, bx, ay, by]), *rows])
     return boxes, val.shape[:-1], n
 
 
-def _unpack_2d(boxes):
+def _unpack(boxes):
     """Row views (ax, bx, ay, by) and (val, err, ex, ey) of a box array, the
     second four with one row per component."""
     return boxes[:4], boxes[4:].reshape(4, -1, boxes.shape[1])
@@ -492,16 +452,19 @@ def _weighted_errors(boxes, w):
     return (boxes[4 + k:].reshape(3, k, -1) * w[:, None]).max(axis=1)
 
 
-def _adapt_2d(g, xbreaks, ybreaks, spec: QuadratureSpec):
+def _adapt(panels, g, xbreaks, ybreaks, spec: QuadratureSpec):
+    """The one refine loop: adapt the boxes of the seed grid xbreaks x
+    ybreaks to ``g`` under ``panels`` (``_panels_2d``, or ``_panels_1d`` on
+    a zero-height y edge) and return the result and the final corners."""
     ax, ay = np.meshgrid(xbreaks[:-1], ybreaks[:-1], indexing="ij")
     bx, by = np.meshgrid(xbreaks[1:], ybreaks[1:], indexing="ij")
-    boxes, lead, evals = _boxes_2d(g, ax.ravel(), bx.ravel(), ay.ravel(),
-                                   by.ravel())
+    boxes, lead, evals = _boxes(panels, g, ax.ravel(), bx.ravel(),
+                                ay.ravel(), by.ravel())
     splits = 0
     converged = False
     for _ in range(10_000):
-        (ax, bx, ay, by), (vals, errs, _, _) = _unpack_2d(boxes)
-        total, toterr = _total_2d(ax, ay, vals, errs)
+        (ax, bx, ay, by), (vals, errs, _, _) = _unpack(boxes)
+        total, toterr = _total(ax, ay, vals, errs)
         tol = spec.tolerance_for(total)
         if (toterr <= tol).all():
             converged = True
@@ -517,34 +480,52 @@ def _adapt_2d(g, xbreaks, ybreaks, spec: QuadratureSpec):
         k = min(k, spec.max_subdivisions - splits, max(1, len(boxerr)))
         idx = order[:k]
         splits += k
-        wx = bx[idx] - ax[idx]
-        wy = by[idx] - ay[idx]
         # split across the direction that carries the error; the longer
         # edge only breaks an exact tie
         ex_i, ey_i = exw[idx], eyw[idx]
-        splitx = np.where(ex_i == ey_i, wx >= wy, ex_i > ey_i)
-        fine = np.where(splitx, wx, wy) < 1e-15 * (np.abs(ax[idx])
-                                                   + np.abs(ay[idx]) + 1.0)
+        splitx = np.where(ex_i == ey_i, bx[idx] - ax[idx] >= by[idx] - ay[idx],
+                          ex_i > ey_i)
+        lo = np.where(splitx, ax[idx], ay[idx])
+        hi = np.where(splitx, bx[idx], by[idx])
+        mid = 0.5 * (lo + hi)
+        # machine resolution: the midpoint of the edge to split rounds onto
+        # one of its ends
+        fine = (mid == lo) | (mid == hi)
         if np.all(fine):
             break
-        idx = idx[~fine]
-        splitx = splitx[~fine]
+        idx, splitx, mid = idx[~fine], splitx[~fine], mid[~fine]
         keep = np.ones(len(ax), bool)
         keep[idx] = False
-        midx = 0.5 * (ax[idx] + bx[idx])
-        midy = 0.5 * (ay[idx] + by[idx])
-        na = np.concatenate([ax[idx], np.where(splitx, midx, ax[idx])])
-        nb = np.concatenate([np.where(splitx, midx, bx[idx]), bx[idx]])
-        nc = np.concatenate([ay[idx], np.where(splitx, ay[idx], midy)])
-        nd = np.concatenate([np.where(splitx, by[idx], midy), by[idx]])
-        new, _, n = _boxes_2d(g, na, nb, nc, nd)
+        na = np.concatenate([ax[idx], np.where(splitx, mid, ax[idx])])
+        nb = np.concatenate([np.where(splitx, mid, bx[idx]), bx[idx]])
+        nc = np.concatenate([ay[idx], np.where(splitx, ay[idx], mid)])
+        nd = np.concatenate([np.where(splitx, by[idx], mid), by[idx]])
+        new, _, n = _boxes(panels, g, na, nb, nc, nd)
         evals += n
         boxes = np.concatenate([boxes.compress(keep, axis=1), new], axis=1)
-    (ax, bx, ay, by), (vals, errs, _, _) = _unpack_2d(boxes)
-    total, toterr = _total_2d(ax, ay, vals, errs)
+    (ax, bx, ay, by), (vals, errs, _, _) = _unpack(boxes)
+    total, toterr = _total(ax, ay, vals, errs)
     corners = (ax.copy(), bx.copy(), ay.copy(), by.copy())
     return _result(total, toterr, evals, converged, lead), corners
 
+
+def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
+    """Adaptive integral of ``f`` over [a, R] or [a, oo).
+
+    Unbounded intervals are compactified by ``r = tan(theta)`` before the
+    adaptive pass, so tails are resolved without a truncation radius.
+    ``f`` must accept numpy arrays and return m values, or a (k, m) array
+    for k components integrated on one partition (see the module
+    docstring).
+    """
+    to_working, (breaks,) = _compactify((interval,), (spec.grading,))
+    g = to_working(lambda x: np.asarray(f(x), dtype=float))
+    return _adapt(_panels_1d, g, breaks, np.zeros(2), spec)[0]
+
+
+# ----------------------------------------------------------------------------
+# 2-d engines
+# ----------------------------------------------------------------------------
 
 def _integrate_2d(F, weight, spec: QuadratureSpec, x_domain, y_domain):
     """The one 2-d front end: the integral of ``weight(F)`` (F times its
@@ -559,7 +540,7 @@ def _integrate_2d(F, weight, spec: QuadratureSpec, x_domain, y_domain):
     def working(G):
         return to_working(weight(G))
 
-    res, corners = _adapt_2d(working(F), xb, yb, spec)
+    res, corners = _adapt(_panels_2d, working(F), xb, yb, spec)
     return res, FrozenMesh2D(*corners, working)
 
 
@@ -581,7 +562,7 @@ class FrozenMesh2D:
     def evaluate(self, F) -> IntegralResult:
         vals, errs, _, _, n = _panels_2d(self.working(F), self.ax, self.bx,
                                          self.ay, self.by)
-        total, toterr = _total_2d(self.ax, self.ay, vals, errs)
+        total, toterr = _total(self.ax, self.ay, vals, errs)
         return _result(total, toterr, n, True, vals.shape[:-1])
 
 
@@ -737,24 +718,18 @@ def integrate_ball4(f, radius: float, spec: QuadratureSpec,
         raise ValueError("ball radius must be positive")
     nodes, w = _sphere3_nodes(angular_order, angular_order, 2 * angular_order)
     nodes2, w2 = _sphere3_nodes(2 * angular_order, 2 * angular_order, 4 * angular_order)
-    state = {"evals": 0, "angerr": 0.0}
 
-    def mean_f(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty(len(r))
-        for i, ri in enumerate(r):
-            pts = ri * nodes
-            out[i] = float(np.sum(np.asarray(f(pts), dtype=float) * w))
-            state["evals"] += len(w)
-        return out
+    def mean(r, nodes, w):
+        return float(np.sum(np.asarray(f(r * nodes), dtype=float) * w))
 
     # angular truncation probe at a representative radius
     probe = 0.5 * radius
-    m1 = float(np.sum(np.asarray(f(probe * nodes), dtype=float) * w))
-    m2 = float(np.sum(np.asarray(f(probe * nodes2), dtype=float) * w2))
-    state["angerr"] = abs(m1 - m2) * radius ** 4 / 4.0
-    state["evals"] += len(w) + len(w2)
-
-    res = integrate_radial(lambda r: mean_f(r) * r ** 3, (0.0, radius), spec)
-    err = res.error_estimate + state["angerr"]
-    return IntegralResult(res.value, err, res.evaluations + state["evals"], res.converged)
+    angerr = abs(mean(probe, nodes, w) - mean(probe, nodes2, w2)) \
+        * radius ** 4 / 4.0
+    res = integrate_radial(
+        lambda r: np.array([mean(ri, nodes, w) for ri in r]) * r ** 3,
+        (0.0, radius), spec)
+    # each radial node and its len(w) points of f, and the probe's two rules
+    evals = res.evaluations * (1 + len(w)) + len(w) + len(w2)
+    return IntegralResult(res.value, res.error_estimate + angerr, evals,
+                          res.converged)

@@ -243,18 +243,42 @@ def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
         assert len(calls) == 1
 
 
+def test_each_quotient_integrates_its_fluxes_in_one_call(monkeypatch):
+    # the G-G flux, and on the INTERP leg the G-e~ flux, are the rows of
+    # one 1-d vector integral; the glued leg has no cross flux to integrate
+    rows = []
+    integrate = minmax.integrate_radial
+
+    def spying(f, interval, spec):
+        res = integrate(f, interval, spec)
+        rows.append(np.shape(res.value))
+        return res
+
+    monkeypatch.setattr(minmax, "integrate_radial", spying)
+    eps = 1e-4
+    cfg = PathConfig(epsilon=eps)
+    for quotient, shape in (
+            (lambda: quotient_glued(eps, 0.9441, cfg.tau_of_t(0.9441), SPEC,
+                                    delta=cfg.delta), (1,)),
+            (lambda: quotient_interp(eps, 0.5, SPEC), (2,))):
+        rows.clear()
+        assert quotient()[2]
+        assert rows == [shape]
+
+
 def test_leg_meshes_are_seeded_one_box_wide_in_the_angle(monkeypatch):
     # the GLUED/INTERP core, zone circles, band edges and the circle through
     # N are constant in v, and at t = 0 the DOUBLE pair is constant in psi:
     # no angular ladder, the angle is split only where its error asks for it
     seeds = []
-    adapt = quadrature._adapt_2d
+    adapt = quadrature._adapt
 
-    def spying(g, xbreaks, ybreaks, spec):
-        seeds.append(len(ybreaks) - 1)
-        return adapt(g, xbreaks, ybreaks, spec)
+    def spying(panels, g, xbreaks, ybreaks, spec):
+        if panels is quadrature._panels_2d:  # not the 1-d fluxes
+            seeds.append(len(ybreaks) - 1)
+        return adapt(panels, g, xbreaks, ybreaks, spec)
 
-    monkeypatch.setattr(quadrature, "_adapt_2d", spying)
+    monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
     assert quotient_interp(eps, 0.5, SPEC)[2]
     assert quotient_double(eps, 0.0, 0.025, SPEC)[2]
@@ -266,13 +290,14 @@ def test_leg_seed_breaks_hold_every_zone_edge(monkeypatch):
     # square-root ends of e0 are seed breaks, so no box straddles one; at
     # t = pi/2 the domain ends where the polar-cap mirror ball begins
     breaks = []
-    adapt = quadrature._adapt_2d
+    adapt = quadrature._adapt
 
-    def spying(g, xbreaks, ybreaks, spec):
-        breaks.append(np.array(xbreaks))
-        return adapt(g, xbreaks, ybreaks, spec)
+    def spying(panels, g, xbreaks, ybreaks, spec):
+        if panels is quadrature._panels_2d:  # not the 1-d fluxes
+            breaks.append(np.array(xbreaks))
+        return adapt(panels, g, xbreaks, ybreaks, spec)
 
-    monkeypatch.setattr(quadrature, "_adapt_2d", spying)
+    monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
     cfg = PathConfig(epsilon=eps)
     for t, tau, lam in ((eps ** 0.6, eps ** 0.7, 0.5),
