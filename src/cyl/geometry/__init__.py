@@ -3,33 +3,6 @@
 * ``fields``    -- chart metric fields with analytic or differenced derivatives
 * ``curvature`` -- Christoffel / Riemann / Ricci / Weyl snapshots and probes
 * ``links``     -- functions, tensor families and the gauge flow on the link
-* ``normal``    -- geodesic shooting and normal coordinates
 * ``cnc``       -- the conformal-normal-coordinate polynomial and cutoffs
 * ``football``  -- the RP^3-football model manifold and conical pullbacks
 """
-
-from cyl.geometry.fields import (ChartMetricField, ConformalField, FlatField,
-                                 ForcedFDField, RadialProfile,
-                                 WarpedRadialField, round_profile)
-from cyl.geometry.curvature import CurvatureSnapshot, curvature_at
-from cyl.geometry.links import (LinkFunction, LinkTensorFamily, link_flow,
-                                alpha_pullback, verify_first_order_identity)
-from cyl.geometry.normal import NormalCoordinates, shoot_geodesic
-from cyl.geometry.cnc import (CNCFactor, cnc_polynomial, cutoff_profile,
-                              conformal_cnc_field, verify_cnc)
-from cyl.geometry.football import (ConeMetric, LinkFamily, FootballModel,
-                                   football_metric, pullback_via_phi,
-                                   regularity_probe)
-
-__all__ = [
-    "ChartMetricField", "ConformalField", "FlatField", "ForcedFDField",
-    "RadialProfile", "WarpedRadialField", "round_profile",
-    "CurvatureSnapshot", "curvature_at",
-    "LinkFunction", "LinkTensorFamily", "link_flow", "alpha_pullback",
-    "verify_first_order_identity",
-    "NormalCoordinates", "shoot_geodesic",
-    "CNCFactor", "cnc_polynomial", "cutoff_profile", "conformal_cnc_field",
-    "verify_cnc",
-    "ConeMetric", "LinkFamily", "FootballModel", "football_metric",
-    "pullback_via_phi", "regularity_probe",
-]

@@ -19,7 +19,7 @@ import numpy as np
 
 from cyl.geometry.fields import ChartMetricField
 
-__all__ = ["CurvatureSnapshot", "christoffel", "curvature_at"]
+__all__ = ["CurvatureSnapshot", "curvature_at"]
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,6 @@ def _gamma(ginv: np.ndarray, dg: np.ndarray):
     """The bracket of dg and Gamma^k_ij = 1/2 g^{kl} bracket[i,j,l]."""
     cand = _bracket(dg)
     return cand, 0.5 * np.einsum("kl,ijl->kij", ginv, cand)
-
-
-def christoffel(field: ChartMetricField, x) -> np.ndarray:
-    return _gamma(np.linalg.inv(field.value(x)), field.d1(x))[1]
 
 
 def _riemann_pieces(field: ChartMetricField, x):

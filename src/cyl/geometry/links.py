@@ -11,7 +11,7 @@ circles).  Symmetric 2-tensors on the link are ambient 4x4 matrix fields
 acting on tangent vectors.
 
 The gauge flow ``psi_s`` is generated by grad f / 2 and the pulled-back
-cone metric is assembled literally from the differential of the embedding
+link tensor is assembled from its differential and the embedding
 alpha(s, z) = (s - s^2 f(z)/2, psi_s(z)).
 """
 
@@ -28,7 +28,6 @@ __all__ = [
     "LinkTensorFamily",
     "link_flow",
     "flow_differential",
-    "alpha_pullback",
     "pulled_link_tensor",
     "verify_first_order_identity",
     "tangent_frame",
@@ -69,11 +68,6 @@ class LinkFunction:
                             lambda z: 2.0 * Q @ z,
                             lambda z: 2.0 * Q.copy())
 
-    def __add__(self, other: "LinkFunction") -> "LinkFunction":
-        return LinkFunction(lambda z: self.value(z) + other.value(z),
-                            lambda z: self.grad(z) + other.grad(z),
-                            lambda z: self.hess(z) + other.hess(z))
-
     def sphere_gradient(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         g = np.asarray(self.grad(z))
@@ -100,17 +94,6 @@ class LinkTensorFamily:
 
     at: object       # (s, z) -> (4,4)
     prime0: object   # z -> (4,4)
-
-    @staticmethod
-    def round() -> "LinkTensorFamily":
-        return LinkTensorFamily(lambda s, z: np.eye(4),
-                                lambda z: np.zeros((4, 4)))
-
-    @staticmethod
-    def conformal(c, cprime0: float) -> "LinkTensorFamily":
-        """h(s) = c(s) h0 with c(0) = 1, e.g. c(s) = sin(s)^2/s^2."""
-        return LinkTensorFamily(lambda s, z: c(s) * np.eye(4),
-                                lambda z: cprime0 * np.eye(4))
 
     @staticmethod
     def linear_perturbation(k) -> "LinkTensorFamily":
@@ -220,41 +203,6 @@ def pulled_link_tensor(f: LinkFunction, family: LinkTensorFamily, s: float,
     out = (1.0 + 2.0 * s * fz) * (0.25 * s * s * np.outer(df, df)
                                   + (1.0 - 0.5 * s * fz) ** 2 * pulled)
     return out
-
-
-def alpha_pullback(f: LinkFunction, family: LinkTensorFamily, s: float, z,
-                   frame=None) -> dict:
-    """Samples of gbar = (1 + 2 s f) alpha^*(dr^2 + r^2 h(r)) at (s, z).
-
-    Returns components on (d_s, frame): 'ss', 'sz' (3,), 'zz' (3,3).
-    """
-    z = np.asarray(z, dtype=float)
-    if frame is None:
-        frame = tangent_frame(z)
-    fz = f.value(z)
-    alpha1 = s - 0.5 * s * s * fz
-    flowed = link_flow(f, s, z)
-    gradf_flow = f.sphere_gradient(flowed)
-    dpsi = np.array([flow_differential(f, s, z, u) for u in frame])
-    hmat = np.asarray(family.at(alpha1, flowed))
-    df = np.array([f.sphere_gradient(z) @ u for u in frame])
-    conf = 1.0 + 2.0 * s * fz
-    # alpha^*(dr^2) components
-    ss_dr = (1.0 - s * fz) ** 2
-    sz_dr = -(1.0 - s * fz) * 0.5 * s * s * df
-    zz_dr = 0.25 * s ** 4 * np.outer(df, df)
-    # alpha^*(r^2 h(r)) components through d(alpha^2)
-    half_grad = 0.5 * gradf_flow
-    ss_h = alpha1 ** 2 * float(half_grad @ hmat @ half_grad)
-    sz_h = alpha1 ** 2 * np.array([half_grad @ hmat @ dpsi[b] for b in range(3)])
-    zz_h = alpha1 ** 2 * np.array([[dpsi[a] @ hmat @ dpsi[b] for b in range(3)]
-                                   for a in range(3)])
-    return {
-        "ss": conf * (ss_dr + ss_h),
-        "sz": conf * (sz_dr + sz_h),
-        "zz": conf * (zz_dr + zz_h),
-        "frame": frame,
-    }
 
 
 def verify_first_order_identity(f: LinkFunction, family: LinkTensorFamily,

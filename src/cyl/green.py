@@ -36,7 +36,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from cyl.constants import sobolev_constants
 from cyl.geometry.cnc import cnc_profile
 from cyl.geometry.fields import ChartMetricField, FlatField
-from cyl.geometry.links import sphere_points, tangent_frame
+from cyl.geometry.links import tangent_frame
 from cyl.quadrature import gauss_legendre
 
 KAPPA = 24.0 * math.pi ** 2  # 4 a pi^2 with a = 6
@@ -49,7 +49,6 @@ __all__ = [
     "GreenEvaluator",
     "GreenExpansion",
     "ZonalModeSum",
-    "beta_samples",
     "chart_for_field",
     "matching_constant",
     "solve_dirichlet_green",
@@ -202,10 +201,6 @@ class flat_ball_green:
         star = self.delta ** 2 * self.pole / t2
         dstar2 = np.sum((pts - star) ** 2, axis=1)
         return 1.0 / d2 - self.delta ** 2 / (t2 * dstar2)
-
-    def mass(self) -> float:
-        t2 = float(self.pole @ self.pole)
-        return -self.delta ** 2 / (self.delta ** 2 - t2) ** 2
 
 
 class round_ball_green:
@@ -562,23 +557,6 @@ def matching_constant(epsilon: float, tau: float, A_q: float) -> float:
     |z| = tau:  c4/eps / (1 + tau^2/eps^2) = (tau^-2 + A_q)/nu."""
     return (1.0 / tau ** 2 + A_q) * (1.0 + tau ** 2 / epsilon ** 2) \
         / (sobolev_constants().c4 / epsilon)
-
-
-def beta_samples(evaluator, pole, expansion: GreenExpansion, radii,
-                 n_dirs: int = 8, chart: RadialChart = None,
-                 conformal_fr=None) -> list:
-    """Samples (point, beta) of the C^1 remainder beta(z) = G - |z|^-2 - A_q
-    on gbar-geodesic spheres around the pole; beta(0) = 0 by construction."""
-    pole = np.asarray(pole, dtype=float)
-    t = float(np.linalg.norm(pole))
-    dirs = sphere_points(n_dirs, 0)
-    smax = 0.49 * t if t > 0 else float(np.max(radii)) * 2
-    out = []
-    for eps, pts, vals in _gbar_spheres(evaluator, pole, radii, dirs, chart,
-                                        conformal_fr, smax):
-        out += [(p, float(v - 1.0 / eps ** 2 - expansion.A_q))
-                for p, v in zip(pts, vals)]
-    return out
 
 
 def _gbar_spheres(evaluator, pole, radii, dirs, chart, conformal_fr, smax):

@@ -49,7 +49,7 @@ from cyl.geometry.cnc import (CutoffProfile, RadialCNCProfile, cnc_profile,
 from cyl.green import (_gbar_radius, matching_constant, sphere_kernel,
                        sphere_kernel_slope)
 from cyl.quadrature import (IntegralResult, QuadratureSpec, integrate_radial,
-                            integrate_rect2d, integrate_sphere3)
+                            integrate_rect2d)
 
 __all__ = [
     "D2",
@@ -58,8 +58,6 @@ __all__ = [
     "PathProfile",
     "GluedData",
     "glued_data",
-    "nu_matching",
-    "boundary_flux",
     "evaluate_quotient",
     "quotient_double",
     "quotient_glued",
@@ -135,9 +133,6 @@ class D2:
     def __rtruediv__(self, o):
         return self._coerce(o).__truediv__(self)
 
-    def __neg__(self):
-        return D2(-self.v, -self.dx, -self.dy)
-
     def __pow__(self, p):
         w = self.v ** (p - 1)
         return D2(self.v * w, p * w * self.dx, p * w * self.dy)
@@ -149,9 +144,6 @@ class D2:
     def apply(self, f, fp):
         """Chain an elementwise function with known derivative."""
         return self.chain(f(self.v), fp(self.v))
-
-    def sin(self):
-        return self.apply(np.sin, np.cos)
 
     def sincos(self):
         s, c = np.sin(self.v), np.cos(self.v)
@@ -372,45 +364,6 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
                      nu=matching_constant(eps, tau, A_num), s_tau=s_tau,
                      s_2tau=s_2tau, rho=rho, f1=f1,
                      chi_tau=CutoffProfile(tau, 2.0 * tau))
-
-
-def nu_matching(epsilon: float, tau: float, A_q: float) -> dict:
-    """Exact matching constant of the U/Green continuity condition and its
-    leading expansion 1/nu = c4 eps (1 - tau^2 A_q - eps^2/tau^2 + ...)."""
-    if not 0.0 < epsilon < tau:
-        raise ValueError("need 0 < epsilon < tau")
-    k = sobolev_constants()
-    nu = matching_constant(epsilon, tau, A_q)
-    inv_exact = 1.0 / nu
-    inv_series = k.c4 * epsilon * (1.0 - tau ** 2 * A_q - epsilon ** 2 / tau ** 2
-                                   + epsilon ** 2 * A_q)
-    gap = abs(inv_exact - inv_series) / abs(inv_exact)
-    return {"nu": nu, "inverse": inv_exact, "series": inv_series,
-            "relative_gap": gap}
-
-
-def boundary_flux(epsilon: float, tau: float,
-                  spec: QuadratureSpec | None = None) -> dict:
-    """Flux int_{|z|=tau} (d_nu U_eps) U_eps: closed form and quadrature."""
-    if tau <= 0.0 or epsilon <= 0.0:
-        raise ValueError("epsilon and tau must be positive")
-    k = sobolev_constants()
-    closed = 2.0 * math.pi ** 2 * tau ** 3 * \
-        (-2.0 * k.c4 ** 2 * epsilon ** -4 * tau
-         / (1.0 + tau ** 2 / epsilon ** 2) ** 3)
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-15)
-
-    def f(pts):
-        r2 = np.sum(pts * pts, axis=1)
-        u = (k.c4 / epsilon) / (1.0 + r2 / epsilon ** 2)
-        du = -2.0 * k.c4 * np.sqrt(r2) / epsilon ** 3 / (1.0 + r2 / epsilon ** 2) ** 2
-        return u * du
-
-    quad = integrate_sphere3(f, tau, np.zeros(4), spec)
-    leading = -4.0 * math.pi ** 2 * k.c4 ** 2 * epsilon ** 2 / tau ** 2
-    return {"closed_form": closed, "quadrature": quad.value,
-            "quadrature_error": quad.error_estimate, "leading_order": leading}
 
 
 # ----------------------------------------------------------------------------

@@ -88,9 +88,10 @@ Batch bound: the 2-d engines and the 3-sphere rule hand an integrand at most
 ``_MAX_BATCH_POINTS`` = 2^16 points per call.  A vectorized integrand
 allocates dozens of temporaries the size of its batch, so an unsliced refine
 round of a few thousand boxes (15^2 nodes each) would set the peak memory of
-the whole run.  The slices' values are concatenated before any weight is
-applied, so every sum is the one an unsliced call would give, bit for bit,
-for integrands that act elementwise.
+the whole run.  ``_panels_2d`` applies the y rules to each slice's values,
+one 15 x 15 box at a time, and the x rules to every box at once, so every
+sum is the one an unsliced call would give, bit for bit, for integrands that
+act elementwise, and no more than one slice's grid values are held.
 """
 
 from __future__ import annotations
@@ -411,16 +412,21 @@ def _panels_2d(g, ax, bx, ay, by):
         # a fraction of the call overhead
         out = g(np.repeat(Xs, 15, axis=2).ravel(),
                 np.repeat(Ys, 15, axis=1).ravel())
-        return out.reshape(out.shape[:-1] + (len(Xs), 15, 15))
+        F = out.reshape(-1, 15, 15)  # the components' boxes end to end
+        # the y rules, one row per x node, so a batch's grid values are
+        # dropped with the batch
+        rows = out.shape[:-1] + (len(Xs), 15)
+        return (F @ _WGK).reshape(rows), (F[:, :, 1::2] @ _WG).reshape(rows)
 
-    F = np.concatenate([batch(X[i:i + step], Y[i:i + step])
-                        for i in range(0, len(ax), step)], axis=-3)
-    shape = F.shape[:-2]  # leading axes, then boxes
-    F = F.reshape(-1, 15, 15)  # the components' boxes end to end
+    parts = [batch(X[i:i + step], Y[i:i + step])
+             for i in range(0, len(ax), step)]
+    Fk, Fg = (np.concatenate(r, axis=-2) for r in zip(*parts))
+    shape = Fk.shape[:-1]  # leading axes, then boxes
+    Fk = Fk.reshape(-1, 15)
+    Fg = Fg.reshape(-1, 15)
     area = hx * hy
-    # the y rules first, one (nbox, 15) row per x node; then the x rules
-    Fk = F @ _WGK
-    Fg = F[:, :, 1::2] @ _WG
+    # then the x rules, over every box at once: a mat-vec product rounds its
+    # last rows differently, so one product per batch would move bits
     k = area * (Fk @ _WGK).reshape(shape)
     gx = area * (Fk[:, 1::2] @ _WG).reshape(shape)
     gy = area * (Fg @ _WGK).reshape(shape)

@@ -8,11 +8,11 @@ from numpy.testing import assert_allclose
 import cyl.minmax as minmax
 import cyl.quadrature as quadrature
 from cyl.constants import sobolev_constants
+from cyl.green import matching_constant
 from cyl.interaction import curves
-from cyl.minmax import (D2, PathConfig, boundary_flux, build_path,
-                        exponents_admissible, fit_expansion_A, glued_data,
-                        nu_matching, quotient_double, quotient_glued,
-                        quotient_interp)
+from cyl.minmax import (D2, PathConfig, build_path, exponents_admissible,
+                        fit_expansion_A, glued_data, quotient_double,
+                        quotient_glued, quotient_interp)
 from cyl.quadrature import QuadratureSpec
 
 K = sobolev_constants()
@@ -24,7 +24,7 @@ def test_d2_chain_rules():
     y = np.array([0.2, 0.5])
     X = D2.var_x(x)
     Y = D2.var_y(y)
-    f = (X * Y).sin() + (X / Y) ** 2.0
+    f = (X * Y).sincos()[0] + (X / Y) ** 2.0
     h = 1e-7
     fv = lambda a, b: np.sin(a * b) + (a / b) ** 2
     assert_allclose(f.v, fv(x, y), rtol=1e-14)
@@ -81,33 +81,10 @@ def test_glued_data_mass_identity():
 
 
 def test_nu_matching_formulas():
-    # A_q = 0 closed form
-    r = nu_matching(1e-3, 1e-1, 0.0)
+    # A_q = 0 closed form of the matching constant
+    nu = matching_constant(1e-3, 1e-1, 0.0)
     expect_nu = (1.0 + 1e4) / (K.c4 * 1e3 * 1e-2)
-    assert r["nu"] == pytest.approx(expect_nu, rel=1e-12)
-    # leading order of the reciprocal: c4 eps (1 - eps^2/tau^2), truncation
-    # error (eps/tau)^4 = 1e-8
-    assert r["inverse"] == pytest.approx(K.c4 * 1e-3 * (1.0 - 1e-4), rel=3e-8)
-    # deep matching regime tau^2 A_q << 1: series accurate below 1%
-    deep = nu_matching(1e-3, 0.0316227766, 25.0)
-    assert deep["relative_gap"] < 0.01
-    # at tau^2 A_q = 0.25 the first-order series is off by (tau^2 A_q)^2:
-    # frozen oracle value of the gap
-    shallow = nu_matching(1e-3, 1e-1, 25.0)
-    assert shallow["relative_gap"] == pytest.approx(0.0625000094, rel=1e-6)
-    with pytest.raises(ValueError):
-        nu_matching(0.2, 0.1, 1.0)
-
-
-def test_boundary_flux():
-    out = boundary_flux(1e-2, 1e-1)
-    assert out["closed_form"] < 0.0
-    assert out["quadrature"] == pytest.approx(out["closed_form"], rel=1e-8)
-    # leading behavior -4 pi^2 c4^2 eps^2/tau^2 as eps/tau -> 0
-    out2 = boundary_flux(1e-4, 1e-1)
-    assert out2["closed_form"] == pytest.approx(out2["leading_order"], rel=1e-4)
-    with pytest.raises(ValueError):
-        boundary_flux(-1.0, 0.1)
+    assert nu == pytest.approx(expect_nu, rel=1e-12)
 
 
 def test_glued_mid_leg_margin_matches_mass():
