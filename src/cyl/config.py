@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -66,10 +66,8 @@ class RunConfig:
             raise ValueError("tolerances must be finite and positive")
 
     def scale_tolerances(self, factor: float) -> "RunConfig":
-        cfg = RunConfig(**{**asdict(self),
-                           "rel_tol": self.rel_tol * factor,
-                           "abs_tol": self.abs_tol * factor})
-        return cfg
+        return replace(self, rel_tol=self.rel_tol * factor,
+                       abs_tol=self.abs_tol * factor)
 
     def resolve_out_dir(self, cli_out: str | None = None) -> str:
         return cli_out or os.environ.get("CYL_OUT_DIR") or self.out_dir
@@ -82,15 +80,18 @@ class RunConfig:
         return d
 
 
-_FLOAT_KEYS = {"delta", "alpha", "omega", "epsilon", "green_delta", "rel_tol",
-               "abs_tol"}
-_INT_KEYS = {"mu_points"}
-_LIST_KEYS = {"epsilon_list", "epsilon_list_double", "t_grid", "green_t_grid"}
+def _parse(default, val: str):
+    """A config value read as the type of its RunConfig default; a tuple
+    default takes a comma-separated list of floats."""
+    if isinstance(default, tuple):
+        return tuple(float(x) for x in val.split(","))
+    return type(default)(val)
 
 
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -100,14 +101,7 @@ def load_config(path: str | None) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _LIST_KEYS:
-                values[key] = tuple(float(x) for x in val.split(","))
-            elif key in ("scenario", "out_dir"):
-                values[key] = val
-            else:
+            if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = _parse(defaults[key], val)
     return RunConfig(**values)

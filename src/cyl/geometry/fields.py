@@ -84,38 +84,23 @@ class FlatField(ChartMetricField):
 @dataclass(frozen=True)
 class RadialProfile:
     """Angular coefficient c(u), u = |x|^2, of a warped radial metric, with
-    two u-derivatives.
+    two u-derivatives, from its power series c(u) = sum series[m] u^m.
 
-    Evaluation switches from the Taylor series (coefficients ``series``) to
-    the closed forms below ``u_switch``; the series absorbs the cancellation
-    that makes the closed forms unstable near u = 0.
+    The series has no cancellation at u = 0, where the closed forms of the
+    round profile divide by powers of u; at order 12 it is also the more
+    accurate of the two on the whole round chart, 0 < u <= (pi/2)^2.
     """
 
-    series: tuple           # c(u) = sum series[m] * u^m near 0
-    closed: object = None   # (c, c', c'') closed-form triple of u, or None
-    u_switch: float = 0.25
-
-    def _series_eval(self, u, der: int):
-        coef = np.array(self.series, dtype=float)
-        out = np.zeros_like(u)
-        for m in range(len(coef) - 1, der - 1, -1):
-            fac = 1.0
-            for j in range(der):
-                fac *= (m - j)
-            out = out * u + fac * coef[m]
-        return out
+    series: tuple
 
     def _eval(self, u, der: int):
         u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        small = u < self.u_switch
-        if np.any(small):
-            out[small] = self._series_eval(u[small], der)
-        if np.any(~small):
-            if self.closed is None:
-                out[~small] = self._series_eval(u[~small], der)
-            else:
-                out[~small] = self.closed[der](u[~small])
+        out = np.zeros_like(u)
+        for m in range(len(self.series) - 1, der - 1, -1):
+            fac = 1.0
+            for j in range(der):
+                fac *= (m - j)
+            out = out * u + fac * self.series[m]
         return out
 
     def c(self, u):
@@ -129,40 +114,20 @@ class RadialProfile:
 
 
 def round_profile(order: int = 12) -> RadialProfile:
-    """c(u) = sin^2(sqrt(u))/u, the round-sphere chart in normal coordinates."""
-    coef = []
-    fact = [1.0]
-    for n in range(1, 2 * order + 4):
-        fact.append(fact[-1] * n)
-    for m in range(order + 1):
-        coef.append((-1.0) ** m * 2.0 ** (2 * m + 1) / fact[2 * m + 2])
-
-    def c0(u):
-        r = np.sqrt(u)
-        return np.sin(r) ** 2 / u
-
-    def c1(u):
-        r = np.sqrt(u)
-        return (r * np.sin(r) * np.cos(r) - np.sin(r) ** 2) / u ** 2
-
-    def c2(u):
-        r = np.sqrt(u)
-        s2r = np.sin(2.0 * r)
-        term1 = (np.cos(2.0 * r) - s2r / (2.0 * r)) / (2.0 * u ** 2)
-        term2 = -2.0 * (r * np.sin(r) * np.cos(r) - np.sin(r) ** 2) / u ** 3
-        return term1 + term2
-
-    return RadialProfile(series=tuple(coef), closed=(c0, c1, c2))
+    """c(u) = sin^2(sqrt(u))/u, the round-sphere chart in normal coordinates:
+    series[m] = (-1)^m 2^(2m+1) / (2m+2)!."""
+    return RadialProfile(series=tuple(
+        (-1.0) ** m * 2.0 ** (2 * m + 1) / math.factorial(2 * m + 2)
+        for m in range(order + 1)))
 
 
 def flat_profile() -> RadialProfile:
-    return RadialProfile(series=(1.0,), closed=None, u_switch=math.inf)
+    return RadialProfile(series=(1.0,))
 
 
 def polynomial_profile(*coef) -> RadialProfile:
     """c(u) as a plain polynomial, e.g. (1, 1) for the family (1 + s^2) h0."""
-    return RadialProfile(series=tuple(float(c) for c in coef), closed=None,
-                         u_switch=math.inf)
+    return RadialProfile(series=tuple(float(c) for c in coef))
 
 
 class WarpedRadialField(ChartMetricField):
@@ -174,25 +139,12 @@ class WarpedRadialField(ChartMetricField):
     Derivatives are analytic through the profile's u-derivatives.
     """
 
-    def __init__(self, profile: RadialProfile, chart_radius: float = math.inf):
+    def __init__(self, profile: RadialProfile):
         self.profile = profile
-        self.chart_radius = chart_radius
-        # q-series from the c-series: q = sum -series[m+1] u^m
+        # q = (1 - c)/u = -sum series[m+1] u^m
         cser = profile.series
-        qser = tuple(-cser[m + 1] for m in range(len(cser) - 1)) or (0.0,)
-
-        def q0(u):
-            return (1.0 - profile.c(u)) / u
-
-        def q1(u):
-            return -(profile.cp(u) * u + (1.0 - profile.c(u))) / u ** 2
-
-        def q2(u):
-            return (-profile.cpp(u) / u + 2.0 * profile.cp(u) / u ** 2
-                    + 2.0 * (1.0 - profile.c(u)) / u ** 3)
-
-        self._q = RadialProfile(series=qser, closed=(q0, q1, q2),
-                                u_switch=profile.u_switch)
+        self._q = RadialProfile(
+            series=tuple(-cser[m + 1] for m in range(len(cser) - 1)) or (0.0,))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

@@ -72,9 +72,8 @@ class TensorPullbackField(ChartMetricField):
     Values only; derivatives go through the centered-difference fallback.
     """
 
-    def __init__(self, family: LinkTensorFamily, chart_radius: float):
+    def __init__(self, family: LinkTensorFamily):
         self.family = family
-        self.chart_radius = chart_radius
         self.fd_step = 1e-5
 
     def value(self, x):
@@ -100,8 +99,8 @@ def pullback_via_phi(cone: ConeMetric, ball_radius: float) -> ChartMetricField:
     if ball_radius > cone.s_max:
         raise ValueError("ball radius exceeds the cone chart")
     if fam.conformal_profile is not None:
-        return WarpedRadialField(fam.conformal_profile, chart_radius=ball_radius)
-    return TensorPullbackField(fam.tensor_family, ball_radius)
+        return WarpedRadialField(fam.conformal_profile)
+    return TensorPullbackField(fam.tensor_family)
 
 
 # ----------------------------------------------------------------------------
@@ -137,7 +136,6 @@ class FootballModel:
     delta: float
     cone: ConeMetric
     chart: WarpedRadialField
-    pole_distance: float = math.pi
 
     @property
     def total_volume(self) -> float:
@@ -156,7 +154,7 @@ def football_metric(delta: float) -> FootballModel:
         raise ValueError("need 0 < delta < pi/4")
     fam = LinkFamily(link="RP3", conformal_profile=round_profile())
     cone = ConeMetric(link_family=fam, s_max=math.pi)
-    chart = WarpedRadialField(round_profile(), chart_radius=2.0 * delta)
+    chart = WarpedRadialField(round_profile())
     return FootballModel(delta=delta, cone=cone, chart=chart)
 
 

@@ -10,14 +10,15 @@ valid for tangent u, v (the second from differentiating F along great
 circles).  Symmetric 2-tensors on the link are ambient 4x4 matrix fields
 acting on tangent vectors.
 
-The gauge flow ``psi_s`` is generated by grad f / 2 and the pulled-back
-link tensor is assembled from its differential and the embedding
-alpha(s, z) = (s - s^2 f(z)/2, psi_s(z)).
+The gauge flow ``psi_s`` is generated by grad f / 2, and its differential
+is integrated with it by the flow's variational equation (Hairer, Norsett &
+Wanner, *Solving ODEs I*, sec. I.14), so no difference step enters.  The
+pulled-back link tensor is assembled from that differential and the
+embedding alpha(s, z) = (s - s^2 f(z)/2, psi_s(z)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "LinkFunction",
     "LinkTensorFamily",
     "link_flow",
-    "flow_differential",
     "pulled_link_tensor",
     "verify_first_order_identity",
     "tangent_frame",
@@ -142,43 +142,38 @@ def tangent_frame(z) -> np.ndarray:
     return np.array(basis)
 
 
-def link_flow(f: LinkFunction, s: float, points, rtol: float = _FLOW_RTOL):
-    """Flow of grad f / 2 on the round S^3 from time 0 to s (s may be < 0).
+def link_flow(f: LinkFunction, s: float, z, frame):
+    """psi_s(z) and d(psi_s)_z of the frame rows, for the flow of grad f / 2
+    on the round S^3 from time 0 to s (s may be < 0).
 
-    Integrates in ambient coordinates; the field is tangent so the sphere is
-    invariant, and the result is renormalized defensively.
+    One ambient solve carries z with its frame under the variational
+    equation d' = dF(z) d of F(z) = (g - (z.g) z)/2, g and H the ambient
+    gradient and Hessian of f:
+
+        dF(z) d = (H d - (d.g + z.H d) z - (z.g) d) / 2.
+
+    F is tangent to the sphere, so the sphere is invariant; the results are
+    renormalized and projected onto it defensively.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    z = np.asarray(z, dtype=float)
+    frame = np.asarray(frame, dtype=float)
+    if s != 0.0:
+        def rhs(_, y):
+            p, d = y[:4], y[4:].reshape(-1, 4)
+            g = np.asarray(f.grad(p))
+            H = np.asarray(f.hess(p))
+            zg = p @ g
+            Hd = d @ H
+            dF = Hd - np.outer(d @ g + Hd @ p, p) - zg * d
+            return 0.5 * np.concatenate([g - zg * p, dF.ravel()])
 
-    def rhs(t, y):
-        zs = y.reshape(-1, 4)
-        out = np.empty_like(zs)
-        for i, z in enumerate(zs):
-            out[i] = 0.5 * f.sphere_gradient(z / np.linalg.norm(z))
-        return out.ravel()
-
-    if s == 0.0:
-        flowed = pts.copy()
-    else:
-        sol = solve_ivp(rhs, (0.0, s), pts.ravel(), rtol=rtol, atol=_FLOW_ATOL,
-                        method="RK45", dense_output=False)
+        sol = solve_ivp(rhs, (0.0, s), np.concatenate([z, frame.ravel()]),
+                        rtol=_FLOW_RTOL, atol=_FLOW_ATOL, method="RK45")
         if not sol.success:
             raise RuntimeError(f"link flow integration failed: {sol.message}")
-        flowed = sol.y[:, -1].reshape(-1, 4)
-    flowed /= np.linalg.norm(flowed, axis=1, keepdims=True)
-    return flowed if np.asarray(points).ndim > 1 else flowed[0]
-
-
-def flow_differential(f: LinkFunction, s: float, z, u, h: float = 1e-6):
-    """d(psi_s)_z(u) by a centered difference of flows of geodesic-displaced
-    starting points; returned tangent at psi_s(z)."""
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    zp = math.cos(h) * z + math.sin(h) * u
-    zm = math.cos(h) * z - math.sin(h) * u
-    fp, fm, f0 = link_flow(f, s, np.array([zp, zm, z]))
-    d = (fp - fm) / (2.0 * h)
-    return d - (d @ f0) * f0
+        z, frame = sol.y[:4, -1], sol.y[4:, -1].reshape(frame.shape)
+    z = z / np.linalg.norm(z)
+    return z, frame - np.outer(frame @ z, z)
 
 
 def pulled_link_tensor(f: LinkFunction, family: LinkTensorFamily, s: float,
@@ -192,14 +187,10 @@ def pulled_link_tensor(f: LinkFunction, family: LinkTensorFamily, s: float,
         frame = tangent_frame(z)
     fz = f.value(z)
     alpha1 = s - 0.5 * s * s * fz
-    flowed = link_flow(f, s, z)
-    dpsi = np.array([flow_differential(f, s, z, u) for u in frame])
+    flowed, dpsi = link_flow(f, s, z, frame)
     hmat = np.asarray(family.at(alpha1, flowed))
-    df = np.array([f.sphere_gradient(z) @ u for u in frame])
-    pulled = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            pulled[a, b] = dpsi[a] @ hmat @ dpsi[b]
+    df = frame @ f.sphere_gradient(z)
+    pulled = dpsi @ hmat @ dpsi.T
     out = (1.0 + 2.0 * s * fz) * (0.25 * s * s * np.outer(df, df)
                                   + (1.0 - 0.5 * s * fz) ** 2 * pulled)
     return out

@@ -645,14 +645,17 @@ def _exp_sphere(chart: RadialChart, pole, dirs: np.ndarray):
     # round: ambient S^4 geodesics from the lifted pole
     from cyl.geometry.football import chart_to_sphere
     p = chart_to_sphere(pole)
-    # tangent lift of a chart direction v at the chart point:
-    # d/du chart_to_sphere(pole + u v) normalized, by a central difference
-    h = 1e-6
-    n = len(dirs)
-    ends = chart_to_sphere(np.concatenate([pole + h * dirs, pole - h * dirs]))
-    dp = (ends[:n] - ends[n:]) / (2 * h)
-    dp -= (dp @ p)[:, None] * p
+    # tangent lift of a chart direction v: the derivative of chart_to_sphere
+    # at the pole, ((sin r/r) v + (cos r - sin r/r) a e, -sin r a), with
+    # r = |pole|, e = pole/r and a = e.v, normalized
+    r = float(np.linalg.norm(pole))
+    e = pole / r if r > 0.0 else np.zeros(4)
+    a = dirs @ e
+    sinc = np.sinc(r / math.pi)
+    dp = np.column_stack([sinc * dirs + np.outer((math.cos(r) - sinc) * a, e),
+                          -math.sin(r) * a])
     dp /= np.linalg.norm(dp, axis=1, keepdims=True)
+    n = len(dirs)
 
     def points(s: float) -> np.ndarray:
         q = math.cos(s) * p + math.sin(s) * dp

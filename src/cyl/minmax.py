@@ -31,8 +31,9 @@ evaluates the Green lift, energy density and measure from it.
 
 The Green data comes from the closed-form global football kernel (the
 equivariant sum of round-sphere kernels) conformally corrected by the CNC
-factor; its mass is A_q(t) = 1/(4 sin^2 t) exactly, which the code recomputes
-numerically as a guard.
+factor; its mass is A_q(t) = 1/(4 sin^2 t) exactly, and ``glued_data`` takes
+that closed form (the tests recompute it as the axis limit of the glued
+Green lift).
 """
 
 from __future__ import annotations
@@ -321,11 +322,13 @@ def _quotient_from(nres: IntegralResult, dres: IntegralResult):
 
 @dataclass
 class GluedData:
+    """Matching data of the glued leg at pole distance t; A_q is the exact
+    mass 1/(4 sin^2 t) of the CNC-corrected Green lift."""
+
     eps: float
     t: float
     tau: float
     A_q: float
-    A_q_closed: float
     nu: float
     s_tau: float          # chart radius with rho(s_tau) = tau
     s_2tau: float
@@ -347,21 +350,9 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
     s_2tau = float(s_of_rho(2.0 * tau))
     if 2.0 * s_2tau >= 2.0 * t * 0.98:
         raise ValueError("glue annulus reaches the partner bubble")
-    # numeric mass: limit of e^{-f/2}(Gs(s) + Gs(d2)) - rho^-2 along the axis
-    svals = t * np.array([1e-2, 5e-3, 2.5e-3])
-    vals = []
-    for s in svals:
-        d2 = 2.0 * t - s  # along the geodesic toward the partner
-        G = math.exp(-0.5 * float(f1.value(s))) \
-            * (float(sphere_kernel(s)) + float(sphere_kernel(d2)))
-        vals.append(G - 1.0 / float(rho(s)) ** 2)
-    # quadratic Richardson in s
-    design = np.stack([np.ones(3), svals, svals ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.array(vals), rcond=None)
-    A_num = float(coef[0])
-    A_closed = float(0.25 / math.sin(t) ** 2)
-    return GluedData(eps=eps, t=t, tau=tau, A_q=A_num, A_q_closed=A_closed,
-                     nu=matching_constant(eps, tau, A_num), s_tau=s_tau,
+    A_q = 0.25 / math.sin(t) ** 2
+    return GluedData(eps=eps, t=t, tau=tau, A_q=A_q,
+                     nu=matching_constant(eps, tau, A_q), s_tau=s_tau,
                      s_2tau=s_2tau, rho=rho, f1=f1,
                      chi_tau=CutoffProfile(tau, 2.0 * tau))
 

@@ -13,6 +13,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from cyl import __version__
 from cyl.constants import sobolev_constants
 
@@ -42,14 +44,10 @@ def write_json(path: str, obj) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
     def default(o):
-        try:
-            import numpy as np
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-        except ImportError:
-            pass
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
         return str(o)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -14,24 +14,31 @@ from cyl.geometry.football import (ConeMetric, LinkFamily, chart_to_sphere,
                                    football_metric, pullback_via_phi,
                                    regularity_probe, sphere_distance_chart)
 from cyl.geometry.links import (LinkFunction, LinkTensorFamily, link_flow,
-                                sphere_points, verify_first_order_identity)
+                                sphere_points, tangent_frame,
+                                verify_first_order_identity)
 from cyl.quadrature import QuadratureSpec, integrate_radial
 
 
 # ----------------------------------------------------------------------- fields
 
 def test_round_profile_series_matches_closed_form():
+    # c = sin^2(r)/u with r = sqrt(u), and its u-derivatives, in 40 digits
+    import mpmath
     prof = round_profile()
-    for u in (1e-6, 0.01, 0.2, 0.26, 1.0, 2.0):
-        r = math.sqrt(u)
-        assert_allclose(prof.c(np.array([u]))[0], math.sin(r) ** 2 / u, rtol=1e-13)
-    # derivative consistency by differencing across the switch point
-    for u in (0.2, 0.3, 1.1):
-        h = 1e-6
-        fd = (prof.c(np.array([u + h]))[0] - prof.c(np.array([u - h]))[0]) / (2 * h)
-        assert_allclose(prof.cp(np.array([u]))[0], fd, rtol=1e-8)
-        fd2 = (prof.cp(np.array([u + h]))[0] - prof.cp(np.array([u - h]))[0]) / (2 * h)
-        assert_allclose(prof.cpp(np.array([u]))[0], fd2, rtol=1e-7, atol=1e-12)
+    us = np.geomspace(1e-6, (math.pi / 2) ** 2, 40)
+    got = np.array([prof.c(us), prof.cp(us), prof.cpp(us)])
+    with mpmath.workdps(40):
+        ref = []
+        for u in us:
+            u = mpmath.mpf(u)
+            r = mpmath.sqrt(u)
+            sn, cs = mpmath.sin(r), mpmath.cos(r)
+            c1 = (r * sn * cs - sn ** 2) / u ** 2
+            c2 = (mpmath.cos(2 * r) - mpmath.sin(2 * r) / (2 * r)) / (2 * u ** 2) \
+                - 2 * c1 / u
+            ref.append([float(sn ** 2 / u), float(c1), float(c2)])
+    ref = np.array(ref).T
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
 
 
 def test_warped_field_analytic_derivatives_match_fd():
@@ -146,19 +153,30 @@ def test_regularity_probe_degree_two_and_flat():
 # ------------------------------------------------------------------ link gauge
 
 def test_link_flow_properties():
-    f = LinkFunction.linear([1.0, 0.0, 0.0, 0.0])
-    pts = sphere_points(5, 9)
-    # time additivity
-    a = link_flow(f, 0.08, pts)
-    b = link_flow(f, 0.05, link_flow(f, 0.03, pts))
-    assert_allclose(a, b, atol=1e-10)
-    # ascent toward the maximum of f along meridians
-    va = [f.value(p) for p in pts]
-    vb = [f.value(p) for p in a]
-    assert all(y >= x - 1e-12 for x, y in zip(va, vb))
-    # constant f flows trivially
-    c = link_flow(LinkFunction.constant(2.0), 0.3, pts)
-    assert_allclose(c, pts, atol=1e-12)
+    f = LinkFunction.quadratic(np.diag([0.3, -0.1, -0.1, -0.1]))
+    for z in sphere_points(5, 9):
+        frame = tangent_frame(z)
+        # time additivity, of the point and of its pushed frame
+        a, da = link_flow(f, 0.08, z, frame)
+        b, db = link_flow(f, 0.05, *link_flow(f, 0.03, z, frame))
+        assert_allclose(a, b, atol=1e-10)
+        assert_allclose(da, db, atol=1e-10)
+        # the pushed frame is the differential: a central difference of flows
+        # from geodesically displaced starts
+        h = 1e-5
+        for u, du in zip(frame, da):
+            zp = math.cos(h) * z + math.sin(h) * u
+            zm = math.cos(h) * z - math.sin(h) * u
+            fd = (link_flow(f, 0.08, zp, np.empty((0, 4)))[0]
+                  - link_flow(f, 0.08, zm, np.empty((0, 4)))[0]) / (2.0 * h)
+            assert_allclose(du, fd, atol=1e-8)
+        # ascent of f along the flow
+        assert f.value(a) >= f.value(z) - 1e-12
+    # constant f flows trivially, frame included
+    z = sphere_points(1, 4)[0]
+    c, dc = link_flow(LinkFunction.constant(2.0), 0.3, z, tangent_frame(z))
+    assert_allclose(c, z, atol=1e-12)
+    assert_allclose(dc, tangent_frame(z), atol=1e-12)
 
 
 def test_first_order_identity_and_gauge():
@@ -166,10 +184,15 @@ def test_first_order_identity_and_gauge():
     k = np.diag([0.1, -0.2, 0.05, 0.0])
     fam = LinkTensorFamily.linear_perturbation(lambda z: k)
     pts = sphere_points(6, 2)
-    r_h = verify_first_order_identity(fq, fam, 2e-3, points=pts)
-    r_h2 = verify_first_order_identity(fq, fam, 1e-3, points=pts)
-    assert r_h2 < 1e-3
-    assert r_h / r_h2 == pytest.approx(4.0, rel=0.7)
+    # O(h^2): each halving of h from 2e-3 to 1.25e-4 divides the residual,
+    # and the post-gauge one, by 4
+    hs = 2e-3 * 0.5 ** np.arange(5)
+    for family in (fam, LinkTensorFamily.gauge_killing(fq)):
+        res = np.array([verify_first_order_identity(fq, family, h, points=pts)
+                        for h in hs])
+        assert res[1] < 1e-3
+        ratios = res[:-1] / res[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
     # constant f: derivative = h'(0) + kappa h0 exactly (Hessian of const = 0)
     rc = verify_first_order_identity(LinkFunction.constant(0.25), fam, 1e-3,
                                      points=pts)

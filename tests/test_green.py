@@ -134,40 +134,29 @@ def test_mode_sum_matches_per_mode_splines():
     assert np.array_equal(got, expect)
 
 
-def _exp_sphere_one_by_one(pole, s, dirs):
-    """Reference lift: each direction on its own, one point at a time."""
-    from cyl.geometry.football import chart_to_sphere
-    p = chart_to_sphere(pole)
-    out = np.empty((len(dirs), 4))
-    for i, v in enumerate(dirs):
-        dp = (chart_to_sphere(pole + 1e-6 * v)
-              - chart_to_sphere(pole - 1e-6 * v)) / 2e-6
-        dp -= (dp @ p) * p
-        dp /= np.linalg.norm(dp)
-        q = math.cos(s) * p + math.sin(s) * dp
-        out[i] = math.acos(np.clip(q[4], -1.0, 1.0)) / np.linalg.norm(q[:4]) * q[:4]
-    return out
-
-
 def test_round_geodesic_spheres_have_their_radius():
     from cyl.geometry.football import chart_to_sphere
     from cyl.green import _exp_sphere
     rng = np.random.default_rng(9)
     dirs = rng.normal(size=(64, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    h = 1e-6
     for pole in (np.array([0.1, 0.0, 0.0, 0.0]), np.array([0.05, -0.2, 0.1, 0.0])):
         p = chart_to_sphere(pole)
+        # the tangent lift by a central difference of chart_to_sphere
+        fd = (chart_to_sphere(pole + h * dirs)
+              - chart_to_sphere(pole - h * dirs)) / (2.0 * h)
+        fd /= np.linalg.norm(fd, axis=1, keepdims=True)
         sphere = _exp_sphere(RadialChart.round(), pole, dirs)
         for s in (1e-3, 0.02, 0.3):
-            pts = sphere(s)
-            q = chart_to_sphere(pts)
+            q = chart_to_sphere(sphere(s))
             # chordal form: well conditioned at small s
             dist = 2.0 * np.arcsin(0.5 * np.linalg.norm(q - p, axis=1))
             assert np.max(np.abs(dist - s)) < 1e-12
-            # row-wise dot products and arccos may round differently from
-            # their one-point forms: a few ulps of the chart radius
-            ref = _exp_sphere_one_by_one(pole, s, dirs)
-            assert np.max(np.abs(pts - ref)) < 1e-15
+        # q = cos(s) p + sin(s) lift on the great circle through the pole
+        q = chart_to_sphere(sphere(0.3))
+        lift = (q - math.cos(0.3) * p) / math.sin(0.3)
+        assert np.max(np.abs(lift - fd)) < 1e-9
 
 
 def test_round_mass_extraction_lifts_directions_at_once(monkeypatch):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import cyl.minmax as minmax
 import cyl.quadrature as quadrature
 from cyl.constants import sobolev_constants
-from cyl.green import matching_constant
+from cyl.green import matching_constant, sphere_kernel
 from cyl.interaction import curves
 from cyl.minmax import (D2, PathConfig, build_path, exponents_admissible,
                         fit_expansion_A, glued_data, quotient_double,
@@ -71,8 +71,15 @@ def test_double_leg_expansion_value():
 def test_glued_data_mass_identity():
     eps = 1e-4
     gd = glued_data(eps, eps ** 0.6, eps ** 0.7)
-    # CNC kills the O(1) self part: A_q = 1/(4 sin^2 t) exactly
-    assert gd.A_q == pytest.approx(gd.A_q_closed, rel=1e-6)
+    assert gd.A_q == 0.25 / math.sin(gd.t) ** 2
+    # CNC kills the O(1) self part: the closed form is the axis limit of
+    # e^{-f/2} (Gs(s) + Gs(2t - s)) - rho(s)^-2, quadratic Richardson in s
+    s = gd.t * np.array([1e-2, 5e-3, 2.5e-3])
+    lifted = np.exp(-0.5 * gd.f1.value(s)) \
+        * (sphere_kernel(s) + sphere_kernel(2.0 * gd.t - s))
+    design = np.stack([np.ones(3), s, s ** 2], axis=1)
+    limit = np.linalg.solve(design, lifted - gd.rho(s) ** -2.0)[0]
+    assert limit == pytest.approx(gd.A_q, rel=1e-6)
     assert gd.nu > 0.0
     assert float(gd.rho(gd.s_tau)) == pytest.approx(gd.tau, rel=1e-10)
     assert float(gd.rho(gd.s_2tau)) == pytest.approx(2.0 * gd.tau, rel=1e-10)
