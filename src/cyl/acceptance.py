@@ -1,8 +1,10 @@
 """The acceptance suite: every quantitative target of the laboratory as one
 pass/fail check with pinned tolerances.
 
-Each check returns a CheckResult; ``run_acceptance`` executes a selection in
-order and reports one line per criterion.  The same definitions back the
+Each check is registered by ``_criterion``, which numbers it by its place in
+``ALL_CHECKS``, times it and wraps its (passed, detail) in a CheckResult;
+``run_acceptance`` executes a selection in order and reports one line per
+criterion.  The same definitions back the
 ``cyl accept`` subcommand and the pytest acceptance module, so the gate is a
 single source of truth; a command that runs a criterion's experiment takes
 its definition from the shared section below.
@@ -10,6 +12,7 @@ its definition from the shared section below.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -37,9 +40,27 @@ class CheckResult:
                f"({self.seconds:.1f}s)"
 
 
-def _spec(cfg: RunConfig, scale: float = 1.0) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=cfg.rel_tol * scale,
-                          abs_tol=cfg.abs_tol * scale)
+ALL_CHECKS = []
+
+
+def _criterion(name: str):
+    """Register a check body as the next criterion: its index is its place
+    in ALL_CHECKS, and the check times the body, which returns
+    (passed, detail), into a CheckResult."""
+    def register(body):
+        index = len(ALL_CHECKS) + 1
+
+        @functools.wraps(body)
+        def check(cfg: RunConfig) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = body(cfg)
+            return CheckResult(index, name, passed, detail,
+                               time.perf_counter() - t0)
+
+        ALL_CHECKS.append(check)
+        return check
+
+    return register
 
 
 # ------------------------------------------------ experiments the cli shares
@@ -57,19 +78,10 @@ def slope_fits() -> list:
             for kind, ts, target in runs]
 
 
-def path_config(cfg: RunConfig):
-    """The competitor path's PathConfig from the run configuration."""
-    from cyl.minmax import PathConfig
-    return PathConfig(epsilon=cfg.epsilon, alpha=cfg.alpha, omega=cfg.omega,
-                      delta=cfg.delta, mu_points=cfg.mu_points,
-                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
-
-
 def double_fit(cfg: RunConfig):
-    """The fit of A on the DOUBLE leg over epsilon_list_double."""
+    """The fit of A on the DOUBLE leg (mu = 1) over epsilon_list_double."""
     from cyl.minmax import fit_expansion_A
-    return fit_expansion_A(cfg.epsilon_list_double, leg="DOUBLE",
-                           alpha=cfg.alpha, omega=cfg.omega, delta=cfg.delta,
+    return fit_expansion_A(cfg, cfg.epsilon_list_double, 1.0,
                            spec=QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
 
 
@@ -113,7 +125,8 @@ def round_cnc(h_fd: float) -> dict:
 
 # ----------------------------------------------------------------------- 1
 
-def check_constants(cfg: RunConfig) -> CheckResult:
+@_criterion("closed-form constants from the normalization integral")
+def check_constants(cfg: RunConfig):
     t0 = time.perf_counter()
     k = sobolev_constants()
     spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
@@ -134,36 +147,30 @@ def check_constants(cfg: RunConfig) -> CheckResult:
     ratio_exact = abs(k.B / k.S4 - 0.75) < 5e-16
     dt = time.perf_counter() - t0
     ok = twelve and ratio_exact and dt < 1.0
-    detail = (f"max rel err {max(errs.values()):.2e}, B/S4-3/4 = "
-              f"{k.B / k.S4 - 0.75:.1e}, runtime {dt:.3f}s")
-    return CheckResult(1, "closed-form constants from the normalization "
-                          "integral", ok, detail, dt)
+    return ok, (f"max rel err {max(errs.values()):.2e}, B/S4-3/4 = "
+                f"{k.B / k.S4 - 0.75:.1e}, runtime {dt:.3f}s")
 
 
 # ----------------------------------------------------------------------- 2
 
-def check_bracket(cfg: RunConfig) -> CheckResult:
+@_criterion("double-bubble quotient bracket (6*S4, 6*sqrt(2)*S4)")
+def check_bracket(cfg: RunConfig):
     from cyl.interaction import curves
-    t0 = time.perf_counter()
-    k = sobolev_constants()
     grid = np.asarray(cfg.t_grid, dtype=float)
-    cur = curves(1.0, grid, _spec(cfg))
+    cur = curves(1.0, grid, cfg.spec())
     lo, hi = cur.bracket_margins()
     ok = bool(cur.converged.all()
               and np.all(lo > 3.0 * cur.f_err)
               and np.all(hi > 3.0 * cur.f_err))
-    detail = (f"{len(grid)} points in [{grid.min():g}, {grid.max():g}], "
-              f"min lower margin {np.min(lo):.3e}, min upper margin "
-              f"{np.min(hi):.3e}, max 3*err {np.max(3 * cur.f_err):.1e}")
-    return CheckResult(2, "double-bubble quotient bracket "
-                          "(6*S4, 6*sqrt(2)*S4)", ok, detail,
-                       time.perf_counter() - t0)
+    return ok, (f"{len(grid)} points in [{grid.min():g}, {grid.max():g}], "
+                f"min lower margin {np.min(lo):.3e}, min upper margin "
+                f"{np.min(hi):.3e}, max 3*err {np.max(3 * cur.f_err):.1e}")
 
 
 # ----------------------------------------------------------------------- 3
 
-def check_slopes(cfg: RunConfig) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("interaction slope coefficients")
+def check_slopes(cfg: RunConfig):
     fits = slope_fits()
     (fit_g, target_g), (fit_u, target_u), (fit_f, target_f) = fits
     rel_g = abs(fit_g.coefficient - target_g) / target_g
@@ -171,85 +178,79 @@ def check_slopes(cfg: RunConfig) -> CheckResult:
     rel_f = abs(fit_f.coefficient - target_f) / abs(target_f)
     unconverged = sum(not fit.converged for fit, _ in fits)
     ok = rel_g < 0.02 and rel_u < 0.02 and rel_f < 0.05 and unconverged == 0
-    detail = (f"grad {fit_g.coefficient:.5f} vs {target_g:.5f} ({rel_g:.2%}), "
-              f"u3v {fit_u.coefficient:.5f} vs {target_u} ({rel_u:.2%}), "
-              f"f-curve {fit_f.coefficient:.3f} vs {target_f:.3f} ({rel_f:.2%}); "
-              f"{unconverged} of {len(fits)} fits unconverged")
-    return CheckResult(3, "interaction slope coefficients", ok, detail,
-                       time.perf_counter() - t0)
+    return ok, (f"grad {fit_g.coefficient:.5f} vs {target_g:.5f} "
+                f"({rel_g:.2%}), u3v {fit_u.coefficient:.5f} vs {target_u} "
+                f"({rel_u:.2%}), f-curve {fit_f.coefficient:.3f} vs "
+                f"{target_f:.3f} ({rel_f:.2%}); "
+                f"{unconverged} of {len(fits)} fits unconverged")
 
 
 # ----------------------------------------------------------------------- 4
 
-def check_b_prime(cfg: RunConfig) -> CheckResult:
+@_criterion("b' identity residual")
+def check_b_prime(cfg: RunConfig):
     from cyl.interaction import verify_b_prime_identity
-    t0 = time.perf_counter()
-    spec = _spec(cfg)
+    spec = cfg.spec()
     res = {t: verify_b_prime_identity(1.0, t, 1e-3, spec) for t in (0.5, 2.0)}
     half = verify_b_prime_identity(1.0, 2.0, 5e-4, spec)
     shrink = res[2.0] / half if half > 0 else math.inf
     ok = all(v < 1e-5 for v in res.values()) and shrink > 2.5
-    detail = (f"residuals t=0.5: {res[0.5]:.2e}, t=2: {res[2.0]:.2e}; "
-              f"halving shrink x{shrink:.1f}")
-    return CheckResult(4, "b' identity residual", ok, detail,
-                       time.perf_counter() - t0)
+    return ok, (f"residuals t=0.5: {res[0.5]:.2e}, t=2: {res[2.0]:.2e}; "
+                f"halving shrink x{shrink:.1f}")
 
 
 # ----------------------------------------------------------------------- 5
 
-def check_monotonicity(cfg: RunConfig) -> CheckResult:
+@_criterion("a' < 0 and c' < 0 by both estimators")
+def check_monotonicity(cfg: RunConfig):
     from cyl.interaction import verify_monotonicity
-    t0 = time.perf_counter()
     rep = verify_monotonicity(1.0, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
-                              _spec(cfg, 10.0))
+                              cfg.spec().scaled(10.0))
     ok = (rep.all_negative and rep.cross_consistent
           and rep.first_violation < 0 and rep.converged)
-    detail = (f"a' in [{rep.a_prime_quad.min():.3f}, {rep.a_prime_quad.max():.3f}], "
-              f"c' in [{rep.c_prime_quad.min():.3f}, {rep.c_prime_quad.max():.3f}], "
-              f"first violation index {rep.first_violation}, integrals "
-              f"{'converged' if rep.converged else 'unconverged'}")
-    return CheckResult(5, "a' < 0 and c' < 0 by both estimators", ok, detail,
-                       time.perf_counter() - t0)
+    return ok, (f"a' in [{rep.a_prime_quad.min():.3f}, "
+                f"{rep.a_prime_quad.max():.3f}], "
+                f"c' in [{rep.c_prime_quad.min():.3f}, "
+                f"{rep.c_prime_quad.max():.3f}], "
+                f"first violation index {rep.first_violation}, integrals "
+                f"{'converged' if rep.converged else 'unconverged'}")
 
 
 # ----------------------------------------------------------------------- 6
 
-def check_cnc(cfg: RunConfig) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("conformal normal coordinates exact on the round chart")
+def check_cnc(cfg: RunConfig):
     res, res2 = round_cnc(1e-3), round_cnc(5e-4)
     keys = ("R", "Ric", "dR", "sym_dRic")
     below = all(res[kk] < 1e-3 for kk in keys)
     ratio = res["R"] / max(res2["R"], 1e-30)
     decays = ratio > 2.5 or res2["R"] < 1e-10
     ok = below and decays
-    detail = (f"|R| {res['R']:.2e}, |Ric| {res['Ric']:.2e}, |dR| {res['dR']:.2e}, "
-              f"|sym dRic| {res['sym_dRic']:.2e}; halving ratio {ratio:.1f}")
-    return CheckResult(6, "conformal normal coordinates exact on the round "
-                          "chart", ok, detail, time.perf_counter() - t0)
+    return ok, (f"|R| {res['R']:.2e}, |Ric| {res['Ric']:.2e}, "
+                f"|dR| {res['dR']:.2e}, |sym dRic| {res['sym_dRic']:.2e}; "
+                f"halving ratio {ratio:.1f}")
 
 
 # ----------------------------------------------------------------------- 7
 
-def check_gauge(cfg: RunConfig) -> CheckResult:
+@_criterion("first-order gauge identity and orbifold gauge")
+def check_gauge(cfg: RunConfig):
     from cyl.geometry.links import verify_first_order_identity
-    t0 = time.perf_counter()
     f, fam, gauge, pts = gauge_example()
     r_h = verify_first_order_identity(f, fam, 2e-3, points=pts)
     r_h2 = verify_first_order_identity(f, fam, 1e-3, points=pts)
     r_post = verify_first_order_identity(f, gauge, 1e-3, points=pts)
     ratio = r_h / max(r_h2, 1e-30)
     ok = 2.0 < ratio < 8.0 and r_post < 1e-3 and f.is_even()
-    detail = (f"residual {r_h2:.2e} at h=1e-3, halving ratio {ratio:.1f}, "
-              f"post-gauge h'(0) norm {r_post:.2e}")
-    return CheckResult(7, "first-order gauge identity and orbifold gauge",
-                       ok, detail, time.perf_counter() - t0)
+    return ok, (f"residual {r_h2:.2e} at h=1e-3, halving ratio {ratio:.1f}, "
+                f"post-gauge h'(0) norm {r_post:.2e}")
 
 
 # ----------------------------------------------------------------------- 8
 
-def check_green_masses(cfg: RunConfig) -> CheckResult:
+@_criterion("Green masses: centered ball and 1/(4t^2) divergence")
+def check_green_masses(cfg: RunConfig):
     from cyl.green import mass_divergence_sweep
-    t0 = time.perf_counter()
     exp = centred_flat_mass(cfg)
     centered_err = abs(exp.A_q + 1.0 / cfg.green_delta ** 2)
     tmax = 0.05 * cfg.green_delta
@@ -259,31 +260,27 @@ def check_green_masses(cfg: RunConfig) -> CheckResult:
     pf = flat_rows[-1]["product"]
     pb = foot_rows[-1]["product"]
     ok = centered_err < 1e-6 and 0.95 <= pf <= 1.05 and 0.95 <= pb <= 1.05
-    detail = (f"centered mass err {centered_err:.1e}; A_q*4t^2 at t={grid[-1]:g}: "
-              f"flat cone {pf:.4f}, football {pb:.4f}")
-    return CheckResult(8, "Green masses: centered ball and 1/(4t^2) "
-                          "divergence", ok, detail, time.perf_counter() - t0)
+    return ok, (f"centered mass err {centered_err:.1e}; A_q*4t^2 at "
+                f"t={grid[-1]:g}: flat cone {pf:.4f}, football {pb:.4f}")
 
 
 # ----------------------------------------------------------------------- 9
 
-def check_parametrix(cfg: RunConfig) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("parametrix residual law sup ~ C t^-2")
+def check_parametrix(cfg: RunConfig):
     sweep = round_parametrix()
     ok = -2.3 <= sweep["exponent"] <= -1.7
-    detail = (f"fitted exponent {sweep['exponent']:.3f}, sups "
-              + ", ".join(f"{s:.3e}" for s in sweep["sup"]))
-    return CheckResult(9, "parametrix residual law sup ~ C t^-2", ok, detail,
-                       time.perf_counter() - t0)
+    return ok, (f"fitted exponent {sweep['exponent']:.3f}, sups "
+                + ", ".join(f"{s:.3e}" for s in sweep["sup"]))
 
 
 # ----------------------------------------------------------------------- 10
 
-def check_path(cfg: RunConfig) -> CheckResult:
+@_criterion("competitor path stays strictly below 6*S4")
+def check_path(cfg: RunConfig):
     from cyl.minmax import build_path
-    t0 = time.perf_counter()
     k = sobolev_constants()
-    prof = build_path(path_config(cfg))
+    prof = build_path(cfg)
     margins = 6.0 * k.S4 - prof.Q
     min_margin = float(np.min(margins))
     worst = float(np.min(margins - 3.0 * prof.Q_err))
@@ -293,24 +290,20 @@ def check_path(cfg: RunConfig) -> CheckResult:
     unconverged = int(np.count_nonzero(~prof.converged))
     ok = bool(min_margin > 0.0 and worst > 0.0 and endpoints_ok
               and unconverged == 0)
-    detail = (f"max Q {prof.max_Q:.9f} < 6*S4 {6 * k.S4:.9f}, min margin "
-              f"{min_margin:.2e} (>= 3*err: {worst:.2e} slack), endpoints "
-              f"{q0:.4f}/{q1:.4f} vs Y4/sqrt2 {k.Ys:.4f}, "
-              f"{unconverged} unconverged")
-    return CheckResult(10, "competitor path stays strictly below 6*S4",
-                       ok, detail, time.perf_counter() - t0)
+    return ok, (f"max Q {prof.max_Q:.9f} < 6*S4 {6 * k.S4:.9f}, min margin "
+                f"{min_margin:.2e} (>= 3*err: {worst:.2e} slack), endpoints "
+                f"{q0:.4f}/{q1:.4f} vs Y4/sqrt2 {k.Ys:.4f}, "
+                f"{unconverged} unconverged")
 
 
 # ----------------------------------------------------------------------- 11
 
-def check_expansion_fit(cfg: RunConfig) -> CheckResult:
+@_criterion("expansion constant A on the DOUBLE and INTERP legs")
+def check_expansion_fit(cfg: RunConfig):
     from cyl.minmax import fit_expansion_A
-    t0 = time.perf_counter()
     k = sobolev_constants()
     fd = double_fit(cfg)
-    fi = fit_expansion_A(cfg.epsilon_list, leg="INTERP", lam=0.5,
-                         alpha=cfg.alpha, omega=cfg.omega, delta=cfg.delta,
-                         spec=_spec(cfg))
+    fi = fit_expansion_A(cfg, cfg.epsilon_list, 1.5)  # INTERP at lam = 0.5
     target_exp = 2.0 * (1.0 - cfg.alpha)
     rel_d = abs(fd.A_hat - k.A) / k.A
     rel_i = abs(fi.A_hat - k.A) / k.A
@@ -320,46 +313,27 @@ def check_expansion_fit(cfg: RunConfig) -> CheckResult:
     unconverged = int(np.count_nonzero(~fd.converged)
                       + np.count_nonzero(~fi.converged))
     ok = rel_d < 0.10 and rel_i < 0.10 and rel_e < 0.10 and unconverged == 0
-    detail = (f"A_hat double {fd.A_hat:.3f} ({rel_d:.1%}), interp "
-              f"{fi.A_hat:.3f} ({rel_i:.1%}) vs A {k.A:.3f}; free exponents "
-              f"{fd.exponent_free:.3f}/{fi.exponent_free:.3f} vs {target_exp}; "
-              f"{unconverged} of {len(fd.converged) + len(fi.converged)} "
-              f"fit points unconverged")
-    return CheckResult(11, "expansion constant A on the DOUBLE and INTERP "
-                           "legs", ok, detail, time.perf_counter() - t0)
+    return ok, (f"A_hat double {fd.A_hat:.3f} ({rel_d:.1%}), interp "
+                f"{fi.A_hat:.3f} ({rel_i:.1%}) vs A {k.A:.3f}; free exponents "
+                f"{fd.exponent_free:.3f}/{fi.exponent_free:.3f} vs "
+                f"{target_exp}; {unconverged} of "
+                f"{len(fd.converged) + len(fi.converged)} fit points "
+                f"unconverged")
 
 
 # ----------------------------------------------------------------------- 12
 
-def check_energy_levels(cfg: RunConfig) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("energy quantization: two singular bubbles cost one regular "
+            "bubble")
+def check_energy_levels(cfg: RunConfig):
     k = sobolev_constants()
     e10 = energy_level(1, 0)
     e01 = energy_level(0, 1)
     e20 = energy_level(2, 0)
     ok = (e10 < e01 and abs(e20 - e01) < 1e-12
           and abs(e10 - k.Ys) < 1e-12 and abs(e01 - k.Y4) < 1e-12)
-    detail = (f"E(1,0) {e10:.6f} < E(0,1) {e01:.6f}; "
-              f"E(2,0) - E(0,1) = {e20 - e01:.1e}")
-    return CheckResult(12, "energy quantization: two singular bubbles cost "
-                           "one regular bubble", ok, detail,
-                       time.perf_counter() - t0)
-
-
-ALL_CHECKS = [
-    check_constants,
-    check_bracket,
-    check_slopes,
-    check_b_prime,
-    check_monotonicity,
-    check_cnc,
-    check_gauge,
-    check_green_masses,
-    check_parametrix,
-    check_path,
-    check_expansion_fit,
-    check_energy_levels,
-]
+    return ok, (f"E(1,0) {e10:.6f} < E(0,1) {e01:.6f}; "
+                f"E(2,0) - E(0,1) = {e20 - e01:.1e}")
 
 
 def run_acceptance(cfg: RunConfig, indices=None, printer=print) -> list:

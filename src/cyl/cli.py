@@ -16,8 +16,9 @@ Exit code 0 only when every enabled acceptance check passes; otherwise the
 first failing criterion's index (1..12).  A usage or input error, such as
 an ``accept --only`` index outside 1..12, an unknown flag, a ``--tol-scale``
 that is not a finite factor > 0, or a ``--config`` file that is missing or
-does not load, exits 64 (``EX_USAGE``), a code no criterion takes, before
-anything runs or is written.
+does not load (an unknown key, or path parameters ``PathConfig`` rejects),
+exits 64 (``EX_USAGE``), a code no criterion takes, before anything runs or
+is written.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from cyl.config import RunConfig, load_config
 from cyl.constants import sobolev_constants
-from cyl.quadrature import QuadratureSpec
 from cyl.reports import RunManifest, fmt, write_csv, write_json, write_plot_data
 
 __all__ = ["main", "EX_USAGE"]
@@ -98,7 +99,7 @@ def _setup(parser, args):
 
 def cmd_constants(cfg: RunConfig, out: str) -> int:
     k = sobolev_constants()
-    manifest = RunManifest(config=cfg.as_dict())
+    manifest = RunManifest(config=asdict(cfg))
     rows = [
         ("c4", k.c4, "(6/pi^2)^(1/4)"),
         ("S4", k.S4, "8*pi/sqrt(6)"),
@@ -122,9 +123,9 @@ def cmd_constants(cfg: RunConfig, out: str) -> int:
 def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
     from cyl.acceptance import slope_fits
     from cyl.interaction import curves, derivative_quadratures
-    manifest = RunManifest(config=cfg.as_dict())
+    manifest = RunManifest(config=asdict(cfg))
     t0 = manifest.start("curves")
-    spec = QuadratureSpec(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+    spec = cfg.spec()
     grid = np.asarray(cfg.t_grid, dtype=float)
     cur = curves(1.0, grid, spec)
     primes = [derivative_quadratures(1.0, float(t), spec) for t in grid]
@@ -168,7 +169,7 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
 def cmd_green_sweep(cfg: RunConfig, out: str) -> int:
     from cyl.acceptance import centred_flat_mass, football_delta, round_parametrix
     from cyl.green import mass_divergence_sweep
-    manifest = RunManifest(config=cfg.as_dict())
+    manifest = RunManifest(config=asdict(cfg))
     t0 = manifest.start("sweeps")
     rows = []
     for model, delta in (("flat-cone", cfg.green_delta),
@@ -225,12 +226,12 @@ def cmd_gauge_verify(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_path_profile(cfg: RunConfig, out: str) -> int:
-    from cyl.acceptance import double_fit, path_config
+    from cyl.acceptance import double_fit
     from cyl.minmax import build_path
     k = sobolev_constants()
-    manifest = RunManifest(config=cfg.as_dict())
+    manifest = RunManifest(config=asdict(cfg))
     t0 = manifest.start("path")
-    prof = build_path(path_config(cfg))
+    prof = build_path(cfg)
     manifest.finish("path", t0)
     rows = [(float(m), leg, float(q), float(e), float(6.0 * k.S4 - q))
             for m, leg, q, e in zip(prof.mu, prof.legs, prof.Q, prof.Q_err)]

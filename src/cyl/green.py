@@ -102,13 +102,14 @@ class RadialChart:
                            lambda r: np.full_like(np.asarray(r, dtype=float), 12.0),
                            dist)
 
-    def mode_coupling_defect(self, field: ChartMetricField, delta: float,
-                             n: int = 8, seed: int = 0) -> float:
-        """Sup defect between the field and this chart's warped form; the
-        guard against silently feeding a non-radial field to the solver."""
-        rng = np.random.default_rng(seed)
+    def mode_coupling_defect(self, field: ChartMetricField,
+                             delta: float) -> float:
+        """Sup defect between the field and this chart's warped form at 8
+        seeded points; the guard against silently feeding a non-radial field
+        to the solver."""
+        rng = np.random.default_rng(0)
         worst = 0.0
-        for _ in range(n):
+        for _ in range(8):
             x = rng.normal(size=4)
             x *= rng.uniform(0.05, 0.95) * delta / np.linalg.norm(x)
             r = np.linalg.norm(x)
@@ -327,7 +328,7 @@ def _solve_modes(chart: RadialChart, bmodes, mesh: np.ndarray) -> list:
     return modes
 
 
-def _default_mesh(delta: float, t: float, n_base: int = 420) -> np.ndarray:
+def _default_mesh(delta: float, t: float, n_base: int) -> np.ndarray:
     pieces = [
         np.geomspace(delta * 1e-8, delta, n_base // 2),
         np.linspace(0.0, delta, n_base + 1)[1:],
@@ -343,7 +344,8 @@ def _default_mesh(delta: float, t: float, n_base: int = 420) -> np.ndarray:
 
 @dataclass
 class GreenProblem:
-    """A Dirichlet problem L G = 24 pi^2 delta_x on the lifted ball."""
+    """A Dirichlet problem L G = 24 pi^2 delta_x on the lifted ball; lmax
+    and mesh_size are the mode solver's resolution, for every solve."""
 
     field: ChartMetricField
     pole: np.ndarray
@@ -470,18 +472,18 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
                           ZonalModeSum(_axis(problem.pole), mesh, fine), err)
 
 
-def solve_harmonic_extension(field: ChartMetricField, delta: float, datum,
-                             lmax: int = 28, mesh_size: int = 420,
-                             require_even: bool = True) -> ZonalModeSum:
+def solve_harmonic_extension(field: ChartMetricField, delta: float,
+                             datum) -> ZonalModeSum:
     """Solve L H = 0 in the ball with zonal Dirichlet datum(gamma) on the
-    boundary, gamma measured against e1; equivariant data must carry even
-    modes only."""
+    boundary, gamma measured against e1, at the resolution of GreenProblem;
+    equivariant data must carry even modes only."""
     chart = chart_for_field(field, delta)
-    bmodes = zonal_project(lambda g: np.asarray(datum(g), dtype=float), lmax)
+    bmodes = zonal_project(lambda g: np.asarray(datum(g), dtype=float),
+                           GreenProblem.lmax)
     odd_power = float(np.sum(np.abs(bmodes[1::2])))
-    if require_even and odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
+    if odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
         raise ValueError("equivariant boundary datum must be antipodally even")
-    mesh = _default_mesh(delta, 0.0, mesh_size)
+    mesh = _default_mesh(delta, 0.0, GreenProblem.mesh_size)
     modes = _solve_modes(chart, bmodes, mesh)
     return ZonalModeSum(_axis(np.zeros(4)), mesh, modes)
 
@@ -609,13 +611,14 @@ def _sym_directions(n: int = 6) -> np.ndarray:
     return dirs, weights / np.sum(weights)
 
 
-def extract_mass(evaluator, pole, eps0: float = None, levels: int = 4,
+def extract_mass(evaluator, pole, eps0: float = None,
                  chart: RadialChart = None, conformal_fr=None) -> GreenExpansion:
     """Mass by Richardson extrapolation of spherical means of G - |z|^-2.
 
-    Sample spheres are gbar-geodesic spheres of radius eps_k = eps0 * 2^-k
-    around the pole; with the radial CNC profile conformal_fr the gbar-radius
-    rho(s) = int_0^s e^{f/2} is inverted exactly on the radial geodesics.
+    Sample spheres are gbar-geodesic spheres of radius eps_k = eps0 * 2^-k,
+    k = 0..3, around the pole; with the radial CNC profile conformal_fr the
+    gbar-radius rho(s) = int_0^s e^{f/2} is inverted exactly on the radial
+    geodesics.
     Antipodal direction pairs kill the odd terms of the C^1 remainder.
     """
     pole = np.asarray(pole, dtype=float)
@@ -623,13 +626,13 @@ def extract_mass(evaluator, pole, eps0: float = None, levels: int = 4,
     if eps0 is None:
         eps0 = t / 8.0
     dirs, weights = _sym_directions()
-    radii = eps0 * 0.5 ** np.arange(levels)
+    radii = eps0 * 0.5 ** np.arange(4)
     smax = min(2.0 * eps0, 0.49 * t) if t > 0 else 2.0 * eps0
     means = np.array([float(np.sum(weights * (vals - 1.0 / eps ** 2)))
                       for eps, _, vals in _gbar_spheres(
                           evaluator, pole, radii, dirs, chart, conformal_fr,
                           smax)])
-    design = np.stack([np.ones(levels), radii, radii ** 2], axis=1)
+    design = np.stack([np.ones(4), radii, radii ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     fitted = design @ coef
     err = float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
@@ -675,8 +678,7 @@ def _exp_sphere(chart: RadialChart, pole, dirs: np.ndarray):
 # sweeps and the parametrix law
 # ----------------------------------------------------------------------------
 
-def mass_divergence_sweep(model: str, t_grid, delta: float, lmax: int = 28,
-                          mesh_size: int = 420) -> list:
+def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
     """Full pipeline per t: CNC factor, Dirichlet solve at both poles,
     equivariant assembly, mass extraction.  Returns rows of dicts with the
     A_q * 4 t^2 column."""
@@ -690,7 +692,7 @@ def mass_divergence_sweep(model: str, t_grid, delta: float, lmax: int = 28,
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         pole = np.array([t, 0.0, 0.0, 0.0])
-        problem = GreenProblem(field, pole, delta, lmax=lmax, mesh_size=mesh_size)
+        problem = GreenProblem(field, pole, delta)
         g_plus = solve_dirichlet_green(problem)
         f_full, fr = cnc_radial_factor(problem.chart, pole)
         gbar_plus = conformal_wrap(g_plus, f_full)
@@ -716,9 +718,9 @@ class _MirrorEval:
         return self.base.value(-np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def parametrix_residual(chart: RadialChart, t: float, n_samples: int = 200,
+def parametrix_residual(chart: RadialChart, t: float,
                         with_cnc: bool = True) -> dict:
-    """Samples of L_gbar(rho^-2) on the punctured ball rho < rho(t/2).
+    """200 samples of L_gbar(rho^-2) on the punctured ball rho < rho(t/2).
 
     Uses the exact radial reduction about the pole: within distance t/2 the
     (CNC-modified) suite metric is rotationally symmetric about the pole, so
@@ -729,7 +731,7 @@ def parametrix_residual(chart: RadialChart, t: float, n_samples: int = 200,
     is a closed-form radial function.  Returns samples, the sup, and the two
     terms separately.
     """
-    svals = np.linspace(t * 1e-3, 0.5 * t * (1 - 1e-9), n_samples)
+    svals = np.linspace(t * 1e-3, 0.5 * t * (1 - 1e-9), 200)
     if chart.kind == "flat":
         # m(rho) = rho and R = 0 identically: the residual vanishes
         zeros = np.zeros_like(svals)

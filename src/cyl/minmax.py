@@ -24,7 +24,8 @@ Each GLUED/INTERP quotient is one (xi, v) mesh over the glue zone and the far
 region outside the mirror ball, its rows numerator and fourth power, plus one
 1-d flux integral over the glue sphere.
 
-The path and the fits reach the legs through one dispatch, ``_quotient_of``.
+The path and the fits reach the legs through one dispatch,
+``evaluate_quotient``.
 Each GLUED/INTERP integrand call builds one ``_LegBatch`` per zone with
 points from the leg's ``GluedData``: it holds the per-point geometry and
 evaluates the Green lift, energy density and measure from it.
@@ -39,11 +40,12 @@ Green lift).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from cyl.config import PathConfig
 from cyl.constants import exponents_admissible, sobolev_constants
 from cyl.geometry.cnc import (CutoffProfile, RadialCNCProfile, cnc_profile,
                               cutoff_profile)
@@ -61,7 +63,6 @@ __all__ = [
     "glued_data",
     "evaluate_quotient",
     "quotient_double",
-    "quotient_glued",
     "quotient_interp",
     "build_path",
     "fit_expansion_A",
@@ -74,14 +75,15 @@ __all__ = [
 # ----------------------------------------------------------------------------
 
 class D2:
-    """Vectorized value with partials against the two quadrature variables."""
+    """Vectorized value with partials against the two quadrature variables;
+    v, dx and dy are kept as given, arrays of one shape."""
 
     __slots__ = ("v", "dx", "dy")
 
-    def __init__(self, v, dx=0.0, dy=0.0):
-        self.v = np.asarray(v, dtype=float)
-        self.dx = np.broadcast_to(np.asarray(dx, dtype=float), self.v.shape)
-        self.dy = np.broadcast_to(np.asarray(dy, dtype=float), self.v.shape)
+    def __init__(self, v, dx, dy):
+        self.v = v
+        self.dx = dx
+        self.dy = dy
 
     @staticmethod
     def var_x(v):
@@ -162,56 +164,8 @@ def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
 
 
 # ----------------------------------------------------------------------------
-# configuration and descriptors
+# descriptors
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PathConfig:
-    """Geometry and exponents of the competitor path on the football.
-
-    delta must be small enough that the beta-cutoff annulus B_{2 tau} never
-    reaches the partner bubble anywhere on the middle leg: with
-    tau(t) = min(t^{omega/alpha}, ..., (delta/2)^{omega/alpha}) the binding
-    point is t = delta/2, where 2 tau / t = 2 (delta/2)^{omega/alpha - 1}.
-    """
-
-    epsilon: float = 1e-4
-    alpha: float = 0.6
-    omega: float = 0.7
-    delta: float = 0.025
-    mu_points: int = 51
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not exponents_admissible(self.alpha, self.omega):
-            raise ValueError("exponents must satisfy 1 > omega > alpha > 1/2 "
-                             "and 2 + 2 alpha - 4 omega > 0")
-        if self.epsilon ** self.alpha >= self.delta / 4.0:
-            raise ValueError("epsilon too large: need eps^alpha < delta/4")
-        # the two glue balls must stay disjoint along the whole leg
-        e = self.omega / self.alpha
-        worst = max(2.0 * self.epsilon ** (self.omega - self.alpha),
-                    2.0 * (self.delta / 2.0) ** (e - 1.0))
-        if worst >= 0.98:
-            raise ValueError(
-                "glue radius 2 tau reaches the partner bubble somewhere on "
-                f"the middle leg (worst 2 tau/t = {worst:.3f}); shrink delta "
-                "or epsilon")
-
-    def spec(self) -> QuadratureSpec:
-        return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-
-    def t_of_mu(self, mu: float) -> float:
-        """Center distance along the geodesic for the middle leg mu in [2,3];
-        the lifted poles are pi apart."""
-        te = self.epsilon ** self.alpha
-        return te + (mu - 2.0) * (math.pi - 2.0 * te)
-
-    def tau_of_t(self, t: float) -> float:
-        e = self.omega / self.alpha
-        return min(t ** e, (math.pi - t) ** e, (self.delta / 2.0) ** e)
-
 
 @dataclass(frozen=True)
 class TestFunctionDescriptor:
@@ -594,28 +548,17 @@ def _leg_integrals(d: GluedData, lam: float, chi_delta,
     return integrate_rect2d(integrand, gspec, (1e-14, xi_hi), (0.0, 1.0))
 
 
-def quotient_glued(eps: float, t: float, tau: float, spec: QuadratureSpec,
-                   delta: float = 0.025):
-    """Q of the glued bubble/Green competitor at pole distance t."""
-    return quotient_interp(eps, 1.0, spec, t=t, tau=tau, delta=delta)
+def quotient_interp(eps: float, lam: float, spec: QuadratureSpec, t: float,
+                    tau: float, delta: float):
+    """Q of psi_lambda = lam w + (1 - lam) e^{-f/2} u at pole distance t,
+    glue radius tau and chart cutoff delta; lam = 1 is the glued
+    bubble/Green competitor.
 
-
-def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
-                    t: float | None = None, tau: float | None = None,
-                    delta: float = 0.025):
-    """Q of psi_lambda = lam w + (1 - lam) e^{-f/2} u at pole distance t.
-
-    Defaults follow the interpolation leg of the default exponents:
-    t = eps^0.6, tau = eps^0.7.  Returns (Q, err, converged) with the
-    quotient lift factor included.  The numerator is the first row of the
-    one (xi, v) mesh of ``_leg_integrals`` plus the one flux integral of
-    the Green parts, ``_flux_integrals``; the denominator is the mesh's
-    second row.
+    Returns (Q, err, converged) with the quotient lift factor included.  The
+    numerator is the first row of the one (xi, v) mesh of
+    ``_leg_integrals`` plus the one flux integral of the Green parts,
+    ``_flux_integrals``; the denominator is the mesh's second row.
     """
-    if t is None:
-        t = eps ** 0.6
-    if tau is None:
-        tau = eps ** 0.7
     if t > math.pi / 2.0:
         # swapping the two conical points is an exact isometry of the model
         t = math.pi - t
@@ -630,26 +573,17 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec,
 # the path
 # ----------------------------------------------------------------------------
 
-def _quotient_of(desc: TestFunctionDescriptor, delta: float,
-                 spec: QuadratureSpec):
-    """(Q, err, converged) of one descriptor with chart cutoff delta: the one
-    dispatch on the leg name."""
-    if desc.variant == "DOUBLE":
-        return quotient_double(desc.epsilon, desc.t, delta, spec)
-    if desc.variant == "GLUED":
-        return quotient_glued(desc.epsilon, desc.t, desc.tau, spec,
-                              delta=delta)
-    if desc.variant == "INTERP":
-        return quotient_interp(desc.epsilon, desc.lam, spec,
-                               t=desc.t, tau=desc.tau, delta=delta)
-    raise ValueError(f"unknown variant {desc.variant!r}")
-
-
 def evaluate_quotient(config: PathConfig, desc: TestFunctionDescriptor,
-                      spec: QuadratureSpec | None = None):
-    """Quotient of one descriptor on the football."""
-    return _quotient_of(desc, config.delta,
-                        config.spec() if spec is None else spec)
+                      spec: QuadratureSpec):
+    """(Q, err, converged) of one descriptor on the football with config's
+    chart cutoff delta: the one dispatch on the leg name."""
+    if desc.variant == "DOUBLE":
+        return quotient_double(desc.epsilon, desc.t, config.delta, spec)
+    if desc.variant not in ("GLUED", "INTERP"):
+        raise ValueError(f"unknown variant {desc.variant!r}")
+    lam = 1.0 if desc.variant == "GLUED" else desc.lam
+    return quotient_interp(desc.epsilon, lam, spec, desc.t, desc.tau,
+                           config.delta)
 
 
 def _leg_descriptor(config: PathConfig, mu: float) -> TestFunctionDescriptor:
@@ -724,24 +658,28 @@ class ExpansionFit:
     converged: np.ndarray  # per eps: both integrals met their contract
 
 
-def fit_expansion_A(eps_sequence, leg: str = "DOUBLE", lam: float = 0.5,
-                    alpha: float = 0.6, omega: float = 0.7,
-                    delta: float = 0.025, spec: QuadratureSpec | None = None) -> ExpansionFit:
-    """Fit Q = 6 S4 - A_hat eps^{2(1-alpha)} - C eps^{2 alpha ...} on a leg.
+def fit_expansion_A(config: PathConfig, eps_sequence, mu: float,
+                    spec: QuadratureSpec | None = None) -> ExpansionFit:
+    """Fit Q = 6 S4 - A_hat eps^{2(1-alpha)} - C eps^{2 alpha ...} to the
+    path's competitor at mu in [0, 2.5], evaluated at each eps of the
+    sequence with the rest of config held, to config's spec unless given.
 
     The two-term model absorbs the next allowed order eps^{4-4 omega}; the
     free exponent is refit separately from the leading behavior.
     """
+    if not 0.0 <= mu <= 2.5:
+        raise ValueError(f"mu must lie in [0, 2.5], got {mu!r}")
     if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+        spec = config.spec()
+    alpha, omega = config.alpha, config.omega
     k = sobolev_constants()
     eps_sequence = np.asarray(sorted(eps_sequence, reverse=True), dtype=float)
     Q = np.empty(len(eps_sequence))
     ok = np.empty(len(eps_sequence), dtype=bool)
     for i, eps in enumerate(eps_sequence):
-        desc = TestFunctionDescriptor(leg, eps, t=eps ** alpha,
-                                      tau=eps ** omega, lam=lam)
-        Q[i], _, ok[i] = _quotient_of(desc, delta, spec)
+        at_eps = replace(config, epsilon=eps)
+        Q[i], _, ok[i] = evaluate_quotient(at_eps, _leg_descriptor(at_eps, mu),
+                                           spec)
     gap = 6.0 * k.S4 - Q
     # subleading orders the expansions themselves produce: the cutoff tail /
     # metric terms at eps^{2 alpha} (coinciding with eps^{4 - 4 omega} for the

@@ -128,12 +128,12 @@ def test_fit_check_fails_on_an_unconverged_point(monkeypatch, flag_eps):
     k = sobolev_constants()
     cfg = RunConfig()
 
-    def model(desc, delta, spec):
+    def model(config, desc, spec):
         q = 6.0 * k.S4 - k.A * desc.epsilon ** (2.0 * (1.0 - cfg.alpha))
         return q, 1e-9, not (desc.variant == "INTERP"
                              and desc.epsilon == flag_eps)
 
-    monkeypatch.setattr(minmax, "_quotient_of", model)
+    monkeypatch.setattr(minmax, "evaluate_quotient", model)
     res = acceptance.check_expansion_fit(cfg)
     n = len(cfg.epsilon_list_double) + len(cfg.epsilon_list)
     if flag_eps is None:

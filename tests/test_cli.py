@@ -198,3 +198,16 @@ def test_config_rejects_non_finite_tolerances(tol):
         RunConfig(rel_tol=tol)
     with pytest.raises(ValueError, match="finite"):
         RunConfig(abs_tol=tol)
+
+
+def test_cli_rejects_a_path_the_config_cannot_build(tmp_path, capsys):
+    # PathConfig's checks run at load: eps^alpha = 0.25 is not below
+    # delta/4, so no command starts
+    path = tmp_path / "run.cfg"
+    path.write_text("epsilon = 0.1\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), "constants"])
+    assert exc.value.code == EX_USAGE
+    assert "eps^alpha < delta/4" in capsys.readouterr().err
+    assert not out.exists()

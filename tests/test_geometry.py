@@ -78,6 +78,15 @@ def test_pullback_football_matches_round_sphere():
     assert_allclose(snap.R, 12.0, rtol=1e-10)
 
 
+def test_football_chart_refuses_radii_its_series_cannot_serve():
+    # round_profile's series holds to u = (pi/2)^2 only; at r = 2 it is
+    # already 1.4e-13 relative off, and 3.2e-4 at r = 3.132
+    cone = football_metric(0.4).cone
+    assert cone.s_max == math.pi / 2.0
+    with pytest.raises(ValueError, match="exceeds the cone chart"):
+        pullback_via_phi(cone, 2.0)
+
+
 def test_tensor_pullback_agrees_with_conformal_route():
     prof = polynomial_profile(1.0, 1.0)
     cone_c = ConeMetric(LinkFamily(conformal_profile=prof))

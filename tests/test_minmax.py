@@ -12,11 +12,19 @@ from cyl.green import matching_constant, sphere_kernel
 from cyl.interaction import curves
 from cyl.minmax import (D2, PathConfig, build_path, exponents_admissible,
                         fit_expansion_A, glued_data, quotient_double,
-                        quotient_glued, quotient_interp)
+                        quotient_interp)
 from cyl.quadrature import QuadratureSpec
 
 K = sobolev_constants()
 SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+PATH = PathConfig()
+
+
+def interp_leg(eps, lam, spec):
+    """quotient_interp on the INTERP leg of the default path at eps:
+    t = eps^alpha, tau = eps^omega."""
+    return quotient_interp(eps, lam, spec, eps ** PATH.alpha,
+                           eps ** PATH.omega, PATH.delta)
 
 
 def test_d2_chain_rules():
@@ -100,7 +108,7 @@ def test_glued_mid_leg_margin_matches_mass():
     cfg = PathConfig(epsilon=eps)
     for t in (0.9441, math.pi / 2.0):
         tau = cfg.tau_of_t(t)
-        q, e, ok = quotient_glued(eps, t, tau, SPEC, delta=cfg.delta)
+        q, e, ok = quotient_interp(eps, 1.0, SPEC, t, tau, cfg.delta)
         assert ok
         margin = 6.0 * K.S4 - q
         pred = 4.0 * K.A * (0.25 / math.sin(t) ** 2) * eps ** 2
@@ -113,8 +121,8 @@ def test_glued_pole_swap_symmetry():
     cfg = PathConfig(epsilon=eps)
     t = 0.7
     tau = cfg.tau_of_t(t)
-    q1, e1, ok1 = quotient_glued(eps, t, tau, SPEC, delta=cfg.delta)
-    q2, e2, ok2 = quotient_glued(eps, math.pi - t, tau, SPEC, delta=cfg.delta)
+    q1, e1, ok1 = quotient_interp(eps, 1.0, SPEC, t, tau, cfg.delta)
+    q2, e2, ok2 = quotient_interp(eps, 1.0, SPEC, math.pi - t, tau, cfg.delta)
     assert ok1 and ok2
     assert abs(q1 - q2) <= e1 + e2 + 1e-12
 
@@ -123,10 +131,11 @@ def test_interp_endpoints_match_neighbor_legs():
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
     qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, spec)
-    q0, e0, ok0 = quotient_interp(eps, 0.0, spec)
+    q0, e0, ok0 = interp_leg(eps, 0.0, spec)
     assert abs(q0 - qd) <= 10.0 * (e0 + ed)
-    qg, eg, okg = quotient_glued(eps, eps ** 0.6, eps ** 0.7, spec)
-    q1, e1, ok1 = quotient_interp(eps, 1.0, spec)
+    qg, eg, okg = quotient_interp(eps, 1.0, spec, eps ** 0.6, eps ** 0.7,
+                                  0.025)
+    q1, e1, ok1 = interp_leg(eps, 1.0, spec)
     assert abs(q1 - qg) <= 10.0 * (e1 + eg)
     assert okd and ok0 and okg and ok1
 
@@ -134,7 +143,7 @@ def test_interp_endpoints_match_neighbor_legs():
 def test_interp_meets_double_within_their_bars_at_full_spec():
     # at lam = 0 the INTERP leg is the DOUBLE bubble pair at t = eps^0.6
     eps = 1e-4
-    q0, e0, ok0 = quotient_interp(eps, 0.0, SPEC)
+    q0, e0, ok0 = interp_leg(eps, 0.0, SPEC)
     qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, SPEC)
     assert ok0 and okd
     assert abs(q0 - qd) <= e0 + ed
@@ -142,7 +151,7 @@ def test_interp_meets_double_within_their_bars_at_full_spec():
 
 def test_interp_converges_near_the_core_at_small_eps():
     # the smallest eps of the criterion-11 fit
-    q, err, ok = quotient_interp(3e-5, 0.5, SPEC)
+    q, err, ok = interp_leg(3e-5, 0.5, SPEC)
     assert ok and err < 1e-7
 
 
@@ -190,7 +199,7 @@ def test_leg_distances_match_the_ambient_chord_form_near_the_core():
 def test_interp_lambda_continuity():
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
-    runs = [quotient_interp(eps, lam, spec) for lam in (0.4, 0.5, 0.6)]
+    runs = [interp_leg(eps, lam, spec) for lam in (0.4, 0.5, 0.6)]
     assert all(ok for _, _, ok in runs)
     qs = [q for q, _, _ in runs]
     d1 = abs(qs[1] - qs[0])
@@ -219,9 +228,9 @@ def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
     cfg = PathConfig(epsilon=eps)
     for quotient in (
             lambda: quotient_double(eps, eps ** 0.6, cfg.delta, spec),
-            lambda: quotient_interp(eps, 0.5, spec),
-            lambda: quotient_glued(eps, 0.9441, cfg.tau_of_t(0.9441), spec,
-                                   delta=cfg.delta)):
+            lambda: interp_leg(eps, 0.5, spec),
+            lambda: quotient_interp(eps, 1.0, spec, 0.9441,
+                                    cfg.tau_of_t(0.9441), cfg.delta)):
         calls.clear()
         assert quotient()[2]
         assert len(calls) == 1
@@ -242,9 +251,9 @@ def test_each_quotient_integrates_its_fluxes_in_one_call(monkeypatch):
     eps = 1e-4
     cfg = PathConfig(epsilon=eps)
     for quotient, shape in (
-            (lambda: quotient_glued(eps, 0.9441, cfg.tau_of_t(0.9441), SPEC,
-                                    delta=cfg.delta), (1,)),
-            (lambda: quotient_interp(eps, 0.5, SPEC), (2,))):
+            (lambda: quotient_interp(eps, 1.0, SPEC, 0.9441,
+                                     cfg.tau_of_t(0.9441), cfg.delta), (1,)),
+            (lambda: interp_leg(eps, 0.5, SPEC), (2,))):
         rows.clear()
         assert quotient()[2]
         assert rows == [shape]
@@ -264,7 +273,7 @@ def test_leg_meshes_are_seeded_one_box_wide_in_the_angle(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
-    assert quotient_interp(eps, 0.5, SPEC)[2]
+    assert interp_leg(eps, 0.5, SPEC)[2]
     assert quotient_double(eps, 0.0, 0.025, SPEC)[2]
     assert seeds == [1, 1]
 
@@ -371,6 +380,17 @@ def test_path_config_validation():
         PathConfig(epsilon=5e-4, delta=0.2)  # glue annulus overlap
 
 
+def test_run_config_is_the_path_config():
+    # the run's path parameters have one home: a RunConfig builds the path
+    # a PathConfig with the same values builds
+    from cyl.config import RunConfig
+    assert isinstance(RunConfig(), PathConfig)
+    run = build_path(RunConfig(mu_points=11))
+    path = build_path(PathConfig(mu_points=11))
+    assert np.array_equal(run.Q, path.Q)
+    assert np.array_equal(run.Q_err, path.Q_err)
+
+
 def test_build_path_coarse(monkeypatch):
     # criterion 10's spec: at rel 1e-8 the GLUED contract allows a bar of
     # about 6e-7, above the 4.6e-7 margin at mu = 2.5, so 3 bars could not
@@ -408,26 +428,27 @@ def test_build_path_coarse(monkeypatch):
 
 
 def test_fit_expansion_double():
-    fit = fit_expansion_A([1.2e-4, 8.49e-5, 6e-5, 4.24e-5, 3e-5],
-                          leg="DOUBLE",
+    # mu = 1: the DOUBLE leg's end, the pair at t = eps^alpha
+    fit = fit_expansion_A(PathConfig(), [1.2e-4, 8.49e-5, 6e-5, 4.24e-5, 3e-5],
+                          1.0,
                           spec=QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
     assert abs(fit.A_hat - K.A) / K.A < 0.10
     assert abs(fit.exponent_free - 0.8) / 0.8 < 0.10
-    with pytest.raises(ValueError):
-        fit_expansion_A([1e-4, 5e-5], leg="NOPE")
+    for mu in (-0.1, 2.6, math.nan):
+        with pytest.raises(ValueError, match="mu must lie in"):
+            fit_expansion_A(PathConfig(), [1e-4, 5e-5], mu)
 
 
 def test_fit_expansion_glued_leg_values():
-    # the GLUED fit evaluates exactly the glued quotient at t = eps^alpha,
-    # tau = eps^omega
+    # mu = 2, the INTERP leg's end, evaluates exactly the glued quotient at
+    # t = eps^alpha, tau = eps^omega
     spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
-    fit = fit_expansion_A([6e-5, 1e-4, 3e-5], leg="GLUED", delta=0.025,
-                          spec=spec)
+    fit = fit_expansion_A(PathConfig(), [6e-5, 1e-4, 3e-5], 2.0, spec=spec)
     assert list(fit.eps_sequence) == [1e-4, 6e-5, 3e-5]
     assert fit.converged.all()
     for eps, q in zip(fit.eps_sequence, fit.Q_values):
-        assert q == quotient_glued(eps, eps ** 0.6, eps ** 0.7, spec,
-                                   delta=0.025)[0]
+        assert q == quotient_interp(eps, 1.0, spec, eps ** 0.6, eps ** 0.7,
+                                    0.025)[0]
 
 
 def test_single_bubble_band_wide_chart():
