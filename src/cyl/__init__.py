@@ -8,8 +8,8 @@ Subpackages and modules:
   4-ball, 3-sphere)
 * ``cyl.interaction`` -- double-bubble interaction curves a, b, c, f and their
   asymptotics
-* ``cyl.geometry``    -- conical charts, link gauges, curvature, conformal
-  normal coordinates, the RP^3-football model
+* ``cyl.geometry``    -- conical charts, link gauges, curvature, the
+  RP^3-football model
 * ``cyl.green``       -- Dirichlet Green functions of the conformal Laplacian
   on lifted balls, equivariant assembly, mass extraction
 * ``cyl.minmax``      -- test functions, the five-leg competitor path and

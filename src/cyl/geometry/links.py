@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "LinkFunction",
@@ -158,6 +157,8 @@ def link_flow(f: LinkFunction, s: float, z, frame):
     z = np.asarray(z, dtype=float)
     frame = np.asarray(frame, dtype=float)
     if s != 0.0:
+        from scipy.integrate import solve_ivp
+
         def rhs(_, y):
             p, d = y[:4], y[4:].reshape(-1, 4)
             g = np.asarray(f.grad(p))

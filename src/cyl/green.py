@@ -30,14 +30,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from cyl.constants import sobolev_constants
 from cyl.geometry.cnc import cnc_profile
-from cyl.geometry.fields import ChartMetricField, FlatField
+from cyl.geometry.fields import (ChartMetricField, FlatField, WarpedRadialField,
+                                 round_profile)
+from cyl.geometry.football import chart_to_sphere
 from cyl.geometry.links import tangent_frame
-from cyl.quadrature import gauss_legendre
+from cyl.quadrature import _sphere3_nodes, gauss_legendre
 
 KAPPA = 24.0 * math.pi ** 2  # 4 a pi^2 with a = 6
 COUPLING_TOL = 1e-9  # largest mode-coupling defect the solver accepts
@@ -258,7 +258,6 @@ class football_global_green:
 
     def value(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        from cyl.geometry.football import chart_to_sphere
         P = chart_to_sphere(pts)
         a = chart_to_sphere(self.pole)
         b = chart_to_sphere(-self.pole)
@@ -271,21 +270,19 @@ class football_global_green:
 # mode solver
 # ----------------------------------------------------------------------------
 
-# LAPACK's tridiagonal solver in double precision: the routine
-# scipy.linalg.solve_banded((1, 1), ...) dispatches to, called without that
-# function's per-call validation, which costs five times the solve at n = 200
-_gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
-
-
 def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with A x = rhs for A in the (1, 1) banded form of ``solve_banded``,
     with its guarantees: ValueError on non-finite input, LinAlgError when
     the matrix is singular."""
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    # LAPACK's tridiagonal solver in double precision: the routine
+    # scipy.linalg.solve_banded((1, 1), ...) dispatches to, called without
+    # its per-call validation, which costs five times the solve at n = 200
+    from scipy.linalg.lapack import dgtsv
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gtsv")
     return x
@@ -391,6 +388,7 @@ class ZonalModeSum:
     def __init__(self, axis, mesh: np.ndarray, modes):
         self.axis = axis
         self.lmax = len(modes) - 1
+        from scipy.interpolate import CubicSpline
         self.spline = CubicSpline(mesh, np.stack(modes, axis=1), extrapolate=True)
 
     def at(self, r, c) -> np.ndarray:
@@ -599,12 +597,12 @@ def _gbar_radius(f, sgrid: np.ndarray):
     """rho(s) = int_0^s e^{f/2}, the gbar = e^f g distance along a radial
     geodesic with CNC profile f(s), on sgrid (from 0), and its inverse
     s(rho) as a cubic spline."""
+    from scipy.interpolate import CubicSpline
     rho = _cumulative_gl(lambda s: np.exp(0.5 * f(s)), sgrid)
     return rho, CubicSpline(rho, sgrid)
 
 
 def _sym_directions(n: int = 6) -> np.ndarray:
-    from cyl.quadrature import _sphere3_nodes
     nodes, w = _sphere3_nodes(n, n, 2 * n)
     dirs = np.concatenate([nodes, -nodes])
     weights = np.concatenate([w, w])
@@ -646,7 +644,6 @@ def _exp_sphere(chart: RadialChart, pole, dirs: np.ndarray):
     if chart.kind == "flat":
         return lambda s: pole[None, :] + s * dirs
     # round: ambient S^4 geodesics from the lifted pole
-    from cyl.geometry.football import chart_to_sphere
     p = chart_to_sphere(pole)
     # tangent lift of a chart direction v: the derivative of chart_to_sphere
     # at the pole, ((sin r/r) v + (cos r - sin r/r) a e, -sin r a), with
@@ -685,7 +682,6 @@ def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
     if model == "flat-cone":
         field = FlatField()
     elif model == "football":
-        from cyl.geometry.fields import WarpedRadialField, round_profile
         field = WarpedRadialField(round_profile())
     else:
         raise ValueError("model must be 'flat-cone' or 'football'")

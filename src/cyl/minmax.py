@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from cyl.config import PathConfig
 from cyl.constants import exponents_admissible, sobolev_constants
@@ -169,6 +168,7 @@ def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
 
 @dataclass(frozen=True)
 class TestFunctionDescriptor:
+    __test__ = False             # not a pytest test class despite the name
     variant: str                 # DOUBLE, GLUED, INTERP
     epsilon: float
     t: float = 0.0
@@ -295,6 +295,7 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
     """Matching data for the glued test function at pole distance t."""
     if not 0.0 < eps < tau < t:
         raise ValueError("need 0 < eps < tau < t")
+    from scipy.interpolate import CubicSpline
     f1 = cnc_profile(t)
     smax = min(2.0 * t * 0.98, 0.5 * (t + math.pi))
     sgrid = np.linspace(0.0, smax, 800)

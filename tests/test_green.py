@@ -162,18 +162,17 @@ def test_round_geodesic_spheres_have_their_radius():
 def test_round_mass_extraction_lifts_directions_at_once(monkeypatch):
     # the S^4 lift of the sample directions is one chart_to_sphere call for
     # all directions and radii, not one per direction
-    import cyl.geometry.football as football
     import cyl.green as green
     pole = np.array([0.1, 0.0, 0.0, 0.0])
     oracle = round_ball_green(0.5, pole)  # evaluates without chart_to_sphere
     calls = []
-    real = football.chart_to_sphere
+    real = green.chart_to_sphere
 
     def counted(z):
         calls.append(np.shape(z))
         return real(z)
 
-    monkeypatch.setattr(football, "chart_to_sphere", counted)
+    monkeypatch.setattr(green, "chart_to_sphere", counted)
     real_dirs = green._sym_directions
     counts = {}
     for n in (2, 6):
@@ -181,7 +180,7 @@ def test_round_mass_extraction_lifts_directions_at_once(monkeypatch):
         calls.clear()
         extract_mass(oracle, pole, chart=RadialChart.round())
         counts[n] = len(calls)
-    assert counts[2] == counts[6] <= 2
+    assert 1 <= counts[2] == counts[6] <= 2
 
 
 def test_green_relations_on_football():
@@ -358,3 +357,38 @@ def test_matching_constant_meets_the_continuity_condition():
     lhs = (k.c4 / 1e-3) / (1.0 + (5e-3) ** 2 / (1e-3) ** 2)
     rhs = (1.0 / (5e-3) ** 2 + exp.A_q) / nu
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _dense_tridiagonal(ab):
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+def test_solve_tridiagonal_matches_dense_solve():
+    from cyl.green import _solve_tridiagonal
+    rng = np.random.default_rng(11)
+    n = 40
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[1] = 3.0 + rng.uniform(0.0, 1.0, n)  # strictly diagonally dominant
+    rhs = rng.normal(size=n)
+    x = _solve_tridiagonal(ab, rhs)
+    assert_allclose(x, np.linalg.solve(_dense_tridiagonal(ab), rhs),
+                    rtol=0.0, atol=1e-12)
+
+
+def test_solve_tridiagonal_errors():
+    from cyl.green import _solve_tridiagonal
+    # rows 0 and 1 are equal
+    ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    rhs = np.ones(3)
+    assert np.linalg.matrix_rank(_dense_tridiagonal(ab)) < 3
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_tridiagonal(ab, rhs)
+    good = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+    assert np.all(np.isfinite(_solve_tridiagonal(good, rhs)))
+    nan_ab = good.copy()
+    nan_ab[1, 1] = np.nan
+    nan_rhs = rhs.copy()
+    nan_rhs[2] = np.nan
+    for bad_ab, bad_rhs in ((nan_ab, rhs), (good, nan_rhs)):
+        with pytest.raises(ValueError):
+            _solve_tridiagonal(bad_ab, bad_rhs)
