@@ -16,9 +16,9 @@ Exit code 0 only when every enabled acceptance check passes; otherwise the
 first failing criterion's index (1..12).  A usage or input error, such as
 an ``accept --only`` index outside 1..12, an unknown flag, a ``--tol-scale``
 that is not a finite factor > 0, or a ``--config`` file that is missing or
-does not load (an unknown key, or path parameters ``PathConfig`` rejects),
-exits 64 (``EX_USAGE``), a code no criterion takes, before anything runs or
-is written.
+does not load (an unknown key, path parameters ``PathConfig`` rejects, or a
+t grid entry that is not finite and > 0), exits 64 (``EX_USAGE``), a code no
+criterion takes, before anything runs or is written.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ omega, delta, mu_points, rel_tol and abs_tol are declared once, in
 fits.  ``PathConfig`` validates them at load: the exponent constraints
 (1 > omega > alpha > 1/2, 2 + 2 alpha - 4 omega > 0), eps^alpha < delta/4,
 glue balls that stay disjoint along the middle leg, and finite positive
-tolerances.
+tolerances.  ``RunConfig`` adds that every ``t_grid`` and ``green_t_grid``
+entry is finite and > 0.
 """
 
 from __future__ import annotations
@@ -102,6 +103,13 @@ class RunConfig(PathConfig):
     green_delta: float = 1.0
     green_t_grid: tuple = (0.05, 0.04, 0.02)
     out_dir: str = "./cyl-out"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not all(0.0 < t < math.inf
+                   for t in (*self.t_grid, *self.green_t_grid)):
+            raise ValueError("every t_grid and green_t_grid entry must be "
+                             "finite and > 0")
 
     def scale_tolerances(self, factor: float) -> "RunConfig":
         return replace(self, rel_tol=self.rel_tol * factor,

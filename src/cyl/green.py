@@ -685,6 +685,8 @@ def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
         field = WarpedRadialField(round_profile())
     else:
         raise ValueError("model must be 'flat-cone' or 'football'")
+    if not all(0.0 < t < math.inf for t in t_grid):
+        raise ValueError("every t must be finite and > 0")
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         pole = np.array([t, 0.0, 0.0, 0.0])

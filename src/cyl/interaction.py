@@ -16,11 +16,13 @@ scale invariance curve(eps, t) = curve(1, t/eps).
 
 Every quantity at one point is one call of the 2-d engine with a vector
 integrand, each row held to its own tolerance: G, I31 and I22 at one t share
-a mesh, and so do the sign-definite integrands of a'(t) and c'(t).
-Derivative identities are checked with central differences evaluated on one
-frozen quadrature mesh, adapted to the same three rows, which makes the
-quadrature error cancel in the differences instead of being amplified by
-1/h.
+a mesh, and so do the sign-definite integrands of a'(t) and c'(t).  The
+mirror zeta -> -zeta swaps U_+ and U_-, so every integral here runs over the
+half-space zeta > 0: the rows of a curve point are folded, f(zeta) +
+f(-zeta), and the derivative integrands are reduced there.  Derivative
+identities are checked with central differences evaluated on one frozen
+quadrature mesh, adapted to the same three rows, which makes the quadrature
+error cancel in the differences instead of being amplified by 1/h.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ __all__ = [
 KINDS = ("U3V", "GRAD", "U2V2")
 # the rows of one curve point: G, I31 and I22
 _POINT = ("GRAD", "U3V", "U2V2")
+# the mirror half-space zeta > 0, where every integral here runs
+_HALF = (0.0, math.inf)
+
+
+def _scales(epsilon: float, t) -> np.ndarray:
+    """t as a float array; raises unless epsilon and every t are finite and
+    > 0.  Every public entry point starts with it."""
+    t = np.asarray(t, dtype=float)
+    if not (0.0 < epsilon < math.inf and np.all((0.0 < t) & (t < math.inf))):
+        raise ValueError("epsilon and every t must be finite and > 0")
+    return t
 
 
 def _profile(r2):
@@ -58,10 +71,10 @@ def _profile(r2):
 
 def _integrand(kinds, tau: float):
     """Reduced (eps = 1) bi-radial integrand with centers at (+-tau, 0): a
-    (k, m) array, one row per kind, so that the kinds share one mesh and
-    their distances to the centers.  'VU3', the mirror of 'U3V', serves the
-    symmetry invariant."""
-    unknown = set(kinds) - {*KINDS, "VU3"}
+    (k, m) array, one row per kind, so the kinds share one mesh.  Each row is
+    folded onto zeta > 0 as f(zeta) + f(-zeta); the mirror swaps U_+ and U_-,
+    so GRAD and U2V2 double and U3V becomes U_+ U_- (U_+^2 + U_-^2)."""
+    unknown = set(kinds) - set(KINDS)
     if unknown:
         raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
     c4 = sobolev_constants().c4
@@ -71,10 +84,9 @@ def _integrand(kinds, tau: float):
         rp = (z - tau) ** 2 + p2
         rm = (z + tau) ** 2 + p2
         up, um = _profile(rp), _profile(rm)
-        row = {"U3V": lambda: up ** 3 * um,
-               "VU3": lambda: up * um ** 3,
-               "U2V2": lambda: up ** 2 * um ** 2,
-               "GRAD": lambda: 4.0 * c4 ** 2 * (z * z - tau * tau + p2)
+        row = {"U3V": lambda: up * um * (up ** 2 + um ** 2),
+               "U2V2": lambda: 2.0 * up ** 2 * um ** 2,
+               "GRAD": lambda: 8.0 * c4 ** 2 * (z * z - tau * tau + p2)
                / ((1.0 + rp) ** 2 * (1.0 + rm) ** 2)}
         return np.stack([row[kind]() for kind in kinds])
 
@@ -82,6 +94,8 @@ def _integrand(kinds, tau: float):
 
 
 def _graded(spec: QuadratureSpec, tau: float) -> QuadratureSpec:
+    # both ladders: with the -tau rungs that land on zeta > 0, the seed is
+    # the full line's seed cut to zeta >= 0
     return spec.with_grading(((tau, 0.0), 1.0), ((-tau, 0.0), 1.0))
 
 
@@ -91,10 +105,9 @@ def interaction_integral(kind: str, epsilon: float, t: float,
 
     Scale invariant in (epsilon, t); evaluated at eps = 1 with tau = t/eps.
     """
-    if not (epsilon > 0.0 and t > 0.0):
-        raise ValueError("epsilon and t must be positive")
-    tau = t / epsilon
-    return integrate_biradial(_integrand((kind,), tau), _graded(spec, tau))[0]
+    tau = float(_scales(epsilon, t)) / epsilon
+    return integrate_biradial(_integrand((kind,), tau), _graded(spec, tau),
+                              zeta_domain=_HALF)[0]
 
 
 @dataclass(frozen=True)
@@ -124,8 +137,7 @@ def _assemble_point(res: IntegralResult):
     k = sobolev_constants()
     a = 12.0 * k.S4 + 12.0 * g.value
     a_err = 12.0 * g.error_estimate
-    b2 = 2.0 + 8.0 * i31.value + 6.0 * i22.value
-    b = math.sqrt(b2)
+    b = math.sqrt(2.0 + 8.0 * i31.value + 6.0 * i22.value)
     b_err = (8.0 * i31.error_estimate + 6.0 * i22.error_estimate) / (2.0 * b)
     f = a / b
     f_err = abs(f) * (a_err / abs(a) + b_err / b)
@@ -135,23 +147,12 @@ def _assemble_point(res: IntegralResult):
 
 def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
     """Evaluate a, b, c, f on a grid of center offsets t > 0."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0) or not epsilon > 0.0:
-        raise ValueError("need epsilon > 0 and every t > 0")
-    out = {key: [] for key in
-           ("a", "b", "c", "f", "a_err", "b_err", "c_err", "f_err", "ok")}
-    for t in t_grid:
-        tau = float(t) / epsilon
-        row = _assemble_point(integrate_biradial(_integrand(_POINT, tau),
-                                                 _graded(spec, tau)))
-        for key, val in zip(out, row):
-            out[key].append(val)
-    return InteractionCurves(
-        epsilon=epsilon, t_grid=t_grid,
-        a=np.array(out["a"]), b=np.array(out["b"]), c=np.array(out["c"]),
-        f=np.array(out["f"]), a_err=np.array(out["a_err"]),
-        b_err=np.array(out["b_err"]), c_err=np.array(out["c_err"]),
-        f_err=np.array(out["f_err"]), converged=np.array(out["ok"], dtype=bool))
+    t_grid = _scales(epsilon, t_grid)
+    rows = [_assemble_point(integrate_biradial(
+        _integrand(_POINT, tau), _graded(spec, tau), zeta_domain=_HALF))
+        for tau in map(float, t_grid / epsilon)]
+    *cols, ok = np.array(rows, dtype=float).reshape(-1, 9).T.copy()
+    return InteractionCurves(epsilon, t_grid, *cols, converged=ok.astype(bool))
 
 
 # ----------------------------------------------------------------------------
@@ -160,7 +161,8 @@ def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
 
 def _combined_mesh(tau: float, spec: QuadratureSpec):
     """One frozen mesh resolving the three rows of a curve point at tau."""
-    return build_frozen_mesh(_integrand(_POINT, tau), _graded(spec, tau))
+    return build_frozen_mesh(_integrand(_POINT, tau), _graded(spec, tau),
+                             zeta_domain=_HALF)
 
 
 def _mesh_values(mesh, tau: float):
@@ -174,17 +176,15 @@ def verify_b_prime_identity(epsilon: float, t: float, h_fd: float,
     Primes are central differences with step h_fd, evaluated on a frozen
     quadrature mesh so the finite differences see smooth values.
     """
+    _scales(epsilon, t)
     if not (t > h_fd > 0.0):
         raise ValueError("need t > h_fd > 0")
     k = sobolev_constants()
     tau, h = t / epsilon, h_fd / epsilon
     mesh = _combined_mesh(tau, spec)
-    a0, b0, c0, *_ = _mesh_values(mesh, tau)
-    ap, bp, cp, *_ = _mesh_values(mesh, tau + h)
-    am, bm, cm, *_ = _mesh_values(mesh, tau - h)
-    db = (bp - bm) / (2.0 * h)
-    da = (ap - am) / (2.0 * h)
-    dc = (cp - cm) / (2.0 * h)
+    b0 = _mesh_values(mesh, tau)[1]
+    p, m = (np.array(_mesh_values(mesh, tau + s * h)[:3]) for s in (1, -1))
+    da, db, dc = (p - m) / (2.0 * h)
     # reduced-variable residual equals epsilon * (residual in original t)
     return abs(db - (2.0 / b0) * (da / (6.0 * k.S4) + 1.5 * dc)) / epsilon
 
@@ -225,18 +225,13 @@ def derivative_quadratures(epsilon: float, t: float, spec: QuadratureSpec):
     abs_tol would outgrow the values at large t; it is scaled by
     min(1, (eps/t)^4) and rel_tol sets the contract there.
     """
-    tau = t / epsilon
+    tau = float(_scales(epsilon, t)) / epsilon
     grading = (((0.0, 0.0), 1.0), ((2.0 * tau, 0.0), 1.0))
     spec = replace(spec, abs_tol=spec.abs_tol * min(1.0, (epsilon / t) ** 4))
     res = integrate_biradial(_prime_integrand(tau), spec.with_grading(*grading),
-                             zeta_domain=(0.0, math.inf))
+                             zeta_domain=_HALF)
     return (res[0].scaled(24.0 * sobolev_constants().S4 / epsilon),
             res[1].scaled(4.0 / epsilon))
-
-
-def _fd_step(t: float) -> float:
-    # documented default: balances truncation against quadrature noise
-    return max(1e-3, 1e-2 * t)
 
 
 def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> MonotonicityReport:
@@ -247,33 +242,27 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
     reduced derivative integrands.  Reports the first grid index violating
     negativity or cross-method agreement (-1 when clean).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _scales(epsilon, t_grid)
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t grid must be strictly increasing")
     rows = []
     converged = True
     for t in t_grid:
         tau = t / epsilon
-        h = _fd_step(tau)
+        h = max(1e-3, 1e-2 * tau)  # truncation against quadrature noise
         mesh = _combined_mesh(tau, spec)
-        vals = {s: _mesh_values(mesh, tau + s * h) for s in (-2, -1, 1, 2)}
-        errs = {s: vals[s][4:7] for s in vals}
-
-        def d1(idx):
-            second = (vals[1][idx] - vals[-1][idx]) / (2.0 * h)
-            fourth = (-vals[2][idx] + 8.0 * vals[1][idx]
-                      - 8.0 * vals[-1][idx] + vals[-2][idx]) / (12.0 * h)
-            return fourth / epsilon, abs(second - fourth) / epsilon
-
-        afd, atrunc = d1(0)
-        cfd, ctrunc = d1(2)
+        # at tau - 2h, tau - h, tau + h, tau + 2h: a, b, c, f, their errors
+        m2, m1, p1, p2 = (np.array(_mesh_values(mesh, tau + s * h), dtype=float)
+                          for s in (-2, -1, 1, 2))
+        second = (p1 - m1) / (2.0 * h)
+        fourth = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+        fd, trunc = fourth / epsilon, np.abs(second - fourth) / epsilon
+        noise = (p1 + m1) / (2.0 * h) / epsilon
         aq, cq = derivative_quadratures(epsilon, float(t), spec)
         # the frozen mesh itself raises if its adaptation missed the contract
         converged = converged and aq.converged and cq.converged
-        anoise = (errs[1][0] + errs[-1][0]) / (2.0 * h) / epsilon
-        cnoise = (errs[1][2] + errs[-1][2]) / (2.0 * h) / epsilon
-        rows.append((afd, aq.value, atrunc + anoise + aq.error_estimate,
-                     cfd, cq.value, ctrunc + cnoise + cq.error_estimate))
+        rows.append((fd[0], aq.value, trunc[0] + noise[4] + aq.error_estimate,
+                     fd[2], cq.value, trunc[2] + noise[6] + cq.error_estimate))
     afd, aq, atol, cfd, cq, ctol = np.array(rows).T
     neg = (afd < 0.0) & (aq < 0.0) & (cfd < 0.0) & (cq < 0.0)
     cons = (np.abs(afd - aq) <= atol) & (np.abs(cfd - cq) <= ctol)
@@ -305,7 +294,7 @@ def asymptotic_slope(kind: str, epsilon: float, t_sequence,
     kind 'GRAD' and 'U3V' fit the interaction integrals (limit 0); kind
     'f-curve' fits the Yamabe quotient of the pair (limit 6*sqrt(2)*S4).
     """
-    t_sequence = np.asarray(t_sequence, dtype=float)
+    t_sequence = _scales(epsilon, t_sequence)
     if len(t_sequence) < 3:
         raise ValueError("need at least three t values")
     ratios = t_sequence[1:] / t_sequence[:-1]
@@ -329,8 +318,7 @@ def asymptotic_slope(kind: str, epsilon: float, t_sequence,
     x = (epsilon / t_sequence) ** 2
     design = np.stack([x, x * x], axis=1)
     coef, res, *_ = np.linalg.lstsq(design, vals - limit, rcond=None)
-    fitted = design @ coef
-    rms = float(np.sqrt(np.mean((vals - limit - fitted) ** 2)))
+    rms = float(np.sqrt(np.mean((vals - limit - design @ coef) ** 2)))
     return SlopeFit(kind=kind, coefficient=float(coef[0]),
                     curvature=float(coef[1]), residual=rms, values=vals,
                     converged=converged)

@@ -200,6 +200,25 @@ def test_config_rejects_non_finite_tolerances(tol):
         RunConfig(abs_tol=tol)
 
 
+@pytest.mark.parametrize("key", ["t_grid", "green_t_grid"])
+@pytest.mark.parametrize("entry", ["nan", "inf", "0", "-0.03"])
+def test_config_rejects_a_bad_t_grid_entry(key, entry):
+    with pytest.raises(ValueError, match="green_t_grid entry must be finite"):
+        RunConfig(**{key: (0.1, float(entry))})
+
+
+def test_cli_rejects_a_nan_t_grid_entry(tmp_path, capsys):
+    # without the check the sweep wrote a NaN no-conv row and exited 0
+    path = tmp_path / "run.cfg"
+    path.write_text("t_grid = 0.1, nan\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), "interaction-sweep"])
+    assert exc.value.code == EX_USAGE
+    assert "t_grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_a_path_the_config_cannot_build(tmp_path, capsys):
     # PathConfig's checks run at load: eps^alpha = 0.25 is not below
     # delta/4, so no command starts

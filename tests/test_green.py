@@ -307,6 +307,13 @@ def test_flat_cone_mass_sweep():
     assert prods[0] < prods[1] < prods[2] < 1.0
 
 
+@pytest.mark.parametrize("t", [-0.03, 0.0, math.nan, math.inf])
+def test_mass_sweep_rejects_a_bad_pole_distance(t):
+    for model in ("flat-cone", "football"):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            mass_divergence_sweep(model, [0.04, t], 1.0)
+
+
 def test_football_mass_sweep():
     rows = mass_divergence_sweep("football", [0.04, 0.02], 0.8)
     assert 0.95 <= rows[-1]["product"] <= 1.05

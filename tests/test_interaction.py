@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cyl.config import RunConfig
 from cyl.constants import sobolev_constants
 import cyl.interaction as interaction
 from cyl.interaction import (KINDS, asymptotic_slope, curves,
                              derivative_quadratures, interaction_integral,
                              verify_b_prime_identity, verify_monotonicity)
-from cyl.quadrature import QuadratureSpec
+from cyl.quadrature import QuadratureSpec, integrate_biradial
 
 K = sobolev_constants()
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
@@ -61,10 +62,58 @@ def test_scale_invariance():
         assert abs(x[0] - y[0]) <= ex[0] + ey[0] + 1e-12
 
 
-def test_u3v_symmetry():
-    r1 = interaction_integral("U3V", 1.0, 1.7, SPEC).expect()
-    r2 = interaction_integral("VU3", 1.0, 1.7, SPEC).expect()
-    assert abs(r1.value - r2.value) <= r1.error_estimate + r2.error_estimate + 1e-13
+def _unfolded(kind, tau):
+    # the integrands over the whole zeta line, before the mirror fold
+    def F(z, p):
+        rp = (z - tau) ** 2 + p * p
+        rm = (z + tau) ** 2 + p * p
+        up, um = K.c4 / (1.0 + rp), K.c4 / (1.0 + rm)
+        return {"U3V": up ** 3 * um,
+                "U2V2": up ** 2 * um ** 2,
+                "GRAD": 4.0 * K.c4 ** 2 * (z * z - tau * tau + p * p)
+                / ((1.0 + rp) ** 2 * (1.0 + rm) ** 2)}[kind]
+
+    return F
+
+
+def test_folded_rows_match_the_full_line():
+    for kind in KINDS:
+        for tau in (0.1, 1.7, 1000.0):
+            half = interaction_integral(kind, 1.0, tau, SPEC).expect()
+            full = integrate_biradial(
+                _unfolded(kind, tau),
+                SPEC.with_grading(((tau, 0.0), 1.0), ((-tau, 0.0), 1.0)),
+                zeta_domain=(-math.inf, math.inf)).expect()
+            assert abs(half.value - full.value) <= \
+                half.error_estimate + full.error_estimate, (kind, tau)
+            assert half.evaluations < full.evaluations, (kind, tau)
+
+
+def _exact_rows(t):
+    # closed forms of I31 and I22 at eps = 1 (Lorentz product p of the pair
+    # on S^4), and the curve rows a, b, c they give, at 30 digits
+    import mpmath
+    with mpmath.workdps(30):
+        tau = mpmath.mpf(t)
+        p = 1 + 2 * tau ** 2
+        q = 2 * tau * mpmath.sqrt(1 + tau ** 2)
+        L = 4 * mpmath.asinh(tau)
+        i31 = mpmath.mpf(3) / 4 * (2 * p / q ** 2 - L / q ** 3)
+        i22 = mpmath.mpf(3) / 4 * (2 * p * L - 4 * q) / q ** 3
+        s4 = 8 * mpmath.pi / mpmath.sqrt(6)
+        c4sq = mpmath.sqrt(6) / mpmath.pi
+        return {"a": 12 * s4 + 12 * (8 / c4sq) * i31,
+                "b": mpmath.sqrt(2 + 8 * i31 + 6 * i22), "c": i22}
+
+
+def test_curves_meet_the_exact_forms():
+    cfg = RunConfig()
+    cur = curves(1.0, cfg.t_grid, cfg.spec())
+    assert cur.converged.all()
+    for i, t in enumerate(cfg.t_grid):
+        for name, exact in _exact_rows(t).items():
+            dev = float(abs(getattr(cur, name)[i] - exact))
+            assert dev <= getattr(cur, name + "_err")[i], (name, t)
 
 
 def test_grad_equals_s4_u3v():
@@ -160,6 +209,28 @@ def test_slope_preconditions():
         asymptotic_slope("GRAD", 1.0, [5.0, 10.0, 20.0], SPEC)  # smallest < 10
     with pytest.raises(ValueError):
         asymptotic_slope("GRAD", 1.0, [10.0, 15.0, 30.0], SPEC)  # ratio < 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_scales_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        verify_monotonicity(bad, [0.5, 1.0], SPEC)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        verify_monotonicity(1.0, [bad, 1.0], SPEC)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        curves(1.0, [bad], SPEC)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        curves(bad, [1.0], SPEC)
+    for call in (interaction_integral, derivative_quadratures):
+        args = ("GRAD",) if call is interaction_integral else ()
+        with pytest.raises(ValueError, match="finite and > 0"):
+            call(*args, 1.0, bad, SPEC)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            call(*args, bad, 1.0, SPEC)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        verify_b_prime_identity(bad, 1.0, 1e-3, SPEC)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        asymptotic_slope("GRAD", 1.0, [12.5, 25.0, bad], SPEC)
 
 
 def test_invalid_inputs():

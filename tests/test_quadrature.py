@@ -671,6 +671,15 @@ def test_interaction_integral_converges_on_a_lean_seed():
     assert res.evaluations < 400_000  # 1 709 775 with the ladder out to 1e18
 
 
+def test_interaction_point_integrates_the_mirror_half_space():
+    # at the sweep tolerances a U3V point integrates over zeta > 0 only:
+    # 20 250 points, against 41 175 over the whole zeta line
+    from cyl.interaction import interaction_integral
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+    res = interaction_integral("U3V", 1.0, 1.5, spec).expect()
+    assert res.evaluations <= 25_000
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_grading_scale_must_be_finite_and_positive(scale):
     with pytest.raises(ValueError, match="grading scale"):
