@@ -2,7 +2,8 @@
 pass/fail check with pinned tolerances.
 
 Each check is registered by ``_criterion``, which numbers it by its place in
-``ALL_CHECKS``, times it and wraps its (passed, detail) in a CheckResult;
+``ALL_CHECKS``, times it and wraps its (passed, detail) in a CheckResult, or
+a FAIL naming the exception when the body raises;
 ``run_acceptance`` executes a selection in order and reports one line per
 criterion.  The same definitions back the
 ``cyl accept`` subcommand and the pytest acceptance module, so the gate is a
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +48,20 @@ ALL_CHECKS = []
 def _criterion(name: str):
     """Register a check body as the next criterion: its index is its place
     in ALL_CHECKS, and the check times the body, which returns
-    (passed, detail), into a CheckResult."""
+    (passed, detail), into a CheckResult; a body that raises fails with the
+    exception as its detail, so the later criteria still run."""
     def register(body):
         index = len(ALL_CHECKS) + 1
 
         @functools.wraps(body)
         def check(cfg: RunConfig) -> CheckResult:
             t0 = time.perf_counter()
-            passed, detail = body(cfg)
-            return CheckResult(index, name, passed, detail,
+            try:
+                passed, detail = body(cfg)
+            except Exception as exc:
+                traceback.print_exc()
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
+            return CheckResult(index, name, bool(passed), detail,
                                time.perf_counter() - t0)
 
         ALL_CHECKS.append(check)
@@ -102,11 +109,6 @@ def centred_flat_mass(cfg: RunConfig):
     ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4),
                                             cfg.green_delta))
     return extract_mass(ev, np.zeros(4), eps0=0.05 * cfg.green_delta)
-
-
-def football_delta(cfg: RunConfig) -> float:
-    """The football's chart radius in the mass sweeps."""
-    return min(cfg.green_delta, 0.8)
 
 
 def round_parametrix() -> dict:
@@ -256,7 +258,7 @@ def check_green_masses(cfg: RunConfig):
     tmax = 0.05 * cfg.green_delta
     grid = [t for t in cfg.green_t_grid if t <= tmax + 1e-12] or [tmax, tmax / 2]
     flat_rows = mass_divergence_sweep("flat-cone", grid, cfg.green_delta)
-    foot_rows = mass_divergence_sweep("football", grid, football_delta(cfg))
+    foot_rows = mass_divergence_sweep("football", grid, cfg.football_delta)
     pf = flat_rows[-1]["product"]
     pb = foot_rows[-1]["product"]
     ok = centered_err < 1e-6 and 0.95 <= pf <= 1.05 and 0.95 <= pb <= 1.05

@@ -16,9 +16,11 @@ Exit code 0 only when every enabled acceptance check passes; otherwise the
 first failing criterion's index (1..12).  A usage or input error, such as
 an ``accept --only`` index outside 1..12, an unknown flag, a ``--tol-scale``
 that is not a finite factor > 0, or a ``--config`` file that is missing or
-does not load (an unknown key, path parameters ``PathConfig`` rejects, or a
-t grid entry that is not finite and > 0), exits 64 (``EX_USAGE``), a code no
-criterion takes, before anything runs or is written.
+does not load (an unknown key, path parameters ``PathConfig`` rejects, a
+t grid entry that is not finite and > 0, or a ``green_t_grid`` pole at or
+beyond ``football_delta``/4), exits 64 (``EX_USAGE``), a code no criterion
+takes, before anything runs or is written.  A criterion that raises is a
+FAIL line naming the exception, and the later criteria still run.
 """
 
 from __future__ import annotations
@@ -167,13 +169,13 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_green_sweep(cfg: RunConfig, out: str) -> int:
-    from cyl.acceptance import centred_flat_mass, football_delta, round_parametrix
+    from cyl.acceptance import centred_flat_mass, round_parametrix
     from cyl.green import mass_divergence_sweep
     manifest = RunManifest(config=asdict(cfg))
     t0 = manifest.start("sweeps")
     rows = []
     for model, delta in (("flat-cone", cfg.green_delta),
-                         ("football", football_delta(cfg))):
+                         ("football", cfg.football_delta)):
         for row in mass_divergence_sweep(model, cfg.green_t_grid, delta):
             rows.append((model, row["t"], row["A_q"], row["product"],
                          row["error"], row["solver_error"]))
@@ -267,8 +269,8 @@ def cmd_accept(cfg: RunConfig, out: str, only=None) -> int:
     results = run_acceptance(cfg, indices=only)
     write_csv(os.path.join(out, "acceptance.csv"),
               ["index", "name", "passed", "detail", "seconds"],
-              [(r.index, r.name, r.passed, r.detail.replace(",", ";"),
-                r.seconds) for r in results])
+              [(r.index, r.name, r.passed, r.detail, r.seconds)
+               for r in results])
     for r in results:
         if not r.passed:
             return r.index

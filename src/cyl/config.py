@@ -27,7 +27,9 @@ fits.  ``PathConfig`` validates them at load: the exponent constraints
 (1 > omega > alpha > 1/2, 2 + 2 alpha - 4 omega > 0), eps^alpha < delta/4,
 glue balls that stay disjoint along the middle leg, and finite positive
 tolerances.  ``RunConfig`` adds that every ``t_grid`` and ``green_t_grid``
-entry is finite and > 0.
+entry is finite and > 0, and that every ``green_t_grid`` pole lies below
+``football_delta``/4, where ``football_delta = min(green_delta, 0.8)`` is
+the football's ball in the mass sweeps and the smaller of their two balls.
 """
 
 from __future__ import annotations
@@ -110,6 +112,16 @@ class RunConfig(PathConfig):
                    for t in (*self.t_grid, *self.green_t_grid)):
             raise ValueError("every t_grid and green_t_grid entry must be "
                              "finite and > 0")
+        if not all(t < self.football_delta / 4.0 for t in self.green_t_grid):
+            raise ValueError("every green_t_grid entry must lie below "
+                             "football_delta/4 = "
+                             f"{self.football_delta / 4.0:g}, where the mass "
+                             "sweeps can place the pole")
+
+    @property
+    def football_delta(self) -> float:
+        """The football's chart radius in the mass sweeps."""
+        return min(self.green_delta, 0.8)
 
     def scale_tolerances(self, factor: float) -> "RunConfig":
         return replace(self, rel_tol=self.rel_tol * factor,

@@ -18,7 +18,8 @@ Dirichlet value at delta.
 
 Conformal normal coordinates enter as an exact transformation: for
 gbar = e^f gtilde with f(pole) = 0, the Green functions obey
-Gbar_x = e^{-f/2} Gtilde_x, which preserves the radial decoupling.
+Gbar_x = e^{-f/2} Gtilde_x (Lee & Parker), and on a gbar sphere about the
+pole the factor is one number.
 
 Closed forms (images for the flat ball, stereographic conformal images for
 the round ball, the global football kernel) are kept as independent oracles.
@@ -64,7 +65,6 @@ __all__ = [
     "sphere_kernel",
     "sphere_kernel_slope",
     "chebyshev_u",
-    "cnc_radial_factor",
 ]
 
 
@@ -75,13 +75,15 @@ __all__ = [
 @dataclass(frozen=True)
 class RadialChart:
     """Warped chart dr^2 + w(r)^2 h0 about the origin with scalar curvature
-    R(r); the geometry the mode solver understands."""
+    R(r) and fundamental kernel of L; the geometry the mode solver
+    understands."""
 
     kind: str            # 'flat' or 'round'
     w: object            # r -> warp
     wp: object           # r -> w'
     scal: object         # r -> scalar curvature
     dist: object         # (r1, r2, cos gamma) -> distance between chart points
+    kernel: object       # distance -> fundamental kernel, L k = 24 pi^2 delta
 
     @staticmethod
     def flat() -> "RadialChart":
@@ -90,7 +92,7 @@ class RadialChart:
 
         return RadialChart("flat", lambda r: r, lambda r: np.ones_like(r),
                            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                           dist)
+                           dist, lambda d: 1.0 / np.asarray(d, dtype=float) ** 2)
 
     @staticmethod
     def round() -> "RadialChart":
@@ -100,7 +102,7 @@ class RadialChart:
 
         return RadialChart("round", np.sin, np.cos,
                            lambda r: np.full_like(np.asarray(r, dtype=float), 12.0),
-                           dist)
+                           dist, sphere_kernel)
 
     def mode_coupling_defect(self, field: ChartMetricField,
                              delta: float) -> float:
@@ -336,7 +338,9 @@ def _default_mesh(delta: float, t: float, n_base: int) -> np.ndarray:
         pieces.append(np.clip(t - local, delta * 1e-8, delta))
         pieces.append(np.array([t]))
     mesh = np.unique(np.concatenate(pieces))
-    return mesh[mesh > 0.0]
+    mesh = mesh[mesh > 0.0]
+    # the stencil divides by the gaps: a node within 1e-12 r of the next goes
+    return mesh[np.append(np.diff(mesh) > 1e-12 * mesh[1:], True)]
 
 
 @dataclass
@@ -359,8 +363,6 @@ class GreenProblem:
         t_lo = 0.0 if self.chart.kind == "flat" else 1e-300
         if not t_lo <= t < self.delta / 4.0 + 1e-12:
             raise ValueError("pole must satisfy 0 < |x| < delta/4")
-        if t == 0.0 and self.chart.kind != "flat":
-            raise ValueError("pole must be distinct from the cone tip")
 
 
 def _axis(pole) -> np.ndarray:
@@ -370,14 +372,14 @@ def _axis(pole) -> np.ndarray:
 
 
 def _polar(pts, axis):
-    """Points as an (m, 4) array, their radii and the cosines of their angles
-    against the unit axis."""
+    """The radii of the points and the cosines of their angles against the
+    unit axis."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     r = np.linalg.norm(pts, axis=1)
     c = np.zeros_like(r)
     safe = r > 0.0
     c[safe] = (pts[safe] @ axis) / r[safe]
-    return pts, r, np.clip(c, -1.0, 1.0)
+    return r, np.clip(c, -1.0, 1.0)
 
 
 class ZonalModeSum:
@@ -399,24 +401,22 @@ class ZonalModeSum:
         return out
 
     def value(self, pts) -> np.ndarray:
-        _, r, c = _polar(pts, self.axis)
+        r, c = _polar(pts, self.axis)
         return self.at(r, c)
 
 
 class GreenEvaluator:
-    """Callable Green function zeta + mode sum, immutable after assembly."""
+    """Callable Green function, the chart's kernel plus the mode sum;
+    immutable after assembly."""
 
-    def __init__(self, chart: RadialChart, pole, delta: float, zeta,
-                 modes: ZonalModeSum, error_estimate: float,
-                 conformal_half=None):
+    def __init__(self, chart: RadialChart, pole, delta: float,
+                 modes: ZonalModeSum, error_estimate: float):
         self.chart = chart
         self.pole = np.asarray(pole, dtype=float)
         self.t = float(np.linalg.norm(self.pole))
         self.delta = delta
-        self.zeta = zeta
         self.modes = modes
         self.error_estimate = error_estimate
-        self.conformal_half = conformal_half  # y -> f(y)/2 for gbar = e^f g
 
     def boundary_trace_defect(self, n: int = 64) -> float:
         gam = np.linspace(0.0, math.pi, n)
@@ -425,20 +425,9 @@ class GreenEvaluator:
         return float(np.max(np.abs(self.value(pts))))
 
     def value(self, pts) -> np.ndarray:
-        pts, r, c = _polar(pts, self.modes.axis)
-        d = self.chart.dist(r, self.t, c)
-        vals = self.zeta(d) + self.modes.at(r, c)
-        if self.conformal_half is not None:
-            vals = vals * np.exp(-self.conformal_half(pts))
-        return vals
-
-
-def _fundamental_zeta(chart: RadialChart):
-    if chart.kind == "flat":
-        return lambda d: 1.0 / np.asarray(d, dtype=float) ** 2
-    if chart.kind == "round":
-        return sphere_kernel
-    raise ValueError("no fundamental kernel for this chart")
+        r, c = _polar(pts, self.modes.axis)
+        return self.chart.kernel(self.chart.dist(r, self.t, c)) \
+            + self.modes.at(r, c)
 
 
 def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
@@ -451,10 +440,9 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
     t = float(np.linalg.norm(problem.pole))
     chart = problem.chart
     delta = problem.delta
-    zeta = _fundamental_zeta(chart)
     bmodes = zonal_project(
-        lambda gamma: -zeta(chart.dist(np.full_like(gamma, delta), t,
-                                       np.cos(gamma))),
+        lambda gamma: -chart.kernel(chart.dist(np.full_like(gamma, delta), t,
+                                               np.cos(gamma))),
         problem.lmax)
     mesh = _default_mesh(delta, t, problem.mesh_size)
     coarse = mesh[::2] if mesh[-1] == mesh[::2][-1] else np.append(mesh[::2], mesh[-1])
@@ -466,7 +454,7 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
         err += float(np.max(np.abs(interp - u_coarse))) * (l + 1)
     # truncation part of the error: magnitude of the last boundary mode
     err += abs(float(bmodes[-1])) * (problem.lmax + 1)
-    return GreenEvaluator(chart, problem.pole, delta, zeta,
+    return GreenEvaluator(chart, problem.pole, delta,
                           ZonalModeSum(_axis(problem.pole), mesh, fine), err)
 
 
@@ -487,58 +475,25 @@ def solve_harmonic_extension(field: ChartMetricField, delta: float,
 
 
 # ----------------------------------------------------------------------------
-# CNC wrap and assembly
+# equivariant assembly
 # ----------------------------------------------------------------------------
-
-def cnc_radial_factor(chart: RadialChart, pole):
-    """The equivariant CNC conformal exponent f(y) for the suite charts.
-
-    Flat chart: identically zero.  Round chart: phi_t(d) d^2/2 around the pole
-    plus the mirror branch around -pole (the factor is antipodally
-    symmetrized so gbar projects to the quotient).  Returns f(pts) and the
-    radial profile fr(d).
-    """
-    pole = np.asarray(pole, dtype=float)
-    t = float(np.linalg.norm(pole))
-    if chart.kind == "flat":
-        zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
-        return zero, lambda d: np.zeros_like(np.asarray(d, dtype=float))
-    fr = cnc_profile(t).value
-    axis = _axis(pole)
-
-    def f(pts):
-        _, r, c = _polar(pts, axis)
-        return fr(chart.dist(r, t, c)) + fr(chart.dist(r, t, -c))
-
-    return f, fr
-
-
-def conformal_wrap(ev: GreenEvaluator, f_callable) -> GreenEvaluator:
-    """Gbar = e^{-f/2} G for gbar = e^f g; exact since f(pole) = 0."""
-    return GreenEvaluator(ev.chart, ev.pole, ev.delta, ev.zeta, ev.modes,
-                          ev.error_estimate,
-                          conformal_half=lambda pts: 0.5 * f_callable(pts))
-
 
 class AssembledGreen:
     """Equivariant quotient Green function through the double cover:
-    G_q o sigma_P = G_x + G_{-x} + H_x."""
+    G_q o sigma_P = G_x + G_{-x} + H_x, with G_{-x}(y) = G_x(-y) by the
+    equivariance of the suite metrics."""
 
-    def __init__(self, g_plus, g_minus, harmonic=None):
+    def __init__(self, g_plus: GreenEvaluator, harmonic=None):
         self.g_plus = g_plus
-        self.g_minus = g_minus
+        self.chart = g_plus.chart
         self.harmonic = harmonic
 
     def value(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = self.g_plus.value(pts) + self.g_minus.value(pts)
+        out = self.g_plus.value(pts) + self.g_plus.value(-pts)
         if self.harmonic is not None:
             out = out + self.harmonic.value(pts)
         return out
-
-    def symmetry_defect(self, pts) -> float:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return float(np.max(np.abs(self.value(pts) - self.value(-pts))))
 
 
 # ----------------------------------------------------------------------------
@@ -557,26 +512,6 @@ def matching_constant(epsilon: float, tau: float, A_q: float) -> float:
     |z| = tau:  c4/eps / (1 + tau^2/eps^2) = (tau^-2 + A_q)/nu."""
     return (1.0 / tau ** 2 + A_q) * (1.0 + tau ** 2 / epsilon ** 2) \
         / (sobolev_constants().c4 / epsilon)
-
-
-def _gbar_spheres(evaluator, pole, radii, dirs, chart, conformal_fr, smax):
-    """Yields (eps, points, values of the evaluator) on the gbar-geodesic
-    spheres of radius eps around the pole, one point per unit direction
-    (dirs are taken with e1 along the pole); the gbar radius is inverted on
-    [0, smax] through the radial CNC profile conformal_fr, if given."""
-    if chart is None:
-        chart = getattr(evaluator, "chart", RadialChart.flat())
-    if conformal_fr is None:
-        s_of_rho = lambda rho: rho
-    else:
-        _, s_of_rho = _gbar_radius(conformal_fr, np.linspace(0.0, smax, 400))
-    # orthonormal tangent completion: rotate e1 onto the pole axis
-    axis = _axis(pole)
-    tangents = dirs @ np.vstack([axis, tangent_frame(axis)]).T
-    sphere = _exp_sphere(chart, pole, tangents)
-    for eps in np.asarray(radii, dtype=float):
-        pts = sphere(float(s_of_rho(eps)))
-        yield eps, pts, evaluator.value(pts)
 
 
 def _cumulative_gl(f, sgrid: np.ndarray, order: int = 8) -> np.ndarray:
@@ -614,22 +549,37 @@ def extract_mass(evaluator, pole, eps0: float = None,
     """Mass by Richardson extrapolation of spherical means of G - |z|^-2.
 
     Sample spheres are gbar-geodesic spheres of radius eps_k = eps0 * 2^-k,
-    k = 0..3, around the pole; with the radial CNC profile conformal_fr the
+    k = 0..3, around the pole.  With the radial CNC profile conformal_fr the
     gbar-radius rho(s) = int_0^s e^{f/2} is inverted exactly on the radial
-    geodesics.
+    geodesics, and the values on the sphere of g-radius s are multiplied by
+    the CNC factor e^{-fr(s)/2}.  That is the whole of Gbar = e^{-f/2} G
+    there: the spheres keep s <= 0.49 t, so every point lies at least
+    1.5 t > t/2 from the mirror pole, where the mirror branch of the
+    equivariant f vanishes.
     Antipodal direction pairs kill the odd terms of the C^1 remainder.
     """
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
     if eps0 is None:
         eps0 = t / 8.0
-    dirs, weights = _sym_directions()
+    if chart is None:
+        chart = getattr(evaluator, "chart", RadialChart.flat())
     radii = eps0 * 0.5 ** np.arange(4)
-    smax = min(2.0 * eps0, 0.49 * t) if t > 0 else 2.0 * eps0
-    means = np.array([float(np.sum(weights * (vals - 1.0 / eps ** 2)))
-                      for eps, _, vals in _gbar_spheres(
-                          evaluator, pole, radii, dirs, chart, conformal_fr,
-                          smax)])
+    if conformal_fr is None:
+        s, factor = radii, np.ones(4)
+    else:
+        smax = min(2.0 * eps0, 0.49 * t)
+        s = _gbar_radius(conformal_fr, np.linspace(0.0, smax, 400))[1](radii)
+        factor = np.exp(-0.5 * conformal_fr(s))
+    dirs, weights = _sym_directions()
+    # orthonormal tangent completion: rotate e1 onto the pole axis
+    axis = _axis(pole)
+    sphere = _exp_sphere(chart, pole,
+                         dirs @ np.vstack([axis, tangent_frame(axis)]).T)
+    means = np.array([
+        float(np.sum(weights * (evaluator.value(sphere(float(s_k))) * f_k
+                                - 1.0 / eps ** 2)))
+        for eps, s_k, f_k in zip(radii, s, factor)])
     design = np.stack([np.ones(4), radii, radii ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     fitted = design @ coef
@@ -676,13 +626,14 @@ def _exp_sphere(chart: RadialChart, pole, dirs: np.ndarray):
 # ----------------------------------------------------------------------------
 
 def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
-    """Full pipeline per t: CNC factor, Dirichlet solve at both poles,
-    equivariant assembly, mass extraction.  Returns rows of dicts with the
-    A_q * 4 t^2 column."""
+    """Per t: one Dirichlet solve, its equivariant assembly and the mass on
+    gbar spheres, with the CNC factor on the football.  Returns rows of
+    dicts with the A_q * 4 t^2 column; each row's error adds the solver's
+    error estimate to the extraction's."""
     if model == "flat-cone":
-        field = FlatField()
+        field, profile = FlatField(), None
     elif model == "football":
-        field = WarpedRadialField(round_profile())
+        field, profile = WarpedRadialField(round_profile()), cnc_profile
     else:
         raise ValueError("model must be 'flat-cone' or 'football'")
     if not all(0.0 < t < math.inf for t in t_grid):
@@ -690,30 +641,18 @@ def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         pole = np.array([t, 0.0, 0.0, 0.0])
-        problem = GreenProblem(field, pole, delta)
-        g_plus = solve_dirichlet_green(problem)
-        f_full, fr = cnc_radial_factor(problem.chart, pole)
-        gbar_plus = conformal_wrap(g_plus, f_full)
-        assembled = AssembledGreen(gbar_plus, _MirrorEval(gbar_plus))
-        exp = extract_mass(assembled, pole, chart=problem.chart, conformal_fr=fr)
+        g_plus = solve_dirichlet_green(GreenProblem(field, pole, delta))
+        exp = extract_mass(AssembledGreen(g_plus), pole,
+                           conformal_fr=None if profile is None
+                           else profile(t).value)
         rows.append({
             "t": float(t),
             "A_q": exp.A_q,
             "product": exp.A_q * 4.0 * t ** 2,
-            "error": exp.error,
+            "error": exp.error + g_plus.error_estimate,
             "solver_error": g_plus.error_estimate,
         })
     return rows
-
-
-class _MirrorEval:
-    """G_{-x}(y) = G_x(-y) by the equivariance of the suite metrics."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def value(self, pts):
-        return self.base.value(-np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 def parametrix_residual(chart: RadialChart, t: float,

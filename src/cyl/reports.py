@@ -1,13 +1,15 @@
 """Deterministic persistence of sweep tables, fits and path profiles.
 
 CSV bodies are byte-identical for identical configs: '.' decimal separator,
-17 significant digits, fixed column order, rows in input order.  The JSON
+17 significant digits, fixed column order, rows in input order, and a field
+quoted only when it holds the separator, a quote or a line break.  The JSON
 mirror carries the same numbers for machine use, and every persisted value
 travels with its error estimate.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
@@ -33,11 +35,10 @@ def fmt(x) -> str:
 
 def write_csv(path: str, header, rows) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def write_json(path: str, obj) -> None:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -230,3 +231,77 @@ def test_cli_rejects_a_path_the_config_cannot_build(tmp_path, capsys):
     assert exc.value.code == EX_USAGE
     assert "eps^alpha < delta/4" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["green_t_grid = 0.3\n",
+                                    "green_t_grid = 0.04, 0.2\n",
+                                    "green_delta = 0.1\ngreen_t_grid = 0.025\n"])
+def test_cli_rejects_a_pole_the_mass_sweeps_cannot_place(tmp_path, capsys,
+                                                         config):
+    # a pole at or beyond football_delta/4 = min(green_delta, 0.8)/4 once
+    # died in GreenProblem with exit 1, after the output directory was made
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), "green-sweep"])
+    assert exc.value.code == EX_USAGE
+    assert "football_delta/4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_places_the_football_ball():
+    assert RunConfig().football_delta == 0.8
+    assert RunConfig(green_delta=0.5, green_t_grid=(0.1,)).football_delta == 0.5
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_every_csv_row_has_the_width_of_its_header(tmp_path):
+    # criterion 2's name holds a comma, which once gave its acceptance.csv
+    # row 6 fields under a 5-field header; criteria 4 and 8 return numpy
+    # bools, which once read True where the others read 1
+    cfgfile = tmp_path / "cfg"
+    cfgfile.write_text("t_grid = 0.5, 2.0, 8.0\ngreen_t_grid = 0.04, 0.02\n"
+                       "green_delta = 0.8\n")
+    out = tmp_path / "out"
+    for command in (["constants"], ["cnc-verify"], ["gauge-verify"],
+                    ["interaction-sweep"], ["green-sweep"],
+                    ["accept", "--only", "1,2,4,8"]):
+        assert main(["--config", str(cfgfile), "--out", str(out),
+                     *command]) == 0
+    paths = sorted(out.glob("*.csv"))
+    assert len(paths) == 6
+    for path in paths:
+        header, *rows = _read_csv(path)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+    header, *rows = _read_csv(out / "acceptance.csv")
+    assert [row[header.index("passed")] for row in rows] == ["1"] * 4
+    assert rows[1][header.index("name")] == \
+        "double-bubble quotient bracket (6*S4, 6*sqrt(2)*S4)"
+
+
+def test_a_raising_criterion_is_a_fail_line(tmp_path, capsys, monkeypatch):
+    import cyl.interaction
+    from cyl.quadrature import QuadratureError
+
+    def unconverged(self):
+        raise QuadratureError("split budget exhausted")
+
+    # criterion 2 alone reads the bracket margins
+    monkeypatch.setattr(cyl.interaction.InteractionCurves, "bracket_margins",
+                        unconverged)
+    rc = main(["--out", str(tmp_path), "accept", "--only", "1,2,3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "split budget exhausted" in captured.err  # the traceback
+    lines = captured.out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("[ 2] FAIL")
+    assert "QuadratureError: split budget exhausted" in lines[1]
+    assert lines[2].startswith("[ 3] PASS")
+    header, *rows = _read_csv(tmp_path / "acceptance.csv")
+    assert [row[header.index("passed")] for row in rows] == ["1", "0", "1"]

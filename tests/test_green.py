@@ -5,14 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyl.constants import sobolev_constants
+from cyl.geometry.cnc import cnc_profile
 from cyl.geometry.fields import (ConformalField, FlatField, WarpedRadialField,
                                  flat_profile, polynomial_profile,
                                  round_profile)
 from cyl.green import (KAPPA, AssembledGreen, GreenProblem, RadialChart,
-                       chart_for_field, chebyshev_u, cnc_radial_factor,
-                       conformal_wrap, extract_mass, flat_ball_green,
-                       football_global_green, mass_divergence_sweep,
-                       matching_constant, parametrix_residual,
+                       chart_for_field, chebyshev_u, extract_mass,
+                       flat_ball_green, football_global_green,
+                       mass_divergence_sweep, matching_constant,
+                       parametrix_residual,
                        parametrix_sweep, round_ball_green, solve_dirichlet_green,
                        solve_harmonic_extension, sphere_kernel,
                        sphere_kernel_slope, zonal_project)
@@ -190,7 +191,6 @@ def test_green_relations_on_football():
     pole = np.array([t, 0.0, 0.0, 0.0])
     glob = football_global_green(pole)
     gp = solve_dirichlet_green(GreenProblem(ROUND, pole, delta))
-    gm = solve_dirichlet_green(GreenProblem(ROUND, -pole, delta))
 
     def datum(gamma):
         pts = np.stack([delta * np.cos(gamma), delta * np.sin(gamma),
@@ -198,14 +198,12 @@ def test_green_relations_on_football():
         return glob.value(pts)
 
     H = solve_harmonic_extension(ROUND, delta, datum)
-    assembled = AssembledGreen(gp, gm, H)
+    assembled = AssembledGreen(gp, H)
     rng = np.random.default_rng(5)
     pts = _sample_points(rng, 40, 0.45, exclude=pole)
     pts = pts[np.linalg.norm(pts + pole, axis=1) > 0.05]
     rel = np.abs((assembled.value(pts) - glob.value(pts)) / glob.value(pts))
     assert np.max(rel) < 1e-5
-    # assembled function is equivariant
-    assert assembled.symmetry_defect(pts) < 1e-7
     # harmonic extension of an even datum is even
     hv = H.value(pts)
     hm = H.value(-pts)
@@ -287,9 +285,7 @@ def test_mode_truncation_convergence():
     masses = []
     for lmax in (16, 32):
         ev = solve_dirichlet_green(GreenProblem(ROUND, pole, 0.5, lmax=lmax))
-        f_full, fr = cnc_radial_factor(ev.chart, pole)
-        exp = extract_mass(conformal_wrap(ev, f_full), pole,
-                           chart=ev.chart, conformal_fr=fr)
+        exp = extract_mass(ev, pole, conformal_fr=cnc_profile(0.1).value)
         masses.append(exp)
     assert abs(masses[0].A_q - masses[1].A_q) <= \
         masses[0].error + masses[1].error + 1e-6
@@ -305,6 +301,37 @@ def test_flat_cone_mass_sweep():
     assert 0.95 <= prods[-1] <= 1.05
     # approaches 1 monotonically in the recorded run
     assert prods[0] < prods[1] < prods[2] < 1.0
+
+
+def test_default_mesh_has_no_near_duplicate_nodes():
+    # at t = 0.15 (delta = 1) the uniform node 63/420 lies one ulp from the
+    # pole node, and the mode stencil divided by their gap
+    from cyl.green import _default_mesh
+    for delta in (1.0, 0.8):
+        for k in range(1, 250):
+            t = k / 1000.0
+            if t < delta / 4.0:
+                mesh = _default_mesh(delta, t, GreenProblem.mesh_size)
+                assert np.min(np.diff(mesh) / mesh[1:]) >= 1e-12, (delta, t)
+
+
+@pytest.fixture(scope="module")
+def flat_row_at_mesh_collision():
+    return mass_divergence_sweep("flat-cone", [0.15], 1.0)[0]
+
+
+def test_flat_cone_mass_at_mesh_collision_meets_the_image_law(
+        flat_row_at_mesh_collision):
+    # the image-method law of the Dirichlet ball with the Z2 mirror pole
+    t = 0.15
+    law = 1.0 / (4 * t * t) - 1.0 / (1 - t * t) ** 2 - 1.0 / (1 + t * t) ** 2
+    row = flat_row_at_mesh_collision
+    assert abs(row["A_q"] - law) <= row["error"]
+
+
+def test_mass_error_includes_the_solver_error(flat_row_at_mesh_collision):
+    row = flat_row_at_mesh_collision
+    assert row["error"] >= row["solver_error"] > 0.0
 
 
 @pytest.mark.parametrize("t", [-0.03, 0.0, math.nan, math.inf])
