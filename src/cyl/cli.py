@@ -20,7 +20,10 @@ does not load (an unknown key, path parameters ``PathConfig`` rejects, a
 t grid entry that is not finite and > 0, or a ``green_t_grid`` pole at or
 beyond ``football_delta``/4), exits 64 (``EX_USAGE``), a code no criterion
 takes, before anything runs or is written.  A criterion that raises is a
-FAIL line naming the exception, and the later criteria still run.
+FAIL line naming the exception, and the later criteria still run.  Any
+other exception prints its traceback to stderr and exits 70
+(``EX_SOFTWARE``), so a fault of the program is never read as a failed
+criterion.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict
 
 import numpy as np
@@ -37,10 +41,12 @@ from cyl.config import RunConfig, load_config
 from cyl.constants import sobolev_constants
 from cyl.reports import RunManifest, fmt, write_csv, write_json, write_plot_data
 
-__all__ = ["main", "EX_USAGE"]
+__all__ = ["main", "EX_USAGE", "EX_SOFTWARE"]
 
-# the exit code of a usage error; criterion indices stay below it
+# the exit codes of a usage error and of an uncaught exception; criterion
+# indices stay below both
 EX_USAGE = 64
+EX_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,12 +68,18 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-scale", type=_tol_scale, default=1.0,
                    help="multiply quadrature tolerances by this factor")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("constants", "interaction-sweep", "green-sweep",
-                 "cnc-verify", "gauge-verify", "path-profile"):
-        sub.add_parser(name)
-    acc = sub.add_parser("accept")
-    acc.add_argument("--only", default=None, type=_criteria,
-                     help="comma-separated criterion indices (1-12) to run")
+    # each command and the function that runs it on (cfg, out, args)
+    for name, run in (("constants", cmd_constants),
+                      ("interaction-sweep", cmd_interaction_sweep),
+                      ("green-sweep", cmd_green_sweep),
+                      ("cnc-verify", cmd_cnc_verify),
+                      ("gauge-verify", cmd_gauge_verify),
+                      ("path-profile", cmd_path_profile),
+                      ("accept", cmd_accept)):
+        sub.add_parser(name).set_defaults(run=run)
+    sub.choices["accept"].add_argument(
+        "--only", default=None, type=_criteria,
+        help="comma-separated criterion indices (1-12) to run")
     return p
 
 
@@ -99,7 +111,7 @@ def _setup(parser, args):
     return cfg, out
 
 
-def cmd_constants(cfg: RunConfig, out: str) -> int:
+def cmd_constants(cfg: RunConfig, out: str, args) -> int:
     k = sobolev_constants()
     manifest = RunManifest(config=asdict(cfg))
     rows = [
@@ -122,16 +134,15 @@ def cmd_constants(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
+def cmd_interaction_sweep(cfg: RunConfig, out: str, args) -> int:
     from cyl.acceptance import slope_fits
     from cyl.interaction import curves, derivative_quadratures
     manifest = RunManifest(config=asdict(cfg))
-    t0 = manifest.start("curves")
     spec = cfg.spec()
     grid = np.asarray(cfg.t_grid, dtype=float)
-    cur = curves(1.0, grid, spec)
-    primes = [derivative_quadratures(1.0, float(t), spec) for t in grid]
-    manifest.finish("curves", t0)
+    with manifest.stage("curves"):
+        cur = curves(1.0, grid, spec)
+        primes = [derivative_quadratures(1.0, float(t), spec) for t in grid]
     lo, hi = cur.bracket_margins()
     rows = []
     for i, (t, (ap, cp)) in enumerate(zip(grid, primes)):
@@ -148,9 +159,8 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
     header = ["t", "a", "b", "c", "f", "a_prime", "c_prime", "f_err",
               "bracket", "status", "a_err", "b_err", "c_err", "a_prime_err",
               "c_prime_err"]
-    t1 = manifest.start("slopes")
-    fits = slope_fits()
-    manifest.finish("slopes", t1)
+    with manifest.stage("slopes"):
+        fits = slope_fits()
     names = ("grad", "u3v", "fcurve")
     footer = [(f"slope_{name}", fit.coefficient, target, "", "", "", "",
                fit.residual, "", "", "", "", "", "", "")
@@ -168,18 +178,17 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_green_sweep(cfg: RunConfig, out: str) -> int:
+def cmd_green_sweep(cfg: RunConfig, out: str, args) -> int:
     from cyl.acceptance import centred_flat_mass, round_parametrix
     from cyl.green import mass_divergence_sweep
     manifest = RunManifest(config=asdict(cfg))
-    t0 = manifest.start("sweeps")
     rows = []
-    for model, delta in (("flat-cone", cfg.green_delta),
-                         ("football", cfg.football_delta)):
-        for row in mass_divergence_sweep(model, cfg.green_t_grid, delta):
-            rows.append((model, row["t"], row["A_q"], row["product"],
-                         row["error"], row["solver_error"]))
-    manifest.finish("sweeps", t0)
+    with manifest.stage("sweeps"):
+        for model, delta in (("flat-cone", cfg.green_delta),
+                             ("football", cfg.football_delta)):
+            for row in mass_divergence_sweep(model, cfg.green_t_grid, delta):
+                rows.append((model, row["t"], row["A_q"], row["product"],
+                             row["error"], row["solver_error"]))
     # flat-ball calibration row: closed-form mass -1/delta^2
     exp = centred_flat_mass(cfg)
     rows.append(("flat-ball-centered", 0.0, exp.A_q,
@@ -199,7 +208,7 @@ def cmd_green_sweep(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_cnc_verify(cfg: RunConfig, out: str) -> int:
+def cmd_cnc_verify(cfg: RunConfig, out: str, args) -> int:
     from cyl.acceptance import round_cnc
     rows = []
     for h in (2e-3, 1e-3, 5e-4):
@@ -212,7 +221,7 @@ def cmd_cnc_verify(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_gauge_verify(cfg: RunConfig, out: str) -> int:
+def cmd_gauge_verify(cfg: RunConfig, out: str, args) -> int:
     from cyl.acceptance import gauge_example
     from cyl.geometry.links import verify_first_order_identity
     f, fam, gauge, pts = gauge_example()
@@ -227,14 +236,13 @@ def cmd_gauge_verify(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_path_profile(cfg: RunConfig, out: str) -> int:
+def cmd_path_profile(cfg: RunConfig, out: str, args) -> int:
     from cyl.acceptance import double_fit
     from cyl.minmax import build_path
     k = sobolev_constants()
     manifest = RunManifest(config=asdict(cfg))
-    t0 = manifest.start("path")
-    prof = build_path(cfg)
-    manifest.finish("path", t0)
+    with manifest.stage("path"):
+        prof = build_path(cfg)
     rows = [(float(m), leg, float(q), float(e), float(6.0 * k.S4 - q))
             for m, leg, q, e in zip(prof.mu, prof.legs, prof.Q, prof.Q_err)]
     write_csv(os.path.join(out, "path.csv"),
@@ -253,9 +261,8 @@ def cmd_path_profile(cfg: RunConfig, out: str) -> int:
           f"6*S4 = {fmt(6.0 * k.S4)}; margin = {fmt(margin)}")
     q0, q1 = prof.endpoint_values()
     print(f"endpoints {fmt(q0)} / {fmt(q1)} (Y4/sqrt2 = {fmt(k.Ys)})")
-    t1 = manifest.start("fit")
-    fit = double_fit(cfg)
-    manifest.finish("fit", t1)
+    with manifest.stage("fit"):
+        fit = double_fit(cfg)
     print(f"fitted A (double leg) = {fmt(fit.A_hat)} (target {fmt(k.A)}); "
           f"free exponent {fmt(fit.exponent_free)}")
     manifest.record("max_Q", prof.max_Q, float(np.max(prof.Q_err)))
@@ -264,9 +271,9 @@ def cmd_path_profile(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_accept(cfg: RunConfig, out: str, only=None) -> int:
+def cmd_accept(cfg: RunConfig, out: str, args) -> int:
     from cyl.acceptance import run_acceptance
-    results = run_acceptance(cfg, indices=only)
+    results = run_acceptance(cfg, indices=args.only)
     write_csv(os.path.join(out, "acceptance.csv"),
               ["index", "name", "passed", "detail", "seconds"],
               [(r.index, r.name, r.passed, r.detail, r.seconds)
@@ -280,22 +287,12 @@ def cmd_accept(cfg: RunConfig, out: str, only=None) -> int:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    cfg, out = _setup(parser, args)
-    if args.command == "constants":
-        return cmd_constants(cfg, out)
-    if args.command == "interaction-sweep":
-        return cmd_interaction_sweep(cfg, out)
-    if args.command == "green-sweep":
-        return cmd_green_sweep(cfg, out)
-    if args.command == "cnc-verify":
-        return cmd_cnc_verify(cfg, out)
-    if args.command == "gauge-verify":
-        return cmd_gauge_verify(cfg, out)
-    if args.command == "path-profile":
-        return cmd_path_profile(cfg, out)
-    if args.command == "accept":
-        return cmd_accept(cfg, out, only=getattr(args, "only", None))
-    raise AssertionError("unreachable")
+    try:
+        cfg, out = _setup(parser, args)
+        return args.run(cfg, out, args)
+    except Exception:
+        traceback.print_exc()
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

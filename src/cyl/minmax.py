@@ -418,8 +418,6 @@ def _psi_lambda(b: _LegBatch, lam: float, chi_delta, ball: bool) -> D2:
     """psi_lambda on a batch of the glue ball (``ball``) or annulus."""
     if lam == 1.0:
         return _w_glued(b, ball)
-    if lam == 0.0:
-        return _e_tilde(b, chi_delta)
     return _w_glued(b, ball) * lam + _e_tilde(b, chi_delta) * (1.0 - lam)
 
 

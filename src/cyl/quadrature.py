@@ -11,13 +11,11 @@ Integrands concentrated at a known "bubble core" declare it through grading
 entries ``(center, scale)``; the engine then seeds the partition with dyadic
 annuli down to ``scale/4`` around each center.
 
-Seed reach: on a bounded axis the annuli double until they span twice the
-interval.  On a compactified axis they stop below ``4*(|center| + max(scale,
-1))``: the ``tan`` map already grades the tail, so rungs out to the 1e18 that
-stands in for infinity only add boxes of shrinking working width (about 64
-rungs a side), which the adaptive pass then evaluates for nothing.  For the
-interaction integrals that cuts the seed mesh from about 7 600 boxes to
-115-295 and the points per integral at rel 1e-9 by a factor of 4 to 50.
+Seed reach: every axis, bounded or compactified, ladders the annuli around
+a core at c with scale s out to below ``4*(|c| + max(s, 1))``.  Farther out a
+bounded axis has no feature to grade and a compactified one is graded by
+the ``tan`` map; rungs there only add boxes the adaptive pass evaluates for
+nothing.
 
 Per-axis scales: the 2-d seed is the tensor product of the two axes' breaks,
 so a scalar scale, which ladders both axes, multiplies the boxes by the
@@ -82,7 +80,8 @@ quotient, on one 1-d partition.  The split budget and the batch bound
 count boxes and points, not components.
 
 Results are deterministic for a fixed (spec, integrand): boxes are split in a
-fixed order and final sums run over boxes sorted by coordinates.
+fixed order, and a mesh sums its boxes in that order, which a frozen mesh
+keeps.
 
 Batch bound: the 2-d engines and the 3-sphere rule hand an integrand at most
 ``_MAX_BATCH_POINTS`` = 2^16 points per call.  A vectorized integrand
@@ -97,6 +96,7 @@ act elementwise, and no more than one slice's grid values are held.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -183,7 +183,8 @@ class QuadratureSpec:
     ``grading`` holds ``(center, scale)`` pairs; ``center`` is a float for 1-d
     engines or a 2-vector for the 2-d engines, and ``scale`` is finite and
     positive.  The partition is seeded with dyadic breakpoints at
-    ``center +- scale/4 * 2^k`` on every axis.  A 2-d entry may instead give
+    ``center +- scale/4 * 2^k`` on every axis, out to below
+    ``4*(|center| + max(scale, 1))``.  A 2-d entry may instead give
     one scale per axis, ``(center, (sx, sy))``, each positive; ``math.inf``
     says the feature is constant along that axis, which then gets only the
     center break.
@@ -198,8 +199,10 @@ class QuadratureSpec:
         if not (0.0 < self.rel_tol < math.inf
                 and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not (isinstance(self.max_subdivisions, numbers.Integral)
+                and self.max_subdivisions >= 1):
+            raise ValueError(f"max_subdivisions must be an integer >= 1, "
+                             f"got {self.max_subdivisions!r}")
         for center, scale in self.grading:
             if isinstance(scale, tuple):
                 if not (len(scale) == 2 == np.size(center)
@@ -274,15 +277,13 @@ class IntegralResult:
 # breakpoint seeding
 # ----------------------------------------------------------------------------
 
-def _dyadic_breaks(center: float, scale: float, lo: float, hi: float,
-                   reach: float) -> list:
+def _dyadic_breaks(center: float, scale: float, lo: float, hi: float) -> list:
     """Dyadic annulus breakpoints ``center +- scale/4 * 2^k`` with half-width
-    below ``reach``, clipped to (lo, hi)."""
-    if not lo < hi:
-        return []
+    below the reach 4*(|center| + max(scale, 1)), clipped to (lo, hi)."""
     breaks = []
     if lo < center < hi:
         breaks.append(center)
+    reach = 4.0 * (abs(center) + max(scale, 1.0))
     h = scale / 4.0
     while h < reach:
         for b in (center - h, center + h):
@@ -293,29 +294,20 @@ def _dyadic_breaks(center: float, scale: float, lo: float, hi: float,
 
 
 def _seed_breaks(lo, hi, centers_scales, transform=None):
-    """Sorted unique breakpoints of [lo, hi] including graded seeds.
+    """Sorted unique breakpoints of [lo, hi], its ends included, with the
+    graded seeds of every (center, scale) pair.
 
     ``transform`` maps original coordinates to the working (compactified)
-    variable; seeds are generated in original coordinates.  On a
-    compactified axis the ladder around center c stops below
-    4*(|c| + max(s, 1)); on a plain axis it spans twice the interval.
+    variable; seeds are generated in original coordinates.
     """
-    pts = []
+    pts = [lo, hi]
     for c, s in centers_scales:
-        reach = (2.0 * (hi - lo) if transform is None
-                 else 4.0 * (abs(c) + max(s, 1.0)))
-        pts.extend(_dyadic_breaks(c, s, lo, hi, reach))
+        pts.extend(_dyadic_breaks(c, s, lo, hi))
     if transform is not None:
         pts = [transform(p) for p in pts]
-        lo, hi = transform(lo), transform(hi)
-    pts.extend([lo, hi])
     arr = np.unique(np.asarray(pts, dtype=float))
-    arr = arr[(arr >= lo) & (arr <= hi)]
-    if arr[0] != lo:
-        arr = np.concatenate([[lo], arr])
-    if arr[-1] != hi:
-        arr = np.concatenate([arr, [hi]])
-    return arr
+    # a reversed interval keeps no break, and the engine then raises
+    return arr[(arr >= pts[0]) & (arr <= pts[1])]
 
 
 def _compactify(domains, centers):
@@ -331,8 +323,7 @@ def _compactify(domains, centers):
     breaks = []
     for (lo, hi), cs, tan in zip(domains, centers, tanned):
         if tan:
-            b = _seed_breaks(max(lo, -1e18), min(hi, 1e18), cs,
-                             transform=math.atan)
+            b = _seed_breaks(lo, hi, cs, transform=math.atan)
             breaks.append(np.unique(np.clip(b, -_TAN_CAP, _TAN_CAP)))
         else:
             breaks.append(_seed_breaks(lo, hi, cs))
@@ -352,13 +343,12 @@ def _compactify(domains, centers):
 # the refine loop and its panel rules
 # ----------------------------------------------------------------------------
 
-def _total(ax, ay, val, err):
-    """Deterministic totals of each component (boxes on the last axis of
-    ``val`` and ``err``): values summed over boxes sorted by corner."""
-    rows = len(ax)
-    val = val.reshape(-1, rows)[:, np.lexsort((ay, ax))]
+def _total(val, err):
+    """Totals of each component (boxes on the last axis of ``val`` and
+    ``err``), summed in box order."""
+    rows = val.shape[-1]
     # row by row: a sum along axis 1 rounds differently from a 1-d sum
-    return (np.array([v.sum() for v in val]),
+    return (np.array([v.sum() for v in val.reshape(-1, rows)]),
             np.array([e.sum() for e in err.reshape(-1, rows)]))
 
 
@@ -467,15 +457,13 @@ def _adapt(panels, g, xbreaks, ybreaks, spec: QuadratureSpec):
     boxes, lead, evals = _boxes(panels, g, ax.ravel(), bx.ravel(),
                                 ay.ravel(), by.ravel())
     splits = 0
-    converged = False
-    for _ in range(10_000):
+    # every round splits at least one box, so the budget bounds the rounds
+    while True:
         (ax, bx, ay, by), (vals, errs, _, _) = _unpack(boxes)
-        total, toterr = _total(ax, ay, vals, errs)
+        total, toterr = _total(vals, errs)
         tol = spec.tolerance_for(total)
-        if (toterr <= tol).all():
-            converged = True
-            break
-        if splits >= spec.max_subdivisions:
+        converged = bool((toterr <= tol).all())
+        if converged or splits >= spec.max_subdivisions:
             break
         # each component's errors in units of component 0's tolerance; the
         # weight of component 0 is exactly 1
@@ -509,8 +497,6 @@ def _adapt(panels, g, xbreaks, ybreaks, spec: QuadratureSpec):
         new, _, n = _boxes(panels, g, na, nb, nc, nd)
         evals += n
         boxes = np.concatenate([boxes.compress(keep, axis=1), new], axis=1)
-    (ax, bx, ay, by), (vals, errs, _, _) = _unpack(boxes)
-    total, toterr = _total(ax, ay, vals, errs)
     corners = (ax.copy(), bx.copy(), ay.copy(), by.copy())
     return _result(total, toterr, evals, converged, lead), corners
 
@@ -568,7 +554,7 @@ class FrozenMesh2D:
     def evaluate(self, F) -> IntegralResult:
         vals, errs, _, _, n = _panels_2d(self.working(F), self.ax, self.bx,
                                          self.ay, self.by)
-        total, toterr = _total(self.ax, self.ay, vals, errs)
+        total, toterr = _total(vals, errs)
         return _result(total, toterr, n, True, vals.shape[:-1])
 
 

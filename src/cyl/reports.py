@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,11 +74,12 @@ class RunManifest:
     stages: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
 
-    def start(self, stage: str) -> float:
-        return time.perf_counter()
-
-    def finish(self, stage: str, t0: float) -> None:
-        self.stages[stage] = time.perf_counter() - t0
+    @contextmanager
+    def stage(self, name: str):
+        """Time the block as the manifest's stage ``name``."""
+        t0 = time.perf_counter()
+        yield
+        self.stages[name] = time.perf_counter() - t0
 
     def record(self, name: str, value: float, error: float) -> None:
         self.results[name] = {"value": value, "error": error}

@@ -7,7 +7,7 @@ import pytest
 
 from cyl.cli import EX_USAGE, main
 from cyl.config import RunConfig, load_config
-from cyl.reports import fmt, write_csv, write_plot_data
+from cyl.reports import RunManifest, fmt, write_csv, write_plot_data
 
 
 def test_config_defaults_and_validation(tmp_path):
@@ -305,3 +305,27 @@ def test_a_raising_criterion_is_a_fail_line(tmp_path, capsys, monkeypatch):
     assert lines[2].startswith("[ 3] PASS")
     header, *rows = _read_csv(tmp_path / "acceptance.csv")
     assert [row[header.index("passed")] for row in rows] == ["1", "0", "1"]
+
+
+def test_an_uncaught_exception_exits_70_with_its_traceback(tmp_path, capsys,
+                                                           monkeypatch):
+    # outside a criterion body a fault of the program exits EX_SOFTWARE,
+    # not 1, the code of a failed criterion 1
+    from cyl import cli
+
+    def broken(cfg, out, args):
+        raise RuntimeError("constants table unavailable")
+
+    monkeypatch.setattr(cli, "cmd_constants", broken)
+    assert main(["--out", str(tmp_path), "constants"]) == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: constants table unavailable" in err
+
+
+def test_manifest_times_each_stage():
+    manifest = RunManifest(config={})
+    with manifest.stage("curves"):
+        pass
+    assert list(manifest.stages) == ["curves"]
+    assert manifest.payload()["wall_clock_seconds"]["curves"] >= 0.0

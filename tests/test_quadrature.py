@@ -645,7 +645,8 @@ def test_frozen_mesh_smooth_in_parameter():
 
 def test_compactified_seed_ladder_stops_at_the_core_scale():
     centers = [(1.5, 1.0), (-1.5, 1.0)]
-    zb = quadrature._seed_breaks(-1e18, 1e18, centers, transform=math.atan)
+    zb = quadrature._seed_breaks(-math.inf, math.inf, centers,
+                                 transform=math.atan)
     rungs = np.tan(zb[1:-1])  # interior breaks, back in original coordinates
     reach = [4.0 * (abs(c) + max(s, 1.0)) for c, s in centers]
     within = [np.abs(rungs - c) < r * (1.0 + 1e-12)
@@ -654,15 +655,20 @@ def test_compactified_seed_ladder_stops_at_the_core_scale():
     assert len(zb) < 40  # the ladder out to 1e18 gave 170
 
 
-def test_bounded_seed_ladder_spans_twice_the_interval():
+def test_bounded_seed_ladder_stops_at_the_compactified_reach():
     # centre 0.5, scale 0.1 on (0, 100): rungs 0.5 +- 0.025 * 2^k for every
-    # k with 0.025 * 2^k < 200, far past the compactified reach of 6
-    ladder = [0.5 + sgn * 0.025 * 2.0 ** k for k in range(13) for sgn in (-1, 1)]
+    # k with 0.025 * 2^k below the reach 4 (0.5 + 1) = 6 of a compactified
+    # axis, not out to the far end of the interval
+    ladder = [0.5 + sgn * 0.025 * 2.0 ** k for k in range(8) for sgn in (-1, 1)]
     expected = np.unique([0.0, 0.5, 100.0]
                          + [b for b in ladder if 0.0 < b < 100.0])
     got = quadrature._seed_breaks(0.0, 100.0, [(0.5, 0.1)])
     assert np.array_equal(got, expected)
-    assert got[-2] == 0.5 + 0.025 * 2.0 ** 11
+    assert got[-2] == 0.5 + 0.025 * 2.0 ** 7
+    # (0, oo) under the tan map gets the same rungs
+    tanned = quadrature._seed_breaks(0.0, math.inf, [(0.5, 0.1)],
+                                     transform=math.atan)
+    assert np.allclose(np.tan(tanned[1:-1]), got[1:-1], rtol=1e-14, atol=0.0)
 
 
 def test_interaction_integral_converges_on_a_lean_seed():
@@ -678,6 +684,24 @@ def test_interaction_point_integrates_the_mirror_half_space():
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
     res = interaction_integral("U3V", 1.0, 1.5, spec).expect()
     assert res.evaluations <= 25_000
+
+
+@pytest.mark.parametrize("interval", [(1.0, 0.0), (math.inf, 0.0)])
+def test_a_reversed_interval_raises_instead_of_flipping_sign(interval):
+    # the seed keeps no break of a reversed axis, so no engine integrates
+    # it as the forward one
+    with pytest.raises(ValueError):
+        integrate_radial(lambda x: x, interval, SPEC)
+    with pytest.raises(ValueError):
+        integrate_rect2d(lambda x, y: x, SPEC, interval, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf])
+def test_split_budget_must_be_a_positive_integer(budget):
+    # every refine round spends a split, so the budget alone bounds the
+    # rounds; a fraction, NaN or inf would leave them unbounded
+    with pytest.raises(ValueError, match="max_subdivisions"):
+        QuadratureSpec(max_subdivisions=budget)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
