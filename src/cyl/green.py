@@ -152,10 +152,10 @@ def _chebyshev_rows(lmax: int, c: np.ndarray):
     prev = np.ones_like(c)
     yield prev
     if lmax >= 1:
-        cur = 2.0 * c
+        c2 = cur = 2.0 * c
         yield cur
         for _ in range(2, lmax + 1):
-            prev, cur = cur, 2.0 * c * cur - prev
+            prev, cur = cur, c2 * cur - prev
             yield cur
 
 
@@ -373,13 +373,14 @@ def _axis(pole) -> np.ndarray:
 
 def _polar(pts, axis):
     """The radii of the points and the cosines of their angles against the
-    unit axis."""
+    unit axis, each row's from that row alone."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     r = np.linalg.norm(pts, axis=1)
-    c = np.zeros_like(r)
-    safe = r > 0.0
-    c[safe] = (pts[safe] @ axis) / r[safe]
-    return r, np.clip(c, -1.0, 1.0)
+    # einsum sums each row in one loop; a one-row pts @ axis is a dot
+    # product that rounds unlike the multi-row mat-vec
+    c = np.divide(np.einsum("ij,j->i", pts, axis), r, out=np.zeros_like(r),
+                  where=r > 0.0)
+    return r, np.clip(c, -1.0, 1.0, out=c)
 
 
 class ZonalModeSum:
@@ -394,10 +395,13 @@ class ZonalModeSum:
         self.spline = CubicSpline(mesh, np.stack(modes, axis=1), extrapolate=True)
 
     def at(self, r, c) -> np.ndarray:
-        V = self.spline(r)
+        # the spline runs once per distinct radius, and each mode's values
+        # are one contiguous row, gathered back to the points
+        ru, inv = np.unique(r, return_inverse=True)
+        V = np.ascontiguousarray(self.spline(ru).T)
         out = np.zeros(len(r))
-        for l, U_l in enumerate(_chebyshev_rows(self.lmax, c)):
-            out += V[:, l] * U_l
+        for V_l, U_l in zip(V, _chebyshev_rows(self.lmax, c)):
+            out += V_l[inv] * U_l
         return out
 
     def value(self, pts) -> np.ndarray:

@@ -305,9 +305,7 @@ def _seed_breaks(lo, hi, centers_scales, transform=None):
         pts.extend(_dyadic_breaks(c, s, lo, hi))
     if transform is not None:
         pts = [transform(p) for p in pts]
-    arr = np.unique(np.asarray(pts, dtype=float))
-    # a reversed interval keeps no break, and the engine then raises
-    return arr[(arr >= pts[0]) & (arr <= pts[1])]
+    return np.unique(np.asarray(pts, dtype=float))
 
 
 def _compactify(domains, centers):
@@ -317,8 +315,12 @@ def _compactify(domains, centers):
     An axis with an infinite end is mapped by x = tan(u), its ends capped at
     +-``_TAN_CAP``; a bounded axis keeps its coordinates.  Returns the map
     of an integrand f to f(tan(u), ...) * prod(1 + x^2), which applies the
-    Jacobians last, and the seed breaks of each axis.
+    Jacobians last, and the seed breaks of each axis.  An axis without
+    lo < hi (reversed, of zero width or NaN) raises ValueError.
     """
+    for name, (lo, hi) in zip("xy", domains):
+        if not lo < hi:
+            raise ValueError(f"{name} interval ({lo}, {hi}) needs lo < hi")
     tanned = [math.isinf(lo) or math.isinf(hi) for lo, hi in domains]
     breaks = []
     for (lo, hi), cs, tan in zip(domains, centers, tanned):

@@ -113,9 +113,9 @@ def test_green_problem_measures_the_coupling_once(monkeypatch):
     assert sorted(calls) == ["flat", "round"]
 
 
-def test_mode_sum_matches_per_mode_splines():
-    # one vector-valued spline and the streamed recurrence give, bit for bit,
-    # the sum of per-mode splines against the Chebyshev table
+def _mode_sum_and_reference():
+    """A round-chart ZonalModeSum and, as its reference, the sum of
+    per-mode splines against the Chebyshev table."""
     from scipy.interpolate import CubicSpline
     from cyl.green import ZonalModeSum, _default_mesh, _solve_modes
     chart = RadialChart.round()
@@ -124,15 +124,57 @@ def test_mode_sum_matches_per_mode_splines():
         np.full_like(g, 0.5), 0.1, np.cos(g))), lmax)
     mesh = _default_mesh(0.5, 0.1, 120)
     modes = _solve_modes(chart, bmodes, mesh)
+
+    def reference(r, c):
+        U = chebyshev_u(lmax, c)
+        expect = np.zeros(len(r))
+        for l, u in enumerate(modes):
+            expect += CubicSpline(mesh, u, extrapolate=True)(r) * U[l]
+        return expect
+
+    return ZonalModeSum(np.array([1.0, 0.0, 0.0, 0.0]), mesh, modes), reference
+
+
+def test_mode_sum_matches_per_mode_splines():
+    # one vector-valued spline and the streamed recurrence give, bit for bit,
+    # the sum of per-mode splines against the Chebyshev table
+    modes, reference = _mode_sum_and_reference()
     rng = np.random.default_rng(6)
     r = rng.uniform(0.0, 0.5, 300)
     c = rng.uniform(-1.0, 1.0, 300)
-    U = chebyshev_u(lmax, c)
-    expect = np.zeros(len(r))
-    for l, u in enumerate(modes):
-        expect += CubicSpline(mesh, u, extrapolate=True)(r) * U[l]
-    got = ZonalModeSum(np.array([1.0, 0.0, 0.0, 0.0]), mesh, modes).at(r, c)
-    assert np.array_equal(got, expect)
+    assert np.array_equal(modes.at(r, c), reference(r, c))
+
+
+def test_mode_sum_does_not_depend_on_the_batch():
+    # a 15 x 15 box spread as the 2-d engine spreads it repeats each radius
+    # along the angle; with the origin and a lone point, every value is
+    # the reference's bit for bit
+    from cyl.quadrature import _XGK
+    modes, reference = _mode_sum_and_reference()
+    X = (0.25 + 0.2 * _XGK)[:, None]
+    Y = (0.5 * math.pi * (1.0 + _XGK))[None, :]
+    r = np.append(np.repeat(X, 15, axis=1).ravel(), 0.0)
+    c = np.append(np.cos(np.repeat(Y, 15, axis=0).ravel()), 0.3)
+    assert len(np.unique(r)) == 16
+    assert np.array_equal(modes.at(r, c), reference(r, c))
+    for k in (0, 117, len(r) - 1):
+        assert np.array_equal(modes.at(r[k:k + 1], c[k:k + 1]),
+                              reference(r[k:k + 1], c[k:k + 1]))
+
+
+@pytest.mark.parametrize("field", [FlatField(), ROUND], ids=["flat", "round"])
+def test_green_value_of_a_batch_is_the_value_of_each_point(field):
+    # a pole off the coordinate axes, so each cosine is a rounded sum
+    from cyl.green import _polar
+    pole = np.array([0.05, -0.02, 0.03, 0.01])
+    ev = solve_dirichlet_green(GreenProblem(field, pole, 0.5))
+    pts = _sample_points(np.random.default_rng(12), 200, 0.5, exclude=pole)
+    pts[7] = 0.0
+    batch = ev.value(pts)
+    assert np.array_equal(batch, np.concatenate([ev.value(p) for p in pts]))
+    assert np.isfinite(batch).all()
+    r, c = _polar(np.zeros(4), ev.modes.axis)
+    assert r[0] == 0.0 and c[0] == 0.0
 
 
 def test_round_geodesic_spheres_have_their_radius():

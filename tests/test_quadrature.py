@@ -686,14 +686,17 @@ def test_interaction_point_integrates_the_mirror_half_space():
     assert res.evaluations <= 25_000
 
 
-@pytest.mark.parametrize("interval", [(1.0, 0.0), (math.inf, 0.0)])
+@pytest.mark.parametrize("interval", [(1.0, 0.0), (math.inf, 0.0), (0.0, 0.0),
+                                      (math.nan, 1.0)])
 def test_a_reversed_interval_raises_instead_of_flipping_sign(interval):
-    # the seed keeps no break of a reversed axis, so no engine integrates
-    # it as the forward one
-    with pytest.raises(ValueError):
+    # every engine's entry rejects an axis without lo < hi, so none
+    # integrates a reversed axis as the forward one
+    with pytest.raises(ValueError, match=r"x interval .* needs lo < hi"):
         integrate_radial(lambda x: x, interval, SPEC)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"x interval .* needs lo < hi"):
         integrate_rect2d(lambda x, y: x, SPEC, interval, (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"y interval .* needs lo < hi"):
+        integrate_rect2d(lambda x, y: x, SPEC, (0.0, 1.0), interval)
 
 
 @pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf])
