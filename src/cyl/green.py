@@ -278,9 +278,9 @@ def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     the matrix is singular."""
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    # LAPACK's tridiagonal solver in double precision: the routine
-    # scipy.linalg.solve_banded((1, 1), ...) dispatches to, called without
-    # its per-call validation, which costs five times the solve at n = 200
+    # LAPACK's dgtsv, the package's one gtsv call (modes and spline slopes):
+    # what scipy.linalg.solve_banded((1, 1), ...) calls, minus its per-call
+    # validation, which costs five times the solve at n = 200
     from scipy.linalg.lapack import dgtsv
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info > 0:
@@ -290,11 +290,55 @@ def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_modes(chart: RadialChart, bmodes, mesh: np.ndarray) -> list:
-    """Nodal values of every mode l = 0..lmax on the mesh: the homogeneous
-    mode BVP with Dirichlet value bmodes[l] at the last node.  The
-    l-independent stencil is built once per mesh."""
-    n = len(mesh)
+class NotAKnotSpline:
+    """The not-a-knot cubic spline (de Boor 1978, ch. IV) through the values y
+    at the nodes x, y of shape (n,) or (k, n) with one row per component,
+    built and evaluated bit for bit as SciPy's CubicSpline(x, y.T,
+    extrapolate=True); its values have one row per component too."""
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        if len(x) < 4 or not (np.isfinite(x).all() and np.all(dx > 0)):
+            raise ValueError("need 4 or more finite, strictly increasing nodes")
+        m = np.diff(y) / dx  # the chord slopes
+        # SciPy squares the end gaps by pow() for 1-d y, by x*x for 2-d y
+        h0, h1 = (dx[0], dx[-1]) if y.ndim == 1 else (dx[:1], dx[-1:])
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        ab = np.zeros((3, len(x)))
+        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
+        b = np.empty(y.shape)
+        b[..., 1:-1] = 3 * (dx[1:] * m[..., :-1] + dx[:-1] * m[..., 1:])
+        b[..., 0] = ((h0 + 2 * d0) * dx[1] * m[..., 0] + h0 ** 2 * m[..., 1]) / d0
+        b[..., -1] = (h1 ** 2 * m[..., -2] + (2 * d1 + h1) * dx[-2] * m[..., -1]) / d1
+        s = _solve_tridiagonal(ab, b.T).T  # the slopes at the nodes
+        t = (s[..., :-1] + s[..., 1:] - 2 * m) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (m - s[..., :-1]) / dx - t, s[..., :-1],
+                           y[..., :-1]))
+
+    def __call__(self, xn) -> np.ndarray:
+        # PPoly's interval and order, ((c3 + c2 s) + c1 s^2) + c0 (s^2 s), in
+        # place on one gather; i is in range, so "clip" skips a bounds check
+        i = np.searchsorted(self.x[1:-1], xn, "right")
+        s = xn - self.x[i]
+        c0, c1, c2, c3 = np.take(self.c, i, axis=-1, mode="clip")
+        c2 *= s
+        c2 += c3
+        c1 *= s * s
+        c2 += c1
+        c0 *= s * s * s
+        c2 += c0
+        return c2
+
+
+def _solve_modes(chart: RadialChart, bmodes, mesh: np.ndarray) -> np.ndarray:
+    """Nodal values of every mode l = 0..lmax on the mesh, one row per mode:
+    the homogeneous mode BVP with Dirichlet value bmodes[l] at the last node.
+    One solve of the modes' bands laid end to end, each band's unused corners
+    the zero couplings: these never pivot, so each mode keeps its own bits."""
+    n, L = len(mesh), len(bmodes)
     r = mesh
     w = np.asarray(chart.w(r), dtype=float)
     wp = np.asarray(chart.wp(r), dtype=float)
@@ -316,15 +360,14 @@ def _solve_modes(chart: RadialChart, bmodes, mesh: np.ndarray) -> list:
     stencil[1, -1] = 1.0  # Dirichlet at delta
     diag0 = -6.0 * (c_0 + p1 * d_0)
     w2 = w[1:-1] ** 2
-    modes = []
-    for l, bval in enumerate(bmodes):
-        ab = stencil.copy()
-        ab[1, 1:-1] = diag0 + 6.0 * float(l * (l + 2)) / w2 + R[1:-1]
-        ab[0, 1] = -(r[0] / r[1]) ** l
-        rhs = np.zeros(n)
-        rhs[-1] = bval
-        modes.append(_solve_tridiagonal(ab, rhs))
-    return modes
+    ab = np.tile(stencil, L)
+    ll = np.arange(L, dtype=float)[:, None]
+    ab[1].reshape(L, n)[:, 1:-1] = diag0 + 6.0 * (ll * (ll + 2.0)) / w2 + R[1:-1]
+    # scalar powers: NumPy's vector power rounds unlike pow()
+    ab[0, 1::n] = [-(r[0] / r[1]) ** l for l in range(L)]
+    rhs = np.zeros((L, n))
+    rhs[:, -1] = bmodes
+    return _solve_tridiagonal(ab, rhs.ravel()).reshape(L, n)
 
 
 def _default_mesh(delta: float, t: float, n_base: int) -> np.ndarray:
@@ -391,16 +434,14 @@ class ZonalModeSum:
     def __init__(self, axis, mesh: np.ndarray, modes):
         self.axis = axis
         self.lmax = len(modes) - 1
-        from scipy.interpolate import CubicSpline
-        self.spline = CubicSpline(mesh, np.stack(modes, axis=1), extrapolate=True)
+        self.spline = NotAKnotSpline(mesh, modes)
 
     def at(self, r, c) -> np.ndarray:
         # the spline runs once per distinct radius, and each mode's values
         # are one contiguous row, gathered back to the points
         ru, inv = np.unique(r, return_inverse=True)
-        V = np.ascontiguousarray(self.spline(ru).T)
         out = np.zeros(len(r))
-        for V_l, U_l in zip(V, _chebyshev_rows(self.lmax, c)):
+        for V_l, U_l in zip(self.spline(ru), _chebyshev_rows(self.lmax, c)):
             out += V_l[inv] * U_l
         return out
 
@@ -536,9 +577,8 @@ def _gbar_radius(f, sgrid: np.ndarray):
     """rho(s) = int_0^s e^{f/2}, the gbar = e^f g distance along a radial
     geodesic with CNC profile f(s), on sgrid (from 0), and its inverse
     s(rho) as a cubic spline."""
-    from scipy.interpolate import CubicSpline
     rho = _cumulative_gl(lambda s: np.exp(0.5 * f(s)), sgrid)
-    return rho, CubicSpline(rho, sgrid)
+    return rho, NotAKnotSpline(rho, sgrid)
 
 
 def _sym_directions(n: int = 6) -> np.ndarray:

@@ -48,8 +48,8 @@ from cyl.config import PathConfig
 from cyl.constants import exponents_admissible, sobolev_constants
 from cyl.geometry.cnc import (CutoffProfile, RadialCNCProfile, cnc_profile,
                               cutoff_profile)
-from cyl.green import (_gbar_radius, matching_constant, sphere_kernel,
-                       sphere_kernel_slope)
+from cyl.green import (NotAKnotSpline, _gbar_radius, matching_constant,
+                       sphere_kernel, sphere_kernel_slope)
 from cyl.quadrature import (IntegralResult, QuadratureSpec, integrate_radial,
                             integrate_rect2d)
 
@@ -295,12 +295,11 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
     """Matching data for the glued test function at pole distance t."""
     if not 0.0 < eps < tau < t:
         raise ValueError("need 0 < eps < tau < t")
-    from scipy.interpolate import CubicSpline
     f1 = cnc_profile(t)
     smax = min(2.0 * t * 0.98, 0.5 * (t + math.pi))
     sgrid = np.linspace(0.0, smax, 800)
     rho_vals, s_of_rho = _gbar_radius(f1.value, sgrid)
-    rho = CubicSpline(sgrid, rho_vals)
+    rho = NotAKnotSpline(sgrid, rho_vals)
     s_tau = float(s_of_rho(tau))
     s_2tau = float(s_of_rho(2.0 * tau))
     if 2.0 * s_2tau >= 2.0 * t * 0.98:

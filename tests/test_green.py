@@ -435,6 +435,104 @@ def test_matching_constant_meets_the_continuity_condition():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+# SciPy's not-a-knot CubicSpline is the test-only oracle of NotAKnotSpline
+_SPLINE_CASES = [
+    ([0.0, 1.0, np.nan, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 4.0]),
+    ([0.0, 1.0, 2.0, 3.0, np.inf], [0.0, 1.0, 2.0, 3.0, 4.0]),
+    ([-np.inf, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 4.0]),
+    ([0.0, 1.0, 1.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 4.0]),
+    ([4.0, 3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, np.nan, 3.0, 4.0]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [[0.0, 1.0, 2.0, 3.0, 4.0],
+                                 [0.0, 1.0, 2.0, 3.0, -np.inf]]),
+]
+
+
+@pytest.mark.parametrize("x, y", _SPLINE_CASES, ids=[
+    "x-nan", "x-inf", "x-minus-inf", "x-repeated", "x-decreasing", "y-nan",
+    "y-inf-vector"])
+def test_spline_rejects_what_cubic_spline_rejects(x, y):
+    from scipy.interpolate import CubicSpline
+    from cyl.green import NotAKnotSpline
+    with pytest.raises(ValueError):
+        CubicSpline(x, np.transpose(y))
+    with pytest.raises(ValueError):
+        NotAKnotSpline(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spline_needs_four_nodes(n):
+    from cyl.green import NotAKnotSpline
+    with pytest.raises(ValueError):
+        NotAKnotSpline(np.arange(float(n)), np.ones(n))
+
+
+# six nodes whose first gap squares to different bits by pow() and by x*x on
+# glibc: SciPy takes the first for a 1-d spline and the second for a vector
+_POW_NODES = ["0x1.90db56a3fb579p-2", "0x1.5665a660561e9p+0",
+              "0x1.6a9cbd399d89ep+0", "0x1.2b4659d75f2bep+1",
+              "0x1.99efc7865b93bp+1", "0x1.fda975e4f5186p+1"]
+_POW_VALUES = ["0x1.bb79e03703640p-2", "0x1.dda0856e40cb5p+0",
+               "-0x1.b873c070aeeddp-1", "0x1.b8e586225ccfep-1",
+               "-0x1.6b8b52484983ap-4", "0x1.3f1ed5c0c4362p-1"]
+
+
+@pytest.mark.parametrize("k", [None, 1, 29], ids=["1-d", "1-row", "29-rows"])
+def test_spline_matches_cubic_spline_bit_for_bit(k):
+    # random nodes and values, the points beyond both ends and every node
+    from scipy.interpolate import CubicSpline
+    from cyl.green import NotAKnotSpline
+    rng = np.random.default_rng(24)
+    x0 = np.array([float.fromhex(v) for v in _POW_NODES])
+    y0 = np.array([float.fromhex(v) for v in _POW_VALUES])
+    cases = [(x0, y0 if k is None else np.tile(y0, (k, 1)))]
+    for _ in range(20):
+        n = int(rng.integers(5, 900))
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - rng.uniform(0.0, 10.0)
+        cases.append((x, rng.normal(size=n if k is None else (k, n))))
+    for x, y in cases:
+        span = x[-1] - x[0]
+        pts = np.concatenate([x, rng.uniform(x[0] - span, x[-1] + span, 400)])
+        assert (pts < x[0]).any() and (pts > x[-1]).any()
+        got = NotAKnotSpline(x, y)(pts)
+        want = CubicSpline(x, y.T, extrapolate=True)(pts).T
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", [FlatField(), ROUND], ids=["flat", "round"])
+@pytest.mark.parametrize("t", [0.0, 0.1], ids=["centred", "off-centre"])
+def test_block_mode_solve_matches_per_mode_solves(monkeypatch, field, t):
+    # the modes' bands end to end, one gtsv call: each mode gets the bits
+    # of solve_banded on its own block, on the fine mesh and the coarse one
+    from scipy.linalg import solve_banded
+    import cyl.green as green
+    calls = []
+    real = green._solve_tridiagonal
+
+    def recorded(ab, rhs):
+        calls.append((ab.copy(), rhs.copy()))
+        return real(ab, rhs)
+
+    monkeypatch.setattr(green, "_solve_tridiagonal", recorded)
+    delta = 0.5
+    chart = chart_for_field(field, delta)
+    bmodes = zonal_project(lambda g: -chart.kernel(chart.dist(
+        np.full_like(g, delta), t, np.cos(g))), GreenProblem.lmax)
+    mesh = green._default_mesh(delta, t, GreenProblem.mesh_size)
+    for m in (mesh, np.append(mesh[:-1:2], mesh[-1])):
+        modes = green._solve_modes(chart, bmodes, m)
+        (ab, rhs), = calls
+        calls.clear()
+        n = len(m)
+        assert modes.shape == (len(bmodes), n) and ab.shape == (3, modes.size)
+        for l, u in enumerate(modes):
+            block = ab[:, l * n:(l + 1) * n]
+            assert block[0, 0] == 0.0 and block[2, -1] == 0.0
+            assert np.array_equal(
+                u, solve_banded((1, 1), block, rhs[l * n:(l + 1) * n]))
+
+
 def _dense_tridiagonal(ab):
     return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
 

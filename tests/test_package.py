@@ -34,3 +34,20 @@ def test_no_module_loads_scipy_at_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_green_and_glued_paths_stay_off_scipy_interpolate():
+    # the mode sum, the gbar-radius inversion and the glued leg's rho are
+    # in-house splines; LAPACK's gtsv (scipy.linalg.lapack) may load
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
+        "from cyl.green import mass_divergence_sweep\n"
+        "from cyl.minmax import glued_data\n"
+        "row, = mass_divergence_sweep('football', [0.05], 0.8)\n"
+        "data = glued_data(1e-3, 0.3, 0.05)\n"
+        "assert row['A_q'] > 0.0 and 0.0 < data.s_tau < data.s_2tau\n"
+        "print('scipy.interpolate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
