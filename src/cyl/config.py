@@ -23,13 +23,16 @@ key is a ValueError.
 ``RunConfig`` is a ``PathConfig``: the competitor path's epsilon, alpha,
 omega, delta, mu_points, rel_tol and abs_tol are declared once, in
 ``PathConfig``, and a run passes its own configuration to the path and the
-fits.  ``PathConfig`` validates them at load: the exponent constraints
-(1 > omega > alpha > 1/2, 2 + 2 alpha - 4 omega > 0), eps^alpha < delta/4,
-glue balls that stay disjoint along the middle leg, and finite positive
-tolerances.  ``RunConfig`` adds that every ``t_grid`` and ``green_t_grid``
-entry is finite and > 0, and that every ``green_t_grid`` pole lies below
-``football_delta``/4, where ``football_delta = min(green_delta, 0.8)`` is
-the football's ball in the mass sweeps and the smaller of their two balls.
+fits.  ``PathConfig`` validates them at load: a finite epsilon > 0, an
+integer mu_points >= 2, the exponent constraints (1 > omega > alpha > 1/2,
+2 + 2 alpha - 4 omega > 0), eps^alpha < delta/4, glue balls that stay
+disjoint along the middle leg, and finite positive tolerances.
+``RunConfig`` adds that each epsilon list has 3 distinct entries or more,
+each a valid ``PathConfig`` epsilon, that every ``t_grid`` and
+``green_t_grid`` entry is finite and > 0, and that every ``green_t_grid``
+pole lies below ``football_delta``/4, where ``football_delta =
+min(green_delta, 0.8)`` is the football's ball in the mass sweeps and the
+smaller of their two balls.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ class PathConfig:
 
     def __post_init__(self):
         self.spec()  # tolerances must be finite and positive
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
+        if not (isinstance(self.mu_points, (int, np.integer))
+                and self.mu_points >= 2):
+            raise ValueError("mu_points must be an integer >= 2")
         if not exponents_admissible(self.alpha, self.omega):
             raise ValueError("exponents must satisfy 1 > omega > alpha > 1/2 "
                              "and 2 + 2 alpha - 4 omega > 0")
@@ -108,6 +116,15 @@ class RunConfig(PathConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        path = PathConfig(*(getattr(self, f.name) for f in fields(PathConfig)))
+        for name in ("epsilon_list", "epsilon_list_double"):
+            if len(set(getattr(self, name))) < 3:  # the A fit's columns
+                raise ValueError(f"{name} needs at least 3 distinct entries")
+            for eps in getattr(self, name):
+                try:
+                    replace(path, epsilon=eps)
+                except ValueError as exc:
+                    raise ValueError(f"{name} entry {eps:g}: {exc}") from None
         if not all(0.0 < t < math.inf
                    for t in (*self.t_grid, *self.green_t_grid)):
             raise ValueError("every t_grid and green_t_grid entry must be "

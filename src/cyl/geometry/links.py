@@ -1,7 +1,8 @@
 """Functions, tensor families and the change-of-gauge flow on the link S^3.
 
-Link functions are ambient polynomials restricted to the unit sphere; their
-intrinsic gradient and Hessian come from the exact relations
+Link functions are quadratic forms F(z) = z^T Q z of R^4 restricted to the
+unit sphere; their intrinsic gradient and Hessian come from the exact
+relations
 
     grad_S f(z) = P_z grad F(z),            P_z = I - z z^T,
     Hess_S f(z)(u, v) = Hess F(z)(u, v) - (z . grad F(z)) (u . v),
@@ -10,11 +11,12 @@ valid for tangent u, v (the second from differentiating F along great
 circles).  Symmetric 2-tensors on the link are ambient 4x4 matrix fields
 acting on tangent vectors.
 
-The gauge flow ``psi_s`` is generated by grad f / 2, and its differential
-is integrated with it by the flow's variational equation (Hairer, Norsett &
-Wanner, *Solving ODEs I*, sec. I.14), so no difference step enters.  The
-pulled-back link tensor is assembled from that differential and the
-embedding alpha(s, z) = (s - s^2 f(z)/2, psi_s(z)).
+The gauge flow ``psi_s`` of grad f / 2 is the normalized linear flow
+e^{sQ} z / |e^{sQ} z| (Helmke & Moore, *Optimization and Dynamical Systems*,
+1994, ch. 1), and its differential is that of y / |y|: both are exact, with
+no ODE solve and no difference step.  The pulled-back link tensor is
+assembled from them and the embedding alpha(s, z) = (s - s^2 f(z)/2,
+psi_s(z)).
 """
 
 from __future__ import annotations
@@ -33,49 +35,40 @@ __all__ = [
     "sphere_points",
 ]
 
-_FLOW_RTOL = 1e-12
-_FLOW_ATOL = 1e-14
-
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Smooth function on S^3 given by an ambient polynomial with closed-form
-    gradient and Hessian."""
+    """The quadratic form f(z) = z^T Q z on S^3, Q a symmetric 4x4 matrix;
+    antipodally even, so admissible on RP^3."""
 
-    value: object    # z (4,) -> float
-    grad: object     # z (4,) -> (4,) ambient gradient
-    hess: object     # z (4,) -> (4,4) ambient Hessian
+    Q: np.ndarray
 
     @staticmethod
     def constant(k: float) -> "LinkFunction":
-        return LinkFunction(lambda z: k,
-                            lambda z: np.zeros(4),
-                            lambda z: np.zeros((4, 4)))
-
-    @staticmethod
-    def linear(a) -> "LinkFunction":
-        a = np.asarray(a, dtype=float)
-        return LinkFunction(lambda z: float(a @ z),
-                            lambda z: a.copy(),
-                            lambda z: np.zeros((4, 4)))
+        return LinkFunction(k * np.eye(4))
 
     @staticmethod
     def quadratic(Q) -> "LinkFunction":
-        """f(z) = z^T Q z; antipodally even, so admissible on RP^3."""
-        Q = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
-        return LinkFunction(lambda z: float(z @ Q @ z),
-                            lambda z: 2.0 * Q @ z,
-                            lambda z: 2.0 * Q.copy())
+        return LinkFunction(0.5 * (np.asarray(Q, dtype=float)
+                                   + np.asarray(Q, dtype=float).T))
+
+    def value(self, z) -> float:
+        return float(z @ self.Q @ z)
+
+    def grad(self, z) -> np.ndarray:  # ambient
+        return 2.0 * self.Q @ z
+
+    def hess(self, z) -> np.ndarray:  # ambient
+        return 2.0 * self.Q
 
     def sphere_gradient(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        g = np.asarray(self.grad(z))
+        g = self.grad(z)
         return g - (z @ g) * z
 
     def sphere_hessian(self, z, u, v) -> float:
         z = np.asarray(z, dtype=float)
-        return float(u @ np.asarray(self.hess(z)) @ v
-                     - (z @ np.asarray(self.grad(z))) * (u @ v))
+        return float(u @ self.hess(z) @ v - (z @ self.grad(z)) * (u @ v))
 
     def is_even(self, n: int = 50, seed: int = 1, tol: float = 1e-12) -> bool:
         return all(abs(self.value(z) - self.value(-z)) <= tol
@@ -107,11 +100,9 @@ class LinkTensorFamily:
 
         def k(z):
             z = np.asarray(z, dtype=float)
-            hf = np.asarray(f.hess(z))
-            gf = np.asarray(f.grad(z))
             # ambient representation of the sphere Hessian: P (Hess F) P - (z.grad F) P
             P = np.eye(4) - np.outer(z, z)
-            sphere_hess = P @ hf @ P - (z @ gf) * P
+            sphere_hess = P @ f.hess(z) @ P - (z @ f.grad(z)) * P
             return -(sphere_hess + f.value(z) * P)
 
         return LinkTensorFamily(lambda s, z: np.eye(4) + s * k(z), k)
@@ -145,36 +136,20 @@ def link_flow(f: LinkFunction, s: float, z, frame):
     """psi_s(z) and d(psi_s)_z of the frame rows, for the flow of grad f / 2
     on the round S^3 from time 0 to s (s may be < 0).
 
-    One ambient solve carries z with its frame under the variational
-    equation d' = dF(z) d of F(z) = (g - (z.g) z)/2, g and H the ambient
-    gradient and Hessian of f:
+    grad f / 2 = Q z - (z.Q z) z is the normalized linear flow of Q, so with
+    E = e^{sQ} (from the eigendecomposition of Q) and y = E z,
 
-        dF(z) d = (H d - (d.g + z.H d) z - (z.g) d) / 2.
+        psi_s(z) = y / |y|,        d(psi_s)_z u = P_{psi_s(z)} E u / |y|,
 
-    F is tangent to the sphere, so the sphere is invariant; the results are
-    renormalized and projected onto it defensively.
+    the second being the exact differential of y / |y|.
     """
-    z = np.asarray(z, dtype=float)
-    frame = np.asarray(frame, dtype=float)
-    if s != 0.0:
-        from scipy.integrate import solve_ivp
-
-        def rhs(_, y):
-            p, d = y[:4], y[4:].reshape(-1, 4)
-            g = np.asarray(f.grad(p))
-            H = np.asarray(f.hess(p))
-            zg = p @ g
-            Hd = d @ H
-            dF = Hd - np.outer(d @ g + Hd @ p, p) - zg * d
-            return 0.5 * np.concatenate([g - zg * p, dF.ravel()])
-
-        sol = solve_ivp(rhs, (0.0, s), np.concatenate([z, frame.ravel()]),
-                        rtol=_FLOW_RTOL, atol=_FLOW_ATOL, method="RK45")
-        if not sol.success:
-            raise RuntimeError(f"link flow integration failed: {sol.message}")
-        z, frame = sol.y[:4, -1], sol.y[4:, -1].reshape(frame.shape)
-    z = z / np.linalg.norm(z)
-    return z, frame - np.outer(frame @ z, z)
+    lam, V = np.linalg.eigh(f.Q)
+    E = (V * np.exp(s * lam)) @ V.T
+    y = E @ z
+    norm = np.linalg.norm(y)
+    z = y / norm
+    pushed = frame @ E.T / norm
+    return z, pushed - np.outer(pushed @ z, z)
 
 
 def pulled_link_tensor(f: LinkFunction, family: LinkTensorFamily, s: float,

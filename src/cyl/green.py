@@ -403,9 +403,10 @@ class GreenProblem:
         self.chart = chart_for_field(self.field, self.delta)
         # the pole must avoid the cone tip; a centered pole is only meaningful
         # for the flat ball, where there is no tip
-        t_lo = 0.0 if self.chart.kind == "flat" else 1e-300
-        if not t_lo <= t < self.delta / 4.0 + 1e-12:
-            raise ValueError("pole must satisfy 0 < |x| < delta/4")
+        flat = self.chart.kind == "flat"
+        if not (0.0 if flat else 1e-300) <= t < self.delta / 4.0 + 1e-12:
+            raise ValueError(f"pole must satisfy {'0 <=' if flat else '0 <'} "
+                             f"|x| < delta/4 on the {self.chart.kind} chart")
 
 
 def _axis(pole) -> np.ndarray:

@@ -667,6 +667,8 @@ def fit_expansion_A(config: PathConfig, eps_sequence, mu: float,
     """
     if not 0.0 <= mu <= 2.5:
         raise ValueError(f"mu must lie in [0, 2.5], got {mu!r}")
+    if len(set(eps_sequence)) < 3:
+        raise ValueError("the fit needs at least 3 distinct epsilons")
     if spec is None:
         spec = config.spec()
     alpha, omega = config.alpha, config.omega

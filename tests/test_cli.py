@@ -233,6 +233,32 @@ def test_cli_rejects_a_path_the_config_cannot_build(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ("epsilon_list_double = 0.5, 0.1, 0.05\n",
+     "epsilon_list_double entry 0.5: epsilon too large"),
+    ("epsilon_list_double = -1e-4, 5e-5, 2e-5\n",
+     "epsilon_list_double entry -0.0001: epsilon must be finite and > 0"),
+    ("epsilon_list_double = 1e-4\n",
+     "epsilon_list_double needs at least 3 distinct entries"),
+    ("epsilon_list = 1e-4, 1e-4, 5e-5\n",
+     "epsilon_list needs at least 3 distinct entries"),
+    ("mu_points = 0\n", "mu_points must be an integer >= 2"),
+    ("mu_points = -3\n", "mu_points must be an integer >= 2"),
+    ("mu_points = 1\n", "mu_points must be an integer >= 2")])
+def test_cli_rejects_a_fit_or_path_parameter_it_cannot_use(tmp_path, capsys,
+                                                           config, message):
+    # the epsilon lists and mu_points once passed the load and failed (exit
+    # 70) or gave a one-point fit (exit 0) after the path files were written
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), "path-profile"])
+    assert exc.value.code == EX_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", ["green_t_grid = 0.3\n",
                                     "green_t_grid = 0.04, 0.2\n",
                                     "green_delta = 0.1\ngreen_t_grid = 0.025\n"])

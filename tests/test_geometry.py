@@ -188,6 +188,32 @@ def test_link_flow_properties():
     assert_allclose(dc, tangent_frame(z), atol=1e-12)
 
 
+def test_link_flow_matches_an_independent_integration():
+    # SciPy is the oracle only: DOP853 carries z' = Qz - (z.Qz) z with its
+    # variational equation d' = Qd - 2 (z.Qd) z - (z.Qz) d
+    from scipy.integrate import solve_ivp
+    rng = np.random.default_rng(5)
+    f = LinkFunction.quadratic(rng.normal(size=(4, 4)))
+    Q = f.Q
+    assert np.count_nonzero(Q - np.diag(np.diag(Q))) == 12
+
+    def rhs(_, y):
+        z, d = y[:4], y[4:].reshape(3, 4)
+        q = z @ Q @ z
+        dd = d @ Q - 2.0 * np.outer(d @ Q @ z, z) - q * d
+        return np.concatenate([Q @ z - q * z, dd.ravel()])
+
+    for z in sphere_points(6, 8):
+        frame = tangent_frame(z)
+        for s in (0.5, -0.7):
+            sol = solve_ivp(rhs, (0.0, s), np.concatenate([z, frame.ravel()]),
+                            method="DOP853", rtol=1e-13, atol=1e-15)
+            assert sol.success
+            zs, dz = link_flow(f, s, z, frame)
+            assert np.max(np.abs(zs - sol.y[:4, -1])) < 1e-11
+            assert np.max(np.abs(dz - sol.y[4:, -1].reshape(3, 4))) < 1e-11
+
+
 def test_first_order_identity_and_gauge():
     fq = LinkFunction.quadratic(np.diag([0.3, -0.1, -0.1, -0.1]))
     k = np.diag([0.1, -0.2, 0.05, 0.0])

@@ -113,6 +113,14 @@ def test_green_problem_measures_the_coupling_once(monkeypatch):
     assert sorted(calls) == ["flat", "round"]
 
 
+def test_green_problem_states_the_pole_bound_it_checks():
+    # the flat chart accepts the centred pole, the round chart does not
+    with pytest.raises(ValueError, match=r"0 <= \|x\| < delta/4 on the flat"):
+        GreenProblem(FlatField(), np.array([0.3, 0.0, 0.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match=r"0 < \|x\| < delta/4 on the round"):
+        GreenProblem(ROUND, np.zeros(4), 0.5)
+
+
 def _mode_sum_and_reference():
     """A round-chart ZonalModeSum and, as its reference, the sum of
     per-mode splines against the Chebyshev table."""

@@ -437,6 +437,8 @@ def test_fit_expansion_double():
     for mu in (-0.1, 2.6, math.nan):
         with pytest.raises(ValueError, match="mu must lie in"):
             fit_expansion_A(PathConfig(), [1e-4, 5e-5], mu)
+    with pytest.raises(ValueError, match="at least 3 distinct epsilons"):
+        fit_expansion_A(PathConfig(), [1e-4, 5e-5, 1e-4], 1.0)
 
 
 def test_fit_expansion_glued_leg_values():

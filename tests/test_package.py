@@ -51,3 +51,19 @@ def test_green_and_glued_paths_stay_off_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_link_and_chart_commands_load_no_scipy(tmp_path):
+    # the link flow is closed form and the CNC chart is elementary, so
+    # gauge-verify and cnc-verify load no SciPy module at all
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
+        "from cyl.cli import main\n"
+        "for command in ('gauge-verify', 'cnc-verify'):\n"
+        f"    assert main(['--out', {str(tmp_path)!r}, command]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
