@@ -142,7 +142,7 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str, args) -> int:
     grid = np.asarray(cfg.t_grid, dtype=float)
     with manifest.stage("curves"):
         cur = curves(1.0, grid, spec)
-        primes = [derivative_quadratures(1.0, float(t), spec) for t in grid]
+        primes = derivative_quadratures(1.0, grid, spec)
     lo, hi = cur.bracket_margins()
     rows = []
     for i, (t, (ap, cp)) in enumerate(zip(grid, primes)):

@@ -171,5 +171,8 @@ def load_config(path: str | None) -> RunConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse(defaults[key], val)
+            try:
+                values[key] = _parse(defaults[key], val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return RunConfig(**values)

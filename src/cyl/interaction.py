@@ -69,17 +69,18 @@ def _profile(r2):
     return sobolev_constants().c4 / (1.0 + r2)
 
 
-def _integrand(kinds, tau: float):
-    """Reduced (eps = 1) bi-radial integrand with centers at (+-tau, 0): a
-    (k, m) array, one row per kind, so the kinds share one mesh.  Each row is
-    folded onto zeta > 0 as f(zeta) + f(-zeta); the mirror swaps U_+ and U_-,
-    so GRAD and U2V2 double and U3V becomes U_+ U_- (U_+^2 + U_-^2)."""
+def _integrand(kinds, tau=None):
+    """Reduced (eps = 1) bi-radial integrand with centers at (+-tau, 0), tau
+    fixed or per point: a (k, m) array, one row per kind, so the kinds share
+    one mesh.  Each row is folded onto zeta > 0 as f(zeta) + f(-zeta); the
+    mirror swaps U_+ and U_-, so GRAD and U2V2 double and U3V becomes U_+ U_-
+    (U_+^2 + U_-^2)."""
     unknown = set(kinds) - set(KINDS)
     if unknown:
         raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
     c4 = sobolev_constants().c4
 
-    def F(z, p):
+    def F(z, p, tau=tau):
         p2 = p * p
         rp = (z - tau) ** 2 + p2
         rm = (z + tau) ** 2 + p2
@@ -99,15 +100,22 @@ def _graded(spec: QuadratureSpec, tau: float) -> QuadratureSpec:
     return spec.with_grading(((tau, 0.0), 1.0), ((-tau, 0.0), 1.0))
 
 
-def interaction_integral(kind: str, epsilon: float, t: float,
+def _sweep(kinds, epsilon: float, t, spec: QuadratureSpec):
+    """The rows ``kinds`` at each t, one integral per t, in one sweep."""
+    taus = _scales(epsilon, np.atleast_1d(t)) / epsilon
+    return integrate_biradial(_integrand(kinds), [
+        _graded(spec, tau) for tau in map(float, taus)], _HALF, params=taus)
+
+
+def interaction_integral(kind: str, epsilon: float, t,
                          spec: QuadratureSpec) -> IntegralResult:
     """One of int U_+^3 U_-, int grad U_+ . grad U_-, int U_+^2 U_-^2 over R^4.
 
     Scale invariant in (epsilon, t); evaluated at eps = 1 with tau = t/eps.
+    A sequence of t gives a list, one result per t, from one sweep.
     """
-    tau = float(_scales(epsilon, t)) / epsilon
-    return integrate_biradial(_integrand((kind,), tau), _graded(spec, tau),
-                              zeta_domain=_HALF)[0]
+    res = [r[0] for r in _sweep((kind,), epsilon, t, spec)]
+    return res if np.ndim(t) else res[0]
 
 
 @dataclass(frozen=True)
@@ -148,9 +156,7 @@ def _assemble_point(res: IntegralResult):
 def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
     """Evaluate a, b, c, f on a grid of center offsets t > 0."""
     t_grid = _scales(epsilon, t_grid)
-    rows = [_assemble_point(integrate_biradial(
-        _integrand(_POINT, tau), _graded(spec, tau), zeta_domain=_HALF))
-        for tau in map(float, t_grid / epsilon)]
+    rows = [_assemble_point(r) for r in _sweep(_POINT, epsilon, t_grid, spec)]
     *cols, ok = np.array(rows, dtype=float).reshape(-1, 9).T.copy()
     return InteractionCurves(epsilon, t_grid, *cols, converged=ok.astype(bool))
 
@@ -200,38 +206,36 @@ class MonotonicityReport:
     converged: bool       # every integral met its contract
 
 
-def _prime_integrand(tau: float):
+def _prime_integrand(z, p, tau):
     # reduced forms of the sign-definite brackets for a'(t) and c'(t):
     # 24 S4 int (U'(w)/w) zeta [U^3(near) - U^3(far)] and
     # 4 int (U'(w)/w) zeta U(w) [U^2(near) - U^2(far)],  w^2 = zeta^2 + rho^2
     c4 = sobolev_constants().c4
-
-    def F(z, p):
-        w2 = z * z + p * p
-        lead = np.where(z > 0.0, -2.0 * c4 / (1.0 + w2) ** 2 * z, 0.0)
-        near = _profile((z - 2.0 * tau) ** 2 + p * p)
-        far = _profile((z + 2.0 * tau) ** 2 + p * p)
-        return np.stack([lead * (near ** 3 - far ** 3),
-                         lead * _profile(w2) * (near ** 2 - far ** 2)])
-
-    return F
+    w2 = z * z + p * p
+    lead = np.where(z > 0.0, -2.0 * c4 / (1.0 + w2) ** 2 * z, 0.0)
+    near = _profile((z - 2.0 * tau) ** 2 + p * p)
+    far = _profile((z + 2.0 * tau) ** 2 + p * p)
+    return np.stack([lead * (near ** 3 - far ** 3),
+                     lead * _profile(w2) * (near ** 2 - far ** 2)])
 
 
-def derivative_quadratures(epsilon: float, t: float, spec: QuadratureSpec):
+def derivative_quadratures(epsilon: float, t, spec: QuadratureSpec):
     """(a'(t), c'(t)) by direct quadrature of the reduced sign-definite
-    integrands over zeta > 0 at tau = t/eps, both on one mesh.
+    integrands over zeta > 0 at tau = t/eps, both on one mesh; a sequence
+    of t gives a list of pairs, one per t, from one sweep.
 
     Both integrands shrink like (eps/t)^3 (a') or faster (c'), so a fixed
     abs_tol would outgrow the values at large t; it is scaled by
     min(1, (eps/t)^4) and rel_tol sets the contract there.
     """
-    tau = float(_scales(epsilon, t)) / epsilon
-    grading = (((0.0, 0.0), 1.0), ((2.0 * tau, 0.0), 1.0))
-    spec = replace(spec, abs_tol=spec.abs_tol * min(1.0, (epsilon / t) ** 4))
-    res = integrate_biradial(_prime_integrand(tau), spec.with_grading(*grading),
-                             zeta_domain=_HALF)
-    return (res[0].scaled(24.0 * sobolev_constants().S4 / epsilon),
-            res[1].scaled(4.0 / epsilon))
+    ts = [float(ti) for ti in _scales(epsilon, np.atleast_1d(t))]
+    sweep = integrate_biradial(_prime_integrand, [replace(
+        spec, abs_tol=spec.abs_tol * min(1.0, (epsilon / ti) ** 4),
+        grading=(((0.0, 0.0), 1.0), ((2.0 * (ti / epsilon), 0.0), 1.0)))
+        for ti in ts], _HALF, params=[ti / epsilon for ti in ts])
+    pairs = [(res[0].scaled(24.0 * sobolev_constants().S4 / epsilon),
+              res[1].scaled(4.0 / epsilon)) for res in sweep]
+    return pairs if np.ndim(t) else pairs[0]
 
 
 def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> MonotonicityReport:
@@ -247,7 +251,8 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
         raise ValueError("t grid must be strictly increasing")
     rows = []
     converged = True
-    for t in t_grid:
+    primes = derivative_quadratures(epsilon, t_grid, spec)
+    for t, (aq, cq) in zip(t_grid, primes):
         tau = t / epsilon
         h = max(1e-3, 1e-2 * tau)  # truncation against quadrature noise
         mesh = _combined_mesh(tau, spec)
@@ -258,7 +263,6 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
         fourth = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
         fd, trunc = fourth / epsilon, np.abs(second - fourth) / epsilon
         noise = (p1 + m1) / (2.0 * h) / epsilon
-        aq, cq = derivative_quadratures(epsilon, float(t), spec)
         # the frozen mesh itself raises if its adaptation missed the contract
         converged = converged and aq.converged and cq.converged
         rows.append((fd[0], aq.value, trunc[0] + noise[4] + aq.error_estimate,
@@ -308,8 +312,7 @@ def asymptotic_slope(kind: str, epsilon: float, t_sequence,
         converged = bool(cur.converged.all())
         limit = 6.0 * math.sqrt(2.0) * k.S4
     elif kind in ("GRAD", "U3V"):
-        res = [interaction_integral(kind, epsilon, float(t), spec)
-               for t in t_sequence]
+        res = interaction_integral(kind, epsilon, t_sequence, spec)
         vals = np.array([r.value for r in res])
         converged = all(r.converged for r in res)
         limit = 0.0

@@ -59,38 +59,47 @@ rule ``_panels_1d`` on boxes of zero height, whose error lies all in x, so
 the loop always halves x.  A box is at machine resolution, and is never
 split, when the midpoint of the edge it would split rounds onto one of that
 edge's ends; no absolute width enters, so a singular end is bisected down
-to the subnormals.
+to the subnormals.  The loop refines a sweep, integrals of one integrand
+whose F takes each point's parameter (tau for a curve point), in lockstep:
+each round every integral picks the boxes it would split alone, under its
+own spec, and one integrand call per batch evaluates all the picks.
 
 Vector integrands: an integrand of any adaptive engine may return a (k, m)
 array for m points, one row per component, instead of m values.  The engine
-then adapts one mesh for all k components and returns an
-``IntegralResult`` whose value and error are arrays of k; ``res[i]`` is
-component i.  Each component keeps its own total and tolerance
+then adapts one mesh for all k components and returns an ``IntegralResult``
+whose value and error are arrays of k; ``res[i]`` is component i.  Each
+component keeps its own total and tolerance,
 tol_i = ``spec.tolerance_for(total_i)``, and the mesh has converged only
-when every component meets its own; its ``converged`` is that AND, shared
-by every component.  Boxes are ranked by
-max_i err_i * (tol_0 / tol_i), the largest error in units of its own
-tolerance (the norm of DCUHRE and ``scipy.integrate.quad_vec``), and the
-split axis by ex and ey weighted the same way.  Component 0's weight is
-tol_0 / tol_0, exactly 1, so a scalar integrand, one component, takes this
-same path and gets the bits a (1, m) wrapping of it gets.  Numerator and
-denominator of one Yamabe quotient share their geometry, so one call per
-batch and one mesh serve both; so do the two Green fluxes of an INTERP
-quotient, on one 1-d partition.  The split budget and the batch bound
-count boxes and points, not components.
+when every component meets its own: its ``converged`` is that AND, shared
+by every component.  Boxes are ranked by max_i err_i * (tol_0 / tol_i),
+the largest error in units of its own tolerance (the norm of DCUHRE and
+``scipy.integrate.quad_vec``), and the split axis by ex and ey weighted the
+same way.  Component 0's weight is tol_0 / tol_0, exactly 1, so a scalar
+integrand, one component, takes this same path and gets the bits a (1, m)
+wrapping of it gets.  Numerator and denominator of one Yamabe quotient share
+their geometry, so one call per batch and one mesh serve both; so do the two
+Green fluxes of an INTERP quotient, on one 1-d partition.  The split budget
+and the batch bound count boxes and points, not components.
 
-Results are deterministic for a fixed (spec, integrand): boxes are split in a
-fixed order, and a mesh sums its boxes in that order, which a frozen mesh
-keeps.
+Results are deterministic for a fixed (spec, integrand), in a sweep or
+alone: boxes are split in a fixed order, and a mesh sums its boxes in that
+order, which a frozen mesh keeps.
 
 Batch bound: the 2-d engines and the 3-sphere rule hand an integrand at most
-``_MAX_BATCH_POINTS`` = 2^16 points per call.  A vectorized integrand
-allocates dozens of temporaries the size of its batch, so an unsliced refine
-round of a few thousand boxes (15^2 nodes each) would set the peak memory of
-the whole run.  ``_panels_2d`` applies the y rules to each slice's values,
-one 15 x 15 box at a time, and the x rules to every box at once, so every
-sum is the one an unsliced call would give, bit for bit, for integrands that
-act elementwise, and no more than one slice's grid values are held.
+``_MAX_BATCH_POINTS`` = 2^13 points per call.  An integrand's temporaries
+grow with its batch and cost more per point once they leave the L2 cache;
+the curve-point integrand, tan map and weight included, best of 21 runs on
+a 2-vCPU Xeon (2 MB of L2 per core):
+
+    points per call   900   3 600   8 100   16 200   32 625   65 475
+    ns per point       57      33      47       74       80       76
+
+A call has a fixed cost too: a curves pass ran within a few per cent at 2^11
+to 2^13, slower above.  ``_panels_2d`` applies the y rules to each slice,
+one 15 x 15 box at a time, and the x rules to all the boxes of one integral
+at once (a mat-vec rounds its last rows differently), so every sum is the
+one a lone unsliced call would give, bit for bit, for elementwise
+integrands, and only one slice is held.
 """
 
 from __future__ import annotations
@@ -99,12 +108,14 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 __all__ = [
     "QuadratureSpec",
     "IntegralResult",
+    "Sweep",
     "QuadratureError",
     "integrate_radial",
     "integrate_biradial",
@@ -169,7 +180,7 @@ _TAN_CAP = 0.5 * math.pi * (1.0 - 1e-14)
 
 # the most points one integrand call of the 2-d engine or of the 3-sphere
 # rule receives; it bounds the temporaries an integrand allocates
-_MAX_BATCH_POINTS = 1 << 16
+_MAX_BATCH_POINTS = 1 << 13
 
 
 class QuadratureError(RuntimeError):
@@ -273,6 +284,11 @@ class IntegralResult:
                 == (other.evaluations, other.converged))
 
 
+class Sweep(tuple):
+    """The results of a sweep, one per parameter; converged when all are."""
+    converged = property(lambda self: all(res.converged for res in self))
+
+
 # ----------------------------------------------------------------------------
 # breakpoint seeding
 # ----------------------------------------------------------------------------
@@ -333,7 +349,7 @@ def _compactify(domains, centers):
     def to_working(f):
         def g(*u):
             x = [np.tan(ui) if tan else ui for ui, tan in zip(u, tanned)]
-            return f(*x) * math.prod(1.0 + xi * xi
+            return f(*x, *u[len(x):]) * math.prod(1.0 + xi * xi
                                      for xi, tan in zip(x, tanned) if tan)
 
         return g if any(tanned) else f
@@ -345,15 +361,6 @@ def _compactify(domains, centers):
 # the refine loop and its panel rules
 # ----------------------------------------------------------------------------
 
-def _total(val, err):
-    """Totals of each component (boxes on the last axis of ``val`` and
-    ``err``), summed in box order."""
-    rows = val.shape[-1]
-    # row by row: a sum along axis 1 rounds differently from a 1-d sum
-    return (np.array([v.sum() for v in val.reshape(-1, rows)]),
-            np.array([e.sum() for e in err.reshape(-1, rows)]))
-
-
 def _result(total, err, evals, converged, lead):
     """The result of one mesh: floats for a scalar integrand, arrays shaped
     like the integrand's leading axes for a vector one."""
@@ -363,7 +370,7 @@ def _result(total, err, evals, converged, lead):
                           converged)
 
 
-def _panels_1d(g, ax, bx, ay, by):
+def _panels_1d(g, ax, bx, ay, by, *sweep):  # a 1-d sweep is of one
     """K15 values of the intervals [ax, bx] with their error |K15 - G7|, in
     ``_panels_2d``'s form for boxes of zero height (ay = by, never read):
     the error lies all along x, so ex is the error and ey is 0, and the
@@ -382,14 +389,16 @@ def _panels_1d(g, ax, bx, ay, by):
     return k, err, err, np.zeros_like(err), x.size
 
 
-def _panels_2d(g, ax, bx, ay, by):
+def _panels_2d(g, ax, bx, ay, by, par=None, ends=None):
     """K15 x K15 values of the boxes with their error |K15xK15 - G7xG7| and
     the directional errors ex = |K15xK15 - G7(x)K15(y)| and
     ey = |K15xK15 - K15(x)G7(y)|, all read off one 15 x 15 grid per box.
 
     ``g`` returns (m,) values or a (k, m) array, one row per component; the
     four results take the integrand's leading axes and then one axis of
-    boxes.  The last item is the number of points evaluated."""
+    boxes.  The last item is the number of points evaluated.  In a sweep
+    integral i has the boxes ends[i]:ends[i + 1], and ``g`` receives each
+    point's box's entry of ``par`` as a third argument."""
     midx = 0.5 * (ax + bx)
     hx = 0.5 * (bx - ax)
     midy = 0.5 * (ay + by)
@@ -399,108 +408,124 @@ def _panels_2d(g, ax, bx, ay, by):
     Y = midy[:, None, None] + hy[:, None, None] * _XGK[None, None, :]
     step = _MAX_BATCH_POINTS // 225
 
-    def batch(Xs, Ys):
+    def batch(s):
         # np.repeat spreads the grid as broadcast_to(...).ravel() does, at
         # a fraction of the call overhead
-        out = g(np.repeat(Xs, 15, axis=2).ravel(),
-                np.repeat(Ys, 15, axis=1).ravel())
+        out = g(np.repeat(X[s], 15, axis=2).ravel(),
+                np.repeat(Y[s], 15, axis=1).ravel(),
+                *(() if par is None else (np.repeat(par[s], 225),)))
         F = out.reshape(-1, 15, 15)  # the components' boxes end to end
         # the y rules, one row per x node, so a batch's grid values are
         # dropped with the batch
-        rows = out.shape[:-1] + (len(Xs), 15)
+        rows = out.shape[:-1] + (len(X[s]), 15)
         return (F @ _WGK).reshape(rows), (F[:, :, 1::2] @ _WG).reshape(rows)
 
-    parts = [batch(X[i:i + step], Y[i:i + step])
-             for i in range(0, len(ax), step)]
+    parts = [batch(slice(i, i + step)) for i in range(0, len(ax), step)]
     Fk, Fg = (np.concatenate(r, axis=-2) for r in zip(*parts))
-    shape = Fk.shape[:-1]  # leading axes, then boxes
-    Fk = Fk.reshape(-1, 15)
-    Fg = Fg.reshape(-1, 15)
-    area = hx * hy
-    # then the x rules, over every box at once: a mat-vec product rounds its
-    # last rows differently, so one product per batch would move bits
-    k = area * (Fk @ _WGK).reshape(shape)
-    gx = area * (Fk[:, 1::2] @ _WG).reshape(shape)
-    gy = area * (Fg @ _WGK).reshape(shape)
-    gg = area * (Fg[:, 1::2] @ _WG).reshape(shape)
+    area, (k, gx, gy, gg) = hx * hy, np.empty((4,) + Fk.shape[:-1])
+    ends = (0, len(ax)) if ends is None else ends
+    for a, b in zip(ends[:-1], ends[1:]):
+        # then the x rules, over all the boxes of one integral at once: a
+        # mat-vec rounds its last rows differently, so no slicing moves bits
+        fk = Fk[..., a:b, :].reshape(-1, 15)
+        fg = Fg[..., a:b, :].reshape(-1, 15)
+        for o, f, w in zip((k, gx, gy, gg), (fk, fk[:, 1::2], fg, fg[:, 1::2]),
+                           (_WGK, _WG) * 2):
+            o[..., a:b] = area[a:b] * (f @ w).reshape(o[..., a:b].shape)
     return k, np.abs(k - gg), np.abs(k - gx), np.abs(k - gy), 225 * len(ax)
 
 
-def _boxes(panels, g, ax, bx, ay, by):
-    """Boxes as one (4 + 4k, nbox) array, so a refine round keeps and
-    appends them with one mask and one concatenation: the corners ax, bx,
-    ay, by, then k rows each of value, error, ex and ey (``panels``).
-    Also returns the integrand's leading axes and the points evaluated."""
-    val, err, ex, ey, n = panels(g, ax, bx, ay, by)
-    rows = [v.reshape(-1, len(ax)) for v in (val, err, ex, ey)]
-    boxes = np.concatenate([np.array([ax, bx, ay, by]), *rows])
-    return boxes, val.shape[:-1], n
-
-
-def _unpack(boxes):
-    """Row views (ax, bx, ay, by) and (val, err, ex, ey) of a box array, the
-    second four with one row per component."""
-    return boxes[:4], boxes[4:].reshape(4, -1, boxes.shape[1])
-
-
-def _weighted_errors(boxes, w):
-    """Per box, the largest err_i * w_i, ex_i * w_i and ey_i * w_i over the
-    components i: one (3, nbox) array from one product and one reduction."""
-    k = len(w)
-    return (boxes[4 + k:].reshape(3, k, -1) * w[:, None]).max(axis=1)
-
-
-def _adapt(panels, g, xbreaks, ybreaks, spec: QuadratureSpec):
-    """The one refine loop: adapt the boxes of the seed grid xbreaks x
-    ybreaks to ``g`` under ``panels`` (``_panels_2d``, or ``_panels_1d`` on
-    a zero-height y edge) and return the result and the final corners."""
-    ax, ay = np.meshgrid(xbreaks[:-1], ybreaks[:-1], indexing="ij")
-    bx, by = np.meshgrid(xbreaks[1:], ybreaks[1:], indexing="ij")
-    boxes, lead, evals = _boxes(panels, g, ax.ravel(), bx.ravel(),
-                                ay.ravel(), by.ravel())
-    splits = 0
-    # every round splits at least one box, so the budget bounds the rounds
+def _adapt(panels, g, grids, specs, params=None):
+    """The one refine loop: adapt each seed grid xbreaks x ybreaks in
+    ``grids`` to ``g`` under its spec in ``specs``, in lockstep, with
+    ``panels`` (``_panels_2d``, or ``_panels_1d`` on a zero-height y edge)
+    and ``params`` per integral; one (result, final corners) each."""
+    if not specs:
+        return []
+    new = []
+    for xb, yb in grids:
+        ax, ay = np.meshgrid(xb[:-1], yb[:-1], indexing="ij")
+        bx, by = np.meshgrid(xb[1:], yb[1:], indexing="ij")
+        new.append(np.array([ax.ravel(), bx.ravel(), ay.ravel(), by.ravel()]))
+    seed = [c.shape[1] for c in new]
+    # the integrals still refining, in order; the bounds of each one's boxes
+    # in ``new`` and in ``kept``, the boxes it kept from the last round
+    live, nends = list(range(len(specs))), list(accumulate([0] + seed))
+    new, kept, kends = np.concatenate(new, axis=1), None, [0] * len(nends)
+    par = None if params is None else np.asarray(params, dtype=float)
+    splits, out = [0] * len(specs), [None] * len(specs)
+    # each round splits a box of every live integral: the budgets bound it
     while True:
-        (ax, bx, ay, by), (vals, errs, _, _) = _unpack(boxes)
-        total, toterr = _total(vals, errs)
-        tol = spec.tolerance_for(total)
-        converged = bool((toterr <= tol).all())
-        if converged or splits >= spec.max_subdivisions:
-            break
-        # each component's errors in units of component 0's tolerance; the
-        # weight of component 0 is exactly 1
-        boxerr, exw, eyw = _weighted_errors(boxes, tol[0] / tol)
-        order = boxerr.argsort()[::-1]
-        cum = boxerr[order].cumsum()
-        k = int(cum.searchsorted(0.5 * boxerr.sum())) + 1
-        k = min(k, spec.max_subdivisions - splits, max(1, len(boxerr)))
-        idx = order[:k]
-        splits += k
+        val, err, ex, ey, pts = panels(g, *new, None if par is None else
+                                       np.repeat(par[live], np.diff(nends)),
+                                       nends)
+        k, per_box = val.size // new.shape[1], pts // new.shape[1]
+        # the boxes, (4 + 4k, nbox): corners ax, bx, ay, by, then k rows each
+        # of value, error, ex and ey, in a lone run's order per integral; on
+        # contiguous rows a sum along axis 1 has the bits of a 1-d sum
+        rows = np.concatenate([new, *(v.reshape(k, -1)
+                                      for v in (val, err, ex, ey))])
+        boxes = rows if kept is None else np.concatenate([
+            part for j in range(len(live)) for part in (
+                kept[:, kends[j]:kends[j + 1]], rows[:, nends[j]:nends[j + 1]])],
+            axis=1)
+        ends = [a + b for a, b in zip(kends, nends)]
+        sizes = [b - a for a, b in zip(ends, ends[1:])]
+        sums = np.array([boxes[4:4 + 2 * k, a:b].sum(axis=1)
+                         for a, b in zip(ends, ends[1:])])
+        total, toterr = sums[:, :k], sums[:, k:]
+        tol = np.array([specs[i].tolerance_for(t) for i, t in zip(live, total)])
+        converged = (toterr <= tol).all(axis=1).tolist()
+        # each component's errors in units of its integral's component 0
+        # tolerance; the weight of component 0 is exactly 1
+        boxerr, exw, eyw = (boxes[4 + k:].reshape(3, k, -1) * np.repeat(
+            tol[:, :1] / tol, sizes, axis=0).T).max(axis=1)
+        picks = [np.empty(0, int)]
+        for j, i in enumerate(live):
+            if converged[j] or splits[i] >= specs[i].max_subdivisions:
+                continue
+            e = boxerr[ends[j]:ends[j + 1]]
+            order = e.argsort()[::-1]
+            n = int(e[order].cumsum().searchsorted(0.5 * e.sum())) + 1
+            n = min(n, specs[i].max_subdivisions - splits[i], sizes[j])
+            splits[i] += n
+            picks.append(ends[j] + order[:n])
+        idx = np.concatenate(picks)
+        (ax, bx, ay, by), exi, eyi = boxes[:4].take(idx, 1), exw[idx], eyw[idx]
         # split across the direction that carries the error; the longer
         # edge only breaks an exact tie
-        ex_i, ey_i = exw[idx], eyw[idx]
-        splitx = np.where(ex_i == ey_i, bx[idx] - ax[idx] >= by[idx] - ay[idx],
-                          ex_i > ey_i)
-        lo = np.where(splitx, ax[idx], ay[idx])
-        hi = np.where(splitx, bx[idx], by[idx])
+        splitx = np.where(exi == eyi, bx - ax >= by - ay, exi > eyi)
+        lo = np.where(splitx, ax, ay)
+        hi = np.where(splitx, bx, by)
         mid = 0.5 * (lo + hi)
         # machine resolution: the midpoint of the edge to split rounds onto
-        # one of its ends
-        fine = (mid == lo) | (mid == hi)
-        if np.all(fine):
-            break
-        idx, splitx, mid = idx[~fine], splitx[~fine], mid[~fine]
-        keep = np.ones(len(ax), bool)
+        # one of its ends; an integral stops when all its picks are there
+        cut = (mid != lo) & (mid != hi)
+        idx, splitx, mid = idx[cut], splitx[cut], mid[cut]
+        split = np.bincount(np.searchsorted(ends, idx, side="right") - 1,
+                            minlength=len(live)).tolist()
+        go = [j for j, s in enumerate(split) if s]
+        # the others stop, having evaluated their seed and two boxes a split
+        for j in set(range(len(live))).difference(go):
+            out[live[j]] = (_result(total[j], toterr[j], per_box * (
+                2 * sizes[j] - seed[live[j]]), converged[j], val.shape[:-1]),
+                boxes[:4, ends[j]:ends[j + 1]].copy())
+        if not go:
+            return out
+        # the halves, split at mid, C-ordered as the panels expect
+        left, right = boxes[:4].take(idx, 1), boxes[:4].take(idx, 1)
+        left[np.where(splitx, 1, 3), np.arange(len(idx))] = mid
+        right[np.where(splitx, 0, 2), np.arange(len(idx))] = mid
+        pends = list(accumulate([0] + [split[j] for j in go]))
+        new = np.concatenate([h[:, a:b] for a, b in zip(pends, pends[1:])
+                              for h in (left, right)], axis=1)
+        keep = np.zeros(len(boxerr), bool)
+        for j in go:
+            keep[ends[j]:ends[j + 1]] = True
         keep[idx] = False
-        na = np.concatenate([ax[idx], np.where(splitx, mid, ax[idx])])
-        nb = np.concatenate([np.where(splitx, mid, bx[idx]), bx[idx]])
-        nc = np.concatenate([ay[idx], np.where(splitx, ay[idx], mid)])
-        nd = np.concatenate([np.where(splitx, by[idx], mid), by[idx]])
-        new, _, n = _boxes(panels, g, na, nb, nc, nd)
-        evals += n
-        boxes = np.concatenate([boxes.compress(keep, axis=1), new], axis=1)
-    corners = (ax.copy(), bx.copy(), ay.copy(), by.copy())
-    return _result(total, toterr, evals, converged, lead), corners
+        kept = boxes.compress(keep, axis=1)
+        kends = list(accumulate([0] + [sizes[j] - split[j] for j in go]))
+        live, nends = [live[j] for j in go], [2 * p for p in pends]
 
 
 def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
@@ -514,28 +539,28 @@ def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
     """
     to_working, (breaks,) = _compactify((interval,), (spec.grading,))
     g = to_working(lambda x: np.asarray(f(x), dtype=float))
-    return _adapt(_panels_1d, g, breaks, np.zeros(2), spec)[0]
+    return _adapt(_panels_1d, g, [(breaks, np.zeros(2))], [spec])[0][0]
 
 
 # ----------------------------------------------------------------------------
 # 2-d engines
 # ----------------------------------------------------------------------------
 
-def _integrate_2d(F, weight, spec: QuadratureSpec, x_domain, y_domain):
-    """The one 2-d front end: the integral of ``weight(F)`` (F times its
-    reduction weight) over x_domain x y_domain, and the adapted mesh, frozen
-    with the same weight and map.  The public 2-d engines are weights over
-    it and never call each other, so wrapping each by name spans it once."""
-    to_working, (xb, yb) = _compactify(
-        (x_domain, y_domain),
-        [[(c[i], s[i] if isinstance(s, tuple) else s) for c, s in spec.grading]
-         for i in (0, 1)])
+def _integrate_2d(F, weight, specs, x_domain, y_domain, params=None):
+    """The one 2-d front end: per spec in ``specs`` (a sweep if ``params``
+    is given), the integral of ``weight(F)`` over x_domain x y_domain and the
+    adapted mesh, frozen with the same weight and map.  The public 2-d
+    engines are weights over it, none calling another: each spans it once."""
+    to_working, _ = _compactify((x_domain, y_domain), ([], []))
+    grids = [_compactify((x_domain, y_domain), [
+        [(c[i], s[i] if isinstance(s, tuple) else s) for c, s in spec.grading]
+        for i in (0, 1)])[1] for spec in specs]
 
     def working(G):
         return to_working(weight(G))
 
-    res, corners = _adapt(_panels_2d, working(F), xb, yb, spec)
-    return res, FrozenMesh2D(*corners, working)
+    return [(res, FrozenMesh2D(*corners, working)) for res, corners
+            in _adapt(_panels_2d, working(F), grids, specs, params)]
 
 
 @dataclass(frozen=True)
@@ -556,13 +581,15 @@ class FrozenMesh2D:
     def evaluate(self, F) -> IntegralResult:
         vals, errs, _, _, n = _panels_2d(self.working(F), self.ax, self.bx,
                                          self.ay, self.by)
-        total, toterr = _total(vals, errs)
+        # on contiguous rows a sum along axis 1 has the bits of a 1-d sum
+        total, toterr = (v.reshape(-1, len(self.ax)).sum(axis=1)
+                         for v in (vals, errs))
         return _result(total, toterr, n, True, vals.shape[:-1])
 
 
 def _biradial_weight(F):
     """F times the 4*pi*rho^2 of the bi-radial reduction."""
-    return lambda zeta, rho: F(zeta, rho) * (4.0 * math.pi) * rho * rho
+    return lambda zeta, rho, *a: F(zeta, rho, *a) * (4.0 * math.pi) * rho * rho
 
 
 def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralResult:
@@ -576,27 +603,34 @@ def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralRes
     def plain(G):
         return lambda x, y: np.asarray(G(x, y), dtype=float)
 
-    return _integrate_2d(F, plain, spec, x_domain, y_domain)[0]
+    return _integrate_2d(F, plain, [spec], x_domain, y_domain)[0][0]
 
 
 def integrate_biradial(F, spec: QuadratureSpec,
                        zeta_domain=(-math.inf, math.inf),
-                       rho_domain=(0.0, math.inf)) -> IntegralResult:
+                       rho_domain=(0.0, math.inf), params=None):
     """Integral of an axially symmetric function over R^4.
 
     ``F(zeta, rho)`` is the profile in the axial coordinate ``zeta`` and the
     transverse radius ``rho``; the engine supplies the exact reduction weight
     ``4*pi*rho^2`` and compactifies unbounded directions by ``tan``.  Grading
     centers are (zeta, rho) pairs in original coordinates.
+
+    A sweep: given ``params`` and one spec per entry in ``spec``, F(zeta,
+    rho, param) gets each point's parameter, and the integrals are refined
+    in lockstep (see the module docstring) into a ``Sweep`` of results.
     """
-    return _integrate_2d(F, _biradial_weight, spec, zeta_domain, rho_domain)[0]
+    sweep = Sweep(res for res, _ in _integrate_2d(
+        F, _biradial_weight, [spec] if params is None else spec, zeta_domain,
+        rho_domain, params))
+    return sweep[0] if params is None else sweep
 
 
 def build_frozen_mesh(F, spec, zeta_domain=(-math.inf, math.inf),
                       rho_domain=(0.0, math.inf)) -> FrozenMesh2D:
     """Adapt a bi-radial mesh to ``F`` and freeze it for re-evaluation."""
-    res, mesh = _integrate_2d(F, _biradial_weight, spec, zeta_domain,
-                              rho_domain)
+    (res, mesh), = _integrate_2d(F, _biradial_weight, [spec], zeta_domain,
+                                 rho_domain)
     res.expect("frozen-mesh adaptation")
     return mesh
 
@@ -622,7 +656,7 @@ def integrate_axisym_sphere(F, spec: QuadratureSpec,
 
         return g
 
-    return _integrate_2d(F, weight, spec, theta_domain, psi_domain)[0]
+    return _integrate_2d(F, weight, [spec], theta_domain, psi_domain)[0][0]
 
 
 # ----------------------------------------------------------------------------

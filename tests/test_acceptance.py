@@ -90,12 +90,12 @@ def test_path_check_fails_on_an_unconverged_point(monkeypatch, flag_lam):
 
 def test_slope_check_fails_on_an_unconverged_integral(monkeypatch):
     # the real integrals, with the contract flag of the U3V one at t = 100
-    # turned off
+    # turned off; the fit asks for its whole sequence in one call
     real = interaction.interaction_integral
 
     def flagged(kind, epsilon, t, spec):
-        res = real(kind, epsilon, t, spec)
-        return replace(res, converged=not (kind == "U3V" and t == 100.0))
+        return [replace(res, converged=not (kind == "U3V" and ti == 100.0))
+                for ti, res in zip(t, real(kind, epsilon, t, spec))]
 
     monkeypatch.setattr(interaction, "interaction_integral", flagged)
     res = acceptance.check_slopes(RunConfig())
@@ -104,12 +104,12 @@ def test_slope_check_fails_on_an_unconverged_integral(monkeypatch):
 
 def test_monotonicity_check_fails_on_an_unconverged_integral(monkeypatch):
     # the real integrals, with the contract flag of the a', c' mesh at t = 2
-    # turned off
+    # turned off; the check asks for its whole grid in one call
     real = interaction.derivative_quadratures
 
     def flagged(epsilon, t, spec):
-        return tuple(replace(res, converged=t != 2.0)
-                     for res in real(epsilon, t, spec))
+        return [tuple(replace(res, converged=ti != 2.0) for res in pair)
+                for ti, pair in zip(t, real(epsilon, t, spec))]
 
     monkeypatch.setattr(interaction, "derivative_quadratures", flagged)
     res = acceptance.check_monotonicity(RunConfig())

@@ -193,6 +193,27 @@ def test_cli_rejects_a_config_that_does_not_load(tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ("\nepsilon = abc\n",
+     "run.cfg:2: epsilon: could not convert string to float: 'abc'"),
+    ("mu_points = 2.5\n",
+     "run.cfg:1: mu_points: invalid literal for int() with base 10: '2.5'"),
+    ("t_grid = 0.1,x\n",
+     "run.cfg:1: t_grid: could not convert string to float: 'x'")])
+def test_cli_names_the_line_and_key_of_a_value_that_does_not_parse(
+        tmp_path, capsys, config, message):
+    # a float key, an int key and a list key: the message once held only
+    # the conversion error
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), "constants"])
+    assert exc.value.code == EX_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_config_rejects_non_finite_tolerances(tol):
     with pytest.raises(ValueError, match="finite"):

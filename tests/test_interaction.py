@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from cyl.config import RunConfig
 from cyl.constants import sobolev_constants
 import cyl.interaction as interaction
+import cyl.quadrature as quadrature
 from cyl.interaction import (KINDS, asymptotic_slope, curves,
                              derivative_quadratures, interaction_integral,
                              verify_b_prime_identity, verify_monotonicity)
@@ -278,14 +279,45 @@ def test_derivative_bars_cover_a_tighter_recompute(t):
         assert abs(r.expect().value - q.expect().value) <= r.error_estimate, name
 
 
-def test_curves_make_one_engine_call_per_point(monkeypatch):
+def _hex(*arrays):
+    return [float(x).hex() for a in arrays for x in np.ravel(a)]
+
+
+@pytest.mark.parametrize("batch", [None, 225, 1 << 40])
+def test_a_sweep_gives_each_integral_the_bits_it_gets_alone(monkeypatch,
+                                                            batch):
+    # each integral of a sweep splits the boxes it would split alone and
+    # sums them in the same order, at the default batch bound, at one box
+    # per integrand call and with every round in one call
+    if batch is not None:
+        monkeypatch.setattr(quadrature, "_MAX_BATCH_POINTS", batch)
+    grid = np.geomspace(0.1, 1000.0, 7)
+    sweep = curves(1.0, grid, LOOSE)
+    alone = [curves(1.0, [t], LOOSE) for t in grid]
+    for name in ("a", "b", "c", "f", "a_err", "b_err", "c_err", "f_err",
+                 "converged"):
+        assert _hex(getattr(sweep, name)) == _hex(
+            *(getattr(cur, name) for cur in alone)), name
+    seq = [12.5, 25.0, 50.0, 100.0]
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15)
+    each = [interaction_integral("GRAD", 1.0, t, spec) for t in seq]
+    fit = asymptotic_slope("GRAD", 1.0, seq, spec)
+    assert _hex(fit.values) == _hex([res.value for res in each])
+    # value, error, points and flag of every integral
+    assert interaction_integral("GRAD", 1.0, seq, spec) == each
+    assert derivative_quadratures(1.0, grid, LOOSE) == [
+        derivative_quadratures(1.0, t, LOOSE) for t in grid]
+
+
+def test_curves_make_one_engine_call_per_sweep(monkeypatch):
+    # the three rows of a point share a mesh, and the points share a sweep
     calls = []
     real = interaction.integrate_biradial
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(len(kwargs["params"]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(interaction, "integrate_biradial", counted)
     curves(1.0, [0.5, 2.0, 8.0], SPEC)
-    assert len(calls) == 3
+    assert calls == [3]

@@ -266,10 +266,10 @@ def test_leg_meshes_are_seeded_one_box_wide_in_the_angle(monkeypatch):
     seeds = []
     adapt = quadrature._adapt
 
-    def spying(panels, g, xbreaks, ybreaks, spec):
+    def spying(panels, g, grids, specs, params=None):
         if panels is quadrature._panels_2d:  # not the 1-d fluxes
-            seeds.append(len(ybreaks) - 1)
-        return adapt(panels, g, xbreaks, ybreaks, spec)
+            seeds.extend(len(ybreaks) - 1 for _, ybreaks in grids)
+        return adapt(panels, g, grids, specs, params)
 
     monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
@@ -285,10 +285,10 @@ def test_leg_seed_breaks_hold_every_zone_edge(monkeypatch):
     breaks = []
     adapt = quadrature._adapt
 
-    def spying(panels, g, xbreaks, ybreaks, spec):
+    def spying(panels, g, grids, specs, params=None):
         if panels is quadrature._panels_2d:  # not the 1-d fluxes
-            breaks.append(np.array(xbreaks))
-        return adapt(panels, g, xbreaks, ybreaks, spec)
+            breaks.extend(np.array(xbreaks) for xbreaks, _ in grids)
+        return adapt(panels, g, grids, specs, params)
 
     monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
@@ -320,8 +320,8 @@ def test_glued_and_interp_meshes_evaluate_fewer_points(monkeypatch):
     points = []
     panels = quadrature._panels_2d
 
-    def counting(g, ax, bx, ay, by):
-        out = panels(g, ax, bx, ay, by)
+    def counting(*args):
+        out = panels(*args)
         points.append(out[-1])
         return out
 

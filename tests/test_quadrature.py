@@ -231,7 +231,7 @@ def test_rect2d_batches_are_bounded(monkeypatch):
 
     sliced = [run(F) for F in integrands]
     for res, sizes in sliced:
-        assert max(sizes) <= 2 ** 16
+        assert max(sizes) <= quadrature._MAX_BATCH_POINTS
     # the same rule with the seed partition evaluated in one call
     monkeypatch.setattr(quadrature, "_MAX_BATCH_POINTS", 1 << 40)
     for F, (res, _) in zip(integrands, sliced):
@@ -292,6 +292,21 @@ def test_rect2d_compactifies_an_infinite_end():
                            (0.0, math.inf), (0.0, 1.0))
     assert res.converged
     assert abs(res.value - 1.0) <= res.error_estimate + 1e-12
+
+
+def test_a_sweep_is_converged_only_when_every_integral_is():
+    # one spec per parameter, each integral held to its own; the sweep's
+    # flag is the AND, which a caller reads as it reads one result's
+    def F(z, p, s):
+        return np.exp(-s * (z * z + p * p))
+
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1)
+    res = integrate_biradial(F, [SPEC, tight], params=[1.0, 30.0])
+    assert isinstance(res, quadrature.Sweep) and not res.converged
+    assert [r.converged for r in res] == [True, False]
+    assert res[0] == integrate_biradial(lambda z, p: F(z, p, 1.0), SPEC)
+    assert res[0].value == pytest.approx(math.pi ** 2, rel=1e-9)
+    assert integrate_biradial(F, [], params=[]) == ()
 
 
 def test_frozen_mesh_evaluates_the_integral_it_was_adapted_to():

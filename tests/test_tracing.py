@@ -68,3 +68,25 @@ def test_tracer_spans_each_engine_call_once_and_uninstalls():
         points = sum(s[5]["points"] for i, s in enumerate(spans)
                      if s[0] == "quadrature.integrand" and under(i, root))
         assert points == res.evaluations
+
+
+def test_a_traced_curves_sweep_is_one_engine_span_that_counts_every_point():
+    grid = [0.3, 2.0, 40.0]
+    tracer = tracing.Tracer()
+    inst = tracing.install(tracer)
+    try:
+        cur = interaction.curves(1.0, grid, SPEC)
+    finally:
+        inst.uninstall()
+    spans = tracer.spans
+    engines = [s for s in spans if s[0].startswith("quadrature.")
+               and s[0] != "quadrature.integrand"]
+    assert [s[0] for s in engines] == ["quadrature.integrate_biradial"]
+    assert engines[0][5]["converged"] and cur.converged.all()
+    # the points of every integrand call, against the evaluations the
+    # sweep's integrals report, one per grid point
+    res = interaction._sweep(interaction._POINT, 1.0, grid, SPEC)
+    assert len(res) == len(grid)
+    points = sum(s[5]["points"] for s in spans
+                 if s[0] == "quadrature.integrand")
+    assert points == sum(r.evaluations for r in res) > 0
