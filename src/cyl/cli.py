@@ -12,18 +12,20 @@ Subcommands:
 
 Flags: --config PATH, --out DIR, --tol-scale X.  The output directory falls
 back to $CYL_OUT_DIR, then to the config value.  Commands run serially.
+Each command writes its CSV and, once it returns, ``<csv stem>.manifest.json``
+beside it; ``accept`` records one stage per criterion.
 Exit code 0 only when every enabled acceptance check passes; otherwise the
 first failing criterion's index (1..12).  A usage or input error, such as
 an ``accept --only`` index outside 1..12, an unknown flag, a ``--tol-scale``
 that is not a finite factor > 0, or a ``--config`` file that is missing or
 does not load (an unknown key, path parameters ``PathConfig`` rejects, a
-t grid entry that is not finite and > 0, or a ``green_t_grid`` pole at or
-beyond ``football_delta``/4), exits 64 (``EX_USAGE``), a code no criterion
-takes, before anything runs or is written.  A criterion that raises is a
-FAIL line naming the exception, and the later criteria still run.  Any
-other exception prints its traceback to stderr and exits 70
-(``EX_SOFTWARE``), so a fault of the program is never read as a failed
-criterion.
+t grid entry or a ``green_delta`` that is not finite and > 0, or a
+``green_t_grid`` pole at or beyond ``football_delta``/4), exits 64
+(``EX_USAGE``), a code no criterion takes, before anything runs or is
+written.  A criterion that raises is a FAIL line naming the exception, and
+the later criteria still run.  Any other exception prints its traceback to
+stderr and exits 70 (``EX_SOFTWARE``), so a fault of the program is never
+read as a failed criterion.
 """
 
 from __future__ import annotations
@@ -68,15 +70,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-scale", type=_tol_scale, default=1.0,
                    help="multiply quadrature tolerances by this factor")
     sub = p.add_subparsers(dest="command", required=True)
-    # each command and the function that runs it on (cfg, out, args)
-    for name, run in (("constants", cmd_constants),
-                      ("interaction-sweep", cmd_interaction_sweep),
-                      ("green-sweep", cmd_green_sweep),
-                      ("cnc-verify", cmd_cnc_verify),
-                      ("gauge-verify", cmd_gauge_verify),
-                      ("path-profile", cmd_path_profile),
-                      ("accept", cmd_accept)):
-        sub.add_parser(name).set_defaults(run=run)
+    # each command, the function that runs it on (cfg, out, args, manifest)
+    # and the stem of its CSV, which its manifest shares
+    for name, run, stem in (("constants", cmd_constants, "constants"),
+                            ("interaction-sweep", cmd_interaction_sweep,
+                             "interaction"),
+                            ("green-sweep", cmd_green_sweep, "green"),
+                            ("cnc-verify", cmd_cnc_verify, "cnc"),
+                            ("gauge-verify", cmd_gauge_verify, "gauge"),
+                            ("path-profile", cmd_path_profile, "path"),
+                            ("accept", cmd_accept, "acceptance")):
+        sub.add_parser(name).set_defaults(run=run, stem=stem)
     sub.choices["accept"].add_argument(
         "--only", default=None, type=_criteria,
         help="comma-separated criterion indices (1-12) to run")
@@ -111,9 +115,8 @@ def _setup(parser, args):
     return cfg, out
 
 
-def cmd_constants(cfg: RunConfig, out: str, args) -> int:
+def cmd_constants(cfg: RunConfig, out: str, args, manifest) -> int:
     k = sobolev_constants()
-    manifest = RunManifest(config=asdict(cfg))
     rows = [
         ("c4", k.c4, "(6/pi^2)^(1/4)"),
         ("S4", k.S4, "8*pi/sqrt(6)"),
@@ -130,14 +133,12 @@ def cmd_constants(cfg: RunConfig, out: str, args) -> int:
     write_csv(os.path.join(out, "constants.csv"),
               ["name", "value", "closed_form"], rows)
     manifest.record("S4", k.S4, 0.0)
-    manifest.write(os.path.join(out, "constants.manifest.json"))
     return 0
 
 
-def cmd_interaction_sweep(cfg: RunConfig, out: str, args) -> int:
+def cmd_interaction_sweep(cfg: RunConfig, out: str, args, manifest) -> int:
     from cyl.acceptance import slope_fits
     from cyl.interaction import curves, derivative_quadratures
-    manifest = RunManifest(config=asdict(cfg))
     spec = cfg.spec()
     grid = np.asarray(cfg.t_grid, dtype=float)
     with manifest.stage("curves"):
@@ -174,14 +175,12 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str, args) -> int:
         print(f"slope {name} {fmt(fit.coefficient)} target {fmt(target)}")
     for name, (fit, _) in zip(names, fits):
         manifest.record(f"slope_{name}", fit.coefficient, fit.residual)
-    manifest.write(os.path.join(out, "interaction.manifest.json"))
     return 0
 
 
-def cmd_green_sweep(cfg: RunConfig, out: str, args) -> int:
+def cmd_green_sweep(cfg: RunConfig, out: str, args, manifest) -> int:
     from cyl.acceptance import centred_flat_mass, round_parametrix
     from cyl.green import mass_divergence_sweep
-    manifest = RunManifest(config=asdict(cfg))
     rows = []
     with manifest.stage("sweeps"):
         for model, delta in (("flat-cone", cfg.green_delta),
@@ -204,15 +203,15 @@ def cmd_green_sweep(cfg: RunConfig, out: str, args) -> int:
           f"(target {fmt(-1.0 / cfg.green_delta ** 2)})")
     print(f"parametrix exponent {fmt(par['exponent'])} (target -2)")
     manifest.record("parametrix_exponent", par["exponent"], 0.0)
-    manifest.write(os.path.join(out, "green.manifest.json"))
     return 0
 
 
-def cmd_cnc_verify(cfg: RunConfig, out: str, args) -> int:
+def cmd_cnc_verify(cfg: RunConfig, out: str, args, manifest) -> int:
     from cyl.acceptance import round_cnc
     rows = []
     for h in (2e-3, 1e-3, 5e-4):
-        res = round_cnc(h)
+        with manifest.stage(f"h={h:g}"):
+            res = round_cnc(h)
         rows.append((h, res["R"], res["Ric"], res["dR"], res["sym_dRic"]))
         print(f"h={h:g}: |R| {res['R']:.3e}  |Ric| {res['Ric']:.3e}  "
               f"|dR| {res['dR']:.3e}  |sym dRic| {res['sym_dRic']:.3e}")
@@ -221,14 +220,15 @@ def cmd_cnc_verify(cfg: RunConfig, out: str, args) -> int:
     return 0
 
 
-def cmd_gauge_verify(cfg: RunConfig, out: str, args) -> int:
+def cmd_gauge_verify(cfg: RunConfig, out: str, args, manifest) -> int:
     from cyl.acceptance import gauge_example
     from cyl.geometry.links import verify_first_order_identity
     f, fam, gauge, pts = gauge_example()
     rows = []
     for h in (2e-3, 1e-3, 5e-4):
-        r = verify_first_order_identity(f, fam, h, points=pts)
-        rg = verify_first_order_identity(f, gauge, h, points=pts)
+        with manifest.stage(f"h={h:g}"):
+            r = verify_first_order_identity(f, fam, h, points=pts)
+            rg = verify_first_order_identity(f, gauge, h, points=pts)
         rows.append((h, r, rg))
         print(f"h={h:g}: identity residual {r:.3e}, post-gauge {rg:.3e}")
     write_csv(os.path.join(out, "gauge.csv"),
@@ -236,11 +236,10 @@ def cmd_gauge_verify(cfg: RunConfig, out: str, args) -> int:
     return 0
 
 
-def cmd_path_profile(cfg: RunConfig, out: str, args) -> int:
+def cmd_path_profile(cfg: RunConfig, out: str, args, manifest) -> int:
     from cyl.acceptance import double_fit
     from cyl.minmax import build_path
     k = sobolev_constants()
-    manifest = RunManifest(config=asdict(cfg))
     with manifest.stage("path"):
         prof = build_path(cfg)
     rows = [(float(m), leg, float(q), float(e), float(6.0 * k.S4 - q))
@@ -267,13 +266,14 @@ def cmd_path_profile(cfg: RunConfig, out: str, args) -> int:
           f"free exponent {fmt(fit.exponent_free)}")
     manifest.record("max_Q", prof.max_Q, float(np.max(prof.Q_err)))
     manifest.record("A_hat_double", fit.A_hat, fit.residual)
-    manifest.write(os.path.join(out, "path.manifest.json"))
     return 0
 
 
-def cmd_accept(cfg: RunConfig, out: str, args) -> int:
+def cmd_accept(cfg: RunConfig, out: str, args, manifest) -> int:
     from cyl.acceptance import run_acceptance
     results = run_acceptance(cfg, indices=args.only)
+    manifest.stages.update((f"criterion {r.index}", r.seconds)
+                           for r in results)
     write_csv(os.path.join(out, "acceptance.csv"),
               ["index", "name", "passed", "detail", "seconds"],
               [(r.index, r.name, r.passed, r.detail, r.seconds)
@@ -289,7 +289,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, out = _setup(parser, args)
-        return args.run(cfg, out, args)
+        manifest = RunManifest(config=asdict(cfg))
+        code = args.run(cfg, out, args, manifest)
+        manifest.write(os.path.join(out, f"{args.stem}.manifest.json"))
+        return code
     except Exception:
         traceback.print_exc()
         return EX_SOFTWARE

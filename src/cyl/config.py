@@ -28,11 +28,11 @@ integer mu_points >= 2, the exponent constraints (1 > omega > alpha > 1/2,
 2 + 2 alpha - 4 omega > 0), eps^alpha < delta/4, glue balls that stay
 disjoint along the middle leg, and finite positive tolerances.
 ``RunConfig`` adds that each epsilon list has 3 distinct entries or more,
-each a valid ``PathConfig`` epsilon, that every ``t_grid`` and
-``green_t_grid`` entry is finite and > 0, and that every ``green_t_grid``
-pole lies below ``football_delta``/4, where ``football_delta =
-min(green_delta, 0.8)`` is the football's ball in the mass sweeps and the
-smaller of their two balls.
+each a valid ``PathConfig`` epsilon, that ``green_delta`` and every
+``t_grid`` and ``green_t_grid`` entry is finite and > 0, and that every
+``green_t_grid`` pole lies below ``football_delta``/4, where
+``football_delta = min(green_delta, 0.8)`` is the football's ball in the
+mass sweeps and the smaller of their two balls.
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ class RunConfig(PathConfig):
                    for t in (*self.t_grid, *self.green_t_grid)):
             raise ValueError("every t_grid and green_t_grid entry must be "
                              "finite and > 0")
+        if not 0.0 < self.green_delta < math.inf:
+            raise ValueError("green_delta must be finite and > 0")
         if not all(t < self.football_delta / 4.0 for t in self.green_t_grid):
             raise ValueError("every green_t_grid entry must lie below "
                              "football_delta/4 = "

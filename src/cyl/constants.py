@@ -22,6 +22,7 @@ __all__ = [
     "ClosedFormConstants",
     "FlatBubble",
     "sobolev_constants",
+    "bubble",
     "bubble_value",
     "bubble_gradient",
     "double_bubble_value",
@@ -99,12 +100,16 @@ def _as_points(p) -> np.ndarray:
     return pts
 
 
+def bubble(r2, eps: float = 1.0):
+    """The bubble profile (c4/eps) / (1 + r2/eps^2) at squared distance r2
+    from its center; r2 is a float, an array or a ``minmax.D2``."""
+    return (sobolev_constants().c4 / eps) / (1.0 + r2 * (1.0 / eps ** 2))
+
+
 def bubble_value(b: FlatBubble, p) -> np.ndarray:
     """Profile value eps^-1 * c4 / (1 + eps^-2 |p - center|^2); positive."""
-    k = sobolev_constants()
-    pts = _as_points(p)
-    d2 = np.sum((pts - np.asarray(b.center)) ** 2, axis=-1)
-    return (k.c4 / b.epsilon) / (1.0 + d2 / b.epsilon ** 2)
+    d2 = np.sum((_as_points(p) - np.asarray(b.center)) ** 2, axis=-1)
+    return bubble(d2, b.epsilon)
 
 
 def bubble_gradient(b: FlatBubble, p) -> np.ndarray:

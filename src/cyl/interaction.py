@@ -20,9 +20,10 @@ a mesh, and so do the sign-definite integrands of a'(t) and c'(t).  The
 mirror zeta -> -zeta swaps U_+ and U_-, so every integral here runs over the
 half-space zeta > 0: the rows of a curve point are folded, f(zeta) +
 f(-zeta), and the derivative integrands are reduced there.  Derivative
-identities are checked with central differences evaluated on one frozen
-quadrature mesh, adapted to the same three rows, which makes the quadrature
-error cancel in the differences instead of being amplified by 1/h.
+identities are checked with central differences on one frozen mesh per t,
+adapted to the same three rows and built for a whole grid as one sweep,
+which makes the quadrature error cancel in the differences instead of being
+amplified by 1/h.  Every profile here is ``constants.bubble``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cyl.constants import sobolev_constants
+from cyl.constants import bubble, sobolev_constants
 from cyl.quadrature import (IntegralResult, QuadratureSpec, build_frozen_mesh,
                             integrate_biradial)
 
@@ -65,26 +66,22 @@ def _scales(epsilon: float, t) -> np.ndarray:
     return t
 
 
-def _profile(r2):
-    return sobolev_constants().c4 / (1.0 + r2)
-
-
-def _integrand(kinds, tau=None):
-    """Reduced (eps = 1) bi-radial integrand with centers at (+-tau, 0), tau
-    fixed or per point: a (k, m) array, one row per kind, so the kinds share
-    one mesh.  Each row is folded onto zeta > 0 as f(zeta) + f(-zeta); the
-    mirror swaps U_+ and U_-, so GRAD and U2V2 double and U3V becomes U_+ U_-
+def _integrand(kinds):
+    """Reduced (eps = 1) bi-radial integrand F(zeta, rho, tau) with centers
+    at (+-tau, 0): a (k, m) array, one row per kind, so the kinds share one
+    mesh.  Each row is folded onto zeta > 0 as f(zeta) + f(-zeta); the mirror
+    swaps U_+ and U_-, so GRAD and U2V2 double and U3V becomes U_+ U_-
     (U_+^2 + U_-^2)."""
     unknown = set(kinds) - set(KINDS)
     if unknown:
         raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
     c4 = sobolev_constants().c4
 
-    def F(z, p, tau=tau):
+    def F(z, p, tau):
         p2 = p * p
         rp = (z - tau) ** 2 + p2
         rm = (z + tau) ** 2 + p2
-        up, um = _profile(rp), _profile(rm)
+        up, um = bubble(rp), bubble(rm)
         row = {"U3V": lambda: up * um * (up ** 2 + um ** 2),
                "U2V2": lambda: 2.0 * up ** 2 * um ** 2,
                "GRAD": lambda: 8.0 * c4 ** 2 * (z * z - tau * tau + p2)
@@ -165,14 +162,16 @@ def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
 # frozen-mesh evaluation of nearby t values
 # ----------------------------------------------------------------------------
 
-def _combined_mesh(tau: float, spec: QuadratureSpec):
-    """One frozen mesh resolving the three rows of a curve point at tau."""
-    return build_frozen_mesh(_integrand(_POINT, tau), _graded(spec, tau),
-                             zeta_domain=_HALF)
-
-
-def _mesh_values(mesh, tau: float):
-    return _assemble_point(mesh.evaluate(_integrand(_POINT, tau)))
+def _frozen_points(taus, hs, shifts, spec: QuadratureSpec) -> list:
+    """``_assemble_point`` at tau + s*h for each s of ``shifts``, per tau and
+    h, on the frozen mesh of the three rows at tau; the meshes of all the
+    taus are one sweep.  One (len(shifts), 9) array per tau."""
+    F = _integrand(_POINT)
+    meshes = build_frozen_mesh(F, [_graded(spec, tau) for tau in taus], _HALF,
+                               params=taus)
+    return [np.array([_assemble_point(mesh.evaluate(
+        lambda z, p, x=tau + s * h: F(z, p, x))) for s in shifts])
+        for mesh, tau, h in zip(meshes, taus, hs)]
 
 
 def verify_b_prime_identity(epsilon: float, t: float, h_fd: float,
@@ -187,12 +186,10 @@ def verify_b_prime_identity(epsilon: float, t: float, h_fd: float,
         raise ValueError("need t > h_fd > 0")
     k = sobolev_constants()
     tau, h = t / epsilon, h_fd / epsilon
-    mesh = _combined_mesh(tau, spec)
-    b0 = _mesh_values(mesh, tau)[1]
-    p, m = (np.array(_mesh_values(mesh, tau + s * h)[:3]) for s in (1, -1))
-    da, db, dc = (p - m) / (2.0 * h)
+    (mid, p, m), = _frozen_points([tau], [h], (0, 1, -1), spec)
+    da, db, dc = (p[:3] - m[:3]) / (2.0 * h)
     # reduced-variable residual equals epsilon * (residual in original t)
-    return abs(db - (2.0 / b0) * (da / (6.0 * k.S4) + 1.5 * dc)) / epsilon
+    return abs(db - (2.0 / mid[1]) * (da / (6.0 * k.S4) + 1.5 * dc)) / epsilon
 
 
 @dataclass(frozen=True)
@@ -213,10 +210,10 @@ def _prime_integrand(z, p, tau):
     c4 = sobolev_constants().c4
     w2 = z * z + p * p
     lead = np.where(z > 0.0, -2.0 * c4 / (1.0 + w2) ** 2 * z, 0.0)
-    near = _profile((z - 2.0 * tau) ** 2 + p * p)
-    far = _profile((z + 2.0 * tau) ** 2 + p * p)
+    near = bubble((z - 2.0 * tau) ** 2 + p * p)
+    far = bubble((z + 2.0 * tau) ** 2 + p * p)
     return np.stack([lead * (near ** 3 - far ** 3),
-                     lead * _profile(w2) * (near ** 2 - far ** 2)])
+                     lead * bubble(w2) * (near ** 2 - far ** 2)])
 
 
 def derivative_quadratures(epsilon: float, t, spec: QuadratureSpec):
@@ -250,21 +247,18 @@ def verify_monotonicity(epsilon: float, t_grid, spec: QuadratureSpec) -> Monoton
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t grid must be strictly increasing")
     rows = []
-    converged = True
     primes = derivative_quadratures(epsilon, t_grid, spec)
-    for t, (aq, cq) in zip(t_grid, primes):
-        tau = t / epsilon
-        h = max(1e-3, 1e-2 * tau)  # truncation against quadrature noise
-        mesh = _combined_mesh(tau, spec)
-        # at tau - 2h, tau - h, tau + h, tau + 2h: a, b, c, f, their errors
-        m2, m1, p1, p2 = (np.array(_mesh_values(mesh, tau + s * h), dtype=float)
-                          for s in (-2, -1, 1, 2))
+    # the frozen meshes raise if their adaptation missed the contract
+    converged = all(aq.converged and cq.converged for aq, cq in primes)
+    taus = t_grid / epsilon
+    hs = np.maximum(1e-3, 1e-2 * taus)  # truncation against quadrature noise
+    # at tau - 2h, tau - h, tau + h, tau + 2h: a, b, c, f, their errors
+    points = _frozen_points(taus, hs, (-2, -1, 1, 2), spec)
+    for (aq, cq), h, (m2, m1, p1, p2) in zip(primes, hs, points):
         second = (p1 - m1) / (2.0 * h)
         fourth = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
         fd, trunc = fourth / epsilon, np.abs(second - fourth) / epsilon
         noise = (p1 + m1) / (2.0 * h) / epsilon
-        # the frozen mesh itself raises if its adaptation missed the contract
-        converged = converged and aq.converged and cq.converged
         rows.append((fd[0], aq.value, trunc[0] + noise[4] + aq.error_estimate,
                      fd[2], cq.value, trunc[2] + noise[6] + cq.error_estimate))
     afd, aq, atol, cfd, cq, ctol = np.array(rows).T

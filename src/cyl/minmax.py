@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from cyl.config import PathConfig
-from cyl.constants import exponents_admissible, sobolev_constants
+from cyl.constants import bubble, exponents_admissible, sobolev_constants
 from cyl.geometry.cnc import (CutoffProfile, RadialCNCProfile, cnc_profile,
                               cutoff_profile)
 from cyl.green import (NotAKnotSpline, _gbar_radius, matching_constant,
@@ -201,11 +201,6 @@ class PathProfile:
 # bubble profiles in lifted coordinates
 # ----------------------------------------------------------------------------
 
-def _bubble(eps: float, r2: D2) -> D2:
-    c4 = sobolev_constants().c4
-    return (c4 / eps) / (1.0 + r2 * (1.0 / eps ** 2))
-
-
 def _double_bubble_chart(eps: float, t: float, theta: D2, axial: D2,
                          chi: CutoffProfile | None) -> D2:
     """The bubble pair at -+t e1 at the chart point z of radius theta and
@@ -213,7 +208,7 @@ def _double_bubble_chart(eps: float, t: float, theta: D2, axial: D2,
     theta2 = theta * theta
     d2m = theta2 + t * t - 2.0 * t * axial
     d2p = theta2 + t * t + 2.0 * t * axial
-    u = _bubble(eps, d2m) + _bubble(eps, d2p)
+    u = bubble(d2m, eps) + bubble(d2p, eps)
     if chi is not None:
         u = u * _cutoff_d2(chi, theta)
     return u
@@ -400,7 +395,7 @@ def _w_glued(b: _LegBatch, ball: bool) -> D2:
     xi = b.xi
     rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))  # rho' = e^{f1/2}
     if ball:
-        return _bubble(d.eps, rho * rho)
+        return bubble(rho * rho, d.eps)
     chi = _cutoff_d2(d.chi_tau, rho)
     core = (rho ** -2.0) + d.A_q
     return (chi * core + (1.0 - chi) * b.green_lift()) * (1.0 / d.nu)

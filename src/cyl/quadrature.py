@@ -36,7 +36,7 @@ Engines:
   symmetric R^4 integrals, weight 4*pi*rho^2
 * ``integrate_axisym_sphere`` -- the (theta, psi) reduction of axisymmetric
   integrals on round-sphere charts, weight 4*pi*sin(psi)^2 * w(theta)
-* ``build_frozen_mesh``     -- a bi-radial mesh, frozen for re-evaluation
+* ``build_frozen_mesh``     -- bi-radial meshes, frozen for re-evaluation
 * ``integrate_ball4``       -- tensor radial x S^3 rule on a Euclidean 4-ball
 * ``integrate_sphere3``     -- surface integrals on round 3-spheres
 
@@ -627,12 +627,16 @@ def integrate_biradial(F, spec: QuadratureSpec,
 
 
 def build_frozen_mesh(F, spec, zeta_domain=(-math.inf, math.inf),
-                      rho_domain=(0.0, math.inf)) -> FrozenMesh2D:
-    """Adapt a bi-radial mesh to ``F`` and freeze it for re-evaluation."""
-    (res, mesh), = _integrate_2d(F, _biradial_weight, [spec], zeta_domain,
-                                 rho_domain)
-    res.expect("frozen-mesh adaptation")
-    return mesh
+                      rho_domain=(0.0, math.inf), params=None):
+    """Adapt a bi-radial mesh to ``F`` and freeze it for re-evaluation,
+    raising unless it converged; a sweep, as in ``integrate_biradial``,
+    gives one mesh per spec."""
+    meshes = []
+    for res, mesh in _integrate_2d(F, _biradial_weight, [spec] if params is None
+                                   else spec, zeta_domain, rho_domain, params):
+        meshes.append(mesh)
+        res.expect("frozen-mesh adaptation")
+    return meshes[0] if params is None else meshes
 
 
 def integrate_axisym_sphere(F, spec: QuadratureSpec,

@@ -1,5 +1,6 @@
 """The acceptance gate: every criterion at its pinned tolerance, one test
-per criterion, each printing its PASS/FAIL line."""
+per criterion, each printing its PASS/FAIL line and checking it against its
+recorded line (``recorded_outputs``)."""
 
 from dataclasses import replace
 
@@ -10,6 +11,9 @@ import cyl.minmax as minmax
 from cyl import acceptance
 from cyl.config import RunConfig
 from cyl.constants import sobolev_constants
+from recorded_outputs import detail_line, recorded_details
+
+RECORDED = recorded_details()
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +26,7 @@ def _run(check, cfg):
     print()
     print(res.line())
     assert res.passed, res.detail
+    assert detail_line(res) == RECORDED[res.index]
     return res
 
 

@@ -297,6 +297,21 @@ def test_cli_rejects_a_pole_the_mass_sweeps_cannot_place(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_cli_rejects_a_green_delta_that_is_not_finite_and_positive(
+        tmp_path, capsys, value):
+    # green_delta = inf once loaded, and green-sweep then exited 70 from the
+    # tridiagonal solve ("array must not contain infs or NaNs")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"green_delta = {value}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), "green-sweep"])
+    assert exc.value.code == EX_USAGE
+    assert "green_delta must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_places_the_football_ball():
     assert RunConfig().football_delta == 0.8
     assert RunConfig(green_delta=0.5, green_t_grid=(0.1,)).football_delta == 0.5
@@ -360,7 +375,7 @@ def test_an_uncaught_exception_exits_70_with_its_traceback(tmp_path, capsys,
     # not 1, the code of a failed criterion 1
     from cyl import cli
 
-    def broken(cfg, out, args):
+    def broken(cfg, out, args, manifest):
         raise RuntimeError("constants table unavailable")
 
     monkeypatch.setattr(cli, "cmd_constants", broken)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyl.constants import (FlatBubble, bubble_gradient, bubble_value,
+from cyl.constants import (FlatBubble, bubble, bubble_gradient, bubble_value,
                            double_bubble_value, energy_level,
                            sobolev_constants, stencil_laplacian)
 from cyl.quadrature import QuadratureSpec, integrate_radial
@@ -71,6 +71,26 @@ def test_bubble_values():
     assert_allclose(bubble_value(b, [1.0, 0, 0, 0]), K.c4 / 2.0, rtol=1e-15)
     assert_allclose(bubble_value(FlatBubble(2.0), np.zeros(4)), K.c4 / 2.0, rtol=1e-15)
     assert bubble_value(b, np.array([3.0, -2.0, 0.5, 7.0])) > 0.0
+
+
+def _hex(*arrays):
+    return [float(x).hex() for a in arrays for x in np.ravel(a)]
+
+
+def test_bubble_is_the_profile_the_interaction_and_path_layers_wrote_out():
+    # the forms it replaced: c4 / (1 + r2) on the interaction grid, and
+    # (c4/eps) / (1 + r2 (1/eps^2)) on the path's forward-mode values
+    from cyl.minmax import D2
+    rng = np.random.default_rng(3)
+    r2 = rng.uniform(0.0, 50.0, 200) ** 2
+    assert _hex(bubble(r2)) == _hex(K.c4 / (1.0 + r2))
+    x = D2(r2, rng.normal(size=200), rng.normal(size=200))
+    for eps in (1.0, 1e-4, 0.37):
+        got = bubble(x, eps)
+        want = (K.c4 / eps) / (1.0 + x * (1.0 / eps ** 2))
+        assert _hex(got.v, got.dx, got.dy) == _hex(want.v, want.dx, want.dy)
+    got, want = bubble(x), K.c4 / (1.0 + x)
+    assert _hex(got.v, got.dx, got.dy) == _hex(want.v, want.dx, want.dy)
 
 
 def test_bubble_scaling_l4_norm():

@@ -574,3 +574,28 @@ def test_solve_tridiagonal_errors():
     for bad_ab, bad_rhs in ((nan_ab, rhs), (good, nan_rhs)):
         with pytest.raises(ValueError):
             _solve_tridiagonal(bad_ab, bad_rhs)
+
+
+@pytest.mark.parametrize("field, delta, t", [(FlatField(), 1.0, 0.0),
+                                             (FlatField(), 1.0, 0.02),
+                                             (ROUND, 0.8, 0.04)])
+def test_solver_error_gathers_the_fine_solution_at_the_coarse_nodes(
+        field, delta, t):
+    # the coarse nodes are fine nodes, so the solver's one gather reads the
+    # bits that interpolating each mode there, in a loop, once read
+    import cyl.green as green
+    problem = GreenProblem(field, np.array([t, 0.0, 0.0, 0.0]), delta)
+    chart = problem.chart
+    bmodes = zonal_project(lambda g: -chart.kernel(chart.dist(
+        np.full_like(g, delta), t, np.cos(g))), problem.lmax)
+    mesh = green._default_mesh(delta, t, problem.mesh_size)
+    coarse = mesh[::2] if mesh[-1] == mesh[::2][-1] \
+        else np.append(mesh[::2], mesh[-1])
+    err = 0.0
+    for l, (u_fine, u_coarse) in enumerate(zip(
+            green._solve_modes(chart, bmodes, mesh),
+            green._solve_modes(chart, bmodes, coarse))):
+        err += float(np.max(np.abs(np.interp(coarse, mesh, u_fine)
+                                   - u_coarse))) * (l + 1)
+    err += abs(float(bmodes[-1])) * (problem.lmax + 1)
+    assert solve_dirichlet_green(problem).error_estimate == err

@@ -157,13 +157,13 @@ def test_b_prime_identity_second_order():
 
 def test_a_der_bracket_nonnegative():
     rng = np.random.default_rng(2)
-    from cyl.interaction import _profile
+    from cyl.constants import bubble
     for _ in range(40):
         z = rng.uniform(0.0, 5.0)
         p = rng.uniform(0.0, 5.0)
         t = rng.uniform(0.05, 4.0)
-        near = _profile((z - 2 * t) ** 2 + p * p) ** 3
-        far = _profile((z + 2 * t) ** 2 + p * p) ** 3
+        near = bubble((z - 2 * t) ** 2 + p * p) ** 3
+        far = bubble((z + 2 * t) ** 2 + p * p) ** 3
         assert near - far >= 0.0
 
 

@@ -19,10 +19,6 @@ K = sobolev_constants()
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
 
-def bubble_sq(r, eps=1.0):
-    return (K.c4 / eps) / (1.0 + r / eps ** 2)  # not used; keep simple helpers local
-
-
 def test_integral_result_scaled():
     res = IntegralResult(1.5, 0.25, 17, False)
     up = res.scaled(2.0)
@@ -322,6 +318,33 @@ def test_frozen_mesh_evaluates_the_integral_it_was_adapted_to():
     again = build_frozen_mesh(F, spec).evaluate(F)
     assert_allclose(again.value, res.value, rtol=1e-14)
     assert_allclose(again.error_estimate, res.error_estimate, rtol=1e-6)
+
+
+def test_a_frozen_mesh_sweep_builds_the_meshes_of_lone_builds():
+    # each mesh of a sweep has the corners its spec adapts alone and
+    # evaluates to the same bits, at its own t and at a shifted one
+    def F(z, p, t):
+        return u_profile((z - t) ** 2 + p * p) ** 3 * \
+            u_profile((z + t) ** 2 + p * p)
+
+    ts = [0.5, 2.0, 8.0]
+    specs = [SPEC.with_grading(((t, 0.0), 1.0), ((-t, 0.0), 1.0)) for t in ts]
+    meshes = build_frozen_mesh(F, specs, params=ts)
+    assert len(meshes) == len(ts)
+    for t, spec, mesh in zip(ts, specs, meshes):
+        alone = build_frozen_mesh(lambda z, p: F(z, p, t), spec)
+        for corner in ("ax", "bx", "ay", "by"):
+            assert np.array_equal(getattr(mesh, corner), getattr(alone, corner))
+        for x in (t, t + 1e-3):
+            a, b = (m.evaluate(lambda z, p: F(z, p, x)) for m in (mesh, alone))
+            assert (a.value.hex(), a.error_estimate.hex(), a.evaluations) == \
+                (b.value.hex(), b.error_estimate.hex(), b.evaluations)
+    # a mesh that misses its contract raises, in a sweep as alone
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1)
+    with pytest.raises(QuadratureError, match="frozen-mesh adaptation"):
+        build_frozen_mesh(F, [specs[0], tight], params=ts[:2])
+    with pytest.raises(QuadratureError, match="frozen-mesh adaptation"):
+        build_frozen_mesh(lambda z, p: F(z, p, 2.0), tight)
 
 
 def test_rect2d_vector_components_meet_their_own_tolerances():

@@ -90,3 +90,18 @@ def test_a_traced_curves_sweep_is_one_engine_span_that_counts_every_point():
     points = sum(s[5]["points"] for s in spans
                  if s[0] == "quadrature.integrand")
     assert points == sum(r.evaluations for r in res) > 0
+
+
+def test_a_traced_monotonicity_grid_builds_its_frozen_meshes_in_one_span():
+    # the grid's frozen meshes are one sweep: one build, then the shifted
+    # evaluations of each mesh
+    tracer = tracing.Tracer()
+    inst = tracing.install(tracer)
+    try:
+        rep = interaction.verify_monotonicity(1.0, [0.5, 1.0, 2.0], SPEC)
+    finally:
+        inst.uninstall()
+    names = [s[0] for s in tracer.spans]
+    assert rep.converged and rep.first_violation == -1
+    assert names.count("quadrature.build_frozen_mesh") == 1
+    assert names.count("quadrature.FrozenMesh2D.evaluate") == 3 * 4
