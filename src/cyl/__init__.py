@@ -5,7 +5,7 @@ Subpackages and modules:
 
 * ``cyl.constants``   -- closed-form constants and bubble profiles on R^4
 * ``cyl.quadrature``  -- adaptive Gauss-Kronrod engines (radial, bi-radial,
-  4-ball, 3-sphere)
+  rectangle, axisymmetric sphere, 4-ball, 3-sphere)
 * ``cyl.interaction`` -- double-bubble interaction curves a, b, c, f and their
   asymptotics
 * ``cyl.geometry``    -- conical charts, link gauges, curvature, the

@@ -18,8 +18,9 @@ Exit code 0 only when every enabled acceptance check passes; otherwise the
 first failing criterion's index (1..12).  A usage or input error, such as
 an ``accept --only`` index outside 1..12, an unknown flag, a ``--tol-scale``
 that is not a finite factor > 0, or a ``--config`` file that is missing or
-does not load (an unknown key, path parameters ``PathConfig`` rejects, a
-t grid entry or a ``green_delta`` that is not finite and > 0, or a
+does not load (an unknown key, path parameters ``PathConfig`` rejects,
+such as an epsilon or a delta that is not finite and > 0, a t grid entry
+or a ``green_delta`` that is not finite and > 0, or a
 ``green_t_grid`` pole at or beyond ``football_delta``/4), exits 64
 (``EX_USAGE``), a code no criterion takes, before anything runs or is
 written.  A criterion that raises is a FAIL line naming the exception, and

@@ -23,10 +23,11 @@ key is a ValueError.
 ``RunConfig`` is a ``PathConfig``: the competitor path's epsilon, alpha,
 omega, delta, mu_points, rel_tol and abs_tol are declared once, in
 ``PathConfig``, and a run passes its own configuration to the path and the
-fits.  ``PathConfig`` validates them at load: a finite epsilon > 0, an
-integer mu_points >= 2, the exponent constraints (1 > omega > alpha > 1/2,
-2 + 2 alpha - 4 omega > 0), eps^alpha < delta/4, glue balls that stay
-disjoint along the middle leg, and finite positive tolerances.
+fits.  ``PathConfig`` validates them at load: an epsilon and a delta that
+are finite and > 0, an integer mu_points >= 2, the exponent constraints
+(1 > omega > alpha > 1/2, 2 + 2 alpha - 4 omega > 0), eps^alpha < delta/4,
+glue balls that stay disjoint along the middle leg, and finite positive
+tolerances.
 ``RunConfig`` adds that each epsilon list has 3 distinct entries or more,
 each a valid ``PathConfig`` epsilon, that ``green_delta`` and every
 ``t_grid`` and ``green_t_grid`` entry is finite and > 0, and that every
@@ -71,6 +72,8 @@ class PathConfig:
         self.spec()  # tolerances must be finite and positive
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and > 0")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be finite and > 0")
         if not (isinstance(self.mu_points, (int, np.integer))
                 and self.mu_points >= 2):
             raise ValueError("mu_points must be an integer >= 2")

@@ -75,9 +75,9 @@ class CutoffProfile:
             / (self.r2 - self.r1) ** 2)
 
 
-def cutoff_profile(t: float, inner: float = 0.25, outer: float = 0.5) -> CutoffProfile:
+def cutoff_profile(t: float) -> CutoffProfile:
     """phi_t: 1 for s <= t/4, 0 for s >= t/2."""
-    return CutoffProfile(inner * t, outer * t)
+    return CutoffProfile(0.25 * t, 0.5 * t)
 
 
 @dataclass(frozen=True)

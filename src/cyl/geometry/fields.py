@@ -113,12 +113,12 @@ class RadialProfile:
         return self._eval(u, 2)
 
 
-def round_profile(order: int = 12) -> RadialProfile:
+def round_profile() -> RadialProfile:
     """c(u) = sin^2(sqrt(u))/u, the round-sphere chart in normal coordinates:
-    series[m] = (-1)^m 2^(2m+1) / (2m+2)!."""
+    series[m] = (-1)^m 2^(2m+1) / (2m+2)!, m = 0..12."""
     return RadialProfile(series=tuple(
         (-1.0) ** m * 2.0 ** (2 * m + 1) / math.factorial(2 * m + 2)
-        for m in range(order + 1)))
+        for m in range(13)))
 
 
 def flat_profile() -> RadialProfile:

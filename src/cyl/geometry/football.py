@@ -182,9 +182,9 @@ def _fd_derivative(fn, x, order: int, h: float, idx) -> float:
             - _fd_derivative(fn, x - e, order - 1, h, idx[1:])) / (2.0 * h)
 
 
-def regularity_probe(target, order: int, radii, n_dirs: int = 12,
-                     seed: int = 0) -> RegularityReport:
-    """Sample order-``order`` difference quotients on shrinking spheres.
+def regularity_probe(target, order: int, radii) -> RegularityReport:
+    """Sample order-``order`` difference quotients on shrinking spheres,
+    along 12 fixed directions.
 
     ``target`` is a scalar callable x -> float or a ChartMetricField (every
     component of g - identity is probed).  Certifies boundedness when the
@@ -202,7 +202,7 @@ def regularity_probe(target, order: int, radii, n_dirs: int = 12,
         scalars = [lambda x, i=i: components(x)[i] for i in range(16)]
     else:
         scalars = [target]
-    dirs = sphere_points(n_dirs, seed)
+    dirs = sphere_points(12)
     idx_sets = [(k,) * order for k in range(4)] if order > 0 else [()]
     if order >= 2:
         idx_sets += [(0, 1), (1, 2), (2, 3), (0, 3)]

@@ -70,9 +70,9 @@ class LinkFunction:
         z = np.asarray(z, dtype=float)
         return float(u @ self.hess(z) @ v - (z @ self.grad(z)) * (u @ v))
 
-    def is_even(self, n: int = 50, seed: int = 1, tol: float = 1e-12) -> bool:
-        return all(abs(self.value(z) - self.value(-z)) <= tol
-                   for z in sphere_points(n, seed))
+    def is_even(self) -> bool:
+        return all(abs(self.value(z) - self.value(-z)) <= 1e-12
+                   for z in sphere_points(50, 1))
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,12 @@ def link_flow(f: LinkFunction, s: float, z, frame):
 
 
 def pulled_link_tensor(f: LinkFunction, family: LinkTensorFamily, s: float,
-                       z, frame=None) -> np.ndarray:
+                       z, frame) -> np.ndarray:
     """(iota_s^* H)(z) on a tangent frame: the explicit form
 
         (1 + 2 s f) [ (s^2/4) df x df + (1 - s f/2)^2 psi_s^*( h(alpha^1(s,.)) ) ]
     """
     z = np.asarray(z, dtype=float)
-    if frame is None:
-        frame = tangent_frame(z)
     fz = f.value(z)
     alpha1 = s - 0.5 * s * s * fz
     flowed, dpsi = link_flow(f, s, z, frame)
@@ -173,11 +171,9 @@ def pulled_link_tensor(f: LinkFunction, family: LinkTensorFamily, s: float,
 
 
 def verify_first_order_identity(f: LinkFunction, family: LinkTensorFamily,
-                                h_fd: float, points=None, seed: int = 3) -> float:
+                                h_fd: float, points) -> float:
     """Sup-norm residual of  d/ds (iota_s^* H) |_0 = h'(0) + Hess f + f h0
     over sample points, with the s-derivative by a central difference."""
-    if points is None:
-        points = sphere_points(12, seed)
     worst = 0.0
     for z in np.atleast_2d(points):
         frame = tangent_frame(z)

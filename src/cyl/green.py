@@ -159,11 +159,9 @@ def _chebyshev_rows(lmax: int, c: np.ndarray):
             yield cur
 
 
-def zonal_project(fn, lmax: int, n_nodes: int = None) -> np.ndarray:
+def zonal_project(fn, lmax: int) -> np.ndarray:
     """Coefficients f_l = (2/pi) int_0^pi fn(gamma) U_l(cos gamma) sin^2 dgamma."""
-    if n_nodes is None:
-        n_nodes = 2 * lmax + 32
-    x, wq = gauss_legendre(n_nodes)
+    x, wq = gauss_legendre(2 * lmax + 32)
     gamma = 0.5 * math.pi * (x + 1.0)
     wq = 0.5 * math.pi * wq
     vals = np.asarray(fn(gamma), dtype=float)
@@ -190,6 +188,7 @@ def sphere_kernel_slope(d):
 class flat_ball_green:
     """Dirichlet Green function on a flat 4-ball by the image method:
     G_x(y) = |y-x|^-2 - delta^2 / (|x|^2 |y - x*|^2), x* = delta^2 x/|x|^2."""
+    chart = RadialChart.flat()
 
     def __init__(self, delta: float, pole):
         self.delta = delta
@@ -217,6 +216,7 @@ class round_ball_green:
     with xi = tan(|z|/2) z/|z| the stereographic image of the normal-
     coordinate chart point z.
     """
+    chart = RadialChart.round()
 
     def __init__(self, delta: float, pole):
         self.delta = delta
@@ -254,6 +254,7 @@ class round_ball_green:
 class football_global_green:
     """Equivariant lift of the global football Green function: the sum of the
     round-sphere kernels at the two chart preimages of the pole."""
+    chart = RadialChart.round()
 
     def __init__(self, pole):
         self.pole = np.asarray(pole, dtype=float)
@@ -370,7 +371,8 @@ def _solve_modes(chart: RadialChart, bmodes, mesh: np.ndarray) -> np.ndarray:
     return _solve_tridiagonal(ab, rhs.ravel()).reshape(L, n)
 
 
-def _default_mesh(delta: float, t: float, n_base: int) -> np.ndarray:
+def _default_mesh(delta: float, t: float) -> np.ndarray:
+    n_base = 420
     pieces = [
         np.geomspace(delta * 1e-8, delta, n_base // 2),
         np.linspace(0.0, delta, n_base + 1)[1:],
@@ -389,13 +391,12 @@ def _default_mesh(delta: float, t: float, n_base: int) -> np.ndarray:
 @dataclass
 class GreenProblem:
     """A Dirichlet problem L G = 24 pi^2 delta_x on the lifted ball; lmax
-    and mesh_size are the mode solver's resolution, for every solve."""
+    is the mode solver's angular resolution, for every solve."""
 
     field: ChartMetricField
     pole: np.ndarray
     delta: float
     lmax: int = 28
-    mesh_size: int = 420
 
     def __post_init__(self):
         self.pole = np.asarray(self.pole, dtype=float)
@@ -464,10 +465,10 @@ class GreenEvaluator:
         self.modes = modes
         self.error_estimate = error_estimate
 
-    def boundary_trace_defect(self, n: int = 64) -> float:
-        gam = np.linspace(0.0, math.pi, n)
+    def boundary_trace_defect(self) -> float:
+        gam = np.linspace(0.0, math.pi, 64)
         pts = np.stack([self.delta * np.cos(gam), self.delta * np.sin(gam),
-                        np.zeros(n), np.zeros(n)], axis=1)
+                        np.zeros(64), np.zeros(64)], axis=1)
         return float(np.max(np.abs(self.value(pts))))
 
     def value(self, pts) -> np.ndarray:
@@ -490,7 +491,7 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
         lambda gamma: -chart.kernel(chart.dist(np.full_like(gamma, delta), t,
                                                np.cos(gamma))),
         problem.lmax)
-    mesh = _default_mesh(delta, t, problem.mesh_size)
+    mesh = _default_mesh(delta, t)
     # every other node and the last: the fine solution there is a gather
     coarse = np.unique(np.append(np.arange(0, len(mesh), 2), len(mesh) - 1))
     fine = _solve_modes(chart, bmodes, mesh)
@@ -513,7 +514,7 @@ def solve_harmonic_extension(field: ChartMetricField, delta: float,
     odd_power = float(np.sum(np.abs(bmodes[1::2])))
     if odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
         raise ValueError("equivariant boundary datum must be antipodally even")
-    mesh = _default_mesh(delta, 0.0, GreenProblem.mesh_size)
+    mesh = _default_mesh(delta, 0.0)
     modes = _solve_modes(chart, bmodes, mesh)
     return ZonalModeSum(_axis(np.zeros(4)), mesh, modes)
 
@@ -558,10 +559,10 @@ def matching_constant(epsilon: float, tau: float, A_q: float) -> float:
         / (sobolev_constants().c4 / epsilon)
 
 
-def _cumulative_gl(f, sgrid: np.ndarray, order: int = 8) -> np.ndarray:
+def _cumulative_gl(f, sgrid: np.ndarray) -> np.ndarray:
     """Cumulative integral of f from sgrid[0] along sgrid, per-interval
     Gauss-Legendre; keeps delicate cancellations intact for smooth f."""
-    x, w = gauss_legendre(order)
+    x, w = gauss_legendre(8)
     a = sgrid[:-1]
     b = sgrid[1:]
     mid = 0.5 * (a + b)
@@ -588,7 +589,7 @@ def _sym_directions(n: int = 6) -> np.ndarray:
 
 
 def extract_mass(evaluator, pole, eps0: float = None,
-                 chart: RadialChart = None, conformal_fr=None) -> GreenExpansion:
+                 conformal_fr=None) -> GreenExpansion:
     """Mass by Richardson extrapolation of spherical means of G - |z|^-2.
 
     Sample spheres are gbar-geodesic spheres of radius eps_k = eps0 * 2^-k,
@@ -598,15 +599,13 @@ def extract_mass(evaluator, pole, eps0: float = None,
     the CNC factor e^{-fr(s)/2}.  That is the whole of Gbar = e^{-f/2} G
     there: the spheres keep s <= 0.49 t, so every point lies at least
     1.5 t > t/2 from the mirror pole, where the mirror branch of the
-    equivariant f vanishes.
+    equivariant f vanishes.  The geodesics are those of ``evaluator.chart``.
     Antipodal direction pairs kill the odd terms of the C^1 remainder.
     """
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
     if eps0 is None:
         eps0 = t / 8.0
-    if chart is None:
-        chart = getattr(evaluator, "chart", RadialChart.flat())
     radii = eps0 * 0.5 ** np.arange(4)
     if conformal_fr is None:
         s, factor = radii, np.ones(4)
@@ -617,7 +616,7 @@ def extract_mass(evaluator, pole, eps0: float = None,
     dirs, weights = _sym_directions()
     # orthonormal tangent completion: rotate e1 onto the pole axis
     axis = _axis(pole)
-    sphere = _exp_sphere(chart, pole,
+    sphere = _exp_sphere(evaluator.chart, pole,
                          dirs @ np.vstack([axis, tangent_frame(axis)]).T)
     means = np.array([
         float(np.sum(weights * (evaluator.value(sphere(float(s_k))) * f_k

@@ -46,11 +46,11 @@ import numpy as np
 
 from cyl.config import PathConfig
 from cyl.constants import bubble, exponents_admissible, sobolev_constants
-from cyl.geometry.cnc import (CutoffProfile, RadialCNCProfile, cnc_profile,
-                              cutoff_profile)
+from cyl.geometry.cnc import CutoffProfile, RadialCNCProfile, cnc_profile
 from cyl.green import (NotAKnotSpline, _gbar_radius, matching_constant,
                        sphere_kernel, sphere_kernel_slope)
-from cyl.quadrature import (IntegralResult, QuadratureSpec, integrate_radial,
+from cyl.quadrature import (IntegralResult, QuadratureSpec,
+                            integrate_axisym_sphere, integrate_radial,
                             integrate_rect2d)
 
 __all__ = [
@@ -234,24 +234,23 @@ def quotient_double(eps: float, t: float, delta: float | None,
         theta_max = 2.0 * delta if delta is not None else math.inf
     else:
         raise ValueError("model must be 'football' or 'flat'")
-    chi = cutoff_profile(1.0, inner=delta, outer=2.0 * delta) if delta is not None else None
+    chi = CutoffProfile(delta, 2.0 * delta) if delta is not None else None
 
     def integrand(theta_v, psi_v):
-        # numerator and fourth power of one bubble pair, one row each
+        # numerator and fourth power of one bubble pair, unweighted rows
         theta = D2.var_x(theta_v)
         psi = D2.var_y(psi_v)
         u = _double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
         sin_th = np.sin(theta_v) if model == "football" else theta_v
         grad2 = u.dx ** 2 + (u.dy / sin_th) ** 2
-        return np.stack([6.0 * grad2 + scal * u.v ** 2, u.v ** 4]) \
-            * (weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2)
+        return np.stack([6.0 * grad2 + scal * u.v ** 2, u.v ** 4])
 
     # the point cores at (t, 0) and (t, pi) are eps wide in theta and
     # eps/t in psi; at t = 0 the pair sits at the origin, constant in psi
     width = eps / t if t > 0.0 else math.inf
     gspec = spec.with_grading(((t, 0.0), (eps, width)),
                               ((t, math.pi), (eps, width)))
-    res = integrate_rect2d(integrand, gspec, (1e-12, theta_max), (0.0, math.pi))
+    res = integrate_axisym_sphere(integrand, gspec, (1e-12, theta_max), weight)
     return _quotient_from(res[0], res[1])
 
 
@@ -556,7 +555,7 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec, t: float,
         # swapping the two conical points is an exact isometry of the model
         t = math.pi - t
     data = glued_data(eps, t, tau)
-    chi_delta = cutoff_profile(1.0, inner=delta, outer=2.0 * delta)
+    chi_delta = CutoffProfile(delta, 2.0 * delta)
     mesh = _leg_integrals(data, lam, chi_delta, spec)
     flux = _flux_integrals(data, lam, chi_delta, spec)
     return _quotient_from(mesh[0] + flux, mesh[1])

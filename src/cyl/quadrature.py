@@ -35,7 +35,8 @@ Engines:
 * ``integrate_biradial``    -- the (zeta, rho) slab reduction of axially
   symmetric R^4 integrals, weight 4*pi*rho^2
 * ``integrate_axisym_sphere`` -- the (theta, psi) reduction of axisymmetric
-  integrals on round-sphere charts, weight 4*pi*sin(psi)^2 * w(theta)
+  integrals on round-sphere charts, weight 4*pi*sin(psi)^2 * w(theta): the
+  DOUBLE leg's S^4 chart, theta^3 on the flat cone
 * ``build_frozen_mesh``     -- bi-radial meshes, frozen for re-evaluation
 * ``integrate_ball4``       -- tensor radial x S^3 rule on a Euclidean 4-ball
 * ``integrate_sphere3``     -- surface integrals on round 3-spheres
@@ -641,26 +642,26 @@ def build_frozen_mesh(F, spec, zeta_domain=(-math.inf, math.inf),
 
 def integrate_axisym_sphere(F, spec: QuadratureSpec,
                             theta_domain=(0.0, math.pi),
-                            radial_weight=None,
-                            psi_domain=(0.0, math.pi)) -> IntegralResult:
+                            radial_weight=None) -> IntegralResult:
     """Integral over a round-sphere chart of an axisymmetric integrand.
 
     Computes ``int F(theta, psi) * w(theta) * 4*pi*sin(psi)^2 dtheta dpsi``
-    where ``theta`` is the radial chart coordinate, ``psi`` the zonal angle of
-    the S^3 factor, and ``w`` defaults to ``sin(theta)^3`` (the round-S^4
-    volume factor).  Grading centers are (theta, psi) pairs.
+    over theta_domain x (0, pi), where ``theta`` is the radial chart
+    coordinate, ``psi`` the zonal angle of the S^3 factor, and ``w`` defaults
+    to ``sin(theta)^3`` (the round-S^4 volume factor).  Grading centers are
+    (theta, psi) pairs.
     """
     if radial_weight is None:
         radial_weight = lambda th: np.sin(th) ** 3
 
     def weight(G):
         def g(theta, psi):
-            s = np.sin(psi)
-            return G(theta, psi) * (4.0 * math.pi) * s * s * radial_weight(theta)
+            return np.asarray(G(theta, psi), dtype=float) * (
+                radial_weight(theta) * 4.0 * math.pi * np.sin(psi) ** 2)
 
         return g
 
-    return _integrate_2d(F, weight, [spec], theta_domain, psi_domain)[0][0]
+    return _integrate_2d(F, weight, [spec], theta_domain, (0.0, math.pi))[0][0]
 
 
 # ----------------------------------------------------------------------------
@@ -738,18 +739,17 @@ def integrate_sphere3(f, radius: float, center, spec: QuadratureSpec) -> Integra
     return IntegralResult(est, err, evals, False)
 
 
-def integrate_ball4(f, radius: float, spec: QuadratureSpec,
-                    angular_order: int = 12) -> IntegralResult:
+def integrate_ball4(f, radius: float, spec: QuadratureSpec) -> IntegralResult:
     """Integral of ``f`` over the Euclidean 4-ball of given radius.
 
-    Tensor product of an adaptive radial rule with a fixed-order S^3 product
+    Tensor product of an adaptive radial rule with the order-12 S^3 product
     rule; the angular truncation error is estimated by doubling the angular
     order at a probe radius and folded into the reported error.
     """
     if radius <= 0.0:
         raise ValueError("ball radius must be positive")
-    nodes, w = _sphere3_nodes(angular_order, angular_order, 2 * angular_order)
-    nodes2, w2 = _sphere3_nodes(2 * angular_order, 2 * angular_order, 4 * angular_order)
+    nodes, w = _sphere3_nodes(12, 12, 24)
+    nodes2, w2 = _sphere3_nodes(24, 24, 48)
 
     def mean(r, nodes, w):
         return float(np.sum(np.asarray(f(r * nodes), dtype=float) * w))

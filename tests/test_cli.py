@@ -265,11 +265,15 @@ def test_cli_rejects_a_path_the_config_cannot_build(tmp_path, capsys):
      "epsilon_list needs at least 3 distinct entries"),
     ("mu_points = 0\n", "mu_points must be an integer >= 2"),
     ("mu_points = -3\n", "mu_points must be an integer >= 2"),
-    ("mu_points = 1\n", "mu_points must be an integer >= 2")])
+    ("mu_points = 1\n", "mu_points must be an integer >= 2"),
+    *((f"delta = {bad}\n", "delta must be finite and > 0")
+      for bad in ("nan", "inf", "0", "-1"))])
 def test_cli_rejects_a_fit_or_path_parameter_it_cannot_use(tmp_path, capsys,
                                                            config, message):
     # the epsilon lists and mu_points once passed the load and failed (exit
-    # 70) or gave a one-point fit (exit 0) after the path files were written
+    # 70) or gave a one-point fit (exit 0) after the path files were written;
+    # delta = nan loaded and failed in the DOUBLE leg (exit 70), and inf, 0
+    # and -1 were refused with another check's message
     path = tmp_path / "run.cfg"
     path.write_text(config)
     out = tmp_path / "out"
@@ -322,21 +326,14 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_every_csv_row_has_the_width_of_its_header(tmp_path):
+def test_every_csv_row_has_the_width_of_its_header(tmp_path, default_outputs):
     # criterion 2's name holds a comma, which once gave its acceptance.csv
     # row 6 fields under a 5-field header; criteria 4 and 8 return numpy
     # bools, which once read True where the others read 1
-    cfgfile = tmp_path / "cfg"
-    cfgfile.write_text("t_grid = 0.5, 2.0, 8.0\ngreen_t_grid = 0.04, 0.02\n"
-                       "green_delta = 0.8\n")
     out = tmp_path / "out"
-    for command in (["constants"], ["cnc-verify"], ["gauge-verify"],
-                    ["interaction-sweep"], ["green-sweep"],
-                    ["accept", "--only", "1,2,4,8"]):
-        assert main(["--config", str(cfgfile), "--out", str(out),
-                     *command]) == 0
-    paths = sorted(out.glob("*.csv"))
-    assert len(paths) == 6
+    assert main(["--out", str(out), "accept", "--only", "1,2,4,8"]) == 0
+    paths = sorted(default_outputs.glob("*.csv")) + [out / "acceptance.csv"]
+    assert len(paths) == 7
     for path in paths:
         header, *rows = _read_csv(path)
         assert rows and all(len(row) == len(header) for row in rows), path.name

@@ -57,6 +57,25 @@ def test_flat_solver_matches_images():
     assert ev.boundary_trace_defect() < 1e-11
 
 
+def test_extract_mass_takes_its_geodesic_spheres_from_each_oracle():
+    # the closed forms carry their chart like the solver's evaluators; on
+    # the flat chart's spheres the two round-chart oracles read A_q > 1000
+    delta, t = 0.5, 0.1
+    pole = np.array([t, 0.0, 0.0, 0.0])
+    flat = extract_mass(flat_ball_green(delta, pole), pole)
+    assert abs(flat.A_q + delta ** 2 / (delta ** 2 - t ** 2) ** 2) <= flat.error
+    # the two round kernels 2t apart: 1/12 + sphere_kernel(2t); the
+    # extraction's own error misses this by 2.2x, so the check is relative
+    foot = extract_mass(football_global_green(pole), pole)
+    assert foot.A_q == pytest.approx(1.0 / 12.0 + sphere_kernel(2.0 * t),
+                                     rel=1e-5)
+    ev = solve_dirichlet_green(GreenProblem(ROUND, pole, delta))
+    solved = extract_mass(ev, pole)
+    ball = extract_mass(round_ball_green(delta, pole), pole)
+    assert abs(ball.A_q - solved.A_q) <= \
+        ball.error + solved.error + ev.error_estimate
+
+
 def test_flat_centered_mass():
     ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4), 1.0))
     exp = extract_mass(ev, np.zeros(4), eps0=0.05)
@@ -130,7 +149,7 @@ def _mode_sum_and_reference():
     lmax = 12
     bmodes = zonal_project(lambda g: sphere_kernel(chart.dist(
         np.full_like(g, 0.5), 0.1, np.cos(g))), lmax)
-    mesh = _default_mesh(0.5, 0.1, 120)
+    mesh = _default_mesh(0.5, 0.1)
     modes = _solve_modes(chart, bmodes, mesh)
 
     def reference(r, c):
@@ -229,7 +248,7 @@ def test_round_mass_extraction_lifts_directions_at_once(monkeypatch):
     for n in (2, 6):
         monkeypatch.setattr(green, "_sym_directions", lambda n=n: real_dirs(n))
         calls.clear()
-        extract_mass(oracle, pole, chart=RadialChart.round())
+        extract_mass(oracle, pole)
         counts[n] = len(calls)
     assert 1 <= counts[2] == counts[6] <= 2
 
@@ -361,7 +380,7 @@ def test_default_mesh_has_no_near_duplicate_nodes():
         for k in range(1, 250):
             t = k / 1000.0
             if t < delta / 4.0:
-                mesh = _default_mesh(delta, t, GreenProblem.mesh_size)
+                mesh = _default_mesh(delta, t)
                 assert np.min(np.diff(mesh) / mesh[1:]) >= 1e-12, (delta, t)
 
 
@@ -527,7 +546,7 @@ def test_block_mode_solve_matches_per_mode_solves(monkeypatch, field, t):
     chart = chart_for_field(field, delta)
     bmodes = zonal_project(lambda g: -chart.kernel(chart.dist(
         np.full_like(g, delta), t, np.cos(g))), GreenProblem.lmax)
-    mesh = green._default_mesh(delta, t, GreenProblem.mesh_size)
+    mesh = green._default_mesh(delta, t)
     for m in (mesh, np.append(mesh[:-1:2], mesh[-1])):
         modes = green._solve_modes(chart, bmodes, m)
         (ab, rhs), = calls
@@ -588,7 +607,7 @@ def test_solver_error_gathers_the_fine_solution_at_the_coarse_nodes(
     chart = problem.chart
     bmodes = zonal_project(lambda g: -chart.kernel(chart.dist(
         np.full_like(g, delta), t, np.cos(g))), problem.lmax)
-    mesh = green._default_mesh(delta, t, problem.mesh_size)
+    mesh = green._default_mesh(delta, t)
     coarse = mesh[::2] if mesh[-1] == mesh[::2][-1] \
         else np.append(mesh[::2], mesh[-1])
     err = 0.0

@@ -212,28 +212,61 @@ def test_interp_lambda_continuity():
 
 def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
         monkeypatch):
-    # one 2-d integral per quotient: the DOUBLE rectangle, or the GLUED and
-    # INTERP (xi, v) rectangle of the glue zone and the whole far region;
-    # numerator and fourth power share it
+    # one 2-d integral per quotient: the DOUBLE (theta, psi) reduction on
+    # the S^4 chart, or the GLUED and INTERP (xi, v) rectangle of the glue
+    # zone and the whole far region; numerator and fourth power share it
     calls = []
-    integrate = minmax.integrate_rect2d
+    for name in ("integrate_rect2d", "integrate_axisym_sphere"):
+        def counting(*args, name=name, integrate=getattr(minmax, name)):
+            calls.append(name)
+            return integrate(*args)
 
-    def counting(F, spec, x_domain, y_domain):
-        calls.append(x_domain)
-        return integrate(F, spec, x_domain, y_domain)
-
-    monkeypatch.setattr(minmax, "integrate_rect2d", counting)
+        monkeypatch.setattr(minmax, name, counting)
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
     cfg = PathConfig(epsilon=eps)
-    for quotient in (
-            lambda: quotient_double(eps, eps ** 0.6, cfg.delta, spec),
-            lambda: interp_leg(eps, 0.5, spec),
-            lambda: quotient_interp(eps, 1.0, spec, 0.9441,
-                                    cfg.tau_of_t(0.9441), cfg.delta)):
+    for engine, quotient in (
+            ("integrate_axisym_sphere",
+             lambda: quotient_double(eps, eps ** 0.6, cfg.delta, spec)),
+            ("integrate_rect2d", lambda: interp_leg(eps, 0.5, spec)),
+            ("integrate_rect2d",
+             lambda: quotient_interp(eps, 1.0, spec, 0.9441,
+                                     cfg.tau_of_t(0.9441), cfg.delta))):
         calls.clear()
         assert quotient()[2]
-        assert len(calls) == 1
+        assert calls == [engine]
+
+
+@pytest.mark.parametrize("model, delta", [("football", 0.025), ("flat", None)])
+@pytest.mark.parametrize("eps, t", [(1e-4, 1e-4 ** 0.6), (1e-3, 0.01)])
+def test_double_leg_keeps_the_bits_of_its_hand_weighted_rectangle(model, delta,
+                                                                  eps, t):
+    # DOUBLE once applied w(theta) 4 pi sin^2 psi itself on integrate_rect2d;
+    # integrate_axisym_sphere applies it in the same order
+    from cyl.geometry.cnc import CutoffProfile
+    football = model == "football"
+    weight = (lambda th: np.sin(th) ** 3) if football else (lambda th: th ** 3)
+    chi = CutoffProfile(delta, 2.0 * delta) if delta is not None else None
+
+    def integrand(theta_v, psi_v):
+        theta, psi = D2.var_x(theta_v), D2.var_y(psi_v)
+        u = minmax._double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
+        sin_th = np.sin(theta_v) if football else theta_v
+        grad2 = u.dx ** 2 + (u.dy / sin_th) ** 2
+        return np.stack([6.0 * grad2 + (12.0 if football else 0.0) * u.v ** 2,
+                         u.v ** 4]) \
+            * (weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2)
+
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+    gspec = spec.with_grading(((t, 0.0), (eps, eps / t)),
+                              ((t, math.pi), (eps, eps / t)))
+    res = quadrature.integrate_rect2d(
+        integrand, gspec, (1e-12, 2.0 * delta if football else math.inf),
+        (0.0, math.pi))
+    expect = minmax._quotient_from(res[0], res[1])
+    got = quotient_double(eps, t, delta, spec, model)
+    assert [x.hex() for x in got[:2]] == [x.hex() for x in expect[:2]]
+    assert got[2] == expect[2]
 
 
 def test_each_quotient_integrates_its_fluxes_in_one_call(monkeypatch):

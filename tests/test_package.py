@@ -1,10 +1,53 @@
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import cyl
+
+# every parameter of a function in src/cyl that has a default, as
+# module.function.param: a settable value with one value in use is a
+# constant, so a change that adds an option adds it here, where its diff
+# shows it
+OPTIONS = {
+    "cyl.acceptance.run_acceptance.indices",
+    "cyl.acceptance.run_acceptance.printer",
+    "cyl.cli.main.argv",
+    "cyl.config.RunConfig.resolve_out_dir.cli_out",
+    "cyl.constants.bubble.eps",
+    "cyl.constants.stencil_laplacian.h",
+    "cyl.geometry.cnc.RadialCNCProfile.jet.order",
+    "cyl.geometry.cnc.verify_cnc.h_fd",
+    "cyl.geometry.curvature.curvature_at.h_fd",
+    "cyl.geometry.links.sphere_points.seed",
+    "cyl.green.AssembledGreen.__init__.harmonic",
+    "cyl.green._sym_directions.n",
+    "cyl.green.extract_mass.eps0",
+    "cyl.green.extract_mass.conformal_fr",
+    "cyl.green.parametrix_residual.with_cnc",
+    "cyl.minmax.quotient_double.model",
+    "cyl.minmax._LegBatch.__init__.chart",
+    "cyl.minmax._LegBatch.__init__.curvature",
+    "cyl.minmax.build_path.mu_grid",
+    "cyl.minmax.fit_expansion_A.spec",
+    "cyl.quadrature.IntegralResult.expect.what",
+    "cyl.quadrature._seed_breaks.transform",
+    "cyl.quadrature._panels_2d.par",
+    "cyl.quadrature._panels_2d.ends",
+    "cyl.quadrature._adapt.params",
+    "cyl.quadrature._integrate_2d.params",
+    "cyl.quadrature.integrate_biradial.zeta_domain",
+    "cyl.quadrature.integrate_biradial.rho_domain",
+    "cyl.quadrature.integrate_biradial.params",
+    "cyl.quadrature.build_frozen_mesh.zeta_domain",
+    "cyl.quadrature.build_frozen_mesh.rho_domain",
+    "cyl.quadrature.build_frozen_mesh.params",
+    "cyl.quadrature.integrate_axisym_sphere.theta_domain",
+    "cyl.quadrature.integrate_axisym_sphere.radial_weight",
+}
 
 
 def test_every_all_name_resolves():
@@ -16,6 +59,38 @@ def test_every_all_name_resolves():
     stale = [f"{m.__name__}.{name}" for m in modules
              for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert stale == []
+
+
+def _defaulted_parameters(node, prefix):
+    """module.function.param of each defaulted parameter of the functions
+    under ``node``, methods and nested functions included; a lambda's
+    default binds a loop variable and is no option."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            positional = a.posonlyargs + a.args
+            with_default = positional[len(positional) - len(a.defaults):] + [
+                arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+            yield from (f"{prefix}{child.name}.{arg.arg}"
+                        for arg in with_default)
+            yield from _defaulted_parameters(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defaulted_parameters(child, prefix)
+
+
+def test_every_option_is_on_the_committed_list():
+    root = Path(cyl.__path__[0])
+    found = set()
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        found.update(_defaulted_parameters(ast.parse(path.read_text()),
+                                           f"{module}."))
+    assert sorted(found - OPTIONS) == [], "a new option: list it in OPTIONS"
+    assert sorted(OPTIONS - found) == [], "an option is gone: drop it here"
 
 
 def test_no_module_loads_scipy_at_import():
