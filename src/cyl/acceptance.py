@@ -161,9 +161,7 @@ def check_bracket(cfg: RunConfig):
     grid = np.asarray(cfg.t_grid, dtype=float)
     cur = curves(1.0, grid, cfg.spec())
     lo, hi = cur.bracket_margins()
-    ok = bool(cur.converged.all()
-              and np.all(lo > 3.0 * cur.f_err)
-              and np.all(hi > 3.0 * cur.f_err))
+    ok = bool(cur.converged.all() and cur.in_bracket().all())
     return ok, (f"{len(grid)} points in [{grid.min():g}, {grid.max():g}], "
                 f"min lower margin {np.min(lo):.3e}, min upper margin "
                 f"{np.min(hi):.3e}, max 3*err {np.max(3 * cur.f_err):.1e}")

@@ -145,11 +145,10 @@ def cmd_interaction_sweep(cfg: RunConfig, out: str, args, manifest) -> int:
     with manifest.stage("curves"):
         cur = curves(1.0, grid, spec)
         primes = derivative_quadratures(1.0, grid, spec)
-    lo, hi = cur.bracket_margins()
+    inside = cur.in_bracket()
     rows = []
     for i, (t, (ap, cp)) in enumerate(zip(grid, primes)):
-        bracket = "PASS" if lo[i] > 3 * cur.f_err[i] and hi[i] > 3 * cur.f_err[i] \
-            else "FAIL"
+        bracket = "PASS" if inside[i] else "FAIL"
         status = "ok" if cur.converged[i] and ap.converged and cp.converged \
             else "no-conv"
         rows.append((float(t), float(cur.a[i]), float(cur.b[i]),

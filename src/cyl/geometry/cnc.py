@@ -2,10 +2,7 @@
 
 Given a curvature snapshot at a basepoint x, the quadratic+cubic polynomial
 
-    fbar(z) = 1/4 sum_i [2 Ric_ii - R/3] (z^i)^2 + sum_{i<j} Ric_ij z^i z^j
-            + 1/6 sum_i [d_i Ric_ii - d_i R / 6] (z^i)^3
-            + 1/6 sum_{i != k} [d_k Ric_ii + 2 d_i Ric_ik - d_k R / 6] (z^i)^2 z^k
-            + 1/3 sum_{i<j<k} (d_k Ric_ij + d_i Ric_kj + d_j Ric_ik) z^i z^j z^k
+    fbar(z) = Ric(z,z)/2 - R |z|^2/12 + nabla_z Ric(z,z)/6 - (dR.z) |z|^2/36
 
 (in normal coordinates at x) makes gbar = exp(fbar) g satisfy R(x) = 0,
 Ric(x) = 0, dR(x) = 0 and the symmetrized dRic(x) = 0.  The attached cutoff
@@ -29,7 +26,6 @@ __all__ = [
     "RadialCNCProfile",
     "CNCFactor",
     "cnc_polynomial",
-    "conformal_cnc_field",
     "verify_cnc",
 ]
 
@@ -120,11 +116,14 @@ def cnc_profile(t: float) -> RadialCNCProfile:
 
 @dataclass(frozen=True)
 class CNCFactor:
-    """Quadratic + cubic conformal factor in normal coordinates at a point."""
+    """Quadratic + cubic conformal factor in normal coordinates at a point.
+
+    ``cubic`` is symmetric in its first two indices only; z z z contracts it
+    symmetrically, so it is left unsymmetrized."""
 
     basepoint: np.ndarray
     quad: np.ndarray        # (4,4) symmetric
-    cubic: np.ndarray       # (4,4,4) totally symmetric
+    cubic: np.ndarray       # (4,4,4) symmetric in i, j
     cutoff: CutoffProfile
 
     def polynomial(self, z) -> float:
@@ -146,61 +145,27 @@ def cnc_polynomial(snapshot: CurvatureSnapshot, t_cutoff: float) -> CNCFactor:
     in which the factor will be used; the construction has no constant or
     linear part by design.
     """
-    R = snapshot.R
-    ric = snapshot.Ric
-    dR = snapshot.dR
-    dric = snapshot.dRic  # dric[k, i, j] = nabla_k Ric_ij
-    quad = np.zeros((4, 4))
-    for i in range(4):
-        quad[i, i] = 0.25 * (2.0 * ric[i, i] - R / 3.0)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                quad[i, j] = 0.5 * ric[i, j]
-    cubic = np.zeros((4, 4, 4))
-    for i in range(4):
-        coeff = (dric[i, i, i] - dR[i] / 6.0) / 6.0
-        cubic[i, i, i] = coeff
-    for i in range(4):
-        for k in range(4):
-            if i == k:
-                continue
-            coeff = (dric[k, i, i] + 2.0 * dric[i, i, k] - dR[k] / 6.0) / 6.0
-            # distribute the (z^i)^2 z^k monomial over its 3 index orders
-            cubic[i, i, k] += coeff / 3.0
-            cubic[i, k, i] += coeff / 3.0
-            cubic[k, i, i] += coeff / 3.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                coeff = (dric[k, i, j] + dric[i, k, j] + dric[j, i, k]) / 3.0
-                for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i),
-                             (k, i, j), (k, j, i)):
-                    cubic[perm] += coeff / 6.0
+    quad = 0.5 * snapshot.Ric - (snapshot.R / 12.0) * np.eye(4)
+    # cubic[i, j, k] = (nabla_k Ric_ij - delta_ij d_k R / 6) / 6
+    cubic = (np.einsum("kij->ijk", snapshot.dRic)
+             - np.einsum("ij,k->ijk", np.eye(4), snapshot.dR) / 6.0) / 6.0
     return CNCFactor(basepoint=snapshot.point, quad=quad, cubic=cubic,
                      cutoff=cutoff_profile(t_cutoff))
 
 
-def conformal_cnc_field(normal_field: ChartMetricField,
-                        factor: CNCFactor) -> ConformalField:
-    """gbar = exp(phi_t * fbar) g on the normal chart at the basepoint."""
-    return ConformalField(normal_field, factor.value)
-
-
 def verify_cnc(normal_field: ChartMetricField, t_cutoff: float,
-               h_fd: float = 1e-3) -> dict:
+               h_fd: float) -> dict:
     """Residuals of the conformal-normal-coordinate conditions at the origin
     of a normal chart.
 
-    Builds the factor from the chart's own curvature, forms gbar = e^f g with
-    curvature recomputed purely by centered differences of metric values at
-    step h_fd, and returns {R, Ric, dR, sym_dRic} magnitudes at the basepoint
-    (all should vanish at O(h_fd^2)).
+    Builds the factor from the chart's own curvature, forms
+    gbar = exp(phi_t fbar) g with curvature recomputed purely by centered
+    differences of metric values at step h_fd, and returns {R, Ric, dR,
+    sym_dRic} magnitudes at the basepoint (all should vanish at O(h_fd^2)).
     """
     snap = curvature_at(normal_field, np.zeros(4), h_fd)
     factor = cnc_polynomial(snap, t_cutoff)
-    gbar = conformal_cnc_field(normal_field, factor)
-    forced = ForcedFDField(gbar, h_fd)
+    forced = ForcedFDField(ConformalField(normal_field, factor.value), h_fd)
     bar = curvature_at(forced, np.zeros(4), h_fd)
     return {
         "R": abs(bar.R),

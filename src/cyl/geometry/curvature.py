@@ -90,17 +90,12 @@ def curvature_at(field: ChartMetricField, x, h_fd: float = 1e-3) -> CurvatureSna
     to covariant derivatives with the local Christoffels."""
     x = np.asarray(x, dtype=float)
     g, ginv, gamma, riem, ric, scal = _ricci_scalar(field, x)
-    # Weyl, n = 4: W = Rm - 1/2 (Ric o g) + R/6 * (g o g) with indices down
+    # Weyl, n = 4, indices down, from Kulkarni-Nomizu products:
+    # W = Rm - 1/2 (Ric o g) + R/12 (g o g), go = Ric o g, ggo = (g o g)/2
     rm = np.einsum("ra,asmn->rsmn", g, riem)
-    go = np.zeros((4, 4, 4, 4))
-    ggo = np.zeros((4, 4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    go[i, j, k, l] = (g[i, k] * ric[j, l] - g[i, l] * ric[j, k]
-                                      + g[j, l] * ric[i, k] - g[j, k] * ric[i, l])
-                    ggo[i, j, k, l] = g[i, k] * g[j, l] - g[i, l] * g[j, k]
+    go = (np.einsum("ik,jl->ijkl", g, ric) - np.einsum("il,jk->ijkl", g, ric)
+          + np.einsum("jl,ik->ijkl", g, ric) - np.einsum("jk,il->ijkl", g, ric))
+    ggo = np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g)
     weyl = rm - 0.5 * go + (scal / 6.0) * ggo
     # partials of R and Ric by centered differences
     dR = np.empty(4)

@@ -9,7 +9,8 @@ relations
 
 valid for tangent u, v (the second from differentiating F along great
 circles).  Symmetric 2-tensors on the link are ambient 4x4 matrix fields
-acting on tangent vectors.
+acting on tangent vectors; the sphere Hessian's is
+P_z Hess F(z) P_z - (z . grad F(z)) P_z.
 
 The gauge flow ``psi_s`` of grad f / 2 is the normalized linear flow
 e^{sQ} z / |e^{sQ} z| (Helmke & Moore, *Optimization and Dynamical Systems*,
@@ -66,9 +67,12 @@ class LinkFunction:
         g = self.grad(z)
         return g - (z @ g) * z
 
-    def sphere_hessian(self, z, u, v) -> float:
+    def sphere_hessian(self, z) -> np.ndarray:
+        """Ambient P (Hess F) P - (z.grad F) P, P = I - z z^T: on tangent
+        u, v it is Hess_S f(z)(u, v)."""
         z = np.asarray(z, dtype=float)
-        return float(u @ self.hess(z) @ v - (z @ self.grad(z)) * (u @ v))
+        P = np.eye(4) - np.outer(z, z)
+        return P @ self.hess(z) @ P - (z @ self.grad(z)) * P
 
     def is_even(self) -> bool:
         return all(abs(self.value(z) - self.value(-z)) <= 1e-12
@@ -100,10 +104,8 @@ class LinkTensorFamily:
 
         def k(z):
             z = np.asarray(z, dtype=float)
-            # ambient representation of the sphere Hessian: P (Hess F) P - (z.grad F) P
             P = np.eye(4) - np.outer(z, z)
-            sphere_hess = P @ f.hess(z) @ P - (z @ f.grad(z)) * P
-            return -(sphere_hess + f.value(z) * P)
+            return -(f.sphere_hessian(z) + f.value(z) * P)
 
         return LinkTensorFamily(lambda s, z: np.eye(4) + s * k(z), k)
 
@@ -180,12 +182,7 @@ def verify_first_order_identity(f: LinkFunction, family: LinkTensorFamily,
         hp = pulled_link_tensor(f, family, h_fd, z, frame)
         hm = pulled_link_tensor(f, family, -h_fd, z, frame)
         lhs = (hp - hm) / (2.0 * h_fd)
-        rhs = np.empty((3, 3))
-        k0 = np.asarray(family.prime0(z))
-        for a in range(3):
-            for b in range(3):
-                rhs[a, b] = (frame[a] @ k0 @ frame[b]
-                             + f.sphere_hessian(z, frame[a], frame[b])
-                             + f.value(z) * (frame[a] @ frame[b]))
+        rhs = frame @ (np.asarray(family.prime0(z)) + f.sphere_hessian(z)
+                       + f.value(z) * np.eye(4)) @ frame.T
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst

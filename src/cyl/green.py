@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cyl.constants import sobolev_constants
+from cyl.constants import bubble
 from cyl.geometry.cnc import cnc_profile
 from cyl.geometry.fields import (ChartMetricField, FlatField, WarpedRadialField,
                                  round_profile)
@@ -555,8 +555,7 @@ class GreenExpansion:
 def matching_constant(epsilon: float, tau: float, A_q: float) -> float:
     """The gluing constant nu of the U/Green continuity condition at
     |z| = tau:  c4/eps / (1 + tau^2/eps^2) = (tau^-2 + A_q)/nu."""
-    return (1.0 / tau ** 2 + A_q) * (1.0 + tau ** 2 / epsilon ** 2) \
-        / (sobolev_constants().c4 / epsilon)
+    return (1.0 / tau ** 2 + A_q) / bubble(tau * tau, epsilon)
 
 
 def _cumulative_gl(f, sgrid: np.ndarray) -> np.ndarray:

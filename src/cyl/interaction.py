@@ -135,6 +135,11 @@ class InteractionCurves:
         k = sobolev_constants()
         return self.f - 6.0 * k.S4, 6.0 * math.sqrt(2.0) * k.S4 - self.f
 
+    def in_bracket(self) -> np.ndarray:
+        """True where f lies more than 3 f_err inside the bracket."""
+        lo, hi = self.bracket_margins()
+        return (lo > 3.0 * self.f_err) & (hi > 3.0 * self.f_err)
+
 
 def _assemble_point(res: IntegralResult):
     """a, b, c, f, their errors and the flag from the rows G, I31, I22."""

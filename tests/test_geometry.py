@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from numpy.testing import assert_allclose
 
 from cyl.geometry.cnc import (cnc_polynomial, cnc_profile, cutoff_profile,
                               verify_cnc)
-from cyl.geometry.curvature import curvature_at
-from cyl.geometry.fields import (FlatField, ForcedFDField,
+from cyl.geometry.curvature import CurvatureSnapshot, curvature_at
+from cyl.geometry.fields import (ChartMetricField, FlatField, ForcedFDField,
                                  WarpedRadialField, polynomial_profile,
                                  round_profile)
 from cyl.geometry.football import (ConeMetric, LinkFamily, chart_to_sphere,
@@ -124,6 +125,34 @@ def test_curvature_fd_route_second_order():
     assert errs[1] < errs[0] / 2.5
 
 
+class _QuadraticField(ChartMetricField):
+    """g_ij = delta_ij + A_ijkl x^k x^l with A symmetric in i, j: a metric
+    that is not conformally flat, with exact derivatives."""
+
+    def __init__(self, A):
+        self.A = A
+
+    def value(self, x):
+        return np.eye(4) + np.einsum("ijkl,k,l->ij", self.A, x, x)
+
+    def d1(self, x):
+        return (np.einsum("ijkl,l->kij", self.A, x)
+                + np.einsum("ijlk,l->kij", self.A, x))
+
+    def d2(self, x):
+        return np.einsum("ijkl->lkij", self.A) + np.einsum("ijlk->lkij", self.A)
+
+
+def test_weyl_is_traceless_and_satisfies_first_bianchi():
+    rng = np.random.default_rng(3)
+    A = 1e-3 * rng.normal(size=(4, 4, 4, 4))
+    fld = _QuadraticField(A + A.transpose(1, 0, 2, 3))
+    s = curvature_at(fld, [0.1, -0.2, 0.05, 0.3])
+    assert 1e-3 < np.abs(s.W).max() < 1e-2
+    assert s.weyl_trace_norm() < 1e-12
+    assert s.first_bianchi_norm() < 1e-12
+
+
 # ------------------------------------------------------------- regularity probe
 
 def test_regularity_probe_homogeneous_degree_one():
@@ -160,6 +189,20 @@ def test_regularity_probe_degree_two_and_flat():
 
 
 # ------------------------------------------------------------------ link gauge
+
+def test_sphere_hessian_on_tangent_vectors():
+    # u . H v = Hess F(u, v) - (z . grad F)(u . v) for tangent u, v, and the
+    # ambient matrix annihilates the normal z on either side
+    rng = np.random.default_rng(11)
+    f = LinkFunction.quadratic(rng.normal(size=(4, 4)))
+    for z in sphere_points(5, 6):
+        H = f.sphere_hessian(z)
+        frame = tangent_frame(z)
+        want = frame @ (2.0 * f.Q) @ frame.T \
+            - (z @ (2.0 * f.Q @ z)) * (frame @ frame.T)
+        assert_allclose(frame @ H @ frame.T, want, rtol=0, atol=1e-14)
+        assert_allclose(np.stack([H @ z, z @ H]), 0.0, atol=1e-14)
+
 
 def test_link_flow_properties():
     f = LinkFunction.quadratic(np.diag([0.3, -0.1, -0.1, -0.1]))
@@ -309,6 +352,57 @@ def test_cnc_factor_round_is_half_r2():
     z = np.array([0.02, -0.01, 0.015, 0.005])
     assert fac.value(z) == pytest.approx(0.5 * float(z @ z), abs=1e-9)
     assert fac.value(np.zeros(4)) == 0.0
+
+
+def _monomial_sums(snap, z):
+    """The quadratic and cubic halves of the CNC factor, monomial by
+    monomial, with dRic[k, i, j] = nabla_k Ric_ij."""
+    R, ric, dR, d = snap.R, snap.Ric, snap.dR, snap.dRic
+    quad = [0.25 * (2.0 * ric[i, i] - R / 3.0) * z[i] ** 2 for i in range(4)]
+    quad += [ric[i, j] * z[i] * z[j] for i in range(4) for j in range(i + 1, 4)]
+    cubic = [(d[i, i, i] - dR[i] / 6.0) / 6.0 * z[i] ** 3 for i in range(4)]
+    cubic += [(d[k, i, i] + 2.0 * d[i, i, k] - dR[k] / 6.0) / 6.0
+              * z[i] ** 2 * z[k] for i in range(4) for k in range(4) if i != k]
+    cubic += [(d[k, i, j] + d[i, k, j] + d[j, i, k]) / 3.0 * z[i] * z[j] * z[k]
+              for i in range(4) for j in range(i + 1, 4)
+              for k in range(j + 1, 4)]
+    return np.array(quad), np.array(cubic)
+
+
+def test_cnc_polynomial_meets_its_monomial_sums():
+    # snapshots with nabla Ric != 0 and dR != 0; the odd part of the factor
+    # isolates its cubic half
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        ric = rng.normal(size=(4, 4))
+        dric = rng.normal(size=(4, 4, 4))
+        snap = CurvatureSnapshot(
+            point=np.zeros(4), g=np.eye(4), R=float(rng.normal()),
+            Ric=ric + ric.T, dR=rng.normal(size=4),
+            dRic=dric + dric.transpose(0, 2, 1), W=np.zeros((4, 4, 4, 4)))
+        fac = cnc_polynomial(snap, 0.4)
+        for z in rng.normal(size=(5, 4)):
+            quad, cubic = _monomial_sums(snap, z)
+            scale = np.abs(quad).sum() + np.abs(cubic).sum()
+            assert abs(fac.polynomial(z) - quad.sum() - cubic.sum()) \
+                <= 1e-14 * scale
+            odd = 0.5 * (fac.polynomial(z) - fac.polynomial(-z))
+            assert abs(odd - cubic.sum()) <= 1e-14 * scale
+
+
+def test_round_cnc_factor_is_the_path_profile():
+    # criterion 6's factor, cut off at t, is the radial exponent phi_t s^2/2
+    # that the path and the Green layer use
+    from cyl.acceptance import round_cnc
+    factor = round_cnc(1e-3)["factor"]
+    dirs = sphere_points(6, 5)
+    for t in (0.4, 0.1, 0.02):
+        fac = replace(factor, cutoff=cutoff_profile(t))
+        prof = cnc_profile(t)
+        for s in np.linspace(0.0, 0.6 * t, 31):
+            for z in s * dirs:
+                want = float(prof.value(np.linalg.norm(z)))
+                assert fac.value(z) == pytest.approx(want, rel=5e-16, abs=0.0)
 
 
 def test_cnc_factor_flat_is_zero():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -50,6 +51,7 @@ def test_bracket_across_grid_with_margin():
     lo, hi = cur.bracket_margins()
     assert np.all(lo > 3.0 * cur.f_err)
     assert np.all(hi > 3.0 * cur.f_err)
+    assert cur.in_bracket().all()
     assert np.all(cur.f == cur.a / cur.b)
 
 
@@ -90,21 +92,38 @@ def test_folded_rows_match_the_full_line():
             assert half.evaluations < full.evaluations, (kind, tau)
 
 
-def _exact_rows(t):
+def _exact_integrals(tau):
     # closed forms of I31 and I22 at eps = 1 (Lorentz product p of the pair
-    # on S^4), and the curve rows a, b, c they give, at 30 digits
+    # on S^4), at the working mpmath precision
+    import mpmath
+    p = 1 + 2 * tau ** 2
+    q = 2 * tau * mpmath.sqrt(1 + tau ** 2)
+    L = 4 * mpmath.asinh(tau)
+    i31 = mpmath.mpf(3) / 4 * (2 * p / q ** 2 - L / q ** 3)
+    i22 = mpmath.mpf(3) / 4 * (2 * p * L - 4 * q) / q ** 3
+    return i31, i22
+
+
+def _exact_rows(t):
+    # the curve rows a, b, c the closed forms give, at 30 digits
     import mpmath
     with mpmath.workdps(30):
-        tau = mpmath.mpf(t)
-        p = 1 + 2 * tau ** 2
-        q = 2 * tau * mpmath.sqrt(1 + tau ** 2)
-        L = 4 * mpmath.asinh(tau)
-        i31 = mpmath.mpf(3) / 4 * (2 * p / q ** 2 - L / q ** 3)
-        i22 = mpmath.mpf(3) / 4 * (2 * p * L - 4 * q) / q ** 3
+        i31, i22 = _exact_integrals(mpmath.mpf(t))
         s4 = 8 * mpmath.pi / mpmath.sqrt(6)
         c4sq = mpmath.sqrt(6) / mpmath.pi
         return {"a": 12 * s4 + 12 * (8 / c4sq) * i31,
                 "b": mpmath.sqrt(2 + 8 * i31 + 6 * i22), "c": i22}
+
+
+def _exact_primes(t):
+    # a' = 12 S4 dI31/dt and c' = dI22/dt, the closed forms differentiated
+    # by mpmath at 30 digits
+    import mpmath
+    with mpmath.workdps(30):
+        s4 = 8 * mpmath.pi / mpmath.sqrt(6)
+        t = mpmath.mpf(t)
+        return (12 * s4 * mpmath.diff(lambda x: _exact_integrals(x)[0], t),
+                mpmath.diff(lambda x: _exact_integrals(x)[1], t))
 
 
 def test_curves_meet_the_exact_forms():
@@ -115,6 +134,28 @@ def test_curves_meet_the_exact_forms():
         for name, exact in _exact_rows(t).items():
             dev = float(abs(getattr(cur, name)[i] - exact))
             assert dev <= getattr(cur, name + "_err")[i], (name, t)
+
+
+@functools.cache
+def _default_primes():
+    cfg = RunConfig()
+    return derivative_quadratures(1.0, cfg.t_grid, cfg.spec())
+
+
+@pytest.mark.parametrize("i", [
+    pytest.param(i, id=f"{t:g}", marks=pytest.mark.xfail(
+        strict=True, reason="defect 2: the tan map rounds the node positions "
+                            "near zeta = 2t; a' misses by 2.3 bars"))
+    if t == 1000.0 else pytest.param(i, id=f"{t:g}")
+    for i, t in enumerate(RunConfig().t_grid)])
+def test_derivative_rows_meet_the_exact_forms(i):
+    # one sweep over the default grid, as criterion 5 and interaction-sweep
+    # take it
+    t = RunConfig().t_grid[i]
+    for name, res, exact in zip(("a'", "c'"), _default_primes()[i],
+                                _exact_primes(t)):
+        assert res.converged, (name, t)
+        assert float(abs(res.value - exact)) <= res.error_estimate, (name, t)
 
 
 def test_grad_equals_s4_u3v():

@@ -20,7 +20,6 @@ OPTIONS = {
     "cyl.constants.bubble.eps",
     "cyl.constants.stencil_laplacian.h",
     "cyl.geometry.cnc.RadialCNCProfile.jet.order",
-    "cyl.geometry.cnc.verify_cnc.h_fd",
     "cyl.geometry.curvature.curvature_at.h_fd",
     "cyl.geometry.links.sphere_points.seed",
     "cyl.green.AssembledGreen.__init__.harmonic",
