@@ -3,7 +3,7 @@ with Z2-conical points.
 
 Subpackages and modules:
 
-* ``cyl.constants``   -- closed-form constants and bubble profiles on R^4
+* ``cyl.constants``   -- closed-form constants and the bubble profile on R^4
 * ``cyl.quadrature``  -- adaptive Gauss-Kronrod engines (radial, bi-radial,
   rectangle, axisymmetric sphere, 4-ball, 3-sphere)
 * ``cyl.interaction`` -- double-bubble interaction curves a, b, c, f and their
@@ -17,8 +17,8 @@ Subpackages and modules:
 * ``cyl.cli``         -- command-line driver and report writers
 """
 
-from cyl.constants import ClosedFormConstants, FlatBubble, sobolev_constants
+from cyl.constants import ClosedFormConstants, sobolev_constants
 
-__all__ = ["ClosedFormConstants", "FlatBubble", "sobolev_constants"]
+__all__ = ["ClosedFormConstants", "sobolev_constants"]
 
 __version__ = "0.1.0"

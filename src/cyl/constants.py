@@ -1,5 +1,5 @@
-"""Closed-form constants of the four-dimensional Yamabe problem and exact
-bubble / double-bubble profiles on R^4.
+"""Closed-form constants of the four-dimensional Yamabe problem and the
+bubble profile on R^4.
 
 Everything is derived from the bubble amplitude ``c4`` at import time; no
 other numerical literal enters, so every later number in the laboratory traces
@@ -16,19 +16,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "ClosedFormConstants",
-    "FlatBubble",
     "sobolev_constants",
     "bubble",
-    "bubble_value",
-    "bubble_gradient",
-    "double_bubble_value",
     "energy_level",
     "exponents_admissible",
-    "stencil_laplacian",
 ]
 
 
@@ -75,65 +68,10 @@ def exponents_admissible(alpha: float, omega: float) -> bool:
     return 1.0 > omega > alpha > 0.5 and 2.0 + 2.0 * alpha - 4.0 * omega > 0.0
 
 
-@dataclass(frozen=True)
-class FlatBubble:
-    """A scaled and translated extremal bubble on R^4.
-
-    The induced profile ``eps^-1 * U((x - center)/eps)`` has unit L^4 norm for
-    every admissible parameter pair.
-    """
-
-    epsilon: float
-    center: tuple = (0.0, 0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("bubble scale epsilon must be positive")
-        if len(self.center) != 4:
-            raise ValueError("bubble center must be a point of R^4")
-
-
-def _as_points(p) -> np.ndarray:
-    pts = np.asarray(p, dtype=float)
-    if pts.shape[-1] != 4:
-        raise ValueError("points must have 4 components")
-    return pts
-
-
 def bubble(r2, eps: float = 1.0):
     """The bubble profile (c4/eps) / (1 + r2/eps^2) at squared distance r2
     from its center; r2 is a float, an array or a ``minmax.D2``."""
     return (sobolev_constants().c4 / eps) / (1.0 + r2 * (1.0 / eps ** 2))
-
-
-def bubble_value(b: FlatBubble, p) -> np.ndarray:
-    """Profile value eps^-1 * c4 / (1 + eps^-2 |p - center|^2); positive."""
-    d2 = np.sum((_as_points(p) - np.asarray(b.center)) ** 2, axis=-1)
-    return bubble(d2, b.epsilon)
-
-
-def bubble_gradient(b: FlatBubble, p) -> np.ndarray:
-    """Analytic gradient of ``bubble_value`` with respect to the point."""
-    k = sobolev_constants()
-    pts = _as_points(p)
-    d = pts - np.asarray(b.center)
-    d2 = np.sum(d * d, axis=-1)
-    denom = (1.0 + d2 / b.epsilon ** 2) ** 2
-    return (-2.0 * k.c4 / b.epsilon ** 3) * d / denom[..., None]
-
-
-def double_bubble_value(epsilon: float, t: float, nu, p) -> np.ndarray:
-    """Symmetric pair U_{eps, t*nu} + U_{eps, -t*nu}; even under p -> -p."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    if t < 0.0:
-        raise ValueError("center separation t must be nonnegative")
-    nu = np.asarray(nu, dtype=float)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-        raise ValueError("nu must be a unit 4-vector")
-    plus = FlatBubble(epsilon, tuple(t * nu))
-    minus = FlatBubble(epsilon, tuple(-t * nu))
-    return bubble_value(plus, p) + bubble_value(minus, p)
 
 
 def energy_level(j1: int, j2: int) -> float:
@@ -144,13 +82,3 @@ def energy_level(j1: int, j2: int) -> float:
     k = sobolev_constants()
     return math.sqrt(float(j1 + 2 * j2)) * k.Y4 / math.sqrt(2.0)
 
-
-def stencil_laplacian(f, p, h: float = 1e-3) -> float:
-    """Second-order centered-stencil Laplacian of a scalar field on R^4."""
-    p = np.asarray(p, dtype=float)
-    acc = 0.0
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = h
-        acc += float(f(p + e)) + float(f(p - e)) - 2.0 * float(f(p))
-    return acc / h ** 2

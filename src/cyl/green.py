@@ -75,8 +75,8 @@ __all__ = [
 @dataclass(frozen=True)
 class RadialChart:
     """Warped chart dr^2 + w(r)^2 h0 about the origin with scalar curvature
-    R(r) and fundamental kernel of L; the geometry the mode solver
-    understands."""
+    R(r), fundamental kernel of L and radial extent; the geometry the mode
+    solver and the DOUBLE leg understand."""
 
     kind: str            # 'flat' or 'round'
     w: object            # r -> warp
@@ -84,6 +84,7 @@ class RadialChart:
     scal: object         # r -> scalar curvature
     dist: object         # (r1, r2, cos gamma) -> distance between chart points
     kernel: object       # distance -> fundamental kernel, L k = 24 pi^2 delta
+    extent: float        # the largest chart radius: inf flat, pi round
 
     @staticmethod
     def flat() -> "RadialChart":
@@ -92,7 +93,8 @@ class RadialChart:
 
         return RadialChart("flat", lambda r: r, lambda r: np.ones_like(r),
                            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                           dist, lambda d: 1.0 / np.asarray(d, dtype=float) ** 2)
+                           dist, lambda d: 1.0 / np.asarray(d, dtype=float) ** 2,
+                           math.inf)
 
     @staticmethod
     def round() -> "RadialChart":
@@ -102,7 +104,7 @@ class RadialChart:
 
         return RadialChart("round", np.sin, np.cos,
                            lambda r: np.full_like(np.asarray(r, dtype=float), 12.0),
-                           dist, sphere_kernel)
+                           dist, sphere_kernel, math.pi)
 
     def mode_coupling_defect(self, field: ChartMetricField,
                              delta: float) -> float:

@@ -47,8 +47,8 @@ import numpy as np
 from cyl.config import PathConfig
 from cyl.constants import bubble, exponents_admissible, sobolev_constants
 from cyl.geometry.cnc import CutoffProfile, RadialCNCProfile, cnc_profile
-from cyl.green import (NotAKnotSpline, _gbar_radius, matching_constant,
-                       sphere_kernel, sphere_kernel_slope)
+from cyl.green import (NotAKnotSpline, RadialChart, _gbar_radius,
+                       matching_constant, sphere_kernel, sphere_kernel_slope)
 from cyl.quadrature import (IntegralResult, QuadratureSpec,
                             integrate_axisym_sphere, integrate_radial,
                             integrate_rect2d)
@@ -219,21 +219,13 @@ def _double_bubble_chart(eps: float, t: float, theta: D2, axial: D2,
 # ----------------------------------------------------------------------------
 
 def quotient_double(eps: float, t: float, delta: float | None,
-                    spec: QuadratureSpec, model: str = "football"):
-    """Q of the (cut-off) double bubble: football chart or exact flat cone.
+                    spec: QuadratureSpec, chart: RadialChart):
+    """Q of the (cut-off) double bubble on a model chart: the football's
+    round chart or the exact flat cone.
 
     Returns (Q, err, converged) on the quotient, lift factor included.
-    ``delta = None`` drops the cutoff (complete flat cone)."""
-    if model == "football":
-        weight = lambda th: np.sin(th) ** 3
-        scal = 12.0
-        theta_max = 2.0 * delta if delta is not None else math.pi
-    elif model == "flat":
-        weight = lambda th: th ** 3
-        scal = 0.0
-        theta_max = 2.0 * delta if delta is not None else math.inf
-    else:
-        raise ValueError("model must be 'football' or 'flat'")
+    ``delta = None`` drops the cutoff and integrates the whole chart."""
+    theta_max = 2.0 * delta if delta is not None else chart.extent
     chi = CutoffProfile(delta, 2.0 * delta) if delta is not None else None
 
     def integrand(theta_v, psi_v):
@@ -241,16 +233,17 @@ def quotient_double(eps: float, t: float, delta: float | None,
         theta = D2.var_x(theta_v)
         psi = D2.var_y(psi_v)
         u = _double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
-        sin_th = np.sin(theta_v) if model == "football" else theta_v
-        grad2 = u.dx ** 2 + (u.dy / sin_th) ** 2
-        return np.stack([6.0 * grad2 + scal * u.v ** 2, u.v ** 4])
+        grad2 = u.dx ** 2 + (u.dy / chart.w(theta_v)) ** 2
+        return np.stack([6.0 * grad2 + chart.scal(theta_v) * u.v ** 2,
+                         u.v ** 4])
 
     # the point cores at (t, 0) and (t, pi) are eps wide in theta and
     # eps/t in psi; at t = 0 the pair sits at the origin, constant in psi
     width = eps / t if t > 0.0 else math.inf
     gspec = spec.with_grading(((t, 0.0), (eps, width)),
                               ((t, math.pi), (eps, width)))
-    res = integrate_axisym_sphere(integrand, gspec, (1e-12, theta_max), weight)
+    res = integrate_axisym_sphere(integrand, gspec, (1e-12, theta_max),
+                                  lambda th: chart.w(th) ** 3)
     return _quotient_from(res[0], res[1])
 
 
@@ -570,11 +563,11 @@ def evaluate_quotient(config: PathConfig, desc: TestFunctionDescriptor,
     """(Q, err, converged) of one descriptor on the football with config's
     chart cutoff delta: the one dispatch on the leg name."""
     if desc.variant == "DOUBLE":
-        return quotient_double(desc.epsilon, desc.t, config.delta, spec)
+        return quotient_double(desc.epsilon, desc.t, config.delta, spec,
+                               RadialChart.round())
     if desc.variant not in ("GLUED", "INTERP"):
         raise ValueError(f"unknown variant {desc.variant!r}")
-    lam = 1.0 if desc.variant == "GLUED" else desc.lam
-    return quotient_interp(desc.epsilon, lam, spec, desc.t, desc.tau,
+    return quotient_interp(desc.epsilon, desc.lam, spec, desc.t, desc.tau,
                            config.delta)
 
 
@@ -588,7 +581,8 @@ def _leg_descriptor(config: PathConfig, mu: float) -> TestFunctionDescriptor:
         return TestFunctionDescriptor("INTERP", eps, t=te,
                                       tau=eps ** config.omega, lam=mu - 1.0)
     t = config.t_of_mu(mu)
-    return TestFunctionDescriptor("GLUED", eps, t=t, tau=config.tau_of_t(t))
+    return TestFunctionDescriptor("GLUED", eps, t=t, tau=config.tau_of_t(t),
+                                  lam=1.0)
 
 
 def _mirror_grid(n: int) -> np.ndarray:

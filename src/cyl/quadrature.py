@@ -35,8 +35,8 @@ Engines:
 * ``integrate_biradial``    -- the (zeta, rho) slab reduction of axially
   symmetric R^4 integrals, weight 4*pi*rho^2
 * ``integrate_axisym_sphere`` -- the (theta, psi) reduction of axisymmetric
-  integrals on round-sphere charts, weight 4*pi*sin(psi)^2 * w(theta): the
-  DOUBLE leg's S^4 chart, theta^3 on the flat cone
+  integrals on radial charts, weight 4*pi*sin(psi)^2 * w(theta), w from the
+  caller: sin^3 on the DOUBLE leg's S^4 chart, theta^3 on the flat cone
 * ``build_frozen_mesh``     -- bi-radial meshes, frozen for re-evaluation
 * ``integrate_ball4``       -- tensor radial x S^3 rule on a Euclidean 4-ball
 * ``integrate_sphere3``     -- surface integrals on round 3-spheres
@@ -640,20 +640,16 @@ def build_frozen_mesh(F, spec, zeta_domain=(-math.inf, math.inf),
     return meshes[0] if params is None else meshes
 
 
-def integrate_axisym_sphere(F, spec: QuadratureSpec,
-                            theta_domain=(0.0, math.pi),
-                            radial_weight=None) -> IntegralResult:
-    """Integral over a round-sphere chart of an axisymmetric integrand.
+def integrate_axisym_sphere(F, spec: QuadratureSpec, theta_domain,
+                            radial_weight) -> IntegralResult:
+    """Integral over a radial chart of an axisymmetric integrand.
 
     Computes ``int F(theta, psi) * w(theta) * 4*pi*sin(psi)^2 dtheta dpsi``
     over theta_domain x (0, pi), where ``theta`` is the radial chart
-    coordinate, ``psi`` the zonal angle of the S^3 factor, and ``w`` defaults
-    to ``sin(theta)^3`` (the round-S^4 volume factor).  Grading centers are
-    (theta, psi) pairs.
+    coordinate, ``psi`` the zonal angle of the S^3 factor, and the caller
+    supplies ``w = radial_weight`` (``sin(theta)^3`` on the round S^4,
+    ``theta^3`` on flat R^4).  Grading centers are (theta, psi) pairs.
     """
-    if radial_weight is None:
-        radial_weight = lambda th: np.sin(th) ** 3
-
     def weight(G):
         def g(theta, psi):
             return np.asarray(G(theta, psi), dtype=float) * (

@@ -43,18 +43,20 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-
+    """``obj`` as sorted, indented JSON; NumPy arrays and scalars become
+    lists and numbers, and any other object JSON cannot represent raises
+    TypeError before the file is opened."""
     def default(o):
         if isinstance(o, np.ndarray):
             return o.tolist()
         if isinstance(o, (np.floating, np.integer)):
             return o.item()
-        return str(o)
+        raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
+    text = json.dumps(obj, indent=1, sort_keys=True, default=default)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, default=default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_plot_data(path: str, x, y, yerr) -> None:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 
@@ -7,7 +8,8 @@ import pytest
 
 from cyl.cli import EX_USAGE, main
 from cyl.config import RunConfig, load_config
-from cyl.reports import RunManifest, fmt, write_csv, write_plot_data
+from cyl.reports import (RunManifest, fmt, write_csv, write_json,
+                         write_plot_data)
 
 
 def test_config_defaults_and_validation(tmp_path):
@@ -199,11 +201,12 @@ def test_cli_rejects_a_config_that_does_not_load(tmp_path, capsys, config):
     ("mu_points = 2.5\n",
      "run.cfg:1: mu_points: invalid literal for int() with base 10: '2.5'"),
     ("t_grid = 0.1,x\n",
-     "run.cfg:1: t_grid: could not convert string to float: 'x'")])
+     "run.cfg:1: t_grid: could not convert string to float: 'x'"),
+    ("# comment\n\nepsilon 2e-4\n", "run.cfg:3: expected 'key = value'")])
 def test_cli_names_the_line_and_key_of_a_value_that_does_not_parse(
         tmp_path, capsys, config, message):
     # a float key, an int key and a list key: the message once held only
-    # the conversion error
+    # the conversion error; and a line without '=', which has no key
     path = tmp_path / "run.cfg"
     path.write_text(config)
     out = tmp_path / "out"
@@ -212,6 +215,14 @@ def test_cli_names_the_line_and_key_of_a_value_that_does_not_parse(
     assert exc.value.code == EX_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_tol_scale_scales_both_tolerances(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--tol-scale", "10", "--out", str(out), "constants"]) == 0
+    with open(out / "constants.manifest.json") as fh:
+        config = json.load(fh)["config"]
+    assert (config["rel_tol"], config["abs_tol"]) == (1e-9 * 10, 1e-13 * 10)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -380,6 +391,20 @@ def test_an_uncaught_exception_exits_70_with_its_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert "RuntimeError: constants table unavailable" in err
+
+
+def test_write_json_refuses_what_it_cannot_represent(tmp_path):
+    # NumPy arrays and scalars are written as lists and numbers; anything
+    # else once reached the file as its repr
+    path = tmp_path / "out.json"
+    write_json(str(path), {"a": np.arange(2), "b": np.float64(0.5),
+                           "c": np.int64(3), "d": (1.0, 2)})
+    with open(path) as fh:
+        assert json.load(fh) == {"a": [0, 1], "b": 0.5, "c": 3, "d": [1.0, 2]}
+    bad = tmp_path / "bad.json"
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        write_json(str(bad), {"a": object()})
+    assert not bad.exists()
 
 
 def test_manifest_times_each_stage():

@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 
 from cyl.config import RunConfig
 from cyl.constants import sobolev_constants
+from cyl.green import RadialChart
 import cyl.interaction as interaction
 import cyl.quadrature as quadrature
 from cyl.interaction import (KINDS, asymptotic_slope, curves,
                              derivative_quadratures, interaction_integral,
                              verify_b_prime_identity, verify_monotonicity)
+from cyl.minmax import quotient_double
 from cyl.quadrature import QuadratureSpec, integrate_biradial
 
 K = sobolev_constants()
@@ -136,6 +138,19 @@ def test_curves_meet_the_exact_forms():
             assert dev <= getattr(cur, name + "_err")[i], (name, t)
 
 
+def test_flat_double_leg_meets_the_exact_forms():
+    # on the complete flat cone the DOUBLE quotient is f(t/eps)/sqrt(2),
+    # f = a/b, a scale-free oracle for the path's (theta, psi) reduction
+    spec = RunConfig().spec()
+    for eps, t in ((1.0, 0.1), (1.0, 0.5), (1.0, 2.0), (0.5, 0.8),
+                   (1.0, 10.0), (0.01, 0.3), (1.0, 100.0)):
+        q, err, ok = quotient_double(eps, t, None, spec, RadialChart.flat())
+        assert ok, (eps, t)
+        rows = _exact_rows(t / eps)
+        exact = rows["a"] / rows["b"] / math.sqrt(2.0)
+        assert float(abs(q - exact)) <= err, (eps, t)
+
+
 @functools.cache
 def _default_primes():
     cfg = RunConfig()
@@ -251,6 +266,10 @@ def test_slope_preconditions():
         asymptotic_slope("GRAD", 1.0, [5.0, 10.0, 20.0], SPEC)  # smallest < 10
     with pytest.raises(ValueError):
         asymptotic_slope("GRAD", 1.0, [10.0, 15.0, 30.0], SPEC)  # ratio < 2
+    with pytest.raises(ValueError, match="three t values"):
+        asymptotic_slope("GRAD", 1.0, [10.0, 20.0], SPEC)
+    with pytest.raises(ValueError, match="unknown slope kind"):
+        asymptotic_slope("U4", 1.0, [10.0, 20.0, 40.0], SPEC)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

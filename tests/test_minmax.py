@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import cyl.minmax as minmax
 import cyl.quadrature as quadrature
 from cyl.constants import sobolev_constants
-from cyl.green import matching_constant, sphere_kernel
+from cyl.green import RadialChart, matching_constant, sphere_kernel
 from cyl.interaction import curves
 from cyl.minmax import (D2, PathConfig, build_path, exponents_admissible,
                         fit_expansion_A, glued_data, quotient_double,
@@ -18,6 +18,7 @@ from cyl.quadrature import QuadratureSpec
 K = sobolev_constants()
 SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
 PATH = PathConfig()
+ROUND, FLAT = RadialChart.round(), RadialChart.flat()
 
 
 def interp_leg(eps, lam, spec):
@@ -45,7 +46,7 @@ def test_d2_chain_rules():
 def test_flat_double_matches_interaction_curves():
     # cross-module oracle: Q on the complete flat cone = f(t/eps)/sqrt(2)
     for eps, t in ((1.0, 2.0), (0.5, 0.8)):
-        q, e, ok = quotient_double(eps, t, None, SPEC, model="flat")
+        q, e, ok = quotient_double(eps, t, None, SPEC, FLAT)
         assert ok
         cur = curves(eps, [t], QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
         target = cur.f[0] / math.sqrt(2.0)
@@ -53,15 +54,15 @@ def test_flat_double_matches_interaction_curves():
 
 
 def test_flat_double_dilation_invariance():
-    q1, e1, ok1 = quotient_double(1.0, 2.0, None, SPEC, model="flat")
-    q2, e2, ok2 = quotient_double(0.25, 0.5, None, SPEC, model="flat")
+    q1, e1, ok1 = quotient_double(1.0, 2.0, None, SPEC, FLAT)
+    q2, e2, ok2 = quotient_double(0.25, 0.5, None, SPEC, FLAT)
     assert ok1 and ok2
     assert abs(q1 - q2) <= e1 + e2 + 1e-10
 
 
 def test_single_endpoint_band():
     eps = 1e-4
-    q, e, ok = quotient_double(eps, 0.0, 0.025, SPEC)
+    q, e, ok = quotient_double(eps, 0.0, 0.025, SPEC, ROUND)
     assert ok
     assert K.Ys <= q <= K.Ys + 0.5
     assert e < 1e-6
@@ -69,7 +70,7 @@ def test_single_endpoint_band():
 
 def test_double_leg_expansion_value():
     eps = 1e-4
-    q, e, ok = quotient_double(eps, eps ** 0.6, 0.025, SPEC)
+    q, e, ok = quotient_double(eps, eps ** 0.6, 0.025, SPEC, ROUND)
     assert ok
     gap = 6.0 * K.S4 - q
     # within 15% of the leading expansion at this finite eps
@@ -130,7 +131,7 @@ def test_glued_pole_swap_symmetry():
 def test_interp_endpoints_match_neighbor_legs():
     eps = 1e-4
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
-    qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, spec)
+    qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, spec, ROUND)
     q0, e0, ok0 = interp_leg(eps, 0.0, spec)
     assert abs(q0 - qd) <= 10.0 * (e0 + ed)
     qg, eg, okg = quotient_interp(eps, 1.0, spec, eps ** 0.6, eps ** 0.7,
@@ -144,7 +145,7 @@ def test_interp_meets_double_within_their_bars_at_full_spec():
     # at lam = 0 the INTERP leg is the DOUBLE bubble pair at t = eps^0.6
     eps = 1e-4
     q0, e0, ok0 = interp_leg(eps, 0.0, SPEC)
-    qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, SPEC)
+    qd, ed, okd = quotient_double(eps, eps ** 0.6, 0.025, SPEC, ROUND)
     assert ok0 and okd
     assert abs(q0 - qd) <= e0 + ed
 
@@ -227,7 +228,7 @@ def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
     cfg = PathConfig(epsilon=eps)
     for engine, quotient in (
             ("integrate_axisym_sphere",
-             lambda: quotient_double(eps, eps ** 0.6, cfg.delta, spec)),
+             lambda: quotient_double(eps, eps ** 0.6, cfg.delta, spec, ROUND)),
             ("integrate_rect2d", lambda: interp_leg(eps, 0.5, spec)),
             ("integrate_rect2d",
              lambda: quotient_interp(eps, 1.0, spec, 0.9441,
@@ -264,7 +265,7 @@ def test_double_leg_keeps_the_bits_of_its_hand_weighted_rectangle(model, delta,
         integrand, gspec, (1e-12, 2.0 * delta if football else math.inf),
         (0.0, math.pi))
     expect = minmax._quotient_from(res[0], res[1])
-    got = quotient_double(eps, t, delta, spec, model)
+    got = quotient_double(eps, t, delta, spec, ROUND if football else FLAT)
     assert [x.hex() for x in got[:2]] == [x.hex() for x in expect[:2]]
     assert got[2] == expect[2]
 
@@ -307,7 +308,7 @@ def test_leg_meshes_are_seeded_one_box_wide_in_the_angle(monkeypatch):
     monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
     assert interp_leg(eps, 0.5, SPEC)[2]
-    assert quotient_double(eps, 0.0, 0.025, SPEC)[2]
+    assert quotient_double(eps, 0.0, 0.025, SPEC, ROUND)[2]
     assert seeds == [1, 1]
 
 
@@ -413,6 +414,12 @@ def test_path_config_validation():
         PathConfig(epsilon=5e-4, delta=0.2)  # glue annulus overlap
 
 
+def test_evaluate_quotient_names_an_unknown_variant():
+    desc = minmax.TestFunctionDescriptor("SINGLE", 1e-4)
+    with pytest.raises(ValueError, match="unknown variant 'SINGLE'"):
+        minmax.evaluate_quotient(PATH, desc, SPEC)
+
+
 def test_run_config_is_the_path_config():
     # the run's path parameters have one home: a RunConfig builds the path
     # a PathConfig with the same values builds
@@ -489,6 +496,6 @@ def test_fit_expansion_glued_leg_values():
 def test_single_bubble_band_wide_chart():
     # the single singular bubble approaches Y4/sqrt2 from above; at eps = 1e-2
     # a wide chart keeps cutoff effects inside the half-unit band
-    q, e, ok = quotient_double(1e-2, 0.0, 0.45, SPEC)
+    q, e, ok = quotient_double(1e-2, 0.0, 0.45, SPEC, ROUND)
     assert ok
     assert K.Ys < q <= K.Ys + 0.5

@@ -18,7 +18,6 @@ OPTIONS = {
     "cyl.cli.main.argv",
     "cyl.config.RunConfig.resolve_out_dir.cli_out",
     "cyl.constants.bubble.eps",
-    "cyl.constants.stencil_laplacian.h",
     "cyl.geometry.cnc.RadialCNCProfile.jet.order",
     "cyl.geometry.curvature.curvature_at.h_fd",
     "cyl.geometry.links.sphere_points.seed",
@@ -27,7 +26,6 @@ OPTIONS = {
     "cyl.green.extract_mass.eps0",
     "cyl.green.extract_mass.conformal_fr",
     "cyl.green.parametrix_residual.with_cnc",
-    "cyl.minmax.quotient_double.model",
     "cyl.minmax._LegBatch.__init__.chart",
     "cyl.minmax._LegBatch.__init__.curvature",
     "cyl.minmax.build_path.mu_grid",
@@ -44,8 +42,6 @@ OPTIONS = {
     "cyl.quadrature.build_frozen_mesh.zeta_domain",
     "cyl.quadrature.build_frozen_mesh.rho_domain",
     "cyl.quadrature.build_frozen_mesh.params",
-    "cyl.quadrature.integrate_axisym_sphere.theta_domain",
-    "cyl.quadrature.integrate_axisym_sphere.radial_weight",
 }
 
 

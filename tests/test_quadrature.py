@@ -630,7 +630,9 @@ def test_sphere3_bubble_flux():
 
 def test_axisym_sphere_round_volume():
     # vol(S^4) = 8 pi^2 / 3
-    res = integrate_axisym_sphere(lambda th, ps: np.ones_like(th), SPEC).expect()
+    res = integrate_axisym_sphere(lambda th, ps: np.ones_like(th), SPEC,
+                                  (0.0, math.pi),
+                                  lambda th: np.sin(th) ** 3).expect()
     assert_allclose(res.value, 8.0 * math.pi ** 2 / 3.0, rtol=1e-11)
 
 

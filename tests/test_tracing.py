@@ -2,6 +2,7 @@
 engine call, integrand points that add up to the reported evaluations, and
 an uninstall that puts every patched name back."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -41,7 +42,8 @@ def test_tracer_spans_each_engine_call_once_and_uninstalls():
         results = [
             interaction.interaction_integral("U3V", 1.0, 1.5, SPEC),
             quadrature.integrate_axisym_sphere(
-                lambda th, ps: np.ones_like(th), SPEC),
+                lambda th, ps: np.ones_like(th), SPEC, (0.0, math.pi),
+                lambda th: np.sin(th) ** 3),
         ]
     finally:
         inst.uninstall()
