@@ -92,8 +92,17 @@ class RadialCNCProfile:
 
     def jet(self, s, order: int = 2) -> list:
         """[f, f', f''][:order + 1] at s, each cutoff derivative evaluated
-        once."""
+        once.  Beyond the cutoff's outer radius each entry is the exact 0
+        the products give there, so only the points inside run them."""
         s = np.asarray(s, dtype=float)
+        beyond = s >= self.phi.r2
+        if np.ndim(s) and beyond.any():
+            out = [np.zeros_like(s) for _ in range(order + 1)]
+            inside = ~beyond
+            if inside.any():
+                for o, j in zip(out, self.jet(s[inside], order)):
+                    o[inside] = j
+            return out
         p0 = self.phi.value(s)
         out = [self._half_square(p0, s)]
         if order >= 1:

@@ -27,8 +27,12 @@ region outside the mirror ball, its rows numerator and fourth power, plus one
 The path and the fits reach the legs through one dispatch,
 ``evaluate_quotient``.
 Each GLUED/INTERP integrand call builds one ``_LegBatch`` per zone with
-points from the leg's ``GluedData``: it holds the per-point geometry and
-evaluates the Green lift, energy density and measure from it.
+points from the leg's ``GluedData``: it holds the zone's geometry and
+evaluates the Green lift, energy density and measure from it.  Factors of xi
+alone are evaluated once per run of equal xi (the engine lays each box out
+as 15 runs of 15) and spread to the points, and each batch carries only the
+jet order its readers need: the glued leg's far zone, which reads values
+alone, forms no partials.
 
 The Green data comes from the closed-form global football kernel (the
 equivariant sum of round-sphere kernels) conformally corrected by the CNC
@@ -155,7 +159,8 @@ class D2:
         return self.apply(np.cos, lambda v: -np.sin(v))
 
     def exp(self):
-        return self.apply(np.exp, np.exp)
+        e = np.exp(self.v)
+        return self.chain(e, e)
 
 
 def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
@@ -174,6 +179,19 @@ class TestFunctionDescriptor:
     t: float = 0.0
     tau: float = 0.0
     lam: float = 0.0
+
+    def __post_init__(self):
+        # GLUED is the INTERP leg at lam = 1 and DOUBLE has no glue, so a
+        # descriptor with another lam or tau would be evaluated as a
+        # different competitor without a word
+        if self.variant == "GLUED" and self.lam != 1.0:
+            raise ValueError(f"a GLUED descriptor has lam = 1, got {self.lam!r}")
+        if self.variant == "INTERP" and not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"an INTERP descriptor has lam in [0, 1], "
+                             f"got {self.lam!r}")
+        if self.variant == "DOUBLE" and (self.tau != 0.0 or self.lam != 0.0):
+            raise ValueError(f"a DOUBLE descriptor has tau = lam = 0, got "
+                             f"tau = {self.tau!r}, lam = {self.lam!r}")
 
 
 @dataclass
@@ -302,77 +320,123 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
 # GLUED and INTERP legs in (xi, eta) coordinates about the bubble center
 # ----------------------------------------------------------------------------
 
+def _runs(x):
+    """(starts, lengths) of the runs of equal neighbours in x, from one
+    neighbour compare: the engine lays each box out as 15 runs of 15 equal
+    xi, and any other order gives shorter runs, never wrong ones."""
+    new = np.empty(len(x), dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.append(starts, len(x)))
+
+
+def _apply(x, f, fp):
+    """f(x) for plain values x; for a D2 x, with its partials from f'."""
+    return x.apply(f, fp) if isinstance(x, D2) else f(x)
+
+
+def _value(x):
+    return x.v if isinstance(x, D2) else x
+
+
 class _LegBatch:
     """The geometry of one integrand batch in (xi, eta) about the bubble
     center at distance t = data.t from the lifted pole N, each scalar
-    computed once and dropped with the batch: xi and eta with unit partials,
-    their sines and cosines, the partner distance d2, the CNC jets f1 at xi
-    and d2 (to second order with ``curvature``), the conformal exponent
+    computed once and dropped with the batch: sin and cos xi and eta, the
+    partner distance d2, the CNC jets f1 at xi and d2, the conformal exponent
     f = f1(xi) + f1(d2) and the weight e^{-f/2}; with ``chart``, also the
     chart radius theta and axial coordinate z_par of the chart point.
+
+    ``curvature`` is the jet order the batch's readers need: 0 keeps values
+    alone (every scalar a plain array), 1 adds the D2 partials against
+    (xi, eta), and 2 also the second CNC derivatives that the scalar
+    curvature of ``energy_density`` reads.
+
+    Factors of xi alone are evaluated once per run of equal xi (``_runs``)
+    on the runs' own xi, ``xi_run``, and spread to the points by ``spread``;
+    ``f1_xi`` and ``sin_run``/``cos_run`` stay per run.
 
     theta and d2 come from ``_distance`` as atan2(sin d, cos d), sin d the
     hypot of two sums of products, so they keep their digits near the bubble
     core, where the arccos of a cosine near 1 would lose them."""
 
     def __init__(self, data: GluedData, xi_v, eta_v, chart: bool = False,
-                 curvature: bool = False):
+                 curvature: int = 1):
         t = data.t
         f1 = data.f1
         self.data = data
-        self.xi = xi = D2.var_x(xi_v)
-        eta = D2.var_y(eta_v)
-        self.sin_xi, self.cos_xi = xi.sincos()
-        sin_eta, cos_eta = eta.sincos()
-        self.sin_eta = sin_eta.v
-        self.d2 = self._distance(2.0 * t, cos_eta.v)[0]
-        order = 2 if curvature else 1
-        self.f1_xi = f1.jet(xi.v, order)
-        self.f1_d2 = f1.jet(self.d2.v, order)
-        self.f = xi.chain(*self.f1_xi[:2]) + self.d2.chain(*self.f1_d2[:2])
-        self.weight = (self.f * (-0.5)).exp()
+        self.order = curvature
+        starts, self.counts = _runs(xi_v)
+        xr = xi_v[starts]
+        sin_r, cos_r = self.sin_run, self.cos_run = np.sin(xr), np.cos(xr)
+        self.f1_xi = f1.jet(xr, curvature)
+        if curvature:
+            self.xi_run = x = D2.var_x(xr)
+            sin_r, cos_r = x.chain(sin_r, cos_r), x.chain(cos_r, -sin_r)
+            f_xi = x.chain(*self.f1_xi[:2])
+        else:
+            self.xi_run, f_xi = xr, self.f1_xi[0]
+        self.sin_xi, self.cos_xi = self.spread(sin_r), self.spread(cos_r)
+        self.sin_eta, cos_eta = np.sin(eta_v), np.cos(eta_v)
+        self.d2 = self._distance(2.0 * t, cos_eta)[0]
+        self.f1_d2 = f1.jet(_value(self.d2), curvature)
+        self.f = self.spread(f_xi) + (self.d2.chain(*self.f1_d2[:2])
+                                      if curvature else self.f1_d2[0])
+        h = self.f * (-0.5)
+        self.weight = h.exp() if curvature else np.exp(h)
         if chart:
-            self.theta, sin_theta = self._distance(t, cos_eta.v)
+            self.theta, sin_theta = self._distance(t, cos_eta)
             # sin(theta) cos(psi): the point's component along the unit
             # tangent at N toward the bubble center
+            cos_eta = D2.var_y(eta_v).chain(cos_eta, -self.sin_eta)
             along = self.cos_xi * math.sin(t) \
                 - self.sin_xi * cos_eta * math.cos(t)
             self.z_par = self.theta * along / sin_theta
 
+    def spread(self, a):
+        """A per-run value, plain or D2, repeated onto the batch's points."""
+        if isinstance(a, D2):
+            return D2(*(np.repeat(p, self.counts) for p in (a.v, a.dx, a.dy)))
+        return np.repeat(a, self.counts)
+
     def _distance(self, a: float, cos_eta):
         """(d, sin d) for the distance d to the axis point at distance a from
         the bubble center (eta = 0), with the exact partials d_xi d = m/s and
-        d_eta d = sin(xi) n/s; the batch does not keep cos(eta)."""
-        sx, cx = self.sin_xi.v, self.cos_xi.v
+        d_eta d = sin(xi) n/s at jet order 1 and up; the batch does not keep
+        cos(eta)."""
+        sx, cx = _value(self.sin_xi), _value(self.cos_xi)
         sa, ca = math.sin(a), math.cos(a)
         m = sx * ca - cx * sa * cos_eta
         n = sa * self.sin_eta
         s = np.hypot(m, n)
         c = cx * ca + sx * sa * cos_eta
+        if not self.order:
+            return np.arctan2(s, c), s
         d = D2(np.arctan2(s, c), m / s, sx * n / s)
         return d, d.chain(s, c)
 
-    def green_lift(self) -> D2:
+    def green_lift(self):
         """Gbar = e^{-f/2} (Gs(xi) + Gs(d2)), the CNC-corrected global kernel."""
-        G = self.xi.apply(sphere_kernel, sphere_kernel_slope) \
-            + self.d2.apply(sphere_kernel, sphere_kernel_slope)
+        G = self.spread(_apply(self.xi_run, sphere_kernel, sphere_kernel_slope)) \
+            + _apply(self.d2, sphere_kernel, sphere_kernel_slope)
         return self.weight * G
 
     def energy_density(self, u: D2) -> np.ndarray:
         """6 |grad u|^2 + R u^2 in gbar = e^f g_round, with R from the exact
-        conformal formula (n = 4); needs a batch built with ``curvature``."""
+        conformal formula (n = 4); needs jet order 2."""
         fx, fd = self.f1_xi, self.f1_d2
         d2 = self.d2.v
-        lap = fx[2] + 3.0 * self.cos_xi.v / self.sin_xi.v * fx[1] \
+        lap = self.spread(fx[2] + 3.0 * self.cos_run / self.sin_run * fx[1]) \
             + fd[2] + 3.0 * np.cos(d2) / np.sin(d2) * fd[1]
-        grad2 = fx[1] * fx[1] + fd[1] * fd[1]
+        grad2 = self.spread(fx[1] * fx[1]) + fd[1] * fd[1]
         e = np.exp(-self.f.v)
         R = e * (12.0 - 3.0 * lap - 1.5 * grad2)
         return 6.0 * (e * (u.dx ** 2 + (u.dy / self.sin_xi.v) ** 2)) \
             + R * u.v ** 2
 
     def measure(self) -> np.ndarray:
-        return np.exp(2.0 * self.f.v) * self.sin_xi.v ** 3 \
+        return np.exp(2.0 * _value(self.f)) * self.spread(self.sin_run ** 3) \
             * 4.0 * math.pi * self.sin_eta ** 2
 
 
@@ -384,13 +448,15 @@ def _w_glued(b: _LegBatch, ball: bool) -> D2:
     integrated by ``_flux_integrals`` and the far zone of
     ``_leg_integrals``, never through this profile."""
     d = b.data
-    xi = b.xi
-    rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))  # rho' = e^{f1/2}
+    xi = b.xi_run
+    # per run of xi: rho' = e^{f1/2}, and all of w on the ball
+    rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))
     if ball:
-        return bubble(rho * rho, d.eps)
+        return b.spread(bubble(rho * rho, d.eps))
     chi = _cutoff_d2(d.chi_tau, rho)
     core = (rho ** -2.0) + d.A_q
-    return (chi * core + (1.0 - chi) * b.green_lift()) * (1.0 / d.nu)
+    return (b.spread(chi * core) + b.spread(1.0 - chi) * b.green_lift()) \
+        * (1.0 / d.nu)
 
 
 def _e_tilde(b: _LegBatch, chi_delta: CutoffProfile) -> D2:
@@ -494,8 +560,10 @@ def _leg_integrals(d: GluedData, lam: float, chi_delta,
     mixed = lam != 1.0
 
     def integrand(xi_v, v_v):
-        e0 = _excluded_angle(d, xi_v)
-        span = math.pi - e0
+        # e0 and its span once per run of xi
+        starts, counts = _runs(xi_v)
+        e0 = _excluded_angle(d, xi_v[starts])
+        e0, span = np.repeat(e0, counts), np.repeat(math.pi - e0, counts)
         eta_v = e0 + span * v_v
         out = np.zeros((2, len(xi_v)))
         # one batch for each zone that holds points of this call
@@ -503,20 +571,21 @@ def _leg_integrals(d: GluedData, lam: float, chi_delta,
         for zone, in_ball in ((ball, True), (~ball & ~far, False)):
             if zone.any():
                 b = _LegBatch(d, xi_v[zone], eta_v[zone], chart=mixed,
-                              curvature=True)
+                              curvature=2)
                 u = _psi_lambda(b, lam, chi_delta, in_ball)
                 out[:, zone] = np.stack([b.energy_density(u), u.v ** 4]) \
                     * (2.0 * b.measure())
         if far.any():
+            # the glued leg reads values alone here
             b = _LegBatch(d, xi_v[far], eta_v[far], chart=mixed,
-                          curvature=mixed)
+                          curvature=2 if mixed else 0)
             measure = b.measure()
             u = b.green_lift() * (lam / d.nu)
             if mixed:
                 e = _e_tilde(b, chi_delta)
                 u = u + e * (1.0 - lam)
                 out[0, far] = (1.0 - lam) ** 2 * b.energy_density(e) * measure
-            out[1, far] = u.v ** 4 * measure
+            out[1, far] = _value(u) ** 4 * measure
         return out * span
 
     # the core at xi = 0, the zone circles xi = s_tau, s_2tau, the circle

@@ -343,6 +343,17 @@ def test_radial_cnc_exponent():
     assert np.array_equal(value, f.value(s))
     assert_allclose(deriv, fd1, rtol=0, atol=1e-7)
     assert_allclose(deriv2, fd2, rtol=0, atol=1e-5)
+    # beyond t/2 an array's jet is written as the exact 0 that the products
+    # give, which a lone 0-d point (that path runs them) shows bit for bit;
+    # inside, a mixed array gets the bits of the inside points alone
+    s = np.linspace(0.0, t, 41)
+    inside = s < t / 2
+    jet = f.jet(s)
+    for whole, part in zip(jet, f.jet(s[inside])):
+        assert np.array_equal(whole[inside], part)
+    for k in np.flatnonzero(~inside):
+        assert [float(x).hex() for x in f.jet(s[k])] == \
+            [float(x[k]).hex() for x in jet] == ["0x0.0p+0"] * 3
 
 
 def test_cnc_factor_round_is_half_r2():

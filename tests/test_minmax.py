@@ -403,6 +403,41 @@ def test_excluded_band_angle_keeps_its_digits_toward_the_band_ends():
     assert np.all(minmax._excluded_angle(data, outside) == 0.0)
 
 
+@pytest.mark.parametrize("mu", [1.5, 2.4])
+def test_leg_integrand_is_exact_on_any_point_order(monkeypatch, mu):
+    # the integrand evaluates xi-only factors once per run of equal xi; the
+    # engine's layout (runs of 15) only makes that cheaper, so a permuted
+    # batch, one point alone and a batch missing whole zones give the bits
+    # of the engine-ordered batch
+    from cyl.geometry.cnc import CutoffProfile
+    desc = minmax._leg_descriptor(PATH, mu)
+    data = glued_data(desc.epsilon, desc.t, desc.tau)
+    captured = []
+    monkeypatch.setattr(minmax, "integrate_rect2d",
+                        lambda F, *args: captured.append(F))
+    minmax._leg_integrals(data, desc.lam,
+                          CutoffProfile(PATH.delta, 2.0 * PATH.delta), SPEC)
+    F, = captured
+    s1, s2, t = data.s_tau, data.s_2tau, data.t
+    # columns in the ball, the annulus, the far zone and the mirror band
+    cols = np.concatenate([np.geomspace(1e-3, 0.9, 4) * s1,
+                           s1 + np.linspace(0.1, 0.9, 3) * (s2 - s1),
+                           s2 + np.geomspace(1e-3, 1.0, 5) * (math.pi - s2),
+                           2.0 * t + np.linspace(-0.9, 0.9, 3) * s2])
+    cols = np.sort(cols[cols < math.pi])
+    v = np.linspace(0.02, 0.98, 15)
+    xi, vv = np.repeat(cols, 15), np.tile(v, len(cols))
+    ref = F(xi, vv)
+    assert ref.shape == (2, len(xi)) and np.isfinite(ref).all()
+    assert (ref[1] > 0.0).all()
+    perm = np.random.default_rng(7).permutation(len(xi))
+    assert np.array_equal(F(xi[perm], vv[perm]), ref[:, perm])
+    for k in (0, 60, 150, len(xi) - 1):
+        assert np.array_equal(F(xi[k:k + 1], vv[k:k + 1]), ref[:, k:k + 1])
+    for part in (xi <= s1, xi > s2, (xi > s1) & (xi <= s2)):
+        assert np.array_equal(F(xi[part], vv[part]), ref[:, part])
+
+
 def test_path_config_validation():
     assert exponents_admissible(0.6, 0.7)
     assert not exponents_admissible(0.7, 0.6)
