@@ -30,6 +30,18 @@ __all__ = [
 ]
 
 
+# phi, phi' and phi'' of the quintic step: each as (its exact value off the
+# band, its polynomial on the band in t and the band width w)
+_STEP = (
+    (lambda t: np.where(t <= 0.0, 1.0, 0.0),
+     lambda t, w: 1.0 - (10.0 * t ** 3 - 15.0 * t ** 4 + 6.0 * t ** 5)),
+    (np.zeros_like,
+     lambda t, w: -(30.0 * t ** 2 - 60.0 * t ** 3 + 30.0 * t ** 4) / w),
+    (np.zeros_like,
+     lambda t, w: -(60.0 * t - 180.0 * t ** 2 + 120.0 * t ** 3) / w ** 2),
+)
+
+
 @dataclass(frozen=True)
 class CutoffProfile:
     """C^2 quintic step: 1 on [0, r1], 0 on [r2, oo).
@@ -41,34 +53,37 @@ class CutoffProfile:
     r1: float
     r2: float
 
-    def _banded(self, s, outside, poly):
-        """poly(t) on the band 0 < t < 1 of t = (s - r1)/(r2 - r1) and
-        outside(t) elsewhere; a 0-d or scalar s stays a numpy scalar, so its
-        polynomial runs on the scalar path as before."""
-        t = (np.asarray(s, dtype=float) - self.r1) / (self.r2 - self.r1)
+    def _banded(self, s, orders) -> list:
+        """The derivatives ``orders`` of phi at s from one pass: t = (s -
+        r1)/(r2 - r1), the band 0 < t < 1 and its gather are formed once.  A
+        0-d or scalar s stays a numpy scalar, so its polynomials run on the
+        scalar path."""
+        w = self.r2 - self.r1
+        t = (np.asarray(s, dtype=float) - self.r1) / w
         band = (t > 0.0) & (t < 1.0)
         if np.ndim(t) == 0:
-            return poly(t) if band else outside(t)
-        out = outside(t)
-        out[band] = poly(t[band])
+            return [_STEP[k][1](t, w) if band else _STEP[k][0](t)
+                    for k in orders]
+        tb = t[band]
+        out = []
+        for k in orders:
+            outside, poly = _STEP[k]
+            out.append(outside(t))
+            out[-1][band] = poly(tb, w)
         return out
 
+    def jet(self, s, order: int) -> list:
+        """[phi, phi', phi''][:order + 1] at s, from one band pass."""
+        return self._banded(s, range(order + 1))
+
     def value(self, s):
-        return self._banded(
-            s, lambda t: np.where(t <= 0.0, 1.0, 0.0),
-            lambda t: 1.0 - (10.0 * t ** 3 - 15.0 * t ** 4 + 6.0 * t ** 5))
+        return self._banded(s, (0,))[0]
 
     def deriv(self, s):
-        return self._banded(
-            s, np.zeros_like,
-            lambda t: -(30.0 * t ** 2 - 60.0 * t ** 3 + 30.0 * t ** 4)
-            / (self.r2 - self.r1))
+        return self._banded(s, (1,))[0]
 
     def deriv2(self, s):
-        return self._banded(
-            s, np.zeros_like,
-            lambda t: -(60.0 * t - 180.0 * t ** 2 + 120.0 * t ** 3)
-            / (self.r2 - self.r1) ** 2)
+        return self._banded(s, (2,))[0]
 
 
 def cutoff_profile(t: float) -> CutoffProfile:
@@ -91,8 +106,8 @@ class RadialCNCProfile:
         return a * 0.5 * s * s
 
     def jet(self, s, order: int = 2) -> list:
-        """[f, f', f''][:order + 1] at s, each cutoff derivative evaluated
-        once.  Beyond the cutoff's outer radius each entry is the exact 0
+        """[f, f', f''][:order + 1] at s, the cutoff's jet from one band
+        pass.  Beyond the cutoff's outer radius each entry is the exact 0
         the products give there, so only the points inside run them."""
         s = np.asarray(s, dtype=float)
         beyond = s >= self.phi.r2
@@ -103,14 +118,12 @@ class RadialCNCProfile:
                 for o, j in zip(out, self.jet(s[inside], order)):
                     o[inside] = j
             return out
-        p0 = self.phi.value(s)
-        out = [self._half_square(p0, s)]
+        p = self.phi.jet(s, order)
+        out = [self._half_square(p[0], s)]
         if order >= 1:
-            p1 = self.phi.deriv(s)
-            out.append(self._half_square(p1, s) + p0 * s)
+            out.append(self._half_square(p[1], s) + p[0] * s)
         if order >= 2:
-            out.append(self._half_square(self.phi.deriv2(s), s)
-                       + 2.0 * p1 * s + p0)
+            out.append(self._half_square(p[2], s) + 2.0 * p[1] * s + p[0])
         return out
 
     def value(self, s):

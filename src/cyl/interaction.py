@@ -3,25 +3,28 @@
 For the symmetric pair U_+ = U_{eps, t e1}, U_- = U_{eps, -t e1} this module
 computes
 
-    a(t) = 6 int |grad(U_+ + U_-)|^2        (assembled as 12*S4 + 12*G(t))
+    a(t) = 6 int |grad(U_+ + U_-)|^2        (assembled as 12*S4*(1 + I31))
     b(t) = (int (U_+ + U_-)^4)^(1/2)        (assembled as sqrt(2 + 8*I31 + 6*I22))
     c(t) = int U_+^2 U_-^2
     f(t) = a(t) / b(t)
 
-where G = int grad U_+ . grad U_-, I31 = int U_+^3 U_-, I22 = c.  The self
-terms are exact closed forms (int |grad U|^2 = S4, int U^4 = 1), so only the
-small cross terms are quadratures and the error bars on f stay proportional
-to the interaction size.  All integrals reduce to eps = 1 through the exact
-scale invariance curve(eps, t) = curve(1, t/eps).
+where I31 = int U_+^3 U_- and I22 = c.  The self terms are exact closed
+forms (int |grad U|^2 = S4, int U^4 = 1), and since -Lap U = S4 U^3 the
+cross term G = int grad U_+ . grad U_- is S4*I31 exactly (integrate by
+parts), so only the two small cross terms I31 and I22 are quadratures and the
+error bars on f stay proportional to the interaction size.  G itself is still
+integrated by ``interaction_integral("GRAD")``, the independent check of that
+identity.  All integrals reduce to eps = 1 through the exact scale invariance
+curve(eps, t) = curve(1, t/eps).
 
 Every quantity at one point is one call of the 2-d engine with a vector
-integrand, each row held to its own tolerance: G, I31 and I22 at one t share
-a mesh, and so do the sign-definite integrands of a'(t) and c'(t).  The
+integrand, each row held to its own tolerance: I31 and I22 at one t share a
+mesh, and so do the sign-definite integrands of a'(t) and c'(t).  The
 mirror zeta -> -zeta swaps U_+ and U_-, so every integral here runs over the
 half-space zeta > 0: the rows of a curve point are folded, f(zeta) +
 f(-zeta), and the derivative integrands are reduced there.  Derivative
 identities are checked with central differences on one frozen mesh per t,
-adapted to the same three rows and built for a whole grid as one sweep,
+adapted to the same two rows and built for a whole grid as one sweep,
 which makes the quadrature error cancel in the differences instead of being
 amplified by 1/h.  Every profile here is ``constants.bubble``.
 """
@@ -51,8 +54,8 @@ __all__ = [
 ]
 
 KINDS = ("U3V", "GRAD", "U2V2")
-# the rows of one curve point: G, I31 and I22
-_POINT = ("GRAD", "U3V", "U2V2")
+# the rows of one curve point: I31 and I22 (G = S4 * I31)
+_POINT = ("U3V", "U2V2")
 # the mirror half-space zeta > 0, where every integral here runs
 _HALF = (0.0, math.inf)
 
@@ -142,11 +145,12 @@ class InteractionCurves:
 
 
 def _assemble_point(res: IntegralResult):
-    """a, b, c, f, their errors and the flag from the rows G, I31, I22."""
-    g, i31, i22 = res[0], res[1], res[2]
+    """a, b, c, f, their errors and the flag from the rows I31, I22, with
+    a = 12 S4 (1 + I31) from G = S4 I31."""
+    i31, i22 = res[0], res[1]
     k = sobolev_constants()
-    a = 12.0 * k.S4 + 12.0 * g.value
-    a_err = 12.0 * g.error_estimate
+    a = 12.0 * k.S4 * (1.0 + i31.value)
+    a_err = 12.0 * k.S4 * i31.error_estimate
     b = math.sqrt(2.0 + 8.0 * i31.value + 6.0 * i22.value)
     b_err = (8.0 * i31.error_estimate + 6.0 * i22.error_estimate) / (2.0 * b)
     f = a / b
@@ -169,8 +173,8 @@ def curves(epsilon: float, t_grid, spec: QuadratureSpec) -> InteractionCurves:
 
 def _frozen_points(taus, hs, shifts, spec: QuadratureSpec) -> list:
     """``_assemble_point`` at tau + s*h for each s of ``shifts``, per tau and
-    h, on the frozen mesh of the three rows at tau; the meshes of all the
-    taus are one sweep.  One (len(shifts), 9) array per tau."""
+    h, on the frozen mesh of the two rows I31, I22 at tau; the meshes of all
+    the taus are one sweep.  One (len(shifts), 9) array per tau."""
     F = _integrand(_POINT)
     meshes = build_frozen_mesh(F, [_graded(spec, tau) for tau in taus], _HALF,
                                params=taus)

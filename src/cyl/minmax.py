@@ -164,7 +164,7 @@ class D2:
 
 
 def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
-    return s.chain(profile.value(s.v), profile.deriv(s.v))
+    return s.chain(*profile.jet(s.v, 1))
 
 
 # ----------------------------------------------------------------------------

@@ -327,6 +327,25 @@ def test_cutoff_profile_bounds():
                     float(phi.deriv2(x))) == want
 
 
+def test_cutoff_jet_has_the_bits_of_each_derivative():
+    # one band pass for [phi, phi', phi''][:order + 1], on arrays that mix
+    # the three pieces, on python floats and on 0-d arrays
+    phi = cutoff_profile(0.4)
+    r1, r2 = phi.r1, phi.r2
+    s = np.concatenate([[-1.0, 0.0, r1, r2, 1e9],
+                        np.linspace(0.5 * r1, 1.5 * r2, 61)])
+    each = (phi.value, phi.deriv, phi.deriv2)
+    for order in (0, 1, 2):
+        jet = phi.jet(s, order)
+        assert len(jet) == order + 1
+        for got, d in zip(jet, each):
+            assert got.shape == s.shape and np.array_equal(got, d(s))
+        for x in (0.3 * r1 + 0.7 * r2, 0.5 * r1, 2.0 * r2):
+            for arg in (x, np.asarray(x)):
+                assert [float(v).hex() for v in phi.jet(arg, order)] == \
+                    [float(d(arg)).hex() for d in each[:order + 1]]
+
+
 def test_radial_cnc_exponent():
     t = 0.4
     f = cnc_profile(t)
