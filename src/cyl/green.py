@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,29 +107,28 @@ class RadialChart:
                            lambda r: np.full_like(np.asarray(r, dtype=float), 12.0),
                            dist, sphere_kernel, math.pi)
 
-    def mode_coupling_defect(self, field: ChartMetricField,
-                             delta: float) -> float:
-        """Sup defect between the field and this chart's warped form at 8
-        seeded points; the guard against silently feeding a non-radial field
-        to the solver."""
-        rng = np.random.default_rng(0)
+    def mode_coupling_defect(self, samples) -> float:
+        """Sup defect between a field's values and this chart's warped form
+        at ``samples``, (x, value) pairs: the guard against non-radial fields."""
         worst = 0.0
-        for _ in range(8):
-            x = rng.normal(size=4)
-            x *= rng.uniform(0.05, 0.95) * delta / np.linalg.norm(x)
+        for x, value in samples:
             r = np.linalg.norm(x)
             c = float(self.w(r)) ** 2 / r ** 2
             P = np.outer(x, x) / r ** 2
             model = P + c * (np.eye(4) - P)
-            worst = max(worst, float(np.max(np.abs(field.value(x) - model))))
+            worst = max(worst, float(np.max(np.abs(value - model))))
         return worst
 
 
 def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
-    """The flat or round chart, whichever the field matches better on the
-    ball of radius delta; the field must match it to COUPLING_TOL."""
+    """The flat or round chart that the field, evaluated once at 8 seeded
+    points of the ball of radius delta, matches best, to COUPLING_TOL."""
+    rng = np.random.default_rng(0)
+    draws = [(rng.normal(size=4), rng.uniform(0.05, 0.95)) for _ in range(8)]
+    xs = [x * (u * delta / np.linalg.norm(x)) for x, u in draws]
+    samples = [(x, field.value(x)) for x in xs]
     charts = (RadialChart.flat(), RadialChart.round())
-    defects = [chart.mode_coupling_defect(field, delta) for chart in charts]
+    defects = [chart.mode_coupling_defect(samples) for chart in charts]
     best = int(np.argmin(defects))
     if defects[best] > COUPLING_TOL:
         raise ValueError("no radial chart available for this field; the mode "
@@ -582,11 +582,13 @@ def _gbar_radius(f, sgrid: np.ndarray):
     return rho, NotAKnotSpline(rho, sgrid)
 
 
+@lru_cache(maxsize=32)
 def _sym_directions(n: int = 6) -> np.ndarray:
     nodes, w = _sphere3_nodes(n, n, 2 * n)
-    dirs = np.concatenate([nodes, -nodes])
-    weights = np.concatenate([w, w])
-    return dirs, weights / np.sum(weights)
+    dirs, weights = np.concatenate([nodes, -nodes]), np.concatenate([w, w])
+    weights /= np.sum(weights)
+    dirs.flags.writeable = weights.flags.writeable = False
+    return dirs, weights
 
 
 def extract_mass(evaluator, pole, eps0: float = None,

@@ -365,6 +365,40 @@ def test_weak_form_delta_normalization():
         assert abs(res.value - target) < 5e-4 * (1.0 + abs(target))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3, defect 3: next to "
+                   "the Green pole the K15 error estimate of the weak-form "
+                   "integral is several times too small")
+def test_weak_form_bar_covers_a_tighter_recompute_near_the_pole():
+    # one bump of a seed-1 green-weakform benchmark pass (pass 1, bump 2):
+    # int G L(psi) at rel 1e-9 lies 7.5 of its bars from a rel-1e-12
+    # recompute (8.5 when a refine round split half of the error)
+    pole = np.array([0.18376102545247275, 0.0, 0.0, 0.0])
+    amps = [0.7337466078496914, 0.9622175509453849, -0.41714526804397334]
+    ls, r0 = [3, 0, 3], 0.7341099266595815
+    ev = solve_dirichlet_green(GreenProblem(FlatField(), pole, 1.0))
+
+    def integrand(r, gamma):
+        x = np.clip(r / r0, 0.0, 1.0)
+        b = (1.0 - x ** 2) ** 3
+        b1 = -6.0 * x * (1.0 - x ** 2) ** 2 / r0
+        b2 = (-6.0 * (1.0 - x ** 2) ** 2 + 24.0 * x ** 2 * (1.0 - x ** 2)) / r0 ** 2
+        U = chebyshev_u(4, np.cos(gamma))
+        Lpsi = sum(-6.0 * a * (b2 + 3.0 / r * b1 - l * (l + 2) * b / r ** 2) * U[l]
+                   for a, l in zip(amps, ls))
+        pts = np.stack([r * np.cos(gamma), r * np.sin(gamma),
+                        np.zeros_like(r), np.zeros_like(r)], axis=-1)
+        return ev.value(pts.reshape(-1, 4)).reshape(r.shape) * Lpsi
+
+    res, tight = (integrate_axisym_sphere(
+        integrand, QuadratureSpec(rel_tol=rel, abs_tol=1e-13,
+                                  grading=(((pole[0], 0.0), 0.05),)),
+        theta_domain=(1e-9, 1.0), radial_weight=lambda r: r ** 3)
+        for rel in (1e-9, 1e-12))
+    assert res.converged and tight.converged
+    assert abs(res.value - tight.value) <= \
+        res.error_estimate + tight.error_estimate
+
+
 def test_mode_truncation_convergence():
     pole = np.array([0.1, 0.0, 0.0, 0.0])
     masses = []

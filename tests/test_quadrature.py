@@ -486,6 +486,55 @@ def test_endpoint_singularity_lies_within_its_bar(engine, a):
     assert abs(res.value - exact) <= res.error_estimate
 
 
+def _marked_rounds(budget):
+    """The boxes each refine round of one ``integrate_radial`` run splits,
+    replayed from its panel calls: the boxes of a call after the first are
+    the halves of the boxes the round before picked.  Checks that each
+    round picks the fewest boxes whose sorted errors reach the bulk
+    fraction of the total, capped by the split budget."""
+    calls = []
+    real = quadrature._panels_1d
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append(list(zip(args[1], args[2], out[1].ravel())))
+        return out
+
+    # a singular end and an oscillation
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_panels_1d", recorded)
+        integrate_radial(lambda x: x ** -0.5 + np.cos(200.0 * x), (0.0, 1.0),
+                         QuadratureSpec(max_subdivisions=budget))
+    mesh, rounds = {}, []
+    for new in calls:
+        if mesh:
+            halves = sorted(new)
+            picked = [(a, b) for (a, _, _), (_, b, _) in
+                      zip(halves[::2], halves[1::2])]
+            assert all(l[1] == r[0] == 0.5 * (a + b) for l, r, (a, b) in
+                       zip(halves[::2], halves[1::2], picked))
+            e = np.array(sorted(mesh.values(), reverse=True))
+            fewest = int(e.cumsum().searchsorted(
+                quadrature._BULK_FRACTION * e.sum())) + 1
+            assert len(picked) == min(fewest, budget - sum(rounds))
+            rest = set(mesh).difference(picked)
+            assert min(mesh[box] for box in picked) >= \
+                max((mesh[box] for box in rest), default=0.0)
+            for box in picked:
+                del mesh[box]
+            rounds.append(len(picked))
+        mesh.update(((a, b), err) for a, b, err in new)
+    return rounds
+
+
+def test_each_round_splits_the_fewest_boxes_that_carry_the_bulk_fraction():
+    rounds = _marked_rounds(4000)
+    # a budget one short of a round that splits several boxes caps it
+    k = next(i for i, n in enumerate(rounds) if n > 1)
+    assert _marked_rounds(sum(rounds[:k + 1]) - 1) == \
+        rounds[:k] + [rounds[k] - 1]
+
+
 def _additive(data, integrate):
     """The integral over [a, c] is the sum of those over [a, b] and [b, c]
     within their bars, for drawn a < b < c and a peak whose center seeds
