@@ -113,8 +113,8 @@ def centred_flat_mass(cfg: RunConfig):
 
 def round_parametrix() -> dict:
     """The parametrix residual law on the round chart at t = 0.1, 0.2, 0.4."""
-    from cyl.green import RadialChart, parametrix_sweep
-    return parametrix_sweep(RadialChart.round(), [0.1, 0.2, 0.4])
+    from cyl.green import parametrix_sweep
+    return parametrix_sweep([0.1, 0.2, 0.4])
 
 
 def round_cnc(h_fd: float) -> dict:
@@ -241,7 +241,10 @@ def check_gauge(cfg: RunConfig):
     r_h2 = verify_first_order_identity(f, fam, 1e-3, points=pts)
     r_post = verify_first_order_identity(f, gauge, 1e-3, points=pts)
     ratio = r_h / max(r_h2, 1e-30)
-    ok = 2.0 < ratio < 8.0 and r_post < 1e-3 and f.is_even()
+    # the orbifold condition: both families are even, h(s, -z) = h(s, z)
+    even = all(np.max(np.abs(h.at(1e-3, -z) - h.at(1e-3, z))) <= 1e-12
+               for h in (fam, gauge) for z in pts)
+    ok = 2.0 < ratio < 8.0 and r_post < 1e-3 and even
     return ok, (f"residual {r_h2:.2e} at h=1e-3, halving ratio {ratio:.1f}, "
                 f"post-gauge h'(0) norm {r_post:.2e}")
 

@@ -74,10 +74,6 @@ class LinkFunction:
         P = np.eye(4) - np.outer(z, z)
         return P @ self.hess(z) @ P - (z @ self.grad(z)) * P
 
-    def is_even(self) -> bool:
-        return all(abs(self.value(z) - self.value(-z)) <= 1e-12
-                   for z in sphere_points(50, 1))
-
 
 @dataclass(frozen=True)
 class LinkTensorFamily:

@@ -76,16 +76,19 @@ __all__ = [
 @dataclass(frozen=True)
 class RadialChart:
     """Warped chart dr^2 + w(r)^2 h0 about the origin with scalar curvature
-    R(r), fundamental kernel of L and radial extent; the geometry the mode
-    solver and the DOUBLE leg understand."""
+    R(r), fundamental kernel of L, radial extent, whether its origin is a
+    cone tip and its geodesic spheres; the geometry the mode solver, the
+    mass extraction and the DOUBLE leg read, each from its own field."""
 
-    kind: str            # 'flat' or 'round'
+    kind: str            # the chart's name, 'flat' or 'round', for messages
     w: object            # r -> warp
     wp: object           # r -> w'
     scal: object         # r -> scalar curvature
     dist: object         # (r1, r2, cos gamma) -> distance between chart points
     kernel: object       # distance -> fundamental kernel, L k = 24 pi^2 delta
     extent: float        # the largest chart radius: inf flat, pi round
+    tip: bool            # the origin is a cone tip, where no pole may sit
+    sphere: object       # (pole, dirs) -> (s -> points at distance s along dirs)
 
     @staticmethod
     def flat() -> "RadialChart":
@@ -95,7 +98,8 @@ class RadialChart:
         return RadialChart("flat", lambda r: r, lambda r: np.ones_like(r),
                            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                            dist, lambda d: 1.0 / np.asarray(d, dtype=float) ** 2,
-                           math.inf)
+                           math.inf, False,
+                           lambda pole, dirs: lambda s: pole[None, :] + s * dirs)
 
     @staticmethod
     def round() -> "RadialChart":
@@ -105,7 +109,7 @@ class RadialChart:
 
         return RadialChart("round", np.sin, np.cos,
                            lambda r: np.full_like(np.asarray(r, dtype=float), 12.0),
-                           dist, sphere_kernel, math.pi)
+                           dist, sphere_kernel, math.pi, True, _round_sphere)
 
     def mode_coupling_defect(self, samples) -> float:
         """Sup defect between a field's values and this chart's warped form
@@ -118,6 +122,37 @@ class RadialChart:
             model = P + c * (np.eye(4) - P)
             worst = max(worst, float(np.max(np.abs(value - model))))
         return worst
+
+
+def _round_sphere(pole, dirs: np.ndarray):
+    """s -> the round chart's points at geodesic distance s from the pole
+    along the unit chart directions dirs, one row per direction: ambient S^4
+    geodesics from the lifted pole, the directions lifted to S^4 tangents at
+    the pole once, for all s."""
+    p = chart_to_sphere(pole)
+    # tangent lift of a chart direction v: the derivative of chart_to_sphere
+    # at the pole, ((sin r/r) v + (cos r - sin r/r) a e, -sin r a), with
+    # r = |pole|, e = pole/r and a = e.v, normalized
+    r = float(np.linalg.norm(pole))
+    e = pole / r if r > 0.0 else np.zeros(4)
+    a = dirs @ e
+    sinc = np.sinc(r / math.pi)
+    dp = np.column_stack([sinc * dirs + np.outer((math.cos(r) - sinc) * a, e),
+                          -math.sin(r) * a])
+    dp /= np.linalg.norm(dp, axis=1, keepdims=True)
+
+    def points(s: float) -> np.ndarray:
+        q = math.cos(s) * p + math.sin(s) * dp
+        # back to chart coordinates: polar angle about the north pole
+        theta = np.arccos(np.clip(q[:, 4], -1.0, 1.0))
+        head = q[:, :4]
+        nh = np.linalg.norm(head, axis=1)
+        out = np.zeros_like(head)
+        safe = nh > 0
+        out[safe] = (theta[safe] / nh[safe])[:, None] * head[safe]
+        return out
+
+    return points
 
 
 def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
@@ -406,9 +441,9 @@ class GreenProblem:
         self.chart = chart_for_field(self.field, self.delta)
         # the pole must avoid the cone tip; a centered pole is only meaningful
         # for the flat ball, where there is no tip
-        flat = self.chart.kind == "flat"
-        if not (0.0 if flat else 1e-300) <= t < self.delta / 4.0 + 1e-12:
-            raise ValueError(f"pole must satisfy {'0 <=' if flat else '0 <'} "
+        tip = self.chart.tip
+        if not (1e-300 if tip else 0.0) <= t < self.delta / 4.0 + 1e-12:
+            raise ValueError(f"pole must satisfy {'0 <' if tip else '0 <='} "
                              f"|x| < delta/4 on the {self.chart.kind} chart")
 
 
@@ -619,8 +654,8 @@ def extract_mass(evaluator, pole, eps0: float = None,
     dirs, weights = _sym_directions()
     # orthonormal tangent completion: rotate e1 onto the pole axis
     axis = _axis(pole)
-    sphere = _exp_sphere(evaluator.chart, pole,
-                         dirs @ np.vstack([axis, tangent_frame(axis)]).T)
+    sphere = evaluator.chart.sphere(
+        pole, dirs @ np.vstack([axis, tangent_frame(axis)]).T)
     means = np.array([
         float(np.sum(weights * (evaluator.value(sphere(float(s_k))) * f_k
                                 - 1.0 / eps ** 2)))
@@ -630,40 +665,6 @@ def extract_mass(evaluator, pole, eps0: float = None,
     fitted = design @ coef
     err = float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
     return GreenExpansion(t=t, A_q=float(coef[0]), error=err)
-
-
-def _exp_sphere(chart: RadialChart, pole, dirs: np.ndarray):
-    """s -> the chart points at geodesic distance s from the pole along the
-    unit chart directions dirs, one row per direction.  On the round chart
-    the directions are lifted to S^4 tangents at the pole once, for all s."""
-    if chart.kind == "flat":
-        return lambda s: pole[None, :] + s * dirs
-    # round: ambient S^4 geodesics from the lifted pole
-    p = chart_to_sphere(pole)
-    # tangent lift of a chart direction v: the derivative of chart_to_sphere
-    # at the pole, ((sin r/r) v + (cos r - sin r/r) a e, -sin r a), with
-    # r = |pole|, e = pole/r and a = e.v, normalized
-    r = float(np.linalg.norm(pole))
-    e = pole / r if r > 0.0 else np.zeros(4)
-    a = dirs @ e
-    sinc = np.sinc(r / math.pi)
-    dp = np.column_stack([sinc * dirs + np.outer((math.cos(r) - sinc) * a, e),
-                          -math.sin(r) * a])
-    dp /= np.linalg.norm(dp, axis=1, keepdims=True)
-    n = len(dirs)
-
-    def points(s: float) -> np.ndarray:
-        q = math.cos(s) * p + math.sin(s) * dp
-        # back to chart coordinates: polar angle about the north pole
-        theta = np.arccos(np.clip(q[:, 4], -1.0, 1.0))
-        head = q[:, :4]
-        nh = np.linalg.norm(head, axis=1)
-        out = np.zeros((n, 4))
-        safe = nh > 0
-        out[safe] = (theta[safe] / nh[safe])[:, None] * head[safe]
-        return out
-
-    return points
 
 
 # ----------------------------------------------------------------------------
@@ -700,9 +701,9 @@ def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
     return rows
 
 
-def parametrix_residual(chart: RadialChart, t: float,
-                        with_cnc: bool = True) -> dict:
-    """200 samples of L_gbar(rho^-2) on the punctured ball rho < rho(t/2).
+def parametrix_residual(t: float, with_cnc: bool = True) -> dict:
+    """200 samples of L_gbar(rho^-2) on the punctured ball rho < rho(t/2) of
+    the football's round chart.
 
     Uses the exact radial reduction about the pole: within distance t/2 the
     (CNC-modified) suite metric is rotationally symmetric about the pole, so
@@ -714,12 +715,6 @@ def parametrix_residual(chart: RadialChart, t: float,
     terms separately.
     """
     svals = np.linspace(t * 1e-3, 0.5 * t * (1 - 1e-9), 200)
-    if chart.kind == "flat":
-        # m(rho) = rho and R = 0 identically: the residual vanishes
-        zeros = np.zeros_like(svals)
-        return {"rho": svals, "volume_term": zeros, "curvature_term": zeros,
-                "total": zeros, "sup": 0.0,
-                "sup_curvature_term_no_cnc": 0.0}
     if with_cnc:
         prof = cnc_profile(t)
         fprof = prof.value
@@ -727,9 +722,9 @@ def parametrix_residual(chart: RadialChart, t: float,
     else:
         fprof = np.zeros_like
         f = fp = fpp = np.zeros_like(svals)
-    w = np.asarray(chart.w(svals), dtype=float)
-    wp = np.asarray(chart.wp(svals), dtype=float)
-    R0 = np.asarray(chart.scal(svals), dtype=float)
+    w = np.sin(svals)  # the round chart's warp; its scalar curvature is 12
+    wp = np.cos(svals)
+    R0 = np.full_like(svals, 12.0)
     # rho(s) to machine accuracy: the volume term lives on the cancellation
     # m(rho) = rho + O(rho^5), so rho itself must be exact
     rho = _gbar_radius(fprof, np.concatenate([[0.0], svals]))[0][1:]
@@ -751,11 +746,10 @@ def parametrix_residual(chart: RadialChart, t: float,
     }
 
 
-def parametrix_sweep(chart: RadialChart, t_list) -> dict:
-    """Fitted exponent of sup |L_gbar(rho^-2)| against t."""
+def parametrix_sweep(t_list) -> dict:
+    """Fitted exponent of sup |L_gbar(rho^-2)| against t on the round chart."""
     t_list = np.asarray(t_list, dtype=float)
-    sups = np.array([parametrix_residual(chart, float(t))["sup"]
-                     for t in t_list])
+    sups = np.array([parametrix_residual(float(t))["sup"] for t in t_list])
     slope, intercept = np.polyfit(np.log(t_list), np.log(sups), 1)
     return {"t": t_list, "sup": sups, "exponent": float(slope),
             "constant": float(math.exp(intercept))}

@@ -24,8 +24,9 @@ Each GLUED/INTERP quotient is one (xi, v) mesh over the glue zone and the far
 region outside the mirror ball, its rows numerator and fourth power, plus one
 1-d flux integral over the glue sphere.
 
-The path and the fits reach the legs through one dispatch,
-``evaluate_quotient``.
+Each leg is a type of its own, ``DoubleLeg``, ``InterpLeg`` and
+``GluedLeg``, that evaluates its quotient and picks its tolerance; the path
+and the fits reach them through one delegating call, ``evaluate_quotient``.
 Each GLUED/INTERP integrand call builds one ``_LegBatch`` per zone with
 points from the leg's ``GluedData``: it holds the zone's geometry and
 evaluates the Green lift, energy density and measure from it.  Factors of xi
@@ -59,7 +60,9 @@ from cyl.quadrature import (IntegralResult, QuadratureSpec,
 
 __all__ = [
     "D2",
-    "TestFunctionDescriptor",
+    "DoubleLeg",
+    "InterpLeg",
+    "GluedLeg",
     "PathConfig",
     "PathProfile",
     "GluedData",
@@ -151,10 +154,6 @@ class D2:
         """Chain an elementwise function with known derivative."""
         return self.chain(f(self.v), fp(self.v))
 
-    def sincos(self):
-        s, c = np.sin(self.v), np.cos(self.v)
-        return self.chain(s, c), self.chain(c, -s)
-
     def cos(self):
         return self.apply(np.cos, lambda v: -np.sin(v))
 
@@ -165,33 +164,6 @@ class D2:
 
 def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
     return s.chain(*profile.jet(s.v, 1))
-
-
-# ----------------------------------------------------------------------------
-# descriptors
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TestFunctionDescriptor:
-    __test__ = False             # not a pytest test class despite the name
-    variant: str                 # DOUBLE, GLUED, INTERP
-    epsilon: float
-    t: float = 0.0
-    tau: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        # GLUED is the INTERP leg at lam = 1 and DOUBLE has no glue, so a
-        # descriptor with another lam or tau would be evaluated as a
-        # different competitor without a word
-        if self.variant == "GLUED" and self.lam != 1.0:
-            raise ValueError(f"a GLUED descriptor has lam = 1, got {self.lam!r}")
-        if self.variant == "INTERP" and not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"an INTERP descriptor has lam in [0, 1], "
-                             f"got {self.lam!r}")
-        if self.variant == "DOUBLE" and (self.tau != 0.0 or self.lam != 0.0):
-            raise ValueError(f"a DOUBLE descriptor has tau = lam = 0, got "
-                             f"tau = {self.tau!r}, lam = {self.lam!r}")
 
 
 @dataclass
@@ -627,31 +599,71 @@ def quotient_interp(eps: float, lam: float, spec: QuadratureSpec, t: float,
 # the path
 # ----------------------------------------------------------------------------
 
-def evaluate_quotient(config: PathConfig, desc: TestFunctionDescriptor,
-                      spec: QuadratureSpec):
-    """(Q, err, converged) of one descriptor on the football with config's
-    chart cutoff delta: the one dispatch on the leg name."""
-    if desc.variant == "DOUBLE":
-        return quotient_double(desc.epsilon, desc.t, config.delta, spec,
+@dataclass(frozen=True)
+class DoubleLeg:
+    """The cut-off bubble pair at -+t, with no glue: tau = lam = 0."""
+    variant = "DOUBLE"
+    tau = 0.0
+    lam = 0.0
+    tol_scale = 30.0
+    epsilon: float
+    t: float
+
+    def quotient(self, delta: float, spec: QuadratureSpec):
+        return quotient_double(self.epsilon, self.t, delta, spec,
                                RadialChart.round())
-    if desc.variant not in ("GLUED", "INTERP"):
-        raise ValueError(f"unknown variant {desc.variant!r}")
-    return quotient_interp(desc.epsilon, desc.lam, spec, desc.t, desc.tau,
-                           config.delta)
 
 
-def _leg_descriptor(config: PathConfig, mu: float) -> TestFunctionDescriptor:
-    """The competitor at mu in [0, 2.5]; the upper half mirrors it."""
+@dataclass(frozen=True)
+class GluedLeg:
+    """The glued bubble/Green competitor: INTERP at lam = 1, no argument."""
+    variant = "GLUED"
+    lam = 1.0
+    tol_scale = 1.0
+    epsilon: float
+    t: float
+    tau: float
+
+    def quotient(self, delta: float, spec: QuadratureSpec):
+        return quotient_interp(self.epsilon, self.lam, spec, self.t, self.tau,
+                               delta)
+
+
+@dataclass(frozen=True)
+class InterpLeg:
+    """psi_lam = lam w + (1 - lam) e~ for lam in [0, 1]."""
+    variant = "INTERP"
+    tol_scale = 30.0
+    epsilon: float
+    t: float
+    tau: float
+    lam: float
+    quotient = GluedLeg.quotient
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"an INTERP leg has lam in [0, 1], "
+                             f"got {self.lam!r}")
+
+
+def evaluate_quotient(config: PathConfig, leg, spec: QuadratureSpec):
+    """(Q, err, converged) of the leg with config's chart cutoff delta."""
+    return leg.quotient(config.delta, spec)
+
+
+def _leg_descriptor(config: PathConfig, mu: float):
+    """The competitor at mu in [0, 5]; the upper half mirrors the lower."""
+    if not 0.0 <= mu <= 5.0:
+        raise ValueError(f"mu must lie in [0, 5], got {mu!r}")
+    mu = min(mu, 5.0 - mu)
     eps = config.epsilon
     te = eps ** config.alpha
     if mu <= 1.0:
-        return TestFunctionDescriptor("DOUBLE", eps, t=mu * te)
+        return DoubleLeg(eps, mu * te)
     if mu <= 2.0:
-        return TestFunctionDescriptor("INTERP", eps, t=te,
-                                      tau=eps ** config.omega, lam=mu - 1.0)
+        return InterpLeg(eps, te, eps ** config.omega, mu - 1.0)
     t = config.t_of_mu(mu)
-    return TestFunctionDescriptor("GLUED", eps, t=t, tau=config.tau_of_t(t),
-                                  lam=1.0)
+    return GluedLeg(eps, t, config.tau_of_t(t))
 
 
 def _mirror_grid(n: int) -> np.ndarray:
@@ -669,34 +681,30 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
     """Assemble the five legs and evaluate Q on the mu grid in [0, 5].
 
     The pole swap is an exact isometry of the football, so Q(mu) =
-    Q(5 - mu): each mu is evaluated through the descriptor of
-    min(mu, 5 - mu), and a mirror pair costs one evaluation."""
+    Q(5 - mu): each mu is evaluated through the leg of min(mu, 5 - mu),
+    and a mirror pair costs one evaluation, every mu checked first."""
     if mu_grid is None:
         mu_grid = _mirror_grid(config.mu_points)
     mu_grid = np.asarray(mu_grid, dtype=float)
+    legs = [_leg_descriptor(config, float(mu)) for mu in mu_grid]
     spec = config.spec()
-    # the bubble legs sit far below the critical level, so their quadrature
-    # budget can be much looser than the middle leg's, whose margin is the
-    # path's smallest
-    loose = spec.scaled(30.0)
+    # a leg scales the path's tolerance by its tol_scale: the bubble legs sit
+    # far below the critical level, so their quadrature budget can be much
+    # looser than the glued leg's, whose margin is the path's smallest
     Q = np.empty(len(mu_grid))
     E = np.empty(len(mu_grid))
     ok = np.empty(len(mu_grid), dtype=bool)
-    legs = []
     done = {}
-    for i, mu in enumerate(mu_grid):
-        mu = float(mu)
-        desc = _leg_descriptor(config, min(mu, 5.0 - mu))
-        if desc not in done:
+    for i, (mu, leg) in enumerate(zip(mu_grid, legs)):
+        if leg not in done:
             try:
-                use = spec if desc.variant == "GLUED" else loose
-                done[desc] = evaluate_quotient(config, desc, use)
+                done[leg] = evaluate_quotient(config, leg,
+                                              spec.scaled(leg.tol_scale))
             except Exception as exc:
                 raise RuntimeError(f"leg evaluation failed at mu={mu}: {exc}") from exc
-        Q[i], E[i], ok[i] = done[desc]
-        legs.append(desc.variant)
-    return PathProfile(config=config, mu=mu_grid, Q=Q, Q_err=E, legs=legs,
-                       converged=ok)
+        Q[i], E[i], ok[i] = done[leg]
+    return PathProfile(config=config, mu=mu_grid, Q=Q, Q_err=E,
+                       legs=[leg.variant for leg in legs], converged=ok)
 
 
 # ----------------------------------------------------------------------------
@@ -716,27 +724,25 @@ class ExpansionFit:
 def fit_expansion_A(config: PathConfig, eps_sequence, mu: float,
                     spec: QuadratureSpec | None = None) -> ExpansionFit:
     """Fit Q = 6 S4 - A_hat eps^{2(1-alpha)} - C eps^{2 alpha ...} to the
-    path's competitor at mu in [0, 2.5], evaluated at each eps of the
+    path's competitor at mu in [0, 5], evaluated at each eps of the
     sequence with the rest of config held, to config's spec unless given.
 
     The two-term model absorbs the next allowed order eps^{4-4 omega}; the
     free exponent is refit separately from the leading behavior.
     """
-    if not 0.0 <= mu <= 2.5:
-        raise ValueError(f"mu must lie in [0, 2.5], got {mu!r}")
+    eps_sequence = np.asarray(sorted(eps_sequence, reverse=True), dtype=float)
+    configs = [replace(config, epsilon=eps) for eps in eps_sequence]
+    legs = [_leg_descriptor(at_eps, mu) for at_eps in configs]
     if len(set(eps_sequence)) < 3:
         raise ValueError("the fit needs at least 3 distinct epsilons")
     if spec is None:
         spec = config.spec()
     alpha, omega = config.alpha, config.omega
     k = sobolev_constants()
-    eps_sequence = np.asarray(sorted(eps_sequence, reverse=True), dtype=float)
     Q = np.empty(len(eps_sequence))
     ok = np.empty(len(eps_sequence), dtype=bool)
-    for i, eps in enumerate(eps_sequence):
-        at_eps = replace(config, epsilon=eps)
-        Q[i], _, ok[i] = evaluate_quotient(at_eps, _leg_descriptor(at_eps, mu),
-                                           spec)
+    for i, (at_eps, leg) in enumerate(zip(configs, legs)):
+        Q[i], _, ok[i] = evaluate_quotient(at_eps, leg, spec)
     gap = 6.0 * k.S4 - Q
     # subleading orders the expansions themselves produce: the cutoff tail /
     # metric terms at eps^{2 alpha} (coinciding with eps^{4 - 4 omega} for the

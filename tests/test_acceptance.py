@@ -62,6 +62,22 @@ def test_criterion_07_gauge(cfg):
     _run(acceptance.check_gauge, cfg)
 
 
+def test_gauge_check_fails_on_an_odd_family(monkeypatch, cfg):
+    # k(z) = z[0] I changes sign with z, so the family lives on S^3 but not
+    # on RP^3; its residual still halves like h^2, so only the orbifold
+    # condition fails, and the detail line keeps its form
+    import numpy as np
+    from cyl.geometry.links import LinkTensorFamily
+    f, fam, gauge, pts = acceptance.gauge_example()
+    odd = LinkTensorFamily.linear_perturbation(lambda z: z[0] * np.eye(4))
+    monkeypatch.setattr(acceptance, "gauge_example",
+                        lambda: (f, odd, gauge, pts))
+    res = acceptance.check_gauge(cfg)
+    assert not res.passed
+    assert res.detail.startswith("residual ")
+    assert "halving ratio 4.0" in res.detail
+
+
 def test_criterion_08_green_masses(cfg):
     res = _run(acceptance.check_green_masses, cfg)
     assert res.seconds < 600.0

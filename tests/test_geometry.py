@@ -283,8 +283,9 @@ def test_first_order_identity_and_gauge():
     gauge = LinkTensorFamily.gauge_killing(fq)
     rg = verify_first_order_identity(fq, gauge, 1e-3, points=pts)
     assert rg < 1e-3
-    # the gauge family is admissible on RP^3: f is antipodally even
-    assert fq.is_even()
+    # the gauge family is admissible on RP^3: it is antipodally even
+    assert all(np.array_equal(gauge.at(1e-3, -z), gauge.at(1e-3, z))
+               for z in pts)
 
 
 # ------------------------------------------------------------------------- cnc

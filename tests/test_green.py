@@ -216,7 +216,6 @@ def test_green_value_of_a_batch_is_the_value_of_each_point(field):
 
 def test_round_geodesic_spheres_have_their_radius():
     from cyl.geometry.football import chart_to_sphere
-    from cyl.green import _exp_sphere
     rng = np.random.default_rng(9)
     dirs = rng.normal(size=(64, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -227,7 +226,7 @@ def test_round_geodesic_spheres_have_their_radius():
         fd = (chart_to_sphere(pole + h * dirs)
               - chart_to_sphere(pole - h * dirs)) / (2.0 * h)
         fd /= np.linalg.norm(fd, axis=1, keepdims=True)
-        sphere = _exp_sphere(RadialChart.round(), pole, dirs)
+        sphere = RadialChart.round().sphere(pole, dirs)
         for s in (1e-3, 0.02, 0.3):
             q = chart_to_sphere(sphere(s))
             # chordal form: well conditioned at small s
@@ -478,15 +477,13 @@ def test_mass_boundary_effect_bounded():
 
 
 def test_parametrix_residual_and_law():
-    flat = parametrix_residual(RadialChart.flat(), 0.2)
-    assert flat["sup"] == 0.0
-    nocnc = parametrix_residual(RadialChart.round(), 0.2, with_cnc=False)
+    nocnc = parametrix_residual(0.2, with_cnc=False)
     # without the conformal change the curvature term alone is ~ 12/r^2,
     # unbounded in L^4 near the pole ...
     assert nocnc["sup_curvature_term_no_cnc"] > 1e6
     # ... though for the Einstein round metric the two terms cancel pointwise
     assert nocnc["sup"] < 5.0
-    sweep = parametrix_sweep(RadialChart.round(), [0.1, 0.2, 0.4])
+    sweep = parametrix_sweep([0.1, 0.2, 0.4])
     assert -2.3 <= sweep["exponent"] <= -1.7
 
 

@@ -33,9 +33,9 @@ def test_d2_chain_rules():
     y = np.array([0.2, 0.5])
     X = D2.var_x(x)
     Y = D2.var_y(y)
-    f = (X * Y).sincos()[0] + (X / Y) ** 2.0
+    f = (X * Y).cos() + (X / Y) ** 2.0
     h = 1e-7
-    fv = lambda a, b: np.sin(a * b) + (a / b) ** 2
+    fv = lambda a, b: np.cos(a * b) + (a / b) ** 2
     assert_allclose(f.v, fv(x, y), rtol=1e-14)
     assert_allclose(f.dx, (fv(x + h, y) - fv(x - h, y)) / (2 * h), rtol=1e-6)
     assert_allclose(f.dy, (fv(x, y + h) - fv(x, y - h)) / (2 * h), rtol=1e-6)
@@ -449,10 +449,16 @@ def test_path_config_validation():
         PathConfig(epsilon=5e-4, delta=0.2)  # glue annulus overlap
 
 
-def test_evaluate_quotient_names_an_unknown_variant():
-    desc = minmax.TestFunctionDescriptor("SINGLE", 1e-4)
-    with pytest.raises(ValueError, match="unknown variant 'SINGLE'"):
-        minmax.evaluate_quotient(PATH, desc, SPEC)
+@pytest.mark.parametrize("mu", [-0.5, 5.5, math.nan])
+def test_build_path_rejects_a_mu_off_the_path(monkeypatch, mu):
+    # [-0.5, 5.5] was once evaluated as a DOUBLE leg at t = -0.5 eps^alpha
+    # twice, converged; now the caller's mu is named before any evaluation
+    calls = []
+    monkeypatch.setattr(minmax, "evaluate_quotient",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=rf"mu must lie in \[0, 5\], got {mu}"):
+        build_path(PathConfig(), [0.5, mu, 5.0 - mu])
+    assert calls == []
 
 
 def test_run_config_is_the_path_config():
@@ -509,7 +515,7 @@ def test_fit_expansion_double():
                           spec=QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
     assert abs(fit.A_hat - K.A) / K.A < 0.10
     assert abs(fit.exponent_free - 0.8) / 0.8 < 0.10
-    for mu in (-0.1, 2.6, math.nan):
+    for mu in (-0.1, 5.1, math.nan):
         with pytest.raises(ValueError, match="mu must lie in"):
             fit_expansion_A(PathConfig(), [1e-4, 5e-5], mu)
     with pytest.raises(ValueError, match="at least 3 distinct epsilons"):

@@ -76,16 +76,69 @@ def _defaulted_parameters(node, prefix):
             yield from _defaulted_parameters(child, prefix)
 
 
-def test_every_option_is_on_the_committed_list():
+def _source_trees():
+    """(module name, parsed source) of every module of src/cyl."""
     root = Path(cyl.__path__[0])
-    found = set()
-    for path in root.rglob("*.py"):
+    for path in sorted(root.rglob("*.py")):
         parts = path.relative_to(root.parent).with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        found.update(_defaulted_parameters(ast.parse(path.read_text()),
-                                           f"{module}."))
+        yield module, ast.parse(path.read_text())
+
+
+def test_every_option_is_on_the_committed_list():
+    found = set()
+    for module, tree in _source_trees():
+        found.update(_defaulted_parameters(tree, f"{module}."))
     assert sorted(found - OPTIONS) == [], "a new option: list it in OPTIONS"
     assert sorted(OPTIONS - found) == [], "an option is gone: drop it here"
+
+
+# a leg or a chart carries its own behaviour, so no code chooses one by
+# comparing its name; names are parsed only by the command line, the config
+# and the two sweeps that take a model or kind name as their argument
+NAMES = {"DOUBLE", "INTERP", "GLUED", "flat", "round"}
+NAME_FIELDS = {"variant", "kind"}
+NAME_PARSES = ("cyl.cli.", "cyl.config.", "cyl.green.mass_divergence_sweep.",
+               "cyl.interaction.asymptotic_slope.")
+
+
+def _name_comparisons(node, prefix):
+    """module.function:line of each ==, != or (not) in under ``node`` that
+    compares a ``.variant`` or ``.kind`` or a leg or chart name literal."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from _name_comparisons(child, f"{prefix}{child.name}.")
+            continue
+        if isinstance(child, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                for op in child.ops):
+            if any((isinstance(sub, ast.Attribute)
+                    and sub.attr in NAME_FIELDS)
+                   or (isinstance(sub, ast.Constant)
+                       and isinstance(sub.value, str) and sub.value in NAMES)
+                   for operand in (child.left, *child.comparators)
+                   for sub in ast.walk(operand)):
+                yield f"{prefix}:{child.lineno}"
+        yield from _name_comparisons(child, prefix)
+
+
+def test_the_name_gate_sees_each_form_of_comparison():
+    code = ("def f(leg, chart, x):\n"
+            "    a = leg.variant == x\n"
+            "    b = 'flat' != chart.name\n"
+            "    if x not in ('GLUED', 'INTERP'):\n"
+            "        return chart.kind in x\n"
+            "    return a, b, leg.variant, x == 'flat-cone', x < 'round'\n")
+    assert list(_name_comparisons(ast.parse(code), "m.")) == [
+        "m.f.:2", "m.f.:3", "m.f.:4", "m.f.:5"]
+
+
+def test_no_code_chooses_behaviour_by_a_leg_or_chart_name():
+    sites = [site for module, tree in _source_trees()
+             for site in _name_comparisons(tree, f"{module}.")
+             if not site.startswith(NAME_PARSES)]
+    assert sites == []
 
 
 def test_no_module_loads_scipy_at_import():

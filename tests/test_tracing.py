@@ -107,3 +107,29 @@ def test_a_traced_monotonicity_grid_builds_its_frozen_meshes_in_one_span():
     assert rep.converged and rep.first_violation == -1
     assert names.count("quadrature.build_frozen_mesh") == 1
     assert names.count("quadrature.FrozenMesh2D.evaluate") == 3 * 4
+
+
+def test_a_traced_path_spans_one_evaluation_per_leg():
+    # the legs perfbench's minmax.*_s metrics read: one evaluate_quotient
+    # span per leg, its variant recorded, each over the quotient it calls
+    import cyl.minmax as minmax
+    tracer = tracing.Tracer()
+    inst = tracing.install(tracer)
+    try:
+        prof = minmax.build_path(minmax.PathConfig(), [0.5, 1.5, 2.25])
+    finally:
+        inst.uninstall()
+    spans = tracer.spans
+    evals = [i for i, s in enumerate(spans)
+             if s[0] == "minmax.evaluate_quotient"]
+    assert [spans[i][5]["variant"] for i in evals] == prof.legs == [
+        "DOUBLE", "INTERP", "GLUED"]
+    inner = [(s[0], spans[s[3]][5]["variant"]) for s in spans
+             if s[0] in ("minmax.quotient_double", "minmax.quotient_interp")]
+    assert inner == [("minmax.quotient_double", "DOUBLE"),
+                     ("minmax.quotient_interp", "INTERP"),
+                     ("minmax.quotient_interp", "GLUED")]
+    metrics = tracing.pass_metrics(spans, None)
+    assert metrics["minmax.evaluations"] == 3
+    assert all(metrics[f"minmax.{leg}_s"] > 0.0
+               for leg in ("double", "interp", "glued"))
