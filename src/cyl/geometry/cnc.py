@@ -18,6 +18,7 @@ import numpy as np
 from cyl.geometry.curvature import CurvatureSnapshot, curvature_at
 from cyl.geometry.fields import (ChartMetricField, ConformalField,
                                  ForcedFDField)
+from cyl.quadrature import gauss_legendre
 
 __all__ = [
     "cutoff_profile",
@@ -40,6 +41,17 @@ _STEP = (
     (np.zeros_like,
      lambda t, w: -(60.0 * t - 180.0 * t ** 2 + 120.0 * t ** 3) / w ** 2),
 )
+
+_RADIUS_NODES = 20  # the Gauss-Legendre order of each piece of ``radius``
+_NEWTON_STEPS = 8   # the most Newton steps ``radius_inverse`` takes
+
+
+def _gauss(g, a, b):
+    """int_a^b g by the fixed rule per entry of b; an elementwise product
+    and a row sum keep each entry's bits independent of its place in b."""
+    x, w = gauss_legendre(_RADIUS_NODES)
+    half = 0.5 * (b - a)
+    return half * (g((a + half)[..., None] + half[..., None] * x) * w).sum(-1)
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,7 @@ class RadialCNCProfile:
     """f(s) = phi_t(s) s^2/2: the cut-off CNC exponent of the round metric
     as a function of the geodesic distance s to its basepoint (the round
     factor is |z|^2/2, see ``cnc_polynomial``); ``jet`` adds its
-    s-derivatives."""
+    s-derivatives and ``radius`` the gbar = e^f g distance rho(s)."""
 
     phi: CutoffProfile
 
@@ -128,6 +140,26 @@ class RadialCNCProfile:
 
     def value(self, s):
         return self.jet(s, 0)[0]
+
+    def radius(self, s):
+        """rho(s) = int_0^s e^{f/2}, the gbar distance along a radial
+        geodesic: the fixed rule on [0, min(s, r1)], where f = s^2/2, and on
+        the band [r1, min(s, r2)], plus s - r2 beyond r2, where f = 0."""
+        r1, r2 = self.phi.r1, self.phi.r2
+        return _gauss(lambda u: np.exp(0.25 * u * u), 0.0, np.minimum(s, r1)) \
+            + _gauss(lambda u: np.exp(0.5 * self.value(u)), r1,
+                     np.clip(s, r1, r2)) + np.maximum(s - r2, 0.0)
+
+    def radius_inverse(self, rho):
+        """The s with radius(s) = rho: Newton's method from s = rho on the
+        exact slope e^{f/2}, in [1, e^{r2^2/4}], until a step is 0."""
+        s = rho = np.asarray(rho, dtype=float)
+        for _ in range(_NEWTON_STEPS):
+            step = (self.radius(s) - rho) * np.exp(-0.5 * self.value(s))
+            s = s - step
+            if not step.any():
+                break
+        return s
 
 
 def cnc_profile(t: float) -> RadialCNCProfile:

@@ -595,28 +595,6 @@ def matching_constant(epsilon: float, tau: float, A_q: float) -> float:
     return (1.0 / tau ** 2 + A_q) / bubble(tau * tau, epsilon)
 
 
-def _cumulative_gl(f, sgrid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of f from sgrid[0] along sgrid, per-interval
-    Gauss-Legendre; keeps delicate cancellations intact for smooth f."""
-    x, w = gauss_legendre(8)
-    a = sgrid[:-1]
-    b = sgrid[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    increments = half * (vals @ w)
-    return np.concatenate([[0.0], np.cumsum(increments)])
-
-
-def _gbar_radius(f, sgrid: np.ndarray):
-    """rho(s) = int_0^s e^{f/2}, the gbar = e^f g distance along a radial
-    geodesic with CNC profile f(s), on sgrid (from 0), and its inverse
-    s(rho) as a cubic spline."""
-    rho = _cumulative_gl(lambda s: np.exp(0.5 * f(s)), sgrid)
-    return rho, NotAKnotSpline(rho, sgrid)
-
-
 @lru_cache(maxsize=32)
 def _sym_directions(n: int = 6) -> np.ndarray:
     nodes, w = _sphere3_nodes(n, n, 2 * n)
@@ -627,30 +605,30 @@ def _sym_directions(n: int = 6) -> np.ndarray:
 
 
 def extract_mass(evaluator, pole, eps0: float = None,
-                 conformal_fr=None) -> GreenExpansion:
+                 profile=None) -> GreenExpansion:
     """Mass by Richardson extrapolation of spherical means of G - |z|^-2.
 
     Sample spheres are gbar-geodesic spheres of radius eps_k = eps0 * 2^-k,
-    k = 0..3, around the pole.  With the radial CNC profile conformal_fr the
-    gbar-radius rho(s) = int_0^s e^{f/2} is inverted exactly on the radial
-    geodesics, and the values on the sphere of g-radius s are multiplied by
-    the CNC factor e^{-fr(s)/2}.  That is the whole of Gbar = e^{-f/2} G
-    there: the spheres keep s <= 0.49 t, so every point lies at least
-    1.5 t > t/2 from the mirror pole, where the mirror branch of the
-    equivariant f vanishes.  The geodesics are those of ``evaluator.chart``.
-    Antipodal direction pairs kill the odd terms of the C^1 remainder.
+    k = 0..3, around the pole.  With the ``RadialCNCProfile`` ``profile`` the
+    g-radius of each is s = ``profile.radius_inverse(eps_k)``, and the values
+    on it are multiplied by the CNC factor e^{-f(s)/2}.  That is the whole of
+    Gbar = e^{-f/2} G there while s <= 0.49 t, which eps0 <= 0.49 t ensures
+    (s <= rho): every point lies at least 1.5 t > t/2 from the mirror pole,
+    where the mirror branch of the equivariant f vanishes.  The geodesics are
+    those of ``evaluator.chart``.  Antipodal direction pairs kill the odd
+    terms of the C^1 remainder.
     """
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
     if eps0 is None:
         eps0 = t / 8.0
     radii = eps0 * 0.5 ** np.arange(4)
-    if conformal_fr is None:
-        s, factor = radii, np.ones(4)
-    else:
-        smax = min(2.0 * eps0, 0.49 * t)
-        s = _gbar_radius(conformal_fr, np.linspace(0.0, smax, 400))[1](radii)
-        factor = np.exp(-0.5 * conformal_fr(s))
+    s, factor = radii, np.ones(4)
+    if profile is not None:
+        if not eps0 <= 0.49 * t:
+            raise ValueError(f"a CNC profile needs eps0 <= 0.49 t, got {eps0!r}")
+        s = profile.radius_inverse(radii)
+        factor = np.exp(-0.5 * profile.value(s))
     dirs, weights = _sym_directions()
     # orthonormal tangent completion: rotate e1 onto the pole axis
     axis = _axis(pole)
@@ -677,9 +655,9 @@ def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
     dicts with the A_q * 4 t^2 column; each row's error adds the solver's
     error estimate to the extraction's."""
     if model == "flat-cone":
-        field, profile = FlatField(), None
+        field, cnc = FlatField(), None
     elif model == "football":
-        field, profile = WarpedRadialField(round_profile()), cnc_profile
+        field, cnc = WarpedRadialField(round_profile()), cnc_profile
     else:
         raise ValueError("model must be 'flat-cone' or 'football'")
     if not all(0.0 < t < math.inf for t in t_grid):
@@ -689,8 +667,7 @@ def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
         pole = np.array([t, 0.0, 0.0, 0.0])
         g_plus = solve_dirichlet_green(GreenProblem(field, pole, delta))
         exp = extract_mass(AssembledGreen(g_plus), pole,
-                           conformal_fr=None if profile is None
-                           else profile(t).value)
+                           profile=None if cnc is None else cnc(t))
         rows.append({
             "t": float(t),
             "A_q": exp.A_q,
@@ -715,19 +692,13 @@ def parametrix_residual(t: float, with_cnc: bool = True) -> dict:
     terms separately.
     """
     svals = np.linspace(t * 1e-3, 0.5 * t * (1 - 1e-9), 200)
-    if with_cnc:
-        prof = cnc_profile(t)
-        fprof = prof.value
-        f, fp, fpp = prof.jet(svals)
-    else:
-        fprof = np.zeros_like
-        f = fp = fpp = np.zeros_like(svals)
+    prof = cnc_profile(t)
+    f, fp, fpp = prof.jet(svals) if with_cnc else [np.zeros_like(svals)] * 3
+    # exact rho: the volume term lives on m(rho) = rho + O(rho^5)
+    rho = prof.radius(svals) if with_cnc else svals
     w = np.sin(svals)  # the round chart's warp; its scalar curvature is 12
     wp = np.cos(svals)
     R0 = np.full_like(svals, 12.0)
-    # rho(s) to machine accuracy: the volume term lives on the cancellation
-    # m(rho) = rho + O(rho^5), so rho itself must be exact
-    rho = _gbar_radius(fprof, np.concatenate([[0.0], svals]))[0][1:]
     m = np.exp(0.5 * f) * w
     dm_ds = np.exp(0.5 * f) * (0.5 * fp * w + wp)
     dm_drho = dm_ds * np.exp(-0.5 * f)

@@ -52,8 +52,8 @@ import numpy as np
 from cyl.config import PathConfig
 from cyl.constants import bubble, exponents_admissible, sobolev_constants
 from cyl.geometry.cnc import CutoffProfile, RadialCNCProfile, cnc_profile
-from cyl.green import (NotAKnotSpline, RadialChart, _gbar_radius,
-                       matching_constant, sphere_kernel, sphere_kernel_slope)
+from cyl.green import (RadialChart, matching_constant, sphere_kernel,
+                       sphere_kernel_slope)
 from cyl.quadrature import (IntegralResult, QuadratureSpec,
                             integrate_axisym_sphere, integrate_radial,
                             integrate_rect2d)
@@ -254,7 +254,7 @@ def _quotient_from(nres: IntegralResult, dres: IntegralResult):
 @dataclass
 class GluedData:
     """Matching data of the glued leg at pole distance t; A_q is the exact
-    mass 1/(4 sin^2 t) of the CNC-corrected Green lift."""
+    mass 1/(4 sin^2 t) of the CNC-corrected Green lift, ``f1.radius`` rho."""
 
     eps: float
     t: float
@@ -263,8 +263,7 @@ class GluedData:
     nu: float
     s_tau: float          # chart radius with rho(s_tau) = tau
     s_2tau: float
-    rho: object           # s -> gbar radial distance (spline)
-    f1: RadialCNCProfile  # CNC exponent branch profile f1(s) and derivatives
+    f1: RadialCNCProfile  # CNC exponent branch profile f1(s), its jet and rho
     chi_tau: CutoffProfile
 
 
@@ -273,18 +272,13 @@ def glued_data(eps: float, t: float, tau: float) -> GluedData:
     if not 0.0 < eps < tau < t:
         raise ValueError("need 0 < eps < tau < t")
     f1 = cnc_profile(t)
-    smax = min(2.0 * t * 0.98, 0.5 * (t + math.pi))
-    sgrid = np.linspace(0.0, smax, 800)
-    rho_vals, s_of_rho = _gbar_radius(f1.value, sgrid)
-    rho = NotAKnotSpline(sgrid, rho_vals)
-    s_tau = float(s_of_rho(tau))
-    s_2tau = float(s_of_rho(2.0 * tau))
+    s_tau, s_2tau = map(float, f1.radius_inverse(np.array([tau, 2.0 * tau])))
     if 2.0 * s_2tau >= 2.0 * t * 0.98:
         raise ValueError("glue annulus reaches the partner bubble")
     A_q = 0.25 / math.sin(t) ** 2
     return GluedData(eps=eps, t=t, tau=tau, A_q=A_q,
                      nu=matching_constant(eps, tau, A_q), s_tau=s_tau,
-                     s_2tau=s_2tau, rho=rho, f1=f1,
+                     s_2tau=s_2tau, f1=f1,
                      chi_tau=CutoffProfile(tau, 2.0 * tau))
 
 
@@ -422,7 +416,7 @@ def _w_glued(b: _LegBatch, ball: bool) -> D2:
     d = b.data
     xi = b.xi_run
     # per run of xi: rho' = e^{f1/2}, and all of w on the ball
-    rho = xi.chain(d.rho(xi.v), np.exp(0.5 * b.f1_xi[0]))
+    rho = xi.chain(d.f1.radius(xi.v), np.exp(0.5 * b.f1_xi[0]))
     if ball:
         return b.spread(bubble(rho * rho, d.eps))
     chi = _cutoff_d2(d.chi_tau, rho)

@@ -376,6 +376,43 @@ def test_radial_cnc_exponent():
             [float(x[k]).hex() for x in jet] == ["0x0.0p+0"] * 3
 
 
+ULPS = 2.0 ** -50  # four units in the last place, relative
+
+
+@pytest.mark.parametrize("t", [1e-4 ** 0.6, 0.317, math.pi / 2],
+                         ids=["eps^0.6", "0.317", "pi/2"])
+def test_gbar_radius_meets_its_closed_forms(t):
+    # rho = sqrt(pi) erfi(s/2) on [0, r1], where f = s^2/2; on the band the
+    # quintic's exact e^{f/2} under mp.quad; slope 1 beyond r2; and
+    # radius_inverse undoes radius, all to a few ulp
+    import mpmath as mp
+    prof = cnc_profile(t)
+    r1, r2 = prof.phi.r1, prof.phi.r2
+
+    def band(u):
+        x = (u - mp.mpf(r1)) / (mp.mpf(r2) - r1)
+        return mp.exp((1 - (10 * x ** 3 - 15 * x ** 4 + 6 * x ** 5)) * u * u / 4)
+
+    with mp.workdps(40):
+        at_r1 = mp.sqrt(mp.pi) * mp.erfi(mp.mpf(r1) / 2)
+        at_r2 = at_r1 + mp.quad(band, [r1, r2])
+        cases = [(s, mp.sqrt(mp.pi) * mp.erfi(mp.mpf(s) / 2))
+                 for s in r1 * np.array([1e-6, 0.1, 0.5, 0.9, 1.0])]
+        cases += [(s, at_r1 + mp.quad(band, [r1, s]))
+                  for s in np.linspace(r1, r2, 6)[1:]]
+        cases += [(s, at_r2 + mp.mpf(s) - r2)
+                  for s in r2 + t * np.array([1e-3, 0.3, 1.0])]
+        for s, want in cases:
+            got = prof.radius(s)
+            assert abs(got - float(want)) <= ULPS * float(want), s
+            assert abs(prof.radius_inverse(got) - s) <= ULPS * s, s
+    # an array's entries are the scalars' bits
+    s = np.array([c[0] for c in cases])
+    assert np.array_equal(prof.radius(s), [prof.radius(x) for x in s])
+    assert np.array_equal(prof.radius_inverse(prof.radius(s)),
+                          [prof.radius_inverse(prof.radius(x)) for x in s])
+
+
 def test_cnc_factor_round_is_half_r2():
     fld = WarpedRadialField(round_profile())
     snap = curvature_at(fld, np.zeros(4))

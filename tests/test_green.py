@@ -403,10 +403,25 @@ def test_mode_truncation_convergence():
     masses = []
     for lmax in (16, 32):
         ev = solve_dirichlet_green(GreenProblem(ROUND, pole, 0.5, lmax=lmax))
-        exp = extract_mass(ev, pole, conformal_fr=cnc_profile(0.1).value)
+        exp = extract_mass(ev, pole, profile=cnc_profile(0.1))
         masses.append(exp)
     assert abs(masses[0].A_q - masses[1].A_q) <= \
         masses[0].error + masses[1].error + 1e-6
+
+
+def test_extract_mass_keeps_cnc_spheres_off_the_mirror_branch():
+    # with a CNC profile the spheres need s <= 0.49 t; eps0 = 2t crosses the
+    # cone tip, where the profile's factor no longer is Gbar/G
+    t = 0.02
+    pole = np.array([t, 0.0, 0.0, 0.0])
+    ev = football_global_green(pole)
+    for eps0 in (2.0 * t, 0.5 * t, math.nan):
+        with pytest.raises(ValueError, match="eps0 <= 0.49 t"):
+            extract_mass(ev, pole, eps0=eps0, profile=cnc_profile(t))
+    assert math.isfinite(extract_mass(ev, pole, eps0=0.49 * t,
+                                      profile=cnc_profile(t)).A_q)
+    # without a profile there is no bound to keep
+    assert math.isfinite(extract_mass(ev, pole, eps0=2.0 * t).A_q)
 
 
 def test_flat_cone_mass_sweep():

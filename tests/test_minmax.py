@@ -87,13 +87,57 @@ def test_glued_data_mass_identity():
     lifted = np.exp(-0.5 * gd.f1.value(s)) \
         * (sphere_kernel(s) + sphere_kernel(2.0 * gd.t - s))
     design = np.stack([np.ones(3), s, s ** 2], axis=1)
-    limit = np.linalg.solve(design, lifted - gd.rho(s) ** -2.0)[0]
+    limit = np.linalg.solve(design, lifted - gd.f1.radius(s) ** -2.0)[0]
     assert limit == pytest.approx(gd.A_q, rel=1e-6)
     assert gd.nu > 0.0
-    assert float(gd.rho(gd.s_tau)) == pytest.approx(gd.tau, rel=1e-10)
-    assert float(gd.rho(gd.s_2tau)) == pytest.approx(2.0 * gd.tau, rel=1e-10)
+    # the exact radius and its Newton inverse meet to a few ulp
+    assert gd.f1.radius(gd.s_tau) == pytest.approx(gd.tau, rel=2.0 ** -50)
+    assert gd.f1.radius(gd.s_2tau) == pytest.approx(2.0 * gd.tau,
+                                                    rel=2.0 ** -50)
     with pytest.raises(ValueError):
         glued_data(1e-4, 0.5, 0.3)  # annulus reaches the partner
+
+
+@pytest.mark.parametrize("t", [0.317, math.pi / 2], ids=["0.317", "pi/2"])
+def test_glue_ball_meets_the_flat_bubble_closed_forms(t):
+    # on the primary glue ball {xi <= s_tau} the glued profile is U(rho) in
+    # gbar, flat there up to O(s^4), so the ball's rows (mirror factor 2
+    # included) are the flat bubble's over B_tau, W = 1 + (tau/eps)^2; an
+    # inexact rho shows here (the 800-point spline gave dN = -3.9e-9 at pi/2)
+    eps = PATH.epsilon
+    tau = PATH.tau_of_t(t)
+    d = glued_data(eps, t, tau)
+
+    def rows(xi, eta):
+        b = minmax._LegBatch(d, xi, eta, curvature=2)
+        u = minmax._w_glued(b, True)
+        return np.stack([b.energy_density(u), u.v ** 4]) * (2.0 * b.measure())
+
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15).with_grading(
+        ((0.0, 0.0), (eps, math.inf)))
+    res = quadrature.integrate_rect2d(rows, spec, (0.0, d.s_tau),
+                                      (0.0, math.pi))
+    assert res.converged
+    W = 1.0 + (tau / eps) ** 2
+    N = 48.0 * math.pi ** 2 * K.c4 ** 2 \
+        * (1.0 / 3.0 - 1.0 / W + 1.0 / W ** 2 - 1.0 / (3.0 * W ** 3))
+    D = 2.0 * math.pi ** 2 * K.c4 ** 4 \
+        * (1.0 / 6.0 - 1.0 / (2.0 * W ** 2) + 1.0 / (3.0 * W ** 3))
+    assert abs(res.value[0] - N) <= 1e-10
+    assert abs(res.value[1] - D) <= 1e-12
+
+
+def test_glued_deficit_follows_the_mass_at_small_eps():
+    # (6 S4 - Q) sin^2 t / (A eps^2) -> 1; at eps = 1e-5 the 800-point rho
+    # spline read 1.254 with a bar of 0.013
+    cfg = PathConfig(epsilon=1e-5)
+    t = math.pi / 2.0
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-13)
+    q, err, ok = minmax.GluedLeg(cfg.epsilon, t, cfg.tau_of_t(t)).quotient(
+        cfg.delta, spec)
+    assert ok
+    scale = K.A * cfg.epsilon ** 2 / math.sin(t) ** 2
+    assert abs((6.0 * K.S4 - q) / scale - 1.0) <= 3.0 * err / scale
 
 
 def test_nu_matching_formulas():

@@ -24,7 +24,7 @@ OPTIONS = {
     "cyl.green.AssembledGreen.__init__.harmonic",
     "cyl.green._sym_directions.n",
     "cyl.green.extract_mass.eps0",
-    "cyl.green.extract_mass.conformal_fr",
+    "cyl.green.extract_mass.profile",
     "cyl.green.parametrix_residual.with_cnc",
     "cyl.minmax._LegBatch.__init__.chart",
     "cyl.minmax._LegBatch.__init__.curvature",
@@ -160,8 +160,8 @@ def test_no_module_loads_scipy_at_import():
 
 
 def test_green_and_glued_paths_stay_off_scipy_interpolate():
-    # the mode sum, the gbar-radius inversion and the glued leg's rho are
-    # in-house splines; LAPACK's gtsv (scipy.linalg.lapack) may load
+    # the mode sum is an in-house spline; its slopes and the modes are
+    # LAPACK gtsv solves (scipy.linalg.lapack), which may load
     code = (
         "import sys\n"
         f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
@@ -174,6 +174,23 @@ def test_green_and_glued_paths_stay_off_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_path_legs_load_no_scipy():
+    # one point per leg, DOUBLE, INTERP and GLUED: the legs' integrands and
+    # the gbar radius of the glued data are NumPy alone
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
+        "from cyl.minmax import PathConfig, build_path\n"
+        "prof = build_path(PathConfig(), [0.5, 1.5, 2.4])\n"
+        "assert prof.legs == ['DOUBLE', 'INTERP', 'GLUED'], prof.legs\n"
+        "assert prof.converged.all()\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_link_and_chart_commands_load_no_scipy(tmp_path):
