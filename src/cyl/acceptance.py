@@ -102,13 +102,17 @@ def gauge_example() -> tuple:
     return f, fam, LinkTensorFamily.gauge_killing(f), sphere_points(8, 2)
 
 
-def centred_flat_mass(cfg: RunConfig):
-    """Mass of the flat ball of radius green_delta (exact: -1/green_delta^2)."""
+def centred_flat_mass(cfg: RunConfig) -> dict:
+    """Mass of the flat ball of radius green_delta (exact: -1/green_delta^2)
+    as a row of ``mass_divergence_sweep``, its product A_q delta^2."""
     from cyl.geometry.fields import FlatField
     from cyl.green import GreenProblem, extract_mass, solve_dirichlet_green
-    ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4),
-                                            cfg.green_delta))
-    return extract_mass(ev, np.zeros(4), eps0=0.05 * cfg.green_delta)
+    delta = cfg.green_delta
+    ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4), delta))
+    exp = extract_mass(ev, np.zeros(4), eps0=0.05 * delta)
+    return {"t": 0.0, "A_q": exp.A_q, "product": exp.A_q * delta ** 2,
+            "error": exp.error + ev.error_estimate,
+            "solver_error": ev.error_estimate}
 
 
 def round_parametrix() -> dict:
@@ -254,8 +258,7 @@ def check_gauge(cfg: RunConfig):
 @_criterion("Green masses: centered ball and 1/(4t^2) divergence")
 def check_green_masses(cfg: RunConfig):
     from cyl.green import mass_divergence_sweep
-    exp = centred_flat_mass(cfg)
-    centered_err = abs(exp.A_q + 1.0 / cfg.green_delta ** 2)
+    centered_err = abs(centred_flat_mass(cfg)["A_q"] + 1.0 / cfg.green_delta ** 2)
     tmax = 0.05 * cfg.green_delta
     grid = [t for t in cfg.green_t_grid if t <= tmax + 1e-12] or [tmax, tmax / 2]
     flat_rows = mass_divergence_sweep("flat-cone", grid, cfg.green_delta)

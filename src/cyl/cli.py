@@ -189,9 +189,9 @@ def cmd_green_sweep(cfg: RunConfig, out: str, args, manifest) -> int:
                 rows.append((model, row["t"], row["A_q"], row["product"],
                              row["error"], row["solver_error"]))
     # flat-ball calibration row: closed-form mass -1/delta^2
-    exp = centred_flat_mass(cfg)
-    rows.append(("flat-ball-centered", 0.0, exp.A_q,
-                 exp.A_q * cfg.green_delta ** 2, exp.error, 0.0))
+    centred = centred_flat_mass(cfg)
+    rows.append(("flat-ball-centered", centred["t"], centred["A_q"],
+                 centred["product"], centred["error"], centred["solver_error"]))
     par = round_parametrix()
     rows.append(("parametrix-exponent", 0.0, par["exponent"], 0.0, 0.0, 0.0))
     write_csv(os.path.join(out, "green.csv"),
@@ -199,7 +199,7 @@ def cmd_green_sweep(cfg: RunConfig, out: str, args, manifest) -> int:
     print(f"smallest-t products: "
           + ", ".join(f"{r[0]} {r[3]:.4f}" for r in rows if r[0] in
                       ("flat-cone", "football") and r[1] == min(cfg.green_t_grid)))
-    print(f"flat-ball centered mass {fmt(exp.A_q)} "
+    print(f"flat-ball centered mass {fmt(centred['A_q'])} "
           f"(target {fmt(-1.0 / cfg.green_delta ** 2)})")
     print(f"parametrix exponent {fmt(par['exponent'])} (target -2)")
     manifest.record("parametrix_exponent", par["exponent"], 0.0)

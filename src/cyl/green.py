@@ -14,7 +14,10 @@ solves the two-point BVP
     -6 [u'' + 3 (w'/w) u' - l(l+2) u / w^2] + R(r) u = 0
 
 on (0, delta] with u ~ r^l at the origin and the l-th mode of -zeta as its
-Dirichlet value at delta.
+Dirichlet value at delta.  On both charts the modes are elementary: flat,
+u_l = b_l (r/delta)^l; round, wc u_l is flat-harmonic in the stereographic
+coordinate xi = tan(r/2), with wc = 2 cos^2(r/2), by the conformal
+covariance of L (Lee & Parker, Bull. AMS 1987).
 
 Conformal normal coordinates enter as an exact transformation: for
 gbar = e^f gtilde with f(pole) = 0, the Green functions obey
@@ -76,16 +79,18 @@ __all__ = [
 @dataclass(frozen=True)
 class RadialChart:
     """Warped chart dr^2 + w(r)^2 h0 about the origin with scalar curvature
-    R(r), fundamental kernel of L, radial extent, whether its origin is a
-    cone tip and its geodesic spheres; the geometry the mode solver, the
-    mass extraction and the DOUBLE leg read, each from its own field."""
+    R(r), fundamental kernel of L, zonal mode basis, radial extent, whether
+    its origin is a cone tip and its geodesic spheres; the geometry the mode
+    sum, the mass extraction and the DOUBLE leg read, each from its own
+    field."""
 
     kind: str            # the chart's name, 'flat' or 'round', for messages
     w: object            # r -> warp
-    wp: object           # r -> w'
     scal: object         # r -> scalar curvature
     dist: object         # (r1, r2, cos gamma) -> distance between chart points
     kernel: object       # distance -> fundamental kernel, L k = 24 pi^2 delta
+    basis: object        # (r, delta) -> (g, x): L-harmonic modes g x^l U_l,
+                         # regular at 0 and equal to 1 at delta
     extent: float        # the largest chart radius: inf flat, pi round
     tip: bool            # the origin is a cone tip, where no pole may sit
     sphere: object       # (pole, dirs) -> (s -> points at distance s along dirs)
@@ -95,10 +100,13 @@ class RadialChart:
         def dist(r1, r2, c):
             return np.sqrt(np.maximum(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * c, 0.0))
 
-        return RadialChart("flat", lambda r: r, lambda r: np.ones_like(r),
+        def basis(r, delta):
+            return np.ones_like(r), r / delta
+
+        return RadialChart("flat", lambda r: r,
                            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                            dist, lambda d: 1.0 / np.asarray(d, dtype=float) ** 2,
-                           math.inf, False,
+                           basis, math.inf, False,
                            lambda pole, dirs: lambda s: pole[None, :] + s * dirs)
 
     @staticmethod
@@ -107,9 +115,15 @@ class RadialChart:
             arg = np.cos(r1) * np.cos(r2) + np.sin(r1) * np.sin(r2) * c
             return np.arccos(np.clip(arg, -1.0, 1.0))
 
-        return RadialChart("round", np.sin, np.cos,
+        def basis(r, delta):
+            # the flat modes |xi|^l in xi = tan(r/2), divided by wc
+            return ((math.cos(0.5 * delta) / np.cos(0.5 * r)) ** 2,
+                    np.tan(0.5 * r) / math.tan(0.5 * delta))
+
+        return RadialChart("round", np.sin,
                            lambda r: np.full_like(np.asarray(r, dtype=float), 12.0),
-                           dist, sphere_kernel, math.pi, True, _round_sphere)
+                           dist, sphere_kernel, basis, math.pi, True,
+                           _round_sphere)
 
     def mode_coupling_defect(self, samples) -> float:
         """Sup defect between a field's values and this chart's warped form
@@ -166,7 +180,7 @@ def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
     defects = [chart.mode_coupling_defect(samples) for chart in charts]
     best = int(np.argmin(defects))
     if defects[best] > COUPLING_TOL:
-        raise ValueError("no radial chart available for this field; the mode "
+        raise ValueError("no radial chart available for this field; the Green "
                          "solver requires a radially symmetric suite metric "
                          f"(defect={defects[best]:g})")
     return charts[best]
@@ -307,128 +321,13 @@ class football_global_green:
 
 
 # ----------------------------------------------------------------------------
-# mode solver
+# Dirichlet problems
 # ----------------------------------------------------------------------------
-
-def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with A x = rhs for A in the (1, 1) banded form of ``solve_banded``,
-    with its guarantees: ValueError on non-finite input, LinAlgError when
-    the matrix is singular."""
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    # LAPACK's dgtsv, the package's one gtsv call (modes and spline slopes):
-    # what scipy.linalg.solve_banded((1, 1), ...) calls, minus its per-call
-    # validation, which costs five times the solve at n = 200
-    from scipy.linalg.lapack import dgtsv
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
-    return x
-
-
-class NotAKnotSpline:
-    """The not-a-knot cubic spline (de Boor 1978, ch. IV) through the values y
-    at the nodes x, y of shape (n,) or (k, n) with one row per component,
-    built and evaluated bit for bit as SciPy's CubicSpline(x, y.T,
-    extrapolate=True); its values have one row per component too."""
-
-    def __init__(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        dx = np.diff(x)
-        if len(x) < 4 or not (np.isfinite(x).all() and np.all(dx > 0)):
-            raise ValueError("need 4 or more finite, strictly increasing nodes")
-        m = np.diff(y) / dx  # the chord slopes
-        # SciPy squares the end gaps by pow() for 1-d y, by x*x for 2-d y
-        h0, h1 = (dx[0], dx[-1]) if y.ndim == 1 else (dx[:1], dx[-1:])
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        ab = np.zeros((3, len(x)))
-        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
-        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
-        b = np.empty(y.shape)
-        b[..., 1:-1] = 3 * (dx[1:] * m[..., :-1] + dx[:-1] * m[..., 1:])
-        b[..., 0] = ((h0 + 2 * d0) * dx[1] * m[..., 0] + h0 ** 2 * m[..., 1]) / d0
-        b[..., -1] = (h1 ** 2 * m[..., -2] + (2 * d1 + h1) * dx[-2] * m[..., -1]) / d1
-        s = _solve_tridiagonal(ab, b.T).T  # the slopes at the nodes
-        t = (s[..., :-1] + s[..., 1:] - 2 * m) / dx
-        self.x = x
-        self.c = np.stack((t / dx, (m - s[..., :-1]) / dx - t, s[..., :-1],
-                           y[..., :-1]))
-
-    def __call__(self, xn) -> np.ndarray:
-        # PPoly's interval and order, ((c3 + c2 s) + c1 s^2) + c0 (s^2 s), in
-        # place on one gather; i is in range, so "clip" skips a bounds check
-        i = np.searchsorted(self.x[1:-1], xn, "right")
-        s = xn - self.x[i]
-        c0, c1, c2, c3 = np.take(self.c, i, axis=-1, mode="clip")
-        c2 *= s
-        c2 += c3
-        c1 *= s * s
-        c2 += c1
-        c0 *= s * s * s
-        c2 += c0
-        return c2
-
-
-def _solve_modes(chart: RadialChart, bmodes, mesh: np.ndarray) -> np.ndarray:
-    """Nodal values of every mode l = 0..lmax on the mesh, one row per mode:
-    the homogeneous mode BVP with Dirichlet value bmodes[l] at the last node.
-    One solve of the modes' bands laid end to end, each band's unused corners
-    the zero couplings: these never pivot, so each mode keeps its own bits."""
-    n, L = len(mesh), len(bmodes)
-    r = mesh
-    w = np.asarray(chart.w(r), dtype=float)
-    wp = np.asarray(chart.wp(r), dtype=float)
-    R = np.asarray(chart.scal(r), dtype=float)
-    # interior rows: -6[u'' + 3(w'/w)u' - lam u/w^2] + R u = 0
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    c_m = 2.0 / (hm * (hm + hp))
-    c_0 = -2.0 / (hm * hp)
-    c_p = 2.0 / (hp * (hm + hp))
-    d_m = -hp / (hm * (hm + hp))
-    d_0 = (hp - hm) / (hm * hp)
-    d_p = hm / (hp * (hm + hp))
-    p1 = 3.0 * wp[1:-1] / w[1:-1]
-    stencil = np.zeros((3, n))
-    stencil[0, 2:] = -6.0 * (c_p + p1 * d_p)
-    stencil[2, 0:-2] = -6.0 * (c_m + p1 * d_m)
-    stencil[1, 0] = 1.0  # origin regularity: u(r0) = (r0/r1)^l u(r1)
-    stencil[1, -1] = 1.0  # Dirichlet at delta
-    diag0 = -6.0 * (c_0 + p1 * d_0)
-    w2 = w[1:-1] ** 2
-    ab = np.tile(stencil, L)
-    ll = np.arange(L, dtype=float)[:, None]
-    ab[1].reshape(L, n)[:, 1:-1] = diag0 + 6.0 * (ll * (ll + 2.0)) / w2 + R[1:-1]
-    # scalar powers: NumPy's vector power rounds unlike pow()
-    ab[0, 1::n] = [-(r[0] / r[1]) ** l for l in range(L)]
-    rhs = np.zeros((L, n))
-    rhs[:, -1] = bmodes
-    return _solve_tridiagonal(ab, rhs.ravel()).reshape(L, n)
-
-
-def _default_mesh(delta: float, t: float) -> np.ndarray:
-    n_base = 420
-    pieces = [
-        np.geomspace(delta * 1e-8, delta, n_base // 2),
-        np.linspace(0.0, delta, n_base + 1)[1:],
-    ]
-    if 0.0 < t < delta:
-        local = t * np.geomspace(1e-3, 0.6, n_base // 4)
-        pieces.append(np.clip(t + local, 0.0, delta))
-        pieces.append(np.clip(t - local, delta * 1e-8, delta))
-        pieces.append(np.array([t]))
-    mesh = np.unique(np.concatenate(pieces))
-    mesh = mesh[mesh > 0.0]
-    # the stencil divides by the gaps: a node within 1e-12 r of the next goes
-    return mesh[np.append(np.diff(mesh) > 1e-12 * mesh[1:], True)]
-
 
 @dataclass
 class GreenProblem:
     """A Dirichlet problem L G = 24 pi^2 delta_x on the lifted ball; lmax
-    is the mode solver's angular resolution, for every solve."""
+    is the mode sum's angular resolution, for every solve."""
 
     field: ChartMetricField
     pole: np.ndarray
@@ -466,22 +365,25 @@ def _polar(pts, axis):
 
 
 class ZonalModeSum:
-    """u(y) = sum_l u_l(|y|) U_l(cos gamma), gamma the angle between y and the
-    axis, with the modes u_l the components of one vector-valued cubic spline
-    through their nodal values on the radial mesh."""
+    """u(y) = sum_l b_l g(|y|) x(|y|)^l U_l(cos gamma), gamma the angle
+    between y and the axis, (g, x) the chart's mode basis on the ball of
+    radius delta and b_l the modes' Dirichlet values at delta."""
 
-    def __init__(self, axis, mesh: np.ndarray, modes):
+    def __init__(self, axis, chart: RadialChart, delta: float, bmodes):
         self.axis = axis
-        self.lmax = len(modes) - 1
-        self.spline = NotAKnotSpline(mesh, modes)
+        self.basis = chart.basis
+        self.delta = delta
+        self.bmodes = bmodes
 
     def at(self, r, c) -> np.ndarray:
-        # the spline runs once per distinct radius, and each mode's values
-        # are one contiguous row, gathered back to the points
+        # the basis runs once per distinct radius; x^l is a running product,
+        # each entry's bits its own whatever the batch
         ru, inv = np.unique(r, return_inverse=True)
+        g, x = self.basis(ru, self.delta)
         out = np.zeros(len(r))
-        for V_l, U_l in zip(self.spline(ru), _chebyshev_rows(self.lmax, c)):
-            out += V_l[inv] * U_l
+        for b_l, U_l in zip(self.bmodes, _chebyshev_rows(len(self.bmodes) - 1, c)):
+            out += (b_l * g)[inv] * U_l
+            g = g * x
         return out
 
     def value(self, pts) -> np.ndarray:
@@ -517,9 +419,10 @@ class GreenEvaluator:
 def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
     """Solve L G = 24 pi^2 delta_x, G = 0 on the chart sphere of radius delta.
 
-    Splits G = zeta + phi with zeta the chart's fundamental kernel and
-    solves the remainder mode-by-mode: phi is the L-harmonic extension of
-    -zeta from the boundary.
+    Splits G = zeta + phi with zeta the chart's fundamental kernel; phi, the
+    L-harmonic extension of -zeta from the boundary, is the chart's mode
+    basis against the zonal modes of -zeta.  Its error is the truncation
+    part alone, the magnitude of the last boundary mode.
     """
     t = float(np.linalg.norm(problem.pole))
     chart = problem.chart
@@ -528,16 +431,10 @@ def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
         lambda gamma: -chart.kernel(chart.dist(np.full_like(gamma, delta), t,
                                                np.cos(gamma))),
         problem.lmax)
-    mesh = _default_mesh(delta, t)
-    # every other node and the last: the fine solution there is a gather
-    coarse = np.unique(np.append(np.arange(0, len(mesh), 2), len(mesh) - 1))
-    fine = _solve_modes(chart, bmodes, mesh)
-    gap = np.abs(fine[:, coarse] - _solve_modes(chart, bmodes, mesh[coarse]))
-    err = sum(float(g) * (l + 1) for l, g in enumerate(gap.max(axis=1)))
-    # truncation part of the error: magnitude of the last boundary mode
-    err += abs(float(bmodes[-1])) * (problem.lmax + 1)
+    err = abs(float(bmodes[-1])) * (problem.lmax + 1)
     return GreenEvaluator(chart, problem.pole, delta,
-                          ZonalModeSum(_axis(problem.pole), mesh, fine), err)
+                          ZonalModeSum(_axis(problem.pole), chart, delta, bmodes),
+                          err)
 
 
 def solve_harmonic_extension(field: ChartMetricField, delta: float,
@@ -551,9 +448,7 @@ def solve_harmonic_extension(field: ChartMetricField, delta: float,
     odd_power = float(np.sum(np.abs(bmodes[1::2])))
     if odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
         raise ValueError("equivariant boundary datum must be antipodally even")
-    mesh = _default_mesh(delta, 0.0)
-    modes = _solve_modes(chart, bmodes, mesh)
-    return ZonalModeSum(_axis(np.zeros(4)), mesh, modes)
+    return ZonalModeSum(_axis(np.zeros(4)), chart, delta, bmodes)
 
 
 # ----------------------------------------------------------------------------
@@ -617,16 +512,22 @@ def extract_mass(evaluator, pole, eps0: float = None,
     where the mirror branch of the equivariant f vanishes.  The geodesics are
     those of ``evaluator.chart``.  Antipodal direction pairs kill the odd
     terms of the C^1 remainder.
+
+    The error adds to the fit's misfit how far the extrapolant moves when
+    the smallest sphere is dropped, and the rounding floor of the sphere
+    means, eps_machine / eps_min^2: values of size eps^-2 cancel down to A.
     """
     pole = np.asarray(pole, dtype=float)
     t = float(np.linalg.norm(pole))
     if eps0 is None:
         eps0 = t / 8.0
+    if profile is not None and not eps0 <= 0.49 * t:
+        raise ValueError(f"a CNC profile needs eps0 <= 0.49 t, got {eps0!r}")
+    if not 0.0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be finite and > 0, got {eps0!r}")
     radii = eps0 * 0.5 ** np.arange(4)
     s, factor = radii, np.ones(4)
     if profile is not None:
-        if not eps0 <= 0.49 * t:
-            raise ValueError(f"a CNC profile needs eps0 <= 0.49 t, got {eps0!r}")
         s = profile.radius_inverse(radii)
         factor = np.exp(-0.5 * profile.value(s))
     dirs, weights = _sym_directions()
@@ -641,8 +542,10 @@ def extract_mass(evaluator, pole, eps0: float = None,
     design = np.stack([np.ones(4), radii, radii ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     fitted = design @ coef
-    err = float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
-    return GreenExpansion(t=t, A_q=float(coef[0]), error=err)
+    refit = np.linalg.solve(design[:3], means[:3])[0]  # without the smallest
+    err = (float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
+           + abs(coef[0] - refit) + np.finfo(float).eps / radii[-1] ** 2)
+    return GreenExpansion(t=t, A_q=float(coef[0]), error=float(err))
 
 
 # ----------------------------------------------------------------------------
