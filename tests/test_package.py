@@ -160,6 +160,57 @@ def test_no_module_loads_scipy_at_import():
     assert out.stdout.strip() == "[]"
 
 
+def test_green_and_glued_paths_stay_off_scipy_interpolate():
+    # the Green modes are closed forms, so the mass sweep and the glued
+    # data load no SciPy module at all, interpolate or linalg
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
+        "from cyl.green import mass_divergence_sweep\n"
+        "from cyl.minmax import glued_data\n"
+        "row, = mass_divergence_sweep('football', [0.05], 0.8)\n"
+        "data = glued_data(1e-3, 0.3, 0.05)\n"
+        "assert row['A_q'] > 0.0 and 0.0 < data.s_tau < data.s_2tau\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_path_legs_load_no_scipy():
+    # one point per leg, DOUBLE, INTERP and GLUED: the legs' integrands and
+    # the gbar radius of the glued data are NumPy alone
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
+        "from cyl.minmax import PathConfig, build_path\n"
+        "prof = build_path(PathConfig(), [0.5, 1.5, 2.4])\n"
+        "assert prof.legs == ['DOUBLE', 'INTERP', 'GLUED'], prof.legs\n"
+        "assert prof.converged.all()\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_link_and_chart_commands_load_no_scipy(tmp_path):
+    # the link flow is closed form and the CNC chart is elementary, so
+    # gauge-verify and cnc-verify load no SciPy module at all
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
+        "from cyl.cli import main\n"
+        "for command in ('gauge-verify', 'cnc-verify'):\n"
+        f"    assert main(['--out', {str(tmp_path)!r}, command]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_no_command_loads_scipy(tmp_path):
     # the Green modes are closed forms and every other layer is NumPy alone,
     # so the six default commands, in one process, load no SciPy module
