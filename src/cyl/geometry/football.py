@@ -121,11 +121,14 @@ def chart_to_sphere(z) -> np.ndarray:
     return out[0] if single else out
 
 
-def sphere_distance_chart(z1, z2) -> float:
-    """Geodesic round-S^4 distance between two chart points."""
+def sphere_distance_chart(z1, z2):
+    """Geodesic round-S^4 distance between chart points, a float for two
+    points and one per row for rows: 2 arcsin(|P - Q|/2) of the S^4 chord,
+    where arccos(P.Q) keeps only half the digits of a short distance."""
     p = chart_to_sphere(np.asarray(z1, dtype=float))
     q = chart_to_sphere(np.asarray(z2, dtype=float))
-    return float(np.arccos(np.clip(p @ q, -1.0, 1.0)))
+    d = 2.0 * np.arcsin(np.minimum(0.5 * np.linalg.norm(p - q, axis=-1), 1.0))
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)

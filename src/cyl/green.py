@@ -7,17 +7,15 @@ Normalization: L g = -6 Delta_g + R_g and  L G_x = 24 pi^2 delta_x  (the
 The suite's lifted metrics (flat cone, football lift) are radially symmetric
 about the chart origin.  With G = zeta + phi and zeta the exact fundamental
 kernel of the chart (|y - x|^-2 flat, 1/(4 sin^2(d/2)) round), the
-L-harmonic remainder phi decouples into zonal S^3 modes: expanded in
-Chebyshev-U zonal harmonics U_l(cos gamma) about the pole axis, each mode
-solves the two-point BVP
+L-harmonic remainder phi, -zeta at delta, sums the chart's zonal modes
+g(r) x(r)^l U_l(cos gamma) (flat g = 1, x = r/delta; round, wc g x^l is
+flat-harmonic in xi = tan(r/2), wc = 2 cos^2(r/2), by the conformal
+covariance of L, Lee & Parker, Bull. AMS 1987).  By the Chebyshev-U
+generating function sum_l U_l(c) h^l = 1/(1 - 2ch + h^2) the boundary modes
+are b_0 x(t)^l, and the sum is one closed term, the Kelvin image of the pole:
 
-    -6 [u'' + 3 (w'/w) u' - l(l+2) u / w^2] + R(r) u = 0
-
-on (0, delta] with u ~ r^l at the origin and the l-th mode of -zeta as its
-Dirichlet value at delta.  On both charts the modes are elementary: flat,
-u_l = b_l (r/delta)^l; round, wc u_l is flat-harmonic in the stereographic
-coordinate xi = tan(r/2), with wc = 2 cos^2(r/2), by the conformal
-covariance of L (Lee & Parker, Bull. AMS 1987).
+    phi = b_0 g(r) / ((1 - X)^2 + 2X(1 - c)),  X = x(t) x(r),
+    b_0 = -kernel(delta) g(t)/g(0).
 
 Conformal normal coordinates enter as an exact transformation: for
 gbar = e^f gtilde with f(pole) = 0, the Green functions obey
@@ -40,12 +38,13 @@ from cyl.constants import bubble
 from cyl.geometry.cnc import cnc_profile
 from cyl.geometry.fields import (ChartMetricField, FlatField, WarpedRadialField,
                                  round_profile)
-from cyl.geometry.football import chart_to_sphere
+from cyl.geometry.football import chart_to_sphere, sphere_distance_chart
 from cyl.geometry.links import tangent_frame
 from cyl.quadrature import _sphere3_nodes, gauss_legendre
 
 KAPPA = 24.0 * math.pi ** 2  # 4 a pi^2 with a = 6
 COUPLING_TOL = 1e-9  # largest mode-coupling defect the solver accepts
+HARMONIC_LMAX = 28  # the degree of solve_harmonic_extension's mode sum
 
 __all__ = [
     "KAPPA",
@@ -171,7 +170,10 @@ def _round_sphere(pole, dirs: np.ndarray):
 
 def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
     """The flat or round chart that the field, evaluated once at 8 seeded
-    points of the ball of radius delta, matches best, to COUPLING_TOL."""
+    points of the ball of radius delta, matches best, to COUPLING_TOL; delta
+    must be a ball's radius on it, below the chart's extent."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     rng = np.random.default_rng(0)
     draws = [(rng.normal(size=4), rng.uniform(0.05, 0.95)) for _ in range(8)]
     xs = [x * (u * delta / np.linalg.norm(x)) for x, u in draws]
@@ -183,6 +185,9 @@ def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
         raise ValueError("no radial chart available for this field; the Green "
                          "solver requires a radially symmetric suite metric "
                          f"(defect={defects[best]:g})")
+    if not delta < charts[best].extent:
+        raise ValueError(f"delta must be < {charts[best].extent:g} on the "
+                         f"{charts[best].kind} chart, got {delta!r}")
     return charts[best]
 
 
@@ -194,20 +199,13 @@ def chebyshev_u(lmax: int, c) -> np.ndarray:
     """U_l(c) for l = 0..lmax, shape (lmax+1, len(c)); the S^3 zonal
     harmonics with eigenvalue l(l+2) and U_l(1) = l + 1."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    return np.array(list(_chebyshev_rows(lmax, c)))
-
-
-def _chebyshev_rows(lmax: int, c: np.ndarray):
-    """Yields U_0(c), ..., U_lmax(c) by the three-term recurrence, holding
-    two rows at a time."""
-    prev = np.ones_like(c)
-    yield prev
+    U = np.empty((lmax + 1,) + c.shape)
+    U[0] = 1.0
     if lmax >= 1:
-        c2 = cur = 2.0 * c
-        yield cur
-        for _ in range(2, lmax + 1):
-            prev, cur = cur, c2 * cur - prev
-            yield cur
+        U[1] = c2 = 2.0 * c
+        for l in range(2, lmax + 1):
+            U[l] = c2 * U[l - 1] - U[l - 2]
+    return U
 
 
 def zonal_project(fn, lmax: int) -> np.ndarray:
@@ -312,12 +310,8 @@ class football_global_green:
 
     def value(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        P = chart_to_sphere(pts)
-        a = chart_to_sphere(self.pole)
-        b = chart_to_sphere(-self.pole)
-        da = np.arccos(np.clip(P @ a, -1.0, 1.0))
-        db = np.arccos(np.clip(P @ b, -1.0, 1.0))
-        return sphere_kernel(da) + sphere_kernel(db)
+        return sphere_kernel(sphere_distance_chart(pts, self.pole)) \
+            + sphere_kernel(sphere_distance_chart(pts, -self.pole))
 
 
 # ----------------------------------------------------------------------------
@@ -326,13 +320,11 @@ class football_global_green:
 
 @dataclass
 class GreenProblem:
-    """A Dirichlet problem L G = 24 pi^2 delta_x on the lifted ball; lmax
-    is the mode sum's angular resolution, for every solve."""
+    """A Dirichlet problem L G = 24 pi^2 delta_x on the lifted ball."""
 
     field: ChartMetricField
     pole: np.ndarray
     delta: float
-    lmax: int = 28
 
     def __post_init__(self):
         self.pole = np.asarray(self.pole, dtype=float)
@@ -376,13 +368,11 @@ class ZonalModeSum:
         self.bmodes = bmodes
 
     def at(self, r, c) -> np.ndarray:
-        # the basis runs once per distinct radius; x^l is a running product,
-        # each entry's bits its own whatever the batch
-        ru, inv = np.unique(r, return_inverse=True)
-        g, x = self.basis(ru, self.delta)
+        # x^l is a running product, each entry's bits its own in any batch
+        g, x = self.basis(r, self.delta)
         out = np.zeros(len(r))
-        for b_l, U_l in zip(self.bmodes, _chebyshev_rows(len(self.bmodes) - 1, c)):
-            out += (b_l * g)[inv] * U_l
+        for b_l, U_l in zip(self.bmodes, chebyshev_u(len(self.bmodes) - 1, c)):
+            out += b_l * g * U_l
             g = g * x
         return out
 
@@ -392,17 +382,22 @@ class ZonalModeSum:
 
 
 class GreenEvaluator:
-    """Callable Green function, the chart's kernel plus the mode sum;
-    immutable after assembly."""
+    """Callable Green function, the chart's kernel plus the Kelvin image of
+    the pole, b_0 g(r) / ((1 - X)^2 + 2X(1 - c)) with X = x(t) x(r) and
+    b_0 = -kernel(delta) g(t)/g(0); immutable after assembly.  Its error is
+    the image's rounding, 8 ulp of its largest value on the ball, at
+    r = delta, gamma = 0."""
 
-    def __init__(self, chart: RadialChart, pole, delta: float,
-                 modes: ZonalModeSum, error_estimate: float):
+    def __init__(self, chart: RadialChart, pole, delta: float):
         self.chart = chart
         self.pole = np.asarray(pole, dtype=float)
         self.t = float(np.linalg.norm(self.pole))
+        self.axis = _axis(self.pole)
         self.delta = delta
-        self.modes = modes
-        self.error_estimate = error_estimate
+        g, x = chart.basis(np.array([self.t, 0.0]), delta)
+        self.b0, self.x_t = -float(chart.kernel(delta) * g[0] / g[1]), x[0]
+        self.error_estimate = float(8.0 * np.finfo(float).eps * abs(self.b0)
+                                    / (1.0 - self.x_t) ** 2)
 
     def boundary_trace_defect(self) -> float:
         gam = np.linspace(0.0, math.pi, 64)
@@ -411,40 +406,31 @@ class GreenEvaluator:
         return float(np.max(np.abs(self.value(pts))))
 
     def value(self, pts) -> np.ndarray:
-        r, c = _polar(pts, self.modes.axis)
+        r, c = _polar(pts, self.axis)
+        g, x = self.chart.basis(r, self.delta)
+        X = self.x_t * x
         return self.chart.kernel(self.chart.dist(r, self.t, c)) \
-            + self.modes.at(r, c)
+            + self.b0 * g / ((1.0 - X) ** 2 + 2.0 * X * (1.0 - c))
 
 
 def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:
     """Solve L G = 24 pi^2 delta_x, G = 0 on the chart sphere of radius delta.
 
     Splits G = zeta + phi with zeta the chart's fundamental kernel; phi, the
-    L-harmonic extension of -zeta from the boundary, is the chart's mode
-    basis against the zonal modes of -zeta.  Its error is the truncation
-    part alone, the magnitude of the last boundary mode.
+    L-harmonic extension of -zeta from the boundary, sums the chart's modes
+    b_0 x(t)^l g x^l U_l to the Kelvin image of the pole.
     """
-    t = float(np.linalg.norm(problem.pole))
-    chart = problem.chart
-    delta = problem.delta
-    bmodes = zonal_project(
-        lambda gamma: -chart.kernel(chart.dist(np.full_like(gamma, delta), t,
-                                               np.cos(gamma))),
-        problem.lmax)
-    err = abs(float(bmodes[-1])) * (problem.lmax + 1)
-    return GreenEvaluator(chart, problem.pole, delta,
-                          ZonalModeSum(_axis(problem.pole), chart, delta, bmodes),
-                          err)
+    return GreenEvaluator(problem.chart, problem.pole, problem.delta)
 
 
 def solve_harmonic_extension(field: ChartMetricField, delta: float,
                              datum) -> ZonalModeSum:
     """Solve L H = 0 in the ball with zonal Dirichlet datum(gamma) on the
-    boundary, gamma measured against e1, at the resolution of GreenProblem;
+    boundary, gamma measured against e1, to degree HARMONIC_LMAX;
     equivariant data must carry even modes only."""
     chart = chart_for_field(field, delta)
     bmodes = zonal_project(lambda g: np.asarray(datum(g), dtype=float),
-                           GreenProblem.lmax)
+                           HARMONIC_LMAX)
     odd_power = float(np.sum(np.abs(bmodes[1::2])))
     if odd_power > 1e-8 * (1.0 + float(np.sum(np.abs(bmodes)))):
         raise ValueError("equivariant boundary datum must be antipodally even")

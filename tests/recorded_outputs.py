@@ -10,9 +10,10 @@ not failed, since another BLAS or libm build may round differently.  The
 detail lines must match as text, apart from criterion 1's own runtime.
 
 Re-recording is a change of its own kind: it names each value it moves,
-and why, in CHANGES.md.  Run it from the repository root:
+and why, in CHANGES.md.  Run it from the repository root, with no names for
+every record or with the names of the records a change moves:
 
-    PYTHONPATH=src python tests/recorded_outputs.py
+    PYTHONPATH=src python tests/recorded_outputs.py [green.csv ... accept.txt]
 """
 
 import contextlib
@@ -30,6 +31,7 @@ COMMANDS = ("constants", "interaction-sweep", "green-sweep", "cnc-verify",
             "gauge-verify", "path-profile")
 CSVS = ("constants.csv", "interaction.csv", "green.csv", "cnc.csv",
         "gauge.csv", "path.csv")
+RECORDS = CSVS + (DETAILS.name,)
 
 # each value column's bar: the error column of its row, or a relative
 # tolerance where it has none (the closed-form constants, and the residuals
@@ -53,11 +55,11 @@ ROW_BARS = {"slope_": {"a": "f_err", "b": 1e-15},
 DERIVED = {("green.csv", "A_q_4t2"): "A_q"}
 
 
-def run_commands(out) -> None:
-    """The six default commands, in one process, writing to ``out``; what
-    they print is dropped."""
+def run_commands(out, commands=COMMANDS) -> None:
+    """The default commands, in one process, writing to ``out``; what they
+    print is dropped."""
     from cyl.cli import main
-    for command in COMMANDS:
+    for command in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["--out", str(out), command])
         if code != 0:
@@ -128,15 +130,16 @@ def recorded_details() -> dict:
     return {int(line[1:3]): line for line in lines}
 
 
-def rerecord() -> None:
-    """Run the six commands and the twelve criteria, print every value that
-    moved against the record, then overwrite the record."""
+def rerecord(names) -> None:
+    """Run the commands and criteria behind the named records, print every
+    value that moved against the record, then overwrite those records."""
     from cyl.acceptance import run_acceptance
     from cyl.config import RunConfig
+    csvs = [name for name in CSVS if name in names]
     with tempfile.TemporaryDirectory() as tmp:
-        run_commands(tmp)
+        run_commands(tmp, [COMMANDS[CSVS.index(name)] for name in csvs])
         RECORD.mkdir(exist_ok=True)
-        for name in CSVS:
+        for name in csvs:
             new = Path(tmp, name).read_text(encoding="utf-8")
             old = RECORD / name
             if old.exists():
@@ -145,6 +148,8 @@ def rerecord() -> None:
                 for line in failures + moves:
                     print(line)
             shutil.copyfile(Path(tmp, name), old)
+    if DETAILS.name not in names:
+        return
     results = run_acceptance(RunConfig(), printer=lambda line: None)
     lines = [detail_line(res) for res in results]
     if DETAILS.exists():
@@ -155,5 +160,17 @@ def rerecord() -> None:
     DETAILS.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def main(argv) -> int:
+    """Re-record the records named in ``argv``, every record without names;
+    an unknown name fails before anything runs."""
+    unknown = [name for name in argv if name not in RECORDS]
+    if unknown:
+        print(f"unknown record {', '.join(unknown)}; the records are "
+              f"{', '.join(RECORDS)}", file=sys.stderr)
+        return 2
+    rerecord(tuple(argv) or RECORDS)
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(rerecord())
+    sys.exit(main(sys.argv[1:]))

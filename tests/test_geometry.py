@@ -522,6 +522,19 @@ def test_chart_sphere_embedding():
         np.linalg.norm(z), abs=1e-13)
 
 
+def test_sphere_distance_chart_resolves_short_distances():
+    # a chart step h across the radius at r is h sin(r)/r long to O(h^2);
+    # arccos(P.Q) read 1.49e-8 for 9.85e-10
+    r = 0.3
+    for h in (1e-9, 1e-8, 1e-7, 1e-6):
+        d = sphere_distance_chart([r, 0.0, 0.0, 0.0], [r, h, 0.0, 0.0])
+        assert d == pytest.approx(h * math.sin(r) / r, rel=1e-12), h
+    # rows against one point, one distance per row
+    rows = np.array([[0.2, 0.0, 0.0, 0.0], [0.0, 0.4, 0.0, 0.0]])
+    assert_allclose(sphere_distance_chart(rows, np.zeros(4)), [0.2, 0.4],
+                    rtol=1e-15)
+
+
 def test_pullback_distance_consistency():
     # Gauss lemma on the round chart: g(x) xhat = xhat along a radial line, so
     # the radial lines are unit-speed in s = |x| and orthogonal to the spheres

@@ -83,6 +83,16 @@ def test_football_mass_lies_within_its_error_of_the_closed_form(t):
     assert abs(got.A_q - (1.0 / 12.0 + 0.25 / math.sin(t) ** 2)) <= got.error
 
 
+@pytest.mark.parametrize("t", [0.02, 0.05, 0.1])
+def test_football_oracle_mass_meets_the_law_to_a_millionth(t):
+    # the oracle's chordal distances keep their digits near the pole; with
+    # arccos(P.Q) the mass read 625.15217 +- 0.0211 at t = 0.02
+    law = 1.0 / 12.0 + 0.25 / math.sin(t) ** 2
+    pole = np.array([t, 0.0, 0.0, 0.0])
+    got = extract_mass(football_global_green(pole), pole)
+    assert abs(got.A_q - law) < 1e-6 * law and got.error < 1e-6 * law
+
+
 def test_flat_centered_mass():
     ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4), 1.0))
     exp = extract_mass(ev, np.zeros(4), eps0=0.05)
@@ -194,8 +204,7 @@ def _mode_sum_and_reference():
 
 
 def test_mode_sum_matches_per_mode_powers():
-    # the running product x^l and the streamed recurrence give the sum of
-    # per-mode powers against the Chebyshev table, to rounding
+    # the running product x^l gives the sum of per-mode powers, to rounding
     modes, reference = _mode_sum_and_reference()
     rng = np.random.default_rng(6)
     r = rng.uniform(0.0, 0.5, 300)
@@ -231,8 +240,67 @@ def test_green_value_of_a_batch_is_the_value_of_each_point(field):
     batch = ev.value(pts)
     assert np.array_equal(batch, np.concatenate([ev.value(p) for p in pts]))
     assert np.isfinite(batch).all()
-    r, c = _polar(np.zeros(4), ev.modes.axis)
+    r, c = _polar(np.zeros(4), ev.axis)
     assert r[0] == 0.0 and c[0] == 0.0
+
+
+@pytest.mark.parametrize("field, delta, pole", [
+    (FlatField(), 1.0, [0.15, 0.1, 0.0, 0.0]),
+    (FlatField(), 0.5, [0.05, -0.02, 0.03, 0.01]),
+    (ROUND, 0.5, [0.1, 0.0, 0.0, 0.0]),
+    (ROUND, 2.0, [0.3, 0.2, -0.1, 0.1])], ids=["flat", "flat-off-axis",
+                                               "round", "round-wide"])
+def test_closed_form_meets_the_projected_mode_sum(field, delta, pole):
+    # the reference: the 29-mode sum of the zonal projection of -zeta at
+    # delta, which the closed form sums exactly
+    from cyl.green import ZonalModeSum, _polar
+    pole = np.asarray(pole)
+    ev = solve_dirichlet_green(GreenProblem(field, pole, delta))
+    chart, t = ev.chart, ev.t
+    modes = ZonalModeSum(ev.axis, chart, delta, zonal_project(
+        lambda g: -chart.kernel(chart.dist(np.full_like(g, delta), t,
+                                           np.cos(g))), 28))
+    pts = _sample_points(np.random.default_rng(21), 300, delta, exclude=pole)
+    pts = np.vstack([pts, delta * ev.axis, -delta * ev.axis, np.zeros(4)])
+    r, c = _polar(pts, ev.axis)
+    phi = modes.at(r, c)
+    reference = chart.kernel(chart.dist(r, t, c)) + phi
+    assert np.max(np.abs(ev.value(pts) - reference) / np.abs(phi)) <= 1e-13
+
+
+def _mp_image(kind, delta, t, r, c):
+    """b_0 g(r) / ((1 - X)^2 + 2X(1 - c)) at 40 digits from the float
+    inputs."""
+    import mpmath as mp
+    with mp.workdps(40):
+        delta, t, r, c = (mp.mpf(float(v)) for v in (delta, t, r, c))
+        if kind == "flat":
+            b0, g, X = -1 / delta ** 2, 1, t * r / delta ** 2
+        else:
+            b0 = -1 / (4 * mp.sin(delta / 2) ** 2 * mp.cos(t / 2) ** 2)
+            g = (mp.cos(delta / 2) / mp.cos(r / 2)) ** 2
+            X = mp.tan(t / 2) * mp.tan(r / 2) / mp.tan(delta / 2) ** 2
+        return float(b0 * g / ((1 - X) ** 2 + 2 * X * (1 - c)))
+
+
+@pytest.mark.parametrize("field", [FlatField(), ROUND], ids=["flat", "round"])
+def test_error_estimate_covers_an_mpmath_image(field):
+    # with the kernel zeroed after the solve, value is the image term alone;
+    # its bar bounds its rounding everywhere on the ball, at the largest
+    # value, r = delta and gamma = 0, too
+    import dataclasses
+    from cyl.green import _polar
+    rng = np.random.default_rng(23)
+    for delta, t in ((0.5, 0.12), (1.0, 0.05), (2.0, 0.45)):
+        pole = np.array([t, 0.0, 0.0, 0.0])
+        ev = solve_dirichlet_green(GreenProblem(field, pole, delta))
+        ev.chart = dataclasses.replace(ev.chart, kernel=np.zeros_like)
+        pts = _sample_points(rng, 150, delta)
+        pts = np.vstack([pts, delta * ev.axis, 0.999 * delta * ev.axis])
+        image = ev.value(pts)
+        exact = np.array([_mp_image(ev.chart.kind, delta, t, r, c)
+                          for r, c in zip(*_polar(pts, ev.axis))])
+        assert np.max(np.abs(image - exact)) <= ev.error_estimate, (delta, t)
 
 
 def test_round_geodesic_spheres_have_their_radius():
@@ -419,17 +487,6 @@ def test_weak_form_bar_covers_a_tighter_recompute_near_the_pole():
         res.error_estimate + tight.error_estimate
 
 
-def test_mode_truncation_convergence():
-    pole = np.array([0.1, 0.0, 0.0, 0.0])
-    masses = []
-    for lmax in (16, 32):
-        ev = solve_dirichlet_green(GreenProblem(ROUND, pole, 0.5, lmax=lmax))
-        exp = extract_mass(ev, pole, profile=cnc_profile(0.1))
-        masses.append(exp)
-    assert abs(masses[0].A_q - masses[1].A_q) <= \
-        masses[0].error + masses[1].error + 1e-6
-
-
 def test_extract_mass_keeps_cnc_spheres_off_the_mirror_branch():
     # with a CNC profile the spheres need s <= 0.49 t; eps0 = 2t crosses the
     # cone tip, where the profile's factor no longer is Gbar/G
@@ -526,6 +583,40 @@ def test_parametrix_residual_and_law():
     assert nocnc["sup"] < 5.0
     sweep = parametrix_sweep([0.1, 0.2, 0.4])
     assert -2.3 <= sweep["exponent"] <= -1.7
+
+
+class _Unsampled(FlatField):
+    """A flat field that fails when the solver samples it."""
+
+    def value(self, x):
+        raise AssertionError("the field was sampled")
+
+
+@pytest.mark.parametrize("delta", [0.0, math.inf, math.nan],
+                         ids=["zero", "inf", "nan"])
+def test_green_problem_rejects_a_radius_that_is_no_ball(delta):
+    # unchecked, 0 and inf returned NaN values, and nan met the pole check
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        GreenProblem(_Unsampled(), np.zeros(4), delta)
+
+
+@pytest.mark.parametrize("delta", [math.pi, 3.2, 3.3],
+                         ids=["pi", "3.2", "3.3"])
+def test_green_problem_refuses_a_round_ball_past_the_antipode(delta):
+    # a geodesic ball of radius >= pi wraps past the antipode; unchecked,
+    # G at r = 3.0 read 0.21 at delta = 3.2 with an 8e-16 bar
+    with pytest.raises(ValueError, match="delta must be < 3.14159 on the "
+                                         "round chart"):
+        GreenProblem(ROUND, np.array([0.1, 0.0, 0.0, 0.0]), delta)
+
+
+@pytest.mark.parametrize("field, delta", [(_Unsampled(), 0.0),
+                                          (_Unsampled(), math.nan),
+                                          (ROUND, 3.2)],
+                         ids=["zero", "nan", "round-3.2"])
+def test_harmonic_extension_checks_its_radius(field, delta):
+    with pytest.raises(ValueError, match="delta must be"):
+        solve_harmonic_extension(field, delta, lambda g: np.ones_like(g))
 
 
 def test_problem_validation():

@@ -3,11 +3,13 @@ plus new bar, a byte difference inside the bars reported, and every run
 leaving its manifest (see ``recorded_outputs``)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import recorded_outputs
 from cyl.cli import main
-from recorded_outputs import CSVS, RECORD, compare
+from recorded_outputs import CSVS, RECORD, RECORDS, compare
 
 
 @pytest.mark.parametrize("name", CSVS)
@@ -46,3 +48,47 @@ def test_every_command_leaves_its_manifest(default_outputs, tmp_path):
     payload = json.loads((tmp_path / "acceptance.manifest.json").read_text())
     assert list(payload["wall_clock_seconds"]) == ["criterion 1",
                                                    "criterion 12"]
+
+
+def test_rerecord_takes_the_named_records_or_all(monkeypatch, capsys):
+    asked = []
+    monkeypatch.setattr(recorded_outputs, "rerecord", asked.append)
+    assert recorded_outputs.main(["green.csv"]) == 0
+    assert recorded_outputs.main(["accept.txt", "path.csv"]) == 0
+    assert recorded_outputs.main([]) == 0
+    assert asked == [("green.csv",), ("accept.txt", "path.csv"), RECORDS]
+    assert len(RECORDS) == 7
+    # an unknown name fails before anything runs
+    assert recorded_outputs.main(["green.csv", "greens.csv"]) != 0
+    assert len(asked) == 3
+    assert "unknown record greens.csv" in capsys.readouterr().err
+
+
+def test_rerecord_runs_only_the_commands_of_its_records(monkeypatch,
+                                                        tmp_path):
+    # re-recording green.csv runs green-sweep alone, rewrites that record
+    # alone and runs no criterion
+    import cyl.acceptance
+    record = tmp_path / "recorded"
+    record.mkdir()
+    for name in RECORDS:
+        (record / name).write_bytes((RECORD / name).read_bytes())
+    monkeypatch.setattr(recorded_outputs, "RECORD", record)
+    monkeypatch.setattr(recorded_outputs, "DETAILS", record / "accept.txt")
+    ran = []
+
+    def fake(out, commands):
+        ran.extend(commands)
+        Path(out, "green.csv").write_text("model\n")
+
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(recorded_outputs, "run_commands", fake)
+    monkeypatch.setattr(cyl.acceptance, "run_acceptance", no_criteria)
+    recorded_outputs.rerecord(("green.csv",))
+    assert ran == ["green-sweep"]
+    for name in RECORDS:
+        expect = "model\n" if name == "green.csv" else \
+            (RECORD / name).read_text(encoding="utf-8")
+        assert (record / name).read_text(encoding="utf-8") == expect, name
