@@ -79,17 +79,28 @@ def _integrand(kinds):
     if unknown:
         raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
     c4 = sobolev_constants().c4
+    # GRAD alone reads no bubble value
+    bubbles = not {"U3V", "U2V2"}.isdisjoint(kinds)
 
     def F(z, p, tau):
         p2 = p * p
         rp = (z - tau) ** 2 + p2
         rm = (z + tau) ** 2 + p2
-        up, um = bubble(rp), bubble(rm)
-        row = {"U3V": lambda: up * um * (up ** 2 + um ** 2),
-               "U2V2": lambda: 2.0 * up ** 2 * um ** 2,
-               "GRAD": lambda: 8.0 * c4 ** 2 * (z * z - tau * tau + p2)
-               / ((1.0 + rp) ** 2 * (1.0 + rm) ** 2)}
-        return np.stack([row[kind]() for kind in kinds])
+        if bubbles:
+            up, um = bubble(rp), bubble(rm)
+            up2, um2 = up ** 2, um ** 2
+        # each row is written into its line of one (k, m) array
+        row = {"U3V": lambda o: np.multiply(np.multiply(up, um, out=o),
+                                            up2 + um2, out=o),
+               "U2V2": lambda o: np.multiply(np.multiply(2.0, up2, out=o),
+                                             um2, out=o),
+               "GRAD": lambda o: np.divide(
+                   8.0 * c4 ** 2 * (z * z - tau * tau + p2),
+                   (1.0 + rp) ** 2 * (1.0 + rm) ** 2, out=o)}
+        out = np.empty((len(kinds), np.size(z)))
+        for o, kind in zip(out, kinds):
+            row[kind](o)
+        return out
 
     return F
 

@@ -94,14 +94,23 @@ Results are deterministic for a fixed (spec, integrand), in a sweep or
 alone: boxes are split in a fixed order, and a mesh sums its boxes in that
 order, which a frozen mesh keeps.
 
+Node arrays: ``_panels_2d`` hands the working map a batch of n boxes as
+x nodes (n, 15, 1), y nodes (n, 1, 15) and sweep parameters (n, 1, 1), not
+as 225 n points, so what depends on one axis (``tan``, its Jacobian, the
+axisymmetric weights) is formed on 15 nodes.  ``_spread`` repeats node
+values onto the flat grid, where products of two axes' factors and the
+integrand, which gets flat arrays, are formed: broadcast (n, 15, 1) x
+(n, 1, 15) products run 15-element inner loops and are slower.
+
 Batch bound: the 2-d engines and the 3-sphere rule hand an integrand at most
 ``_MAX_BATCH_POINTS`` = 2^13 points per call.  An integrand's temporaries
 grow with its batch and cost more per point once they leave the L2 cache;
-the curve-point integrand, tan map and weight included, best of 21 runs on
-a 2-vCPU Xeon (2 MB of L2 per core):
+one batch through the curve-point working map (tan map, Jacobians, weight
+and integrand) and the y rules, best of 21 runs on a 2-vCPU Xeon (2 MB of
+L2 per core):
 
     points per call   900   3 600   8 100   16 200   32 625   65 475
-    ns per point       57      33      47       74       80       76
+    ns per point       58      27      19       48       49       55
 
 A call has a fixed cost too: a curves pass ran within a few per cent at 2^11
 to 2^13, slower above.  ``_panels_2d`` applies the y rules to each slice,
@@ -202,10 +211,10 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tolerances, budget and grading hints for one integral.
 
-    ``grading`` holds ``(center, scale)`` pairs; ``center`` is a float for 1-d
-    engines or a 2-vector for the 2-d engines, and ``scale`` is finite and
-    positive.  The partition is seeded with dyadic breakpoints at
-    ``center +- scale/4 * 2^k`` on every axis, out to below
+    ``grading`` holds ``(center, scale)`` pairs; ``center`` is a finite float
+    for 1-d engines or a finite 2-vector for the 2-d engines, and ``scale``
+    is finite and positive.  The partition is seeded with dyadic breakpoints
+    at ``center +- scale/4 * 2^k`` on every axis, out to below
     ``4*(|center| + max(scale, 1))``.  A 2-d entry may instead give
     one scale per axis, ``(center, (sx, sy))``, each positive; ``math.inf``
     says the feature is constant along that axis, which then gets only the
@@ -226,6 +235,10 @@ class QuadratureSpec:
             raise ValueError(f"max_subdivisions must be an integer >= 1, "
                              f"got {self.max_subdivisions!r}")
         for center, scale in self.grading:
+            # a center that is not finite would seed no break at all
+            if not np.isfinite(center).all():
+                raise ValueError(f"grading center must be finite, got "
+                                 f"{(center, scale)!r}")
             if isinstance(scale, tuple):
                 if not (len(scale) == 2 == np.size(center)
                         and all(s > 0.0 for s in scale)):
@@ -342,8 +355,9 @@ def _compactify(domains, centers):
     An axis with an infinite end is mapped by x = tan(u), its ends capped at
     +-``_TAN_CAP``; a bounded axis keeps its coordinates.  Returns the map
     of an integrand f to f(tan(u), ...) * prod(1 + x^2), which applies the
-    Jacobians last, and the seed breaks of each axis.  An axis without
-    lo < hi (reversed, of zero width or NaN) raises ValueError.
+    Jacobians last, and the seed breaks of each axis; f gets the nodes and
+    spreads them.  An axis without lo < hi (reversed, of zero width or NaN)
+    raises ValueError.
     """
     for name, (lo, hi) in zip("xy", domains):
         if not lo < hi:
@@ -359,13 +373,28 @@ def _compactify(domains, centers):
 
     def to_working(f):
         def g(*u):
+            # tan and the Jacobians on the nodes, their product on the grid;
+            # spread once f has dropped its temporaries
             x = [np.tan(ui) if tan else ui for ui, tan in zip(u, tanned)]
-            return f(*x, *u[len(x):]) * math.prod(1.0 + xi * xi
-                                     for xi, tan in zip(x, tanned) if tan)
+            v = f(*x, *u[len(x):])
+            jac = [_spread(1.0 + xi * xi) for xi, tan in zip(x, tanned) if tan]
+            return v * math.prod(jac[1:], start=jac[0])
 
         return g if any(tanned) else f
 
     return to_working, breaks
+
+
+def _spread(u):
+    """Node values (n, 15 or 1, 15 or 1) on their boxes' flat 15 x 15 grids;
+    a flat array (the 1-d engine's nodes) or a number is its own spread."""
+    if np.ndim(u) < 3:
+        return u
+    # np.repeat spreads as broadcast_to(...).ravel() does, at a fraction of
+    # the call overhead
+    if u.shape[2] == 1:  # constant along y: runs of equal values
+        return np.repeat(u.ravel(), 225 // u.shape[1])
+    return np.repeat(u, 15 // u.shape[1], axis=1).ravel()
 
 
 # ----------------------------------------------------------------------------
@@ -408,8 +437,8 @@ def _panels_2d(g, ax, bx, ay, by, par=None, ends=None):
     ``g`` returns (m,) values or a (k, m) array, one row per component; the
     four results take the integrand's leading axes and then one axis of
     boxes.  The last item is the number of points evaluated.  In a sweep
-    integral i has the boxes ends[i]:ends[i + 1], and ``g`` receives each
-    point's box's entry of ``par`` as a third argument."""
+    integral i has the boxes ends[i]:ends[i + 1].  ``g`` takes node arrays
+    (see the module docstring), its boxes' entries of ``par`` the third."""
     midx = 0.5 * (ax + bx)
     hx = 0.5 * (bx - ax)
     midy = 0.5 * (ay + by)
@@ -420,11 +449,7 @@ def _panels_2d(g, ax, bx, ay, by, par=None, ends=None):
     step = _MAX_BATCH_POINTS // 225
 
     def batch(s):
-        # np.repeat spreads the grid as broadcast_to(...).ravel() does, at
-        # a fraction of the call overhead
-        out = g(np.repeat(X[s], 15, axis=2).ravel(),
-                np.repeat(Y[s], 15, axis=1).ravel(),
-                *(() if par is None else (np.repeat(par[s], 225),)))
+        out = g(X[s], Y[s], *(() if par is None else (par[s, None, None],)))
         F = out.reshape(-1, 15, 15)  # the components' boxes end to end
         # the y rules, one row per x node, so a batch's grid values are
         # dropped with the batch
@@ -597,8 +622,17 @@ class FrozenMesh2D:
 
 
 def _biradial_weight(F):
-    """F times the 4*pi*rho^2 of the bi-radial reduction."""
-    return lambda zeta, rho, *a: F(zeta, rho, *a) * (4.0 * math.pi) * rho * rho
+    """F times the 4*pi*rho^2 of the bi-radial reduction, on the grid."""
+    def g(zeta, rho, *par):
+        rho = _spread(rho)
+        # ((F 4 pi) rho) rho, in place: each temporary of a batch's size
+        # costs more to allocate than to fill
+        v = F(_spread(zeta), rho, *map(_spread, par)) * (4.0 * math.pi)
+        v *= rho
+        v *= rho
+        return v
+
+    return g
 
 
 def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralResult:
@@ -610,7 +644,7 @@ def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralRes
     business; grading centers are (x, y) pairs in original coordinates.
     """
     def plain(G):
-        return lambda x, y: np.asarray(G(x, y), dtype=float)
+        return lambda x, y: np.asarray(G(_spread(x), _spread(y)), dtype=float)
 
     return _integrate_2d(F, plain, [spec], x_domain, y_domain)[0][0]
 
@@ -660,8 +694,10 @@ def integrate_axisym_sphere(F, spec: QuadratureSpec, theta_domain,
     """
     def weight(G):
         def g(theta, psi):
-            return np.asarray(G(theta, psi), dtype=float) * (
-                radial_weight(theta) * 4.0 * math.pi * np.sin(psi) ** 2)
+            # each axis's factor on its nodes, their product on the grid
+            w = _spread(radial_weight(theta) * 4.0 * math.pi)
+            w *= _spread(np.sin(psi) ** 2)
+            return np.asarray(G(_spread(theta), _spread(psi)), dtype=float) * w
 
         return g
 

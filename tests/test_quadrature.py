@@ -636,7 +636,10 @@ def test_panels_2d_matches_the_exact_contraction():
     c = rng.uniform(0.5, 2.0, 3)
     g, calls = _recording(lambda x, y: np.exp(c[0] * x - c[1] * y * y)
                           * (1.5 + np.cos(c[2] * x * y)))
-    k, err, ex, ey, npts = quadrature._panels_2d(g, ax, bx, ay, by)
+    # the panels hand over node arrays; the grid is their spread
+    k, err, ex, ey, npts = quadrature._panels_2d(
+        lambda x, y: g(quadrature._spread(x), quadrature._spread(y)),
+        ax, bx, ay, by)
     assert npts == 225 * n
     F = np.concatenate([v for _, v in calls]).reshape(n, 15, 15)
     area = 0.25 * (bx - ax) * (by - ay)
@@ -804,6 +807,21 @@ def test_grading_scale_must_be_finite_and_positive(scale):
         SPEC.with_grading((0.5, scale))
 
 
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [lambda c: (c, 1.0),
+                                   lambda c: ((0.0, c), 1.0),
+                                   lambda c: ((c, 0.5), (1.0, math.inf))],
+                         ids=["1-d", "2-d", "2-d per axis"])
+def test_grading_center_must_be_finite(entry, center):
+    # such a center seeds no break, so the integral would run unseeded
+    entry = entry(center)
+    with pytest.raises(ValueError, match="grading center") as info:
+        QuadratureSpec(grading=(entry,))
+    assert repr(entry) in str(info.value)
+    with pytest.raises(ValueError, match="grading center"):
+        SPEC.with_grading(((0.5, 0.5), 1.0), entry)
+
+
 def _seed_boxes(spec, x_domain, y_domain):
     # a constant in working coordinates converges on its seed, so its points
     # count the seed boxes; 1/(1 + y^2) is 1 after the tan map of y
@@ -868,3 +886,44 @@ def test_spec_rejects_tolerances_that_are_not_finite_and_positive(tol):
         QuadratureSpec(rel_tol=tol)
     with pytest.raises(ValueError, match="finite and positive"):
         QuadratureSpec(abs_tol=tol)
+
+
+def _pair(z, p, tau):
+    return 1.0 / ((1.0 + (z - tau) ** 2 + p * p)
+                  * (1.0 + (z + tau) ** 2 + p * p)) ** 2
+
+
+def _hexes(res):
+    return (float(res.value).hex(), float(res.error_estimate).hex(),
+            res.evaluations)
+
+
+def test_engines_keep_their_bits():
+    # value, error and points of each engine's map and weights, pinned by
+    # float.hex: the tan map, its Jacobians and the weights are per-axis
+    # factors of each point, and a change in how they are formed must not
+    # move a bit
+    taus = [0.5, 2.0]
+    sweep = integrate_biradial(
+        _pair, [SPEC.with_grading(((t, 0.0), 1.0)) for t in taus],
+        params=taus)  # both axes tanned
+    assert [_hexes(r) for r in sweep] == [
+        ("0x1.2653e161373a6p+0", "0x1.27dd96db6a000p-35", 27000),
+        ("0x1.e162fb629394ap-4", "0x1.63a05089da900p-37", 48150)]
+    res = integrate_axisym_sphere(
+        lambda th, psi: np.exp(-th) * (1.0 + np.cos(psi) ** 2), SPEC,
+        (0.0, 2.0), lambda r: r ** 3)
+    assert _hexes(res) == ("0x1.526eb08e76176p+4", "0x1.245c000000000p-35",
+                           1575)
+    res = integrate_rect2d(lambda x, y: np.exp(-x * (1.0 + y)) * np.cos(y),
+                           SPEC, (0.0, math.inf), (0.0, 1.0))
+    assert _hexes(res) == ("0x1.33bc16f439320p-1", "0x1.04b800bee0000p-34",
+                           2025)
+    res = integrate_radial(lambda r: r ** 3 * np.exp(-r) / (1.0 + r * r),
+                           (0.0, math.inf), SPEC)
+    assert _hexes(res) == ("0x1.5030c389e5605p-1", "0x1.f345601a3e000p-38",
+                           225)
+    mesh = build_frozen_mesh(lambda z, p: _pair(z, p, 1.0),
+                             SPEC.with_grading(((1.0, 0.0), 1.0)))
+    assert _hexes(mesh.evaluate(lambda z, p: _pair(z, p, 1.01))) == (
+        "0x1.0e376897c0c0dp-1", "0x1.0e3a318cc0400p-35", 23850)
