@@ -31,9 +31,10 @@ Each GLUED/INTERP integrand call builds one ``_LegBatch`` per zone with
 points from the leg's ``GluedData``: it holds the zone's geometry and
 evaluates the Green lift, energy density and measure from it.  Factors of xi
 alone are evaluated once per run of equal xi (the engine lays each box out
-as 15 runs of 15) and spread to the points, and each batch carries only the
-jet order its readers need: the glued leg's far zone, which reads values
-alone, forms no partials.
+as 15 runs of 15) and spread to the points, with no eta-partial; each batch
+carries only the jet order its readers need.  The far zone reads the Green
+lift as values alone, and beyond xi = t + 2 delta, where e~ is exactly 0, it
+forms values alone, with no chart, on the INTERP leg as on the glued one.
 
 The Green data comes from the closed-form global football kernel (the
 equivariant sum of round-sphere kernels) conformally corrected by the CNC
@@ -82,73 +83,63 @@ __all__ = [
 
 class D2:
     """Vectorized value with partials against the two quadrature variables;
-    v, dx and dy are kept as given, arrays of one shape."""
+    v, dx and dy are kept as given, arrays of one shape.  A partial of None
+    is an exact 0 that is never formed (``var_x`` has no y-partial, ``var_y``
+    no x-partial) and every operation keeps it absent; a plain operand is a
+    constant.  Partials keep the dense formulas' bits, up to a zero's sign."""
 
     __slots__ = ("v", "dx", "dy")
 
     def __init__(self, v, dx, dy):
-        self.v = v
-        self.dx = dx
-        self.dy = dy
+        self.v, self.dx, self.dy = v, dx, dy
 
     @staticmethod
     def var_x(v):
         v = np.asarray(v, dtype=float)
-        return D2(v, np.ones_like(v), np.zeros_like(v))
+        return D2(v, np.ones_like(v), None)
 
     @staticmethod
     def var_y(v):
         v = np.asarray(v, dtype=float)
-        return D2(v, np.zeros_like(v), np.ones_like(v))
-
-    @staticmethod
-    def const(v):
-        v = np.asarray(v, dtype=float)
-        return D2(v, np.zeros_like(v), np.zeros_like(v))
-
-    def _coerce(self, other):
-        return other if isinstance(other, D2) else D2.const(other)
+        return D2(v, None, np.ones_like(v))
 
     def __add__(self, o):
-        if isinstance(o, (float, int)):
-            return D2(self.v + o, self.dx, self.dy)
-        o = self._coerce(o)
-        return D2(self.v + o.v, self.dx + o.dx, self.dy + o.dy)
+        o = o if isinstance(o, D2) else D2(o, None, None)
+        return D2(self.v + o.v, _sum(self.dx, o.dx), _sum(self.dy, o.dy))
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = self._coerce(o)
-        return D2(self.v - o.v, self.dx - o.dx, self.dy - o.dy)
+        o = o if isinstance(o, D2) else D2(o, None, None)
+        return D2(self.v - o.v, _diff(self.dx, o.dx), _diff(self.dy, o.dy))
 
     def __rsub__(self, o):
-        return self._coerce(o).__sub__(self)
+        return D2(o, None, None) - self
 
     def __mul__(self, o):
-        if isinstance(o, (float, int)):
-            return D2(self.v * o, self.dx * o, self.dy * o)
-        o = self._coerce(o)
-        return D2(self.v * o.v, self.dx * o.v + self.v * o.dx,
-                  self.dy * o.v + self.v * o.dy)
+        o = o if isinstance(o, D2) else D2(o, None, None)
+        return D2(self.v * o.v, _cross(self.dx, o.v, self.v, o.dx),
+                  _cross(self.dy, o.v, self.v, o.dy))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = self._coerce(o)
+        o = o if isinstance(o, D2) else D2(o, None, None)
         inv = 1.0 / o.v
         q = self.v * inv
-        return D2(q, (self.dx - q * o.dx) * inv, (self.dy - q * o.dy) * inv)
+        return D2(q, _quot(self.dx, q, o.dx, inv),
+                  _quot(self.dy, q, o.dy, inv))
 
     def __rtruediv__(self, o):
-        return self._coerce(o).__truediv__(self)
+        return D2(o, None, None) / self
 
     def __pow__(self, p):
         w = self.v ** (p - 1)
-        return D2(self.v * w, p * w * self.dx, p * w * self.dy)
+        return self.chain(self.v * w, p * w)
 
     def chain(self, value, slope):
         """g(self) from the values of g and g' at self.v."""
-        return D2(value, slope * self.dx, slope * self.dy)
+        return D2(value, _scale(slope, self.dx), _scale(slope, self.dy))
 
     def apply(self, f, fp):
         """Chain an elementwise function with known derivative."""
@@ -162,8 +153,44 @@ class D2:
         return self.chain(e, e)
 
 
+def _sum(x, y):
+    return x if y is None else y if x is None else x + y
+
+
+def _diff(x, y):
+    return x if y is None else -y if x is None else x - y
+
+
+def _scale(a, x):
+    return None if x is None else a * x
+
+
+def _cross(x, a, b, y):
+    """x a + b y, summed in place."""
+    out = _scale(a, x)
+    if out is None or y is None:
+        return _sum(out, _scale(b, y))
+    out += b * y
+    return out
+
+
+def _quot(x, q, y, inv):
+    """(x - q y) inv, scaled in place."""
+    if y is None:
+        return _scale(inv, x)
+    out = _diff(x, q * y)
+    out *= inv
+    return out
+
+
 def _cutoff_d2(profile: CutoffProfile, s: D2) -> D2:
     return s.chain(*profile.jet(s.v, 1))
+
+
+def _grad2(u: D2, w):
+    """|grad u|^2 = u_x^2 + (u_y / w)^2; an absent u_y is 0."""
+    g = u.dx ** 2
+    return g if u.dy is None else g + (u.dy / w) ** 2
 
 
 @dataclass
@@ -221,9 +248,9 @@ def quotient_double(eps: float, t: float, delta: float | None,
     def integrand(theta_v, psi_v):
         # numerator and fourth power of one bubble pair, unweighted rows
         theta = D2.var_x(theta_v)
-        psi = D2.var_y(psi_v)
-        u = _double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
-        grad2 = u.dx ** 2 + (u.dy / chart.w(theta_v)) ** 2
+        cos_psi = D2(np.cos(psi_v), None, -np.sin(psi_v))  # cos of var_y
+        u = _double_bubble_chart(eps, t, theta, theta * cos_psi, chi)
+        grad2 = _grad2(u, chart.w(theta_v))
         return np.stack([6.0 * grad2 + chart.scal(theta_v) * u.v ** 2,
                          u.v ** 4])
 
@@ -297,11 +324,6 @@ def _runs(x):
     return starts, np.diff(np.append(starts, len(x)))
 
 
-def _apply(x, f, fp):
-    """f(x) for plain values x; for a D2 x, with its partials from f'."""
-    return x.apply(f, fp) if isinstance(x, D2) else f(x)
-
-
 def _value(x):
     return x.v if isinstance(x, D2) else x
 
@@ -352,10 +374,11 @@ class _LegBatch:
         h = self.f * (-0.5)
         self.weight = h.exp() if curvature else np.exp(h)
         if chart:
-            self.theta, sin_theta = self._distance(t, cos_eta)
+            self.theta, s, c = self._distance(t, cos_eta)
+            sin_theta = self.theta.chain(s, c) if self.order else s
             # sin(theta) cos(psi): the point's component along the unit
-            # tangent at N toward the bubble center
-            cos_eta = D2.var_y(eta_v).chain(cos_eta, -self.sin_eta)
+            # tangent at N toward the bubble center; d_eta eta = 1 implied
+            cos_eta = D2(cos_eta, None, -self.sin_eta)
             along = self.cos_xi * math.sin(t) \
                 - self.sin_xi * cos_eta * math.cos(t)
             self.z_par = self.theta * along / sin_theta
@@ -363,14 +386,15 @@ class _LegBatch:
     def spread(self, a):
         """A per-run value, plain or D2, repeated onto the batch's points."""
         if isinstance(a, D2):
-            return D2(*(np.repeat(p, self.counts) for p in (a.v, a.dx, a.dy)))
+            return D2(*(None if p is None else np.repeat(p, self.counts)
+                        for p in (a.v, a.dx, a.dy)))
         return np.repeat(a, self.counts)
 
     def _distance(self, a: float, cos_eta):
-        """(d, sin d) for the distance d to the axis point at distance a from
-        the bubble center (eta = 0), with the exact partials d_xi d = m/s and
-        d_eta d = sin(xi) n/s at jet order 1 and up; the batch does not keep
-        cos(eta)."""
+        """(d, sin d, cos d) for the distance d to the axis point at distance
+        a from the bubble center (eta = 0), d with the exact partials
+        d_xi d = m/s and d_eta d = sin(xi) n/s at jet order 1 and up; the
+        batch does not keep cos(eta)."""
         sx, cx = _value(self.sin_xi), _value(self.cos_xi)
         sa, ca = math.sin(a), math.cos(a)
         m = sx * ca - cx * sa * cos_eta
@@ -378,15 +402,20 @@ class _LegBatch:
         s = np.hypot(m, n)
         c = cx * ca + sx * sa * cos_eta
         if not self.order:
-            return np.arctan2(s, c), s
-        d = D2(np.arctan2(s, c), m / s, sx * n / s)
-        return d, d.chain(s, c)
+            return np.arctan2(s, c), s, c
+        return D2(np.arctan2(s, c), m / s, sx * n / s), s, c
 
-    def green_lift(self):
+    def green_lift(self) -> D2:
         """Gbar = e^{-f/2} (Gs(xi) + Gs(d2)), the CNC-corrected global kernel."""
-        G = self.spread(_apply(self.xi_run, sphere_kernel, sphere_kernel_slope)) \
-            + _apply(self.d2, sphere_kernel, sphere_kernel_slope)
+        G = self.spread(self.xi_run.apply(sphere_kernel, sphere_kernel_slope)) \
+            + self.d2.apply(sphere_kernel, sphere_kernel_slope)
         return self.weight * G
+
+    def green_value(self) -> np.ndarray:
+        """The values of ``green_lift``, with no partial formed."""
+        G = self.spread(sphere_kernel(_value(self.xi_run))) \
+            + sphere_kernel(_value(self.d2))
+        return _value(self.weight) * G
 
     def energy_density(self, u: D2) -> np.ndarray:
         """6 |grad u|^2 + R u^2 in gbar = e^f g_round, with R from the exact
@@ -398,8 +427,7 @@ class _LegBatch:
         grad2 = self.spread(fx[1] * fx[1]) + fd[1] * fd[1]
         e = np.exp(-self.f.v)
         R = e * (12.0 - 3.0 * lap - 1.5 * grad2)
-        return 6.0 * (e * (u.dx ** 2 + (u.dy / self.sin_xi.v) ** 2)) \
-            + R * u.v ** 2
+        return 6.0 * (e * _grad2(u, self.sin_xi.v)) + R * u.v ** 2
 
     def measure(self) -> np.ndarray:
         return np.exp(2.0 * _value(self.f)) * self.spread(self.sin_run ** 3) \
@@ -508,6 +536,12 @@ def _excluded_angle(d: GluedData, xi_v):
                     0.0)
 
 
+def _e_free_radius(t: float, chi_delta: CutoffProfile) -> float:
+    """The xi beyond which e~ is an exact 0: there theta >= xi - t > 2 delta,
+    chi_delta's outer radius, with a relative margin over theta's rounding."""
+    return (t + chi_delta.r2) * (1.0 + 1e-12)
+
+
 def _leg_integrals(d: GluedData, lam: float, chi_delta,
                    spec: QuadratureSpec) -> IntegralResult:
     """Numerator part and fourth power of psi_lambda outside the mirror
@@ -524,6 +558,7 @@ def _leg_integrals(d: GluedData, lam: float, chi_delta,
     t = d.t
     s = d.s_2tau
     mixed = lam != 1.0
+    e_free = _e_free_radius(t, chi_delta) if mixed else s  # no e~ at lam = 1
 
     def integrand(xi_v, v_v):
         # e0 and its span once per run of xi
@@ -541,17 +576,18 @@ def _leg_integrals(d: GluedData, lam: float, chi_delta,
                 u = _psi_lambda(b, lam, chi_delta, in_ball)
                 out[:, zone] = np.stack([b.energy_density(u), u.v ** 4]) \
                     * (2.0 * b.measure())
+        # the far zone reads G's values alone, and e~ only short of e_free
+        near = far & (xi_v <= e_free)
+        if near.any():
+            b = _LegBatch(d, xi_v[near], eta_v[near], chart=True, curvature=2)
+            e = _e_tilde(b, chi_delta)
+            out[:, near] = np.stack([(1.0 - lam) ** 2 * b.energy_density(e),
+                                     (b.green_value() * (lam / d.nu)
+                                      + e.v * (1.0 - lam)) ** 4]) * b.measure()
+        far &= ~near
         if far.any():
-            # the glued leg reads values alone here
-            b = _LegBatch(d, xi_v[far], eta_v[far], chart=mixed,
-                          curvature=2 if mixed else 0)
-            measure = b.measure()
-            u = b.green_lift() * (lam / d.nu)
-            if mixed:
-                e = _e_tilde(b, chi_delta)
-                u = u + e * (1.0 - lam)
-                out[0, far] = (1.0 - lam) ** 2 * b.energy_density(e) * measure
-            out[1, far] = _value(u) ** 4 * measure
+            b = _LegBatch(d, xi_v[far], eta_v[far], curvature=0)
+            out[1, far] = (b.green_value() * (lam / d.nu)) ** 4 * b.measure()
         return out * span
 
     # the core at xi = 0, the zone circles xi = s_tau, s_2tau, the circle
@@ -680,6 +716,9 @@ def build_path(config: PathConfig, mu_grid=None) -> PathProfile:
     if mu_grid is None:
         mu_grid = _mirror_grid(config.mu_points)
     mu_grid = np.asarray(mu_grid, dtype=float)
+    if mu_grid.ndim != 1 or not len(mu_grid):
+        raise ValueError("mu_grid must be a non-empty 1-d sequence of mu, "
+                         f"got shape {mu_grid.shape}")
     legs = [_leg_descriptor(config, float(mu)) for mu in mu_grid]
     spec = config.spec()
     # a leg scales the path's tolerance by its tol_scale: the bubble legs sit

@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import cyl.minmax as minmax
 import cyl.quadrature as quadrature
 from cyl.constants import sobolev_constants
+from cyl.geometry.cnc import CutoffProfile
 from cyl.green import RadialChart, matching_constant, sphere_kernel
 from cyl.interaction import curves
 from cyl.minmax import (D2, PathConfig, build_path, exponents_admissible,
@@ -41,6 +44,103 @@ def test_d2_chain_rules():
     assert_allclose(f.dy, (fv(x, y + h) - fv(x, y - h)) / (2 * h), rtol=1e-6)
     g = (1.0 - X.cos()) / (X * X)
     assert np.all(np.isfinite(g.v))
+
+
+def _dense(a):
+    """[v, dx, dy] of a D2 or a plain operand, an absent partial as zeros."""
+    if not isinstance(a, D2):
+        return [a, 0.0, 0.0]
+    return [a.v] + [np.zeros_like(a.v) if p is None else p
+                    for p in (a.dx, a.dy)]
+
+
+# the operators as they were written on explicit zero partials
+_DENSE = {
+    "+": lambda a, b: [a[k] + b[k] for k in range(3)],
+    "-": lambda a, b: [a[k] - b[k] for k in range(3)],
+    "*": lambda a, b: [a[0] * b[0], a[1] * b[0] + a[0] * b[1],
+                       a[2] * b[0] + a[0] * b[2]],
+    "/": lambda a, b: (lambda inv, q: [q, (a[1] - q * b[1]) * inv,
+                                       (a[2] - q * b[2]) * inv])(
+        1.0 / b[0], a[0] * (1.0 / b[0])),
+}
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _same_floats(got: D2, want):
+    """got matches the dense [v, dx, dy] as floats; an absent partial must
+    be 0 there (a zero may change sign)."""
+    for g, w in zip((got.v, got.dx, got.dy), want):
+        if g is None:
+            assert not np.any(w)
+        else:
+            assert np.array_equal(g, np.broadcast_to(w, np.shape(g)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_absent_partials_are_exact_zeros(data):
+    # None partials skip the work of zeros: on finite operands (values away
+    # from 0, so every quotient is finite) each operation gives the floats
+    # of the dense formulas, and a partial absent from both sides stays
+    # absent
+    n = data.draw(st.integers(1, 4), label="points")
+    floats = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+
+    def d2():
+        v = np.array(data.draw(floats))
+        v = np.where(v < 0.0, v - 0.1, v + 0.1)
+        return D2(v, *(data.draw(st.none() | floats.map(np.array))
+                       for _ in "xy"))
+
+    a = d2()
+    kind = data.draw(st.sampled_from(["D2", "array", "float"]))
+    b = d2() if kind == "D2" else _dense(d2())[0] if kind == "array" \
+        else data.draw(st.floats(0.1, 10.0))
+    for name, op in _OPS.items():
+        _same_floats(op(a, b), _DENSE[name](_dense(a), _dense(b)))
+        if kind == "float":  # the reflected operator
+            _same_floats(op(b, a), _DENSE[name](_dense(b), _dense(a)))
+    p = data.draw(st.floats(-3.0, 3.0), label="p")
+    x = D2(np.abs(a.v), a.dx, a.dy)
+    w = x.v ** (p - 1)
+    s = data.draw(floats.map(np.array), label="slope")
+    ad = _dense(a)
+    for got, want in ((x ** p, [x.v * w, p * w * ad[1], p * w * ad[2]]),
+                      (a.chain(a.v, s), [a.v, s * ad[1], s * ad[2]]),
+                      (a.apply(np.sin, np.cos),
+                       [np.sin(a.v), np.cos(a.v) * ad[1],
+                        np.cos(a.v) * ad[2]]),
+                      (a.cos(), [np.cos(a.v), -np.sin(a.v) * ad[1],
+                                 -np.sin(a.v) * ad[2]]),
+                      (a.exp(), [np.exp(a.v), np.exp(a.v) * ad[1],
+                                 np.exp(a.v) * ad[2]])):
+        _same_floats(got, want)
+        assert (got.dx is None, got.dy is None) == (a.dx is None,
+                                                    a.dy is None)
+
+
+def test_factors_of_one_variable_carry_one_partial():
+    # var_x has no y-partial and var_y no x-partial; every function of one
+    # variable, a batch's per-run factors and their spread keep it absent
+    x, y = np.array([0.3, 0.7]), np.array([0.2, 0.5])
+    for X, has, lacks in ((D2.var_x(x), "dx", "dy"),
+                          (D2.var_y(y), "dy", "dx")):
+        for f in (X * X, X + 1.0, 1.0 - X, 2.0 / X, X / (X * 3.0),
+                  X ** 2.5, X.cos(), X.exp(), X.apply(np.sin, np.cos),
+                  X.chain(X.v, X.v)):
+            assert getattr(f, has) is not None and getattr(f, lacks) is None
+    XY = D2.var_x(x) * D2.var_y(y)
+    assert XY.dx is not None and XY.dy is not None
+    desc = minmax._leg_descriptor(PATH, 1.5)
+    data = glued_data(desc.epsilon, desc.t, desc.tau)
+    xi = np.repeat([0.5, 1.0], 3) * data.s_tau
+    b = minmax._LegBatch(data, xi, np.tile([0.5, 1.5, 2.5], 2), curvature=2)
+    for f in (b.xi_run, b.sin_xi, b.cos_xi, b.spread(b.xi_run.cos())):
+        assert f.dy is None and f.dx is not None
+    assert b.sin_xi.dx.shape == xi.shape
+    assert minmax._w_glued(b, True).dy is None  # the glue-ball bubble
 
 
 def test_flat_double_matches_interaction_curves():
@@ -288,7 +388,6 @@ def test_double_leg_keeps_the_bits_of_its_hand_weighted_rectangle(model, delta,
                                                                   eps, t):
     # DOUBLE once applied w(theta) 4 pi sin^2 psi itself on integrate_rect2d;
     # integrate_axisym_sphere applies it in the same order
-    from cyl.geometry.cnc import CutoffProfile
     football = model == "football"
     weight = (lambda th: np.sin(th) ** 3) if football else (lambda th: th ** 3)
     chi = CutoffProfile(delta, 2.0 * delta) if delta is not None else None
@@ -451,23 +550,27 @@ def test_excluded_band_angle_keeps_its_digits_toward_the_band_ends():
 def test_leg_integrand_is_exact_on_any_point_order(monkeypatch, mu):
     # the integrand evaluates xi-only factors once per run of equal xi; the
     # engine's layout (runs of 15) only makes that cheaper, so a permuted
-    # batch, one point alone and a batch missing whole zones give the bits
-    # of the engine-ordered batch
-    from cyl.geometry.cnc import CutoffProfile
+    # batch, one point alone and a batch missing whole zones, or holding
+    # one side of the e~-free radius alone, give the bits of the
+    # engine-ordered batch
     desc = minmax._leg_descriptor(PATH, mu)
     data = glued_data(desc.epsilon, desc.t, desc.tau)
+    chi = CutoffProfile(PATH.delta, 2.0 * PATH.delta)
     captured = []
     monkeypatch.setattr(minmax, "integrate_rect2d",
                         lambda F, *args: captured.append(F))
-    minmax._leg_integrals(data, desc.lam,
-                          CutoffProfile(PATH.delta, 2.0 * PATH.delta), SPEC)
+    minmax._leg_integrals(data, desc.lam, chi, SPEC)
     F, = captured
     s1, s2, t = data.s_tau, data.s_2tau, data.t
-    # columns in the ball, the annulus, the far zone and the mirror band
+    r = minmax._e_free_radius(t, chi)
+    # columns in the ball, the annulus, the far zone, the mirror band and
+    # on both sides of xi = t + 2 delta
     cols = np.concatenate([np.geomspace(1e-3, 0.9, 4) * s1,
                            s1 + np.linspace(0.1, 0.9, 3) * (s2 - s1),
                            s2 + np.geomspace(1e-3, 1.0, 5) * (math.pi - s2),
-                           2.0 * t + np.linspace(-0.9, 0.9, 3) * s2])
+                           2.0 * t + np.linspace(-0.9, 0.9, 3) * s2,
+                           [t + 2.0 * PATH.delta, r, np.nextafter(r, 4.0),
+                            r * 1.01]])
     cols = np.sort(cols[cols < math.pi])
     v = np.linspace(0.02, 0.98, 15)
     xi, vv = np.repeat(cols, 15), np.tile(v, len(cols))
@@ -478,8 +581,69 @@ def test_leg_integrand_is_exact_on_any_point_order(monkeypatch, mu):
     assert np.array_equal(F(xi[perm], vv[perm]), ref[:, perm])
     for k in (0, 60, 150, len(xi) - 1):
         assert np.array_equal(F(xi[k:k + 1], vv[k:k + 1]), ref[:, k:k + 1])
-    for part in (xi <= s1, xi > s2, (xi > s1) & (xi <= s2)):
+    for part in (xi <= s1, xi > s2, (xi > s1) & (xi <= s2),
+                 (xi > s2) & (xi <= r), xi > r):
         assert np.array_equal(F(xi[part], vv[part]), ref[:, part])
+    if desc.lam < 1.0:  # e~ reaches past s_2tau, and ends at r
+        assert (ref[0, (xi > s2) & (xi <= t + 2.0 * PATH.delta)] != 0.0).any()
+        assert (ref[0, xi > r] == 0.0).all()
+
+
+@pytest.mark.parametrize("t", [1e-4 ** 0.6, 0.3, 1.2])
+def test_e_tilde_is_exactly_zero_past_its_free_radius(t):
+    # theta >= xi - t, so one ulp past the split radius every chart radius
+    # clears chi_delta's support 2 delta, and e~ is an exact 0 with exact 0
+    # partials: the far zone may skip the chart there
+    data = glued_data(PATH.epsilon, t, PATH.tau_of_t(t))
+    chi = CutoffProfile(PATH.delta, 2.0 * PATH.delta)
+    eta = np.linspace(0.0, math.pi, 401)
+    xi = np.full_like(eta, np.nextafter(minmax._e_free_radius(t, chi), 4.0))
+    b = minmax._LegBatch(data, xi, eta, chart=True, curvature=2)
+    assert (b.theta.v >= 2.0 * PATH.delta).all()
+    e = minmax._e_tilde(b, chi)
+    for part in (e.v, e.dx, e.dy):
+        assert np.array_equal(part, np.zeros_like(xi))
+
+
+def test_green_value_is_the_value_of_the_green_lift():
+    # the far zone reads the Green lift as values alone: on a batch across
+    # every zone, at each jet order, they are the bits of green_lift().v
+    desc = minmax._leg_descriptor(PATH, 1.5)
+    data = glued_data(desc.epsilon, desc.t, desc.tau)
+    cols = np.concatenate([[0.5 * data.s_tau, 1.5 * data.s_tau],
+                           np.geomspace(2.0 * data.s_2tau, 3.0, 6)])
+    xi = np.repeat(cols, 5)
+    eta = np.tile(np.linspace(0.1, 3.0, 5), len(cols))
+    want = minmax._LegBatch(data, xi, eta, chart=True,
+                            curvature=2).green_lift().v
+    for order in (0, 1, 2):
+        b = minmax._LegBatch(data, xi, eta, chart=order > 0, curvature=order)
+        assert np.array_equal(b.green_value(), want)
+        if order:
+            assert np.array_equal(b.green_lift().v, want)
+
+
+def test_legs_keep_their_bits():
+    # (Q, Q_err) of one leg of each kind at the path's spec and one flux
+    # integral, pinned by float.hex: the integrands skip partials and zones
+    # that no reader uses, and skipping them must not move a bit; the
+    # INTERP mesh reaches xi > t + 2 delta, where e~ is exactly 0
+    legs = {mu: minmax._leg_descriptor(PATH, mu) for mu in (0.5, 1.5, 2.4)}
+    pins = {0.5: ("0x1.eb9354cf572ecp+5", "0x1.1e0a16053a0ecp-20"),
+            1.5: ("0x1.ec462a2d2cd8ep+5", "0x1.a46e3d89a3db6p-21"),
+            2.4: ("0x1.ec7fc70887b05p+5", "0x1.3102c02cb4fdep-26")}
+    for mu, leg in legs.items():
+        q, err, ok = minmax.evaluate_quotient(
+            PATH, leg, PATH.spec().scaled(leg.tol_scale))
+        assert ok and (q.hex(), err.hex()) == pins[mu], leg.variant
+    interp = legs[1.5]
+    assert 0.0 < interp.lam < 1.0
+    flux = minmax._flux_integrals(
+        glued_data(interp.epsilon, interp.t, interp.tau), interp.lam,
+        CutoffProfile(PATH.delta, 2.0 * PATH.delta),
+        PATH.spec().scaled(interp.tol_scale))
+    assert (flux.value.hex(), flux.error_estimate.hex(), flux.evaluations) \
+        == ("0x1.340e20a938aa7p-2", "0x1.9290e53ca90c4p-34", 75)
 
 
 def test_path_config_validation():
@@ -502,6 +666,21 @@ def test_build_path_rejects_a_mu_off_the_path(monkeypatch, mu):
                         lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=rf"mu must lie in \[0, 5\], got {mu}"):
         build_path(PathConfig(), [0.5, mu, 5.0 - mu])
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid", [[], [[1.0, 2.0]], 2.5],
+                         ids=["empty", "2-d", "scalar"])
+def test_build_path_rejects_a_grid_that_is_no_sequence_of_mu(monkeypatch,
+                                                             grid):
+    # an empty grid once returned a profile whose max_Q and endpoint_values
+    # raised NumPy's zero-size reduction error, and a 2-d grid died on
+    # float() of a row; the grid is named before any evaluation
+    calls = []
+    monkeypatch.setattr(minmax, "evaluate_quotient",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="mu_grid must be a non-empty 1-d"):
+        build_path(PathConfig(), grid)
     assert calls == []
 
 
