@@ -204,7 +204,8 @@ def chebyshev_u(lmax: int, c) -> np.ndarray:
     if lmax >= 1:
         U[1] = c2 = 2.0 * c
         for l in range(2, lmax + 1):
-            U[l] = c2 * U[l - 1] - U[l - 2]
+            np.multiply(c2, U[l - 1], out=U[l])
+            U[l] -= U[l - 2]
     return U
 
 
@@ -348,7 +349,12 @@ def _polar(pts, axis):
     """The radii of the points and the cosines of their angles against the
     unit axis, each row's from that row alone."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
+    # r^2 as column sums, ((x0^2 + x1^2) + x2^2) + x3^2: the order and bits
+    # of np.linalg.norm's reduce on a 4-long row, without its per-row cost
+    r = pts[:, 0] * pts[:, 0]
+    for j in range(1, pts.shape[1]):
+        r += pts[:, j] * pts[:, j]
+    r = np.sqrt(r, out=r)
     # einsum sums each row in one loop; a one-row pts @ axis is a dot
     # product that rounds unlike the multi-row mat-vec
     c = np.divide(np.einsum("ij,j->i", pts, axis), r, out=np.zeros_like(r),
@@ -408,9 +414,16 @@ class GreenEvaluator:
     def value(self, pts) -> np.ndarray:
         r, c = _polar(pts, self.axis)
         g, x = self.chart.basis(r, self.delta)
+        kernel = self.chart.kernel(self.chart.dist(r, self.t, c))
+        # the image term in its order, b0 g / ((1 - X)^2 + (2X)(1 - c)), plus
+        # the kernel, in place on arrays this call allocated
         X = self.x_t * x
-        return self.chart.kernel(self.chart.dist(r, self.t, c)) \
-            + self.b0 * g / ((1.0 - X) ** 2 + 2.0 * X * (1.0 - c))
+        den = 1.0 - X
+        den *= den
+        X *= 2.0
+        X *= np.subtract(1.0, c, out=c)
+        den += X
+        return np.add(np.divide(self.b0 * g, den, out=den), kernel, out=den)
 
 
 def solve_dirichlet_green(problem: GreenProblem) -> GreenEvaluator:

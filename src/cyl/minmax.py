@@ -89,6 +89,7 @@ class D2:
     constant.  Partials keep the dense formulas' bits, up to a zero's sign."""
 
     __slots__ = ("v", "dx", "dy")
+    __array_ufunc__ = None  # an ndarray on the left defers to D2's operators
 
     def __init__(self, v, dx, dy):
         self.v, self.dx, self.dy = v, dx, dy

@@ -65,8 +65,10 @@ loop refines a sweep, integrals of one integrand whose F takes each point's
 parameter (tau for a curve point), in lockstep: each round every integral
 picks the boxes it would split alone, under its own spec, and one integrand
 call per batch evaluates all the picks.  A round costs bookkeeping and an
-integrand call, so against 0.5, 0.8 runs green-weakform and curves 15-20%
-faster, 0.9 barely more.  Seed-1 perfbench passes 0-2, calls, points:
+integrand call, so against 0.5, 0.8 runs green-weakform and curves 18%
+faster (perfbench, 4 alternating 10-s pairs each, 2-vCPU Xeon); against
+0.8, 0.9 ran green-weakform 8% faster and curves within the spread, but it
+moves every adapted bit.  Seed-1 perfbench passes 0-2, calls, points:
 
     fraction          0.5        0.7        0.8        0.9
     curves            344  239 +3.1%  204 +4.5%  177 +9.5%
@@ -345,7 +347,10 @@ def _seed_breaks(lo, hi, centers_scales, transform=None):
         pts.extend(_dyadic_breaks(c, s, lo, hi))
     if transform is not None:
         pts = [transform(p) for p in pts]
-    return np.unique(np.asarray(pts, dtype=float))
+    # np.unique's sort and first of each run: NumPy 2.4's np.unique imports
+    # numpy.ma, 11-17 ms, on its first call
+    pts = np.sort(np.asarray(pts, dtype=float))
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 def _compactify(domains, centers):
@@ -363,13 +368,12 @@ def _compactify(domains, centers):
         if not lo < hi:
             raise ValueError(f"{name} interval ({lo}, {hi}) needs lo < hi")
     tanned = [math.isinf(lo) or math.isinf(hi) for lo, hi in domains]
-    breaks = []
-    for (lo, hi), cs, tan in zip(domains, centers, tanned):
-        if tan:
-            b = _seed_breaks(lo, hi, cs, transform=math.atan)
-            breaks.append(np.unique(np.clip(b, -_TAN_CAP, _TAN_CAP)))
-        else:
-            breaks.append(_seed_breaks(lo, hi, cs))
+
+    def capped_atan(p):  # an infinite axis's breaks in working coordinates
+        return min(max(math.atan(p), -_TAN_CAP), _TAN_CAP)
+
+    breaks = [_seed_breaks(lo, hi, cs, capped_atan if tan else None)
+              for (lo, hi), cs, tan in zip(domains, centers, tanned)]
 
     def to_working(f):
         def g(*u):
@@ -410,11 +414,12 @@ def _result(total, err, evals, converged, lead):
                           converged)
 
 
-def _panels_1d(g, ax, bx, ay, by, *sweep):  # a 1-d sweep is of one
+def _panels_1d(g, box, *sweep):  # a 1-d sweep is of one
     """K15 values of the intervals [ax, bx] with their error |K15 - G7|, in
     ``_panels_2d``'s form for boxes of zero height (ay = by, never read):
     the error lies all along x, so ex is the error and ey is 0, and the
     refine loop always halves x.  ``g`` takes the nodes alone."""
+    ax, bx = box[0], box[2]
     mid = 0.5 * (ax + bx)
     half = 0.5 * (bx - ax)
     x = mid[:, None] + half[:, None] * _XGK[None, :]
@@ -426,26 +431,25 @@ def _panels_1d(g, ax, bx, ay, by, *sweep):  # a 1-d sweep is of one
     k = np.array([half * (f @ _WGK) for f in fx]).reshape(shape)
     gg = np.array([half * (f[:, _GAUSS_IDX] @ _WG) for f in fx])
     err = np.abs(k - gg.reshape(shape))
-    return k, err, err, np.zeros_like(err), x.size
+    return np.array([k, err, err, np.zeros_like(err)]), x.size
 
 
-def _panels_2d(g, ax, bx, ay, by, par=None, ends=None):
-    """K15 x K15 values of the boxes with their error |K15xK15 - G7xG7| and
-    the directional errors ex = |K15xK15 - G7(x)K15(y)| and
-    ey = |K15xK15 - K15(x)G7(y)|, all read off one 15 x 15 grid per box.
+def _panels_2d(g, box, par=None, ends=None):
+    """K15 x K15 values of the boxes, whose (4, nbox) corners ``box`` are
+    ax, ay, bx, by, with their error |K15xK15 - G7xG7| and the directional
+    errors ex = |K15xK15 - G7(x)K15(y)| and ey = |K15xK15 - K15(x)G7(y)|, all
+    read off one 15 x 15 grid per box.
 
-    ``g`` returns (m,) values or a (k, m) array, one row per component; the
-    four results take the integrand's leading axes and then one axis of
-    boxes.  The last item is the number of points evaluated.  In a sweep
-    integral i has the boxes ends[i]:ends[i + 1].  ``g`` takes node arrays
-    (see the module docstring), its boxes' entries of ``par`` the third."""
-    midx = 0.5 * (ax + bx)
-    hx = 0.5 * (bx - ax)
-    midy = 0.5 * (ay + by)
-    hy = 0.5 * (by - ay)
-    # nodes: (nbox, 15) each direction -> (nbox, 15, 15) tensor grid
-    X = midx[:, None, None] + hx[:, None, None] * _XGK[None, :, None]
-    Y = midy[:, None, None] + hy[:, None, None] * _XGK[None, None, :]
+    ``g`` returns (m,) values or a (k, m) array, one row per component.
+    Returns the four, stacked in that order, each with the integrand's
+    leading axes and then one axis of boxes, and the number of points
+    evaluated.  In a sweep integral i has the boxes ends[i]:ends[i + 1].
+    ``g`` takes node arrays (see the module docstring), its boxes' entries
+    of ``par`` the third."""
+    mid, h = 0.5 * (box[:2] + box[2:]), 0.5 * (box[2:] - box[:2])
+    # the nodes, (2, nbox, 15), x then y; X and Y span each box's grid
+    nodes = mid[:, :, None] + h[:, :, None] * _XGK
+    X, Y = nodes[0, :, :, None], nodes[1, :, None, :]
     step = _MAX_BATCH_POINTS // 225
 
     def batch(s):
@@ -456,10 +460,12 @@ def _panels_2d(g, ax, bx, ay, by, par=None, ends=None):
         rows = out.shape[:-1] + (len(X[s]), 15)
         return (F @ _WGK).reshape(rows), (F[:, :, 1::2] @ _WG).reshape(rows)
 
-    parts = [batch(slice(i, i + step)) for i in range(0, len(ax), step)]
-    Fk, Fg = (np.concatenate(r, axis=-2) for r in zip(*parts))
-    area, (k, gx, gy, gg) = hx * hy, np.empty((4,) + Fk.shape[:-1])
-    ends = (0, len(ax)) if ends is None else ends
+    parts = [batch(slice(i, i + step)) for i in range(0, len(X), step)]
+    Fk, Fg = parts[0] if len(parts) == 1 else (
+        np.concatenate(r, axis=-2) for r in zip(*parts))
+    area, rules = h[0] * h[1], np.empty((4,) + Fk.shape[:-1])
+    k, gg, gx, gy = rules
+    ends = (0, len(X)) if ends is None else ends
     for a, b in zip(ends[:-1], ends[1:]):
         # then the x rules, over all the boxes of one integral at once: a
         # mat-vec rounds its last rows differently, so no slicing moves bits
@@ -467,8 +473,11 @@ def _panels_2d(g, ax, bx, ay, by, par=None, ends=None):
         fg = Fg[..., a:b, :].reshape(-1, 15)
         for o, f, w in zip((k, gx, gy, gg), (fk, fk[:, 1::2], fg, fg[:, 1::2]),
                            (_WGK, _WG) * 2):
-            o[..., a:b] = area[a:b] * (f @ w).reshape(o[..., a:b].shape)
-    return k, np.abs(k - gg), np.abs(k - gx), np.abs(k - gy), 225 * len(ax)
+            o = o[..., a:b]
+            np.multiply(area[a:b], (f @ w).reshape(o.shape), out=o)
+    # |k - gg|, |k - gx| and |k - gy| in place: the error, ex and ey
+    np.abs(np.subtract(k, rules[1:], out=rules[1:]), out=rules[1:])
+    return rules, 225 * len(X)
 
 
 def _adapt(panels, g, grids, specs, params=None):
@@ -482,7 +491,7 @@ def _adapt(panels, g, grids, specs, params=None):
     for xb, yb in grids:
         ax, ay = np.meshgrid(xb[:-1], yb[:-1], indexing="ij")
         bx, by = np.meshgrid(xb[1:], yb[1:], indexing="ij")
-        new.append(np.array([ax.ravel(), bx.ravel(), ay.ravel(), by.ravel()]))
+        new.append(np.array([ax.ravel(), ay.ravel(), bx.ravel(), by.ravel()]))
     seed = [c.shape[1] for c in new]
     # the integrals still refining, in order; the bounds of each one's boxes
     # in ``new`` and in ``kept``, the boxes it kept from the last round
@@ -492,15 +501,13 @@ def _adapt(panels, g, grids, specs, params=None):
     splits, out = [0] * len(specs), [None] * len(specs)
     # each round splits a box of every live integral: the budgets bound it
     while True:
-        val, err, ex, ey, pts = panels(g, *new, None if par is None else
-                                       np.repeat(par[live], np.diff(nends)),
-                                       nends)
-        k, per_box = val.size // new.shape[1], pts // new.shape[1]
-        # the boxes, (4 + 4k, nbox): corners ax, bx, ay, by, then k rows each
+        rules, pts = panels(g, new, None if par is None else
+                            np.repeat(par[live], np.diff(nends)), nends)
+        k, per_box = rules[0].size // new.shape[1], pts // new.shape[1]
+        # the boxes, (4 + 4k, nbox): corners ax, ay, bx, by, then k rows each
         # of value, error, ex and ey, in a lone run's order per integral; on
         # contiguous rows a sum along axis 1 has the bits of a 1-d sum
-        rows = np.concatenate([new, *(v.reshape(k, -1)
-                                      for v in (val, err, ex, ey))])
+        rows = np.concatenate([new, rules.reshape(4 * k, -1)])
         boxes = rows if kept is None else np.concatenate([
             part for j in range(len(live)) for part in (
                 kept[:, kends[j]:kends[j + 1]], rows[:, nends[j]:nends[j + 1]])],
@@ -512,50 +519,58 @@ def _adapt(panels, g, grids, specs, params=None):
         total, toterr = sums[:, :k], sums[:, k:]
         tol = np.array([specs[i].tolerance_for(t) for i, t in zip(live, total)])
         converged = (toterr <= tol).all(axis=1).tolist()
-        # each component's errors in units of its integral's component 0
-        # tolerance; the weight of component 0 is exactly 1
-        boxerr, exw, eyw = (boxes[4 + k:].reshape(3, k, -1) * np.repeat(
-            tol[:, :1] / tol, sizes, axis=0).T).max(axis=1)
-        picks = [np.empty(0, int)]
+        # the error, ex and ey rows in units of each integral's component 0
+        # tolerance; component 0's weight tol_0 / tol_0 is exactly 1
+        w = boxes[4 + k::k]
+        for i in range(1, k):
+            w = np.maximum(w, boxes[4 + k + i::k] * np.repeat(
+                tol[:, 0] / tol[:, i], sizes))
+        picks = [np.empty(0, int)] * len(live)
         for j, i in enumerate(live):
             if converged[j] or splits[i] >= specs[i].max_subdivisions:
                 continue
-            e = boxerr[ends[j]:ends[j + 1]]
+            e = w[0, ends[j]:ends[j + 1]]
             order = e.argsort()[::-1]
             n = int(e[order].cumsum().searchsorted(_BULK_FRACTION * e.sum())) + 1
             n = min(n, specs[i].max_subdivisions - splits[i], sizes[j])
             splits[i] += n
-            picks.append(ends[j] + order[:n])
+            picks[j] = ends[j] + order[:n]
         idx = np.concatenate(picks)
-        (ax, bx, ay, by), exi, eyi = boxes[:4].take(idx, 1), exw[idx], eyw[idx]
+        corners, (_, exi, eyi) = boxes[:4].take(idx, 1), w.take(idx, 1)
         # split across the direction that carries the error; the longer
         # edge only breaks an exact tie
-        splitx = np.where(exi == eyi, bx - ax >= by - ay, exi > eyi)
-        lo = np.where(splitx, ax, ay)
-        hi = np.where(splitx, bx, by)
-        mid = 0.5 * (lo + hi)
+        wx, wy = corners[2:] - corners[:2]
+        splitx = np.where(exi == eyi, wx >= wy, exi > eyi)
+        edge = np.where(splitx, corners[0::2], corners[1::2])
+        mid = 0.5 * (edge[0] + edge[1])
+        # the halves, split at mid, C-ordered as the panels expect
+        left, right, cols = corners, corners.copy(), np.arange(len(idx))
+        side = np.where(splitx, 2, 3)  # the upper end of the split edge
+        left[side, cols] = mid
+        right[side - 2, cols] = mid
         # machine resolution: the midpoint of the edge to split rounds onto
         # one of its ends; an integral stops when all its picks are there
-        cut = (mid != lo) & (mid != hi)
-        idx, splitx, mid = idx[cut], splitx[cut], mid[cut]
-        split = np.bincount(np.searchsorted(ends, idx, side="right") - 1,
-                            minlength=len(live)).tolist()
+        cut = (mid != edge).all(axis=0)
+        idx = idx[cut]
+        left, right = left.compress(cut, axis=1), right.compress(cut, axis=1)
+        # the splits of each integral, from its run of picks
+        cuts = [0, *cut.cumsum().tolist()]
+        runs = list(accumulate([0] + [len(p) for p in picks]))
+        split = [cuts[b] - cuts[a] for a, b in zip(runs, runs[1:])]
         go = [j for j, s in enumerate(split) if s]
+        keep = np.ones(boxes.shape[1], bool)
         # the others stop, having evaluated their seed and two boxes a split
         for j in set(range(len(live))).difference(go):
-            out[live[j]] = (_result(total[j], toterr[j], per_box * (
-                2 * sizes[j] - seed[live[j]]), converged[j], val.shape[:-1]),
+            out[live[j]] = (_result(
+                total[j], toterr[j], per_box * (2 * sizes[j] - seed[live[j]]),
+                converged[j], rules.shape[1:-1]),
                 boxes[:4, ends[j]:ends[j + 1]].copy())
+            keep[ends[j]:ends[j + 1]] = False
         if not go:
             return out
-        # the halves, split at mid, C-ordered as the panels expect
-        left, right = boxes[:4].take(idx, 1), boxes[:4].take(idx, 1)
-        left[np.where(splitx, 1, 3), np.arange(len(idx))] = mid
-        right[np.where(splitx, 0, 2), np.arange(len(idx))] = mid
         pends = list(accumulate([0] + [split[j] for j in go]))
         new = np.concatenate([h[:, a:b] for a, b in zip(pends, pends[1:])
                               for h in (left, right)], axis=1)
-        keep = np.repeat(np.array(split) > 0, sizes)
         keep[idx] = False
         kept = boxes.compress(keep, axis=1)
         kends = list(accumulate([0] + [sizes[j] - split[j] for j in go]))
@@ -593,7 +608,7 @@ def _integrate_2d(F, weight, specs, x_domain, y_domain, params=None):
     def working(G):
         return to_working(weight(G))
 
-    return [(res, FrozenMesh2D(*corners, working)) for res, corners
+    return [(res, FrozenMesh2D(box, working)) for res, box
             in _adapt(_panels_2d, working(F), grids, specs, params)]
 
 
@@ -606,17 +621,13 @@ class FrozenMesh2D:
     stay clean.  ``working`` maps an integrand to the one the adaptation saw.
     """
 
-    ax: np.ndarray
-    bx: np.ndarray
-    ay: np.ndarray
-    by: np.ndarray
+    box: np.ndarray  # (4, nbox): ax, ay, bx, by
     working: object
 
     def evaluate(self, F) -> IntegralResult:
-        vals, errs, _, _, n = _panels_2d(self.working(F), self.ax, self.bx,
-                                         self.ay, self.by)
+        (vals, errs, _, _), n = _panels_2d(self.working(F), self.box)
         # on contiguous rows a sum along axis 1 has the bits of a 1-d sum
-        total, toterr = (v.reshape(-1, len(self.ax)).sum(axis=1)
+        total, toterr = (v.reshape(-1, self.box.shape[1]).sum(axis=1)
                          for v in (vals, errs))
         return _result(total, toterr, n, True, vals.shape[:-1])
 

@@ -88,6 +88,22 @@ def test_bubble_is_the_profile_the_interaction_and_path_layers_wrote_out():
     assert _hex(got.v, got.dx, got.dy) == _hex(want.v, want.dx, want.dy)
 
 
+def test_bubble_keeps_its_bits_at_unit_width():
+    # eps = 1 skips the product by 1/eps^2 = 1.0, which is exact: values and
+    # a forward-mode value's partials, pinned by float.hex, do not move
+    r2 = np.array([0.0, 0.3, 2.5, 17.0, 1e6])
+    assert _hex(bubble(r2)) == [
+        "0x1.c41927ae54895p-1", "0x1.5bc494ad7c1adp-1", "0x1.025784639e055p-2",
+        "0x1.91dd789af5cf6p-5", "0x1.da0f14e9630d7p-21"]
+    assert _hex(bubble(0.7), bubble(0.7, 1)) == ["0x1.09f0adee139c1p-1"] * 2
+    x = D2.var_x(np.array([0.2, 1.9]))
+    got = bubble(x * x)
+    assert got.dy is None
+    assert _hex(got.v, got.dx) == [
+        "0x1.b2b5b9d8db218p-1", "0x1.8846b1b3956dcp-3",
+        "-0x1.4e6467931eb75p-2", "-0x1.4359ecfea67cfp-3"]
+
+
 def test_bubble_scaling_l4_norm():
     # unit L^4 norm for random eps
     rng = np.random.default_rng(7)

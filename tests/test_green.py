@@ -244,6 +244,35 @@ def test_green_value_of_a_batch_is_the_value_of_each_point(field):
     assert r[0] == 0.0 and c[0] == 0.0
 
 
+@pytest.mark.parametrize("field, batch, lone", [
+    (FlatField(), ["0x1.b28c51e357abcp+1", "0x1.2ce361a2c4e0ep+0",
+                   "0x1.f8d20d20d20d0p+7", "0x1.a7463ee2015d4p+0",
+                   "0x1.4824686bae7f4p-1"], "0x1.45526bce32f10p-1"),
+    (ROUND, ["0x1.c22f06b764034p+1", "0x1.3cf6ebfa7ef80p+0",
+             "0x1.f94f9b0620ba7p+7", "0x1.b9a9fb0dfc20cp+0",
+             "0x1.5c04ca66e3d28p-1"], "0x1.58f0e01549784p-1")],
+    ids=["flat", "round"])
+def test_green_value_keeps_its_bits(field, batch, lone):
+    # value on a multi-row batch (the origin among its rows) and on one row,
+    # pinned by float.hex: how the radii and the image term are formed must
+    # not move a bit; the radii are np.linalg.norm's, a zero row's too
+    from cyl.green import _polar
+    ev = solve_dirichlet_green(GreenProblem(
+        field, np.array([0.05, -0.02, 0.03, 0.01]), 0.5))
+    pts = np.array([[0.3, 0.1, -0.2, 0.05], [-0.11, 0.27, 0.08, -0.3],
+                    [0.0, 0.0, 0.0, 0.0], [0.2, -0.35, 0.1, 0.15],
+                    [-0.4, -0.05, 0.21, -0.02]])
+    assert [float(v).hex() for v in ev.value(pts)] == batch
+    one = ev.value([0.01, 0.44, -0.1, 0.07])
+    assert [float(v).hex() for v in one] == [lone]
+    rng = np.random.default_rng(40)
+    for rows in (pts, pts[:1], rng.normal(size=(500, 4))
+                 * np.exp(rng.uniform(-20.0, 20.0, size=(500, 4)))):
+        r, c = _polar(rows, ev.axis)
+        assert np.array_equal(r, np.linalg.norm(rows, axis=1))
+    assert _polar(pts, ev.axis)[1][2] == 0.0
+
+
 @pytest.mark.parametrize("field, delta, pole", [
     (FlatField(), 1.0, [0.15, 0.1, 0.0, 0.0]),
     (FlatField(), 0.5, [0.05, -0.02, 0.03, 0.01]),

@@ -121,6 +121,18 @@ def test_absent_partials_are_exact_zeros(data):
                                                     a.dy is None)
 
 
+def test_an_array_on_the_left_of_a_d2_defers_to_its_reflected_operator():
+    # NumPy must not broadcast over a D2 as an object: an ndarray or a NumPy
+    # scalar on the left reaches D2's reflected operators
+    a = D2(np.array([0.4, -1.3, 2.2]), np.array([1.0, 0.5, -2.0]), None)
+    for b in (np.array([0.7, 3.0, -0.6]), np.float64(1.7)):
+        for name, op in _OPS.items():
+            got = op(b, a)
+            assert isinstance(got, D2), name
+            _same_floats(got, _DENSE[name](_dense(b), _dense(a)))
+            assert got.dy is None
+
+
 def test_factors_of_one_variable_carry_one_partial():
     # var_x has no y-partial and var_y no x-partial; every function of one
     # variable, a batch's per-run factors and their spread keep it absent

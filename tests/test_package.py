@@ -213,7 +213,8 @@ def test_link_and_chart_commands_load_no_scipy(tmp_path):
 
 def test_no_command_loads_scipy(tmp_path):
     # the Green modes are closed forms and every other layer is NumPy alone,
-    # so the six default commands, in one process, load no SciPy module
+    # so the six default commands, in one process, load no SciPy module;
+    # nor numpy.ma, which NumPy 2.4's np.unique imports on its first call
     code = (
         "import sys\n"
         f"sys.path.insert(0, {os.path.dirname(cyl.__path__[0])!r})\n"
@@ -221,7 +222,8 @@ def test_no_command_loads_scipy(tmp_path):
         f"for command in {COMMANDS!r}:\n"
         f"    assert main(['--out', {str(tmp_path)!r}, command]) == 0\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        "             if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=300)
     assert out.stdout.strip().splitlines()[-1] == "[]"
