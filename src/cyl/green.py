@@ -28,6 +28,7 @@ the round ball, the global football kernel) are kept as independent oracles.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -124,17 +125,13 @@ class RadialChart:
                            dist, sphere_kernel, basis, math.pi, True,
                            _round_sphere)
 
-    def mode_coupling_defect(self, samples) -> float:
-        """Sup defect between a field's values and this chart's warped form
-        at ``samples``, (x, value) pairs: the guard against non-radial fields."""
-        worst = 0.0
-        for x, value in samples:
-            r = np.linalg.norm(x)
-            c = float(self.w(r)) ** 2 / r ** 2
-            P = np.outer(x, x) / r ** 2
-            model = P + c * (np.eye(4) - P)
-            worst = max(worst, float(np.max(np.abs(value - model))))
-        return worst
+    def mode_coupling_defect(self, xs, values) -> float:
+        """Sup defect between a field's values at the rows of ``xs`` and this
+        chart's warped form there: the guard against non-radial fields."""
+        r = np.linalg.norm(xs, axis=1)[:, None, None]
+        c = self.w(r) ** 2 / r ** 2
+        P = xs[:, :, None] * xs[:, None, :] / r ** 2
+        return float(np.max(np.abs(values - (P + c * (np.eye(4) - P)))))
 
 
 def _round_sphere(pole, dirs: np.ndarray):
@@ -160,12 +157,23 @@ def _round_sphere(pole, dirs: np.ndarray):
         theta = np.arccos(np.clip(q[:, 4], -1.0, 1.0))
         head = q[:, :4]
         nh = np.linalg.norm(head, axis=1)
-        out = np.zeros_like(head)
-        safe = nh > 0
-        out[safe] = (theta[safe] / nh[safe])[:, None] * head[safe]
-        return out
+        return head * np.divide(theta, nh, out=np.zeros_like(nh),
+                                where=nh > 0)[:, None]
 
     return points
+
+
+@lru_cache(maxsize=1)
+def _chart_draws() -> tuple:
+    """chart_for_field's 8 seeded draws, a direction x, a radius fraction u
+    and |x| each, drawn once from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    draws = [(rng.normal(size=4), rng.uniform(0.05, 0.95)) for _ in range(8)]
+    x, u = (np.array(column) for column in zip(*draws))
+    norm = np.array([np.linalg.norm(row) for row in x])
+    for a in (x, u, norm):
+        a.flags.writeable = False
+    return x, u, norm
 
 
 def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
@@ -174,14 +182,13 @@ def chart_for_field(field: ChartMetricField, delta: float) -> RadialChart:
     must be a ball's radius on it, below the chart's extent."""
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    rng = np.random.default_rng(0)
-    draws = [(rng.normal(size=4), rng.uniform(0.05, 0.95)) for _ in range(8)]
-    xs = [x * (u * delta / np.linalg.norm(x)) for x, u in draws]
-    samples = [(x, field.value(x)) for x in xs]
+    x, u, norm = _chart_draws()
+    xs = x * (u * delta / norm)[:, None]
+    values = np.array([field.value(p) for p in xs])
     charts = (RadialChart.flat(), RadialChart.round())
-    defects = [chart.mode_coupling_defect(samples) for chart in charts]
+    defects = [chart.mode_coupling_defect(xs, values) for chart in charts]
     best = int(np.argmin(defects))
-    if defects[best] > COUPLING_TOL:
+    if not defects[best] <= COUPLING_TOL:
         raise ValueError("no radial chart available for this field; the Green "
                          "solver requires a radially symmetric suite metric "
                          f"(defect={defects[best]:g})")
@@ -328,15 +335,25 @@ class GreenProblem:
     delta: float
 
     def __post_init__(self):
-        self.pole = np.asarray(self.pole, dtype=float)
-        t = float(np.linalg.norm(self.pole))
         self.chart = chart_for_field(self.field, self.delta)
+        self._set_pole(self.pole)
+
+    def _set_pole(self, pole):
+        self.pole = np.asarray(pole, dtype=float)
+        t = float(np.linalg.norm(self.pole))
         # the pole must avoid the cone tip; a centered pole is only meaningful
         # for the flat ball, where there is no tip
         tip = self.chart.tip
         if not (1e-300 if tip else 0.0) <= t < self.delta / 4.0 + 1e-12:
             raise ValueError(f"pole must satisfy {'0 <' if tip else '0 <='} "
                              f"|x| < delta/4 on the {self.chart.kind} chart")
+
+    def with_pole(self, pole) -> "GreenProblem":
+        """This problem with its pole at ``pole``, on the chart this one
+        resolved: the field is not sampled again, the pole is checked."""
+        moved = copy.copy(self)
+        moved._set_pole(pole)
+        return moved
 
 
 def _axis(pole) -> np.ndarray:
@@ -355,10 +372,15 @@ def _polar(pts, axis):
     for j in range(1, pts.shape[1]):
         r += pts[:, j] * pts[:, j]
     r = np.sqrt(r, out=r)
-    # einsum sums each row in one loop; a one-row pts @ axis is a dot
-    # product that rounds unlike the multi-row mat-vec
-    c = np.divide(np.einsum("ij,j->i", pts, axis), r, out=np.zeros_like(r),
-                  where=r > 0.0)
+    # the cosine as two column pairs, (x0 a0 + x2 a2) + (x1 a1 + x3 a3): the
+    # order and bits of einsum's two-lane loop, each row's its own in any
+    # batch; a one-row pts @ axis is a dot product that rounds unlike the
+    # multi-row mat-vec
+    c = pts[:, 0] * axis[0]
+    c += pts[:, 2] * axis[2]
+    odd = pts[:, 1] * axis[1]
+    odd += pts[:, 3] * axis[3]
+    c = np.divide(np.add(c, odd, out=c), r, out=np.zeros_like(r), where=r > 0.0)
     return r, np.clip(c, -1.0, 1.0, out=c)
 
 
@@ -534,10 +556,12 @@ def extract_mass(evaluator, pole, eps0: float = None,
     axis = _axis(pole)
     sphere = evaluator.chart.sphere(
         pole, dirs @ np.vstack([axis, tangent_frame(axis)]).T)
+    # one evaluation for the four spheres; each mean reads its own slice
+    values = evaluator.value(np.concatenate([sphere(float(s_k)) for s_k in s]))
+    n = len(dirs)
     means = np.array([
-        float(np.sum(weights * (evaluator.value(sphere(float(s_k))) * f_k
-                                - 1.0 / eps ** 2)))
-        for eps, s_k, f_k in zip(radii, s, factor)])
+        float(np.sum(weights * (values[k * n:(k + 1) * n] * f_k - 1.0 / eps ** 2)))
+        for k, (eps, f_k) in enumerate(zip(radii, factor))])
     design = np.stack([np.ones(4), radii, radii ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     fitted = design @ coef
@@ -553,22 +577,29 @@ def extract_mass(evaluator, pole, eps0: float = None,
 
 def mass_divergence_sweep(model: str, t_grid, delta: float) -> list:
     """Per t: one Dirichlet solve, its equivariant assembly and the mass on
-    gbar spheres, with the CNC factor on the football.  Returns rows of
-    dicts with the A_q * 4 t^2 column; each row's error adds the solver's
-    error estimate to the extraction's."""
+    gbar spheres, with the CNC factor on the football.  The chart is resolved
+    once for the sweep, and every t is checked before the first solve.
+    Returns rows of dicts with the A_q * 4 t^2 column; each row's error adds
+    the solver's error estimate to the extraction's."""
     if model == "flat-cone":
         field, cnc = FlatField(), None
     elif model == "football":
         field, cnc = WarpedRadialField(round_profile()), cnc_profile
     else:
         raise ValueError("model must be 'flat-cone' or 'football'")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not len(t_grid):
+        raise ValueError("t_grid must be a non-empty 1-d sequence of t, "
+                         f"got shape {t_grid.shape}")
     if not all(0.0 < t < math.inf for t in t_grid):
         raise ValueError("every t must be finite and > 0")
+    poles = [np.array([t, 0.0, 0.0, 0.0]) for t in t_grid]
+    first = GreenProblem(field, poles[0], delta)
+    problems = [first.with_pole(pole) for pole in poles]
     rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        pole = np.array([t, 0.0, 0.0, 0.0])
-        g_plus = solve_dirichlet_green(GreenProblem(field, pole, delta))
-        exp = extract_mass(AssembledGreen(g_plus), pole,
+    for t, problem in zip(t_grid, problems):
+        g_plus = solve_dirichlet_green(problem)
+        exp = extract_mass(AssembledGreen(g_plus), problem.pole,
                            profile=None if cnc is None else cnc(t))
         rows.append({
             "t": float(t),

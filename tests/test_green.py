@@ -136,6 +136,14 @@ def test_chart_for_field_picks_the_matching_chart():
         chart_for_field(WarpedRadialField(polynomial_profile(1, 1)), 0.5)
 
 
+def test_chart_for_field_refuses_a_field_with_nan_values():
+    # a NaN defect was dropped sample by sample, so a metric that was NaN
+    # everywhere met the flat chart with defect 0
+    field = ConformalField(FlatField(), lambda x: math.nan)
+    with pytest.raises(ValueError, match=r"defect=nan"):
+        chart_for_field(field, 1.0)
+
+
 def test_green_problem_measures_the_coupling_once(monkeypatch):
     calls = []
     real = RadialChart.mode_coupling_defect
@@ -590,6 +598,129 @@ def test_football_mass_sweep():
     rows = mass_divergence_sweep("football", [0.04, 0.02], 0.8)
     assert 0.95 <= rows[-1]["product"] <= 1.05
     assert abs(rows[-1]["product"] - 1.0) < abs(rows[0]["product"] - 1.0)
+
+
+@pytest.mark.parametrize("model, delta, grid, pins", [
+    ("flat-cone", 1.0, [0.05, 0.03, 0.02],
+     [("0x1.87fff2fbdfb85p+6", "0x1.9c36fe268dd41p-16"),
+      ("0x1.13c719d38caefp+8", "0x1.159775ad3e745p-14"),
+      ("0x1.377ffd4b69a20p+9", "0x1.32eed85c10a8ep-13")]),
+    ("football", 0.8, [0.04, 0.03, 0.02],
+     [("0x1.33111b982d45ep+7", "0x1.71ee547c0744bp-11"),
+      ("0x1.1310c3f1465d9p+8", "0x1.e3e815b8caa95p-9"),
+      ("0x1.3723ac6bfb14fp+9", "0x1.133a39c7b86ebp-7")])],
+    ids=["flat-cone", "football"])
+def test_mass_sweep_keeps_its_bits(model, delta, grid, pins):
+    # A_q and its error per t, pinned by float.hex: how a sweep shares its
+    # chart and how a mass batches its spheres must not move a bit
+    rows = mass_divergence_sweep(model, grid, delta)
+    assert [(r["A_q"].hex(), r["error"].hex()) for r in rows] == pins
+
+
+def test_centred_mass_keeps_its_bits():
+    ev = solve_dirichlet_green(GreenProblem(FlatField(), np.zeros(4), 1.0))
+    exp = extract_mass(ev, np.zeros(4), eps0=0.05)
+    assert (exp.A_q.hex(), exp.error.hex()) == ("-0x1.0000000001b47p+0",
+                                                "0x1.f1d7fffffffffp-38")
+
+
+class _CountedValue:
+    """An evaluator that counts its value calls and the rows they take."""
+
+    def __init__(self, evaluator):
+        self.evaluator, self.chart, self.calls = evaluator, evaluator.chart, []
+
+    def value(self, pts):
+        self.calls.append(len(pts))
+        return self.evaluator.value(pts)
+
+
+def test_a_mass_sweep_resolves_one_chart_and_a_mass_one_evaluation(
+        monkeypatch):
+    import cyl.green as green
+    counts = {"chart": 0, "solve": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(green, "chart_for_field",
+                        counted("chart", green.chart_for_field))
+    monkeypatch.setattr(green, "solve_dirichlet_green",
+                        counted("solve", green.solve_dirichlet_green))
+    mass_divergence_sweep("football", [0.04, 0.03, 0.02], 0.8)
+    assert counts == {"chart": 1, "solve": 3}
+    # the four spheres' points go to the evaluator in one call
+    pole = np.array([0.1, 0.0, 0.0, 0.0])
+    ev = _CountedValue(flat_ball_green(0.5, pole))
+    extract_mass(ev, pole)
+    assert ev.calls == [4 * len(green._sym_directions()[0])]
+
+
+def _per_sphere_mass(evaluator, pole, profile=None):
+    # extract_mass with one value call per sphere
+    from cyl.geometry.links import tangent_frame
+    from cyl.green import _axis, _sym_directions
+    t = float(np.linalg.norm(pole))
+    radii = t / 8.0 * 0.5 ** np.arange(4)
+    s, factor = radii, np.ones(4)
+    if profile is not None:
+        s = profile.radius_inverse(radii)
+        factor = np.exp(-0.5 * profile.value(s))
+    dirs, weights = _sym_directions()
+    axis = _axis(pole)
+    sphere = evaluator.chart.sphere(
+        pole, dirs @ np.vstack([axis, tangent_frame(axis)]).T)
+    means = np.array([
+        float(np.sum(weights * (evaluator.value(sphere(float(s_k))) * f_k
+                                - 1.0 / eps ** 2)))
+        for eps, s_k, f_k in zip(radii, s, factor)])
+    design = np.stack([np.ones(4), radii, radii ** 2], axis=1)
+    coef, *_ = np.linalg.lstsq(design, means, rcond=None)
+    fitted = design @ coef
+    refit = np.linalg.solve(design[:3], means[:3])[0]
+    err = (float(np.max(np.abs(means - fitted))) + abs(means[-1] - coef[0]) * 0.5
+           + abs(coef[0] - refit) + np.finfo(float).eps / radii[-1] ** 2)
+    return float(coef[0]), float(err)
+
+
+@pytest.mark.parametrize("oracle, cnc", [
+    (lambda pole: flat_ball_green(0.5, pole), False),
+    (lambda pole: round_ball_green(0.5, pole), False),
+    (football_global_green, False),
+    (football_global_green, True)],
+    ids=["flat-ball", "round-ball", "football", "football-cnc"])
+def test_extract_mass_matches_a_per_sphere_reference(oracle, cnc):
+    pole = np.array([0.03, 0.01, -0.02, 0.0])
+    profile = cnc_profile(float(np.linalg.norm(pole))) if cnc else None
+    ev = oracle(pole)
+    got = extract_mass(ev, pole, profile=profile)
+    assert (got.A_q.hex(), got.error.hex()) == tuple(
+        v.hex() for v in _per_sphere_mass(ev, pole, profile))
+
+
+@pytest.mark.parametrize("t_grid", [
+    0.03, [[0.02, 0.03]], np.array([[0.02, 0.03]]), [], np.array([])],
+    ids=["scalar", "nested", "2-d-array", "empty", "empty-array"])
+def test_mass_sweep_rejects_a_t_grid_that_is_no_1d_sequence(t_grid):
+    with pytest.raises(ValueError, match="non-empty 1-d sequence"):
+        mass_divergence_sweep("flat-cone", t_grid, 1.0)
+
+
+@pytest.mark.parametrize("model, delta", [("flat-cone", 1.0),
+                                          ("football", 0.8)])
+def test_mass_sweep_checks_every_pole_before_its_first_solve(
+        monkeypatch, model, delta):
+    import cyl.green as green
+
+    def unsolved(problem):
+        raise AssertionError("the sweep solved before checking its poles")
+
+    monkeypatch.setattr(green, "solve_dirichlet_green", unsolved)
+    with pytest.raises(ValueError, match=r"\|x\| < delta/4"):
+        mass_divergence_sweep(model, [0.03, delta / 4.0 + 1e-6], delta)
 
 
 def test_mass_boundary_effect_bounded():
