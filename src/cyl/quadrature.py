@@ -98,11 +98,15 @@ order, which a frozen mesh keeps.
 
 Node arrays: ``_panels_2d`` hands the working map a batch of n boxes as
 x nodes (n, 15, 1), y nodes (n, 1, 15) and sweep parameters (n, 1, 1), not
-as 225 n points, so what depends on one axis (``tan``, its Jacobian, the
-axisymmetric weights) is formed on 15 nodes.  ``_spread`` repeats node
-values onto the flat grid, where products of two axes' factors and the
-integrand, which gets flat arrays, are formed: broadcast (n, 15, 1) x
-(n, 1, 15) products run 15-element inner loops and are slower.
+as 225 n points.  The map returns the integrand's values on the flat grid,
+which ``_spread`` repeats the nodes onto, and one factor per axis on that
+axis's nodes, or None: the tan Jacobian 1 + x^2, the bi-radial 4 pi rho^2,
+the axisymmetric 4 pi w(theta) and sin^2 psi.  No factor reaches the grid.
+Each axis's rule pair, the K15 weights and the G7 weights on their nodes,
+is scaled per box by its half-width and factor, and two stacked products
+per batch, the grid by the y tables and then the x tables, give every
+box's K15xK15, G7(x)K15(y), K15(x)G7(y) and G7xG7 for every component at
+once: Stroud's product rule (1971) with the weight folded into each axis.
 
 Batch bound: the 2-d engines and the 3-sphere rule hand an integrand at most
 ``_MAX_BATCH_POINTS`` = 2^13 points per call.  An integrand's temporaries
@@ -115,11 +119,11 @@ L2 per core):
     ns per point       58      27      19       48       49       55
 
 A call has a fixed cost too: a curves pass ran within a few per cent at 2^11
-to 2^13, slower above.  ``_panels_2d`` applies the y rules to each slice,
-one 15 x 15 box at a time, and the x rules to all the boxes of one integral
-at once (a mat-vec rounds its last rows differently), so every sum is the
-one a lone unsliced call would give, bit for bit, for elementwise
-integrands, and only one slice is held.
+to 2^13, slower above.  A box's rules are products of its own grid and its
+own two tables, two small matrix products per box and component, so they
+are the same bits alone, in any batch and under any bound, for elementwise
+integrands; a frozen mesh re-evaluates the integral it was adapted to bit
+for bit, and only one batch's grid is held.
 """
 
 from __future__ import annotations
@@ -194,6 +198,9 @@ _WG = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
+# one axis's rule pair: the K15 weights, then the G7 weights on their nodes
+_RULE_PAIR = np.zeros((2, 15))
+_RULE_PAIR[0], _RULE_PAIR[1, 1::2] = _WGK, _WG
 
 # the working coordinate of an infinite end: tan(_TAN_CAP) is about 6.4e13
 _TAN_CAP = 0.5 * math.pi * (1.0 - 1e-14)
@@ -359,9 +366,10 @@ def _compactify(domains, centers):
 
     An axis with an infinite end is mapped by x = tan(u), its ends capped at
     +-``_TAN_CAP``; a bounded axis keeps its coordinates.  Returns the map
-    of an integrand f to f(tan(u), ...) * prod(1 + x^2), which applies the
-    Jacobians last, and the seed breaks of each axis; f gets the nodes and
-    spreads them.  An axis without lo < hi (reversed, of zero width or NaN)
+    of f, which takes the nodes and returns its values and one factor per
+    axis on that axis's nodes (or None), to f(tan(u), ...) with each tanned
+    axis's Jacobian 1 + x^2 folded into its factor, and the seed breaks of
+    each axis.  An axis without lo < hi (reversed, of zero width or NaN)
     raises ValueError.
     """
     for name, (lo, hi) in zip("xy", domains):
@@ -377,12 +385,12 @@ def _compactify(domains, centers):
 
     def to_working(f):
         def g(*u):
-            # tan and the Jacobians on the nodes, their product on the grid;
-            # spread once f has dropped its temporaries
+            # tan and the Jacobians on the nodes, never on the grid
             x = [np.tan(ui) if tan else ui for ui, tan in zip(u, tanned)]
-            v = f(*x, *u[len(x):])
-            jac = [_spread(1.0 + xi * xi) for xi, tan in zip(x, tanned) if tan]
-            return v * math.prod(jac[1:], start=jac[0])
+            v, *w = f(*x, *u[len(x):])
+            return v, *(wi if not tan else 1.0 + xi * xi if wi is None
+                        else wi * (1.0 + xi * xi)
+                        for xi, wi, tan in zip(x, w, tanned))
 
         return g if any(tanned) else f
 
@@ -390,10 +398,7 @@ def _compactify(domains, centers):
 
 
 def _spread(u):
-    """Node values (n, 15 or 1, 15 or 1) on their boxes' flat 15 x 15 grids;
-    a flat array (the 1-d engine's nodes) or a number is its own spread."""
-    if np.ndim(u) < 3:
-        return u
+    """Node values (n, 15 or 1, 15 or 1) on their boxes' flat 15 x 15 grids."""
     # np.repeat spreads as broadcast_to(...).ravel() does, at a fraction of
     # the call overhead
     if u.shape[2] == 1:  # constant along y: runs of equal values
@@ -418,12 +423,14 @@ def _panels_1d(g, box, *sweep):  # a 1-d sweep is of one
     """K15 values of the intervals [ax, bx] with their error |K15 - G7|, in
     ``_panels_2d``'s form for boxes of zero height (ay = by, never read):
     the error lies all along x, so ex is the error and ey is 0, and the
-    refine loop always halves x.  ``g`` takes the nodes alone."""
+    refine loop always halves x.  ``g`` takes the nodes alone and returns
+    their values and the Jacobian (or None), applied point by point."""
     ax, bx = box[0], box[2]
     mid = 0.5 * (ax + bx)
     half = 0.5 * (bx - ax)
     x = mid[:, None] + half[:, None] * _XGK[None, :]
-    fx = g(x.ravel())
+    fx, jac = g(x.ravel())
+    fx = fx if jac is None else fx * jac
     shape = fx.shape[:-1] + (len(ax),)  # leading axes, then intervals
     # each component's (intervals, nodes) matrix is contracted by itself,
     # as a scalar integrand's is: a stacked product can round differently
@@ -434,49 +441,38 @@ def _panels_1d(g, box, *sweep):  # a 1-d sweep is of one
     return np.array([k, err, err, np.zeros_like(err)]), x.size
 
 
-def _panels_2d(g, box, par=None, ends=None):
+def _panels_2d(g, box, par=None):
     """K15 x K15 values of the boxes, whose (4, nbox) corners ``box`` are
     ax, ay, bx, by, with their error |K15xK15 - G7xG7| and the directional
     errors ex = |K15xK15 - G7(x)K15(y)| and ey = |K15xK15 - K15(x)G7(y)|, all
     read off one 15 x 15 grid per box.
 
-    ``g`` returns (m,) values or a (k, m) array, one row per component.
-    Returns the four, stacked in that order, each with the integrand's
-    leading axes and then one axis of boxes, and the number of points
-    evaluated.  In a sweep integral i has the boxes ends[i]:ends[i + 1].
     ``g`` takes node arrays (see the module docstring), its boxes' entries
-    of ``par`` the third."""
+    of ``par`` the third, and returns (m,) values or a (k, m) array, one row
+    per component, and one factor per axis on its nodes, or None.  Returns
+    the four, stacked in that order, each with the integrand's leading axes
+    and then one axis of boxes, and the number of points evaluated."""
     mid, h = 0.5 * (box[:2] + box[2:]), 0.5 * (box[2:] - box[:2])
     # the nodes, (2, nbox, 15), x then y; X and Y span each box's grid
     nodes = mid[:, :, None] + h[:, :, None] * _XGK
     X, Y = nodes[0, :, :, None], nodes[1, :, None, :]
-    step = _MAX_BATCH_POINTS // 225
-
-    def batch(s):
-        out = g(X[s], Y[s], *(() if par is None else (par[s, None, None],)))
-        F = out.reshape(-1, 15, 15)  # the components' boxes end to end
-        # the y rules, one row per x node, so a batch's grid values are
-        # dropped with the batch
-        rows = out.shape[:-1] + (len(X[s]), 15)
-        return (F @ _WGK).reshape(rows), (F[:, :, 1::2] @ _WG).reshape(rows)
-
-    parts = [batch(slice(i, i + step)) for i in range(0, len(X), step)]
-    Fk, Fg = parts[0] if len(parts) == 1 else (
-        np.concatenate(r, axis=-2) for r in zip(*parts))
-    area, rules = h[0] * h[1], np.empty((4,) + Fk.shape[:-1])
-    k, gg, gx, gy = rules
-    ends = (0, len(X)) if ends is None else ends
-    for a, b in zip(ends[:-1], ends[1:]):
-        # then the x rules, over all the boxes of one integral at once: a
-        # mat-vec rounds its last rows differently, so no slicing moves bits
-        fk = Fk[..., a:b, :].reshape(-1, 15)
-        fg = Fg[..., a:b, :].reshape(-1, 15)
-        for o, f, w in zip((k, gx, gy, gg), (fk, fk[:, 1::2], fg, fg[:, 1::2]),
-                           (_WGK, _WG) * 2):
-            o = o[..., a:b]
-            np.multiply(area[a:b], (f @ w).reshape(o.shape), out=o)
+    step, parts = _MAX_BATCH_POINTS // 225, []
+    for s in (slice(i, i + step) for i in range(0, len(X), step)):
+        v, *w = g(X[s], Y[s], *(() if par is None else (par[s, None, None],)))
+        # each axis's rule pair, scaled per box by its half-width and its
+        # factor on the nodes: (n, 2, 15) tables, x then y
+        tx, ty = (_RULE_PAIR * (hi[s, None] if wi is None else
+                                hi[s, None] * wi.reshape(-1, 15))[:, None, :]
+                  for hi, wi in zip(h, w))
+        F = np.asarray(v, dtype=float).reshape(-1, len(tx), 15, 15)
+        # (k, n, 2, 2): x rule by y rule, K15 then G7, per component and box
+        parts.append(tx @ (F @ ty.transpose(0, 2, 1)))
+    R = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    # K15xK15, G7xG7, G7(x)K15(y) and K15(x)G7(y)
+    rules = R.reshape(-1, 4).T.take([0, 3, 2, 1], axis=0).reshape(
+        4, *np.shape(v)[:-1], len(X))
     # |k - gg|, |k - gx| and |k - gy| in place: the error, ex and ey
-    np.abs(np.subtract(k, rules[1:], out=rules[1:]), out=rules[1:])
+    np.abs(np.subtract(rules[0], rules[1:], out=rules[1:]), out=rules[1:])
     return rules, 225 * len(X)
 
 
@@ -498,11 +494,15 @@ def _adapt(panels, g, grids, specs, params=None):
     live, nends = list(range(len(specs))), list(accumulate([0] + seed))
     new, kept, kends = np.concatenate(new, axis=1), None, [0] * len(nends)
     par = None if params is None else np.asarray(params, dtype=float)
+    # each spec's tolerances: tol = max(abs_tol, rel_tol |total|), as
+    # ``QuadratureSpec.tolerance_for`` forms it, for all live integrals at once
+    atol, rtol = (np.array([getattr(s, t) for s in specs])
+                  for t in ("abs_tol", "rel_tol"))
     splits, out = [0] * len(specs), [None] * len(specs)
     # each round splits a box of every live integral: the budgets bound it
     while True:
         rules, pts = panels(g, new, None if par is None else
-                            np.repeat(par[live], np.diff(nends)), nends)
+                            np.repeat(par[live], np.diff(nends)))
         k, per_box = rules[0].size // new.shape[1], pts // new.shape[1]
         # the boxes, (4 + 4k, nbox): corners ax, ay, bx, by, then k rows each
         # of value, error, ex and ey, in a lone run's order per integral; on
@@ -517,7 +517,7 @@ def _adapt(panels, g, grids, specs, params=None):
         sums = np.array([boxes[4:4 + 2 * k, a:b].sum(axis=1)
                          for a, b in zip(ends, ends[1:])])
         total, toterr = sums[:, :k], sums[:, k:]
-        tol = np.array([specs[i].tolerance_for(t) for i, t in zip(live, total)])
+        tol = np.maximum(atol[live, None], rtol[live, None] * np.abs(total))
         converged = (toterr <= tol).all(axis=1).tolist()
         # the error, ex and ey rows in units of each integral's component 0
         # tolerance; component 0's weight tol_0 / tol_0 is exactly 1
@@ -587,7 +587,7 @@ def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
     docstring).
     """
     to_working, (breaks,) = _compactify((interval,), (spec.grading,))
-    g = to_working(lambda x: np.asarray(f(x), dtype=float))
+    g = to_working(lambda x: (np.asarray(f(x), dtype=float), None))
     return _adapt(_panels_1d, g, [(breaks, np.zeros(2))], [spec])[0][0]
 
 
@@ -599,7 +599,18 @@ def _integrate_2d(F, weight, specs, x_domain, y_domain, params=None):
     """The one 2-d front end: per spec in ``specs`` (a sweep if ``params``
     is given), the integral of ``weight(F)`` over x_domain x y_domain and the
     adapted mesh, frozen with the same weight and map.  The public 2-d
-    engines are weights over it, none calling another: each spans it once."""
+    engines are weights over it, none calling another: each spans it once.
+    A sweep is refused before any work unless ``params`` holds one finite
+    parameter per spec."""
+    if params is not None:
+        p = np.asarray(params, dtype=float)
+        lone = isinstance(specs, QuadratureSpec)
+        if lone or p.shape != (len(specs),) or not np.isfinite(p).all():
+            raise ValueError(
+                f"a sweep needs a sequence of specs and a 1-d sequence of "
+                f"finite params, one per spec; got "
+                f"{'one spec' if lone else f'{len(specs)} specs'} and params "
+                f"{params!r}")
     to_working, _ = _compactify((x_domain, y_domain), ([], []))
     grids = [_compactify((x_domain, y_domain), [
         [(c[i], s[i] if isinstance(s, tuple) else s) for c, s in spec.grading]
@@ -633,15 +644,11 @@ class FrozenMesh2D:
 
 
 def _biradial_weight(F):
-    """F times the 4*pi*rho^2 of the bi-radial reduction, on the grid."""
+    """F on the grid, with the 4*pi*rho^2 of the bi-radial reduction as the
+    rho axis's factor."""
     def g(zeta, rho, *par):
-        rho = _spread(rho)
-        # ((F 4 pi) rho) rho, in place: each temporary of a batch's size
-        # costs more to allocate than to fill
-        v = F(_spread(zeta), rho, *map(_spread, par)) * (4.0 * math.pi)
-        v *= rho
-        v *= rho
-        return v
+        return (F(_spread(zeta), _spread(rho), *map(_spread, par)), None,
+                4.0 * math.pi * rho * rho)
 
     return g
 
@@ -655,7 +662,7 @@ def integrate_rect2d(F, spec: QuadratureSpec, x_domain, y_domain) -> IntegralRes
     business; grading centers are (x, y) pairs in original coordinates.
     """
     def plain(G):
-        return lambda x, y: np.asarray(G(_spread(x), _spread(y)), dtype=float)
+        return lambda x, y: (G(_spread(x), _spread(y)), None, None)
 
     return _integrate_2d(F, plain, [spec], x_domain, y_domain)[0][0]
 
@@ -704,13 +711,9 @@ def integrate_axisym_sphere(F, spec: QuadratureSpec, theta_domain,
     ``theta^3`` on flat R^4).  Grading centers are (theta, psi) pairs.
     """
     def weight(G):
-        def g(theta, psi):
-            # each axis's factor on its nodes, their product on the grid
-            w = _spread(radial_weight(theta) * 4.0 * math.pi)
-            w *= _spread(np.sin(psi) ** 2)
-            return np.asarray(G(_spread(theta), _spread(psi)), dtype=float) * w
-
-        return g
+        return lambda theta, psi: (G(_spread(theta), _spread(psi)),
+                                   4.0 * math.pi * radial_weight(theta),
+                                   np.sin(psi) ** 2)
 
     return _integrate_2d(F, weight, [spec], theta_domain, (0.0, math.pi))[0][0]
 

@@ -399,30 +399,38 @@ def test_each_leg_integrates_numerator_and_denominator_on_one_mesh(
 def test_double_leg_keeps_the_bits_of_its_hand_weighted_rectangle(model, delta,
                                                                   eps, t):
     # DOUBLE once applied w(theta) 4 pi sin^2 psi itself on integrate_rect2d;
-    # integrate_axisym_sphere applies it in the same order
+    # it now hands the unweighted rows and w to integrate_axisym_sphere,
+    # which folds 4 pi w(theta) and sin^2 psi into each box's rule tables:
+    # the same bits as that engine on these rows, and the hand-weighted
+    # rectangle's mesh and value within the two results' bars
     football = model == "football"
     weight = (lambda th: np.sin(th) ** 3) if football else (lambda th: th ** 3)
     chi = CutoffProfile(delta, 2.0 * delta) if delta is not None else None
 
-    def integrand(theta_v, psi_v):
+    def rows(theta_v, psi_v):
         theta, psi = D2.var_x(theta_v), D2.var_y(psi_v)
         u = minmax._double_bubble_chart(eps, t, theta, theta * psi.cos(), chi)
         sin_th = np.sin(theta_v) if football else theta_v
         grad2 = u.dx ** 2 + (u.dy / sin_th) ** 2
         return np.stack([6.0 * grad2 + (12.0 if football else 0.0) * u.v ** 2,
-                         u.v ** 4]) \
-            * (weight(theta_v) * 4.0 * math.pi * np.sin(psi_v) ** 2)
+                         u.v ** 4])
 
     spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
     gspec = spec.with_grading(((t, 0.0), (eps, eps / t)),
                               ((t, math.pi), (eps, eps / t)))
-    res = quadrature.integrate_rect2d(
-        integrand, gspec, (1e-12, 2.0 * delta if football else math.inf),
-        (0.0, math.pi))
+    theta_domain = (1e-12, 2.0 * delta if football else math.inf)
+    res = quadrature.integrate_axisym_sphere(rows, gspec, theta_domain, weight)
     expect = minmax._quotient_from(res[0], res[1])
     got = quotient_double(eps, t, delta, spec, ROUND if football else FLAT)
     assert [x.hex() for x in got[:2]] == [x.hex() for x in expect[:2]]
     assert got[2] == expect[2]
+    rect = quadrature.integrate_rect2d(
+        lambda th, psi: rows(th, psi)
+        * (weight(th) * 4.0 * math.pi * np.sin(psi) ** 2),
+        gspec, theta_domain, (0.0, math.pi))
+    assert rect.evaluations == res.evaluations and rect.converged
+    assert (np.abs(rect.value - res.value)
+            <= rect.error_estimate + res.error_estimate).all()
 
 
 def test_each_quotient_integrates_its_fluxes_in_one_call(monkeypatch):
@@ -641,9 +649,9 @@ def test_legs_keep_their_bits():
     # that no reader uses, and skipping them must not move a bit; the
     # INTERP mesh reaches xi > t + 2 delta, where e~ is exactly 0
     legs = {mu: minmax._leg_descriptor(PATH, mu) for mu in (0.5, 1.5, 2.4)}
-    pins = {0.5: ("0x1.eb9354cf572ecp+5", "0x1.1e0a16053a0ecp-20"),
-            1.5: ("0x1.ec462a2d2cd8ep+5", "0x1.a46e3d89a3db6p-21"),
-            2.4: ("0x1.ec7fc70887b05p+5", "0x1.3102c02cb4fdep-26")}
+    pins = {0.5: ("0x1.eb9354cf572ecp+5", "0x1.1e0a1602e8773p-20"),
+            1.5: ("0x1.ec462a2d2cd8ep+5", "0x1.a46e3dd1a0f85p-21"),
+            2.4: ("0x1.ec7fc70887b02p+5", "0x1.3102c0204959fp-26")}
     for mu, leg in legs.items():
         q, err, ok = minmax.evaluate_quotient(
             PATH, leg, PATH.spec().scaled(leg.tol_scale))

@@ -34,7 +34,6 @@ OPTIONS = {
     "cyl.quadrature.IntegralResult.expect.what",
     "cyl.quadrature._seed_breaks.transform",
     "cyl.quadrature._panels_2d.par",
-    "cyl.quadrature._panels_2d.ends",
     "cyl.quadrature._adapt.params",
     "cyl.quadrature._integrate_2d.params",
     "cyl.quadrature.integrate_biradial.zeta_domain",

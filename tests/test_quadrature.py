@@ -305,10 +305,38 @@ def test_a_sweep_is_converged_only_when_every_integral_is():
     assert integrate_biradial(F, [], params=[]) == ()
 
 
+_MALFORMED = {
+    "3 params, 2 specs": ([SPEC] * 2, [0.5, 1.0, 2.0]),
+    "2 params, 3 specs": ([SPEC] * 3, [0.5, 1.0]),
+    "a lone spec": (SPEC, [0.5]),
+    "2-d params": ([SPEC] * 2, [[0.5], [1.0]]),
+    "a NaN param": ([SPEC] * 2, [0.5, math.nan]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+@pytest.mark.parametrize("engine", [integrate_biradial, build_frozen_mesh])
+def test_a_malformed_sweep_is_refused_before_any_work(engine, case):
+    # a third param was once dropped silently, a third spec raised
+    # IndexError inside the refine loop, a lone spec "not iterable", 2-d
+    # params a broadcast error, and a NaN param spent the whole split budget
+    specs, params = _MALFORMED[case]
+    calls = []
+
+    def F(z, p, t):
+        calls.append(t)
+        return np.exp(-t * (z * z + p * p))
+
+    with pytest.raises(ValueError, match="a sweep needs a sequence of specs"):
+        engine(F, specs, params=params)
+    assert calls == []
+
+
 def test_frozen_mesh_evaluates_the_integral_it_was_adapted_to():
     # integrate_biradial and build_frozen_mesh share one front end: the
-    # frozen mesh reweights and remaps F as the adaptation did (batching
-    # moves the last bits of the rule sums, and |K15 - G7| magnifies them)
+    # frozen mesh reweights and remaps F as the adaptation did, and a box's
+    # rule values do not depend on its batch, so value and error are the
+    # adaptation's bits
     spec = SPEC.with_grading(((2.0, 0.0), 1.0))
 
     def F(z, p):
@@ -316,8 +344,64 @@ def test_frozen_mesh_evaluates_the_integral_it_was_adapted_to():
 
     res = integrate_biradial(F, spec)
     again = build_frozen_mesh(F, spec).evaluate(F)
-    assert_allclose(again.value, res.value, rtol=1e-14)
-    assert_allclose(again.error_estimate, res.error_estimate, rtol=1e-6)
+    assert _hexes(again)[:2] == _hexes(res)[:2]
+
+
+def _working_map(run):
+    """The working map a 2-d engine hands its panel rule, caught from the
+    first panel call of ``run()``."""
+    seen, real = [], quadrature._panels_2d
+
+    def spying(g, *args):
+        seen.append(g)
+        return real(g, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_panels_2d", spying)
+        run()
+    return seen[0]
+
+
+# each weight's working map with boxes inside its working domain: the
+# bi-radial sweep (both axes tanned, a factor on rho), the axisymmetric
+# chart (a factor on each axis, two components) and the plain rectangle
+# (x tanned, y bounded)
+_ENGINE_MAPS = {
+    "biradial": (lambda: integrate_biradial(
+        _pair, [SPEC], params=[1.0]), (-1.4, 1.0), (0.0, 1.0), True),
+    "axisym": (lambda: integrate_axisym_sphere(
+        lambda th, psi: np.stack([np.exp(-th) * (1.0 + np.cos(psi) ** 2),
+                                  th * np.cos(psi)]),
+        SPEC, (0.0, 2.0), lambda r: r ** 3), (0.0, 1.5), (0.0, 2.7), False),
+    "rect2d": (lambda: integrate_rect2d(
+        lambda x, y: np.exp(-x * (1.0 + y)) * np.cos(y), SPEC,
+        (0.0, math.inf), (0.0, 1.0)), (0.0, 1.1), (0.0, 0.6), False),
+}
+
+
+@pytest.mark.parametrize("engine", list(_ENGINE_MAPS))
+def test_a_box_gets_the_same_rule_bits_wherever_it_sits(monkeypatch, engine):
+    # each box's four rule values come from its own grid and its own
+    # per-axis tables: alone, inside a batch of 41 and at every batch bound
+    # they are the same bits
+    run, xs, ys, sweep = _ENGINE_MAPS[engine]
+    g = _working_map(run)
+    rng = np.random.default_rng(11)
+    n = 41
+    ax, ay = rng.uniform(*xs, n), rng.uniform(*ys, n)
+    box = np.array([ax, ay, ax + rng.uniform(1e-3, 0.4, n),
+                    ay + rng.uniform(1e-3, 0.4, n)])
+    par = rng.uniform(0.5, 2.0, n) if sweep else None
+
+    def hexes(rules):
+        return [[float(v).hex() for v in r.ravel()] for r in
+                np.moveaxis(rules, -1, 0)]
+
+    alone = [hexes(quadrature._panels_2d(g, box[:, [b]], *(
+        () if par is None else (par[[b]],)))[0])[0] for b in range(n)]
+    for bound in (225, 1 << 13, 1 << 40):
+        monkeypatch.setattr(quadrature, "_MAX_BATCH_POINTS", bound)
+        assert hexes(quadrature._panels_2d(g, box, par)[0]) == alone, bound
 
 
 def test_a_frozen_mesh_sweep_builds_the_meshes_of_lone_builds():
@@ -624,8 +708,8 @@ def test_rect2d_vector_polynomials_are_exact(data):
 
 
 def test_panels_2d_matches_the_exact_contraction():
-    # the batched mat-vec forms of the four rule values round to within
-    # 4 ulps of the exact (rational) tensor contractions of the same grid
+    # the per-box tensor contractions of the four rule values round to
+    # within 4 ulps of the exact (rational) contractions of the same grid
     rng = np.random.default_rng(7)
     n = 40
     ax = rng.uniform(-1.0, 1.0, n)
@@ -635,9 +719,11 @@ def test_panels_2d_matches_the_exact_contraction():
     c = rng.uniform(0.5, 2.0, 3)
     g, calls = _recording(lambda x, y: np.exp(c[0] * x - c[1] * y * y)
                           * (1.5 + np.cos(c[2] * x * y)))
-    # the panels hand over node arrays; the grid is their spread
+    # the panels hand over node arrays; the grid is their spread, and no
+    # axis has a factor
     (k, err, ex, ey), npts = quadrature._panels_2d(
-        lambda x, y: g(quadrature._spread(x), quadrature._spread(y)),
+        lambda x, y: (g(quadrature._spread(x), quadrature._spread(y)),
+                      None, None),
         np.array([ax, ay, bx, by]))
     assert npts == 225 * n
     F = np.concatenate([v for _, v in calls]).reshape(n, 15, 15)
@@ -900,23 +986,24 @@ def _hexes(res):
 def test_engines_keep_their_bits():
     # value, error and points of each engine's map and weights, pinned by
     # float.hex: the tan map, its Jacobians and the weights are per-axis
-    # factors of each point, and a change in how they are formed must not
+    # factors folded into each box's rule tables (the 1-d rule applies its
+    # Jacobian point by point), and a change in how they are formed must not
     # move a bit
     taus = [0.5, 2.0]
     sweep = integrate_biradial(
         _pair, [SPEC.with_grading(((t, 0.0), 1.0)) for t in taus],
         params=taus)  # both axes tanned
     assert [_hexes(r) for r in sweep] == [
-        ("0x1.2653e161373a6p+0", "0x1.27dd96db6a000p-35", 27000),
-        ("0x1.e162fb629394ap-4", "0x1.63a05089da900p-37", 48150)]
+        ("0x1.2653e161373a6p+0", "0x1.27ddc46a4c000p-35", 27000),
+        ("0x1.e162fb629394ap-4", "0x1.63a0546927d00p-37", 48150)]
     res = integrate_axisym_sphere(
         lambda th, psi: np.exp(-th) * (1.0 + np.cos(psi) ** 2), SPEC,
         (0.0, 2.0), lambda r: r ** 3)
-    assert _hexes(res) == ("0x1.526eb08e76176p+4", "0x1.245c000000000p-35",
+    assert _hexes(res) == ("0x1.526eb08e76175p+4", "0x1.245e000000000p-35",
                            1575)
     res = integrate_rect2d(lambda x, y: np.exp(-x * (1.0 + y)) * np.cos(y),
                            SPEC, (0.0, math.inf), (0.0, 1.0))
-    assert _hexes(res) == ("0x1.33bc16f439320p-1", "0x1.04b800bee0000p-34",
+    assert _hexes(res) == ("0x1.33bc16f439320p-1", "0x1.04b7ef9ee8000p-34",
                            2025)
     res = integrate_radial(lambda r: r ** 3 * np.exp(-r) / (1.0 + r * r),
                            (0.0, math.inf), SPEC)
@@ -925,4 +1012,4 @@ def test_engines_keep_their_bits():
     mesh = build_frozen_mesh(lambda z, p: _pair(z, p, 1.0),
                              SPEC.with_grading(((1.0, 0.0), 1.0)))
     assert _hexes(mesh.evaluate(lambda z, p: _pair(z, p, 1.01))) == (
-        "0x1.0e376897c0c0dp-1", "0x1.0e3a318cc0400p-35", 23850)
+        "0x1.0e376897c0c0dp-1", "0x1.0e3a23fd9e000p-35", 23850)
