@@ -479,19 +479,17 @@ def solve_harmonic_extension(field: ChartMetricField, delta: float,
 class AssembledGreen:
     """Equivariant quotient Green function through the double cover:
     G_q o sigma_P = G_x + G_{-x} + H_x, with G_{-x}(y) = G_x(-y) by the
-    equivariance of the suite metrics."""
+    equivariance of the suite metrics.  The harmonic part H_x is 0 on the
+    flat cone and the football, which are conformally flat; a model that is
+    not brings H back together with its caller."""
 
-    def __init__(self, g_plus: GreenEvaluator, harmonic=None):
+    def __init__(self, g_plus: GreenEvaluator):
         self.g_plus = g_plus
         self.chart = g_plus.chart
-        self.harmonic = harmonic
 
     def value(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = self.g_plus.value(pts) + self.g_plus.value(-pts)
-        if self.harmonic is not None:
-            out = out + self.harmonic.value(pts)
-        return out
+        return self.g_plus.value(pts) + self.g_plus.value(-pts)
 
 
 # ----------------------------------------------------------------------------

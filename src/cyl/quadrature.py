@@ -29,7 +29,7 @@ where the directional error asks for it.
 Engines:
 
 * ``integrate_radial``      -- 1-d integrals on [a, R] or [a, oo), run
-  through the 2-d refine loop on boxes of zero height
+  through the 2-d refine loop and panel rule on boxes of zero height
 * ``integrate_rect2d``      -- plain 2-d integrals over a rectangle, whose
   sides may have infinite ends
 * ``integrate_biradial``    -- the (zeta, rho) slab reduction of axially
@@ -55,10 +55,10 @@ estimates in the same spirit (Genz & Malik 1980; Berntsen, Espelid & Genz
 Refine loop: one loop, ``_adapt``, serves every adaptive engine.  Each
 round it halves the fewest boxes whose errors reach ``_BULK_FRACTION`` of
 the total, Doerfler's bulk marking (1996) on QUADPACK's greedy bisection
-(Piessens et al. 1983), under a panel rule: ``_panels_2d`` for the 2-d
-engines, and for ``integrate_radial`` the K15/G7 rule ``_panels_1d`` on
-boxes of zero height, whose error lies all in x, so the loop always halves
-x.  A box is at machine resolution, and is never split, when the midpoint of
+(Piessens et al. 1983), under the one panel rule ``_panels_2d``.  The
+boxes of ``integrate_radial`` have zero height, and a zero-height y edge
+takes a one-node unit rule pair, so ey is 0 and the loop always halves x.
+A box is at machine resolution, and is never split, when the midpoint of
 the edge it would split rounds onto one of that edge's ends; no absolute
 width enters, so a singular end is bisected down to the subnormals.  The
 loop refines a sweep, integrals of one integrand whose F takes each point's
@@ -97,23 +97,24 @@ alone: boxes are split in a fixed order, and a mesh sums its boxes in that
 order, which a frozen mesh keeps.
 
 Node arrays: ``_panels_2d`` hands the working map a batch of n boxes as
-x nodes (n, 15, 1), y nodes (n, 1, 15) and sweep parameters (n, 1, 1), not
-as 225 n points.  The map returns the integrand's values on the flat grid,
-which ``_spread`` repeats the nodes onto, and one factor per axis on that
-axis's nodes, or None: the tan Jacobian 1 + x^2, the bi-radial 4 pi rho^2,
-the axisymmetric 4 pi w(theta) and sin^2 psi.  No factor reaches the grid.
+x nodes (n, 15, 1), y nodes (n, 1, 15), or (n, 1, 1) at zero height, and
+sweep parameters (n, 1, 1), not as flat points.  The map returns the
+integrand's values on the flat grid, which ``_spread`` repeats the nodes
+onto, and one factor per axis on that axis's nodes, or None: the tan
+Jacobian 1 + x^2, the bi-radial 4 pi rho^2, the axisymmetric 4 pi w(theta)
+and sin^2 psi.  No factor reaches the grid.
 Each axis's rule pair, the K15 weights and the G7 weights on their nodes,
 is scaled per box by its half-width and factor, and two stacked products
 per batch, the grid by the y tables and then the x tables, give every
 box's K15xK15, G7(x)K15(y), K15(x)G7(y) and G7xG7 for every component at
 once: Stroud's product rule (1971) with the weight folded into each axis.
 
-Batch bound: the 2-d engines and the 3-sphere rule hand an integrand at most
-``_MAX_BATCH_POINTS`` = 2^13 points per call.  An integrand's temporaries
-grow with its batch and cost more per point once they leave the L2 cache;
-one batch through the curve-point working map (tan map, Jacobians, weight
-and integrand) and the y rules, best of 21 runs on a 2-vCPU Xeon (2 MB of
-L2 per core):
+Batch bound: every adaptive engine and the 3-sphere rule hand an integrand
+at most ``_MAX_BATCH_POINTS`` = 2^13 points per call.  An integrand's
+temporaries grow with its batch and cost more per point once they leave
+the L2 cache; one batch through the curve-point working map (tan map,
+Jacobians, weight and integrand) and the y rules, best of 21 runs on a
+2-vCPU Xeon (2 MB of L2 per core):
 
     points per call   900   3 600   8 100   16 200   32 625   65 475
     ns per point       58      27      19       48       49       55
@@ -188,7 +189,6 @@ _WGK = np.array([
     0.022935322010529224963732008058970,
 ])
 # Gauss-7 nodes are the odd-indexed Kronrod nodes.
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
@@ -205,8 +205,8 @@ _RULE_PAIR[0], _RULE_PAIR[1, 1::2] = _WGK, _WG
 # the working coordinate of an infinite end: tan(_TAN_CAP) is about 6.4e13
 _TAN_CAP = 0.5 * math.pi * (1.0 - 1e-14)
 
-# the most points one integrand call of the 2-d engine or of the 3-sphere
-# rule receives; it bounds the temporaries an integrand allocates
+# the most points one integrand call of an adaptive engine or of the
+# 3-sphere rule receives; it bounds the temporaries an integrand allocates
 _MAX_BATCH_POINTS = 1 << 13
 
 _BULK_FRACTION = 0.8  # the share of the error a refine round splits
@@ -369,8 +369,8 @@ def _compactify(domains, centers):
     of f, which takes the nodes and returns its values and one factor per
     axis on that axis's nodes (or None), to f(tan(u), ...) with each tanned
     axis's Jacobian 1 + x^2 folded into its factor, and the seed breaks of
-    each axis.  An axis without lo < hi (reversed, of zero width or NaN)
-    raises ValueError.
+    each axis; factors past the axes of ``domains`` pass through.  An axis
+    without lo < hi (reversed, of zero width or NaN) raises ValueError.
     """
     for name, (lo, hi) in zip("xy", domains):
         if not lo < hi:
@@ -390,7 +390,7 @@ def _compactify(domains, centers):
             v, *w = f(*x, *u[len(x):])
             return v, *(wi if not tan else 1.0 + xi * xi if wi is None
                         else wi * (1.0 + xi * xi)
-                        for xi, wi, tan in zip(x, w, tanned))
+                        for xi, wi, tan in zip(x, w, tanned)), *w[len(x):]
 
         return g if any(tanned) else f
 
@@ -419,33 +419,13 @@ def _result(total, err, evals, converged, lead):
                           converged)
 
 
-def _panels_1d(g, box, *sweep):  # a 1-d sweep is of one
-    """K15 values of the intervals [ax, bx] with their error |K15 - G7|, in
-    ``_panels_2d``'s form for boxes of zero height (ay = by, never read):
-    the error lies all along x, so ex is the error and ey is 0, and the
-    refine loop always halves x.  ``g`` takes the nodes alone and returns
-    their values and the Jacobian (or None), applied point by point."""
-    ax, bx = box[0], box[2]
-    mid = 0.5 * (ax + bx)
-    half = 0.5 * (bx - ax)
-    x = mid[:, None] + half[:, None] * _XGK[None, :]
-    fx, jac = g(x.ravel())
-    fx = fx if jac is None else fx * jac
-    shape = fx.shape[:-1] + (len(ax),)  # leading axes, then intervals
-    # each component's (intervals, nodes) matrix is contracted by itself,
-    # as a scalar integrand's is: a stacked product can round differently
-    fx = fx.reshape(-1, *x.shape)
-    k = np.array([half * (f @ _WGK) for f in fx]).reshape(shape)
-    gg = np.array([half * (f[:, _GAUSS_IDX] @ _WG) for f in fx])
-    err = np.abs(k - gg.reshape(shape))
-    return np.array([k, err, err, np.zeros_like(err)]), x.size
-
-
 def _panels_2d(g, box, par=None):
     """K15 x K15 values of the boxes, whose (4, nbox) corners ``box`` are
     ax, ay, bx, by, with their error |K15xK15 - G7xG7| and the directional
     errors ex = |K15xK15 - G7(x)K15(y)| and ey = |K15xK15 - K15(x)G7(y)|, all
-    read off one 15 x 15 grid per box.
+    read off one 15 x 15 grid per box.  A batch of zero height, the 1-d
+    engine's, takes the edge's rule pair in y: one node at the edge, weight
+    1 in K15 and G7, so each box has a 15 x 1 grid and ey is exactly 0.
 
     ``g`` takes node arrays (see the module docstring), its boxes' entries
     of ``par`` the third, and returns (m,) values or a (k, m) array, one row
@@ -453,18 +433,21 @@ def _panels_2d(g, box, par=None):
     the four, stacked in that order, each with the integrand's leading axes
     and then one axis of boxes, and the number of points evaluated."""
     mid, h = 0.5 * (box[:2] + box[2:]), 0.5 * (box[2:] - box[:2])
-    # the nodes, (2, nbox, 15), x then y; X and Y span each box's grid
-    nodes = mid[:, :, None] + h[:, :, None] * _XGK
-    X, Y = nodes[0, :, :, None], nodes[1, :, None, :]
-    step, parts = _MAX_BATCH_POINTS // 225, []
+    yn, pairs = _XGK, [_RULE_PAIR, _RULE_PAIR]
+    if not h[1].any():  # zero height: one node at the edge, weight 1 in both
+        yn, pairs[1], h[1] = np.zeros(1), np.ones((2, 1)), 1.0
+    # X and Y span each box's grid, (nbox, 15, 1) and (nbox, 1, 15 or 1)
+    X = (mid[0, :, None] + h[0, :, None] * _XGK)[:, :, None]
+    Y = (mid[1, :, None] + h[1, :, None] * yn)[:, None, :]
+    step, parts = _MAX_BATCH_POINTS // (15 * len(yn)), []
     for s in (slice(i, i + step) for i in range(0, len(X), step)):
         v, *w = g(X[s], Y[s], *(() if par is None else (par[s, None, None],)))
         # each axis's rule pair, scaled per box by its half-width and its
-        # factor on the nodes: (n, 2, 15) tables, x then y
-        tx, ty = (_RULE_PAIR * (hi[s, None] if wi is None else
-                                hi[s, None] * wi.reshape(-1, 15))[:, None, :]
-                  for hi, wi in zip(h, w))
-        F = np.asarray(v, dtype=float).reshape(-1, len(tx), 15, 15)
+        # factor on the nodes: (n, 2, 15) and (n, 2, 15 or 1), x then y
+        tx, ty = (pair * (hi[s, None] if wi is None else hi[s, None]
+                          * wi.reshape(-1, pair.shape[1]))[:, None, :]
+                  for pair, hi, wi in zip(pairs, h, w))
+        F = np.asarray(v, dtype=float).reshape(-1, len(tx), 15, len(yn))
         # (k, n, 2, 2): x rule by y rule, K15 then G7, per component and box
         parts.append(tx @ (F @ ty.transpose(0, 2, 1)))
     R = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -473,14 +456,14 @@ def _panels_2d(g, box, par=None):
         4, *np.shape(v)[:-1], len(X))
     # |k - gg|, |k - gx| and |k - gy| in place: the error, ex and ey
     np.abs(np.subtract(rules[0], rules[1:], out=rules[1:]), out=rules[1:])
-    return rules, 225 * len(X)
+    return rules, 15 * len(yn) * len(X)
 
 
-def _adapt(panels, g, grids, specs, params=None):
+def _adapt(g, grids, specs, params=None):
     """The one refine loop: adapt each seed grid xbreaks x ybreaks in
-    ``grids`` to ``g`` under its spec in ``specs``, in lockstep, with
-    ``panels`` (``_panels_2d``, or ``_panels_1d`` on a zero-height y edge)
-    and ``params`` per integral; one (result, final corners) each."""
+    ``grids`` (of zero height in y for ``integrate_radial``) to ``g`` under
+    its spec in ``specs``, in lockstep, with ``params`` per integral, under
+    ``_panels_2d``; one (result, final corners) each."""
     if not specs:
         return []
     new = []
@@ -501,8 +484,8 @@ def _adapt(panels, g, grids, specs, params=None):
     splits, out = [0] * len(specs), [None] * len(specs)
     # each round splits a box of every live integral: the budgets bound it
     while True:
-        rules, pts = panels(g, new, None if par is None else
-                            np.repeat(par[live], np.diff(nends)))
+        rules, pts = _panels_2d(g, new, None if par is None else
+                                np.repeat(par[live], np.diff(nends)))
         k, per_box = rules[0].size // new.shape[1], pts // new.shape[1]
         # the boxes, (4 + 4k, nbox): corners ax, ay, bx, by, then k rows each
         # of value, error, ex and ey, in a lone run's order per integral; on
@@ -587,8 +570,9 @@ def integrate_radial(f, interval, spec: QuadratureSpec) -> IntegralResult:
     docstring).
     """
     to_working, (breaks,) = _compactify((interval,), (spec.grading,))
-    g = to_working(lambda x: (np.asarray(f(x), dtype=float), None))
-    return _adapt(_panels_1d, g, [(breaks, np.zeros(2))], [spec])[0][0]
+    g = to_working(lambda x, y: (np.asarray(f(x.ravel()), dtype=float),
+                                 None, None))
+    return _adapt(g, [(breaks, np.zeros(2))], [spec])[0][0]
 
 
 # ----------------------------------------------------------------------------
@@ -620,7 +604,7 @@ def _integrate_2d(F, weight, specs, x_domain, y_domain, params=None):
         return to_working(weight(G))
 
     return [(res, FrozenMesh2D(box, working)) for res, box
-            in _adapt(_panels_2d, working(F), grids, specs, params)]
+            in _adapt(working(F), grids, specs, params)]
 
 
 @dataclass(frozen=True)

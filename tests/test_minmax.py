@@ -463,10 +463,10 @@ def test_leg_meshes_are_seeded_one_box_wide_in_the_angle(monkeypatch):
     seeds = []
     adapt = quadrature._adapt
 
-    def spying(panels, g, grids, specs, params=None):
-        if panels is quadrature._panels_2d:  # not the 1-d fluxes
-            seeds.extend(len(ybreaks) - 1 for _, ybreaks in grids)
-        return adapt(panels, g, grids, specs, params)
+    def spying(g, grids, specs, params=None):
+        # not the 1-d fluxes, whose grids have zero height
+        seeds.extend(len(yb) - 1 for _, yb in grids if yb[-1] > yb[0])
+        return adapt(g, grids, specs, params)
 
     monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
@@ -482,10 +482,10 @@ def test_leg_seed_breaks_hold_every_zone_edge(monkeypatch):
     breaks = []
     adapt = quadrature._adapt
 
-    def spying(panels, g, grids, specs, params=None):
-        if panels is quadrature._panels_2d:  # not the 1-d fluxes
-            breaks.extend(np.array(xbreaks) for xbreaks, _ in grids)
-        return adapt(panels, g, grids, specs, params)
+    def spying(g, grids, specs, params=None):
+        # not the 1-d fluxes, whose grids have zero height
+        breaks.extend(np.array(xb) for xb, yb in grids if yb[-1] > yb[0])
+        return adapt(g, grids, specs, params)
 
     monkeypatch.setattr(quadrature, "_adapt", spying)
     eps = 1e-4
@@ -650,8 +650,8 @@ def test_legs_keep_their_bits():
     # INTERP mesh reaches xi > t + 2 delta, where e~ is exactly 0
     legs = {mu: minmax._leg_descriptor(PATH, mu) for mu in (0.5, 1.5, 2.4)}
     pins = {0.5: ("0x1.eb9354cf572ecp+5", "0x1.1e0a1602e8773p-20"),
-            1.5: ("0x1.ec462a2d2cd8ep+5", "0x1.a46e3dd1a0f85p-21"),
-            2.4: ("0x1.ec7fc70887b02p+5", "0x1.3102c0204959fp-26")}
+            1.5: ("0x1.ec462a2d2cd8ep+5", "0x1.a46e3dd1a1fb7p-21"),
+            2.4: ("0x1.ec7fc70887b02p+5", "0x1.3102c0210145fp-26")}
     for mu, leg in legs.items():
         q, err, ok = minmax.evaluate_quotient(
             PATH, leg, PATH.spec().scaled(leg.tol_scale))
@@ -663,7 +663,7 @@ def test_legs_keep_their_bits():
         CutoffProfile(PATH.delta, 2.0 * PATH.delta),
         PATH.spec().scaled(interp.tol_scale))
     assert (flux.value.hex(), flux.error_estimate.hex(), flux.evaluations) \
-        == ("0x1.340e20a938aa7p-2", "0x1.9290e53ca90c4p-34", 75)
+        == ("0x1.340e20a938aa8p-2", "0x1.9290e57d78048p-34", 75)
 
 
 def test_path_config_validation():

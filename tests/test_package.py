@@ -22,7 +22,6 @@ OPTIONS = {
     "cyl.geometry.cnc.RadialCNCProfile.jet.order",
     "cyl.geometry.curvature.curvature_at.h_fd",
     "cyl.geometry.links.sphere_points.seed",
-    "cyl.green.AssembledGreen.__init__.harmonic",
     "cyl.green._sym_directions.n",
     "cyl.green.extract_mass.eps0",
     "cyl.green.extract_mass.profile",

@@ -237,6 +237,36 @@ def test_rect2d_batches_are_bounded(monkeypatch):
     assert np.shape(sliced[1][0].value) == (2,)
 
 
+def test_radial_batches_are_bounded(monkeypatch):
+    # an oscillation on a compactified half-line: one of its refine rounds
+    # evaluates 908 intervals, 13 620 points in one call unbounded
+    spec = QuadratureSpec(rel_tol=1e-12)
+
+    def wave(x):
+        return np.sin(300.0 * x) ** 2 / (1.0 + x * x)
+
+    integrands = (wave, lambda x: np.stack([wave(x), x * wave(x)]))
+
+    def run(f):
+        sizes = []
+
+        def g(x):
+            sizes.append(x.size)
+            return f(x)
+
+        return integrate_radial(g, (0.0, math.inf), spec), sizes
+
+    sliced = [run(f) for f in integrands]
+    for res, sizes in sliced:
+        assert max(sizes) <= quadrature._MAX_BATCH_POINTS
+    monkeypatch.setattr(quadrature, "_MAX_BATCH_POINTS", 1 << 40)
+    for f, (res, _) in zip(integrands, sliced):
+        whole, whole_sizes = run(f)
+        assert max(whole_sizes) > 1 << 13
+        assert whole == res
+    assert np.shape(sliced[1][0].value) == (2,)
+
+
 def _recording(F):
     """F plus the list of its calls' x coordinates and values."""
     calls = []
@@ -364,8 +394,9 @@ def _working_map(run):
 
 # each weight's working map with boxes inside its working domain: the
 # bi-radial sweep (both axes tanned, a factor on rho), the axisymmetric
-# chart (a factor on each axis, two components) and the plain rectangle
-# (x tanned, y bounded)
+# chart (a factor on each axis, two components), the plain rectangle
+# (x tanned, y bounded) and the half-line (x tanned, y of zero height, two
+# components)
 _ENGINE_MAPS = {
     "biradial": (lambda: integrate_biradial(
         _pair, [SPEC], params=[1.0]), (-1.4, 1.0), (0.0, 1.0), True),
@@ -376,6 +407,9 @@ _ENGINE_MAPS = {
     "rect2d": (lambda: integrate_rect2d(
         lambda x, y: np.exp(-x * (1.0 + y)) * np.cos(y), SPEC,
         (0.0, math.inf), (0.0, 1.0)), (0.0, 1.1), (0.0, 0.6), False),
+    "radial": (lambda: integrate_radial(
+        lambda r: np.stack([r ** 3 * np.exp(-r), np.cos(r) / (1.0 + r * r)]),
+        (0.0, math.inf), SPEC), (0.0, 1.1), (0.0, 0.0), False),
 }
 
 
@@ -383,14 +417,14 @@ _ENGINE_MAPS = {
 def test_a_box_gets_the_same_rule_bits_wherever_it_sits(monkeypatch, engine):
     # each box's four rule values come from its own grid and its own
     # per-axis tables: alone, inside a batch of 41 and at every batch bound
-    # they are the same bits
+    # they are the same bits; an empty y range draws boxes of zero height
     run, xs, ys, sweep = _ENGINE_MAPS[engine]
     g = _working_map(run)
     rng = np.random.default_rng(11)
     n = 41
     ax, ay = rng.uniform(*xs, n), rng.uniform(*ys, n)
     box = np.array([ax, ay, ax + rng.uniform(1e-3, 0.4, n),
-                    ay + rng.uniform(1e-3, 0.4, n)])
+                    ay + rng.uniform(1e-3, 0.4, n) * (ys[0] < ys[1])])
     par = rng.uniform(0.5, 2.0, n) if sweep else None
 
     def hexes(rules):
@@ -576,7 +610,7 @@ def _marked_rounds(budget):
     round picks the fewest boxes whose sorted errors reach the bulk
     fraction of the total, capped by the split budget."""
     calls = []
-    real = quadrature._panels_1d
+    real = quadrature._panels_2d
 
     def recorded(*args):
         out = real(*args)
@@ -585,7 +619,7 @@ def _marked_rounds(budget):
 
     # a singular end and an oscillation
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_panels_1d", recorded)
+        mp.setattr(quadrature, "_panels_2d", recorded)
         integrate_radial(lambda x: x ** -0.5 + np.cos(200.0 * x), (0.0, 1.0),
                          QuadratureSpec(max_subdivisions=budget))
     mesh, rounds = {}, []
@@ -986,9 +1020,9 @@ def _hexes(res):
 def test_engines_keep_their_bits():
     # value, error and points of each engine's map and weights, pinned by
     # float.hex: the tan map, its Jacobians and the weights are per-axis
-    # factors folded into each box's rule tables (the 1-d rule applies its
-    # Jacobian point by point), and a change in how they are formed must not
-    # move a bit
+    # factors folded into each box's rule tables (the 1-d engine's y table
+    # is the zero-height edge's unit pair), and a change in how they are
+    # formed must not move a bit
     taus = [0.5, 2.0]
     sweep = integrate_biradial(
         _pair, [SPEC.with_grading(((t, 0.0), 1.0)) for t in taus],
@@ -1007,7 +1041,7 @@ def test_engines_keep_their_bits():
                            2025)
     res = integrate_radial(lambda r: r ** 3 * np.exp(-r) / (1.0 + r * r),
                            (0.0, math.inf), SPEC)
-    assert _hexes(res) == ("0x1.5030c389e5605p-1", "0x1.f345601a3e000p-38",
+    assert _hexes(res) == ("0x1.5030c389e5605p-1", "0x1.f3469f9a40000p-38",
                            225)
     mesh = build_frozen_mesh(lambda z, p: _pair(z, p, 1.0),
                              SPEC.with_grading(((1.0, 0.0), 1.0)))
